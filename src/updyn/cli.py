@@ -22,7 +22,7 @@ from .constructs import VectorSequence
 from .delay import picard_apply
 from .detectors import collect_evidence, evidence_for_function, verify_evidence
 from .discrete import orbit_sum_residual
-from .errors import ConfigError, UpdynError
+from .errors import ConfigError, DomainError, UpdynError
 from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
                      write_function_csv, write_json_report, write_sequence_csv)
 
@@ -465,13 +465,17 @@ def _dispatch_config(config: dict) -> int:
 
 
 def _run_delay_config(config: dict, out: Path, prefix: str):
-    from .delay import (DelaySystemSpec, bounded_solution, check_assumptions_A,
-                        stability_constants)
+    from .delay import (DelaySystemSpec, _exact_ratio, bounded_solution,
+                        check_assumptions_A, stability_constants)
 
     system = config.get("system", {})
     numeric = config.get("numeric", {})
     source = config.get("source", {})
     tau = system.get("tau", catalog.DELAY_TAU)
+    try:
+        _exact_ratio(tau, numeric.get("step", tau / 32.0), "delay")
+    except DomainError as exc:
+        raise ConfigError(f"config field 'numeric.step': {exc}") from exc
     matrix = np.asarray(system.get("matrix", catalog.delay_demo_matrix()), dtype=float)
     nl_block = system.get("nonlinearity", {"type": "arctan_arccot"})
     nl = catalog.NONLINEARITIES[nl_block["type"]](matrix.shape[0], nl_block.get("scale", 1.0))

@@ -6,6 +6,14 @@ system by the method of steps with a classical fourth-order scheme, recovers
 the unique bounded solution by burn-in, and exposes the contraction operator
 whose fixed point is the difference of two forced solutions.  All of that
 feeds the convergence check against the explicit exponential envelope.
+
+Both the integrator and the contraction operator are segment-blocked.  With
+k steps per delay, everything delayed that one delay segment needs is known
+once the previous segment is, and because A is linear each step is affine in
+the state, y_{j+1} = y_j @ mt + c_j.  All offsets c_j of a segment come from
+one vectorised call, and ``_affine_scan`` advances its k rows at once: the
+start row times the powers mt^1..mt^k plus the offsets times a block
+Toeplitz matrix of the same powers.
 """
 
 from __future__ import annotations
@@ -262,31 +270,101 @@ def _forcing_on_half_grid(forcing: Forcing, t0: float, step: float, n_steps: int
     return vals
 
 
-def _segment_midpoint(xs: np.ndarray, j: int, k: int, last: int) -> np.ndarray:
-    """Cubic value at node j + 1/2 from a stencil inside one delay segment.
+def _segment_midpoints(xs: np.ndarray, k: int) -> np.ndarray:
+    """Cubic values at the half nodes of ``xs``, one per interval.
 
     Solutions of delay systems lose smoothness at multiples of the delay
     past the history junction, so stencils must not straddle the segment
-    boundaries at storage nodes 0, k, 2k, ...
+    boundaries at nodes 0, k, 2k, ... of ``xs``.  Each segment's first
+    midpoint uses a forward stencil and its last a backward one; a final
+    segment shorter than three intervals has no forward stencil inside it
+    and falls back to the backward one.
     """
-    seg_lo = (j // k) * k
-    seg_hi = min(seg_lo + k, last)
-    if j - 1 >= seg_lo and j + 2 <= seg_hi:
-        return (-xs[j - 1] + 9.0 * xs[j] + 9.0 * xs[j + 1] - xs[j + 2]) / 16.0
-    if j - 1 < seg_lo:
-        return (5.0 * xs[j] + 15.0 * xs[j + 1] - 5.0 * xs[j + 2] + xs[j + 3]) / 16.0
-    return (xs[j - 2] - 5.0 * xs[j - 1] + 15.0 * xs[j] + 5.0 * xs[j + 1]) / 16.0
+    n = len(xs) - 1
+    mids = np.empty((n,) + xs.shape[1:])
+    mids[1:-1] = (-xs[:-3] + 9.0 * xs[1:-2] + 9.0 * xs[2:-1] - xs[3:]) / 16.0
+    mids[0:n - 2:k] = (5.0 * xs[0:n - 2:k] + 15.0 * xs[1:n - 1:k] - 5.0 * xs[2:n:k]
+                       + xs[3:n + 1:k]) / 16.0
+    for lo, stride in ((k - 1, k), (n - 2 if n % k == 2 else n - 1, 1)):
+        mids[lo:n:stride] = (xs[lo - 2:n - 2:stride] - 5.0 * xs[lo - 1:n - 1:stride]
+                             + 15.0 * xs[lo:n:stride] + 5.0 * xs[lo + 1:n + 1:stride]) / 16.0
+    return mids
+
+
+def _rk4_step(a: np.ndarray, x: np.ndarray, b0: np.ndarray, bm: np.ndarray,
+              b1: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step of x' = A x + b for each row of ``x``.
+
+    ``b0``, ``bm`` and ``b1`` hold the inhomogeneous term at the start, the
+    midpoint and the end of the step.
+    """
+    at = a.T
+    k1 = x @ at + b0
+    k2 = (x + 0.5 * h * k1) @ at + bm
+    k3 = (x + 0.5 * h * k2) @ at + bm
+    k4 = (x + h * k3) @ at + b1
+    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Solver for the rows of y_{j+1} = y_j @ mt + c_j, ``k`` steps per matmul.
+
+    Returns ``scan(y0, c)``, which gives the rows y_1 .. y_n for an offset
+    array ``c`` of shape (n, m).  Column block j of ``powers`` is mt^(j+1)
+    and block (i, j) of ``toeplitz`` is mt^(j-i) for i <= j (zero below), so
+    one block of k rows is y0 @ powers + c.ravel() @ toeplitz.
+    """
+    m = mt.shape[0]
+    stack = np.empty((k + 1, m, m))
+    stack[0] = np.eye(m)
+    for j in range(k):
+        stack[j + 1] = stack[j] @ mt
+    powers = stack[1:].transpose(1, 0, 2).reshape(m, k * m)
+    lag = np.arange(k)[None, :] - np.arange(k)[:, None]
+    toeplitz = np.where((lag >= 0)[:, :, None, None], stack[np.maximum(lag, 0)], 0.0)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+
+    def scan(y0: np.ndarray, c: np.ndarray) -> np.ndarray:
+        out = np.empty(c.shape)
+        y = y0
+        for lo in range(0, len(c), k):
+            rows = c[lo:lo + k]
+            w = rows.size
+            out[lo:lo + k] = (y @ powers[:, :w] + rows.ravel() @ toeplitz[:w, :w]).reshape(-1, m)
+            y = out[lo + len(rows) - 1]
+        return out
+    return scan
+
+
+def _first_non_finite(scan, y0: np.ndarray, c: np.ndarray) -> int:
+    """Index of the first non-finite row of ``scan(y0, c)``, as a step-by-step sweep finds it.
+
+    A non-finite offset c_i also spoils the rows before i, through the zero
+    blocks of the Toeplitz matrix, so only the rows of its finite prefix
+    are searched.
+    """
+    finite = np.isfinite(c).all(axis=1)
+    n_ok = len(c) if finite.all() else int(np.argmin(finite))
+    bad = ~np.isfinite(scan(y0, c[:n_ok])).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else n_ok
 
 
 def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
                   step: float) -> GridFunction:
-    """Method-of-steps trajectory on [t0, t_end] with a classical RK4 sweep.
+    """Method-of-steps trajectory on [t0, t_end] with classical RK4, one delay segment at a time.
 
     ``history`` must cover exactly one delay interval ending at the start
     time, sampled at the integration step.  The step must divide the delay
     (at least four steps per delay) so delayed nodes land on the grid; the
     half-stage delayed values come from a cubic stencil of already computed
     nodes, which preserves the fourth-order accuracy of the sweep.
+
+    Once a delay segment is known, every delayed input of the next one is
+    known too, and with A linear the RK4 step is affine in the state:
+    x_{n+1} = M x_n + c_n, where M is the step applied to the identity and
+    c_n the step from the zero state.  Each segment therefore takes two
+    nonlinearity calls (delayed nodes and delayed midpoints), one
+    vectorised RK4 call for its k offsets and one blocked affine scan.
     """
     k = _exact_ratio(spec.delay, step, "delay")
     if k < 4:
@@ -303,25 +381,22 @@ def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
     a = spec.matrix
     f = spec.nonlinearity
     h = step
-    last = k + n_steps
-    xs = np.empty((last + 1, m))
+    scan = _affine_scan(_rk4_step(a, np.eye(m), 0.0, 0.0, 0.0, h), k)
+    xs = np.empty((k + n_steps + 1, m))
     xs[:k + 1] = history.samples
-    for j in range(n_steps):
-        i = k + j
-        x = xs[i]
-        d = i - k
-        fd0 = f(xs[d])
-        fdm = f(_segment_midpoint(xs, d, k, last))
-        fd1 = f(xs[d + 1])
-        p0, pm, p1 = forcing[2 * j], forcing[2 * j + 1], forcing[2 * j + 2]
-        k1 = a @ x + fd0 + p0
-        k2 = a @ (x + 0.5 * h * k1) + fdm + pm
-        k3 = a @ (x + 0.5 * h * k2) + fdm + pm
-        k4 = a @ (x + h * k3) + fd1 + p1
-        xn = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(xn)):
+    for lo in range(0, n_steps, k):
+        n = min(k, n_steps - lo)
+        delayed = xs[lo:lo + k + 1]
+        fd = f(delayed[:n + 1])
+        fdm = f(_segment_midpoints(delayed, k)[:n])
+        p = forcing[2 * lo:2 * (lo + n) + 1]
+        c = _rk4_step(a, np.zeros((n, m)), fd[:-1] + p[0:-1:2], fdm + p[1::2],
+                      fd[1:] + p[2::2], h)
+        rows = scan(xs[k + lo], c)
+        if not np.isfinite(rows).all():
+            j = lo + _first_non_finite(scan, xs[k + lo], c)
             raise NonFiniteStateError(f"state left the finite range at t = {t0 + (j + 1) * h:.6g}")
-        xs[i + 1] = xn
+        xs[k + lo + 1:k + lo + n + 1] = rows
     return GridFunction(t0, step, xs[k:])
 
 
@@ -336,13 +411,7 @@ def step_residuals(spec: DelaySystemSpec, trajectory: GridFunction,
     forcing = _forcing_on_half_grid(spec.forcing, t0, h, n_steps, spec.dim)
     a = spec.matrix
     f = spec.nonlinearity
-
-    last = len(xs) - 1
-    mids = np.empty((last, spec.dim))
-    mids[1:-1] = (-xs[:-3] + 9.0 * xs[1:-2] + 9.0 * xs[2:-1] - xs[3:]) / 16.0
-    for j in range(last):
-        if j % k in (0, k - 1) or j in (0, last - 1):
-            mids[j] = _segment_midpoint(xs, j, k, last)
+    mids = _segment_midpoints(xs, k)
 
     node = slice(k, k + n_steps)
     rhs0 = xs[node] @ a.T + f(xs[:n_steps]) + forcing[0::2][:-1]
@@ -400,6 +469,10 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridF
     of the damped nonlinearity difference and tail terms.  All three grid
     functions must share a grid that reaches back at least one delay before
     alpha.
+
+    With E = exp(A h), the sum y = propagated value + quadrature obeys the
+    affine recurrence y_{j+1} = E y_j + (h/2)(E u_j + u_{j+1}), u the
+    inhomogeneous term, which one blocked scan advances a delay at a time.
     """
     psi_solution.require_same_grid(theta)
     psi_solution.require_same_grid(candidate)
@@ -419,12 +492,8 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridF
     damped = inhomo @ e_step.T
 
     out = np.array(g.samples, copy=True)
-    v = g.samples[a_idx].copy()
-    integral = np.zeros(spec.dim)
-    for j in range(n - 1 - a_idx):
-        v = e_step @ v
-        integral = e_step @ integral + 0.5 * h * (damped[j] + inhomo[j + 1])
-        out[a_idx + 1 + j] = v + integral
+    offsets = 0.5 * h * (damped[:-1] + inhomo[1:])
+    out[a_idx + 1:] = _affine_scan(e_step.T, k)(g.samples[a_idx], offsets)
     return GridFunction(g.t_start, g.step, out)
 
 

@@ -15,8 +15,19 @@ from pathlib import Path
 import numpy as np
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+CSV_CHUNK_ROWS = 1024
+
+
+def _write_rows(fh, row_fmt: str, axis, values) -> None:
+    """Write ``row_fmt % (axis[i], *values[i])`` for every row.
+
+    Rows are converted to Python numbers at most ``CSV_CHUNK_ROWS`` at a
+    time and written one by one, so memory stays flat on long series.
+    """
+    for lo in range(0, len(values), CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        for a, row in zip(axis[lo:hi].tolist(), values[lo:hi].tolist()):
+            fh.write(row_fmt % (a, *row))
 
 
 def write_function_csv(path, times, samples) -> None:
@@ -27,8 +38,8 @@ def write_function_csv(path, times, samples) -> None:
     cols = samples.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
-        for t, row in zip(times, samples):
-            fh.write(format_float(t) + "," + ",".join(format_float(v) for v in row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * (cols + 1)) + "\n",
+                    np.asarray(times, dtype=float), samples)
 
 
 def write_sequence_csv(path, indices, values) -> None:
@@ -39,8 +50,8 @@ def write_sequence_csv(path, indices, values) -> None:
     cols = values.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("i," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
-        for i, row in zip(indices, values):
-            fh.write(f"{int(i)}," + ",".join(format_float(v) for v in row) + "\n")
+        _write_rows(fh, "%d," + ",".join(["%.17g"] * cols) + "\n",
+                    np.asarray(indices), values)
 
 
 def read_series_csv(path):

@@ -33,6 +33,19 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self, capsys):
         assert run_cli("run", "/nonexistent/config.json") == 2
 
+    @pytest.mark.parametrize("forcing", ["construct", "zero"])
+    def test_step_not_dividing_tau_names_field(self, tmp_path, capsys, forcing):
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps({
+            "kind": "delay",
+            "system": {"tau": 0.2, "forcing": {"type": forcing}},
+            "numeric": {"step": 0.03, "window": [0.0, 1.0]},
+            "output": {"dir": str(tmp_path / "out")},
+        }))
+        assert run_cli("run", str(cfg)) == 2
+        assert "numeric.step" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "delay_report.json").exists()
+
     def test_usage_error_exits_two(self):
         assert run_cli("reproduce") == 2
         assert run_cli("nonsense-command") == 2
@@ -58,6 +71,30 @@ class TestCsvRoundTrip:
         assert kind == "sequence"
         np.testing.assert_array_equal(axis, idx)
         np.testing.assert_array_equal(data, vals)
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        specials = [-0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                    1e-300, -1e-300, 1.0 / 3.0]
+        # more rows than one chunk, so the chunk boundary is covered too
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-300, 300, (5000, 2))
+        vals[:len(specials), 0] = specials
+        vals[-len(specials):, 1] = specials
+        times = np.concatenate([specials, rng.uniform(-5, 5, 5000 - len(specials))])
+        idx = np.arange(-2500, 2500)
+
+        write_function_csv(tmp_path / "f.csv", times, vals)
+        expected = "t,x1,x2\n" + "".join(
+            fmt(t) + "," + ",".join(fmt(v) for v in row) + "\n" for t, row in zip(times, vals))
+        assert (tmp_path / "f.csv").read_bytes() == expected.encode()
+
+        write_sequence_csv(tmp_path / "s.csv", idx, vals)
+        expected = "i,x1,x2\n" + "".join(
+            f"{int(i)}," + ",".join(fmt(v) for v in row) + "\n" for i, row in zip(idx, vals))
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "h.csv"

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from updyn import catalog
 from updyn.chaos import GridFunction
-from updyn.delay import (DelaySystemSpec, bounded_solution, check_assumptions_A,
-                         constant_history, contraction_margin, convergence_check,
-                         integrate_mos, picard_apply, proof_constants,
+from updyn.delay import (DelaySystemSpec, _segment_midpoints, bounded_solution,
+                         check_assumptions_A, constant_history, contraction_margin,
+                         convergence_check, integrate_mos, picard_apply, proof_constants,
                          stability_constants, step_residuals, verify_decay_bound)
-from updyn.errors import AssumptionError, DomainError, StabilityError
+from updyn.errors import AssumptionError, DomainError, NonFiniteStateError, StabilityError
 from updyn.nonlinearity import Nonlinearity
 
 EXACT_N = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
@@ -24,6 +26,87 @@ def zero_forcing(t):
 def demo_spec(forcing=zero_forcing, tau=0.2):
     return DelaySystemSpec(catalog.delay_demo_matrix(), tau,
                            catalog.delay_demo_nonlinearity(), forcing)
+
+
+def wave_forcing(dim):
+    def forcing(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.sin((j + 1) * t + j) for j in range(dim)], axis=-1)
+    return forcing
+
+
+# Step-by-step references for the blocked solvers: one RK4 or quadrature step per pass.
+
+def _reference_midpoint(xs, j, k, last):
+    seg_lo = (j // k) * k
+    seg_hi = min(seg_lo + k, last)
+    if j - 1 >= seg_lo and j + 2 <= seg_hi:
+        return (-xs[j - 1] + 9.0 * xs[j] + 9.0 * xs[j + 1] - xs[j + 2]) / 16.0
+    if j - 1 < seg_lo:
+        return (5.0 * xs[j] + 15.0 * xs[j + 1] - 5.0 * xs[j + 2] + xs[j + 3]) / 16.0
+    return (xs[j - 2] - 5.0 * xs[j - 1] + 15.0 * xs[j] + 5.0 * xs[j + 1]) / 16.0
+
+
+def reference_mos(spec, history, t_end, step):
+    """One classical RK4 step at a time, delayed midpoints by the cubic stencil."""
+    k = round(spec.delay / step)
+    t0 = history.t_end
+    n_steps = round((t_end - t0) / step)
+    times = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
+    forcing = np.asarray(spec.forcing(times), dtype=float).reshape(times.size, -1)
+    a, f, h = spec.matrix, spec.nonlinearity, step
+    last = k + n_steps
+    xs = np.empty((last + 1, spec.dim))
+    xs[:k + 1] = history.samples
+    for j in range(n_steps):
+        x, d = xs[k + j], j
+        fd0 = f(xs[d])
+        fdm = f(_reference_midpoint(xs, d, k, last))
+        fd1 = f(xs[d + 1])
+        p0, pm, p1 = forcing[2 * j], forcing[2 * j + 1], forcing[2 * j + 2]
+        k1 = a @ x + fd0 + p0
+        k2 = a @ (x + 0.5 * h * k1) + fdm + pm
+        k3 = a @ (x + 0.5 * h * k2) + fdm + pm
+        k4 = a @ (x + h * k3) + fd1 + p1
+        xn = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(xn)):
+            raise NonFiniteStateError(f"state left the finite range at t = {t0 + (j + 1) * h:.6g}")
+        xs[k + j + 1] = xn
+    return GridFunction(t0, step, xs[k:])
+
+
+def reference_picard(spec, psi_solution, theta, candidate, alpha):
+    """Propagated value and trapezoid quadrature advanced one step at a time."""
+    g = candidate
+    a_idx = g.index_at(alpha)
+    k = round(spec.delay / g.step)
+    n, h, f = len(g), g.step, spec.nonlinearity
+    e_step = expm(spec.matrix * h)
+    delayed = slice(a_idx - k, n - k)
+    inhomo = f(g.samples[delayed] + psi_solution.samples[delayed]) \
+        - f(psi_solution.samples[delayed]) + theta.samples[a_idx:]
+    damped = inhomo @ e_step.T
+    out = np.array(g.samples, copy=True)
+    v = g.samples[a_idx].copy()
+    integral = np.zeros(spec.dim)
+    for j in range(n - 1 - a_idx):
+        v = e_step @ v
+        integral = e_step @ integral + 0.5 * h * (damped[j] + inhomo[j + 1])
+        out[a_idx + 1 + j] = v + integral
+    return GridFunction(g.t_start, g.step, out)
+
+
+def assert_matches_reference(got, ref):
+    np.testing.assert_array_equal(got.times(), ref.times())
+    scale = max(1.0, float(np.abs(ref.samples).max()))
+    assert np.abs(got.samples - ref.samples).max() <= 1e-12 * scale
+
+
+def stable_matrix(entries, margin):
+    """Shift a square matrix so its spectral abscissa is -margin."""
+    a = np.asarray(entries, dtype=float)
+    abscissa = np.linalg.eigvals(a).real.max()
+    return a - (abscissa + margin) * np.eye(len(a))
 
 
 class TestStabilityConstants:
@@ -160,6 +243,119 @@ class TestIntegrateMos:
         res = step_residuals(spec, traj, history)
         assert res.max() <= 1e-8
 
+    @pytest.mark.parametrize("k", [4, 5, 32])
+    def test_midpoints_bit_identical_to_per_node_stencil(self, k):
+        xs = np.random.default_rng(k).standard_normal((4 * k + 1, 2))
+        for n in range(k, 4 * k + 1):
+            if n % k in (1, 2):
+                continue  # no forward stencil fits there; the per-node form indexes past the end
+            expected = np.array([_reference_midpoint(xs, j, k, n) for j in range(n)])
+            np.testing.assert_array_equal(_segment_midpoints(xs[:n + 1], k), expected)
+
+
+class TestBlockedIntegrator:
+    def test_demo_forcing(self):
+        filt = catalog.function_source(catalog.DEFAULT_SEED, catalog.DEFAULT_BURN_IN, -4.0, 21.0)
+        step = 0.2 / 32.0
+        history = constant_history(np.zeros(2), -3.0, 0.2, step)
+        for forcing in (catalog.combined_forcing(filt), catalog.recurrent_forcing(filt)):
+            spec = demo_spec(forcing)
+            assert_matches_reference(integrate_mos(spec, history, 20.0, step),
+                                     reference_mos(spec, history, 20.0, step))
+
+    def test_random_bounded_histories(self):
+        filt = catalog.function_source(0.41, 1000, -2.0, 14.0)
+        spec = demo_spec(catalog.combined_forcing(filt))
+        step = 0.2 / 32.0
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            history = GridFunction(-0.2, step, rng.uniform(-1, 1, (33, 2)))
+            assert_matches_reference(integrate_mos(spec, history, 12.0, step),
+                                     reference_mos(spec, history, 12.0, step))
+
+    def test_three_dimensional_tanh(self):
+        a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, -1.0]])
+        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3), wave_forcing(3))
+        step = 0.5 / 20.0
+        history = GridFunction(-0.5, step, np.random.default_rng(5).uniform(-2, 2, (21, 3)))
+        assert_matches_reference(integrate_mos(spec, history, 15.0, step),
+                                 reference_mos(spec, history, 15.0, step))
+
+    @pytest.mark.parametrize("extra", [1, 2, 3, 17, 31])
+    def test_window_not_a_multiple_of_the_delay(self, extra):
+        spec = demo_spec(wave_forcing(2))
+        step = 0.2 / 32.0
+        history = GridFunction(-0.2, step, np.random.default_rng(extra).uniform(-1, 1, (33, 2)))
+        t_end = (3 * 32 + extra) * step
+        blocked = integrate_mos(spec, history, t_end, step)
+        assert len(blocked) == 3 * 32 + extra + 1
+        assert_matches_reference(blocked, reference_mos(spec, history, t_end, step))
+        res = step_residuals(spec, blocked, history)
+        assert res.shape == (3 * 32 + extra,) and np.all(np.isfinite(res))
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(4, 40),
+           entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           margin=st.floats(0.2, 3.0),
+           segments=st.integers(1, 4), extra=st.integers(0, 39),
+           seed=st.integers(0, 2 ** 16))
+    def test_random_stable_systems(self, k, entries, margin, segments, extra, seed):
+        a = stable_matrix(np.reshape(entries, (2, 2)), margin)
+        tau = 0.4
+        step = tau / k
+        spec = DelaySystemSpec(a, tau, catalog.delay_demo_nonlinearity(), wave_forcing(2))
+        history = GridFunction(-tau, step,
+                               np.random.default_rng(seed).uniform(-1, 1, (k + 1, 2)))
+        t_end = (segments * k + extra % k) * step
+        assert_matches_reference(integrate_mos(spec, history, t_end, step),
+                                 reference_mos(spec, history, t_end, step))
+
+    def test_two_nonlinearity_calls_per_segment(self):
+        calls = []
+        base = catalog.delay_demo_nonlinearity()
+
+        def counted(x):
+            calls.append(x.shape)
+            return base.func(x)
+
+        spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
+                               Nonlinearity(counted, base.bound, base.lipschitz),
+                               wave_forcing(2))
+        step = 0.2 / 32.0
+        n_steps = 1000
+        integrate_mos(spec, constant_history(np.zeros(2), 0.0, 0.2, step),
+                      n_steps * step, step)
+        assert len(calls) <= 2 * math.ceil(n_steps / 32) + 2
+
+    @pytest.mark.parametrize("case", ["unstable", "overflowing_stencil"])
+    def test_non_finite_state_names_the_reference_time(self, case):
+        tau, k = 1.0, 4
+        step = tau / k
+        if case == "unstable":
+            # slow growth, so no RK4 stage overflows before the state itself does
+            a = np.diag([0.15, 0.1])
+            nl = catalog.delay_demo_nonlinearity()
+            history = constant_history(np.array([1e307, -1e307]), 0.0, tau, step)
+            t_end = 40.0
+        else:
+            # the cubic stencil overflows on a finite history, and softsign maps the
+            # infinite midpoint to nan, inside the first segment but past its start
+            a = -np.eye(2)
+            nl = Nonlinearity(lambda x: x / (1.0 + np.abs(x)), bound=math.sqrt(2.0),
+                              lipschitz=1.0, name="softsign")
+            history = GridFunction(0.0, step, np.outer(np.linspace(0.0, 2.8e307, k + 1),
+                                                       [1.0, 0.5]))
+            t_end = 5.0
+        spec = DelaySystemSpec(a, tau, nl, zero_forcing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as ref:
+                reference_mos(spec, history, t_end, step)
+            with pytest.raises(NonFiniteStateError) as got:
+                integrate_mos(spec, history, t_end, step)
+        assert str(got.value) == str(ref.value)
+        t_bad = float(str(ref.value).rsplit("= ", 1)[1])
+        assert round((t_bad - history.t_end) / step) % k != 0
+
 
 class TestBoundedSolution:
     def test_zero_system_zero_solution(self):
@@ -271,6 +467,25 @@ class TestPicard:
             num = np.linalg.norm(t1.samples - t2.samples, axis=1).max()
             den = np.linalg.norm(g1.samples - g2.samples, axis=1).max()
             assert num <= bound * den
+
+
+    def test_matches_reference_on_demo(self, delay_demo):
+        d = delay_demo
+        cand = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
+                            d.phi_solution.samples - d.psi_solution.samples)
+        args = (d.spec_combined, d.psi_solution, d.theta_grid, cand, d.alpha)
+        assert_matches_reference(picard_apply(*args), reference_picard(*args))
+
+    @pytest.mark.parametrize("n", [3 * 20 + 1, 3 * 20 + 8, 3 * 20 + 13])
+    def test_matches_reference_three_dimensional(self, n):
+        a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, -1.0]])
+        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3), zero_forcing)
+        step = 0.5 / 20.0
+        rng = np.random.default_rng(n)
+        psi, theta, cand = (GridFunction(0.0, step, rng.uniform(-1, 1, (n, 3)))
+                            for _ in range(3))
+        args = (spec, psi, theta, cand, 25 * step)
+        assert_matches_reference(picard_apply(*args), reference_picard(*args))
 
 
 class TestConvergenceCheck:
