@@ -386,12 +386,20 @@ def reproduce(example_id: str, out_dir="updyn-report", seed: float | None = None
 # config-driven runs
 
 
-def _constant_forcing(value, dim):
-    v = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+def _forcing_value(forcing_block: dict, dim: int) -> np.ndarray:
+    """The constant forcing vector of a config: a list of 1 or ``dim`` numbers."""
+    value = forcing_block.get("value", [0.0])
+    if len(value) not in (1, dim):
+        raise ConfigError(f"config field 'system.forcing.value': expected 1 or {dim} "
+                          f"numbers for a {dim}x{dim} matrix, got {len(value)}")
+    return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+
+
+def _constant_forcing(v: np.ndarray):
 
     def forcing(t):
         t = np.asarray(t, dtype=float)
-        return np.broadcast_to(v, t.shape + (dim,))
+        return np.broadcast_to(v, t.shape + v.shape)
     return forcing
 
 
@@ -492,11 +500,11 @@ def _run_delay_config(config: dict, out: Path, prefix: str):
             tau=tau)
         return _render_delay_demo(demo, out, prefix, _echo(config))
 
-    constants = stability_constants(matrix)
     if forcing_block["type"] == "zero":
-        forcing = _constant_forcing(np.zeros(matrix.shape[0]), matrix.shape[0])
+        forcing = _constant_forcing(np.zeros(matrix.shape[0]))
     else:
-        forcing = _constant_forcing(forcing_block.get("value", [0.0]), matrix.shape[0])
+        forcing = _constant_forcing(_forcing_value(forcing_block, matrix.shape[0]))
+    constants = stability_constants(matrix)
     spec = DelaySystemSpec(matrix, tau, nl, forcing)
     assumptions = check_assumptions_A(spec, constants)
     checks = [
@@ -561,9 +569,7 @@ def _run_discrete_config(config: dict, out: Path, prefix: str):
     if forcing_block["type"] == "zero":
         values = np.zeros((i1 - i0 + 200, dim))
     else:
-        values = np.tile(np.broadcast_to(
-            np.asarray(forcing_block.get("value", [0.0]), dtype=float), (dim,)),
-            (i1 - i0 + 200, 1))
+        values = np.tile(_forcing_value(forcing_block, dim), (i1 - i0 + 200, 1))
     forcing = VectorSequence(i0 - 199, values)
     spec = DiscreteSystemSpec(matrix, nl, forcing)
     assumptions = check_assumptions_B(spec)
@@ -580,10 +586,10 @@ def _run_discrete_config(config: dict, out: Path, prefix: str):
     if assumptions.b3_pass:
         orbit = bounded_orbit(spec, (i0, i1), tol=numeric.get("tol", 1e-9))
         write_sequence_csv(out / f"{prefix}_orbit.csv", orbit.indices(), orbit.values)
+        resid = _recurrence_residual(spec, orbit)
         checks.append(CheckRecord.from_bool(
-            "recurrence_residual", _recurrence_residual(spec, orbit) <= 4e-15,
-            values={"max_residual": _recurrence_residual(spec, orbit)},
-            tolerances={"residual": 4e-15}))
+            "recurrence_residual", resid <= 4e-15,
+            values={"max_residual": resid}, tolerances={"residual": 4e-15}))
         counters = {"simulated": True, "orbit_steps": len(orbit) - 1}
     else:
         checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))

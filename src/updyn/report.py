@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,14 +59,43 @@ def read_series_csv(path):
     """Load a CSV written by the functions above.
 
     Returns ("function"|"sequence", axis, values) depending on the header.
+    Raises ValueError naming the file and the axis unless a time axis has at
+    least two rows and one step, and an index axis holds consecutive integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     if not header or header[0] not in ("t", "i"):
         raise ValueError(f"{path}: expected a header starting with 't' or 'i'")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    kind = "function" if header[0] == "t" else "sequence"
-    return kind, data[:, 0], data[:, 1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only files, rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    axis = data[:, 0]
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{path}: axis '{header[0]}' holds a non-finite value")
+    if header[0] == "t":
+        if axis.size < 2:
+            raise ValueError(f"{path}: time axis 't' needs at least 2 rows, got 1")
+        steps = np.diff(axis)
+        if not steps[0] > 0:
+            raise ValueError(f"{path}: time axis 't' must increase; step after row 1 "
+                             f"is {float(steps[0])!r}")
+        # rounding of t0 + k*h moves a difference by a few ulps of |t|
+        slack = 1e-6 * steps[0] + 8 * np.finfo(float).eps * float(np.abs(axis).max())
+        off = np.nonzero(np.abs(steps - steps[0]) > slack)[0]
+        if off.size:
+            k = int(off[0])
+            raise ValueError(f"{path}: time axis 't' is not uniform: step "
+                             f"{float(steps[0])!r} after row 1, {float(steps[k])!r} "
+                             f"after row {k + 1}")
+        return "function", axis, data[:, 1:]
+    off = np.nonzero(axis != axis[0] + np.arange(axis.size))[0]
+    if off.size or not float(axis[0]).is_integer():
+        k = int(off[0]) if off.size else 0
+        raise ValueError(f"{path}: index axis 'i' is not consecutive integers: "
+                         f"row {k + 1} holds {float(axis[k])!r}")
+    return "sequence", axis, data[:, 1:]
 
 
 @dataclass

@@ -46,6 +46,21 @@ class TestConfigValidation:
         assert "numeric.step" in capsys.readouterr().err
         assert not (tmp_path / "out" / "delay_report.json").exists()
 
+    @pytest.mark.parametrize("kind", ["discrete", "delay"])
+    def test_forcing_value_length_names_field(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "forcing.json"
+        cfg.write_text(json.dumps({
+            "kind": kind,
+            "system": {"forcing": {"type": "constant", "value": [0.1, 0.2, 0.3]}},
+            "numeric": {"window": [0, 40]},
+            "output": {"dir": str(tmp_path / "out")},
+        }))
+        assert run_cli("run", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config field 'system.forcing.value'" in err
+        assert "got 3" in err
+        assert not (tmp_path / "out" / f"{kind}_report.json").exists()
+
     def test_usage_error_exits_two(self):
         assert run_cli("reproduce") == 2
         assert run_cli("nonsense-command") == 2
@@ -167,3 +182,27 @@ class TestDetect:
 
     def test_detect_missing_file(self, tmp_path, capsys):
         assert run_cli("detect", str(tmp_path / "missing.csv")) == 2
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("one_row.csv", "t,x1\n0.5,0.25\n", "time axis 't' needs at least 2 rows"),
+        ("uneven.csv", "t,x1\n0,0.1\n0.01,0.2\n0.03,0.3\n0.05,0.1\n",
+         "time axis 't' is not uniform"),
+        ("gap.csv", "i,x1\n0,0.1\n1,0.2\n3,0.3\n4,0.5\n",
+         "index axis 'i' is not consecutive integers: row 3"),
+        ("empty.csv", "i,x1\n", "no data rows"),
+        ("backwards.csv", "t,x1\n0.2,0.1\n0.1,0.2\n0.0,0.3\n", "time axis 't' must increase"),
+        ("nan.csv", "i,x1\nnan,0.1\n1,0.2\n", "axis 'i' holds a non-finite value"),
+    ])
+    def test_detect_rejects_bad_axis(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert name in err and message in err
+
+    def test_function_csv_axis_within_rounding_accepted(self, tmp_path):
+        path = tmp_path / "f.csv"
+        times = 1e4 + 0.05 * np.arange(400)
+        write_function_csv(path, times, np.sin(times)[:, None])
+        kind, axis, _ = read_series_csv(path)
+        assert kind == "function" and axis.size == 400

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from updyn import catalog
+from updyn import catalog, discrete
 from updyn.constructs import VectorSequence, build_sequence_triple
 from updyn.discrete import (DiscreteSystemSpec, bounded_orbit, burn_in_length,
                             check_assumptions_B, convergence_check_discrete,
@@ -13,6 +16,59 @@ from updyn.errors import AssumptionError, DomainError, WindowExhaustedError
 from updyn.nonlinearity import Nonlinearity
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
+K = discrete._BLOCK_ROWS
+
+
+def column_product(b, w):
+    """B w summed column by column, the order iterate guarantees."""
+    acc = b[:, 0] * w[0]
+    for k in range(1, w.size):
+        acc = acc + b[:, k] * w[k]
+    return acc
+
+
+def reference_iterate(spec, start_state, steps, start_index=None, product=np.matmul):
+    """One transition w <- B w + g(w) + forcing_i at a time."""
+    i0 = spec.forcing.base_index if start_index is None else start_index
+    w = np.atleast_1d(np.asarray(start_state, dtype=float))
+    out = np.empty((steps + 1, spec.dim))
+    out[0] = w
+    phi = spec.forcing.values[i0 - spec.forcing.base_index:]
+    for j in range(steps):
+        w = product(spec.matrix, w) + spec.nonlinearity(w) + phi[j]
+        out[j + 1] = w
+    return VectorSequence(i0, out)
+
+
+def reference_sum_residual(spec, orbit, tol=1e-10, sample=16):
+    """orbit_sum_residual with each sampled sum advanced on its own."""
+    norm_b = spectral_norm(spec.matrix)
+    scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - norm_b)
+    depth = max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
+    candidates = range(max(orbit.base_index, spec.forcing.base_index) + depth + 1,
+                       orbit.end_index)
+    worst = 0.0
+    for i in candidates[::max(1, len(candidates) // sample)]:
+        acc = np.zeros(spec.dim)
+        for j in range(i - depth, i + 1):
+            acc = spec.matrix @ acc + spec.nonlinearity(orbit.value_at(j - 1)) \
+                + spec.forcing.value_at(j - 1)
+        worst = max(worst, float(np.linalg.norm(acc - orbit.value_at(i))))
+    return worst
+
+
+def assert_same_bits(a, b):
+    assert a.base_index == b.base_index
+    np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
+
+def rotation(angle, scale):
+    c, s = math.cos(angle), math.sin(angle)
+    return scale * np.array([[c, -s], [s, c]])
+
+
+def random_forcing(n, dim, seed, base=0):
+    return VectorSequence(base, np.random.default_rng(seed).uniform(-1, 1, (n, dim)))
 
 
 def zero_forcing(n=500, p=2, base=0):
@@ -49,6 +105,13 @@ class TestSpectralNorm:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             spectral_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_nearly_equal_singular_values(self):
+        # power iteration stalled here and raised after about two seconds
+        assert spectral_norm(np.diag([0.5, 0.5 - 1e-7])) == pytest.approx(0.5, abs=1e-15)
+
+    def test_demo_value_unchanged(self):
+        assert spectral_norm(catalog.discrete_demo_matrix()) == 0.5590169943749475
 
 
 class TestAssumptions:
@@ -164,6 +227,17 @@ class TestBoundedOrbit:
                                  tol=1e-10)
         assert gap <= 1e-9
 
+    def test_sum_residual_matches_per_sample_sums(self, discrete_demo):
+        for orbit in (discrete_demo.phi_orbit, discrete_demo.psi_orbit):
+            assert orbit_sum_residual(discrete_demo.spec_combined, orbit) == \
+                reference_sum_residual(discrete_demo.spec_combined, orbit)
+
+    def test_sum_residual_needs_forcing_past_the_orbit(self):
+        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2), zero_forcing(n=120))
+        orbit = VectorSequence(0, np.zeros((200, 2)))
+        with pytest.raises(WindowExhaustedError):
+            orbit_sum_residual(spec, orbit)
+
 
 class TestGronwallEnvelope:
     def _spec(self):
@@ -240,3 +314,96 @@ class TestConvergenceCheckDiscrete:
         env = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, eps, (100, 398))
         report = convergence_check_discrete(a, b, env, alpha)
         assert report.envelope_ok
+
+
+class TestBlockSweeps:
+    """iterate against the one-transition-at-a-time loop it replaced."""
+
+    def _demo_specs(self, nonlinearity):
+        triple = build_sequence_triple(catalog.source_orbit(length=44002))
+        b = catalog.discrete_demo_matrix()
+        return [DiscreteSystemSpec(b, nonlinearity, seq) for seq in (triple.phi, triple.psi)]
+
+    def test_demo_window_bit_identical(self):
+        # the demo matrix makes every product exact, so B @ w agrees bit for bit
+        for spec in self._demo_specs(catalog.discrete_demo_nonlinearity()):
+            burn = burn_in_length(spec, 1e-9)
+            steps = 44000 - (4000 - burn)
+            assert_same_bits(iterate(spec, np.zeros(2), steps, 4000 - burn),
+                             reference_iterate(spec, np.zeros(2), steps, 4000 - burn))
+
+    def test_tanh_system_bit_identical(self):
+        spec = self._demo_specs(catalog.tanh_nonlinearity(2, 0.2))[0]
+        w0 = np.array([0.3, -1.2])
+        assert_same_bits(iterate(spec, w0, 20000, 100),
+                         reference_iterate(spec, w0, 20000, 100))
+
+    @pytest.mark.parametrize("steps", [0, 1, K - 1, K, K + 1, 3 * K + 17])
+    @pytest.mark.parametrize("rows", [(discrete._FIRST_BLOCK_ROWS, K), (16, 16)])
+    def test_window_lengths(self, monkeypatch, steps, rows):
+        monkeypatch.setattr(discrete, "_FIRST_BLOCK_ROWS", rows[0])
+        monkeypatch.setattr(discrete, "_BLOCK_ROWS", rows[1])
+        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
+                                  catalog.discrete_demo_nonlinearity(),
+                                  random_forcing(3 * K + 40, 2, steps, base=-15))
+        w0 = np.array([0.7, -0.4])
+        assert_same_bits(iterate(spec, w0, steps, -9), reference_iterate(spec, w0, steps, -9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           norm=st.floats(0.05, 0.75), steps=st.integers(0, 700))
+    def test_random_contracting_matrices(self, dim, seed, norm, steps):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((dim, dim))
+        b *= norm / np.linalg.norm(b, 2)
+        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2),
+                                  random_forcing(steps + 5, dim, seed))
+        w0 = rng.uniform(-2, 2, dim)
+        orbit = iterate(spec, w0, steps)
+        assert_same_bits(orbit, reference_iterate(spec, w0, steps, product=column_product))
+        # B @ w may round differently from the column sum in the last bits
+        ref = reference_iterate(spec, w0, steps)
+        scale = max(1.0, ref.sup_norm())
+        assert np.abs(orbit.values - ref.values).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_settling_system_falls_back_to_steps(self, dim):
+        b = rotation(0.7, 0.99)
+        if dim == 3:
+            q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+            b = q @ np.block([[b, np.zeros((2, 1))], [np.zeros((1, 2)), 0.99]]) @ q.T
+        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2),
+                                  random_forcing(3000, dim, 5))
+        w0 = np.linspace(0.1, 0.3, dim)
+        out = np.empty((3001, dim))
+        out[0] = w0
+        sweeps, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
+                                               spec.forcing.values, out)
+        assert sweeps == discrete._SWEEP_CAP
+        assert 0 < stepped < 3000
+        ref = reference_iterate(spec, w0, 3000, product=column_product)
+        np.testing.assert_array_equal(out.view(np.uint64), ref.values.view(np.uint64))
+        assert_same_bits(iterate(spec, w0, 3000), ref)
+
+    def test_demo_settles_without_stepping(self):
+        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[0]
+        out = np.zeros((20001, 2))
+        sweeps, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
+                                               spec.forcing.values, out)
+        assert stepped < discrete._FIRST_BLOCK_ROWS
+        assert sweeps < 20000 // 20
+
+    @pytest.mark.parametrize("start", [1.0, 1e300])
+    def test_overflow_raises_like_the_reference(self, start):
+        # from 1e300 the orbit overflows inside the first block's sweeps
+        spec = DiscreteSystemSpec(1.5 * np.eye(2), catalog.tanh_nonlinearity(2, 0.2),
+                                  random_forcing(2500, 2, 9))
+        caught = {}
+        for name, fn in (("reference", reference_iterate), ("iterate", iterate)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(DomainError) as err:
+                    fn(spec, np.full(2, start), 2400)
+            caught[name] = (str(err.value), {(w.category, str(w.message)) for w in seen})
+        assert caught["iterate"][0] == caught["reference"][0]
+        assert caught["iterate"][1] <= caught["reference"][1]
