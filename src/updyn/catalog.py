@@ -29,9 +29,8 @@ from .constructs import (DecompositionTriple, VectorSequence, build_function_tri
                          build_sequence_triple, function_tail, non_unpredictability_witness,
                          WitnessReport)
 from .delay import (DelayAssumptionReport, DelayConvergenceReport, DelaySystemSpec,
-                    ProofConstants, StabilityConstants, bounded_solution, check_assumptions_A,
-                    constant_history, contraction_margin, convergence_check, integrate_mos,
-                    proof_constants, stability_constants)
+                    ProofConstants, StabilityConstants, check_assumptions_A, constant_history,
+                    convergence_check, integrate_mos, proof_constants, stability_constants)
 from .detectors import (DecayReport, UnpredictabilityEvidence, collect_evidence,
                         decay_test, evidence_for_function, verify_evidence)
 from .discrete import (DiscreteAssumptionReport, DiscreteConvergenceReport,
@@ -46,6 +45,8 @@ EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4")
 DELAY_TAU = 0.2
 FUNCTION_PSI_SUP = math.sqrt(5.0) / 2.0
 SEQUENCE_PSI_SUP = math.sqrt(17.0) / 4.0
+# smallest near-return shift of the function scans, past the trivial grid-step returns
+FUNCTION_MIN_SHIFT = 1.0
 
 
 def delay_demo_matrix() -> np.ndarray:
@@ -160,7 +161,7 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     span = (span_lo, span_lo + 5.0)
     evidence = evidence_for_function(triple.phi, span, ladder=(0.5, 0.3, 0.2),
                                      epsilon0=0.2, delta=0.2, horizon=horizon,
-                                     min_shift=1.0)
+                                     min_shift=FUNCTION_MIN_SHIFT)
     return ConstructDemo(
         kind="function",
         triple=triple,

@@ -245,11 +245,6 @@ class ExponentialFilter:
     def t_end(self) -> float:
         return float(self.orbit.end_index)
 
-    @property
-    def usable_start(self) -> float:
-        """Left edge of the window unaffected by the steady-state warm start."""
-        return self.t_start + WARMUP_UNITS
-
     def eval(self, t) -> np.ndarray:
         """Closed-form values at arbitrary times inside the orbit window."""
         t = np.asarray(t, dtype=float)
@@ -294,14 +289,17 @@ def quadrature_oracle(filt: ExponentialFilter, t: float, depth: float = 40.0) ->
     """
     from scipy.integrate import quad
 
-    mu = PiecewiseConstantFunction.from_orbit(filt.orbit)
     lo = t - depth
     if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
         raise DomainError("oracle window leaves the recorded orbit")
     top = filt.t_end - 1e-9
+    levels, base = filt.orbit.values, filt.orbit.base_index
 
     def integrand(s):
-        return math.exp(-filt.decay * (t - s)) * float(mu(min(s, top)))
+        k = math.floor(min(s, top)) - base
+        if not 0 <= k < levels.size:
+            raise DomainError("evaluation time outside the recorded window")
+        return math.exp(-filt.decay * (t - s)) * float(levels[k])
 
     breaks = [float(b) for b in range(math.ceil(lo), math.floor(t) + 1) if lo < b < t]
     value, _ = quad(integrand, lo, t, points=breaks or None,

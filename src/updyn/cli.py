@@ -154,10 +154,10 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         "psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
         values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
         tolerances={"slack": 1e-12}))
+    residual = demo.triple.decomposition_residual()
     checks.append(CheckRecord.from_bool(
-        "decomposition_exact", demo.triple.decomposition_residual() <= 1e-14,
-        values={"residual": demo.triple.decomposition_residual()},
-        tolerances={"residual": 1e-14}))
+        "decomposition_exact", residual <= 1e-14,
+        values={"residual": residual}, tolerances={"residual": 1e-14}))
     checks.append(CheckRecord.from_bool(
         "witness", demo.witness.found and demo.witness.location == 0.0,
         values={"location": demo.witness.location, "theta_norm": demo.witness.tail_norm,
@@ -191,10 +191,10 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
         "psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
         values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
         tolerances={"slack": 1e-12}))
+    residual = demo.triple.decomposition_residual()
     checks.append(CheckRecord.from_bool(
-        "decomposition_exact", demo.triple.decomposition_residual() <= 1e-14,
-        values={"residual": demo.triple.decomposition_residual()},
-        tolerances={"residual": 1e-14}))
+        "decomposition_exact", residual <= 1e-14,
+        values={"residual": residual}, tolerances={"residual": 1e-14}))
     checks.append(CheckRecord.from_bool(
         "witness", demo.witness.found and demo.witness.location == 0,
         values={"location": demo.witness.location, "theta_norm": demo.witness.tail_norm,
@@ -602,10 +602,18 @@ def _run_discrete_config(config: dict, out: Path, prefix: str):
 
 def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float = 0.3,
            delta: float = 0.2, window: int = 20,
-           ladder=(0.2, 0.1, 0.05, 0.02)) -> int:
-    """Scan a CSV series for near returns and separations; write evidence JSON."""
+           ladder=(0.2, 0.1, 0.05, 0.02), min_shift=None) -> int:
+    """Scan a CSV series for near returns and separations; write evidence JSON.
+
+    ``min_shift`` is the smallest shift, in time units, a function CSV's near
+    returns may use (default ``catalog.FUNCTION_MIN_SHIFT``); sequence CSVs take none.
+    """
     from .chaos import GridFunction
 
+    if min_shift is not None and not (math.isfinite(min_shift) and min_shift >= 0.0):
+        print(f"--min-shift must be a finite non-negative time, got {min_shift!r}",
+              file=sys.stderr)
+        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -614,7 +622,14 @@ def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float 
         print(f"cannot read series: {exc}", file=sys.stderr)
         return 2
 
+    stem = Path(csv_path).stem
+    echo = {"input": stem, "epsilon0": epsilon0, "delta": delta, "window": window,
+            "horizon": horizon}
     if kind == "sequence":
+        if min_shift is not None:
+            print(f"--min-shift applies to function CSVs; {csv_path} is a sequence CSV",
+                  file=sys.stderr)
+            return 2
         seq = VectorSequence(int(axis[0]), values)
         evidence = collect_evidence(seq, window=window, ladder=ladder,
                                     epsilon0=epsilon0,
@@ -624,16 +639,16 @@ def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float 
         step = float(axis[1] - axis[0])
         grid = GridFunction(float(axis[0]), step, values)
         span = (grid.t_start, min(grid.t_end, grid.t_start + 20 * delta))
+        min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
+        echo["min_shift"] = min_shift
         evidence = evidence_for_function(grid, span, ladder=ladder, epsilon0=epsilon0,
                                          delta=delta,
-                                         horizon=float(horizon or 10 ** 4))
+                                         horizon=float(horizon or 10 ** 4),
+                                         min_shift=min_shift)
         verified = verify_evidence(grid, evidence)
 
     checks = [CheckRecord.from_bool("evidence_verified", verified, {}, {})]
-    stem = Path(csv_path).stem
-    _write_report(out, f"{stem}_evidence", f"detect:{stem}",
-                  {"input": stem, "epsilon0": epsilon0, "delta": delta,
-                   "window": window, "horizon": horizon},
+    _write_report(out, f"{stem}_evidence", f"detect:{stem}", echo,
                   checks, {"scan": jsonable(evidence)},
                   {"series_length": int(values.shape[0])})
     if not verified:
@@ -670,6 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--epsilon0", type=float, default=0.3)
     det.add_argument("--delta", type=float, default=0.2)
     det.add_argument("--window", type=int, default=20)
+    det.add_argument("--min-shift", type=float, default=None,
+                     help="smallest near-return shift in time units, function CSVs only "
+                          f"(default {catalog.FUNCTION_MIN_SHIFT})")
     return parser
 
 
@@ -685,7 +703,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_config(args.config)
         return detect(args.csv, out_dir=args.out_dir, horizon=args.horizon,
-                      epsilon0=args.epsilon0, delta=args.delta, window=args.window)
+                      epsilon0=args.epsilon0, delta=args.delta, window=args.window,
+                      min_shift=args.min_shift)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,10 @@ from .errors import DomainError, ResolutionError
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.02)
 SEQUENCE_HORIZON = 10 ** 6
 FUNCTION_HORIZON = 10 ** 4
+# scan chunks start at these sizes and double (near-return chunks up to _RETURN_CHUNK_MAX)
+_RETURN_CHUNK = 2048
+_RETURN_CHUNK_MAX = 1 << 17
+_SEPARATION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,9 @@ class DivergenceReport:
 
 
 def _norm_rows(arr: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(arr, axis=1)
+    # np.linalg.norm(arr, axis=1) spelled out: the near-return filter relies on
+    # the anchor gap, the per-offset filter and ``achieved`` sharing one expression
+    return np.sqrt((arr * arr).sum(-1))
 
 
 def _validate_ladder(ladder: Sequence[float]) -> list[float]:
@@ -125,8 +131,53 @@ def _validate_ladder(ladder: Sequence[float]) -> list[float]:
     return rungs
 
 
+def _first_survivor(values: np.ndarray, head: np.ndarray, anchor: int,
+                    candidates: np.ndarray, target: float) -> int | None:
+    """Smallest candidate shift z with |values[anchor+z+o] - head[o]| < target at every offset.
+
+    Candidates are taken in increasing chunks; within a chunk the surviving
+    shifts are filtered one offset at a time and the chunk is abandoned as
+    soon as none survives.  Offset 0 is not re-tested: the candidates passed
+    it in the anchor gap.
+    """
+    lo, size = 0, _RETURN_CHUNK
+    while lo < candidates.size:
+        alive = candidates[lo:lo + size] + anchor
+        for o in range(1, head.shape[0]):
+            alive = alive[_norm_rows(values[alive + o] - head[o]) < target]
+            if not alive.size:
+                break
+        if alive.size:
+            return int(alive[0]) - anchor
+        lo += size
+        size = min(2 * size, _RETURN_CHUNK_MAX)
+    return None
+
+
+def _scan_near_returns(values: np.ndarray, anchor: int, window: int, cap: int,
+                       rungs: list[float], first: int = 1) -> list[NearReturn]:
+    """Per rung, the smallest shift in [first, cap], above the previous rung's hit,
+    under which the span ``values[anchor:anchor+window+1]`` returns below the rung.
+    """
+    head = values[anchor:anchor + window + 1]
+    anchor_gap = _norm_rows(values[anchor + 1:anchor + cap + 1] - values[anchor])
+    results: list[NearReturn] = []
+    prev = first - 1
+    for target in rungs:
+        candidates = np.nonzero(anchor_gap[prev:] < target)[0] + prev + 1
+        hit = _first_survivor(values, head, anchor, candidates, target)
+        if hit is None:
+            results.append(NearReturn(target=target, shift=None, achieved=None, window=window))
+            continue
+        span = values[anchor + hit:anchor + hit + window + 1]
+        achieved = float(_norm_rows(span - head).max())
+        results.append(NearReturn(target=target, shift=hit, achieved=achieved, window=window))
+        prev = hit
+    return results
+
+
 def find_near_returns(seq: VectorSequence, window: int, ladder: Sequence[float],
-                      horizon: int = SEQUENCE_HORIZON, chunk: int = 4096) -> list[NearReturn]:
+                      horizon: int = SEQUENCE_HORIZON) -> list[NearReturn]:
     """Smallest strictly increasing shifts meeting each closeness rung.
 
     A shift z qualifies for rung delta when the whole comparison window
@@ -134,37 +185,11 @@ def find_near_returns(seq: VectorSequence, window: int, ladder: Sequence[float],
     inside the horizon are reported with ``shift=None``.
     """
     rungs = _validate_ladder(ladder)
-    values = seq.values
     n = len(seq)
     if window < 0 or window >= n - 1:
         raise DomainError("window must leave room for at least one shift")
     cap = min(int(horizon), n - 1 - window)
-    head = values[:window + 1]
-    anchor_gap = _norm_rows(values[1:cap + 1] - values[0])
-
-    results: list[NearReturn] = []
-    prev = 0
-    offsets = np.arange(window + 1)
-    for target in rungs:
-        candidates = np.nonzero(anchor_gap[prev:] < target)[0] + prev + 1
-        hit = None
-        for lo in range(0, candidates.size, chunk):
-            batch = candidates[lo:lo + chunk]
-            if batch.size == 0:
-                break
-            gather = values[batch[:, None] + offsets[None, :]] - head[None, :, :]
-            worst = np.sqrt((gather * gather).sum(-1)).max(1)
-            ok = np.nonzero(worst < target)[0]
-            if ok.size:
-                hit = int(batch[ok[0]])
-                achieved = float(worst[ok[0]])
-                break
-        if hit is None:
-            results.append(NearReturn(target=target, shift=None, achieved=None, window=window))
-        else:
-            results.append(NearReturn(target=target, shift=hit, achieved=achieved, window=window))
-            prev = hit
-    return results
+    return _scan_near_returns(seq.values, 0, window, cap, rungs)
 
 
 def find_separations(seq: VectorSequence, shifts: Sequence[int], epsilon0: float,
@@ -180,11 +205,16 @@ def find_separations(seq: VectorSequence, shifts: Sequence[int], epsilon0: float
         if not 1 <= z < n:
             raise DomainError(f"shift {z} outside the recorded window")
         cap = min(int(horizon), n - z - 1)
-        gap = _norm_rows(values[z:z + cap + 1] - values[:cap + 1])
-        hits = np.nonzero(gap >= epsilon0)[0]
-        if hits.size:
-            events.append(SeparationEvent(shift=z, offset=int(hits[0]),
-                                          separation=float(gap[hits[0]])))
+        lo, size = 0, _SEPARATION_CHUNK
+        while lo <= cap:
+            hi = min(lo + size, cap + 1)
+            gap = _norm_rows(values[z + lo:z + hi] - values[lo:hi])
+            hits = np.nonzero(gap >= epsilon0)[0]
+            if hits.size:
+                events.append(SeparationEvent(shift=z, offset=lo + int(hits[0]),
+                                              separation=float(gap[hits[0]])))
+                break
+            lo, size = hi, 2 * size
     return events
 
 
@@ -237,31 +267,8 @@ def evidence_for_function(phi: GridFunction, window: Sequence[float],
     if cap < 1:
         raise DomainError("no admissible shifts inside the grid")
 
-    head = values[j0:j1 + 1]
-    anchor_gap = _norm_rows(values[j0 + 1:j0 + cap + 1] - values[j0])
-    offsets = np.arange(j0, j1 + 1)
-
-    returns: list[NearReturn] = []
-    prev = max(0, int(round(min_shift / phi.step)) - 1)
-    for target in rungs:
-        candidates = np.nonzero(anchor_gap[prev:] < target)[0] + prev + 1
-        hit = None
-        for lo in range(0, candidates.size, 4096):
-            batch = candidates[lo:lo + 4096]
-            if batch.size == 0:
-                break
-            gather = values[batch[:, None] + offsets[None, :]] - head[None, :, :]
-            worst = np.sqrt((gather * gather).sum(-1)).max(1)
-            ok = np.nonzero(worst < target)[0]
-            if ok.size:
-                hit = int(batch[ok[0]])
-                achieved = float(worst[ok[0]])
-                break
-        if hit is None:
-            returns.append(NearReturn(target=target, shift=None, achieved=None, window=j1 - j0))
-        else:
-            returns.append(NearReturn(target=target, shift=hit, achieved=achieved, window=j1 - j0))
-            prev = hit
+    first = max(1, int(round(min_shift / phi.step)))
+    returns = _scan_near_returns(values, j0, j1 - j0, cap, rungs, first)
 
     half = int(round(delta / phi.step))
     run = 2 * half + 1

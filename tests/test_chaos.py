@@ -187,3 +187,47 @@ class TestBebutovDistance:
         u, v = _grid_pair()
         with pytest.raises(DomainError):
             bebutov_distance(u, v, 10)
+
+
+def reference_quadrature(filt, t, depth=40.0):
+    """The oracle's integral with the step interpolant read through PiecewiseConstantFunction."""
+    from scipy.integrate import quad
+
+    mu = PiecewiseConstantFunction.from_orbit(filt.orbit)
+    lo = t - depth
+    if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
+        raise DomainError("oracle window leaves the recorded orbit")
+    top = filt.t_end - 1e-9
+
+    def integrand(s):
+        return math.exp(-filt.decay * (t - s)) * float(mu(min(s, top)))
+
+    breaks = [float(b) for b in range(math.ceil(lo), math.floor(t) + 1) if lo < b < t]
+    value, _ = quad(integrand, lo, t, points=breaks or None,
+                    limit=max(200, 4 * len(breaks)), epsabs=1e-13, epsrel=1e-12)
+    return float(value)
+
+
+class TestQuadratureOracle:
+    def test_bit_equal_to_step_function_integrand(self):
+        orbit = logistic_orbit(0.41, 1000, 221).rebased(-41)
+        filt = ExponentialFilter.from_orbit(orbit, 2.0)
+        rng = np.random.default_rng(2027)
+        points = list(rng.uniform(filt.t_start + 40.0, filt.t_end, size=17))
+        # up to 1e-9 past the orbit end passes the window guard; the nodes past
+        # the end read the last level
+        points += [filt.t_start + 40.0, filt.t_end, filt.t_end + 5e-10]
+        for t in points:
+            assert quadrature_oracle(filt, t) == reference_quadrature(filt, t)
+
+    @pytest.mark.parametrize("edge, offset", [("start", -1e-3), ("end", 1e-3),
+                                              ("start", -5e-10)])
+    def test_window_leaving_orbit_raises(self, edge, offset):
+        # "start" moves the window's left edge t - 40 before the orbit start.
+        # Up to 1e-9 early passes the window guard and fails on the first
+        # quadrature node before the orbit instead.
+        filt = ExponentialFilter.from_orbit(logistic_orbit(0.37, 500, 80), 2.0)
+        t = (filt.t_start + 40.0 if edge == "start" else filt.t_end) + offset
+        for oracle in (quadrature_oracle, reference_quadrature):
+            with pytest.raises(DomainError):
+                oracle(filt, t)

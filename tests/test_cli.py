@@ -206,3 +206,52 @@ class TestDetect:
         write_function_csv(path, times, np.sin(times)[:, None])
         kind, axis, _ = read_series_csv(path)
         assert kind == "function" and axis.size == 400
+
+
+class TestDetectFunctionMinShift:
+    @staticmethod
+    def smooth_csv(tmp_path, step=0.05):
+        path = tmp_path / "smooth.csv"
+        times = step * np.arange(4001)
+        write_function_csv(path, times, np.stack([np.sin(times), np.cos(0.5 * times)], -1))
+        return path, step
+
+    @staticmethod
+    def read_report(out):
+        report = json.loads((out / "smooth_evidence_report.json").read_text())
+        assert report["checks"][0]["status"] == "pass"
+        shifts = [r["shift"] for r in report["evidence"]["scan"]["return_times"]
+                  if r["shift"] is not None]
+        assert shifts
+        return shifts[0], report["config_echo"]
+
+    def test_default_skips_trivial_grid_step_returns(self, tmp_path):
+        path, step = self.smooth_csv(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out)) == 0
+        first, echo = self.read_report(out)
+        assert first >= round(1.0 / step)
+        assert echo["min_shift"] == 1.0
+
+    def test_flag_sets_smallest_shift(self, tmp_path):
+        path, step = self.smooth_csv(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--min-shift", "7.5") == 0
+        first, echo = self.read_report(out)
+        assert first >= round(7.5 / step)
+        assert echo["min_shift"] == 7.5
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_min_shift_exits_two(self, tmp_path, capsys, value):
+        path, _ = self.smooth_csv(tmp_path)
+        assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out"),
+                       "--min-shift", value) == 2
+        assert "--min-shift" in capsys.readouterr().err
+
+    def test_min_shift_rejected_for_sequence_csv(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(path, np.arange(50), np.zeros((50, 1)))
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--min-shift", "1") == 2
+        assert "--min-shift" in capsys.readouterr().err
+        assert not (out / "seq_evidence_report.json").exists()

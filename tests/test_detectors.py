@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from updyn import catalog
-from updyn.chaos import GridFunction, logistic_step
+from updyn.chaos import GridFunction, convolve_exponential, logistic_step
 from updyn.constructs import VectorSequence, build_sequence_triple
-from updyn.detectors import (collect_evidence, decay_test, evidence_for_function,
-                             find_near_returns, find_separations, sensitivity_demo,
-                             separation_at, verify_evidence)
+from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
+                             evidence_for_function, find_near_returns, find_separations,
+                             sensitivity_demo, separation_at, verify_evidence)
 from updyn.discrete import DiscreteSystemSpec
 from updyn.errors import DomainError, ResolutionError
 from updyn.nonlinearity import Nonlinearity
@@ -177,3 +179,189 @@ class TestEvidenceConsistency:
                                       separation=ev.separation_times[0].separation + 1.0)
         bad = dataclasses.replace(ev, separation_times=(bad_sep,) + ev.separation_times[1:])
         assert not verify_evidence(sequence_demo.triple.psi, bad)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the early-abandon scans
+
+
+def reference_near_returns(values, anchor, window, cap, ladder, first=1):
+    """Chunked dense gather: every candidate compared over the whole window at once.
+
+    Returns one ``(shift, achieved)`` pair per rung, ``(None, None)`` when not found.
+    """
+    head = values[anchor:anchor + window + 1]
+    anchor_gap = np.linalg.norm(values[anchor + 1:anchor + cap + 1] - values[anchor], axis=1)
+    offsets = np.arange(anchor, anchor + window + 1)
+    found = []
+    prev = first - 1
+    for target in ladder:
+        candidates = np.nonzero(anchor_gap[prev:] < target)[0] + prev + 1
+        hit = (None, None)
+        for lo in range(0, candidates.size, 4096):
+            batch = candidates[lo:lo + 4096]
+            gather = values[batch[:, None] + offsets[None, :]] - head[None, :, :]
+            worst = np.sqrt((gather * gather).sum(-1)).max(1)
+            ok = np.nonzero(worst < target)[0]
+            if ok.size:
+                hit = (int(batch[ok[0]]), float(worst[ok[0]]))
+                break
+        found.append(hit)
+        if hit[0] is not None:
+            prev = hit[0]
+    return found
+
+
+def reference_separations(values, shifts, epsilon0, horizon):
+    """Full-array norm per shift: ``(shift, offset, separation)`` of the first separation."""
+    n = len(values)
+    events = []
+    for z in shifts:
+        cap = min(int(horizon), n - z - 1)
+        gap = np.linalg.norm(values[z:z + cap + 1] - values[:cap + 1], axis=1)
+        hits = np.nonzero(gap >= epsilon0)[0]
+        if hits.size:
+            events.append((z, int(hits[0]), float(gap[hits[0]])))
+    return events
+
+
+def scanned(returns):
+    return [(r.shift, r.achieved) for r in returns]
+
+
+def separated(events):
+    return [(e.shift, e.offset, e.separation) for e in events]
+
+
+def assert_sequence_scans_match(seq, window, ladder, horizon, epsilon0):
+    returns = find_near_returns(seq, window, ladder, horizon)
+    cap = min(int(horizon), len(seq) - 1 - window)
+    expected = reference_near_returns(seq.values, 0, window, cap, ladder)
+    assert scanned(returns) == expected
+    assert all(r.window == window for r in returns)
+    shifts = [r.shift for r in returns if r.found]
+    events = find_separations(seq, shifts, epsilon0, horizon)
+    assert separated(events) == reference_separations(seq.values, shifts, epsilon0, horizon)
+    return returns, events
+
+
+def planted_return(hit, window, n):
+    """1-d sequence whose window ``[0, 1, 0, ...]`` recurs exactly, and only, at ``hit``.
+
+    Every shift except 1 and ``hit + 1`` passes the anchor gap at rung 0.5, so
+    ``hit`` is candidate number ``hit - 1``.
+    """
+    values = np.zeros((n, 1))
+    values[1] = values[hit + 1] = 1.0
+    return VectorSequence(0, values)
+
+
+class TestEarlyAbandonScans:
+    @pytest.mark.parametrize("seed", [catalog.DEFAULT_SEED, 0.05])
+    def test_demo_psi_matches_dense_scans(self, sequence_demo, seed):
+        if seed == catalog.DEFAULT_SEED:
+            psi = sequence_demo.triple.psi
+        else:
+            psi = build_sequence_triple(catalog.source_orbit(seed, length=10 ** 6 + 22)).psi
+        returns, events = assert_sequence_scans_match(psi, 20, DEFAULT_LADDER, 10 ** 6, 0.3)
+        assert sum(r.found for r in returns) >= 3
+        assert events
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 3), n=st.integers(30, 6000), window=st.integers(0, 25),
+           period=st.one_of(st.none(), st.integers(1, 60)),
+           noise=st.sampled_from([0.0, 1e-3, 0.05]),
+           rungs=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4, unique=True),
+           horizon_frac=st.floats(0.05, 1.0), epsilon0=st.floats(0.01, 1.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_scans(self, dim, n, window, period, noise, rungs, horizon_frac,
+                                 epsilon0, seed):
+        rng = np.random.default_rng(seed)
+        if period is None:
+            values = rng.uniform(-1.0, 1.0, (n, dim))
+        else:
+            cycle = rng.uniform(-1.0, 1.0, (period, dim))
+            values = np.resize(cycle, (n, dim)) + noise * rng.standard_normal((n, dim))
+        seq = VectorSequence(0, values)
+        window = min(window, n - 2)
+        ladder = sorted(rungs, reverse=True)
+        horizon = max(1, int(horizon_frac * n))
+        assert_sequence_scans_match(seq, window, ladder, horizon, epsilon0)
+
+    @pytest.mark.parametrize("rank", [2047, 2048, 2049, 6143, 6144, 6145])
+    @pytest.mark.parametrize("window", [1, 7])
+    def test_hit_at_chunk_boundary(self, rank, window):
+        hit = rank + 1
+        seq = planted_return(hit, window, hit + window + 3000)
+        returns = find_near_returns(seq, window, (0.5,))
+        assert scanned(returns) == [(hit, 0.0)]
+        assert scanned(returns) == reference_near_returns(seq.values, 0, window,
+                                                          len(seq) - 1 - window, (0.5,))
+
+    def test_rungs_never_found(self):
+        seq = VectorSequence(0, np.random.default_rng(5).uniform(0, 1, (20000, 2)))
+        returns, _ = assert_sequence_scans_match(seq, 12, (0.3, 0.1, 1e-6), 10 ** 6, 0.3)
+        assert returns[-1].shift is None
+
+    def test_horizon_shorter_than_sequence(self):
+        seq = planted_return(5000, 4, 9000)
+        inside = find_near_returns(seq, 4, (0.5,), horizon=5000)
+        outside = find_near_returns(seq, 4, (0.5,), horizon=4999)
+        assert scanned(inside) == [(5000, 0.0)]
+        assert scanned(outside) == [(None, None)]
+        assert scanned(outside) == reference_near_returns(seq.values, 0, 4, 4999, (0.5,))
+
+    def test_window_zero_takes_first_candidate(self):
+        values = np.random.default_rng(8).uniform(0, 1, (5000, 3))
+        seq = VectorSequence(0, values)
+        returns, _ = assert_sequence_scans_match(seq, 0, (0.4, 0.2, 0.1), 10 ** 6, 0.5)
+        gap = np.linalg.norm(values[1:] - values[0], axis=1)
+        assert returns[0].shift == int(np.nonzero(gap < 0.4)[0][0]) + 1
+        assert returns[0].achieved == float(gap[returns[0].shift - 1])
+
+    @pytest.mark.parametrize("jump", [4096, 4097, 9000, 12289])
+    def test_separation_past_first_chunk(self, jump):
+        # shift 1 first separates at offset jump - 1: the last row of the first
+        # 4,096-row chunk, the first of the second, inside it, the first of the third
+        values = np.zeros((20000, 2))
+        values[jump:] = 1.0
+        seq = VectorSequence(0, values)
+        events = find_separations(seq, [1, 3, 40], epsilon0=0.5)
+        assert separated(events) == [(z, jump - z, math.sqrt(2.0)) for z in (1, 3, 40)]
+        assert separated(events) == reference_separations(values, [1, 3, 40], 0.5, 10 ** 6)
+
+    @pytest.mark.parametrize("cap", [0, 4095, 4096, 12288])
+    def test_separation_at_the_horizon(self, cap):
+        values = np.zeros((cap + 20, 1))
+        values[cap + 2:] = 1.0
+        seq = VectorSequence(0, values)
+        assert separated(find_separations(seq, [2], epsilon0=0.5, horizon=cap)) == [
+            (2, cap, 1.0)]
+        assert reference_separations(values, [2], 0.5, cap) == [(2, cap, 1.0)]
+        if cap:
+            assert find_separations(seq, [2], epsilon0=0.5, horizon=cap - 1) == []
+
+    def test_no_separation_within_horizon(self):
+        values = np.zeros((12000, 1))
+        values[9000:] = 1.0
+        seq = VectorSequence(0, values)
+        assert find_separations(seq, [1, 2], epsilon0=0.5, horizon=8997) == []
+        assert separated(find_separations(seq, [2], epsilon0=0.5, horizon=8998)) == [
+            (2, 8998, 1.0)]
+        assert reference_separations(values, [1, 2], 0.5, 8997) == []
+
+    @pytest.mark.parametrize("min_shift", [0.0, 0.05, 1.0, 3.3])
+    def test_function_scan_matches_dense_gather(self, min_shift):
+        orbit = catalog.source_orbit(0.37, length=260)
+        phi = convolve_exponential(orbit, decay=2.0, step=0.05)
+        span, ladder = (60.0, 65.0), (0.5, 0.3, 0.2, 0.05)
+        ev = evidence_for_function(phi, span, ladder=ladder, epsilon0=0.2, delta=0.2,
+                                   min_shift=min_shift)
+        j0, j1 = phi.index_at(span[0]), phi.index_at(span[1])
+        first = max(1, round(min_shift / phi.step))
+        expected = reference_near_returns(phi.samples, j0, j1 - j0, ev.scanned_horizon,
+                                          ladder, first)
+        assert scanned(ev.return_times) == expected
+        assert all(r.shift >= first for r in ev.return_times if r.found)
+        assert any(r.found for r in ev.return_times)
+        assert verify_evidence(phi, ev)
