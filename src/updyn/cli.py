@@ -3,6 +3,14 @@
 Exit status: 0 on success, 1 when a reported check fails, 2 on usage or
 configuration errors.  All outputs are deterministic for a fixed
 configuration, so repeated runs produce byte-identical files.
+
+Importing this module loads numpy and updyn only.  scipy is imported inside
+the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
+function-demo tail, the filter's quadrature oracle, exp(A h) in the delay
+system), as does a ``run`` config of kind ``delay`` or of kind ``construct``
+with variant ``function``.
+jsonschema is imported by ``validate_config``, so only ``run`` loads it.
+``reproduce 6.2``, ``6.4`` and ``detect`` load neither.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import catalog
 from .chaos import quadrature_oracle
@@ -91,7 +98,7 @@ CONFIG_SCHEMA = {
                 "ladder": {"type": "array", "minItems": 1,
                            "items": {"type": "number", "exclusiveMinimum": 0}},
                 "variant": {"enum": ["function", "sequence"]},
-                "compare_window": {"type": "integer", "minimum": 0},
+                "compare_window": {"type": "integer", "minimum": 1},
             },
         },
         "output": {
@@ -107,6 +114,8 @@ CONFIG_SCHEMA = {
 
 
 def validate_config(raw: dict) -> dict:
+    from jsonschema import Draft202012Validator
+
     errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw),
                     key=lambda e: list(e.absolute_path))
     if errors:
@@ -462,7 +471,7 @@ def _dispatch_config(config: dict) -> int:
                       horizon=source.get("horizon"),
                       epsilon0=numeric.get("epsilon0", 0.3),
                       delta=numeric.get("delta", 0.2),
-                      window=numeric.get("compare_window", 20))
+                      window=numeric.get("compare_window"))
 
     _write_report(out, prefix, label, echo, checks, evidence, counters)
     bad = failing_checks(checks)
@@ -601,15 +610,22 @@ def _run_discrete_config(config: dict, out: Path, prefix: str):
 
 
 def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float = 0.3,
-           delta: float = 0.2, window: int = 20,
+           delta: float = 0.2, window: int | None = None,
            ladder=(0.2, 0.1, 0.05, 0.02), min_shift=None) -> int:
     """Scan a CSV series for near returns and separations; write evidence JSON.
 
-    ``min_shift`` is the smallest shift, in time units, a function CSV's near
-    returns may use (default ``catalog.FUNCTION_MIN_SHIFT``); sequence CSVs take none.
+    ``window`` is the number of indices a sequence CSV's near returns compare
+    (default 20); a function CSV compares the span ``[t0, t0 + 20 * delta]``
+    and echoes it instead.  ``min_shift`` is the smallest shift, in time
+    units, a function CSV's near returns may use (default
+    ``catalog.FUNCTION_MIN_SHIFT``); sequence CSVs take none.
     """
     from .chaos import GridFunction
 
+    if window is not None and window < 1:
+        print(f"--window must be a positive number of indices, got {window!r}",
+              file=sys.stderr)
+        return 2
     if min_shift is not None and not (math.isfinite(min_shift) and min_shift >= 0.0):
         print(f"--min-shift must be a finite non-negative time, got {min_shift!r}",
               file=sys.stderr)
@@ -623,24 +639,31 @@ def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float 
         return 2
 
     stem = Path(csv_path).stem
-    echo = {"input": stem, "epsilon0": epsilon0, "delta": delta, "window": window,
-            "horizon": horizon}
+    echo = {"input": stem, "epsilon0": epsilon0, "delta": delta, "horizon": horizon}
     if kind == "sequence":
         if min_shift is not None:
             print(f"--min-shift applies to function CSVs; {csv_path} is a sequence CSV",
                   file=sys.stderr)
             return 2
+        window = 20 if window is None else window
+        echo["window"] = window
         seq = VectorSequence(int(axis[0]), values)
         evidence = collect_evidence(seq, window=window, ladder=ladder,
                                     epsilon0=epsilon0,
                                     horizon=int(horizon or 10 ** 6))
         verified = verify_evidence(seq, evidence)
     else:
+        if window is not None:
+            print(f"--window (numeric.compare_window in a config) applies to sequence "
+                  f"CSVs; {csv_path} is a function CSV, whose compared span is 20 * delta",
+                  file=sys.stderr)
+            return 2
         step = float(axis[1] - axis[0])
         grid = GridFunction(float(axis[0]), step, values)
         span = (grid.t_start, min(grid.t_end, grid.t_start + 20 * delta))
         min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
         echo["min_shift"] = min_shift
+        echo["span"] = span
         evidence = evidence_for_function(grid, span, ladder=ladder, epsilon0=epsilon0,
                                          delta=delta,
                                          horizon=float(horizon or 10 ** 4),
@@ -684,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--horizon", type=float, default=None)
     det.add_argument("--epsilon0", type=float, default=0.3)
     det.add_argument("--delta", type=float, default=0.2)
-    det.add_argument("--window", type=int, default=20)
+    det.add_argument("--window", type=int, default=None,
+                     help="compared indices, sequence CSVs only (default 20)")
     det.add_argument("--min-shift", type=float, default=None,
                      help="smallest near-return shift in time units, function CSVs only "
                           f"(default {catalog.FUNCTION_MIN_SHIFT})")

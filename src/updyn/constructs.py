@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .chaos import GridFunction, ScalarOrbit
 from .errors import DomainError, GridMismatchError, SingularMatrixError, WindowExhaustedError
@@ -123,6 +122,8 @@ class DecompositionTriple:
 
 def function_tail(t) -> np.ndarray:
     """Decaying part (3/(1+e^t), -5*sech(2t)) of the built-in function demo."""
+    from scipy.special import expit  # not at module level: its import costs ~0.3 s
+
     t = np.asarray(t, dtype=float)
     first = 3.0 * expit(-t)
     a = np.abs(2.0 * t)

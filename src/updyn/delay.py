@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chaos import GridFunction
 from .errors import (AssumptionError, DomainError, GridMismatchError,
@@ -139,6 +138,8 @@ def _real_modal_matrix(a: np.ndarray) -> np.ndarray:
 def verify_decay_bound(a: np.ndarray, amplitude: float, decay_rate: float,
                        grid_step: float = 0.05, grid_end: float = 20.0) -> float:
     """Smallest slack of amplitude*exp(-rate*t) - |exp(At)| over the grid."""
+    from scipy.linalg import expm  # not at module level: most commands never call it
+
     e_step = expm(a * grid_step)
     acc = np.eye(a.shape[0])
     slack = amplitude - 1.0
@@ -193,6 +194,8 @@ def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
             raise StabilityError("matrix is too close to defective for the exact mode")
 
     if chosen is None:
+        from scipy.linalg import expm
+
         rate = lambda_fraction * (-abscissa)
         e_step = expm(a * grid_step)
         acc = np.eye(a.shape[0])
@@ -474,6 +477,8 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridF
     affine recurrence y_{j+1} = E y_j + (h/2)(E u_j + u_{j+1}), u the
     inhomogeneous term, which one blocked scan advances a delay at a time.
     """
+    from scipy.linalg import expm
+
     psi_solution.require_same_grid(theta)
     psi_solution.require_same_grid(candidate)
     g = candidate

@@ -16,19 +16,25 @@ from pathlib import Path
 import numpy as np
 
 
-CSV_CHUNK_ROWS = 1024
+# A chunk of 1024 rows formats as fast, but its ~70 kB strings fragment the
+# malloc heap: peak RSS of the construct demos then jumps by up to 30 MB.
+CSV_CHUNK_ROWS = 128
 
 
 def _write_rows(fh, row_fmt: str, axis, values) -> None:
     """Write ``row_fmt % (axis[i], *values[i])`` for every row.
 
-    Rows are converted to Python numbers at most ``CSV_CHUNK_ROWS`` at a
-    time and written one by one, so memory stays flat on long series.
+    Rows are converted to Python numbers ``CSV_CHUNK_ROWS`` at a time, and
+    each chunk is formatted by one ``%`` over its flattened rows and written
+    at once, so memory stays flat on long series.
     """
     for lo in range(0, len(values), CSV_CHUNK_ROWS):
-        hi = lo + CSV_CHUNK_ROWS
+        hi = min(lo + CSV_CHUNK_ROWS, len(values))
+        flat = []
         for a, row in zip(axis[lo:hi].tolist(), values[lo:hi].tolist()):
-            fh.write(row_fmt % (a, *row))
+            flat.append(a)
+            flat += row
+        fh.write(row_fmt * (hi - lo) % tuple(flat))
 
 
 def write_function_csv(path, times, samples) -> None:

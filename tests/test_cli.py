@@ -6,7 +6,8 @@ import pytest
 
 from updyn.cli import main, validate_config
 from updyn.errors import ConfigError
-from updyn.report import read_series_csv, write_function_csv, write_sequence_csv
+from updyn.report import (CSV_CHUNK_ROWS, read_series_csv, write_function_csv,
+                          write_sequence_csv)
 
 
 def run_cli(*args):
@@ -111,6 +112,25 @@ class TestCsvRoundTrip:
             f"{int(i)}," + ",".join(fmt(v) for v in row) + "\n" for i, row in zip(idx, vals))
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                      2 * CSV_CHUNK_ROWS + 7])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_bytes_across_chunk_boundary(self, tmp_path, rows, cols):
+        # one short chunk, one full chunk, then full chunks and a short final one
+        vals = np.random.default_rng(rows).uniform(-1e3, 1e3, (rows, cols))
+        times = -1.5 + 0.1 * np.arange(rows)
+        idx = np.arange(rows) - 2 ** 60   # beyond 2**53: must not pass through float
+
+        write_function_csv(tmp_path / "f.csv", times, vals)
+        expected = "".join(",".join(format(v, ".17g") for v in (t, *row)) + "\n"
+                           for t, row in zip(times.tolist(), vals.tolist()))
+        assert (tmp_path / "f.csv").read_text().split("\n", 1)[1] == expected
+
+        write_sequence_csv(tmp_path / "s.csv", idx, vals)
+        expected = "".join(f"{i}," + ",".join(format(v, ".17g") for v in row) + "\n"
+                           for i, row in zip(idx.tolist(), vals.tolist()))
+        assert (tmp_path / "s.csv").read_text().split("\n", 1)[1] == expected
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n1,2\n")
@@ -179,6 +199,29 @@ class TestDetect:
         report = json.loads((out / "series_evidence_report.json").read_text())
         assert report["checks"][0]["name"] == "evidence_verified"
         assert report["checks"][0]["status"] == "pass"
+        assert report["config_echo"]["window"] == 20
+
+    def test_detect_sequence_csv_window_flag(self, tmp_path):
+        from updyn import catalog
+        from updyn.constructs import build_sequence_triple
+
+        triple = build_sequence_triple(catalog.source_orbit(length=3000))
+        path = tmp_path / "series.csv"
+        write_sequence_csv(path, triple.psi.indices(), triple.psi.values)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--window", "8") == 0
+        report = json.loads((out / "series_evidence_report.json").read_text())
+        assert report["config_echo"]["window"] == 8
+        assert all(r["window"] == 8 for r in report["evidence"]["scan"]["return_times"])
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_detect_bad_window_exits_two(self, tmp_path, capsys, value):
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(path, np.arange(50), np.zeros((50, 1)))
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--window", value) == 2
+        assert "--window" in capsys.readouterr().err
+        assert not (out / "seq_evidence_report.json").exists()
 
     def test_detect_missing_file(self, tmp_path, capsys):
         assert run_cli("detect", str(tmp_path / "missing.csv")) == 2
@@ -247,6 +290,32 @@ class TestDetectFunctionMinShift:
         assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out"),
                        "--min-shift", value) == 2
         assert "--min-shift" in capsys.readouterr().err
+
+    def test_report_echoes_compared_span(self, tmp_path):
+        path, _ = self.smooth_csv(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--delta", "0.25") == 0
+        _, echo = self.read_report(out)
+        assert echo["span"] == [0.0, 5.0]
+        assert "window" not in echo
+
+    def test_window_rejected_for_function_csv(self, tmp_path, capsys):
+        path, _ = self.smooth_csv(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out), "--window", "5") == 2
+        assert "--window" in capsys.readouterr().err
+        assert not (out / "smooth_evidence_report.json").exists()
+
+    def test_detect_config_compare_window_only_for_sequences(self, tmp_path, capsys):
+        path, _ = self.smooth_csv(tmp_path)
+        out = tmp_path / "out"
+        cfg = {"kind": "detect", "input_csv": str(path), "output": {"dir": str(out)}}
+        (tmp_path / "plain.json").write_text(json.dumps(cfg))
+        assert run_cli("run", str(tmp_path / "plain.json")) == 0
+        cfg["numeric"] = {"compare_window": 5}
+        (tmp_path / "window.json").write_text(json.dumps(cfg))
+        assert run_cli("run", str(tmp_path / "window.json")) == 2
+        assert "numeric.compare_window" in capsys.readouterr().err
 
     def test_min_shift_rejected_for_sequence_csv(self, tmp_path, capsys):
         path = tmp_path / "seq.csv"

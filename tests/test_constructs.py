@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from updyn.chaos import GridFunction, convolve_exponential, logistic_orbit
 from updyn.constructs import (DecompositionTriple, VectorSequence, add_convergent,
                               affine_transform, build_function_triple,
-                              build_sequence_triple, non_unpredictability_witness,
-                              shift)
+                              build_sequence_triple, function_tail,
+                              non_unpredictability_witness, shift)
 from updyn.detectors import decay_test
 from updyn.errors import DomainError, SingularMatrixError
 
@@ -41,6 +41,18 @@ class TestFunctionTriple:
     def test_exact_decomposition(self, function_triple):
         assert function_triple.decomposition_residual() == 0.0
         function_triple.validate()
+
+    @pytest.mark.parametrize("times", [
+        -20.0 + 0.05 * np.arange(4001),                 # the 6.1 grid
+        -30.0 + 0.5 * 0.00625 * np.arange(20001),       # the first 20,001 6.3 half nodes
+    ], ids=["6.1-grid", "6.3-half-grid"])
+    def test_first_tail_column_is_bitwise_expit(self, times):
+        # The 6.1 and 6.3 outputs are pinned to these bits.  scipy's expit(-t)
+        # equals 1/(1+exp(t)) with libm's exp; numpy's vectorised np.exp differs
+        # from it in the last bit on about 3% of these values on AVX-512 hosts,
+        # so dropping expit for np.exp would silently change the demo bytes.
+        expected = [3.0 * (1.0 / (1.0 + math.exp(t))) for t in times.tolist()]
+        assert function_tail(times)[:, 0].tolist() == expected
 
 
 class TestSequenceTriple:

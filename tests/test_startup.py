@@ -1,0 +1,69 @@
+"""Start-up guards: scipy and jsonschema load only in the commands that use them.
+
+Every ``updyn`` command runs in a fresh process, so module-level imports are
+paid on each call.  Each case runs in its own interpreter and reports which
+modules it ended up loading.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from updyn.report import write_sequence_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_modules(tmp_path, code: str) -> set[str]:
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_modules(tmp_path, *argv: str) -> set[str]:
+    return loaded_modules(tmp_path, "from updyn.cli import main\n"
+                                    f"assert main({list(argv)!r}) == 0")
+
+
+def families(modules: set[str]) -> set[str]:
+    return {m.split(".")[0] for m in modules} & {"scipy", "jsonschema"}
+
+
+def test_import_cli_loads_neither(tmp_path):
+    modules = loaded_modules(tmp_path, "import updyn.cli")
+    assert "updyn.cli" in modules
+    assert families(modules) == set()
+
+
+def test_reproduce_6_4_loads_neither(tmp_path):
+    assert families(cli_modules(tmp_path, "reproduce", "6.4", "--out-dir", "out")) == set()
+
+
+def test_reproduce_6_2_loads_neither(tmp_path):
+    modules = cli_modules(tmp_path, "reproduce", "6.2", "--horizon", "2000", "--out-dir", "out")
+    assert families(modules) == set()
+
+
+def test_detect_sequence_csv_loads_neither(tmp_path):
+    vals = np.random.default_rng(3).uniform(-1.0, 1.0, (3000, 2))
+    write_sequence_csv(tmp_path / "seq.csv", np.arange(3000), vals)
+    modules = cli_modules(tmp_path, "detect", "seq.csv", "--horizon", "2000",
+                          "--out-dir", "out")
+    assert (tmp_path / "out" / "seq_evidence_report.json").exists()
+    assert families(modules) == set()
+
+
+def test_run_discrete_config_loads_jsonschema_only(tmp_path):
+    (tmp_path / "disc.json").write_text(json.dumps({
+        "kind": "discrete",
+        "system": {"forcing": {"type": "construct"}},
+        "output": {"dir": "out", "prefix": "disc"},
+    }))
+    assert families(cli_modules(tmp_path, "run", "disc.json")) == {"jsonschema"}
