@@ -43,6 +43,7 @@ from .nonlinearity import Nonlinearity
 EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4")
 
 DELAY_TAU = 0.2
+DELAY_STEPS_PER_TAU = 32  # the delay demo's default step is tau / 32
 FUNCTION_PSI_SUP = math.sqrt(5.0) / 2.0
 SEQUENCE_PSI_SUP = math.sqrt(17.0) / 4.0
 # smallest near-return shift of the function scans, past the trivial grid-step returns
@@ -224,7 +225,7 @@ class DelayDemo:
     report: DelayConvergenceReport
 
 
-def run_delay_demo(step: float = DELAY_TAU / 32.0, window: tuple = (0.0, 200.0),
+def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
                    sim_burn_in: float = 30.0, seed: float = DEFAULT_SEED,
                    orbit_burn_in: int = DEFAULT_BURN_IN, epsilon: float = 1e-3,
                    tau: float = DELAY_TAU, envelope_slack: float = 1e-6) -> DelayDemo:
@@ -232,8 +233,10 @@ def run_delay_demo(step: float = DELAY_TAU / 32.0, window: tuple = (0.0, 200.0),
 
     Both runs start from the same zero history ``sim_burn_in`` time units
     before the window, so each trajectory lands on its bounded solution
-    before measurements begin.
+    before measurements begin.  ``step`` defaults to ``tau / 32``.
     """
+    if step is None:
+        step = tau / DELAY_STEPS_PER_TAU
     w0, w1 = float(window[0]), float(window[1])
     t_sim0 = w0 - max(sim_burn_in, tau)
     filt = function_source(seed, orbit_burn_in, t_sim0 - tau - 1.0, w1 + 1.0)

@@ -4,6 +4,11 @@ Exit status: 0 on success, 1 when a reported check fails, 2 on usage or
 configuration errors.  All outputs are deterministic for a fixed
 configuration, so repeated runs produce byte-identical files.
 
+``reproduce``, ``run`` and ``detect`` go through one table, ``DEMOS``, and one
+function, ``_execute``.  A flag or config field an entry does not accept exits
+2, named; an accepted one is checked before any work (finite, in range, at most
+``MAX_ROWS`` rows) and reaches the runner only if given: defaults live there.
+
 Importing this module loads numpy and updyn only.  scipy is imported inside
 the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
 function-demo tail, the filter's quadrature oracle, exp(A h) in the delay
@@ -16,17 +21,20 @@ jsonschema is imported by ``validate_config``, so only ``run`` loads it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import catalog
-from .chaos import quadrature_oracle
+from .chaos import GridFunction, quadrature_oracle
 from .constructs import VectorSequence
-from .delay import picard_apply
+from .delay import _exact_ratio, picard_apply
 from .detectors import collect_evidence, evidence_for_function, verify_evidence
 from .discrete import orbit_sum_residual
 from .errors import ConfigError, DomainError, UpdynError
@@ -35,82 +43,42 @@ from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
+REPORT_DIR = "updyn-report"
+# the most rows (grid nodes, orbit iterates) one run may compute
+MAX_ROWS = 10 ** 7
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["kind"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["construct", "delay", "discrete", "detect"]},
-        "label": {"type": "string"},
-        "input_csv": {"type": "string"},
-        "source": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "burn_in": {"type": "integer", "minimum": 0},
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "matrix": {
-                    "type": "array", "minItems": 1,
-                    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                },
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "nonlinearity": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type"],
-                    "properties": {
-                        "type": {"enum": sorted(catalog.NONLINEARITIES)},
-                        "scale": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                "forcing": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type"],
-                    "properties": {
-                        "type": {"enum": ["construct", "zero", "constant"]},
-                        "value": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-            },
-        },
-        "numeric": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "window": {"type": "array", "minItems": 2, "maxItems": 2,
-                           "items": {"type": "number"}},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "epsilon0": {"type": "number", "exclusiveMinimum": 0},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "burn_in_time": {"type": "number", "exclusiveMinimum": 0},
-                "ladder": {"type": "array", "minItems": 1,
-                           "items": {"type": "number", "exclusiveMinimum": 0}},
-                "variant": {"enum": ["function", "sequence"]},
-                "compare_window": {"type": "integer", "minimum": 1},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "prefix": {"type": "string"},
-            },
-        },
-    },
-}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+STRING = {"type": "string"}
+
+
+def _object(properties: dict, required=()) -> dict:
+    return {"type": "object", "additionalProperties": False, "required": list(required),
+            "properties": properties}
+
+
+CONFIG_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema", **_object({
+    "kind": {"enum": ["construct", "delay", "discrete", "detect"]},
+    "label": STRING, "input_csv": STRING,
+    "source": _object({
+        "seed": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        "burn_in": {"type": "integer", "minimum": 0},
+        "horizon": POSITIVE}),
+    "system": _object({
+        "matrix": {"type": "array", "minItems": 1,
+                   "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}},
+        "tau": POSITIVE,
+        "nonlinearity": _object({"type": {"enum": sorted(catalog.NONLINEARITIES)},
+                                 "scale": POSITIVE}, ["type"]),
+        "forcing": _object({"type": {"enum": ["construct", "zero", "constant"]},
+                            "value": {"type": "array", "items": {"type": "number"}}}, ["type"])}),
+    "numeric": _object({
+        "step": POSITIVE, "tol": POSITIVE, "epsilon": POSITIVE, "epsilon0": POSITIVE,
+        "delta": POSITIVE, "burn_in_time": POSITIVE,
+        "window": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
+        "variant": {"enum": ["function", "sequence"]},
+        "compare_window": {"type": "integer", "minimum": 1}}),
+    "output": _object({"dir": STRING, "prefix": STRING}),
+}, ["kind"])}
 
 
 def validate_config(raw: dict) -> dict:
@@ -125,462 +93,255 @@ def validate_config(raw: dict) -> dict:
     return raw
 
 
-def _echo(config: dict) -> dict:
-    # output paths stay out so reruns into other directories stay comparable
-    return {k: v for k, v in config.items() if k != "output"}
-
-
-def _write_report(out_dir: Path, prefix: str, example: str, config_echo: dict,
-                  checks: list, evidence: dict, counters: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{prefix}_report.json"
-    write_json_report(path, example, config_echo, checks, evidence, counters)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # renderers for the built-in demos
 
 
-def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
-    checks = []
-    h_sup = float(np.abs(demo.triple.psi.samples[:, 1]).max())
-    checks.append(CheckRecord.from_bool(
-        "h_sup_bound", h_sup <= 0.5 + 1e-12,
-        values={"max_abs_h": h_sup}, tolerances={"bound": 0.5, "slack": 1e-12}))
-
-    rng = np.random.default_rng(2027)
-    usable_lo = demo.filt.t_start + 40.0
-    worst = 0.0
-    for t in rng.uniform(usable_lo, demo.filt.t_end, size=10):
-        closed = float(demo.filt.eval(t))
-        worst = max(worst, abs(closed - quadrature_oracle(demo.filt, t)))
-    checks.append(CheckRecord.from_bool(
-        "quadrature_oracle", worst <= 1e-10,
-        values={"max_abs_gap": worst, "points": 10}, tolerances={"gap": 1e-10}))
-
-    checks.append(CheckRecord.from_bool(
-        "psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
-        values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
-        tolerances={"slack": 1e-12}))
+def _construct_checks(demo, tail_decay: CheckRecord) -> list:
+    """The checks 6.1 and 6.2 share, around their own ``tail_decay`` check."""
     residual = demo.triple.decomposition_residual()
-    checks.append(CheckRecord.from_bool(
-        "decomposition_exact", residual <= 1e-14,
-        values={"residual": residual}, tolerances={"residual": 1e-14}))
-    checks.append(CheckRecord.from_bool(
-        "witness", demo.witness.found and demo.witness.location == 0.0,
-        values={"location": demo.witness.location, "theta_norm": demo.witness.tail_norm,
-                "threshold": demo.witness.threshold, "margin": demo.witness.margin},
-        tolerances={}))
-    crossing = demo.decay.crossing(1e-6)
-    checks.append(CheckRecord.from_bool(
-        "tail_decay", crossing is not None and 14.0 <= crossing <= 15.5,
-        values={"rung": 1e-6, "crossing_time": crossing},
-        tolerances={"expected_range": [14.0, 15.5]}))
-    checks.append(CheckRecord.from_bool(
-        "evidence_verified", demo.evidence_verified, values={}, tolerances={}))
+    w = demo.witness
+    return [
+        CheckRecord.from_bool("psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
+                              values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
+                              tolerances={"slack": 1e-12}),
+        CheckRecord.from_bool("decomposition_exact", residual <= 1e-14,
+                              values={"residual": residual}, tolerances={"residual": 1e-14}),
+        CheckRecord.from_bool("witness", w.found and w.location == 0,
+                              values={"location": w.location, "theta_norm": w.tail_norm,
+                                      "threshold": w.threshold, "margin": w.margin},
+                              tolerances={}),
+        tail_decay,
+        CheckRecord.from_bool("evidence_verified", demo.evidence_verified, {}, {})]
 
+
+def _construct_evidence(demo) -> dict:
+    return {"scan": jsonable(demo.evidence), "decay": jsonable(demo.decay),
+            "witness": jsonable(demo.witness)}
+
+
+def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     h = demo.triple.psi.samples[:, 1]
+    h_sup = float(np.abs(h).max())
+    rng = np.random.default_rng(2027)
+    worst = 0.0
+    for t in rng.uniform(demo.filt.t_start + 40.0, demo.filt.t_end, size=10):
+        worst = max(worst, abs(float(demo.filt.eval(t)) - quadrature_oracle(demo.filt, t)))
+    crossing = demo.decay.crossing(1e-6)
+    checks = [
+        CheckRecord.from_bool("h_sup_bound", h_sup <= 0.5 + 1e-12, values={"max_abs_h": h_sup},
+                              tolerances={"bound": 0.5, "slack": 1e-12}),
+        CheckRecord.from_bool("quadrature_oracle", worst <= 1e-10,
+                              values={"max_abs_gap": worst, "points": 10},
+                              tolerances={"gap": 1e-10}),
+        *_construct_checks(demo, CheckRecord.from_bool(
+            "tail_decay", crossing is not None and 14.0 <= crossing <= 15.5,
+            values={"rung": 1e-6, "crossing_time": crossing},
+            tolerances={"expected_range": [14.0, 15.5]}))]
+
     times = demo.triple.phi.times()
     write_function_csv(out_dir / f"{prefix}_h.csv", times, h)
-    write_function_csv(out_dir / f"{prefix}_phi.csv", times, demo.triple.phi.samples)
-    write_function_csv(out_dir / f"{prefix}_psi.csv", times, demo.triple.psi.samples)
-    write_function_csv(out_dir / f"{prefix}_theta.csv", times, demo.triple.theta.samples)
-    evidence = {"scan": jsonable(demo.evidence), "decay": jsonable(demo.decay),
-                "witness": jsonable(demo.witness)}
+    for part in ("phi", "psi", "theta"):
+        write_function_csv(out_dir / f"{prefix}_{part}.csv", times,
+                           getattr(demo.triple, part).samples)
     counters = {"grid_nodes": len(times), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    return [checks, evidence, counters]
+    return [checks, _construct_evidence(demo), counters]
 
 
 def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
                           csv_window: int = 2000) -> list:
-    checks = []
-    checks.append(CheckRecord.from_bool(
-        "psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
-        values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
-        tolerances={"slack": 1e-12}))
-    residual = demo.triple.decomposition_residual()
-    checks.append(CheckRecord.from_bool(
-        "decomposition_exact", residual <= 1e-14,
-        values={"residual": residual}, tolerances={"residual": 1e-14}))
-    checks.append(CheckRecord.from_bool(
-        "witness", demo.witness.found and demo.witness.location == 0,
-        values={"location": demo.witness.location, "theta_norm": demo.witness.tail_norm,
-                "threshold": demo.witness.threshold, "margin": demo.witness.margin},
-        tolerances={}))
     crossing = demo.decay.crossing(0.02)
-    checks.append(CheckRecord.from_bool(
-        "tail_decay", crossing == 10,
-        values={"rung": 0.02, "crossing_index": crossing},
+    residual = float(demo.orbit.recurrence_residuals().max())
+    checks = _construct_checks(demo, CheckRecord.from_bool(
+        "tail_decay", crossing == 10, values={"rung": 0.02, "crossing_index": crossing},
         tolerances={"expected": 10}))
-    checks.append(CheckRecord.from_bool(
-        "evidence_verified", demo.evidence_verified, values={}, tolerances={}))
-    checks.append(CheckRecord.from_bool(
-        "orbit_recurrence", float(demo.orbit.recurrence_residuals().max()) <= 4e-16,
-        values={"max_residual": float(demo.orbit.recurrence_residuals().max())},
-        tolerances={"residual": 4e-16}))
+    checks.append(CheckRecord.from_bool("orbit_recurrence", residual <= 4e-16,
+                                        values={"max_residual": residual},
+                                        tolerances={"residual": 4e-16}))
 
-    hi = min(demo.triple.phi.end_index - 1, demo.triple.phi.base_index + csv_window)
-    cut = demo.triple.phi.restrict(demo.triple.phi.base_index, hi)
-    idx = cut.indices()
-    write_sequence_csv(out_dir / f"{prefix}_phi.csv", idx, cut.values)
-    write_sequence_csv(out_dir / f"{prefix}_psi.csv", idx,
-                       demo.triple.psi.restrict(idx[0], idx[-1]).values)
-    write_sequence_csv(out_dir / f"{prefix}_theta.csv", idx,
-                       demo.triple.theta.restrict(idx[0], idx[-1]).values)
-    evidence = {"scan": jsonable(demo.evidence), "decay": jsonable(demo.decay),
-                "witness": jsonable(demo.witness)}
+    phi = demo.triple.phi
+    hi = min(phi.end_index - 1, phi.base_index + csv_window)
+    idx = phi.restrict(phi.base_index, hi).indices()
+    for part in ("phi", "psi", "theta"):
+        write_sequence_csv(out_dir / f"{prefix}_{part}.csv", idx,
+                           getattr(demo.triple, part).restrict(idx[0], idx[-1]).values)
     counters = {"orbit_length": len(demo.orbit),
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    return [checks, evidence, counters]
+    return [checks, _construct_evidence(demo), counters]
+
+
+def _margin_check_A(assumptions) -> CheckRecord:
+    return CheckRecord.from_bool("contraction_margin", assumptions.a3_pass,
+                                 values={"A3_margin": assumptions.margin,
+                                         "A1_pass": assumptions.a1_pass,
+                                         "A2_pass": assumptions.a2_pass},
+                                 tolerances={"positive": 0.0})
+
+
+def _residual_check(spec, orbit: VectorSequence) -> CheckRecord:
+    """Largest gap between an orbit's steps and the recurrence that defines them."""
+    w = orbit.values
+    i0 = orbit.base_index - spec.forcing.base_index
+    phi = spec.forcing.values[i0:i0 + len(orbit) - 1]
+    resid = float(np.abs(w[1:] - (w[:-1] @ spec.matrix.T + spec.nonlinearity(w[:-1]) + phi)).max())
+    return CheckRecord.from_bool("recurrence_residual", resid <= 4e-15,
+                                 values={"max_residual": resid}, tolerances={"residual": 4e-15})
+
+
+def _envelope_evidence(demo) -> dict:
+    return {"alpha": demo.alpha, "gamma": demo.gamma, "epsilon": demo.epsilon,
+            "m_phi": demo.m_phi, "m_psi": demo.m_psi,
+            "crossings": jsonable(demo.report.crossings)}
 
 
 def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
-    checks = []
     eigs = np.linalg.eigvals(demo.spec_combined.matrix)
     expected = np.array([-2.0 + 1j * math.sqrt(6.0), -2.0 - 1j * math.sqrt(6.0)])
     gap = float(max(min(abs(e - expected[0]), abs(e - expected[1])) for e in eigs))
-    checks.append(CheckRecord.from_bool(
-        "eigenvalues", gap <= 1e-9,
-        values={"eigenvalues": [[e.real, e.imag] for e in eigs]},
-        tolerances={"gap": 1e-9}))
-    checks.append(CheckRecord.from_bool(
-        "stability_amplitude", demo.constants.mode == "exact"
-        and abs(demo.constants.amplitude - EXACT_AMPLITUDE) <= 1e-9,
-        values={"amplitude": demo.constants.amplitude,
-                "decay_rate": demo.constants.decay_rate, "mode": demo.constants.mode},
-        tolerances={"amplitude_gap": 1e-9}))
-    checks.append(CheckRecord.from_bool(
-        "contraction_margin", demo.assumptions.a3_pass,
-        values={"A3_margin": demo.assumptions.margin,
-                "A1_pass": demo.assumptions.a1_pass, "A2_pass": demo.assumptions.a2_pass},
-        tolerances={"positive": 0.0}))
-    checks.append(CheckRecord.from_bool(
-        "envelope", demo.report.envelope_ok,
-        values={"max_excess": demo.report.max_excess, "alpha": demo.report.alpha,
-                "k1": demo.proof.k1, "k2": demo.proof.k2, "m0": demo.proof.m0},
-        tolerances={"slack": 1e-6}))
-
-    times = demo.phi_solution.times()
-    diff = np.linalg.norm(demo.phi_solution.samples - demo.psi_solution.samples, axis=1)
-    quarter = times >= times[0] + 0.75 * (times[-1] - times[0])
-    tail_quarter = float(diff[quarter].max())
-    checks.append(CheckRecord.from_bool(
-        "tail_sup_final_quarter", tail_quarter < 1e-3,
-        values={"tail_sup": tail_quarter}, tolerances={"bound": 1e-3}))
-    checks.append(CheckRecord.from_bool(
-        "tail_past_predicted", demo.report.tail_ok,
-        values={"tail_start": demo.report.tail_start, "tail_sup": demo.report.tail_sup},
-        tolerances={"epsilon": demo.epsilon}))
-
-    gamma_fn = demo.phi_solution.samples - demo.psi_solution.samples
-    candidate = demo.phi_solution
-    from .chaos import GridFunction
-    candidate = GridFunction(candidate.t_start, candidate.step, gamma_fn)
-    image = picard_apply(demo.spec_combined, demo.psi_solution, demo.theta_grid,
-                         candidate, demo.alpha)
+    c, report = demo.constants, demo.report
+    phi, psi = demo.phi_solution, demo.psi_solution
+    times = phi.times()
+    diff = np.linalg.norm(phi.samples - psi.samples, axis=1)
+    tail_quarter = float(diff[times >= times[0] + 0.75 * (times[-1] - times[0])].max())
+    candidate = GridFunction(phi.t_start, phi.step, phi.samples - psi.samples)
+    image = picard_apply(demo.spec_combined, psi, demo.theta_grid, candidate, demo.alpha)
     fp_gap = float(np.linalg.norm(image.samples - candidate.samples, axis=1).max())
-    checks.append(CheckRecord.from_bool(
-        "picard_fixed_point", fp_gap <= 1e-6,
-        values={"max_gap": fp_gap}, tolerances={"gap": 1e-6}))
+    checks = [
+        CheckRecord.from_bool("eigenvalues", gap <= 1e-9,
+                              values={"eigenvalues": [[e.real, e.imag] for e in eigs]},
+                              tolerances={"gap": 1e-9}),
+        CheckRecord.from_bool("stability_amplitude", c.mode == "exact"
+                              and abs(c.amplitude - EXACT_AMPLITUDE) <= 1e-9,
+                              values={"amplitude": c.amplitude, "decay_rate": c.decay_rate,
+                                      "mode": c.mode}, tolerances={"amplitude_gap": 1e-9}),
+        _margin_check_A(demo.assumptions),
+        CheckRecord.from_bool("envelope", report.envelope_ok,
+                              values={"max_excess": report.max_excess, "alpha": report.alpha,
+                                      "k1": demo.proof.k1, "k2": demo.proof.k2,
+                                      "m0": demo.proof.m0}, tolerances={"slack": 1e-6}),
+        CheckRecord.from_bool("tail_sup_final_quarter", tail_quarter < 1e-3,
+                              values={"tail_sup": tail_quarter}, tolerances={"bound": 1e-3}),
+        CheckRecord.from_bool("tail_past_predicted", report.tail_ok,
+                              values={"tail_start": report.tail_start,
+                                      "tail_sup": report.tail_sup},
+                              tolerances={"epsilon": demo.epsilon}),
+        CheckRecord.from_bool("picard_fixed_point", fp_gap <= 1e-6,
+                              values={"max_gap": fp_gap}, tolerances={"gap": 1e-6})]
 
-    write_function_csv(out_dir / f"{prefix}_phi_solution.csv", times, demo.phi_solution.samples)
-    write_function_csv(out_dir / f"{prefix}_psi_solution.csv", times, demo.psi_solution.samples)
-    write_function_csv(out_dir / f"{prefix}_difference.csv", times, diff[:, None])
-    evidence = {"alpha": demo.alpha, "gamma": demo.gamma, "epsilon": demo.epsilon,
-                "m_phi": demo.m_phi, "m_psi": demo.m_psi,
-                "crossings": jsonable(demo.report.crossings),
-                "proof_constants": jsonable(demo.proof)}
+    for name, samples in (("phi_solution", phi.samples), ("psi_solution", psi.samples),
+                          ("difference", diff[:, None])):
+        write_function_csv(out_dir / f"{prefix}_{name}.csv", times, samples)
+    evidence = {**_envelope_evidence(demo), "proof_constants": jsonable(demo.proof)}
     counters = {"grid_nodes": len(times),
-                "rk4_steps": int(round((times[-1] - times[0]) / demo.phi_solution.step))}
+                "rk4_steps": int(round((times[-1] - times[0]) / phi.step))}
     return [checks, evidence, counters]
 
 
 def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
-    checks = []
-    checks.append(CheckRecord.from_bool(
-        "spectral_norm", abs(demo.norm_b - SQRT5_OVER_4) <= 1e-9,
-        values={"spectral_norm": demo.norm_b, "expected": SQRT5_OVER_4},
-        tolerances={"gap": 1e-9}))
-    margin_expected = 1.0 - SQRT5_OVER_4 - 0.2
-    checks.append(CheckRecord.from_bool(
-        "contraction_margin", demo.assumptions.b3_pass
-        and abs(demo.assumptions.margin - margin_expected) <= 1e-9,
-        values={"B3_margin": demo.assumptions.margin,
-                "B1_pass": demo.assumptions.b1_pass, "B2_pass": demo.assumptions.b2_pass},
-        tolerances={"gap": 1e-9}))
-    checks.append(CheckRecord.from_bool(
-        "envelope", demo.report.envelope_ok,
-        values={"max_excess": demo.report.max_excess, "alpha": demo.report.alpha},
-        tolerances={"slack": 1e-9}))
-
-    drop = next((c for c in demo.report.crossings if c[0] == 1e-6), None)
-    drop_ok = drop is not None and drop[1] is not None and drop[1] <= demo.alpha + 60
-    checks.append(CheckRecord.from_bool(
-        "difference_drop", drop_ok,
-        values={"rung": 1e-6, "crossing_index": None if drop is None else drop[1],
-                "alpha": demo.alpha},
-        tolerances={"within": 60}))
-
-    resid = _recurrence_residual(demo.spec_combined, demo.phi_orbit)
-    checks.append(CheckRecord.from_bool(
-        "recurrence_residual", resid <= 4e-15,
-        values={"max_residual": resid}, tolerances={"residual": 4e-15}))
+    a, report = demo.assumptions, demo.report
+    drop = next((c for c in report.crossings if c[0] == 1e-6), None)
+    drop_at = None if drop is None else drop[1]
     sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
-    checks.append(CheckRecord.from_bool(
-        "sum_representation", sum_gap <= 1e-9,
-        values={"max_gap": sum_gap}, tolerances={"gap": 1e-9}))
+    checks = [
+        CheckRecord.from_bool("spectral_norm", abs(demo.norm_b - SQRT5_OVER_4) <= 1e-9,
+                              values={"spectral_norm": demo.norm_b, "expected": SQRT5_OVER_4},
+                              tolerances={"gap": 1e-9}),
+        CheckRecord.from_bool("contraction_margin", a.b3_pass
+                              and abs(a.margin - (1.0 - SQRT5_OVER_4 - 0.2)) <= 1e-9,
+                              values={"B3_margin": a.margin, "B1_pass": a.b1_pass,
+                                      "B2_pass": a.b2_pass}, tolerances={"gap": 1e-9}),
+        CheckRecord.from_bool("envelope", report.envelope_ok,
+                              values={"max_excess": report.max_excess, "alpha": report.alpha},
+                              tolerances={"slack": 1e-9}),
+        CheckRecord.from_bool("difference_drop",
+                              drop_at is not None and drop_at <= demo.alpha + 60,
+                              values={"rung": 1e-6, "crossing_index": drop_at,
+                                      "alpha": demo.alpha}, tolerances={"within": 60}),
+        _residual_check(demo.spec_combined, demo.phi_orbit),
+        CheckRecord.from_bool("sum_representation", sum_gap <= 1e-9,
+                              values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
 
     idx = demo.phi_orbit.indices()
     diff = np.linalg.norm(demo.phi_orbit.values - demo.psi_orbit.values, axis=1)
-    write_sequence_csv(out_dir / f"{prefix}_phi_orbit.csv", idx, demo.phi_orbit.values)
-    write_sequence_csv(out_dir / f"{prefix}_psi_orbit.csv", idx, demo.psi_orbit.values)
-    write_sequence_csv(out_dir / f"{prefix}_difference.csv", idx, diff[:, None])
-    evidence = {"alpha": demo.alpha, "gamma": demo.gamma, "epsilon": demo.epsilon,
-                "m_phi": demo.m_phi, "m_psi": demo.m_psi,
-                "crossings": jsonable(demo.report.crossings),
+    for name, values in (("phi_orbit", demo.phi_orbit.values),
+                         ("psi_orbit", demo.psi_orbit.values), ("difference", diff[:, None])):
+        write_sequence_csv(out_dir / f"{prefix}_{name}.csv", idx, values)
+    evidence = {**_envelope_evidence(demo),
                 "envelope_persistent_level": demo.envelope.persistent_level,
                 "envelope_decay_base": demo.envelope.decay_base}
     counters = {"window": [int(idx[0]), int(idx[-1])], "orbit_steps": len(idx) - 1}
     return [checks, evidence, counters]
 
 
-def _recurrence_residual(spec, orbit: VectorSequence) -> float:
-    w = orbit.values
-    i0 = orbit.base_index - spec.forcing.base_index
-    phi = spec.forcing.values[i0:i0 + len(orbit) - 1]
-    pred = w[:-1] @ spec.matrix.T + spec.nonlinearity(w[:-1]) + phi
-    return float(np.abs(w[1:] - pred).max())
-
-
-def reproduce(example_id: str, out_dir="updyn-report", seed: float | None = None,
-              horizon: float | None = None, step: float | None = None,
-              tol: float | None = None) -> int:
-    """Run one built-in demo end to end and write its CSV and JSON outputs."""
-    if example_id not in catalog.EXAMPLE_IDS:
-        raise ConfigError(f"unknown example id {example_id!r}; choose from {catalog.EXAMPLE_IDS}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = {"example": example_id, "seed": seed, "horizon": horizon,
-            "step": step, "tol": tol}
-
-    if example_id == "6.1":
-        demo = catalog.run_function_demo(seed=seed or catalog.DEFAULT_SEED,
-                                         step=step or 0.05,
-                                         horizon=horizon or 10 ** 4)
-        checks, evidence, counters = _render_function_demo(demo, out, "6.1", echo)
-    elif example_id == "6.2":
-        demo = catalog.run_sequence_demo(seed=seed or catalog.DEFAULT_SEED,
-                                         horizon=int(horizon or 10 ** 6))
-        checks, evidence, counters = _render_sequence_demo(demo, out, "6.2", echo)
-    elif example_id == "6.3":
-        demo = catalog.run_delay_demo(step=step or catalog.DELAY_TAU / 32.0,
-                                      seed=seed or catalog.DEFAULT_SEED)
-        checks, evidence, counters = _render_delay_demo(demo, out, "6.3", echo)
-    else:
-        demo = catalog.run_discrete_demo(tol=tol or 1e-9,
-                                         seed=seed or catalog.DEFAULT_SEED)
-        checks, evidence, counters = _render_discrete_demo(demo, out, "6.4", echo)
-
-    _write_report(out, example_id, example_id, echo, checks, evidence, counters)
-    bad = failing_checks(checks)
-    if bad:
-        print(f"reproduce {example_id}: failing checks: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# config-driven runs
+# runners outside the catalog: simulations under zero or constant forcing, CSV scans
 
 
-def _forcing_value(forcing_block: dict, dim: int) -> np.ndarray:
-    """The constant forcing vector of a config: a list of 1 or ``dim`` numbers."""
-    value = forcing_block.get("value", [0.0])
+class InputError(ConfigError):
+    """A given input is unusable: ``args`` are the runner keyword it feeds and why."""
+
+
+def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
+    """The constant forcing vector: zero, or ``value`` given as 1 or ``dim`` numbers."""
+    if value is None:
+        return np.zeros(dim)
+    if forcing == "zero":
+        raise InputError("value", "applies to constant forcing only")
     if len(value) not in (1, dim):
-        raise ConfigError(f"config field 'system.forcing.value': expected 1 or {dim} "
-                          f"numbers for a {dim}x{dim} matrix, got {len(value)}")
+        raise InputError("value", f"expected 1 or {dim} numbers for a {dim}x{dim} matrix, "
+                                  f"got {len(value)}")
     return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
 
 
 def _constant_forcing(v: np.ndarray):
-
-    def forcing(t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(v, t.shape + v.shape)
-    return forcing
+    return lambda t: np.broadcast_to(v, np.shape(t) + v.shape)
 
 
-def run_config(config_path: str) -> int:
-    """Validate and dispatch a JSON experiment configuration."""
-    path = Path(config_path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = validate_config(raw)
-        return _dispatch_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "arctan_arccot",
+                    scale: float = 1.0, tau: float = catalog.DELAY_TAU, window=None,
+                    step: float | None = None, tol: float = 1e-8):
+    """Check assumptions A1-A3 and, given a ``window``, simulate the bounded solution there
+    with ``step`` (default ``tau / 32``)."""
+    from .delay import (DelaySystemSpec, bounded_solution, check_assumptions_A,
+                        stability_constants)
 
-
-def _dispatch_config(config: dict) -> int:
-    kind = config["kind"]
-    out_block = config.get("output", {})
-    out = Path(out_block.get("dir", "updyn-report"))
-    prefix = out_block.get("prefix", kind)
-    numeric = config.get("numeric", {})
-    source = config.get("source", {})
-    echo = _echo(config)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if kind == "construct":
-        variant = numeric.get("variant", "sequence")
-        if variant == "function":
-            demo = catalog.run_function_demo(
-                seed=source.get("seed", catalog.DEFAULT_SEED),
-                burn_in=source.get("burn_in", catalog.DEFAULT_BURN_IN),
-                step=numeric.get("step", 0.05),
-                horizon=source.get("horizon", 10 ** 4))
-            checks, evidence, counters = _render_function_demo(demo, out, prefix, echo)
-        else:
-            demo = catalog.run_sequence_demo(
-                seed=source.get("seed", catalog.DEFAULT_SEED),
-                burn_in=source.get("burn_in", catalog.DEFAULT_BURN_IN),
-                horizon=int(source.get("horizon", 10 ** 6)),
-                epsilon0=numeric.get("epsilon0", 0.3))
-            checks, evidence, counters = _render_sequence_demo(demo, out, prefix, echo)
-        label = f"construct:{variant}"
-
-    elif kind == "delay":
-        checks, evidence, counters = _run_delay_config(config, out, prefix)
-        label = "delay"
-
-    elif kind == "discrete":
-        checks, evidence, counters = _run_discrete_config(config, out, prefix)
-        label = "discrete"
-
-    else:
-        if "input_csv" not in config:
-            raise ConfigError("config field 'input_csv': required for kind 'detect'")
-        return detect(config["input_csv"], out_dir=str(out),
-                      horizon=source.get("horizon"),
-                      epsilon0=numeric.get("epsilon0", 0.3),
-                      delta=numeric.get("delta", 0.2),
-                      window=numeric.get("compare_window"))
-
-    _write_report(out, prefix, label, echo, checks, evidence, counters)
-    bad = failing_checks(checks)
-    if bad:
-        print(f"run {label}: failing checks: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_delay_config(config: dict, out: Path, prefix: str):
-    from .delay import (DelaySystemSpec, _exact_ratio, bounded_solution,
-                        check_assumptions_A, stability_constants)
-
-    system = config.get("system", {})
-    numeric = config.get("numeric", {})
-    source = config.get("source", {})
-    tau = system.get("tau", catalog.DELAY_TAU)
-    try:
-        _exact_ratio(tau, numeric.get("step", tau / 32.0), "delay")
-    except DomainError as exc:
-        raise ConfigError(f"config field 'numeric.step': {exc}") from exc
-    matrix = np.asarray(system.get("matrix", catalog.delay_demo_matrix()), dtype=float)
-    nl_block = system.get("nonlinearity", {"type": "arctan_arccot"})
-    nl = catalog.NONLINEARITIES[nl_block["type"]](matrix.shape[0], nl_block.get("scale", 1.0))
-    forcing_block = system.get("forcing", {"type": "construct"})
-
-    if forcing_block["type"] == "construct":
-        demo = catalog.run_delay_demo(
-            step=numeric.get("step", tau / 32.0),
-            window=tuple(numeric.get("window", (0.0, 200.0))),
-            sim_burn_in=numeric.get("burn_in_time", 30.0),
-            seed=source.get("seed", catalog.DEFAULT_SEED),
-            orbit_burn_in=source.get("burn_in", catalog.DEFAULT_BURN_IN),
-            epsilon=numeric.get("epsilon", 1e-3),
-            tau=tau)
-        return _render_delay_demo(demo, out, prefix, _echo(config))
-
-    if forcing_block["type"] == "zero":
-        forcing = _constant_forcing(np.zeros(matrix.shape[0]))
-    else:
-        forcing = _constant_forcing(_forcing_value(forcing_block, matrix.shape[0]))
+    matrix = catalog.delay_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
+    nl = catalog.NONLINEARITIES[nonlinearity](matrix.shape[0], scale)
+    forcing = _constant_forcing(_forcing_value(forcing, value, matrix.shape[0]))
     constants = stability_constants(matrix)
     spec = DelaySystemSpec(matrix, tau, nl, forcing)
     assumptions = check_assumptions_A(spec, constants)
     checks = [
-        CheckRecord.from_bool("contraction_margin", assumptions.a3_pass,
-                              values={"A3_margin": assumptions.margin,
-                                      "A1_pass": assumptions.a1_pass,
-                                      "A2_pass": assumptions.a2_pass},
-                              tolerances={"positive": 0.0}),
-        CheckRecord("stability_amplitude", "pass",
-                    values={"amplitude": constants.amplitude,
-                            "decay_rate": constants.decay_rate,
-                            "mode": constants.mode}, tolerances={}),
-    ]
-    counters = {"simulated": False}
-    if "window" in numeric and assumptions.a3_pass:
-        window = tuple(numeric["window"])
-        step = numeric.get("step", tau / 32.0)
-        traj = bounded_solution(spec, constants, window, step,
-                                tol=numeric.get("tol", 1e-8))
-        write_function_csv(out / f"{prefix}_solution.csv", traj.times(), traj.samples)
-        bound = constants.amplitude * (nl.bound + _sup_forcing(forcing, window)) \
-            / constants.decay_rate
-        checks.append(CheckRecord.from_bool(
-            "solution_sup_bound", traj.sup_norm() <= bound + numeric.get("tol", 1e-8),
-            values={"sup": traj.sup_norm(), "bound": bound},
-            tolerances={"tol": numeric.get("tol", 1e-8)}))
-        counters = {"simulated": True, "grid_nodes": len(traj)}
-    else:
+        _margin_check_A(assumptions),
+        CheckRecord("stability_amplitude", "pass", values={
+            "amplitude": constants.amplitude, "decay_rate": constants.decay_rate,
+            "mode": constants.mode}, tolerances={})]
+    if window is None or not assumptions.a3_pass:
         checks.append(CheckRecord("solution_sup_bound", "not-applicable", {}, {}))
-    return [checks, {}, counters]
+        return checks, {}, {"simulated": False}, None, {}
+    step = tau / catalog.DELAY_STEPS_PER_TAU if step is None else step
+    traj = bounded_solution(spec, constants, tuple(window), step, tol=tol)
+    sup_forcing = np.linalg.norm(forcing(np.linspace(window[0], window[1], 257)), axis=-1).max()
+    bound = constants.amplitude * (nl.bound + float(sup_forcing)) / constants.decay_rate
+    checks.append(CheckRecord.from_bool(
+        "solution_sup_bound", traj.sup_norm() <= bound + tol,
+        values={"sup": traj.sup_norm(), "bound": bound}, tolerances={"tol": tol}))
+    return (checks, {}, {"simulated": True, "grid_nodes": len(traj)},
+            ("solution", write_function_csv, traj.times(), traj.samples), {})
 
 
-def _sup_forcing(forcing, window, samples: int = 257) -> float:
-    t = np.linspace(window[0], window[1], samples)
-    return float(np.linalg.norm(forcing(t), axis=-1).max())
-
-
-def _run_discrete_config(config: dict, out: Path, prefix: str):
+def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
+                       scale: float = 1.0, window=(0, 400), tol: float = 1e-9):
+    """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``."""
     from .discrete import DiscreteSystemSpec, bounded_orbit, check_assumptions_B
 
-    system = config.get("system", {})
-    numeric = config.get("numeric", {})
-    source = config.get("source", {})
-    matrix = np.asarray(system.get("matrix", catalog.discrete_demo_matrix()), dtype=float)
-    nl_block = system.get("nonlinearity", {"type": "sin_cos"})
-    nl = catalog.NONLINEARITIES[nl_block["type"]](matrix.shape[0], nl_block.get("scale", 1.0))
-    forcing_block = system.get("forcing", {"type": "construct"})
-
-    if forcing_block["type"] == "construct":
-        window = numeric.get("window", (4000, 4400))
-        demo = catalog.run_discrete_demo(
-            window=(int(window[0]), int(window[1])),
-            tol=numeric.get("tol", 1e-9),
-            seed=source.get("seed", catalog.DEFAULT_SEED),
-            orbit_burn_in=source.get("burn_in", catalog.DEFAULT_BURN_IN),
-            epsilon=numeric.get("epsilon", 1e-5))
-        return _render_discrete_demo(demo, out, prefix, _echo(config))
-
+    matrix = catalog.discrete_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
-    window = numeric.get("window", (0, 400))
+    nl = catalog.NONLINEARITIES[nonlinearity](dim, scale)
     i0, i1 = int(window[0]), int(window[1])
-    if forcing_block["type"] == "zero":
-        values = np.zeros((i1 - i0 + 200, dim))
-    else:
-        values = np.tile(_forcing_value(forcing_block, dim), (i1 - i0 + 200, 1))
-    forcing = VectorSequence(i0 - 199, values)
-    spec = DiscreteSystemSpec(matrix, nl, forcing)
+    values = np.tile(_forcing_value(forcing, value, dim), (i1 - i0 + 200, 1))
+    spec = DiscreteSystemSpec(matrix, nl, VectorSequence(i0 - 199, values))
     assumptions = check_assumptions_B(spec)
     checks = [
         CheckRecord.from_bool("contraction_margin", assumptions.b3_pass,
@@ -589,99 +350,327 @@ def _run_discrete_config(config: dict, out: Path, prefix: str):
                                       "B2_pass": assumptions.b2_pass},
                               tolerances={"positive": 0.0}),
         CheckRecord("spectral_norm", "pass",
-                    values={"spectral_norm": assumptions.norm_b}, tolerances={}),
-    ]
-    counters = {"simulated": False}
-    if assumptions.b3_pass:
-        orbit = bounded_orbit(spec, (i0, i1), tol=numeric.get("tol", 1e-9))
-        write_sequence_csv(out / f"{prefix}_orbit.csv", orbit.indices(), orbit.values)
-        resid = _recurrence_residual(spec, orbit)
-        checks.append(CheckRecord.from_bool(
-            "recurrence_residual", resid <= 4e-15,
-            values={"max_residual": resid}, tolerances={"residual": 4e-15}))
-        counters = {"simulated": True, "orbit_steps": len(orbit) - 1}
-    else:
+                    values={"spectral_norm": assumptions.norm_b}, tolerances={})]
+    if not assumptions.b3_pass:
         checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))
-    return [checks, {}, counters]
+        return checks, {}, {"simulated": False}, None, {}
+    orbit = bounded_orbit(spec, (i0, i1), tol=tol)
+    checks.append(_residual_check(spec, orbit))
+    return (checks, {}, {"simulated": True, "orbit_steps": len(orbit) - 1},
+            ("orbit", write_sequence_csv, orbit.indices(), orbit.values), {})
 
 
-# ---------------------------------------------------------------------------
-# detect
-
-
-def detect(csv_path: str, out_dir="updyn-report", horizon=None, epsilon0: float = 0.3,
-           delta: float = 0.2, window: int | None = None,
-           ladder=(0.2, 0.1, 0.05, 0.02), min_shift=None) -> int:
-    """Scan a CSV series for near returns and separations; write evidence JSON.
+def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
+                 delta: float = 0.2, window: int | None = None, min_shift: float | None = None,
+                 ladder=(0.2, 0.1, 0.05, 0.02)):
+    """Scan a CSV series for near returns and separations.
 
     ``window`` is the number of indices a sequence CSV's near returns compare
     (default 20); a function CSV compares the span ``[t0, t0 + 20 * delta]``
-    and echoes it instead.  ``min_shift`` is the smallest shift, in time
-    units, a function CSV's near returns may use (default
-    ``catalog.FUNCTION_MIN_SHIFT``); sequence CSVs take none.
+    and echoes it instead.  ``min_shift`` is the smallest shift a function
+    CSV's near returns may use (default ``catalog.FUNCTION_MIN_SHIFT``).
+    ``horizon`` caps the shifts scanned (default 10**6 indices, or 10**4 time units).
     """
-    from .chaos import GridFunction
-
-    if window is not None and window < 1:
-        print(f"--window must be a positive number of indices, got {window!r}",
-              file=sys.stderr)
-        return 2
-    if min_shift is not None and not (math.isfinite(min_shift) and min_shift >= 0.0):
-        print(f"--min-shift must be a finite non-negative time, got {min_shift!r}",
-              file=sys.stderr)
-        return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         kind, axis, values = read_series_csv(csv_path)
     except (OSError, ValueError) as exc:
-        print(f"cannot read series: {exc}", file=sys.stderr)
-        return 2
-
-    stem = Path(csv_path).stem
-    echo = {"input": stem, "epsilon0": epsilon0, "delta": delta, "horizon": horizon}
+        raise ConfigError(f"cannot read series: {exc}") from exc
+    echo = {"input": Path(csv_path).stem, "epsilon0": epsilon0, "delta": delta,
+            "horizon": horizon}
     if kind == "sequence":
         if min_shift is not None:
-            print(f"--min-shift applies to function CSVs; {csv_path} is a sequence CSV",
-                  file=sys.stderr)
-            return 2
-        window = 20 if window is None else window
-        echo["window"] = window
-        seq = VectorSequence(int(axis[0]), values)
-        evidence = collect_evidence(seq, window=window, ladder=ladder,
-                                    epsilon0=epsilon0,
-                                    horizon=int(horizon or 10 ** 6))
-        verified = verify_evidence(seq, evidence)
+            raise InputError("min_shift",
+                             f"applies to function CSVs; {csv_path} is a sequence CSV")
+        if horizon is not None and horizon != int(horizon):
+            raise InputError("horizon", f"must be a whole number of indices for {csv_path}")
+        echo["window"] = window = 20 if window is None else window
+        data = VectorSequence(int(axis[0]), values)
+        evidence = collect_evidence(data, window=window, ladder=ladder, epsilon0=epsilon0,
+                                    horizon=10 ** 6 if horizon is None else int(horizon))
     else:
         if window is not None:
-            print(f"--window (numeric.compare_window in a config) applies to sequence "
-                  f"CSVs; {csv_path} is a function CSV, whose compared span is 20 * delta",
-                  file=sys.stderr)
-            return 2
-        step = float(axis[1] - axis[0])
-        grid = GridFunction(float(axis[0]), step, values)
-        span = (grid.t_start, min(grid.t_end, grid.t_start + 20 * delta))
+            raise InputError("window", f"applies to sequence CSVs; {csv_path} is a function "
+                                       f"CSV, whose compared span is 20 * delta")
+        data = GridFunction(float(axis[0]), float(axis[1] - axis[0]), values)
         min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
-        echo["min_shift"] = min_shift
-        echo["span"] = span
-        evidence = evidence_for_function(grid, span, ladder=ladder, epsilon0=epsilon0,
-                                         delta=delta,
-                                         horizon=float(horizon or 10 ** 4),
-                                         min_shift=min_shift)
-        verified = verify_evidence(grid, evidence)
+        span = (data.t_start, min(data.t_end, data.t_start + 20 * delta))
+        echo.update(min_shift=min_shift, span=span)
+        evidence = evidence_for_function(data, span, ladder=ladder, epsilon0=epsilon0,
+                                         delta=delta, min_shift=min_shift,
+                                         horizon=10 ** 4 if horizon is None else horizon)
+    checks = [CheckRecord.from_bool("evidence_verified", verify_evidence(data, evidence), {}, {})]
+    counters = {"series_length": int(values.shape[0])}
+    return checks, {"scan": jsonable(evidence)}, counters, None, echo
 
-    checks = [CheckRecord.from_bool("evidence_verified", verified, {}, {})]
-    _write_report(out, f"{stem}_evidence", f"detect:{stem}", echo,
-                  checks, {"scan": jsonable(evidence)},
-                  {"series_length": int(values.shape[0])})
-    if not verified:
-        print("detect: evidence failed re-verification", file=sys.stderr)
+
+def _render_run(result, out_dir: Path, prefix: str, echo: dict) -> list:
+    """Renderer of the runners in this module, which return their own checks."""
+    checks, evidence, counters, series, echo_more = result
+    if series is not None:
+        suffix, write, axis, values = series
+        write(out_dir / f"{prefix}_{suffix}.csv", axis, values)
+    echo.update(echo_more)
+    return [checks, evidence, counters]
+
+
+# ---------------------------------------------------------------------------
+# the table of everything that runs, and the one path through it
+
+
+class Input(NamedTuple):
+    """One runner argument: its CLI flag, its config field, the rule its value obeys."""
+
+    flag: str | None
+    field: str | None
+    rule: str = "number"
+
+
+# rule -> (test of a value whose numbers are all finite, what the test asks)
+RULES = {
+    "number": (lambda v: True, "finite"),
+    "seed": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "positive": (lambda v: v > 0.0, "finite and positive"),
+    "nonnegative": (lambda v: v >= 0.0, "finite and non-negative"),
+    "count": (lambda v: v >= 0 and v == int(v), "a non-negative integer"),
+    "size": (lambda v: v >= 1 and v == int(v), "a positive integer"),
+    "span": (lambda v: v[0] < v[1], "an increasing pair"),
+    "indices": (lambda v: v[0] < v[1] and v == [int(x) for x in v], "increasing integers"),
+    "matrix": (lambda v: {len(row) for row in v} == {len(v)}, "a square matrix"),
+}
+
+
+def _steps_per_unit(span: float, step: float | None, what: str) -> float:
+    """Grid nodes per time unit; ``step`` must divide ``span`` (None: the delay default)."""
+    step = span / catalog.DELAY_STEPS_PER_TAU if step is None else step
+    try:
+        return _exact_ratio(span, step, what) / span
+    except DomainError as exc:
+        raise InputError("step", str(exc)) from None
+
+
+def _function_rows(a: dict) -> float:
+    # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
+    return (a["t_hi"] - a["t_lo"] + 21) * _steps_per_unit(1.0, a["step"], "unit interval") \
+        + a["burn_in"]
+
+
+def _delay_demo_rows(a: dict) -> float:
+    w0, w1 = a["window"]
+    span = w1 - w0 + max(a["sim_burn_in"], a["tau"]) + a["tau"] + 22
+    return span * (1 + _steps_per_unit(a["tau"], a["step"], "delay")) + a["orbit_burn_in"]
+
+
+def _delay_rows(a: dict) -> float:
+    per_unit = _steps_per_unit(a["tau"], a["step"], "delay")
+    window = a["window"]
+    return 0 if window is None else (window[1] - window[0] + a["tau"]) * per_unit
+
+
+@dataclass(frozen=True)
+class Demo:
+    """One entry of ``DEMOS``: what runs, how its result is written, what it accepts."""
+
+    title: str
+    runner: Callable    # () -> the runner; looked up per call, so a rebinding is seen
+    render: Callable    # (result, out_dir, prefix, echo) -> [checks, evidence, counters]
+    inputs: dict        # runner keyword -> Input
+    selects: dict       # config field -> the values that pick this entry (None: absent)
+    label: str          # the report's "example" after a config run
+    rows: Callable = lambda a: 0    # bound runner arguments -> rows the run computes
+    sized: tuple = ()   # the runner keywords those rows grow with
+
+
+SEED = Input("--seed", "source.seed", "seed")
+BURN_IN = Input(None, "source.burn_in", "count")
+STEP = Input("--step", "numeric.step", "positive")
+TAU = Input(None, "system.tau", "positive")
+EPSILON = Input(None, "numeric.epsilon", "positive")
+SYSTEM = {"forcing": Input(None, "system.forcing.type"),
+          "matrix": Input(None, "system.matrix", "matrix"),
+          "value": Input(None, "system.forcing.value"),
+          "nonlinearity": Input(None, "system.nonlinearity.type"),
+          "scale": Input(None, "system.nonlinearity.scale", "positive"),
+          "tol": Input(None, "numeric.tol", "positive")}
+
+DEMOS = {
+    "6.1": Demo("function demo on the filtered logistic source",
+                lambda: catalog.run_function_demo, _render_function_demo,
+                {"seed": SEED, "burn_in": BURN_IN, "step": STEP,
+                 "horizon": Input("--horizon", "source.horizon", "positive")},
+                {"kind": ("construct",), "numeric.variant": ("function",)},
+                "construct:function", _function_rows, ("step", "burn_in")),
+    "6.2": Demo("sequence demo on the logistic orbit",
+                lambda: catalog.run_sequence_demo, _render_sequence_demo,
+                {"seed": SEED, "burn_in": BURN_IN,
+                 "horizon": Input("--horizon", "source.horizon", "size"),
+                 "epsilon0": Input(None, "numeric.epsilon0", "positive")},
+                {"kind": ("construct",), "numeric.variant": ("sequence", None)},
+                "construct:sequence", lambda a: a["horizon"] + a["window"] + a["burn_in"],
+                ("horizon", "burn_in")),
+    "6.3": Demo("delay system forced by the 6.1 construction",
+                lambda: catalog.run_delay_demo, _render_delay_demo,
+                {"seed": SEED, "orbit_burn_in": BURN_IN, "step": STEP, "tau": TAU,
+                 "window": Input(None, "numeric.window", "span"), "epsilon": EPSILON,
+                 "sim_burn_in": Input(None, "numeric.burn_in_time", "positive")},
+                {"kind": ("delay",), "system.forcing.type": ("construct", None)}, "delay",
+                _delay_demo_rows, ("step", "tau", "window", "sim_burn_in", "orbit_burn_in")),
+    "6.4": Demo("discrete system forced by the 6.2 sequence",
+                lambda: catalog.run_discrete_demo, _render_discrete_demo,
+                {"seed": SEED, "orbit_burn_in": BURN_IN,
+                 "tol": Input("--tol", "numeric.tol", "positive"),
+                 "window": Input(None, "numeric.window", "indices"), "epsilon": EPSILON},
+                {"kind": ("discrete",), "system.forcing.type": ("construct", None)},
+                "discrete", lambda a: a["window"][1] + a["orbit_burn_in"],
+                ("window", "orbit_burn_in")),
+    "delay": Demo("delay system under zero or constant forcing",
+                  lambda: _simulate_delay, _render_run,
+                  {**SYSTEM, "tau": TAU, "window": Input(None, "numeric.window", "span"),
+                   "step": Input(None, "numeric.step", "positive")},
+                  {"kind": ("delay",), "system.forcing.type": ("zero", "constant")},
+                  "delay", _delay_rows, ("window", "step", "tau")),
+    "discrete": Demo("discrete system under zero or constant forcing",
+                     lambda: _simulate_discrete, _render_run,
+                     {**SYSTEM, "window": Input(None, "numeric.window", "indices")},
+                     {"kind": ("discrete",), "system.forcing.type": ("zero", "constant")},
+                     "discrete", lambda a: a["window"][1] - a["window"][0] + 200,
+                     ("window",)),
+    "detect": Demo("recurrence scan of a CSV series",
+                   lambda: _scan_series, _render_run,
+                   {"csv_path": Input("csv", "input_csv"),
+                    "horizon": Input("--horizon", "source.horizon", "positive"),
+                    "epsilon0": Input("--epsilon0", "numeric.epsilon0", "positive"),
+                    "delta": Input("--delta", "numeric.delta", "positive"),
+                    "window": Input("--window", "numeric.compare_window", "size"),
+                    "min_shift": Input("--min-shift", None, "nonnegative")},
+                   {"kind": ("detect",)}, "detect"),
+}
+
+
+def _named(name: str) -> str:
+    return name if name.startswith("-") else f"config field '{name}'"
+
+
+def _numbers(value) -> list:
+    if isinstance(value, list):
+        return [v for item in value for v in _numbers(item)]
+    return [] if isinstance(value, str) else [value]
+
+
+def _checked(rule: str, value, name: str):
+    """``value`` once every number in it is finite and passes ``rule``."""
+    test, wanted = RULES[rule]
+    if not (all(isinstance(v, int) or math.isfinite(v) for v in _numbers(value)) and test(value)):
+        raise ConfigError(f"{_named(name)}: must be {wanted}, got {value!r}")
+    return int(value) if rule in ("count", "size") else value
+
+
+def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str) -> int:
+    """Run entry ``key`` of ``DEMOS`` on the ``given`` inputs; write its outputs and report.
+
+    ``given`` maps each flag (``--step``) or config field (``numeric.step``) that
+    was set to its value; each must be an input of the entry or a field selecting it.
+    """
+    demo = DEMOS[key]
+    keywords = {name: kw for kw, spec in demo.inputs.items() for name in spec[:2] if name}
+    unknown = [name for name in given if name not in keywords and name not in demo.selects]
+    if unknown:
+        side = 0 if unknown[0].startswith("-") else 1
+        takes = " ".join(spec[side] for spec in demo.inputs.values() if spec[side])
+        raise ConfigError(f"{', '.join(map(_named, unknown))}: not an input of the "
+                          f"{demo.title}, which takes {takes or 'none'}")
+    kwargs, names = {}, {}
+    for name, kw in keywords.items():
+        if name in given:
+            kwargs[kw], names[kw] = _checked(demo.inputs[kw].rule, given[name], name), name
+    runner = demo.runner()
+    args = inspect.signature(runner).bind(**kwargs)
+    args.apply_defaults()
+    try:
+        if demo.rows(args.arguments) > MAX_ROWS:
+            culprits = ", ".join(_named(names[kw]) for kw in demo.sized if kw in names)
+            raise ConfigError(f"{culprits}: the run would compute over {MAX_ROWS:,} rows")
+        result = runner(**kwargs)
+    except InputError as exc:
+        keyword, why = exc.args
+        raise ConfigError(f"{_named(names[keyword])}: {why}") from None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    checks, evidence, counters = demo.render(result, out, prefix, echo)
+    write_json_report(out / f"{prefix}_report.json", label, echo, checks, evidence, counters)
+    bad = failing_checks(checks)
+    if bad:
+        print(f"{label}: failing checks: {', '.join(bad)}", file=sys.stderr)
         return 1
     return 0
 
 
+def reproduce(example_id: str, out_dir=REPORT_DIR, seed: float | None = None,
+              horizon: float | None = None, step: float | None = None,
+              tol: float | None = None) -> int:
+    """Run one built-in demo end to end and write its CSV and JSON outputs."""
+    if example_id not in catalog.EXAMPLE_IDS:
+        raise ConfigError(f"unknown example id {example_id!r}; choose from {catalog.EXAMPLE_IDS}")
+    flags = {"seed": seed, "horizon": horizon, "step": step, "tol": tol}
+    given = {f"--{name}": value for name, value in flags.items() if value is not None}
+    return _execute(example_id, given, {"example": example_id, **flags}, out_dir,
+                    example_id, example_id)
+
+
+def _leaves(config: dict, prefix: str = ""):
+    """(dotted field, value) for every non-object value in ``config``."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def run_config(config_path: str) -> int:
+    """Validate a JSON experiment configuration and run the entry of ``DEMOS`` it selects."""
+    try:
+        config = validate_config(json.loads(Path(config_path).read_text(encoding="utf-8")))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    given = dict(_leaves(config))
+    key = next(k for k, demo in DEMOS.items()
+               if all(given.get(field) in values for field, values in demo.selects.items()))
+    given.pop("label", None)
+    out_dir = given.pop("output.dir", REPORT_DIR)
+    if key != "detect":
+        # output paths stay out of the echo, so reruns elsewhere stay comparable
+        echo = {k: v for k, v in config.items() if k != "output"}
+        prefix, label = config["kind"], DEMOS[key].label
+    elif "input_csv" in given:
+        stem = Path(given["input_csv"]).stem
+        prefix, label, echo = f"{stem}_evidence", f"detect:{stem}", {}
+    else:
+        raise ConfigError("config field 'input_csv': required for kind 'detect'")
+    prefix = given.pop("output.prefix", prefix)
+    return _execute(key, given, echo, out_dir, prefix, label)
+
+
+def detect(csv_path: str, out_dir=REPORT_DIR, **flags) -> int:
+    """Scan a CSV series for recurrence evidence and write its report.
+
+    ``flags`` are the options by keyword, None when not given; see ``_scan_series``."""
+    given = {"csv": csv_path, **{"--" + kw.replace("_", "-"): value
+                                 for kw, value in flags.items() if value is not None}}
+    stem = Path(csv_path).stem
+    return _execute("detect", given, {}, out_dir, f"{stem}_evidence", f"detect:{stem}")
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _inputs_text(keys, fields: bool) -> str:
+    """One line per entry of ``DEMOS``: its flags and, with ``fields``, its config fields."""
+    lines = []
+    for key in keys:
+        inputs = DEMOS[key].inputs.values()
+        names = [i.flag for i in inputs if i.flag] + [i.field for i in inputs if fields and i.field]
+        lines.append(f"  {key:<9}{DEMOS[key].title}: {' '.join(names)}")
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -690,26 +679,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unpredictable-dynamics demos, simulations and detectors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("reproduce", help="run a built-in demo end to end")
+    rep = sub.add_parser("reproduce", help="run a built-in demo end to end",
+                         formatter_class=argparse.RawDescriptionHelpFormatter,
+                         epilog="flags each demo takes (any other exits 2):\n"
+                                + _inputs_text(catalog.EXAMPLE_IDS, fields=False))
     rep.add_argument("example_id", choices=catalog.EXAMPLE_IDS)
-    rep.add_argument("--out-dir", default="updyn-report")
-    rep.add_argument("--seed", type=float, default=None)
-    rep.add_argument("--horizon", type=float, default=None)
-    rep.add_argument("--step", type=float, default=None)
-    rep.add_argument("--tol", type=float, default=None)
+    rep.add_argument("--out-dir", default=REPORT_DIR)
+    for flag in ("--seed", "--horizon", "--step", "--tol"):
+        rep.add_argument(flag, type=float)
 
     run = sub.add_parser("run", help="run a JSON experiment configuration")
     run.add_argument("config")
 
     det = sub.add_parser("detect", help="scan a CSV series for recurrence evidence")
     det.add_argument("csv")
-    det.add_argument("--out-dir", default="updyn-report")
-    det.add_argument("--horizon", type=float, default=None)
-    det.add_argument("--epsilon0", type=float, default=0.3)
-    det.add_argument("--delta", type=float, default=0.2)
-    det.add_argument("--window", type=int, default=None,
+    det.add_argument("--out-dir", default=REPORT_DIR)
+    det.add_argument("--horizon", type=float)
+    det.add_argument("--epsilon0", type=float)
+    det.add_argument("--delta", type=float)
+    det.add_argument("--window", type=int,
                      help="compared indices, sequence CSVs only (default 20)")
-    det.add_argument("--min-shift", type=float, default=None,
+    det.add_argument("--min-shift", type=float,
                      help="smallest near-return shift in time units, function CSVs only "
                           f"(default {catalog.FUNCTION_MIN_SHIFT})")
     return parser
@@ -722,13 +712,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "reproduce":
-            return reproduce(args.example_id, out_dir=args.out_dir, seed=args.seed,
-                             horizon=args.horizon, step=args.step, tol=args.tol)
+            return reproduce(args.example_id, args.out_dir, args.seed, args.horizon,
+                             args.step, args.tol)
         if args.command == "run":
             return run_config(args.config)
-        return detect(args.csv, out_dir=args.out_dir, horizon=args.horizon,
-                      epsilon0=args.epsilon0, delta=args.delta, window=args.window,
-                      min_shift=args.min_shift)
+        return detect(args.csv, args.out_dir, horizon=args.horizon, epsilon0=args.epsilon0,
+                      delta=args.delta, window=args.window, min_shift=args.min_shift)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -736,6 +725,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+if __doc__ is not None:
+    __doc__ += "\nInputs of each entry of ``DEMOS``, as flags and as config fields:\n\n" \
+        + _inputs_text(DEMOS, fields=True)
 
 if __name__ == "__main__":
     sys.exit(main())

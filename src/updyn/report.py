@@ -65,8 +65,9 @@ def read_series_csv(path):
     """Load a CSV written by the functions above.
 
     Returns ("function"|"sequence", axis, values) depending on the header.
-    Raises ValueError naming the file and the axis unless a time axis has at
-    least two rows and one step, and an index axis holds consecutive integers.
+    Raises ValueError naming the file and the row of any non-finite value, and
+    the axis unless a time axis has at least two rows and one step, and an
+    index axis holds consecutive integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -77,9 +78,11 @@ def read_series_csv(path):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
+    rows, cols = np.nonzero(~np.isfinite(data))
+    if rows.size:
+        where = f"axis '{header[0]}'" if cols[0] == 0 else f"column {cols[0] + 1}"
+        raise ValueError(f"{path}: {where} holds a non-finite value in row {rows[0] + 1}")
     axis = data[:, 0]
-    if not np.all(np.isfinite(axis)):
-        raise ValueError(f"{path}: axis '{header[0]}' holds a non-finite value")
     if header[0] == "t":
         if axis.size < 2:
             raise ValueError(f"{path}: time axis 't' needs at least 2 rows, got 1")

@@ -1,0 +1,223 @@
+"""Every flag and config field is used or rejected, through one table of demos.
+
+``reproduce``, ``run`` and ``detect`` share ``cli.DEMOS`` and one run path:
+an input an entry does not take, or a value outside its rule, exits 2 with
+the flag or field named before any output is written; an accepted input
+reaches the runner only when it was given.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from updyn import catalog, cli
+from updyn.report import write_function_csv
+
+
+def run(argv, capsys):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr()
+
+
+def write_config(path: Path, config) -> Path:
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    return path
+
+
+def nan_sample_csv(path: Path) -> Path:
+    times = 0.05 * np.arange(400)
+    samples = np.sin(times)[:, None]
+    samples[7, 0] = np.nan
+    write_function_csv(path, times, samples)
+    return path
+
+
+# (case id, reproduce argv or run config, text the error must hold)
+BAD_INPUTS = [
+    # inputs that used to be replaced by a default (`x or default`)
+    ("6.4 seed 0", ["6.4", "--seed", "0"], "--seed"),
+    ("6.4 tol 0", ["6.4", "--tol", "0"], "--tol"),
+    ("6.1 horizon 0", ["6.1", "--horizon", "0"], "--horizon"),
+    # flags a demo ignored but echoed
+    ("6.4 step horizon", ["6.4", "--step", "7", "--horizon", "3"], "--step"),
+    ("6.2 step", ["6.2", "--step", "0.1", "--horizon", "2000"], "--step"),
+    ("6.2 tol", ["6.2", "--tol", "0.1", "--horizon", "2000"], "--tol"),
+    # config fields the construct-forced discrete demo ignored
+    ("discrete matrix", {"kind": "discrete", "system": {"matrix": [[1e308, 0], [0, 1e308]]}},
+     "config field 'system.matrix'"),
+    ("discrete tau", {"kind": "discrete", "system": {"tau": 0.3}}, "config field 'system.tau'"),
+    ("discrete step", {"kind": "discrete", "numeric": {"step": 0.1}},
+     "config field 'numeric.step'"),
+    ("discrete burn_in_time", {"kind": "discrete", "numeric": {"burn_in_time": 3.0}},
+     "config field 'numeric.burn_in_time'"),
+    ("zero forcing value", {"kind": "discrete",
+                            "system": {"forcing": {"type": "zero", "value": [1.0]}}},
+     "config field 'system.forcing.value'"),
+    # inputs that ended in a traceback
+    ("6.2 horizon nan", ["6.2", "--horizon", "nan"], "--horizon"),
+    ("6.2 horizon 1e13", ["6.2", "--horizon", "1e13"], "--horizon"),
+    ("delay tau 1e300", {"kind": "delay", "system": {"tau": 1e300}},
+     "config field 'system.tau'"),
+    # input errors that exited 1, the check-failure code
+    ("6.4 seed 1.5", ["6.4", "--seed", "1.5"], "--seed"),
+    ("6.3 step 0.3", ["6.3", "--step", "0.3"], "--step"),
+    ("6.1 step 0.03", ["6.1", "--step", "0.03"], "--step"),
+    ("json seed NaN", '{"kind": "discrete", "source": {"seed": NaN}}',
+     "config field 'source.seed'"),
+    ("json window Infinity", '{"kind": "discrete", "numeric": {"window": [4000, Infinity]}}',
+     "config field 'numeric.window'"),
+    # a horizon that used to be truncated to an integer without a word
+    ("6.2 horizon 2000.7", ["6.2", "--horizon", "2000.7"], "--horizon"),
+    ("6.1 step 1e-9", ["6.1", "--step", "1e-9"], "--step"),
+    ("ladder", {"kind": "construct", "source": {"horizon": 2000}, "numeric": {"ladder": [0.1]}},
+     "'ladder' was unexpected"),
+    ("detect nan sample", "nan-sample", "row 8"),
+    ("reversed window", {"kind": "discrete", "system": {"forcing": {"type": "zero"}},
+                         "numeric": {"window": [400, 0]}}, "config field 'numeric.window'"),
+    ("ragged matrix", {"kind": "discrete", "system": {"forcing": {"type": "zero"},
+                                                      "matrix": [[0.1, 0.0], [0.0]]}},
+     "config field 'system.matrix'"),
+]
+
+
+@pytest.mark.parametrize("case, inputs, named", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
+    out = tmp_path / "out"
+    if inputs == "nan-sample":
+        path = nan_sample_csv(tmp_path / "wave.csv")
+        code, streams = run(["detect", path, "--out-dir", out], capsys)
+        assert "wave.csv" in streams.err
+    elif isinstance(inputs, list):
+        code, streams = run(["reproduce", *inputs, "--out-dir", out], capsys)
+    else:
+        if isinstance(inputs, dict):
+            inputs = {**inputs, "output": {"dir": str(out)}}
+        else:
+            inputs = inputs[:-1] + f', "output": {{"dir": {json.dumps(str(out))}}}}}'
+        code, streams = run(["run", write_config(tmp_path / "cfg.json", inputs)], capsys)
+    assert code == 2
+    assert named in streams.err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_rejection_names_every_foreign_flag_and_what_the_demo_takes(tmp_path, capsys):
+    code, streams = run(["reproduce", "6.4", "--step", "7", "--horizon", "3",
+                         "--out-dir", tmp_path], capsys)
+    assert code == 2
+    assert "--horizon, --step: not an input" in streams.err
+    assert "which takes --seed --tol" in streams.err
+
+
+def test_detect_echoes_its_own_defaults(tmp_path, capsys):
+    path = tmp_path / "wave.csv"
+    times = 0.05 * np.arange(800)
+    write_function_csv(path, times, np.sin(times)[:, None])
+    assert cli.build_parser().parse_args(["detect", str(path)]).epsilon0 is None
+    code, _ = run(["detect", path, "--out-dir", tmp_path / "out"], capsys)
+    assert code == 0
+    echo = json.loads((tmp_path / "out" / "wave_evidence_report.json").read_text())["config_echo"]
+    assert (echo["epsilon0"], echo["delta"], echo["min_shift"]) == (0.3, 0.2, 1.0)
+
+
+def test_detect_config_honours_output_prefix(tmp_path, capsys):
+    path = tmp_path / "wave.csv"
+    times = 0.05 * np.arange(800)
+    write_function_csv(path, times, np.sin(times)[:, None])
+    cfg = write_config(tmp_path / "d.json", {"kind": "detect", "input_csv": str(path),
+                                             "output": {"dir": str(tmp_path), "prefix": "p"}})
+    assert run(["run", cfg], capsys)[0] == 0
+    assert (tmp_path / "p_report.json").exists()
+
+
+def test_help_and_docstring_list_each_entry_from_the_table(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["reproduce", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for key in catalog.EXAMPLE_IDS:
+        flags = [i.flag for i in cli.DEMOS[key].inputs.values() if i.flag]
+        line = next(line for line in lines if line.split()[:1] == [key])
+        assert line.split(": ", 1)[1].split() == flags
+    for key, demo in cli.DEMOS.items():
+        assert all(i.field in cli.__doc__ for i in demo.inputs.values() if i.field)
+        assert demo.title in cli.__doc__
+
+
+SEED = 0.37
+ONE_PATH = [
+    ("6.1", [], {"kind": "construct", "numeric": {"variant": "function"}}),
+    ("6.2", ["--horizon", "2000"], {"kind": "construct", "source": {"horizon": 2000}}),
+    ("6.3", [], {"kind": "delay"}),
+    ("6.4", [], {"kind": "discrete"}),
+]
+
+
+@pytest.mark.parametrize("example, flags, config", ONE_PATH, ids=[c[0] for c in ONE_PATH])
+def test_reproduce_and_run_take_one_path(tmp_path, capsys, example, flags, config):
+    by_flags, by_config = tmp_path / "reproduce", tmp_path / "run"
+    assert run(["reproduce", example, "--seed", SEED, *flags, "--out-dir", by_flags],
+               capsys)[0] == 0
+    config = {**config, "source": {**config.get("source", {}), "seed": SEED},
+              "output": {"dir": str(by_config), "prefix": example}}
+    assert run(["run", write_config(tmp_path / "cfg.json", config)], capsys)[0] == 0
+
+    names = sorted(p.name for p in by_flags.iterdir())
+    assert names == sorted(p.name for p in by_config.iterdir())
+    for name in names:
+        if name.endswith(".csv"):
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+    reports = [json.loads((d / f"{example}_report.json").read_text())
+               for d in (by_flags, by_config)]
+    for part in ("checks", "evidence", "timings"):
+        assert reports[0][part] == reports[1][part], part
+
+
+ODD = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e13, 1e300, 2000.7, 1.5])
+PLAIN = {
+    "--seed": st.floats(0.01, 0.99),
+    "--horizon": st.integers(1, 3000).map(float),
+    "--step": st.sampled_from([0.05, 0.03, 0.2 / 32]),
+    "--tol": st.floats(1e-12, 1e-3),
+}
+
+
+@st.composite
+def reproduce_argv(draw):
+    """A cheap demo and some of its flags, a foreign flag in one case in four, and one
+    value in four odd, so that runs and rejections are both common."""
+    example = draw(st.sampled_from(["6.2", "6.4"]))
+    own = [i.flag for i in cli.DEMOS[example].inputs.values() if i.flag]
+    chosen = draw(st.sets(st.sampled_from(own)))
+    if draw(st.integers(0, 3)) == 0:
+        chosen.add(draw(st.sampled_from(sorted(PLAIN))))
+    if example == "6.2":
+        chosen.add("--horizon")   # the default 10**6 would make accepted runs slow
+    return example, {flag: draw(ODD if draw(st.integers(0, 3)) == 0 else PLAIN[flag])
+                     for flag in sorted(chosen)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reproduce_argv())
+def test_reproduce_fuzz_reports_or_names_the_flag(capsys, case):
+    example, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["reproduce", example, "--out-dir", str(out)]
+        argv += [f"{flag}={value!r}" for flag, value in flags.items()]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        report = out / f"{example}_report.json"
+        if code == 2:
+            assert any(flag in err for flag in flags), err
+            assert not report.exists()
+        else:
+            assert code in (0, 1)
+            echo = json.loads(report.read_text())["config_echo"]
+            expected = {name: flags.get(f"--{name}") for name in ("seed", "horizon", "step", "tol")}
+            assert echo == {"example": example, **expected}
