@@ -48,6 +48,8 @@ FUNCTION_PSI_SUP = math.sqrt(5.0) / 2.0
 SEQUENCE_PSI_SUP = math.sqrt(17.0) / 4.0
 # smallest near-return shift of the function scans, past the trivial grid-step returns
 FUNCTION_MIN_SHIFT = 1.0
+# half-grid nodes per evaluation of the delay demo's forcing
+HALF_GRID_CHUNK = 8192
 
 
 def delay_demo_matrix() -> np.ndarray:
@@ -85,9 +87,19 @@ def tanh_nonlinearity(dim: int, scale: float) -> Nonlinearity:
     return Nonlinearity(f, bound=scale * math.sqrt(dim), lipschitz=scale, name="tanh")
 
 
+def _planar(make):
+    """Factory for a demo nonlinearity that acts on two components only."""
+    def factory(dim: int, scale: float) -> Nonlinearity:
+        if dim != 2:
+            raise DomainError(f"nonlinearity acts on 2 components, not {dim}")
+        return make()
+    return factory
+
+
+# name -> factory(dim, scale); ``scale`` applies to tanh only
 NONLINEARITIES = {
-    "arctan_arccot": lambda dim, scale: delay_demo_nonlinearity(),
-    "sin_cos": lambda dim, scale: discrete_demo_nonlinearity(),
+    "arctan_arccot": _planar(delay_demo_nonlinearity),
+    "sin_cos": _planar(discrete_demo_nonlinearity),
     "zero": lambda dim, scale: Nonlinearity.zero(dim),
     "tanh": tanh_nonlinearity,
 }
@@ -225,6 +237,27 @@ class DelayDemo:
     report: DelayConvergenceReport
 
 
+def _delay_runs(spec_psi: DelaySystemSpec, history: GridFunction, t_end: float,
+                step: float) -> tuple[list, list]:
+    """Trajectories under phi = psi + tail and psi, and the sups of both forcings on the grid.
+
+    Both forcings are sampled on the integrator's half grid from one
+    evaluation of ``spec_psi.forcing`` per node, in place and a chunk at a
+    time so the temporaries stay small, and one ``integrate_mos`` call
+    advances both runs.  Returning frees the samples before the checks run.
+    """
+    n_half = 2 * round((t_end - history.t_end) / step) + 1
+    forcing = np.empty((2, n_half, 2))
+    phi_half, psi_half = forcing
+    for lo in range(0, n_half, HALF_GRID_CHUNK):
+        t = history.t_end + 0.5 * step * np.arange(lo, min(lo + HALF_GRID_CHUNK, n_half))
+        psi = psi_half[lo:lo + t.size]
+        psi[:] = spec_psi.forcing(t)
+        np.add(psi, function_tail(t), out=phi_half[lo:lo + t.size])
+    runs = integrate_mos(spec_psi, history, t_end, step, forcing)
+    return runs, [float(np.linalg.norm(run[::2], axis=1).max()) for run in forcing]
+
+
 def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
                    sim_burn_in: float = 30.0, seed: float = DEFAULT_SEED,
                    orbit_burn_in: int = DEFAULT_BURN_IN, epsilon: float = 1e-3,
@@ -233,7 +266,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
 
     Both runs start from the same zero history ``sim_burn_in`` time units
     before the window, so each trajectory lands on its bounded solution
-    before measurements begin.  ``step`` defaults to ``tau / 32``.
+    before measurements begin, and one ``integrate_mos`` call advances them
+    together.  ``step`` defaults to ``tau / 32``.
     """
     if step is None:
         step = tau / DELAY_STEPS_PER_TAU
@@ -256,13 +290,10 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     n_burn = math.ceil((w0 - t_sim0) / step - 1e-9)
     t0 = w0 - n_burn * step
     history = constant_history(np.zeros(2), t0, tau, step)
-    phi_solution = integrate_mos(spec_phi, history, w1, step).restrict(w0, w1)
-    psi_solution = integrate_mos(spec_psi, history, w1, step).restrict(w0, w1)
+    runs, (m_phi, m_psi) = _delay_runs(spec_psi, history, w1, step)
+    phi_solution, psi_solution = (x.restrict(w0, w1) for x in runs)
 
     times = phi_solution.times()
-    full_times = t0 + step * np.arange(round((w1 - t0) / step) + 1)
-    m_phi = float(np.linalg.norm(phi_fn(full_times), axis=1).max())
-    m_psi = float(np.linalg.norm(psi_fn(full_times), axis=1).max())
     proof = proof_constants(spec_phi, constants, m_phi, m_psi)
     gamma = 0.5 / (proof.k1 + proof.k2)
 
@@ -338,7 +369,7 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     alpha = int(i0 + quiet[0])
 
     phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
-    psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol)
+    psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol, guess=phi_orbit.values)
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=envelope_slack)

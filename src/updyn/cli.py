@@ -294,6 +294,15 @@ def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
 
 
+def _nonlinearity(name: str, dim: int, scale: float):
+    try:
+        return catalog.NONLINEARITIES[name](dim, scale)
+    except DomainError as exc:
+        # only a given matrix can be other than 2x2, so the matrix is named
+        raise InputError("matrix", f"is {dim}x{dim}, but the {name!r} {exc}; set "
+                                   "system.nonlinearity.type to tanh or zero") from None
+
+
 def _constant_forcing(v: np.ndarray):
     return lambda t: np.broadcast_to(v, np.shape(t) + v.shape)
 
@@ -307,7 +316,7 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
                         stability_constants)
 
     matrix = catalog.delay_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
-    nl = catalog.NONLINEARITIES[nonlinearity](matrix.shape[0], scale)
+    nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
     forcing = _constant_forcing(_forcing_value(forcing, value, matrix.shape[0]))
     constants = stability_constants(matrix)
     spec = DelaySystemSpec(matrix, tau, nl, forcing)
@@ -338,7 +347,7 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
 
     matrix = catalog.discrete_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
-    nl = catalog.NONLINEARITIES[nonlinearity](dim, scale)
+    nl = _nonlinearity(nonlinearity, dim, scale)
     i0, i1 = int(window[0]), int(window[1])
     values = np.tile(_forcing_value(forcing, value, dim), (i1 - i0 + 200, 1))
     spec = DiscreteSystemSpec(matrix, nl, VectorSequence(i0 - 199, values))

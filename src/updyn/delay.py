@@ -9,11 +9,15 @@ feeds the convergence check against the explicit exponential envelope.
 
 Both the integrator and the contraction operator are segment-blocked.  With
 k steps per delay, everything delayed that one delay segment needs is known
-once the previous segment is, and because A is linear each step is affine in
-the state, y_{j+1} = y_j @ mt + c_j.  All offsets c_j of a segment come from
-one vectorised call, and ``_affine_scan`` advances its k rows at once: the
-start row times the powers mt^1..mt^k plus the offsets times a block
-Toeplitz matrix of the same powers.
+once the previous segment is, and because A is linear each step is affine
+in the state, y_{j+1} = y_j @ mt + c_j.  ``_powers_toeplitz`` builds the
+matrices that advance k such rows in one product: the start row times the
+powers mt^1..mt^k plus the offsets times a block Toeplitz matrix of the same
+powers.  ``picard_apply`` scans with them directly.  ``integrate_mos``
+further folds the RK4 offset maps into the Toeplitz matrix, so a segment
+is one cubic stencil, one nonlinearity call and one product from its
+half-grid inputs, and it advances several forcings of one system (a run
+axis) through each segment together.
 """
 
 from __future__ import annotations
@@ -222,9 +226,18 @@ def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
 
 
 def contraction_margin(spec: DelaySystemSpec, constants: StabilityConstants) -> float:
-    """decay_rate - 2 * N * L * exp(decay_rate * tau / 2); positive means contraction."""
+    """decay_rate - 2 * N * L * exp(decay_rate * tau / 2); positive means contraction.
+
+    -inf once the exponential leaves the float range and L > 0.
+    """
     n, lam = constants.amplitude, constants.decay_rate
-    return lam - 2.0 * n * spec.nonlinearity.lipschitz * math.exp(lam * spec.delay / 2.0)
+    coupling = 2.0 * n * spec.nonlinearity.lipschitz
+    if coupling == 0.0:
+        return lam
+    try:
+        return lam - coupling * math.exp(lam * spec.delay / 2.0)
+    except OverflowError:
+        return -math.inf
 
 
 def check_assumptions_A(spec: DelaySystemSpec, constants: StabilityConstants,
@@ -273,25 +286,47 @@ def _forcing_on_half_grid(forcing: Forcing, t0: float, step: float, n_steps: int
     return vals
 
 
-def _segment_midpoints(xs: np.ndarray, k: int) -> np.ndarray:
-    """Cubic values at the half nodes of ``xs``, one per interval.
+def _midpoint_stencils(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices and weights of the cubic stencil for each of ``n`` half nodes.
 
     Solutions of delay systems lose smoothness at multiples of the delay
     past the history junction, so stencils must not straddle the segment
-    boundaries at nodes 0, k, 2k, ... of ``xs``.  Each segment's first
-    midpoint uses a forward stencil and its last a backward one; a final
-    segment shorter than three intervals has no forward stencil inside it
-    and falls back to the backward one.
+    boundaries at nodes 0, k, 2k, ...  Each segment's first midpoint uses a
+    forward stencil and its last a backward one, the others a centred one;
+    a final segment shorter than three intervals has no forward stencil
+    inside it and falls back to the backward one.  Returns ``index`` of shape
+    (4, n), the four nodes of each stencil, and ``weight`` of shape (4, n, 1).
     """
-    n = len(xs) - 1
-    mids = np.empty((n,) + xs.shape[1:])
-    mids[1:-1] = (-xs[:-3] + 9.0 * xs[1:-2] + 9.0 * xs[2:-1] - xs[3:]) / 16.0
-    mids[0:n - 2:k] = (5.0 * xs[0:n - 2:k] + 15.0 * xs[1:n - 1:k] - 5.0 * xs[2:n:k]
-                       + xs[3:n + 1:k]) / 16.0
-    for lo, stride in ((k - 1, k), (n - 2 if n % k == 2 else n - 1, 1)):
-        mids[lo:n:stride] = (xs[lo - 2:n - 2:stride] - 5.0 * xs[lo - 1:n - 1:stride]
-                             + 15.0 * xs[lo:n:stride] + 5.0 * xs[lo + 1:n + 1:stride]) / 16.0
+    j = np.arange(n)
+    backward = (j % k == k - 1) | (j >= (n - 2 if n % k == 2 else n - 1))
+    forward = (j % k == 0) & (j < n - 2)
+    index = np.where(backward, j - 2, np.where(forward, j, j - 1)) + np.arange(4)[:, None]
+    weight = np.where(backward, [[1.0], [-5.0], [15.0], [5.0]],
+                      np.where(forward, [[5.0], [15.0], [-5.0], [1.0]],
+                               [[-1.0], [9.0], [9.0], [-1.0]]))
+    return index, weight[:, :, None]
+
+
+def _midpoints(xs: np.ndarray, stencils: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cubic values between the nodes on the next-to-last axis of ``xs``.
+
+    Sums ((w0 x0 + w1 x1) + w2 x2) + w3 x3, then divides by 16: term for
+    term the bits of the written-out stencils (-x0 + 9 x1 + 9 x2 - x3) / 16,
+    (5 x0 + 15 x1 - 5 x2 + x3) / 16 and (x0 - 5 x1 + 15 x2 + 5 x3) / 16,
+    since a product with -1 or a negative weight only flips a sign.
+    """
+    index, weight = stencils
+    terms = xs[..., index, :] * weight
+    mids = terms[..., 0, :, :] + terms[..., 1, :, :]
+    mids += terms[..., 2, :, :]
+    mids += terms[..., 3, :, :]
+    mids /= 16.0
     return mids
+
+
+def _segment_midpoints(xs: np.ndarray, k: int) -> np.ndarray:
+    """Cubic values at the half nodes of ``xs``, one per interval (see ``_midpoint_stencils``)."""
+    return _midpoints(xs, _midpoint_stencils(xs.shape[-2] - 1, k))
 
 
 def _rk4_step(a: np.ndarray, x: np.ndarray, b0: np.ndarray, bm: np.ndarray,
@@ -309,13 +344,12 @@ def _rk4_step(a: np.ndarray, x: np.ndarray, b0: np.ndarray, bm: np.ndarray,
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Solver for the rows of y_{j+1} = y_j @ mt + c_j, ``k`` steps per matmul.
+def _powers_toeplitz(mt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices that advance the rows of y_{j+1} = y_j @ mt + c_j by ``k`` steps at once.
 
-    Returns ``scan(y0, c)``, which gives the rows y_1 .. y_n for an offset
-    array ``c`` of shape (n, m).  Column block j of ``powers`` is mt^(j+1)
-    and block (i, j) of ``toeplitz`` is mt^(j-i) for i <= j (zero below), so
-    one block of k rows is y0 @ powers + c.ravel() @ toeplitz.
+    Column block j of ``powers`` is mt^(j+1) and block (i, j) of ``toeplitz``
+    is mt^(j-i) for i <= j (zero below), so the rows y_1 .. y_k are
+    y0 @ powers + c.ravel() @ toeplitz, and the leading n blocks serve n < k rows.
     """
     m = mt.shape[0]
     stack = np.empty((k + 1, m, m))
@@ -325,7 +359,17 @@ def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], n
     powers = stack[1:].transpose(1, 0, 2).reshape(m, k * m)
     lag = np.arange(k)[None, :] - np.arange(k)[:, None]
     toeplitz = np.where((lag >= 0)[:, :, None, None], stack[np.maximum(lag, 0)], 0.0)
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+    return powers, toeplitz.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+
+
+def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Solver for the rows of y_{j+1} = y_j @ mt + c_j, ``k`` steps per matmul.
+
+    Returns ``scan(y0, c)``, which gives the rows y_1 .. y_n for an offset
+    array ``c`` of shape (n, m), one ``_powers_toeplitz`` block of k rows at a time.
+    """
+    m = mt.shape[0]
+    powers, toeplitz = _powers_toeplitz(mt, k)
 
     def scan(y0: np.ndarray, c: np.ndarray) -> np.ndarray:
         out = np.empty(c.shape)
@@ -337,6 +381,26 @@ def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], n
             y = out[lo + len(rows) - 1]
         return out
     return scan
+
+
+def _segment_matrices(a: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(powers, g)`` that take one delay segment of ``k`` RK4 steps of x' = A x + b at once.
+
+    Each step is affine, x_{j+1} = x_j @ mt + c_j, with mt the step applied
+    to the identity and c_j = b_j @ p0 + b_{j+1/2} @ pm + b_{j+1} @ p1 the
+    step from the zero state.  ``g`` folds those three offset maps into the
+    ``_powers_toeplitz`` matrix, so the segment's rows are
+    x_0 @ powers + b.ravel() @ g for the half-grid term b = (b_0, b_1/2, ..., b_k).
+    Rows [:(2n + 1) m] and columns [:n m] of ``g`` serve a segment of n < k steps.
+    """
+    m = a.shape[0]
+    eye, zero = np.eye(m), np.zeros((m, m))
+    powers, toeplitz = _powers_toeplitz(_rk4_step(a, eye, 0.0, 0.0, 0.0, h), k)
+    offsets = np.zeros((2 * k + 1, m, k, m))
+    j = np.arange(k)
+    for at, b in enumerate(((eye, zero, zero), (zero, eye, zero), (zero, zero, eye))):
+        offsets[2 * j + at, :, j, :] = _rk4_step(a, zero, *b, h)
+    return powers, offsets.reshape((2 * k + 1) * m, k * m) @ toeplitz
 
 
 def _first_non_finite(scan, y0: np.ndarray, c: np.ndarray) -> int:
@@ -352,9 +416,28 @@ def _first_non_finite(scan, y0: np.ndarray, c: np.ndarray) -> int:
     return int(np.argmax(bad)) if bad.any() else n_ok
 
 
+def _rescan_segment(spec: DelaySystemSpec, h: float, k: int, y0: np.ndarray, b: np.ndarray,
+                    t0: float, lo: int) -> np.ndarray:
+    """One run's segment rows again from ``_rk4_step`` and the scan, after a non-finite product.
+
+    The segment starts ``lo`` steps past ``t0`` at state ``y0``, with the
+    half-grid term ``b``.  Raises ``NonFiniteStateError`` at the time a
+    step-by-step sweep names when the state does leave the finite range.
+    """
+    n = len(b) // 2
+    c = _rk4_step(spec.matrix, np.zeros((n, spec.dim)), b[0:-1:2], b[1::2], b[2::2], h)
+    scan = _affine_scan(_rk4_step(spec.matrix, np.eye(spec.dim), 0.0, 0.0, 0.0, h), k)
+    rows = scan(y0, c)
+    if not np.isfinite(rows).all():
+        j = lo + _first_non_finite(scan, y0, c)
+        raise NonFiniteStateError(f"state left the finite range at t = {t0 + (j + 1) * h:.6g}")
+    return rows
+
+
 def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
-                  step: float) -> GridFunction:
-    """Method-of-steps trajectory on [t0, t_end] with classical RK4, one delay segment at a time.
+                  step: float, forcing: np.ndarray | None = None
+                  ) -> GridFunction | list[GridFunction]:
+    """Method-of-steps trajectories on [t0, t_end] with classical RK4, one delay segment at a time.
 
     ``history`` must cover exactly one delay interval ending at the start
     time, sampled at the integration step.  The step must divide the delay
@@ -362,12 +445,22 @@ def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
     half-stage delayed values come from a cubic stencil of already computed
     nodes, which preserves the fourth-order accuracy of the sweep.
 
+    Without ``forcing`` the system is driven by ``spec.forcing`` and one
+    trajectory is returned.  ``forcing`` instead gives several forcings of the
+    same system and history, sampled on the half grid t0 + j*step/2,
+    j = 0 .. 2*n_steps, as an array of shape (runs, 2*n_steps + 1, dim); a
+    list of one trajectory per run is returned, all advanced together.
+
     Once a delay segment is known, every delayed input of the next one is
-    known too, and with A linear the RK4 step is affine in the state:
-    x_{n+1} = M x_n + c_n, where M is the step applied to the identity and
-    c_n the step from the zero state.  Each segment therefore takes two
-    nonlinearity calls (delayed nodes and delayed midpoints), one
-    vectorised RK4 call for its k offsets and one blocked affine scan.
+    known too, and with A linear the RK4 step is affine in the state.  A
+    segment therefore takes the cubic stencil over the delayed segment of
+    every run, one nonlinearity call on the interleaved delayed nodes and
+    midpoints, and one product with the ``_segment_matrices``.  The product
+    rounds differently from one step at a time, and a batch of runs
+    differently from a single run, in the last bits only (the tests hold it
+    to 1e-12 of a step-by-step sweep).  Should a product come out non-finite,
+    that segment is redone with ``_rk4_step`` and the scan, so an overflow is
+    reported at the time a step-by-step sweep reports it.
     """
     k = _exact_ratio(spec.delay, step, "delay")
     if k < 4:
@@ -379,28 +472,36 @@ def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
     m = spec.dim
     if history.dim != m:
         raise DomainError("history dimension does not match the system")
+    if forcing is None:
+        runs = _forcing_on_half_grid(spec.forcing, t0, step, n_steps, m)[None]
+    else:
+        runs = np.asarray(forcing, dtype=float)
+        if runs.ndim != 3 or len(runs) == 0 or runs.shape[1:] != (2 * n_steps + 1, m):
+            raise DomainError(f"forcing samples have shape {runs.shape}, expected "
+                              f"(runs, {2 * n_steps + 1}, {m})")
+        if not np.all(np.isfinite(runs)):
+            raise DomainError("forcing values must be finite")
 
-    forcing = _forcing_on_half_grid(spec.forcing, t0, step, n_steps, m)
-    a = spec.matrix
-    f = spec.nonlinearity
-    h = step
-    scan = _affine_scan(_rk4_step(a, np.eye(m), 0.0, 0.0, 0.0, h), k)
-    xs = np.empty((k + n_steps + 1, m))
-    xs[:k + 1] = history.samples
+    r, f, h = len(runs), spec.nonlinearity, step
+    powers, g = _segment_matrices(spec.matrix, h, k)
+    xs = np.empty((r, k + n_steps + 1, m))
+    xs[:, :k + 1] = history.samples
+    stencils = _midpoint_stencils(k, k)
+    half = np.empty((r, 2 * k + 1, m))  # delayed nodes and midpoints, interleaved
     for lo in range(0, n_steps, k):
         n = min(k, n_steps - lo)
-        delayed = xs[lo:lo + k + 1]
-        fd = f(delayed[:n + 1])
-        fdm = f(_segment_midpoints(delayed, k)[:n])
-        p = forcing[2 * lo:2 * (lo + n) + 1]
-        c = _rk4_step(a, np.zeros((n, m)), fd[:-1] + p[0:-1:2], fdm + p[1::2],
-                      fd[1:] + p[2::2], h)
-        rows = scan(xs[k + lo], c)
+        delayed = xs[:, lo:lo + k + 1]
+        half[:, 0::2] = delayed
+        half[:, 1::2] = _midpoints(delayed, stencils)
+        b = f(half[:, :2 * n + 1]) + runs[:, 2 * lo:2 * (lo + n) + 1]
+        y0 = xs[:, k + lo]
+        rows = y0 @ powers[:, :n * m] + b.reshape(r, -1) @ g[:(2 * n + 1) * m, :n * m]
         if not np.isfinite(rows).all():
-            j = lo + _first_non_finite(scan, xs[k + lo], c)
-            raise NonFiniteStateError(f"state left the finite range at t = {t0 + (j + 1) * h:.6g}")
-        xs[k + lo + 1:k + lo + n + 1] = rows
-    return GridFunction(t0, step, xs[k:])
+            rows = np.stack([_rescan_segment(spec, h, k, y0[i], b[i], t0, lo)
+                             for i in range(r)])
+        xs[:, k + lo + 1:k + lo + n + 1] = rows.reshape(r, n, m)
+    trajectories = [GridFunction(t0, step, x[k:]) for x in xs]
+    return trajectories[0] if forcing is None else trajectories
 
 
 def step_residuals(spec: DelaySystemSpec, trajectory: GridFunction,

@@ -127,11 +127,12 @@ def _matrix_rows(bt: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_blocks(bt, g, phi, out) -> tuple[int, int]:
+def _sweep_blocks(bt, g, phi, out, guess=None) -> tuple[int, int]:
     """Fill rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]`` by block sweeps.
 
     Returns (index of the last exact row, sweeps).  A block past that row is
-    filled with that row and swept as a whole.  Where a sweep leaves a row's
+    filled with that row, or with the rows of ``guess`` (aligned with ``out``)
+    when one is given, and swept as a whole.  Where a sweep leaves a row's
     bits unchanged, that row and the next one satisfy the recurrence exactly,
     so every sweep advances the exact prefix by at least one row.  Stops
     early when a block does not settle within the sweep cap, or when fewer
@@ -143,7 +144,7 @@ def _sweep_blocks(bt, g, phi, out) -> tuple[int, int]:
     known, rows, sweeps = 0, _FIRST_BLOCK_ROWS, 0
     while steps - known >= _FIRST_BLOCK_ROWS:
         end = min(known + rows, steps)
-        out[known + 1:end + 1] = out[known]
+        out[known + 1:end + 1] = out[known] if guess is None else guess[known + 1:end + 1]
         for _ in range(_SWEEP_CAP):
             m = end - known
             _matrix_rows(bt, out[known:end], new[:m])
@@ -181,25 +182,33 @@ def _step_rows(b, g, phi, out, known: int) -> None:
         out[j + 1] = w = nxt
 
 
-def _orbit_rows(b, g, phi, out) -> tuple[int, int]:
+def _orbit_rows(b, g, phi, out, guess=None) -> tuple[int, int]:
     """Fill ``out[1:]`` from ``out[0]``; returns (sweeps, rows stepped one at a time).
 
     Speculative sweep rows may overflow before they are discarded, so the
     sweeps run with floating-point warnings off.
     """
     with np.errstate(all="ignore"):
-        known, sweeps = _sweep_blocks(b.T.copy(), g, phi, out)
+        known, sweeps = _sweep_blocks(b.T.copy(), g, phi, out, guess)
     _step_rows(b, g, phi, out, known)
     return sweeps, out.shape[0] - 1 - known
 
 
 def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
-            start_index: int | None = None) -> VectorSequence:
+            start_index: int | None = None,
+            guess: np.ndarray | None = None) -> VectorSequence:
     """Forward orbit of ``steps`` transitions starting at ``start_index``.
 
     Each row equals, bit for bit, one transition
     ``B w + g(w) + forcing`` applied to the row before it, with ``B w``
     summed column by column (see ``_matrix_rows``).
+
+    ``guess``, of shape (steps + 1, dim), seeds the block sweeps: row j is a
+    guess for the row at index start_index + j, say from the orbit of a
+    nearby system.  It changes how many sweeps a block takes, never a bit of
+    the result, since a row is kept only once a sweep reproduces it; a block
+    that a poor guess keeps from settling within the sweep cap hands the
+    rest of the orbit to one-step-at-a-time transitions.
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
@@ -213,8 +222,12 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
         raise DomainError(f"start state must have shape ({spec.dim},)")
     out = np.empty((steps + 1, spec.dim))
     out[0] = w
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != out.shape:
+            raise DomainError(f"guess must have shape {out.shape}")
     k0 = i0 - spec.forcing.base_index
-    _orbit_rows(spec.matrix, spec.nonlinearity, spec.forcing.values[k0:k0 + steps], out)
+    _orbit_rows(spec.matrix, spec.nonlinearity, spec.forcing.values[k0:k0 + steps], out, guess)
     return VectorSequence(i0, out)
 
 
@@ -233,15 +246,19 @@ def burn_in_length(spec: DiscreteSystemSpec, tol: float, norm_b: float | None = 
     return max(1, math.ceil(math.log(tol * margin / scale) / math.log(q)))
 
 
-def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9) -> VectorSequence:
-    """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in."""
+def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9,
+                  guess: np.ndarray | None = None) -> VectorSequence:
+    """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in.
+
+    ``guess``, one row per window index, seeds the sweeps over the window as
+    in ``iterate``; the burn-in before the window runs without one.
+    """
     i0, i1 = int(window[0]), int(window[1])
     if i1 < i0:
         raise DomainError("empty window")
     burn = burn_in_length(spec, tol)
-    start = i0 - burn
-    orbit = iterate(spec, np.zeros(spec.dim), i1 - start, start_index=start)
-    return orbit.restrict(i0, i1)
+    start = iterate(spec, np.zeros(spec.dim), burn, start_index=i0 - burn).values[-1]
+    return iterate(spec, start, i1 - i0, start_index=i0, guess=guess)
 
 
 def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: VectorSequence,

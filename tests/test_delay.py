@@ -170,6 +170,14 @@ class TestAssumptions:
         assert report.margin < 0.0
         assert not report.a3_pass
 
+    def test_huge_delay_margin_is_minus_infinity(self):
+        spec = demo_spec(tau=1e300)
+        sc = stability_constants(spec.matrix)
+        assert contraction_margin(spec, sc) == -math.inf
+        assert not check_assumptions_A(spec, sc).a3_pass
+        unforced = DelaySystemSpec(spec.matrix, 1e300, Nonlinearity.zero(2), zero_forcing)
+        assert contraction_margin(unforced, sc) == sc.decay_rate
+
     def test_lying_constants_detected(self):
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -252,6 +260,23 @@ class TestIntegrateMos:
             expected = np.array([_reference_midpoint(xs, j, k, n) for j in range(n)])
             np.testing.assert_array_equal(_segment_midpoints(xs[:n + 1], k), expected)
 
+    @pytest.mark.parametrize("k", [4, 5, 32])
+    def test_midpoints_keep_the_bits_of_extreme_values(self, k):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 2.8e307,
+                   5e-324, 1.0, -3.5]
+        xs = np.random.default_rng(k).choice(special, (4 * k + 1, 2))
+        with np.errstate(all="ignore"):
+            for n in range(k, 4 * k + 1):
+                if n % k in (1, 2):
+                    continue
+                expected = np.array([_reference_midpoint(xs, j, k, n) for j in range(n)])
+                batched = _segment_midpoints(np.stack([xs[:n + 1], xs[:n + 1][::-1]]), k)
+                for got in (_segment_midpoints(xs[:n + 1], k), batched[0]):
+                    # any NaN will do: its sign bit may differ between vector loops
+                    assert np.array_equal(np.isnan(got), np.isnan(expected))
+                    same = got.view(np.uint64) == expected.view(np.uint64)
+                    assert np.all(same | np.isnan(expected))
+
 
 class TestBlockedIntegrator:
     def test_demo_forcing(self):
@@ -326,6 +351,63 @@ class TestBlockedIntegrator:
         integrate_mos(spec, constant_history(np.zeros(2), 0.0, 0.2, step),
                       n_steps * step, step)
         assert len(calls) <= 2 * math.ceil(n_steps / 32) + 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), k=st.integers(4, 40), runs=st.integers(1, 3),
+           entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+           margin=st.floats(0.2, 3.0), segments=st.integers(0, 3), extra=st.integers(0, 38),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_run_of_a_batch_matches_the_step_loop(self, dim, k, runs, entries, margin,
+                                                        segments, extra, seed):
+        a = stable_matrix(np.reshape(entries[:dim * dim], (dim, dim)), margin)
+        tau = 0.4
+        step = tau / k
+        nl = catalog.delay_demo_nonlinearity() if dim == 2 else catalog.tanh_nonlinearity(3, 0.3)
+        rng = np.random.default_rng(seed)
+        history = GridFunction(-tau, step, rng.uniform(-1, 1, (k + 1, dim)))
+        n_steps = segments * k + 1 + extra % (k - 1)  # never a whole number of delays
+        t_end = n_steps * step
+        specs = []
+        for amp, freq, phase in rng.uniform(0.1, 2.0, (runs, 3, dim)):
+            def forcing(t, amp=amp, freq=freq, phase=phase):
+                return amp * np.sin(np.multiply.outer(np.asarray(t, dtype=float), freq) + phase)
+            specs.append(DelaySystemSpec(a, tau, nl, forcing))
+        half = history.t_end + 0.5 * step * np.arange(2 * n_steps + 1)
+        samples = np.stack([spec.forcing(half) for spec in specs])
+        got = integrate_mos(specs[0], history, t_end, step, samples)
+        assert len(got) == runs
+        for traj, spec in zip(got, specs):
+            assert_matches_reference(traj, reference_mos(spec, history, t_end, step))
+
+    @pytest.mark.parametrize("runs", [None, 1, 2, 3])
+    def test_one_nonlinearity_call_per_segment_for_all_runs(self, runs):
+        calls = []
+        base = catalog.delay_demo_nonlinearity()
+
+        def counted(x):
+            calls.append(x.shape)
+            return base.func(x)
+
+        spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
+                               Nonlinearity(counted, base.bound, base.lipschitz),
+                               wave_forcing(2))
+        step = 0.2 / 32.0
+        n_steps = 1000  # 31 whole segments and one of 8 steps
+        history = constant_history(np.zeros(2), 0.0, 0.2, step)
+        samples = None
+        if runs is not None:
+            half = history.t_end + 0.5 * step * np.arange(2 * n_steps + 1)
+            samples = np.stack([(r + 1) * spec.forcing(half) for r in range(runs)])
+        integrate_mos(spec, history, n_steps * step, step, samples)
+        assert len(calls) == 32
+        assert calls[0] == (runs or 1, 65, 2) and calls[-1] == (runs or 1, 17, 2)
+
+    @pytest.mark.parametrize("shape, value", [((2, 64, 2), 0.0), ((2, 65), 0.0),
+                                              ((0, 65, 2), 0.0), ((2, 65, 2), math.nan)])
+    def test_forcing_samples_checked(self, shape, value):
+        history = constant_history(np.zeros(2), 0.0, 0.2, 0.2 / 32.0)
+        with pytest.raises(DomainError):
+            integrate_mos(demo_spec(), history, 0.2, 0.2 / 32.0, np.full(shape, value))
 
     @pytest.mark.parametrize("case", ["unstable", "overflowing_stencil"])
     def test_non_finite_state_names_the_reference_time(self, case):

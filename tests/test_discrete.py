@@ -407,3 +407,34 @@ class TestBlockSweeps:
             caught[name] = (str(err.value), {(w.category, str(w.message)) for w in seen})
         assert caught["iterate"][0] == caught["reference"][0]
         assert caught["iterate"][1] <= caught["reference"][1]
+
+    @pytest.mark.parametrize("kind", ["phi orbit", "garbage", "nan"])
+    def test_guess_changes_no_bit(self, kind):
+        spec_phi, spec_psi = self._demo_specs(catalog.discrete_demo_nonlinearity())
+        window = (4000, 9000)
+        plain = bounded_orbit(spec_psi, window)
+        guess = {"phi orbit": bounded_orbit(spec_phi, window).values,
+                 "garbage": np.random.default_rng(3).uniform(-1e3, 1e3, plain.values.shape),
+                 "nan": np.full(plain.values.shape, np.nan)}[kind]
+        assert_same_bits(bounded_orbit(spec_psi, window, guess=guess), plain)
+
+    def test_close_guess_takes_fewer_sweeps(self):
+        spec_phi, spec_psi = self._demo_specs(catalog.discrete_demo_nonlinearity())
+        start, steps = 3900, 6000
+        phi = iterate(spec_phi, np.zeros(2), steps, start).values
+        forcing = spec_psi.forcing.values[start - spec_psi.forcing.base_index:][:steps]
+        sweeps = []
+        for guess in (None, phi):
+            out = np.zeros((steps + 1, 2))
+            sweeps.append(discrete._orbit_rows(spec_psi.matrix, spec_psi.nonlinearity,
+                                               forcing, out, guess)[0])
+            assert_same_bits(VectorSequence(start, out),
+                             iterate(spec_psi, np.zeros(2), steps, start))
+        assert sweeps[1] < 0.8 * sweeps[0]
+
+    def test_guess_shape_checked(self):
+        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[0]
+        with pytest.raises(DomainError):
+            iterate(spec, np.zeros(2), 100, 4000, guess=np.zeros((100, 2)))
+        with pytest.raises(DomainError):
+            bounded_orbit(spec, (4000, 4100), guess=np.zeros((100, 2)))

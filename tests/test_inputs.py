@@ -83,6 +83,14 @@ BAD_INPUTS = [
     ("ragged matrix", {"kind": "discrete", "system": {"forcing": {"type": "zero"},
                                                       "matrix": [[0.1, 0.0], [0.0]]}},
      "config field 'system.matrix'"),
+    # a two-component demo nonlinearity on a 3x3 system ran on uninitialised memory
+    ("discrete 3x3 sin_cos", {"kind": "discrete", "system": {
+        "forcing": {"type": "zero"}, "matrix": (0.1 * np.eye(3)).tolist()}},
+     "config field 'system.matrix'"),
+    ("delay 3x3 arctan_arccot", {"kind": "delay", "system": {
+        "forcing": {"type": "zero"}, "matrix": (-np.eye(3)).tolist(),
+        "nonlinearity": {"type": "arctan_arccot"}}, "numeric": {"window": [0, 1]}},
+     "system.nonlinearity.type"),
 ]
 
 
@@ -104,6 +112,18 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     assert code == 2
     assert named in streams.err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kind": "delay", "system": {"forcing": {"type": "zero"}, "tau": 1e300},
+        "output": {"dir": str(tmp_path)}})
+    code, streams = run(["run", cfg], capsys)
+    assert code == 1
+    assert "failing checks: contraction_margin" in streams.err
+    checks = json.loads((tmp_path / "delay_report.json").read_text())["checks"]
+    margin = next(c for c in checks if c["name"] == "contraction_margin")
+    assert margin["status"] == "fail" and margin["values"]["A3_margin"] == "-inf"
 
 
 def test_rejection_names_every_foreign_flag_and_what_the_demo_takes(tmp_path, capsys):
