@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction,
-                    ScalarOrbit, convolve_exponential, logistic_orbit)
+                    ScalarOrbit, convolve_exponential, logistic_orbit, row_norms)
 from .constructs import (DecompositionTriple, VectorSequence, build_function_triple,
                          build_sequence_triple, function_tail, non_unpredictability_witness,
                          WitnessReport)
@@ -255,7 +255,7 @@ def _delay_runs(spec_psi: DelaySystemSpec, history: GridFunction, t_end: float,
         psi[:] = spec_psi.forcing(t)
         np.add(psi, function_tail(t), out=phi_half[lo:lo + t.size])
     runs = integrate_mos(spec_psi, history, t_end, step, forcing)
-    return runs, [float(np.linalg.norm(run[::2], axis=1).max()) for run in forcing]
+    return runs, [float(row_norms(run[::2]).max()) for run in forcing]
 
 
 def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),

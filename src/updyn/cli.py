@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import catalog
-from .chaos import GridFunction, quadrature_oracle
+from .chaos import GridFunction, quadrature_oracle, row_norms
 from .constructs import VectorSequence
 from .delay import _exact_ratio, picard_apply
 from .detectors import collect_evidence, evidence_for_function, verify_evidence
@@ -202,11 +202,11 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     c, report = demo.constants, demo.report
     phi, psi = demo.phi_solution, demo.psi_solution
     times = phi.times()
-    diff = np.linalg.norm(phi.samples - psi.samples, axis=1)
+    diff = row_norms(phi.samples - psi.samples)
     tail_quarter = float(diff[times >= times[0] + 0.75 * (times[-1] - times[0])].max())
     candidate = GridFunction(phi.t_start, phi.step, phi.samples - psi.samples)
     image = picard_apply(demo.spec_combined, psi, demo.theta_grid, candidate, demo.alpha)
-    fp_gap = float(np.linalg.norm(image.samples - candidate.samples, axis=1).max())
+    fp_gap = float(row_norms(image.samples - candidate.samples).max())
     checks = [
         CheckRecord.from_bool("eigenvalues", gap <= 1e-9,
                               values={"eigenvalues": [[e.real, e.imag] for e in eigs]},
@@ -263,7 +263,7 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                               values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
 
     idx = demo.phi_orbit.indices()
-    diff = np.linalg.norm(demo.phi_orbit.values - demo.psi_orbit.values, axis=1)
+    diff = row_norms(demo.phi_orbit.values - demo.psi_orbit.values)
     for name, values in (("phi_orbit", demo.phi_orbit.values),
                          ("psi_orbit", demo.psi_orbit.values), ("difference", diff[:, None])):
         write_sequence_csv(out_dir / f"{prefix}_{name}.csv", idx, values)
@@ -331,7 +331,7 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
         return checks, {}, {"simulated": False}, None, {}
     step = tau / catalog.DELAY_STEPS_PER_TAU if step is None else step
     traj = bounded_solution(spec, constants, tuple(window), step, tol=tol)
-    sup_forcing = np.linalg.norm(forcing(np.linspace(window[0], window[1], 257)), axis=-1).max()
+    sup_forcing = row_norms(forcing(np.linspace(window[0], window[1], 257))).max()
     bound = constants.amplitude * (nl.bound + float(sup_forcing)) / constants.decay_rate
     checks.append(CheckRecord.from_bool(
         "solution_sup_bound", traj.sup_norm() <= bound + tol,
@@ -444,6 +444,8 @@ RULES = {
     "size": (lambda v: v >= 1 and v == int(v), "a positive integer"),
     "span": (lambda v: v[0] < v[1], "an increasing pair"),
     "indices": (lambda v: v[0] < v[1] and v == [int(x) for x in v], "increasing integers"),
+    "late_indices": (lambda v: 0 < v[0] < v[1] and v == [int(x) for x in v],
+                     "increasing integers past index 0"),
     "matrix": (lambda v: {len(row) for row in v} == {len(v)}, "a square matrix"),
 }
 
@@ -458,6 +460,9 @@ def _steps_per_unit(span: float, step: float | None, what: str) -> float:
 
 
 def _function_rows(a: dict) -> float:
+    if round(a["horizon"] / a["step"]) < 1:     # the scan's largest shift, in grid steps
+        raise InputError("horizon", f"must exceed half the grid step ({a['step']}), "
+                                    "or the scan has no shift to take")
     # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
     return (a["t_hi"] - a["t_lo"] + 21) * _steps_per_unit(1.0, a["step"], "unit interval") \
         + a["burn_in"]
@@ -485,7 +490,8 @@ class Demo:
     inputs: dict        # runner keyword -> Input
     selects: dict       # config field -> the values that pick this entry (None: absent)
     label: str          # the report's "example" after a config run
-    rows: Callable = lambda a: 0    # bound runner arguments -> rows the run computes
+    # bound runner arguments -> rows the run computes; InputError for a value it refuses
+    rows: Callable = lambda a: 0
     sized: tuple = ()   # the runner keywords those rows grow with
 
 
@@ -527,7 +533,7 @@ DEMOS = {
                 lambda: catalog.run_discrete_demo, _render_discrete_demo,
                 {"seed": SEED, "orbit_burn_in": BURN_IN,
                  "tol": Input("--tol", "numeric.tol", "positive"),
-                 "window": Input(None, "numeric.window", "indices"), "epsilon": EPSILON},
+                 "window": Input(None, "numeric.window", "late_indices"), "epsilon": EPSILON},
                 {"kind": ("discrete",), "system.forcing.type": ("construct", None)},
                 "discrete", lambda a: a["window"][1] + a["orbit_burn_in"],
                 ("window", "orbit_burn_in")),

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .chaos import GridFunction, ScalarOrbit
+from .chaos import GridFunction, ScalarOrbit, row_norms
 from .errors import DomainError, GridMismatchError, SingularMatrixError, WindowExhaustedError
 
 _EPS = float(np.finfo(float).eps)
@@ -61,7 +61,8 @@ class VectorSequence:
         return self.values[k]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        """Euclidean norm of every value, bit-identical to ``np.linalg.norm(values, axis=1)``."""
+        return row_norms(self.values)
 
     def sup_norm(self) -> float:
         return float(self.norms().max())
@@ -111,7 +112,8 @@ class DecompositionTriple:
     def decomposition_residual(self) -> float:
         """Largest componentwise defect of phi - (psi + theta)."""
         p, s, t = self._arrays()
-        return float(np.abs(p - (s + t)).max())
+        # one column at a time: no (n, d) temporaries
+        return float(max(np.abs(p[:, k] - (s[:, k] + t[:, k])).max() for k in range(p.shape[1])))
 
     def validate(self) -> None:
         p, s, t = self._arrays()
@@ -134,7 +136,13 @@ def function_tail(t) -> np.ndarray:
 def sequence_tail(indices) -> np.ndarray:
     """Decaying part (2/(1+i^2), 4*exp(-i^2)) of the built-in sequence demo."""
     i = np.asarray(indices, dtype=float)
-    return np.stack([2.0 / (1.0 + i * i), 4.0 * np.exp(-i * i)], axis=-1)
+    out = np.empty(i.shape + (2,))
+    sq = i * i
+    near = ~(sq > 746.0)    # exp(-x) is +0.0 for every x > 745.14, so only |i| <= 27 is evaluated
+    out[..., 1] = 0.0
+    out[..., 1][near] = 4.0 * np.exp(-sq[near])
+    np.divide(2.0, np.add(1.0, sq, out=out[..., 0]), out=out[..., 0])
+    return out
 
 
 def build_function_triple(h: GridFunction) -> DecompositionTriple:
@@ -151,10 +159,12 @@ def build_function_triple(h: GridFunction) -> DecompositionTriple:
 def build_sequence_triple(orbit: ScalarOrbit) -> DecompositionTriple:
     """Combine psi_i = (kappa_i, kappa_i/4) with the decaying tail."""
     kappa = orbit.values
-    psi = np.stack([kappa, 0.25 * kappa], axis=-1)
-    theta = sequence_tail(orbit.indices())
+    psi = np.empty((kappa.size, 2))
+    psi[:, 0] = kappa
+    np.multiply(0.25, kappa, out=psi[:, 1])
+    theta = sequence_tail(np.arange(orbit.base_index, orbit.end_index, dtype=float))
     seq = lambda arr: VectorSequence(orbit.base_index, arr)
-    return DecompositionTriple(seq(psi + theta), seq(psi), seq(theta))
+    return DecompositionTriple(seq(np.add(psi, theta)), seq(psi), seq(theta))
 
 
 def _as_matrix(matrix, dim: int) -> np.ndarray:
@@ -245,25 +255,26 @@ def non_unpredictability_witness(triple: DecompositionTriple, bound: float) -> W
     if not bound > 0.0:
         raise DomainError("witness bound must be positive")
     kind = "sequence" if triple.is_sequence else "function"
-    if kind == "sequence":
-        norms = triple.theta.norms()
-        locs = triple.theta.indices().astype(float)
-    else:
-        norms = triple.theta.norms()
-        locs = triple.theta.times()
+    theta = triple.theta
+    norms = theta.norms()
     k = int(np.argmax(norms))
+    if kind == "sequence":
+        location, first, last = int(theta.base_index) + k, theta.base_index, theta.end_index - 1
+    else:
+        times = theta.times()
+        location, first, last = float(times[k]), times[0], times[-1]
     peak = float(norms[k])
     threshold = 4.0 * bound
     precondition_ok = kind == "sequence" or bound >= 1.0
     note = "" if precondition_ok else "bound below 1: the function-witness criterion assumes bound >= 1"
     return WitnessReport(
         found=bool(peak >= threshold),
-        location=float(locs[k]) if kind == "function" else int(locs[k]),
+        location=location,
         tail_norm=peak,
         threshold=threshold,
         margin=peak - threshold,
-        scan_start=float(locs[0]),
-        scan_end=float(locs[-1]),
+        scan_start=float(first),
+        scan_end=float(last),
         kind=kind,
         bound_precondition_ok=precondition_ok,
         note=note,

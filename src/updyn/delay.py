@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chaos import GridFunction
+from .chaos import GridFunction, row_norms
 from .errors import (AssumptionError, DomainError, GridMismatchError,
                      NonFiniteStateError, StabilityError)
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
@@ -523,7 +523,7 @@ def step_residuals(spec: DelaySystemSpec, trajectory: GridFunction,
     rhsm = mids[node] @ a.T + f(mids[:n_steps]) + forcing[1::2]
     simpson = (h / 6.0) * (rhs0 + 4.0 * rhsm + rhs1)
     defect = xs[k + 1:] - xs[node] - simpson
-    return np.linalg.norm(defect, axis=1)
+    return row_norms(defect)
 
 
 def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
@@ -635,7 +635,7 @@ def convergence_check(phi_solution: GridFunction, psi_solution: GridFunction,
     if not gamma * (proof.k1 + proof.k2) < 1.0:
         raise DomainError("gamma must lie strictly below 1/(k1 + k2)")
     times = phi_solution.times()
-    diff = np.linalg.norm(phi_solution.samples - psi_solution.samples, axis=1)
+    diff = row_norms(phi_solution.samples - psi_solution.samples)
     lam = constants.decay_rate
     floor = proof.k2 * gamma * epsilon
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chaos import GridFunction
+from .chaos import GridFunction, row_norms
 from .constructs import VectorSequence
 from .discrete import DiscreteSystemSpec, iterate
 from .errors import DomainError, ResolutionError
@@ -116,12 +116,6 @@ class DivergenceReport:
     horizon: int
 
 
-def _norm_rows(arr: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(arr, axis=1) spelled out: the near-return filter relies on
-    # the anchor gap, the per-offset filter and ``achieved`` sharing one expression
-    return np.sqrt((arr * arr).sum(-1))
-
-
 def _validate_ladder(ladder: Sequence[float]) -> list[float]:
     rungs = [float(r) for r in ladder]
     if not rungs or any(r <= 0 for r in rungs):
@@ -144,7 +138,7 @@ def _first_survivor(values: np.ndarray, head: np.ndarray, anchor: int,
     while lo < candidates.size:
         alive = candidates[lo:lo + size] + anchor
         for o in range(1, head.shape[0]):
-            alive = alive[_norm_rows(values[alive + o] - head[o]) < target]
+            alive = alive[row_norms(values[alive + o], head[o]) < target]
             if not alive.size:
                 break
         if alive.size:
@@ -159,8 +153,10 @@ def _scan_near_returns(values: np.ndarray, anchor: int, window: int, cap: int,
     """Per rung, the smallest shift in [first, cap], above the previous rung's hit,
     under which the span ``values[anchor:anchor+window+1]`` returns below the rung.
     """
+    # the anchor gap, the per-offset filter and ``achieved`` share one expression,
+    # ``row_norms``, so a shift survives the filter iff its ``achieved`` is below the rung
     head = values[anchor:anchor + window + 1]
-    anchor_gap = _norm_rows(values[anchor + 1:anchor + cap + 1] - values[anchor])
+    anchor_gap = row_norms(values[anchor + 1:anchor + cap + 1], values[anchor])
     results: list[NearReturn] = []
     prev = first - 1
     for target in rungs:
@@ -170,7 +166,7 @@ def _scan_near_returns(values: np.ndarray, anchor: int, window: int, cap: int,
             results.append(NearReturn(target=target, shift=None, achieved=None, window=window))
             continue
         span = values[anchor + hit:anchor + hit + window + 1]
-        achieved = float(_norm_rows(span - head).max())
+        achieved = float(row_norms(span - head).max())
         results.append(NearReturn(target=target, shift=hit, achieved=achieved, window=window))
         prev = hit
     return results
@@ -208,7 +204,7 @@ def find_separations(seq: VectorSequence, shifts: Sequence[int], epsilon0: float
         lo, size = 0, _SEPARATION_CHUNK
         while lo <= cap:
             hi = min(lo + size, cap + 1)
-            gap = _norm_rows(values[z + lo:z + hi] - values[lo:hi])
+            gap = row_norms(values[z + lo:z + hi] - values[lo:hi])
             hits = np.nonzero(gap >= epsilon0)[0]
             if hits.size:
                 events.append(SeparationEvent(shift=z, offset=lo + int(hits[0]),
@@ -277,7 +273,7 @@ def evidence_for_function(phi: GridFunction, window: Sequence[float],
         if not ret.found:
             continue
         z = ret.shift
-        gap = _norm_rows(values[z:] - values[:n - z])
+        gap = row_norms(values[z:] - values[:n - z])
         good = (gap >= epsilon0).astype(int)
         if good.size >= run:
             streak = np.convolve(good, np.ones(run, dtype=int), mode="valid")
@@ -337,17 +333,15 @@ def decay_test(tail: Union[VectorSequence, GridFunction],
                ladder: Sequence[float]) -> DecayReport:
     """Locate, per rung, the first position whose running tail sup stays below it."""
     rungs = _validate_ladder(ladder)
-    if isinstance(tail, VectorSequence):
-        norms = tail.norms()
-        start, spacing = float(tail.base_index), 1.0
-    else:
-        norms = tail.norms()
-        start, spacing = tail.t_start, tail.step
-    suffix = np.maximum.accumulate(norms[::-1])[::-1]
+    seq = isinstance(tail, VectorSequence)
+    start, spacing = (float(tail.base_index), 1.0) if seq else (tail.t_start, tail.step)
+    suffix = tail.norms()
+    np.maximum.accumulate(suffix[::-1], out=suffix[::-1])   # running sup from the end, in place
     entries = []
     for rung in rungs:
-        hit = np.nonzero(suffix < rung)[0]
-        entries.append((rung, start + spacing * int(hit[0]) if hit.size else None))
+        below = suffix < rung   # a suffix of the positions, since ``suffix`` never increases
+        k = int(np.argmax(below))
+        entries.append((rung, start + spacing * k if below[k] else None))
     stride = max(1, suffix.size // 512)
     profile = tuple(float(x) for x in suffix[::stride])
     return DecayReport(ladder=tuple(entries), monotone_tail_sup=profile,
@@ -372,7 +366,7 @@ def sensitivity_demo(generator: Union[Callable[[float], float], DiscreteSystemSp
         shifted = x0 + perturbation / math.sqrt(x0.size)
         a = iterate(generator, x0, steps)
         b = iterate(generator, shifted, steps)
-        gaps = np.linalg.norm(a.values - b.values, axis=1)
+        gaps = row_norms(a.values - b.values)
     else:
         steps = int(horizon)
         gaps = np.empty(steps + 1)

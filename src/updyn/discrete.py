@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chaos import row_norms
 from .constructs import VectorSequence
 from .errors import AssumptionError, DomainError, WindowExhaustedError
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
@@ -388,7 +389,7 @@ def convergence_check_discrete(phi_orbit: VectorSequence, psi_orbit: VectorSeque
     """
     if not phi_orbit.same_window(psi_orbit):
         raise DomainError("orbits must share one index window")
-    diff = np.linalg.norm(phi_orbit.values - psi_orbit.values, axis=1)
+    diff = row_norms(phi_orbit.values - psi_orbit.values)
     idx = phi_orbit.indices()
 
     lo = max(envelope.start_index, int(alpha) + 1, phi_orbit.base_index)

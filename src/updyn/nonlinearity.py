@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chaos import row_norms
 from .errors import DomainError
 
 
@@ -64,8 +65,8 @@ def spot_check(nl: Nonlinearity, dim: int, pairs: int = 1000, seed: int = 1404,
     x = scale * rng.standard_normal((pairs, dim))
     y = scale * rng.standard_normal((pairs, dim))
     fx, fy = nl(x), nl(y)
-    norm_f = np.linalg.norm(np.concatenate([fx, fy]), axis=1)
-    gap = np.linalg.norm(fx - fy, axis=1) - nl.lipschitz * np.linalg.norm(x - y, axis=1)
+    norm_f = row_norms(np.concatenate([fx, fy]))
+    gap = row_norms(fx - fy) - nl.lipschitz * row_norms(x - y)
     return SpotCheck(
         pairs=pairs,
         bound_excess=float(norm_f.max() - nl.bound),

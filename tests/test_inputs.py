@@ -68,6 +68,9 @@ BAD_INPUTS = [
     ("6.4 seed 1.5", ["6.4", "--seed", "1.5"], "--seed"),
     ("6.3 step 0.3", ["6.3", "--step", "0.3"], "--step"),
     ("6.1 step 0.03", ["6.1", "--step", "0.03"], "--step"),
+    ("6.1 horizon 0.001", ["6.1", "--horizon", "0.001"], "--horizon"),
+    ("6.4 window from 0", {"kind": "discrete", "numeric": {"window": [0, 400]}},
+     "config field 'numeric.window'"),
     ("json seed NaN", '{"kind": "discrete", "source": {"seed": NaN}}',
      "config field 'source.seed'"),
     ("json window Infinity", '{"kind": "discrete", "numeric": {"window": [4000, Infinity]}}',
