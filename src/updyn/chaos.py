@@ -29,21 +29,24 @@ def row_norms(arr, origin=None) -> np.ndarray:
     Bit-identical to ``np.linalg.norm(arr - origin, axis=-1)``: below 8 columns numpy
     sums a row's squares left to right, as this column-at-a-time sum does, without
     numpy's per-row reduction (4x slower on (10^6, 2)) or an (n, d) difference.
-    Float64 2-D input of 8 or more columns, and any other input, goes to numpy.
+    Float64 2-D input of 8 or more columns, input with a NaN row, and any other input,
+    goes to numpy.
     """
     arr = np.asarray(arr)
-    if arr.ndim != 2 or arr.dtype != np.float64 or not 0 < arr.shape[1] < 8:
-        return np.linalg.norm(arr if origin is None else arr - origin, axis=-1)
+    if arr.ndim == 2 and arr.dtype == np.float64 and 0 < arr.shape[1] < 8:
+        def square(k, out):
+            x = arr[:, k] if origin is None else np.subtract(arr[:, k], origin[k], out=out)
+            return np.multiply(x, x, out=out)
 
-    def square(k, out):
-        x = arr[:, k] if origin is None else np.subtract(arr[:, k], origin[k], out=out)
-        return np.multiply(x, x, out=out)
-
-    out = square(0, np.empty(arr.shape[0]))
-    col = np.empty_like(out)
-    for k in range(1, arr.shape[1]):
-        out += square(k, col)
-    return np.sqrt(out, out=out)
+        out = square(0, np.empty(arr.shape[0]))
+        col = np.empty_like(out)
+        for k in range(1, arr.shape[1]):
+            out += square(k, col)
+        # Which NaN's sign and payload an add keeps depends on numpy's loop (vector or
+        # scalar, in place or not), so an array with a NaN row takes numpy's own norm.
+        if not np.isnan(out.sum()):
+            return np.sqrt(out, out=out)
+    return np.linalg.norm(arr if origin is None else arr - origin, axis=-1)
 
 
 def logistic_step(x: float, r: float = LOGISTIC_R) -> float:
