@@ -7,9 +7,10 @@ at desk scale.
 """
 
 from .chaos import (ExponentialFilter, GridFunction, PiecewiseConstantFunction,
-                    ScalarOrbit, bebutov_distance, convolve_exponential,
-                    logistic_orbit, logistic_step, quadrature_oracle)
-from .constructs import (DecompositionTriple, VectorSequence, WitnessReport,
+                    ScalarOrbit, Series, VectorSequence, bebutov_distance,
+                    convolve_exponential, logistic_orbit, logistic_step,
+                    quadrature_oracle)
+from .constructs import (DecompositionTriple, WitnessReport,
                          add_convergent, affine_transform, build_function_triple,
                          build_sequence_triple, non_unpredictability_witness, shift)
 from .delay import (DelaySystemSpec, ProofConstants, StabilityConstants,

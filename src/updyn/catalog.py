@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction,
-                    ScalarOrbit, convolve_exponential, logistic_orbit, row_norms)
-from .constructs import (DecompositionTriple, VectorSequence, build_function_triple,
-                         build_sequence_triple, function_tail, non_unpredictability_witness,
-                         WitnessReport)
+                    ScalarOrbit, Series, convolve_exponential, logistic_orbit, row_norms,
+                    settling_positions)
+from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
+                         function_tail, non_unpredictability_witness, WitnessReport)
 from .delay import (DelayAssumptionReport, DelayConvergenceReport, DelaySystemSpec,
                     ProofConstants, StabilityConstants, check_assumptions_A, constant_history,
                     convergence_check, integrate_mos, proof_constants, stability_constants)
@@ -231,13 +231,13 @@ class DelayDemo:
     gamma: float
     epsilon: float
     alpha: float
-    phi_solution: GridFunction
-    psi_solution: GridFunction
-    theta_grid: GridFunction
+    phi_solution: Series
+    psi_solution: Series
+    theta_grid: Series
     report: DelayConvergenceReport
 
 
-def _delay_runs(spec_psi: DelaySystemSpec, history: GridFunction, t_end: float,
+def _delay_runs(spec_psi: DelaySystemSpec, history: Series, t_end: float,
                 step: float) -> tuple[list, list]:
     """Trajectories under phi = psi + tail and psi, and the sups of both forcings on the grid.
 
@@ -298,11 +298,10 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     gamma = 0.5 / (proof.k1 + proof.k2)
 
     theta_grid = GridFunction(phi_solution.t_start, step, function_tail(times))
-    tail_norm = np.maximum.accumulate(theta_grid.norms()[::-1])[::-1]
-    quiet = np.nonzero(tail_norm < gamma * epsilon)[0]
-    if quiet.size == 0:
+    (quiet,) = settling_positions(theta_grid.norms(), [gamma * epsilon])
+    if quiet is None:
         raise DomainError("tail never drops below gamma*epsilon inside the window")
-    alpha = float(times[quiet[0]])
+    alpha = float(times[quiet])
 
     report = convergence_check(phi_solution, psi_solution, constants, proof, tau,
                                alpha, gamma, epsilon, slack=envelope_slack,
@@ -330,8 +329,8 @@ class DiscreteDemo:
     gamma: float
     epsilon: float
     alpha: int
-    phi_orbit: VectorSequence
-    psi_orbit: VectorSequence
+    phi_orbit: Series
+    psi_orbit: Series
     envelope: GronwallEnvelope
     report: DiscreteConvergenceReport
 
@@ -359,14 +358,10 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     m_psi = triple.psi.sup_norm()
     gamma = 0.5 * gamma_ceiling(spec_phi, m_phi, m_psi, norm_b)
 
-    theta_norms = triple.theta.norms()
-    k0 = i0 - triple.theta.base_index
-    k1 = i1 - triple.theta.base_index
-    tail = np.maximum.accumulate(theta_norms[k0:k1 + 1][::-1])[::-1]
-    quiet = np.nonzero(tail < gamma * epsilon)[0]
-    if quiet.size == 0:
+    (quiet,) = settling_positions(triple.theta.restrict(i0, i1).norms(), [gamma * epsilon])
+    if quiet is None:
         raise DomainError("tail never drops below gamma*epsilon inside the window")
-    alpha = int(i0 + quiet[0])
+    alpha = i0 + quiet
 
     phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
     psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol, guess=phi_orbit.values)

@@ -1,4 +1,4 @@
-"""Chaotic scalar source and grid-sampled function carriers.
+"""Chaotic scalar source and the uniform-series carrier.
 
 The logistic map at r = 3.91 supplies the scalar orbit that drives every
 construction in this package.  Filtering the orbit's piecewise-constant
@@ -10,11 +10,11 @@ grid functions on symmetric windows around the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, WindowExhaustedError
 
 LOGISTIC_R = 3.91
 DEFAULT_SEED = 0.41
@@ -168,70 +168,113 @@ class PiecewiseConstantFunction:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Uniformly sampled vector function: sample ``k`` sits at ``t_start + k*step``."""
+class Series:
+    """Vectors on a uniform axis: ``values[k]`` sits at position ``t_start + k*step``.
+
+    The axis type decides the setting.  An integer axis (an ``int`` ``t_start``
+    and step ``1``) is a sequence on integer indices; a float axis is a
+    function sampled on a time grid.  ``is_sequence`` is ``isinstance(step, int)``,
+    and on a sequence every position (``t_end``, ``times()``, ``restrict``)
+    stays an exact Python int.  Build one with ``GridFunction`` or
+    ``VectorSequence``, which fix the axis type.
+    """
 
     t_start: float
     step: float
-    samples: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         if not (self.step > 0.0) or not math.isfinite(self.step):
-            raise DomainError(f"grid step must be positive, got {self.step!r}")
-        arr = np.asarray(self.samples, dtype=float)
+            raise DomainError(f"axis step must be positive, got {self.step!r}")
+        arr = np.asarray(self.values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0:
-            raise DomainError("samples must form a nonempty (n, m) array")
+            raise DomainError("values must form a nonempty (n, m) array")
         if not np.all(np.isfinite(arr)):
-            raise DomainError("grid samples must all be finite")
-        object.__setattr__(self, "samples", arr)
+            raise DomainError("values must all be finite")
+        object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
-        return self.samples.shape[0]
+        return self.values.shape[0]
+
+    @property
+    def is_sequence(self) -> bool:
+        return isinstance(self.step, int)
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.values.shape[1]
 
     @property
     def t_end(self) -> float:
+        """Position of the last value."""
         return self.t_start + (len(self) - 1) * self.step
 
     def times(self) -> np.ndarray:
         return self.t_start + self.step * np.arange(len(self))
 
     def norms(self) -> np.ndarray:
-        """Euclidean norm of every sample, bit-identical to ``np.linalg.norm(samples, axis=1)``."""
-        return row_norms(self.samples)
+        """Euclidean norm of every value, bit-identical to ``np.linalg.norm(values, axis=1)``."""
+        return row_norms(self.values)
 
     def sup_norm(self) -> float:
         return float(self.norms().max())
 
     def index_at(self, t: float) -> int:
         j = round((t - self.t_start) / self.step)
-        if abs(self.t_start + j * self.step - t) > 1e-6 * self.step or not 0 <= j < len(self):
-            raise DomainError(f"time {t!r} is not a grid node of this function")
+        if abs(self.t_start + j * self.step - t) > 1e-6 * self.step:
+            raise DomainError(f"position {t!r} is not on the axis of this series")
+        if not 0 <= j < len(self):
+            raise WindowExhaustedError(
+                f"position {t!r} outside the recorded window [{self.t_start}, {self.t_end}]")
         return int(j)
 
     def value_at(self, t: float) -> np.ndarray:
-        return self.samples[self.index_at(t)]
+        return self.values[self.index_at(t)]
 
-    def restrict(self, t0: float, t1: float) -> "GridFunction":
-        """Restriction to [t0, t1]; both endpoints must be grid nodes."""
+    def restrict(self, t0: float, t1: float) -> "Series":
+        """Restriction to [t0, t1]; both endpoints must be positions of the axis."""
         i0, i1 = self.index_at(t0), self.index_at(t1)
         if i1 < i0:
             raise DomainError("empty restriction window")
-        return GridFunction(self.t_start + i0 * self.step, self.step, self.samples[i0:i1 + 1])
+        return replace(self, t_start=self.t_start + i0 * self.step, values=self.values[i0:i1 + 1])
 
-    def same_grid(self, other: "GridFunction") -> bool:
-        return (len(self) == len(other)
-                and abs(self.t_start - other.t_start) <= 1e-9 * max(1.0, abs(self.t_start))
+    def same_axis(self, other: "Series") -> bool:
+        """One axis kind, length and step, and one start: exactly on integer axes."""
+        slack = 0 if self.is_sequence else 1e-9 * max(1.0, abs(self.t_start))
+        return (self.is_sequence == other.is_sequence and len(self) == len(other)
+                and abs(self.t_start - other.t_start) <= slack
                 and abs(self.step - other.step) <= 1e-12 * self.step)
 
-    def require_same_grid(self, other: "GridFunction") -> None:
-        if not self.same_grid(other):
-            raise GridMismatchError("grid functions do not share a sampling grid")
+    def require_same_axis(self, other: "Series") -> None:
+        if not self.same_axis(other):
+            raise GridMismatchError("series do not share one axis")
+
+
+def GridFunction(t_start: float, step: float, samples) -> Series:
+    """Function sampled on the time grid ``t_start + k*step``."""
+    return Series(float(t_start), float(step), samples)
+
+
+def VectorSequence(base_index: int, values) -> Series:
+    """Sequence of vectors at the integer indices ``base_index + k``."""
+    return Series(int(base_index), 1, values)
+
+
+def settling_positions(norms: np.ndarray, levels) -> list:
+    """Per level, the first position past which ``norms`` stays below it (None if none).
+
+    Overwrites ``norms`` in place with its running sup taken from the end, so
+    no copy is made; the caller may read that profile afterwards.
+    """
+    np.maximum.accumulate(norms[::-1], out=norms[::-1])
+    positions = []
+    for level in levels:
+        below = norms < level   # a suffix of the positions, since ``norms`` never increases
+        k = int(np.argmax(below))
+        positions.append(k if below[k] else None)
+    return positions
 
 
 @dataclass(frozen=True)
@@ -287,7 +330,7 @@ class ExponentialFilter:
 
 
 def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0.05,
-                         warmup: int = WARMUP_UNITS) -> GridFunction:
+                         warmup: int = WARMUP_UNITS) -> Series:
     """Filter the orbit's step interpolant through exp(-decay*t) on a grid.
 
     Returns the scalar grid function on [base + warmup, base + n]; the warm-up
@@ -335,17 +378,17 @@ def quadrature_oracle(filt: ExponentialFilter, t: float, depth: float = 40.0) ->
     return float(value)
 
 
-def bebutov_distance(u: GridFunction, v: GridFunction, terms: int) -> float:
+def bebutov_distance(u: Series, v: Series, terms: int) -> float:
     """Truncated weighted sup-metric sum_{j=1..terms} 2^-j * min(1, sup_{|s|<=j} |u-v|).
 
     Both functions must share one grid covering [-terms, terms].
     """
     if terms < 1:
         raise DomainError("terms must be at least 1")
-    u.require_same_grid(v)
+    u.require_same_axis(v)
     if u.t_start > -terms + 1e-9 or u.t_end < terms - 1e-9:
         raise DomainError(f"grid [{u.t_start}, {u.t_end}] does not cover [-{terms}, {terms}]")
-    dist = row_norms(u.samples - v.samples)
+    dist = row_norms(u.values - v.values)
     total = 0.0
     for j in range(1, terms + 1):
         lo = max(0, math.ceil((-j - u.t_start) / u.step - 1e-9))

@@ -32,8 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import catalog
-from .chaos import GridFunction, quadrature_oracle, row_norms
-from .constructs import VectorSequence
+from .chaos import GridFunction, Series, VectorSequence, quadrature_oracle, row_norms
 from .delay import _exact_ratio, picard_apply
 from .detectors import collect_evidence, evidence_for_function, verify_evidence
 from .discrete import orbit_sum_residual
@@ -121,7 +120,7 @@ def _construct_evidence(demo) -> dict:
 
 
 def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
-    h = demo.triple.psi.samples[:, 1]
+    h = demo.triple.psi.values[:, 1]
     h_sup = float(np.abs(h).max())
     rng = np.random.default_rng(2027)
     worst = 0.0
@@ -143,7 +142,7 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     write_function_csv(out_dir / f"{prefix}_h.csv", times, h)
     for part in ("phi", "psi", "theta"):
         write_function_csv(out_dir / f"{prefix}_{part}.csv", times,
-                           getattr(demo.triple, part).samples)
+                           getattr(demo.triple, part).values)
     counters = {"grid_nodes": len(times), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
     return [checks, _construct_evidence(demo), counters]
@@ -161,8 +160,8 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
                                         tolerances={"residual": 4e-16}))
 
     phi = demo.triple.phi
-    hi = min(phi.end_index - 1, phi.base_index + csv_window)
-    idx = phi.restrict(phi.base_index, hi).indices()
+    hi = min(phi.t_end, phi.t_start + csv_window)
+    idx = phi.restrict(phi.t_start, hi).times()
     for part in ("phi", "psi", "theta"):
         write_sequence_csv(out_dir / f"{prefix}_{part}.csv", idx,
                            getattr(demo.triple, part).restrict(idx[0], idx[-1]).values)
@@ -179,10 +178,10 @@ def _margin_check_A(assumptions) -> CheckRecord:
                                  tolerances={"positive": 0.0})
 
 
-def _residual_check(spec, orbit: VectorSequence) -> CheckRecord:
+def _residual_check(spec, orbit: Series) -> CheckRecord:
     """Largest gap between an orbit's steps and the recurrence that defines them."""
     w = orbit.values
-    i0 = orbit.base_index - spec.forcing.base_index
+    i0 = orbit.t_start - spec.forcing.t_start
     phi = spec.forcing.values[i0:i0 + len(orbit) - 1]
     resid = float(np.abs(w[1:] - (w[:-1] @ spec.matrix.T + spec.nonlinearity(w[:-1]) + phi)).max())
     return CheckRecord.from_bool("recurrence_residual", resid <= 4e-15,
@@ -202,11 +201,11 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     c, report = demo.constants, demo.report
     phi, psi = demo.phi_solution, demo.psi_solution
     times = phi.times()
-    diff = row_norms(phi.samples - psi.samples)
+    diff = row_norms(phi.values - psi.values)
     tail_quarter = float(diff[times >= times[0] + 0.75 * (times[-1] - times[0])].max())
-    candidate = GridFunction(phi.t_start, phi.step, phi.samples - psi.samples)
+    candidate = GridFunction(phi.t_start, phi.step, phi.values - psi.values)
     image = picard_apply(demo.spec_combined, psi, demo.theta_grid, candidate, demo.alpha)
-    fp_gap = float(row_norms(image.samples - candidate.samples).max())
+    fp_gap = float(row_norms(image.values - candidate.values).max())
     checks = [
         CheckRecord.from_bool("eigenvalues", gap <= 1e-9,
                               values={"eigenvalues": [[e.real, e.imag] for e in eigs]},
@@ -229,7 +228,7 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         CheckRecord.from_bool("picard_fixed_point", fp_gap <= 1e-6,
                               values={"max_gap": fp_gap}, tolerances={"gap": 1e-6})]
 
-    for name, samples in (("phi_solution", phi.samples), ("psi_solution", psi.samples),
+    for name, samples in (("phi_solution", phi.values), ("psi_solution", psi.values),
                           ("difference", diff[:, None])):
         write_function_csv(out_dir / f"{prefix}_{name}.csv", times, samples)
     evidence = {**_envelope_evidence(demo), "proof_constants": jsonable(demo.proof)}
@@ -262,7 +261,7 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         CheckRecord.from_bool("sum_representation", sum_gap <= 1e-9,
                               values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
 
-    idx = demo.phi_orbit.indices()
+    idx = demo.phi_orbit.times()
     diff = row_norms(demo.phi_orbit.values - demo.psi_orbit.values)
     for name, values in (("phi_orbit", demo.phi_orbit.values),
                          ("psi_orbit", demo.psi_orbit.values), ("difference", diff[:, None])):
@@ -337,7 +336,7 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
         "solution_sup_bound", traj.sup_norm() <= bound + tol,
         values={"sup": traj.sup_norm(), "bound": bound}, tolerances={"tol": tol}))
     return (checks, {}, {"simulated": True, "grid_nodes": len(traj)},
-            ("solution", write_function_csv, traj.times(), traj.samples), {})
+            ("solution", write_function_csv, traj.times(), traj.values), {})
 
 
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
@@ -366,7 +365,7 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     orbit = bounded_orbit(spec, (i0, i1), tol=tol)
     checks.append(_residual_check(spec, orbit))
     return (checks, {}, {"simulated": True, "orbit_steps": len(orbit) - 1},
-            ("orbit", write_sequence_csv, orbit.indices(), orbit.values), {})
+            ("orbit", write_sequence_csv, orbit.times(), orbit.values), {})
 
 
 def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
@@ -386,6 +385,13 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
         raise ConfigError(f"cannot read series: {exc}") from exc
     echo = {"input": Path(csv_path).stem, "epsilon0": epsilon0, "delta": delta,
             "horizon": horizon}
+    given = {kw for kw, value in (("horizon", horizon), ("window", window),
+                                  ("min_shift", min_shift)) if value is not None}
+
+    def no_shift(keyword: str, why: str) -> ConfigError:
+        """The scan would take no shift: name ``keyword`` if it was given, else the CSV."""
+        return InputError(keyword, why) if keyword in given else ConfigError(f"{csv_path}: {why}")
+
     if kind == "sequence":
         if min_shift is not None:
             raise InputError("min_shift",
@@ -393,6 +399,9 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
         if horizon is not None and horizon != int(horizon):
             raise InputError("horizon", f"must be a whole number of indices for {csv_path}")
         echo["window"] = window = 20 if window is None else window
+        if window >= len(values) - 1:
+            raise no_shift("window", f"window {window} leaves no shift to scan in "
+                                     f"{len(values)} rows; it must be below {len(values) - 1}")
         data = VectorSequence(int(axis[0]), values)
         evidence = collect_evidence(data, window=window, ladder=ladder, epsilon0=epsilon0,
                                     horizon=10 ** 6 if horizon is None else int(horizon))
@@ -402,11 +411,19 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
                                        f"CSV, whose compared span is 20 * delta")
         data = GridFunction(float(axis[0]), float(axis[1] - axis[0]), values)
         min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
+        horizon = 10 ** 4 if horizon is None else horizon
         span = (data.t_start, min(data.t_end, data.t_start + 20 * delta))
+        # the scan's shifts, in grid steps, as ``evidence_for_function`` bounds them
+        first = max(1, round(min_shift / data.step))
+        by_horizon = round(horizon / data.step)
+        last = min(by_horizon, round((data.t_end - span[1]) / data.step))
+        if last < first:
+            raise no_shift("horizon" if "horizon" in given and by_horizon < first else "min_shift",
+                           f"leaves no shift to scan: a shift must be at least "
+                           f"{first * data.step:g} and at most {last * data.step:g} time units")
         echo.update(min_shift=min_shift, span=span)
         evidence = evidence_for_function(data, span, ladder=ladder, epsilon0=epsilon0,
-                                         delta=delta, min_shift=min_shift,
-                                         horizon=10 ** 4 if horizon is None else horizon)
+                                         delta=delta, min_shift=min_shift, horizon=horizon)
     checks = [CheckRecord.from_bool("evidence_verified", verify_evidence(data, evidence), {}, {})]
     counters = {"series_length": int(values.shape[0])}
     return checks, {"scan": jsonable(evidence)}, counters, None, echo
@@ -460,12 +477,13 @@ def _steps_per_unit(span: float, step: float | None, what: str) -> float:
 
 
 def _function_rows(a: dict) -> float:
-    if round(a["horizon"] / a["step"]) < 1:     # the scan's largest shift, in grid steps
-        raise InputError("horizon", f"must exceed half the grid step ({a['step']}), "
-                                    "or the scan has no shift to take")
+    per_unit = _steps_per_unit(1.0, a["step"], "unit interval")
+    # the scan's largest shift, in grid steps, must reach its smallest
+    if round(a["horizon"] / a["step"]) < max(1, round(catalog.FUNCTION_MIN_SHIFT / a["step"])):
+        raise InputError("horizon", f"must reach the smallest shift the scan takes, "
+                                    f"{catalog.FUNCTION_MIN_SHIFT} time units")
     # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
-    return (a["t_hi"] - a["t_lo"] + 21) * _steps_per_unit(1.0, a["step"], "unit interval") \
-        + a["burn_in"]
+    return (a["t_hi"] - a["t_lo"] + 21) * per_unit + a["burn_in"]
 
 
 def _delay_demo_rows(a: dict) -> float:

@@ -23,31 +23,27 @@ axis) through each segment together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .chaos import GridFunction, row_norms
-from .errors import (AssumptionError, DomainError, GridMismatchError,
-                     NonFiniteStateError, StabilityError)
+from .chaos import GridFunction, Series, row_norms, settling_positions
+from .errors import AssumptionError, DomainError, NonFiniteStateError, StabilityError
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
-
-Forcing = Union[Callable[[np.ndarray], np.ndarray], GridFunction]
 
 
 @dataclass(frozen=True)
 class DelaySystemSpec:
     """Matrix, delay, bounded Lipschitz nonlinearity and forcing term.
 
-    ``forcing`` is either a vectorized callable t -> (len(t), dim) or a grid
-    function whose step divides half the integration step.
+    ``forcing`` is a vectorized callable t -> (len(t), dim).
     """
 
     matrix: np.ndarray
     delay: float
     nonlinearity: Nonlinearity
-    forcing: Forcing
+    forcing: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
@@ -258,27 +254,19 @@ def _exact_ratio(span: float, step: float, what: str) -> int:
     return int(k)
 
 
-def constant_history(value, t_end: float, tau: float, step: float) -> GridFunction:
+def constant_history(value, t_end: float, tau: float, step: float) -> Series:
     """Constant history segment on [t_end - tau, t_end]."""
     k = _exact_ratio(tau, step, "delay")
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return GridFunction(t_end - tau, step, np.tile(v, (k + 1, 1)))
 
 
-def _forcing_on_half_grid(forcing: Forcing, t0: float, step: float, n_steps: int,
-                          dim: int) -> np.ndarray:
+def _forcing_on_half_grid(forcing: Callable[[np.ndarray], np.ndarray], t0: float, step: float,
+                          n_steps: int, dim: int) -> np.ndarray:
     times = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    if isinstance(forcing, GridFunction):
-        ratio = (times - forcing.t_start) / forcing.step
-        idx = np.round(ratio).astype(int)
-        if np.any(np.abs(ratio - idx) > 1e-6) or idx.min() < 0 or idx.max() >= len(forcing):
-            raise GridMismatchError(
-                "grid forcing must cover the window with a step dividing half the integration step")
-        vals = forcing.samples[idx]
-    else:
-        vals = np.asarray(forcing(times), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+    vals = np.asarray(forcing(times), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
     if vals.shape != (times.size, dim):
         raise DomainError(f"forcing produced shape {vals.shape}, expected {(times.size, dim)}")
     if not np.all(np.isfinite(vals)):
@@ -434,9 +422,8 @@ def _rescan_segment(spec: DelaySystemSpec, h: float, k: int, y0: np.ndarray, b: 
     return rows
 
 
-def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
-                  step: float, forcing: np.ndarray | None = None
-                  ) -> GridFunction | list[GridFunction]:
+def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
+                  step: float, forcing: np.ndarray | None = None) -> Series | list[Series]:
     """Method-of-steps trajectories on [t0, t_end] with classical RK4, one delay segment at a time.
 
     ``history`` must cover exactly one delay interval ending at the start
@@ -485,7 +472,7 @@ def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
     r, f, h = len(runs), spec.nonlinearity, step
     powers, g = _segment_matrices(spec.matrix, h, k)
     xs = np.empty((r, k + n_steps + 1, m))
-    xs[:, :k + 1] = history.samples
+    xs[:, :k + 1] = history.values
     stencils = _midpoint_stencils(k, k)
     half = np.empty((r, 2 * k + 1, m))  # delayed nodes and midpoints, interleaved
     for lo in range(0, n_steps, k):
@@ -504,11 +491,10 @@ def integrate_mos(spec: DelaySystemSpec, history: GridFunction, t_end: float,
     return trajectories[0] if forcing is None else trajectories
 
 
-def step_residuals(spec: DelaySystemSpec, trajectory: GridFunction,
-                   history: GridFunction) -> np.ndarray:
+def step_residuals(spec: DelaySystemSpec, trajectory: Series, history: Series) -> np.ndarray:
     """Per-step defect of the integrated equation, re-evaluated by Simpson quadrature."""
     k = _exact_ratio(spec.delay, trajectory.step, "delay")
-    xs = np.vstack([history.samples[:-1], trajectory.samples])
+    xs = np.vstack([history.values[:-1], trajectory.values])
     n_steps = len(trajectory) - 1
     t0 = trajectory.t_start
     h = trajectory.step
@@ -528,7 +514,7 @@ def step_residuals(spec: DelaySystemSpec, trajectory: GridFunction,
 
 def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
                      window: Sequence[float], step: float, tol: float = 1e-8,
-                     burn_in: float | None = None) -> GridFunction:
+                     burn_in: float | None = None) -> Series:
     """Approximate the unique bounded solution on ``window`` by burn-in.
 
     Integration starts ``burn_in`` time units before the window from a zero
@@ -564,8 +550,8 @@ def proof_constants(spec: DelaySystemSpec, constants: StabilityConstants,
     return ProofConstants(k1=k1, k2=k2, m0=m0)
 
 
-def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridFunction,
-                 candidate: GridFunction, alpha: float) -> GridFunction:
+def picard_apply(spec: DelaySystemSpec, psi_solution: Series, theta: Series,
+                 candidate: Series, alpha: float) -> Series:
     """One application of the contraction operator to a candidate difference.
 
     Values at t <= alpha pass through unchanged; past alpha the operator
@@ -580,8 +566,8 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridF
     """
     from scipy.linalg import expm
 
-    psi_solution.require_same_grid(theta)
-    psi_solution.require_same_grid(candidate)
+    psi_solution.require_same_axis(theta)
+    psi_solution.require_same_axis(candidate)
     g = candidate
     a_idx = g.index_at(alpha)
     k = _exact_ratio(spec.delay, g.step, "delay")
@@ -593,14 +579,14 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: GridFunction, theta: GridF
     e_step = expm(spec.matrix * h)
 
     delayed = slice(a_idx - k, n - k)
-    inhomo = f(g.samples[delayed] + psi_solution.samples[delayed]) \
-        - f(psi_solution.samples[delayed]) + theta.samples[a_idx:]
+    inhomo = f(g.values[delayed] + psi_solution.values[delayed]) \
+        - f(psi_solution.values[delayed]) + theta.values[a_idx:]
     damped = inhomo @ e_step.T
 
-    out = np.array(g.samples, copy=True)
+    out = np.array(g.values, copy=True)
     offsets = 0.5 * h * (damped[:-1] + inhomo[1:])
-    out[a_idx + 1:] = _affine_scan(e_step.T, k)(g.samples[a_idx], offsets)
-    return GridFunction(g.t_start, g.step, out)
+    out[a_idx + 1:] = _affine_scan(e_step.T, k)(g.values[a_idx], offsets)
+    return replace(g, values=out)
 
 
 @dataclass(frozen=True)
@@ -621,7 +607,7 @@ class DelayConvergenceReport:
     checked_to: float
 
 
-def convergence_check(phi_solution: GridFunction, psi_solution: GridFunction,
+def convergence_check(phi_solution: Series, psi_solution: Series,
                       constants: StabilityConstants, proof: ProofConstants, delay: float,
                       alpha: float, gamma: float, epsilon: float, slack: float = 1e-6,
                       ladder: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> DelayConvergenceReport:
@@ -631,11 +617,11 @@ def convergence_check(phi_solution: GridFunction, psi_solution: GridFunction,
     the time past which the running tail sup stays below each ladder rung
     and checks the tail against epsilon beyond the predicted crossing time.
     """
-    phi_solution.require_same_grid(psi_solution)
+    phi_solution.require_same_axis(psi_solution)
     if not gamma * (proof.k1 + proof.k2) < 1.0:
         raise DomainError("gamma must lie strictly below 1/(k1 + k2)")
     times = phi_solution.times()
-    diff = row_norms(phi_solution.samples - psi_solution.samples)
+    diff = row_norms(phi_solution.values - psi_solution.values)
     lam = constants.decay_rate
     floor = proof.k2 * gamma * epsilon
 
@@ -649,11 +635,8 @@ def convergence_check(phi_solution: GridFunction, psi_solution: GridFunction,
     tail_sup = float(diff[tail_mask].max()) if tail_mask.any() else math.nan
     tail_ok = bool(tail_mask.any() and tail_sup < epsilon)
 
-    suffix = np.maximum.accumulate(diff[::-1])[::-1]
-    crossings = []
-    for rung in ladder:
-        hit = np.nonzero(suffix < rung)[0]
-        crossings.append((float(rung), float(times[hit[0]]) if hit.size else None))
+    crossings = [(float(rung), None if k is None else float(times[k]))
+                 for rung, k in zip(ladder, settling_positions(diff, ladder))]
 
     return DelayConvergenceReport(
         envelope_ok=bool(excess.max() <= slack),

@@ -14,8 +14,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chaos import GridFunction, row_norms
-from .constructs import VectorSequence
+from .chaos import Series, row_norms, settling_positions
 from .discrete import DiscreteSystemSpec, iterate
 from .errors import DomainError, ResolutionError
 
@@ -172,7 +171,7 @@ def _scan_near_returns(values: np.ndarray, anchor: int, window: int, cap: int,
     return results
 
 
-def find_near_returns(seq: VectorSequence, window: int, ladder: Sequence[float],
+def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
                       horizon: int = SEQUENCE_HORIZON) -> list[NearReturn]:
     """Smallest strictly increasing shifts meeting each closeness rung.
 
@@ -188,7 +187,7 @@ def find_near_returns(seq: VectorSequence, window: int, ladder: Sequence[float],
     return _scan_near_returns(seq.values, 0, window, cap, rungs)
 
 
-def find_separations(seq: VectorSequence, shifts: Sequence[int], epsilon0: float,
+def find_separations(seq: Series, shifts: Sequence[int], epsilon0: float,
                      horizon: int = SEQUENCE_HORIZON) -> list[SeparationEvent]:
     """For each shift, the smallest offset with |seq_{shift+o} - seq_o| >= epsilon0."""
     if not epsilon0 > 0.0:
@@ -214,12 +213,12 @@ def find_separations(seq: VectorSequence, shifts: Sequence[int], epsilon0: float
     return events
 
 
-def separation_at(seq: VectorSequence, shift: int, offset: int) -> float:
+def separation_at(seq: Series, shift: int, offset: int) -> float:
     """Re-evaluate one separation directly from the data."""
     return float(np.linalg.norm(seq.values[offset + shift] - seq.values[offset]))
 
 
-def collect_evidence(seq: VectorSequence, window: int = 20,
+def collect_evidence(seq: Series, window: int = 20,
                      ladder: Sequence[float] = DEFAULT_LADDER, epsilon0: float = 0.3,
                      horizon: int = SEQUENCE_HORIZON) -> UnpredictabilityEvidence:
     """Run both scans and assemble the evidence record for a sequence."""
@@ -228,7 +227,7 @@ def collect_evidence(seq: VectorSequence, window: int = 20,
     estimate = min((s.separation for s in seps), default=0.0)
     return UnpredictabilityEvidence(
         kind="sequence",
-        base_index=seq.base_index,
+        base_index=seq.t_start,
         return_times=tuple(returns),
         separation_times=tuple(seps),
         epsilon0_estimate=float(estimate),
@@ -238,7 +237,7 @@ def collect_evidence(seq: VectorSequence, window: int = 20,
     )
 
 
-def evidence_for_function(phi: GridFunction, window: Sequence[float],
+def evidence_for_function(phi: Series, window: Sequence[float],
                           ladder: Sequence[float] = DEFAULT_LADDER, epsilon0: float = 0.2,
                           delta: float = 0.2, horizon: float = FUNCTION_HORIZON,
                           min_shift: float = 0.0) -> UnpredictabilityEvidence:
@@ -257,7 +256,7 @@ def evidence_for_function(phi: GridFunction, window: Sequence[float],
     j0, j1 = phi.index_at(w0), phi.index_at(w1)
     if j1 <= j0:
         raise DomainError("empty comparison span")
-    values = phi.samples
+    values = phi.values
     n = len(phi)
     cap = min(int(round(horizon / phi.step)), n - 1 - j1)
     if cap < 1:
@@ -298,10 +297,9 @@ def evidence_for_function(phi: GridFunction, window: Sequence[float],
     )
 
 
-def verify_evidence(data: Union[VectorSequence, GridFunction],
-                    evidence: UnpredictabilityEvidence) -> bool:
+def verify_evidence(data: Series, evidence: UnpredictabilityEvidence) -> bool:
     """Plain re-check of every recorded event straight from the raw data."""
-    values = data.values if isinstance(data, VectorSequence) else data.samples
+    values = data.values
     for ret in evidence.return_times:
         if not ret.found:
             continue
@@ -329,19 +327,13 @@ def verify_evidence(data: Union[VectorSequence, GridFunction],
     return True
 
 
-def decay_test(tail: Union[VectorSequence, GridFunction],
-               ladder: Sequence[float]) -> DecayReport:
+def decay_test(tail: Series, ladder: Sequence[float]) -> DecayReport:
     """Locate, per rung, the first position whose running tail sup stays below it."""
     rungs = _validate_ladder(ladder)
-    seq = isinstance(tail, VectorSequence)
-    start, spacing = (float(tail.base_index), 1.0) if seq else (tail.t_start, tail.step)
+    start, spacing = float(tail.t_start), float(tail.step)
     suffix = tail.norms()
-    np.maximum.accumulate(suffix[::-1], out=suffix[::-1])   # running sup from the end, in place
-    entries = []
-    for rung in rungs:
-        below = suffix < rung   # a suffix of the positions, since ``suffix`` never increases
-        k = int(np.argmax(below))
-        entries.append((rung, start + spacing * k if below[k] else None))
+    entries = [(rung, None if k is None else start + spacing * k)
+               for rung, k in zip(rungs, settling_positions(suffix, rungs))]
     stride = max(1, suffix.size // 512)
     profile = tuple(float(x) for x in suffix[::stride])
     return DecayReport(ladder=tuple(entries), monotone_tail_sup=profile,

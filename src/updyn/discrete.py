@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import row_norms
-from .constructs import VectorSequence
+from .chaos import Series, VectorSequence, row_norms, settling_positions
 from .errors import AssumptionError, DomainError, WindowExhaustedError
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
 
@@ -36,7 +35,7 @@ class DiscreteSystemSpec:
 
     matrix: np.ndarray
     nonlinearity: Nonlinearity
-    forcing: VectorSequence
+    forcing: Series
 
     def __post_init__(self):
         b = np.asarray(self.matrix, dtype=float)
@@ -197,7 +196,7 @@ def _orbit_rows(b, g, phi, out, guess=None) -> tuple[int, int]:
 
 def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
             start_index: int | None = None,
-            guess: np.ndarray | None = None) -> VectorSequence:
+            guess: np.ndarray | None = None) -> Series:
     """Forward orbit of ``steps`` transitions starting at ``start_index``.
 
     Each row equals, bit for bit, one transition
@@ -213,10 +212,11 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
-    i0 = spec.forcing.base_index if start_index is None else int(start_index)
-    if i0 < spec.forcing.base_index or i0 + steps > spec.forcing.end_index:
+    forcing = spec.forcing
+    i0 = forcing.t_start if start_index is None else int(start_index)
+    if i0 < forcing.t_start or i0 + steps > forcing.t_end + 1:
         raise WindowExhaustedError(
-            f"forcing window [{spec.forcing.base_index}, {spec.forcing.end_index}) "
+            f"forcing window [{forcing.t_start}, {forcing.t_end + 1}) "
             f"does not cover indices [{i0}, {i0 + steps})")
     w = np.atleast_1d(np.asarray(start_state, dtype=float))
     if w.shape != (spec.dim,):
@@ -227,8 +227,8 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
         guess = np.asarray(guess, dtype=float)
         if guess.shape != out.shape:
             raise DomainError(f"guess must have shape {out.shape}")
-    k0 = i0 - spec.forcing.base_index
-    _orbit_rows(spec.matrix, spec.nonlinearity, spec.forcing.values[k0:k0 + steps], out, guess)
+    k0 = i0 - forcing.t_start
+    _orbit_rows(spec.matrix, spec.nonlinearity, forcing.values[k0:k0 + steps], out, guess)
     return VectorSequence(i0, out)
 
 
@@ -248,7 +248,7 @@ def burn_in_length(spec: DiscreteSystemSpec, tol: float, norm_b: float | None = 
 
 
 def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9,
-                  guess: np.ndarray | None = None) -> VectorSequence:
+                  guess: np.ndarray | None = None) -> Series:
     """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in.
 
     ``guess``, one row per window index, seeds the sweeps over the window as
@@ -262,7 +262,7 @@ def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 
     return iterate(spec, start, i1 - i0, start_index=i0, guess=guess)
 
 
-def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: VectorSequence,
+def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
                        tol: float = 1e-10, sample: int = 16) -> float:
     """Cross-check an orbit against the truncated sum representation.
 
@@ -277,11 +277,11 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: VectorSequence,
     m_phi = spec.forcing.sup_norm()
     scale = (spec.nonlinearity.bound + m_phi) / (1.0 - norm_b)
     depth = max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
-    lo = max(orbit.base_index, spec.forcing.base_index) + depth + 1
-    if lo >= orbit.end_index:
+    lo = max(orbit.t_start, spec.forcing.t_start) + depth + 1
+    if lo > orbit.t_end:
         raise DomainError("orbit window too short for the requested truncation depth")
-    picks = np.arange(lo, orbit.end_index)[::max(1, (orbit.end_index - lo) // sample)]
-    if picks[-1] > spec.forcing.end_index:
+    picks = np.arange(lo, orbit.t_end + 1)[::max(1, (orbit.t_end + 1 - lo) // sample)]
+    if picks[-1] > spec.forcing.t_end + 1:
         raise WindowExhaustedError(f"forcing window ends before index {int(picks[-1]) - 1}")
     # every sampled sum advances together, one (samples, dim) row block per term
     bt = spec.matrix.T.copy()
@@ -289,9 +289,9 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: VectorSequence,
     for j in range(-depth, 1):
         prev = picks + (j - 1)
         acc = _matrix_rows(bt, acc, np.empty_like(acc))
-        acc += spec.nonlinearity(orbit.values[prev - orbit.base_index])
-        acc += spec.forcing.values[prev - spec.forcing.base_index]
-    gaps = acc - orbit.values[picks - orbit.base_index]
+        acc += spec.nonlinearity(orbit.values[prev - orbit.t_start])
+        acc += spec.forcing.values[prev - spec.forcing.t_start]
+    gaps = acc - orbit.values[picks - orbit.t_start]
     return max(0.0, *(float(np.linalg.norm(gap)) for gap in gaps))
 
 
@@ -378,7 +378,7 @@ class DiscreteConvergenceReport:
     checked_to: int
 
 
-def convergence_check_discrete(phi_orbit: VectorSequence, psi_orbit: VectorSequence,
+def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
                                envelope: GronwallEnvelope, alpha: int, slack: float = 1e-9,
                                ladder: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6)
                                ) -> DiscreteConvergenceReport:
@@ -387,25 +387,20 @@ def convergence_check_discrete(phi_orbit: VectorSequence, psi_orbit: VectorSeque
     Also reports the first index past which the running tail sup stays below
     each ladder rung (None when a rung is never reached in the window).
     """
-    if not phi_orbit.same_window(psi_orbit):
-        raise DomainError("orbits must share one index window")
+    phi_orbit.require_same_axis(psi_orbit)
     diff = row_norms(phi_orbit.values - psi_orbit.values)
-    idx = phi_orbit.indices()
 
-    lo = max(envelope.start_index, int(alpha) + 1, phi_orbit.base_index)
-    hi = min(envelope.start_index + len(envelope) - 1, phi_orbit.end_index - 1)
+    lo = max(envelope.start_index, int(alpha) + 1, phi_orbit.t_start)
+    hi = min(envelope.start_index + len(envelope) - 1, phi_orbit.t_end)
     if hi < lo:
         raise DomainError("envelope and orbit windows do not overlap past alpha")
-    d = diff[lo - phi_orbit.base_index: hi - phi_orbit.base_index + 1]
+    d = diff[lo - phi_orbit.t_start: hi - phi_orbit.t_start + 1]
     e = envelope.values[lo - envelope.start_index: hi - envelope.start_index + 1]
     excess = d - e
     worst = int(np.argmax(excess))
 
-    suffix = np.maximum.accumulate(diff[::-1])[::-1]
-    crossings = []
-    for rung in ladder:
-        hit = np.nonzero(suffix < rung)[0]
-        crossings.append((float(rung), int(idx[hit[0]]) if hit.size else None))
+    crossings = [(float(rung), None if k is None else phi_orbit.t_start + k)
+                 for rung, k in zip(ladder, settling_positions(diff, ladder))]
 
     return DiscreteConvergenceReport(
         envelope_ok=bool(excess.max() <= slack),

@@ -9,8 +9,8 @@ class DomainError(UpdynError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class GridMismatchError(UpdynError, ValueError):
-    """Two grid functions do not share the same sampling grid."""
+class GridMismatchError(DomainError):
+    """Two series do not share one axis."""
 
 
 class WindowExhaustedError(UpdynError, IndexError):
@@ -31,10 +31,6 @@ class AssumptionError(UpdynError, ValueError):
 
 class ResolutionError(UpdynError, ValueError):
     """The sampling grid is too coarse for the requested check."""
-
-
-class ConvergenceFailure(UpdynError, RuntimeError):
-    """An iterative scheme did not converge within its iteration cap."""
 
 
 class NonFiniteStateError(UpdynError, RuntimeError):

@@ -70,7 +70,7 @@ def test_criterion_03_filtered_source_oracle_and_bound():
     start = time.perf_counter()
     orbit = logistic_orbit(0.41, 1000, 10021)
     h = convolve_exponential(orbit, 2.0, 0.05)
-    sup = float(np.abs(h.samples).max())
+    sup = float(np.abs(h.values).max())
     filt = ExponentialFilter.from_orbit(orbit, 2.0)
     rng = np.random.default_rng(314)
     worst = 0.0
@@ -123,7 +123,7 @@ def test_criterion_06_delay_convergence():
     conftest._cache["delay"] = demo
     report = demo.report
     times = demo.phi_solution.times()
-    diff = np.linalg.norm(demo.phi_solution.samples - demo.psi_solution.samples, axis=1)
+    diff = np.linalg.norm(demo.phi_solution.values - demo.psi_solution.values, axis=1)
     quarter_sup = float(diff[times >= times[0] + 0.75 * (times[-1] - times[0])].max())
     elapsed = time.perf_counter() - start
     ok = (report.envelope_ok and report.max_excess <= 1e-6
@@ -136,7 +136,7 @@ def test_criterion_07_contraction_and_picard():
     start = time.perf_counter()
     demo = conftest.get_delay_demo()
     grid = demo.phi_solution
-    base = grid.samples - demo.psi_solution.samples
+    base = grid.values - demo.psi_solution.values
     a_idx = grid.index_at(demo.alpha)
     bound = demo.constants.amplitude * demo.spec_combined.nonlinearity.lipschitz \
         / demo.constants.decay_rate + 0.05
@@ -144,7 +144,7 @@ def test_criterion_07_contraction_and_picard():
     def apply_T(values):
         cand = GridFunction(grid.t_start, grid.step, values)
         return picard_apply(demo.spec_combined, demo.psi_solution, demo.theta_grid,
-                            cand, demo.alpha).samples
+                            cand, demo.alpha).values
 
     rng = np.random.default_rng(99)
     worst_ratio = 0.0
@@ -205,7 +205,7 @@ def test_criterion_08_exponential_stability_both_systems():
     h2 = GridFunction(-0.2, step, rng.uniform(-1, 1, (k + 1, 2)))
     x1 = integrate_mos(dspec, h1, 12.0, step)
     x2 = integrate_mos(dspec, h2, 12.0, step)
-    sep = np.linalg.norm(x1.samples - x2.samples, axis=1)
+    sep = np.linalg.norm(x1.values - x2.values, axis=1)
     times = x1.times()
     half = times >= 6.0
     slope = float(np.polyfit(times[half], np.log(sep[half]), 1)[0])

@@ -86,12 +86,12 @@ class TestConvolveExponential:
     def test_unit_orbit_gives_half(self):
         orbit = ScalarOrbit(0, np.ones(30))
         h = convolve_exponential(orbit, 2.0, 0.1)
-        np.testing.assert_allclose(h.samples, 0.5, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h.values, 0.5, rtol=0, atol=1e-15)
 
     def test_bounded_by_half(self):
         orbit = logistic_orbit(0.41, 1000, 200)
         h = convolve_exponential(orbit, 2.0, 0.05)
-        assert np.abs(h.samples).max() <= 0.5 + 1e-12
+        assert np.abs(h.values).max() <= 0.5 + 1e-12
 
     def test_window_starts_after_warmup(self):
         orbit = logistic_orbit(0.41, 1000, 50).rebased(-10)
@@ -120,12 +120,12 @@ class TestConvolveExponential:
         orbit = logistic_orbit(0.41, 500, 40)
         filt = ExponentialFilter.from_orbit(orbit, 2.0)
         h = convolve_exponential(orbit, 2.0, 0.05)
-        np.testing.assert_array_equal(h.samples[:, 0], filt.eval(h.times()))
+        np.testing.assert_array_equal(h.values[:, 0], filt.eval(h.times()))
 
     def test_general_decay_steady_state(self):
         orbit = ScalarOrbit(0, np.ones(25))
         h = convolve_exponential(orbit, 0.5, 0.5)
-        np.testing.assert_allclose(h.samples, 2.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.values, 2.0, rtol=0, atol=1e-12)
 
 
 class TestPiecewiseConstant:
@@ -161,7 +161,7 @@ class TestBebutovDistance:
 
     def test_saturated_constant_offset(self):
         u, _ = _grid_pair(seed=2)
-        w = GridFunction(u.t_start, u.step, u.samples + np.array([3.0, 0.0]))
+        w = GridFunction(u.t_start, u.step, u.values + np.array([3.0, 0.0]))
         assert bebutov_distance(u, w, 4) == pytest.approx(1.0 - 2.0 ** -4, abs=1e-15)
 
     def test_symmetry_and_triangle(self):
@@ -179,7 +179,7 @@ class TestBebutovDistance:
 
     def test_grid_mismatch(self):
         u, _ = _grid_pair()
-        shifted = GridFunction(u.t_start + 0.05, u.step, u.samples)
+        shifted = GridFunction(u.t_start + 0.05, u.step, u.values)
         with pytest.raises(GridMismatchError):
             bebutov_distance(u, shifted, 2)
 

@@ -192,7 +192,7 @@ class TestDetect:
 
         triple = build_sequence_triple(catalog.source_orbit(length=3000))
         path = tmp_path / "series.csv"
-        write_sequence_csv(path, triple.psi.indices(), triple.psi.values)
+        write_sequence_csv(path, triple.psi.times(), triple.psi.values)
         out = tmp_path / "out"
         assert run_cli("detect", str(path), "--out-dir", str(out),
                        "--epsilon0", "0.3") == 0
@@ -207,7 +207,7 @@ class TestDetect:
 
         triple = build_sequence_triple(catalog.source_orbit(length=3000))
         path = tmp_path / "series.csv"
-        write_sequence_csv(path, triple.psi.indices(), triple.psi.values)
+        write_sequence_csv(path, triple.psi.times(), triple.psi.values)
         out = tmp_path / "out"
         assert run_cli("detect", str(path), "--out-dir", str(out), "--window", "8") == 0
         report = json.loads((out / "series_evidence_report.json").read_text())

@@ -78,7 +78,7 @@ class TestAffineTransform:
         psi = sequence_triple.psi
         out = affine_transform(psi, np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out.values, psi.values)
-        assert out.base_index == psi.base_index
+        assert out.t_start == psi.t_start
 
     def test_scaling_plus_offset_exact(self, sequence_triple):
         psi = sequence_triple.psi
@@ -113,14 +113,14 @@ class TestAffineTransform:
 
 class TestAddConvergent:
     def test_zero_perturbation_is_noop(self, sequence_triple):
-        zero = VectorSequence(sequence_triple.phi.base_index,
+        zero = VectorSequence(sequence_triple.phi.t_start,
                               np.zeros_like(sequence_triple.phi.values))
         out = add_convergent(sequence_triple, zero, np.zeros(2))
         np.testing.assert_array_equal(out.phi.values, sequence_triple.phi.values)
 
     def test_constant_perturbation_shifts_by_constant(self, sequence_triple):
         c = np.array([0.5, -0.25])
-        pert = VectorSequence(sequence_triple.phi.base_index,
+        pert = VectorSequence(sequence_triple.phi.t_start,
                               np.tile(c, (len(sequence_triple.phi), 1)))
         out = add_convergent(sequence_triple, pert, c)
         np.testing.assert_allclose(out.phi.values - sequence_triple.phi.values,
@@ -131,7 +131,7 @@ class TestAddConvergent:
     def test_harmonic_perturbation_tail_decays(self, sequence_triple):
         n = len(sequence_triple.phi)
         i = np.arange(n, dtype=float)
-        pert = VectorSequence(sequence_triple.phi.base_index,
+        pert = VectorSequence(sequence_triple.phi.t_start,
                               np.stack([1.0 / (i + 1.0), np.zeros(n)], axis=-1))
         out = add_convergent(sequence_triple, pert, np.zeros(2))
         report = decay_test(out.theta, (0.5, 0.1, 0.05))
@@ -139,7 +139,7 @@ class TestAddConvergent:
 
     def test_plain_sequence_sum(self, sequence_triple):
         psi = sequence_triple.psi
-        pert = VectorSequence(psi.base_index, 0.1 * np.ones_like(psi.values))
+        pert = VectorSequence(psi.t_start, 0.1 * np.ones_like(psi.values))
         out = add_convergent(psi, pert, np.array([0.1, 0.1]))
         np.testing.assert_array_equal(out.values, psi.values + 0.1)
 
@@ -147,7 +147,7 @@ class TestAddConvergent:
 class TestShift:
     def test_zero_shift_identity(self, sequence_triple):
         out = shift(sequence_triple.psi, 0)
-        assert out.base_index == sequence_triple.psi.base_index
+        assert out.t_start == sequence_triple.psi.t_start
         np.testing.assert_array_equal(out.values, sequence_triple.psi.values)
 
     def test_shift_reads_ahead(self, sequence_triple):
@@ -159,7 +159,7 @@ class TestShift:
     def test_inverse_shifts_cancel(self, sequence_triple):
         psi = sequence_triple.psi
         out = shift(shift(psi, 9), -9)
-        assert out.base_index == psi.base_index
+        assert out.t_start == psi.t_start
         np.testing.assert_array_equal(out.values, psi.values)
 
     @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -167,7 +167,7 @@ class TestShift:
         seq = VectorSequence(0, np.arange(12.0)[:, None])
         once = shift(shift(seq, m1), m2)
         both = shift(seq, m1 + m2)
-        assert once.base_index == both.base_index
+        assert once.t_start == both.t_start
 
     def test_triple_shift_keeps_decomposition(self, sequence_triple):
         out = shift(sequence_triple, 4)
@@ -193,7 +193,7 @@ class TestWitness:
 
     def test_zero_tail_has_no_witness(self, sequence_triple):
         psi = sequence_triple.psi
-        zero = VectorSequence(psi.base_index, np.zeros_like(psi.values))
+        zero = VectorSequence(psi.t_start, np.zeros_like(psi.values))
         triple = DecompositionTriple(psi, psi, zero)
         report = non_unpredictability_witness(triple, 1.0)
         assert not report.found

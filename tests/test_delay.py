@@ -57,7 +57,7 @@ def reference_mos(spec, history, t_end, step):
     a, f, h = spec.matrix, spec.nonlinearity, step
     last = k + n_steps
     xs = np.empty((last + 1, spec.dim))
-    xs[:k + 1] = history.samples
+    xs[:k + 1] = history.values
     for j in range(n_steps):
         x, d = xs[k + j], j
         fd0 = f(xs[d])
@@ -83,11 +83,11 @@ def reference_picard(spec, psi_solution, theta, candidate, alpha):
     n, h, f = len(g), g.step, spec.nonlinearity
     e_step = expm(spec.matrix * h)
     delayed = slice(a_idx - k, n - k)
-    inhomo = f(g.samples[delayed] + psi_solution.samples[delayed]) \
-        - f(psi_solution.samples[delayed]) + theta.samples[a_idx:]
+    inhomo = f(g.values[delayed] + psi_solution.values[delayed]) \
+        - f(psi_solution.values[delayed]) + theta.values[a_idx:]
     damped = inhomo @ e_step.T
-    out = np.array(g.samples, copy=True)
-    v = g.samples[a_idx].copy()
+    out = np.array(g.values, copy=True)
+    v = g.values[a_idx].copy()
     integral = np.zeros(spec.dim)
     for j in range(n - 1 - a_idx):
         v = e_step @ v
@@ -98,8 +98,8 @@ def reference_picard(spec, psi_solution, theta, candidate, alpha):
 
 def assert_matches_reference(got, ref):
     np.testing.assert_array_equal(got.times(), ref.times())
-    scale = max(1.0, float(np.abs(ref.samples).max()))
-    assert np.abs(got.samples - ref.samples).max() <= 1e-12 * scale
+    scale = max(1.0, float(np.abs(ref.values).max()))
+    assert np.abs(got.values - ref.values).max() <= 1e-12 * scale
 
 
 def stable_matrix(entries, margin):
@@ -226,8 +226,8 @@ class TestIntegrateMos:
         ref = integrate_mos(spec, hist(0.2 / 64.0), 6.0, 0.2 / 64.0)
         coarse = integrate_mos(spec, hist(0.2 / 8.0), 6.0, 0.2 / 8.0)
         finer = integrate_mos(spec, hist(0.2 / 16.0), 6.0, 0.2 / 16.0)
-        e1 = np.linalg.norm(coarse.samples - ref.samples[::8], axis=1).max()
-        e2 = np.linalg.norm(finer.samples - ref.samples[::4], axis=1).max()
+        e1 = np.linalg.norm(coarse.values - ref.values[::8], axis=1).max()
+        e2 = np.linalg.norm(finer.values - ref.values[::4], axis=1).max()
         assert 9.0 <= e1 / e2 <= 28.0
 
     def test_step_must_divide_delay(self):
@@ -463,7 +463,7 @@ class TestBoundedSolution:
         hist1 = GridFunction(hist0.t_start, step, rand_vals)
         s0 = integrate_mos(spec, hist0, 10.0, step).restrict(0.0, 10.0)
         s1 = integrate_mos(spec, hist1, 10.0, step).restrict(0.0, 10.0)
-        assert np.linalg.norm(s0.samples - s1.samples, axis=1).max() < 1e-8
+        assert np.linalg.norm(s0.values - s1.values, axis=1).max() < 1e-8
 
     def test_margin_required(self):
         spec = demo_spec(tau=30.0)
@@ -517,23 +517,23 @@ class TestPicard:
         cand = GridFunction(0.0, step, rng.uniform(-1, 1, (n, 2)))
         alpha = times[160]
         out = picard_apply(spec, psi, theta, cand, alpha)
-        g_alpha = cand.samples[160]
+        g_alpha = cand.values[160]
         for j in (200, 320, 640):
             exact = expm(a * (times[j] - alpha)) @ g_alpha
-            assert np.linalg.norm(out.samples[j] - exact) <= 1e-9
-        np.testing.assert_array_equal(out.samples[:161], cand.samples[:161])
+            assert np.linalg.norm(out.values[j] - exact) <= 1e-9
+        np.testing.assert_array_equal(out.values[:161], cand.values[:161])
 
     def test_fixed_point_property(self, delay_demo):
         d = delay_demo
         cand = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
-                            d.phi_solution.samples - d.psi_solution.samples)
+                            d.phi_solution.values - d.psi_solution.values)
         image = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, cand, d.alpha)
-        gap = np.linalg.norm(image.samples - cand.samples, axis=1).max()
+        gap = np.linalg.norm(image.values - cand.values, axis=1).max()
         assert gap <= 1e-6
 
     def test_contraction_inequality(self, delay_demo):
         d = delay_demo
-        base = d.phi_solution.samples - d.psi_solution.samples
+        base = d.phi_solution.values - d.psi_solution.values
         a_idx = d.phi_solution.index_at(d.alpha)
         rng = np.random.default_rng(17)
         bound = d.constants.amplitude * d.spec_combined.nonlinearity.lipschitz \
@@ -546,15 +546,15 @@ class TestPicard:
             g2 = GridFunction(d.phi_solution.t_start, d.phi_solution.step, base + n2)
             t1 = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, g1, d.alpha)
             t2 = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, g2, d.alpha)
-            num = np.linalg.norm(t1.samples - t2.samples, axis=1).max()
-            den = np.linalg.norm(g1.samples - g2.samples, axis=1).max()
+            num = np.linalg.norm(t1.values - t2.values, axis=1).max()
+            den = np.linalg.norm(g1.values - g2.values, axis=1).max()
             assert num <= bound * den
 
 
     def test_matches_reference_on_demo(self, delay_demo):
         d = delay_demo
         cand = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
-                            d.phi_solution.samples - d.psi_solution.samples)
+                            d.phi_solution.values - d.psi_solution.values)
         args = (d.spec_combined, d.psi_solution, d.theta_grid, cand, d.alpha)
         assert_matches_reference(picard_apply(*args), reference_picard(*args))
 
@@ -584,17 +584,17 @@ class TestConvergenceCheck:
         # anything above it by more than the slack must fail
         level = d.proof.k1 + d.proof.k2 * d.gamma * d.epsilon
         times = d.phi_solution.times()
-        peak = np.zeros_like(d.phi_solution.samples)
+        peak = np.zeros_like(d.phi_solution.values)
         j = d.phi_solution.index_at(d.alpha)
         peak[j, 0] = level
         inside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
-                              d.psi_solution.samples + peak)
+                              d.psi_solution.values + peak)
         rep = convergence_check(inside, d.psi_solution, d.constants, d.proof,
                                 0.2, d.alpha, d.gamma, d.epsilon)
         assert rep.envelope_ok
         peak[j, 0] = level + 1e-3
         outside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
-                               d.psi_solution.samples + peak)
+                               d.psi_solution.values + peak)
         rep = convergence_check(outside, d.psi_solution, d.constants, d.proof,
                                 0.2, d.alpha, d.gamma, d.epsilon)
         assert not rep.envelope_ok

@@ -359,7 +359,7 @@ class TestEarlyAbandonScans:
                                    min_shift=min_shift)
         j0, j1 = phi.index_at(span[0]), phi.index_at(span[1])
         first = max(1, round(min_shift / phi.step))
-        expected = reference_near_returns(phi.samples, j0, j1 - j0, ev.scanned_horizon,
+        expected = reference_near_returns(phi.values, j0, j1 - j0, ev.scanned_horizon,
                                           ladder, first)
         assert scanned(ev.return_times) == expected
         assert all(r.shift >= first for r in ev.return_times if r.found)

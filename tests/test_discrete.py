@@ -29,11 +29,11 @@ def column_product(b, w):
 
 def reference_iterate(spec, start_state, steps, start_index=None, product=np.matmul):
     """One transition w <- B w + g(w) + forcing_i at a time."""
-    i0 = spec.forcing.base_index if start_index is None else start_index
+    i0 = spec.forcing.t_start if start_index is None else start_index
     w = np.atleast_1d(np.asarray(start_state, dtype=float))
     out = np.empty((steps + 1, spec.dim))
     out[0] = w
-    phi = spec.forcing.values[i0 - spec.forcing.base_index:]
+    phi = spec.forcing.values[i0 - spec.forcing.t_start:]
     for j in range(steps):
         w = product(spec.matrix, w) + spec.nonlinearity(w) + phi[j]
         out[j + 1] = w
@@ -45,8 +45,8 @@ def reference_sum_residual(spec, orbit, tol=1e-10, sample=16):
     norm_b = spectral_norm(spec.matrix)
     scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - norm_b)
     depth = max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
-    candidates = range(max(orbit.base_index, spec.forcing.base_index) + depth + 1,
-                       orbit.end_index)
+    candidates = range(max(orbit.t_start, spec.forcing.t_start) + depth + 1,
+                       orbit.t_end + 1)
     worst = 0.0
     for i in candidates[::max(1, len(candidates) // sample)]:
         acc = np.zeros(spec.dim)
@@ -58,7 +58,7 @@ def reference_sum_residual(spec, orbit, tol=1e-10, sample=16):
 
 
 def assert_same_bits(a, b):
-    assert a.base_index == b.base_index
+    assert a.t_start == b.t_start
     np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
 
@@ -211,7 +211,7 @@ class TestBoundedOrbit:
     def test_recurrence_residual(self, discrete_demo):
         d = discrete_demo
         w = d.phi_orbit.values
-        base_off = d.phi_orbit.base_index - d.spec_combined.forcing.base_index
+        base_off = d.phi_orbit.t_start - d.spec_combined.forcing.t_start
         phi = d.spec_combined.forcing.values[base_off:base_off + len(w) - 1]
         pred = w[:-1] @ d.spec_combined.matrix.T + d.spec_combined.nonlinearity(w[:-1]) + phi
         assert np.abs(w[1:] - pred).max() <= 4 * np.finfo(float).eps * 10
@@ -285,7 +285,7 @@ class TestConvergenceCheckDiscrete:
         d = discrete_demo
         report = convergence_check_discrete(d.phi_orbit, d.phi_orbit, d.envelope, d.alpha)
         assert report.envelope_ok
-        assert all(where == d.phi_orbit.base_index for _, where in report.crossings)
+        assert all(where == d.phi_orbit.t_start for _, where in report.crossings)
 
     def test_demo_envelope_dominates(self, discrete_demo):
         assert discrete_demo.report.envelope_ok
@@ -299,8 +299,8 @@ class TestConvergenceCheckDiscrete:
         psi = triple.psi
         spike_at = 150
         theta = np.zeros_like(psi.values)
-        theta[spike_at - psi.base_index] = [0.5, 0.0]
-        phi = VectorSequence(psi.base_index, psi.values + theta)
+        theta[spike_at - psi.t_start] = [0.5, 0.0]
+        phi = VectorSequence(psi.t_start, psi.values + theta)
         spec_phi = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
                                       catalog.discrete_demo_nonlinearity(), phi)
         spec_psi = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
@@ -422,7 +422,7 @@ class TestBlockSweeps:
         spec_phi, spec_psi = self._demo_specs(catalog.discrete_demo_nonlinearity())
         start, steps = 3900, 6000
         phi = iterate(spec_phi, np.zeros(2), steps, start).values
-        forcing = spec_psi.forcing.values[start - spec_psi.forcing.base_index:][:steps]
+        forcing = spec_psi.forcing.values[start - spec_psi.forcing.t_start:][:steps]
         sweeps = []
         for guess in (None, phi):
             out = np.zeros((steps + 1, 2))

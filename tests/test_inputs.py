@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from updyn import catalog, cli
-from updyn.report import write_function_csv
+from updyn.report import write_function_csv, write_sequence_csv
 
 
 def run(argv, capsys):
@@ -38,7 +38,22 @@ def nan_sample_csv(path: Path) -> Path:
     return path
 
 
-# (case id, reproduce argv or run config, text the error must hold)
+def function_csv(tmp_path: Path) -> Path:
+    """A function CSV on the grid of the 6.1 demo's outputs: [-20, 180], step 0.05."""
+    times = -20.0 + 0.05 * np.arange(4001)
+    path = tmp_path / "6.1_phi.csv"
+    write_function_csv(path, times, np.stack([np.sin(times), np.cos(times)], axis=-1))
+    return path
+
+
+def sequence_csv(tmp_path: Path) -> Path:
+    """A sequence CSV of 2,001 rows, as long as the 6.2 demo's outputs."""
+    path = tmp_path / "6.2_phi.csv"
+    write_sequence_csv(path, np.arange(2001), np.sin(np.arange(2001.0))[:, None])
+    return path
+
+
+# (case id, reproduce argv, run config or (CSV maker, *detect flags), text the error must hold)
 BAD_INPUTS = [
     # inputs that used to be replaced by a default (`x or default`)
     ("6.4 seed 0", ["6.4", "--seed", "0"], "--seed"),
@@ -94,6 +109,16 @@ BAD_INPUTS = [
         "forcing": {"type": "zero"}, "matrix": (-np.eye(3)).tolist(),
         "nonlinearity": {"type": "arctan_arccot"}}, "numeric": {"window": [0, 1]}},
      "system.nonlinearity.type"),
+    # scans that could take no shift: they reported every rung not found and exited 0
+    ("6.1 horizon below the smallest shift", ["6.1", "--horizon", "0.5"], "--horizon"),
+    ("detect horizon below the smallest shift", (function_csv, "--horizon", "0.5"),
+     "--horizon"),
+    ("detect min-shift past the grid", (function_csv, "--min-shift", "50000"), "--min-shift"),
+    # runner errors that exited 1
+    ("detect horizon below a grid step", (function_csv, "--horizon", "0.001"), "--horizon"),
+    ("detect window past the series", (sequence_csv, "--window", "5000"), "--window"),
+    # a step too coarse for a grid ended in a KeyError traceback
+    ("6.1 step 1e5", ["6.1", "--step", "1e5"], "--step"),
 ]
 
 
@@ -104,6 +129,9 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
         path = nan_sample_csv(tmp_path / "wave.csv")
         code, streams = run(["detect", path, "--out-dir", out], capsys)
         assert "wave.csv" in streams.err
+    elif isinstance(inputs, tuple):
+        make_csv, *flags = inputs
+        code, streams = run(["detect", make_csv(tmp_path), *flags, "--out-dir", out], capsys)
     elif isinstance(inputs, list):
         code, streams = run(["reproduce", *inputs, "--out-dir", out], capsys)
     else:

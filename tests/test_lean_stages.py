@@ -53,7 +53,7 @@ def test_build_sequence_triple_matches_the_stacked_expressions(base):
     triple = build_sequence_triple(orbit)
     for part, want in (("phi", psi + theta), ("psi", psi), ("theta", theta)):
         got = getattr(triple, part)
-        assert got.base_index == base
+        assert got.t_start == base
         np.testing.assert_array_equal(bits(got.values), bits(want))
 
 
@@ -62,7 +62,7 @@ def test_witness_matches_the_index_array_scan():
     triple = build_sequence_triple(orbit)
     report = non_unpredictability_witness(triple, catalog.SEQUENCE_PSI_SUP)
     norms = np.linalg.norm(triple.theta.values, axis=1)
-    locs = triple.theta.indices().astype(float)
+    locs = triple.theta.times().astype(float)
     k = int(np.argmax(norms))
     assert report.location == int(locs[k]) and type(report.location) is int
     assert (report.scan_start, report.scan_end) == (float(locs[0]), float(locs[-1]))
@@ -84,7 +84,7 @@ def test_decomposition_residual_matches_the_full_array_expression(kind, dim):
     rng = np.random.default_rng(dim)
     for n in (1, 2, 997):
         triple = _random_triple(rng, kind, n, dim)
-        p, s, t = triple._arrays()
+        p, s, t = (triple.phi.values, triple.psi.values, triple.theta.values)
         assert triple.decomposition_residual() == float(np.abs(p - (s + t)).max())
     seq = build_sequence_triple(logistic_orbit(0.41, 1000, 4000))
     assert seq.decomposition_residual() == 0.0
