@@ -37,7 +37,7 @@ from .delay import _exact_ratio, picard_apply
 from .detectors import collect_evidence, evidence_for_function, verify_evidence
 from .discrete import orbit_sum_residual
 from .errors import ConfigError, DomainError, UpdynError
-from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
+from .report import (CheckRecord, CsvAxis, failing_checks, jsonable, read_series_csv,
                      write_function_csv, write_json_report, write_sequence_csv)
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
@@ -138,12 +138,12 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
             values={"rung": 1e-6, "crossing_time": crossing},
             tolerances={"expected_range": [14.0, 15.5]}))]
 
-    times = demo.triple.phi.times()
-    write_function_csv(out_dir / f"{prefix}_h.csv", times, h)
+    axis = CsvAxis("t", demo.triple.phi.times())
+    write_function_csv(out_dir / f"{prefix}_h.csv", axis, h)
     for part in ("phi", "psi", "theta"):
-        write_function_csv(out_dir / f"{prefix}_{part}.csv", times,
+        write_function_csv(out_dir / f"{prefix}_{part}.csv", axis,
                            getattr(demo.triple, part).values)
-    counters = {"grid_nodes": len(times), "oracle_points": 10,
+    counters = {"grid_nodes": len(axis), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
     return [checks, _construct_evidence(demo), counters]
 
@@ -161,10 +161,10 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
 
     phi = demo.triple.phi
     hi = min(phi.t_end, phi.t_start + csv_window)
-    idx = phi.restrict(phi.t_start, hi).times()
+    axis = CsvAxis("i", phi.restrict(phi.t_start, hi).times())
     for part in ("phi", "psi", "theta"):
-        write_sequence_csv(out_dir / f"{prefix}_{part}.csv", idx,
-                           getattr(demo.triple, part).restrict(idx[0], idx[-1]).values)
+        write_sequence_csv(out_dir / f"{prefix}_{part}.csv", axis,
+                           getattr(demo.triple, part).restrict(phi.t_start, hi).values)
     counters = {"orbit_length": len(demo.orbit),
                 "scanned_shifts": demo.evidence.scanned_horizon}
     return [checks, _construct_evidence(demo), counters]
@@ -228,9 +228,10 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         CheckRecord.from_bool("picard_fixed_point", fp_gap <= 1e-6,
                               values={"max_gap": fp_gap}, tolerances={"gap": 1e-6})]
 
+    axis = CsvAxis("t", times)
     for name, samples in (("phi_solution", phi.values), ("psi_solution", psi.values),
                           ("difference", diff[:, None])):
-        write_function_csv(out_dir / f"{prefix}_{name}.csv", times, samples)
+        write_function_csv(out_dir / f"{prefix}_{name}.csv", axis, samples)
     evidence = {**_envelope_evidence(demo), "proof_constants": jsonable(demo.proof)}
     counters = {"grid_nodes": len(times),
                 "rk4_steps": int(round((times[-1] - times[0]) / phi.step))}
@@ -262,10 +263,11 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                               values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
 
     idx = demo.phi_orbit.times()
+    axis = CsvAxis("i", idx)
     diff = row_norms(demo.phi_orbit.values - demo.psi_orbit.values)
     for name, values in (("phi_orbit", demo.phi_orbit.values),
                          ("psi_orbit", demo.psi_orbit.values), ("difference", diff[:, None])):
-        write_sequence_csv(out_dir / f"{prefix}_{name}.csv", idx, values)
+        write_sequence_csv(out_dir / f"{prefix}_{name}.csv", axis, values)
     evidence = {**_envelope_evidence(demo),
                 "envelope_persistent_level": demo.envelope.persistent_level,
                 "envelope_decay_base": demo.envelope.decay_base}
@@ -369,7 +371,8 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
 
 
 def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
-                 delta: float = 0.2, window: int | None = None, min_shift: float | None = None,
+                 delta: float | None = None, window: int | None = None,
+                 min_shift: float | None = None,
                  ladder=(0.2, 0.1, 0.05, 0.02)):
     """Scan a CSV series for near returns and separations.
 
@@ -377,25 +380,31 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
     (default 20); a function CSV compares the span ``[t0, t0 + 20 * delta]``
     and echoes it instead.  ``min_shift`` is the smallest shift a function
     CSV's near returns may use (default ``catalog.FUNCTION_MIN_SHIFT``).
-    ``horizon`` caps the shifts scanned (default 10**6 indices, or 10**4 time units).
+    ``delta``, the half-width of a function CSV's separation intervals
+    (default 0.2), must span at least four grid steps and put the span's end
+    on a grid node.  ``horizon`` caps the shifts scanned (default 10**6
+    indices, or 10**4 time units).
     """
     try:
         kind, axis, values = read_series_csv(csv_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read series: {exc}") from exc
+    given = {kw for kw, value in (("horizon", horizon), ("window", window),
+                                  ("min_shift", min_shift), ("delta", delta))
+             if value is not None}
+    delta = 0.2 if delta is None else delta
     echo = {"input": Path(csv_path).stem, "epsilon0": epsilon0, "delta": delta,
             "horizon": horizon}
-    given = {kw for kw, value in (("horizon", horizon), ("window", window),
-                                  ("min_shift", min_shift)) if value is not None}
 
     def no_shift(keyword: str, why: str) -> ConfigError:
         """The scan would take no shift: name ``keyword`` if it was given, else the CSV."""
         return InputError(keyword, why) if keyword in given else ConfigError(f"{csv_path}: {why}")
 
     if kind == "sequence":
-        if min_shift is not None:
-            raise InputError("min_shift",
-                             f"applies to function CSVs; {csv_path} is a sequence CSV")
+        for keyword in ("min_shift", "delta"):
+            if keyword in given:
+                raise InputError(keyword,
+                                 f"applies to function CSVs; {csv_path} is a sequence CSV")
         if horizon is not None and horizon != int(horizon):
             raise InputError("horizon", f"must be a whole number of indices for {csv_path}")
         echo["window"] = window = 20 if window is None else window
@@ -412,13 +421,26 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
         data = GridFunction(float(axis[0]), float(axis[1] - axis[0]), values)
         min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
         horizon = 10 ** 4 if horizon is None else horizon
+        # the resolution rule of ``evidence_for_function``
+        if data.step > delta / 4.0 + 1e-12:
+            raise InputError("delta", f"must be at least 4 grid steps, {4 * data.step!r}, "
+                                      f"for {csv_path}")
         span = (data.t_start, min(data.t_end, data.t_start + 20 * delta))
+        try:
+            data.index_at(span[1])
+        except DomainError:
+            raise InputError("delta", f"must put the compared span's end, 20 * delta = "
+                                      f"{20 * delta!r} past the first row, on a grid node "
+                                      f"of {csv_path}") from None
         # the scan's shifts, in grid steps, as ``evidence_for_function`` bounds them
         first = max(1, round(min_shift / data.step))
         by_horizon = round(horizon / data.step)
-        last = min(by_horizon, round((data.t_end - span[1]) / data.step))
+        by_span = round((data.t_end - span[1]) / data.step)
+        last = min(by_horizon, by_span)
         if last < first:
-            raise no_shift("horizon" if "horizon" in given and by_horizon < first else "min_shift",
+            raise no_shift("horizon" if "horizon" in given and by_horizon < first
+                           else "delta" if "delta" in given and by_span < first
+                           else "min_shift",
                            f"leaves no shift to scan: a shift must be at least "
                            f"{first * data.step:g} and at most {last * data.step:g} time units")
         echo.update(min_shift=min_shift, span=span)
@@ -729,7 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out-dir", default=REPORT_DIR)
     det.add_argument("--horizon", type=float)
     det.add_argument("--epsilon0", type=float)
-    det.add_argument("--delta", type=float)
+    det.add_argument("--delta", type=float,
+                     help="half-width of the separation intervals in time units, function "
+                          "CSVs only (default 0.2)")
     det.add_argument("--window", type=int,
                      help="compared indices, sequence CSVs only (default 20)")
     det.add_argument("--min-shift", type=float,

@@ -114,20 +114,22 @@ _BLOCK_ROWS = 4096
 _SWEEP_CAP = 96
 
 
-def _matrix_rows(bt: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[r] = B w[r]`` for every row, given ``bt = B.T``.
+def _matrix_lanes(b_rows: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:, r] = B x[:, r]`` for every column ``r``, given ``b_rows = B.tolist()``.
 
-    The sum runs column by column, ``w[:, 0] B[:, 0] + w[:, 1] B[:, 1] + ...``,
-    so a row gets the same bits however many rows are passed; a matrix
+    Works in column layout, one contiguous lane per component.  Lane ``i``
+    of the product is summed as ``x[0] B[i, 0] + x[1] B[i, 1] + ...``, so a
+    column gets the same bits however many columns are passed; a matrix
     product makes no such promise.
     """
-    np.multiply(w[:, :1], bt[0], out=out)
-    for k in range(1, bt.shape[0]):
-        out += w[:, k:k + 1] * bt[k]
+    for i, bi in enumerate(b_rows):
+        np.multiply(x[0], bi[0], out=out[i])
+        for k in range(1, len(bi)):
+            out[i] += x[k] * bi[k]
     return out
 
 
-def _sweep_blocks(bt, g, phi, out, guess=None) -> tuple[int, int]:
+def _sweep_blocks(b_rows, g, phi, out, guess=None) -> tuple[int, int]:
     """Fill rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]`` by block sweeps.
 
     Returns (index of the last exact row, sweeps).  A block past that row is
@@ -137,28 +139,42 @@ def _sweep_blocks(bt, g, phi, out, guess=None) -> tuple[int, int]:
     so every sweep advances the exact prefix by at least one row.  Stops
     early when a block does not settle within the sweep cap, or when fewer
     than _FIRST_BLOCK_ROWS rows remain.
+
+    A block is swept in column layout: its state, forcing and new sweep sit
+    in (dim, rows) lane buffers, allocated once at the largest block size,
+    and ``g`` sees the state as a column-major (rows, dim) view.  Settled
+    rows go back to ``out`` once per block.
     """
     steps, dim = out.shape[0] - 1, out.shape[1]
-    new = np.empty((min(_BLOCK_ROWS, steps), dim))
-    bits, new_bits = out.view(np.uint64), new.view(np.uint64)
+    cap = min(_BLOCK_ROWS, steps)
+    x_buf, f_buf, new_buf = np.empty((dim, cap + 1)), np.empty((dim, cap)), np.empty((dim, cap))
     known, rows, sweeps = 0, _FIRST_BLOCK_ROWS, 0
     while steps - known >= _FIRST_BLOCK_ROWS:
         end = min(known + rows, steps)
-        out[known + 1:end + 1] = out[known] if guess is None else guess[known + 1:end + 1]
+        n = end - known
+        x, f, new = x_buf[:, :n + 1], f_buf[:, :n], new_buf[:, :n]
+        x[:, 0] = out[known]
+        x[:, 1:] = out[known, :, None] if guess is None else guess[known + 1:end + 1].T
+        f[:] = phi[known:end].T
+        bits, new_bits = x.view(np.uint64), new.view(np.uint64)
+        s = 0  # x[:, s] is exact
         for _ in range(_SWEEP_CAP):
-            m = end - known
-            _matrix_rows(bt, out[known:end], new[:m])
-            new[:m] += g(out[known:end])
-            new[:m] += phi[known:end]
+            lanes = new[:, s:]
+            _matrix_lanes(b_rows, x[:, s:n], lanes)
+            lanes += g(x[:, s:n].T).T
+            lanes += f[:, s:]
             sweeps += 1
-            changed = (new_bits[:m] != bits[known + 1:end + 1]).ravel()
+            changed = (new_bits[:, s:] != bits[:, s + 1:]).any(axis=0)
             first = int(changed.argmax())
-            out[known + 1:end + 1] = new[:m]
-            known = known + first // dim + 1 if changed[first] else end
-            if known == end:
+            x[:, s + 1:] = lanes
+            s = s + first + 1 if changed[first] else n
+            if s == n:
                 break
         else:
-            return known, sweeps
+            out[known + 1:known + s + 1] = x[:, 1:s + 1].T
+            return known + s, sweeps
+        out[known + 1:end + 1] = x[:, 1:].T
+        known = end
         rows = min(2 * rows, _BLOCK_ROWS)
     return known, sweeps
 
@@ -166,7 +182,7 @@ def _sweep_blocks(bt, g, phi, out, guess=None) -> tuple[int, int]:
 def _step_rows(b, g, phi, out, known: int) -> None:
     """Fill ``out[known + 1:]`` one transition at a time.
 
-    Sums in Python floats in the order of ``_matrix_rows``, so the rows carry
+    Sums in Python floats in the order of ``_matrix_lanes``, so the rows carry
     the bits a block sweep would give them.
     """
     b_rows = b.tolist()
@@ -189,7 +205,7 @@ def _orbit_rows(b, g, phi, out, guess=None) -> tuple[int, int]:
     sweeps run with floating-point warnings off.
     """
     with np.errstate(all="ignore"):
-        known, sweeps = _sweep_blocks(b.T.copy(), g, phi, out, guess)
+        known, sweeps = _sweep_blocks(b.tolist(), g, phi, out, guess)
     _step_rows(b, g, phi, out, known)
     return sweeps, out.shape[0] - 1 - known
 
@@ -201,7 +217,7 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
 
     Each row equals, bit for bit, one transition
     ``B w + g(w) + forcing`` applied to the row before it, with ``B w``
-    summed column by column (see ``_matrix_rows``).
+    summed column by column (see ``_matrix_lanes``).
 
     ``guess``, of shape (steps + 1, dim), seeds the block sweeps: row j is a
     guess for the row at index start_index + j, say from the orbit of a
@@ -283,15 +299,15 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
     picks = np.arange(lo, orbit.t_end + 1)[::max(1, (orbit.t_end + 1 - lo) // sample)]
     if picks[-1] > spec.forcing.t_end + 1:
         raise WindowExhaustedError(f"forcing window ends before index {int(picks[-1]) - 1}")
-    # every sampled sum advances together, one (samples, dim) row block per term
-    bt = spec.matrix.T.copy()
-    acc = np.zeros((picks.size, spec.dim))
+    # every sampled sum advances together, one (dim, samples) lane block per term
+    b_rows = spec.matrix.tolist()
+    acc, nxt = np.zeros((spec.dim, picks.size)), np.empty((spec.dim, picks.size))
     for j in range(-depth, 1):
         prev = picks + (j - 1)
-        acc = _matrix_rows(bt, acc, np.empty_like(acc))
-        acc += spec.nonlinearity(orbit.values[prev - orbit.t_start])
-        acc += spec.forcing.values[prev - spec.forcing.t_start]
-    gaps = acc - orbit.values[picks - orbit.t_start]
+        acc, nxt = _matrix_lanes(b_rows, acc, nxt), acc
+        acc += spec.nonlinearity(orbit.values[prev - orbit.t_start]).T
+        acc += spec.forcing.values[prev - spec.forcing.t_start].T
+    gaps = acc.T - orbit.values[picks - orbit.t_start]
     return max(0.0, *(float(np.linalg.norm(gap)) for gap in gaps))
 
 

@@ -15,9 +15,11 @@ from .errors import DomainError
 class Nonlinearity:
     """Evaluator together with its declared sup bound and Lipschitz constant.
 
-    ``func`` maps arrays of shape (..., dim) to arrays of the same shape;
-    the declared constants are claims about the map on all of R^dim and are
-    only spot-checked, never inferred.
+    ``func`` maps arrays of shape (..., dim) to arrays of the same shape.
+    It may receive column-major (..., dim) arrays: ``discrete.iterate``
+    hands it transposed lane blocks, and a row's result should not depend on
+    the layout.  The declared constants are claims about the map on all of
+    R^dim and are only spot-checked, never inferred.
     """
 
     func: Callable[[np.ndarray], np.ndarray]

@@ -21,44 +21,65 @@ import numpy as np
 CSV_CHUNK_ROWS = 128
 
 
-def _write_rows(fh, row_fmt: str, axis, values) -> None:
-    """Write ``row_fmt % (axis[i], *values[i])`` for every row.
+class CsvAxis:
+    """The axis column of one or more CSVs, formatted once.
 
-    Rows are converted to Python numbers ``CSV_CHUNK_ROWS`` at a time, and
-    each chunk is formatted by one ``%`` over its flattened rows and written
-    at once, so memory stays flat on long series.
+    ``name`` heads the column: ``t`` for times, written ``%.17g``, or ``i``
+    for indices, written ``%d``.  ``chunks[c]`` is the text of rows
+    ``c * CSV_CHUNK_ROWS`` onward, each value followed by a newline.  Writers
+    of several CSVs on one axis build it once and pass it to each.
     """
-    for lo in range(0, len(values), CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, len(values))
-        flat = []
-        for a, row in zip(axis[lo:hi].tolist(), values[lo:hi].tolist()):
-            flat.append(a)
-            flat += row
-        fh.write(row_fmt * (hi - lo) % tuple(flat))
+
+    def __init__(self, name: str, axis):
+        fmt = {"t": "%.17g\n", "i": "%d\n"}[name]
+        axis = np.asarray(axis, dtype=float if name == "t" else None)
+        self.name = name
+        self.rows = len(axis)
+        parts = (axis[lo:lo + CSV_CHUNK_ROWS].tolist()
+                 for lo in range(0, self.rows, CSV_CHUNK_ROWS))
+        self.chunks = [fmt * len(part) % tuple(part) for part in parts]
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _write_csv(path, axis: CsvAxis, values) -> None:
+    """Header ``axis.name,x1,...,xm``; then each axis row followed by its values.
+
+    A chunk's row template is its axis text with ``,%.17g`` per column before
+    every newline; one ``%`` over the chunk's flattened values fills it, and
+    the chunk is written at once, so memory stays flat on long series.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.shape[0] != len(axis):
+        values = values.T
+    if values.shape[0] != len(axis):
+        raise ValueError(f"{len(axis)} axis rows, but values of shape {values.shape}")
+    cols = values.shape[1]
+    fields = ",%.17g" * cols + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(axis.name + "," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
+        for lo, text in zip(range(0, axis.rows, CSV_CHUNK_ROWS), axis.chunks):
+            rows = values[lo:lo + CSV_CHUNK_ROWS]
+            fh.write(text.replace("\n", fields) % tuple(rows.ravel().tolist()))
+
+
+def _axis(name: str, axis) -> CsvAxis:
+    if not isinstance(axis, CsvAxis):
+        return CsvAxis(name, axis)
+    if axis.name != name:
+        raise ValueError(f"an axis '{axis.name}' cannot head a CSV with axis '{name}'")
+    return axis
 
 
 def write_function_csv(path, times, samples) -> None:
-    """Header t,x1,...,xm; one row per grid node."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] != len(times):
-        samples = samples.T
-    cols = samples.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * (cols + 1)) + "\n",
-                    np.asarray(times, dtype=float), samples)
+    """Header t,x1,...,xm; one row per grid node.  ``times`` may be a ``CsvAxis``."""
+    _write_csv(path, _axis("t", times), samples)
 
 
 def write_sequence_csv(path, indices, values) -> None:
-    """Header i,x1,...,xp; one row per index."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != len(indices):
-        values = values.T
-    cols = values.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
-        _write_rows(fh, "%d," + ",".join(["%.17g"] * cols) + "\n",
-                    np.asarray(indices), values)
+    """Header i,x1,...,xp; one row per index.  ``indices`` may be a ``CsvAxis``."""
+    _write_csv(path, _axis("i", indices), values)
 
 
 def read_series_csv(path):

@@ -1,12 +1,17 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from updyn import report
 from updyn.cli import main, validate_config
 from updyn.errors import ConfigError
-from updyn.report import (CSV_CHUNK_ROWS, read_series_csv, write_function_csv,
+from updyn.report import (CSV_CHUNK_ROWS, CsvAxis, read_series_csv, write_function_csv,
                           write_sequence_csv)
 
 
@@ -130,6 +135,67 @@ class TestCsvRoundTrip:
         expected = "".join(f"{i}," + ",".join(format(v, ".17g") for v in row) + "\n"
                            for i, row in zip(idx.tolist(), vals.tolist()))
         assert (tmp_path / "s.csv").read_text().split("\n", 1)[1] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([1, 127, 128, 129, 263]),
+           start=st.one_of(st.integers(-2 ** 62, 2 ** 62), st.integers(-300, 0)))
+    def test_shared_axis_matches_per_row_formatting(self, data, rows, start):
+        values = st.one_of(st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324,
+                                            1e300, -1e300, 1e-300, -1e-300]), st.floats())
+        times = data.draw(arrays(np.float64, rows, elements=values))
+        idx = start + np.arange(rows)
+        columns = [data.draw(arrays(np.float64, (rows, cols), elements=values))
+                   for cols in (1, 2, 3)]
+        axes = {"t": CsvAxis("t", times), "i": CsvAxis("i", idx)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            for vals in columns:
+                cols = vals.shape[1]
+                names = "," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n"
+                fields = ",".join(["%.17g"] * cols)
+                for name, write, axis, row_fmt in (
+                        ("t", write_function_csv, times, "%.17g," + fields + "\n"),
+                        ("i", write_sequence_csv, idx, "%d," + fields + "\n")):
+                    # the writer's former expression, one row at a time
+                    a, v = axis.tolist(), vals.tolist()
+                    expected = name + names + "".join(
+                        row_fmt % (a[i], *v[i]) for i in range(rows))
+                    write(path, axes[name], vals)
+                    assert path.read_text() == expected
+                    write(path, axis, vals)
+                    assert path.read_text() == expected
+
+    def test_axis_must_fit_the_writer(self, tmp_path):
+        with pytest.raises(ValueError, match="axis 'i'"):
+            write_function_csv(tmp_path / "f.csv", CsvAxis("i", np.arange(3)), np.zeros(3))
+        with pytest.raises(ValueError, match="3 axis rows"):
+            write_function_csv(tmp_path / "f.csv", CsvAxis("t", np.zeros(3)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("argv, files", [
+        (["reproduce", "6.1"], 4), (["reproduce", "6.2"], 3), (["reproduce", "6.3"], 3),
+        (["reproduce", "6.4"], 3),
+        ({"kind": "discrete", "numeric": {"window": [4000, 4400]}}, 3),
+        ({"kind": "discrete", "system": {"forcing": {"type": "zero"}}}, 1)],
+        ids=["6.1", "6.2", "6.3", "6.4", "discrete run", "zero-forcing discrete run"])
+    def test_each_renderer_formats_its_axis_once(self, tmp_path, monkeypatch, argv, files):
+        built = []
+        init = CsvAxis.__init__
+
+        def counted(self, name, axis):
+            built.append(name)
+            init(self, name, axis)
+
+        monkeypatch.setattr(report.CsvAxis, "__init__", counted)
+        out = tmp_path / "out"
+        if isinstance(argv, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**argv, "output": {"dir": str(out)}}))
+            argv = ["run", str(cfg)]
+        else:
+            argv = argv + ["--out-dir", str(out)]
+        assert run_cli(*argv) == 0
+        assert len(built) == 1
+        assert len(list(out.glob("*.csv"))) == files
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "h.csv"

@@ -438,3 +438,45 @@ class TestBlockSweeps:
             iterate(spec, np.zeros(2), 100, 4000, guess=np.zeros((100, 2)))
         with pytest.raises(DomainError):
             bounded_orbit(spec, (4000, 4100), guess=np.zeros((100, 2)))
+
+
+SWEEP_SYSTEMS = [(name, 2) for name in catalog.NONLINEARITIES] + [("tanh", 3), ("zero", 3)]
+
+
+class TestSweepBits:
+    """The column-layout block sweeps against ``_step_rows``, the one-transition loop."""
+
+    @staticmethod
+    def _system(name, dim, matrix=None, steps=1900, seed=11):
+        rng = np.random.default_rng(seed)
+        if matrix is None:
+            matrix = rng.standard_normal((dim, dim))
+            matrix *= 0.5 / np.linalg.norm(matrix, 2)
+        g = catalog.NONLINEARITIES[name](dim, 0.2)
+        phi = rng.uniform(-1, 1, (steps, dim))
+        out = np.empty((steps + 1, dim))
+        out[0] = rng.uniform(-2, 2, dim)
+        stepped = out.copy()
+        discrete._step_rows(matrix, g, phi, stepped, 0)
+        # a guess near the orbit, as the phi orbit is for the psi orbit
+        guess = stepped + rng.uniform(-1e-6, 1e-6, stepped.shape)
+        return matrix, g, phi, out, stepped, guess
+
+    @pytest.mark.parametrize("guessed", [False, True], ids=["fill", "guess"])
+    @pytest.mark.parametrize("name, dim", SWEEP_SYSTEMS)
+    def test_sweeps_equal_the_step_loop(self, name, dim, guessed):
+        b, g, phi, out, stepped, guess = self._system(name, dim)
+        sweeps, rest = discrete._orbit_rows(b, g, phi, out, guess if guessed else None)
+        # blocks of 256, 512 and 1024 rows settle; the last 108 rows are stepped
+        assert rest == 1900 - 1792
+        assert 0 < sweeps < 3 * discrete._SWEEP_CAP
+        np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
+
+    @pytest.mark.parametrize("guessed", [False, True], ids=["fill", "guess"])
+    def test_block_at_the_sweep_cap_hands_over_to_steps(self, guessed):
+        b, g, phi, out, stepped, guess = self._system("tanh", 2, rotation(0.7, 0.99), 3000)
+        sweeps, rest = discrete._orbit_rows(b, g, phi, out, guess if guessed else None)
+        # the first block stops at the cap with some of its rows exact
+        assert sweeps == discrete._SWEEP_CAP
+        assert 3000 - discrete._FIRST_BLOCK_ROWS < rest < 3000
+        np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))

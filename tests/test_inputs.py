@@ -119,6 +119,11 @@ BAD_INPUTS = [
     ("detect window past the series", (sequence_csv, "--window", "5000"), "--window"),
     # a step too coarse for a grid ended in a KeyError traceback
     ("6.1 step 1e5", ["6.1", "--step", "1e5"], "--step"),
+    # delta errors that exited 1, and a delta a sequence scan ignored but echoed
+    ("detect delta below four grid steps", (function_csv, "--delta", "0.1"), "--delta"),
+    ("detect delta off the grid", (function_csv, "--delta", "0.2001"), "--delta"),
+    ("detect delta on a sequence", (sequence_csv, "--delta", "5"), "--delta"),
+    ("detect delta spanning the grid", (function_csv, "--delta", "100"), "--delta"),
 ]
 
 
