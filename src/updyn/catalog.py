@@ -37,19 +37,27 @@ from .discrete import (DiscreteAssumptionReport, DiscreteConvergenceReport,
                        DiscreteSystemSpec, GronwallEnvelope, bounded_orbit,
                        check_assumptions_B, convergence_check_discrete, gamma_ceiling,
                        gronwall_envelope, spectral_norm)
-from .errors import DomainError
+from .errors import ArgumentError, DomainError
 from .nonlinearity import Nonlinearity
 
 EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4")
 
 DELAY_TAU = 0.2
-DELAY_STEPS_PER_TAU = 32  # the delay demo's default step is tau / 32
+DELAY_STEPS_PER_TAU = 32
+# what |phi - psi| may exceed the convergence envelope by, in the delay and discrete demos
+DELAY_ENVELOPE_SLACK = 1e-6
+DISCRETE_ENVELOPE_SLACK = 1e-9
 FUNCTION_PSI_SUP = math.sqrt(5.0) / 2.0
 SEQUENCE_PSI_SUP = math.sqrt(17.0) / 4.0
 # smallest near-return shift of the function scans, past the trivial grid-step returns
 FUNCTION_MIN_SHIFT = 1.0
 # half-grid nodes per evaluation of the delay demo's forcing
 HALF_GRID_CHUNK = 8192
+TAIL_NEVER_QUIET = "the tail never drops below gamma*epsilon inside the window"
+
+
+def delay_step(tau: float, step: float | None) -> float:
+    return tau / DELAY_STEPS_PER_TAU if step is None else step
 
 
 def delay_demo_matrix() -> np.ndarray:
@@ -172,9 +180,14 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     decay = decay_test(triple.theta, (0.5, 1e-2, 1e-4, 1e-6))
     span_lo = min(max(t_lo, 0.0) + 30.0, t_hi - 10.0)
     span = (span_lo, span_lo + 5.0)
-    evidence = evidence_for_function(triple.phi, span, ladder=(0.5, 0.3, 0.2),
-                                     epsilon0=0.2, delta=0.2, horizon=horizon,
-                                     min_shift=FUNCTION_MIN_SHIFT)
+    try:
+        evidence = evidence_for_function(triple.phi, span, ladder=(0.5, 0.3, 0.2),
+                                         epsilon0=0.2, delta=0.2, horizon=horizon,
+                                         min_shift=FUNCTION_MIN_SHIFT)
+    except ArgumentError as exc:
+        # the span, delta and min_shift are fixed here, and ``step`` sets the grid
+        raise ArgumentError("horizon" if "horizon" in exc.names else "step",
+                            exc.args[1]) from None
     return ConstructDemo(
         kind="function",
         triple=triple,
@@ -189,12 +202,10 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
 
 
 def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
-                      length: int | None = None, horizon: int = 10 ** 6,
-                      window: int = 20, epsilon0: float = 0.3) -> ConstructDemo:
+                      horizon: int = 10 ** 6, window: int = 20,
+                      epsilon0: float = 0.3) -> ConstructDemo:
     """Build the 6.2 sequence triple and run its checks."""
-    if length is None:
-        length = horizon + window + 2
-    orbit = source_orbit(seed, burn_in, length)
+    orbit = source_orbit(seed, burn_in, horizon + window + 2)
     triple = build_sequence_triple(orbit)
     witness = non_unpredictability_witness(triple, SEQUENCE_PSI_SUP)
     decay = decay_test(triple.theta, (0.5, 0.02, 1e-3, 1e-4))
@@ -261,7 +272,7 @@ def _delay_runs(spec_psi: DelaySystemSpec, history: Series, t_end: float,
 def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
                    sim_burn_in: float = 30.0, seed: float = DEFAULT_SEED,
                    orbit_burn_in: int = DEFAULT_BURN_IN, epsilon: float = 1e-3,
-                   tau: float = DELAY_TAU, envelope_slack: float = 1e-6) -> DelayDemo:
+                   tau: float = DELAY_TAU) -> DelayDemo:
     """Simulate the delay demo under full and recurrent forcing and compare.
 
     Both runs start from the same zero history ``sim_burn_in`` time units
@@ -269,8 +280,7 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     before measurements begin, and one ``integrate_mos`` call advances them
     together.  ``step`` defaults to ``tau / 32``.
     """
-    if step is None:
-        step = tau / DELAY_STEPS_PER_TAU
+    step = delay_step(tau, step)
     w0, w1 = float(window[0]), float(window[1])
     t_sim0 = w0 - max(sim_burn_in, tau)
     filt = function_source(seed, orbit_burn_in, t_sim0 - tau - 1.0, w1 + 1.0)
@@ -285,7 +295,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     constants = stability_constants(a)
     assumptions = check_assumptions_A(spec_phi, constants)
     if not assumptions.a3_pass:
-        raise DomainError("delay demo parameters must satisfy the contraction margin")
+        raise ArgumentError("tau", f"gives the contraction margin A3 = {assumptions.margin:g}; "
+                                   "the delay demo needs it positive")
 
     n_burn = math.ceil((w0 - t_sim0) / step - 1e-9)
     t0 = w0 - n_burn * step
@@ -300,11 +311,11 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     theta_grid = GridFunction(phi_solution.t_start, step, function_tail(times))
     (quiet,) = settling_positions(theta_grid.norms(), [gamma * epsilon])
     if quiet is None:
-        raise DomainError("tail never drops below gamma*epsilon inside the window")
+        raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = float(times[quiet])
 
     report = convergence_check(phi_solution, psi_solution, constants, proof, tau,
-                               alpha, gamma, epsilon, slack=envelope_slack,
+                               alpha, gamma, epsilon, slack=DELAY_ENVELOPE_SLACK,
                                ladder=(1e-1, 1e-2, 1e-3))
     return DelayDemo(spec_phi, spec_psi, filt, constants, assumptions, proof,
                      m_phi, m_psi, gamma, epsilon, alpha,
@@ -337,11 +348,11 @@ class DiscreteDemo:
 
 def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
                       seed: float = DEFAULT_SEED, orbit_burn_in: int = DEFAULT_BURN_IN,
-                      epsilon: float = 1e-5, envelope_slack: float = 1e-9) -> DiscreteDemo:
+                      epsilon: float = 1e-5) -> DiscreteDemo:
     """Simulate the discrete demo under full and recurrent forcing and compare."""
     i0, i1 = int(window[0]), int(window[1])
     if i0 < 1:
-        raise DomainError("the measurement window must start past index 0")
+        raise ArgumentError("window", f"must start past index 0, got {window!r}")
     orbit = source_orbit(seed, orbit_burn_in, i1 + 2)
     triple = build_sequence_triple(orbit)
 
@@ -360,14 +371,14 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
 
     (quiet,) = settling_positions(triple.theta.restrict(i0, i1).norms(), [gamma * epsilon])
     if quiet is None:
-        raise DomainError("tail never drops below gamma*epsilon inside the window")
+        raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = i0 + quiet
 
     phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
     psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol, guess=phi_orbit.values)
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
-                                        slack=envelope_slack)
+                                        slack=DISCRETE_ENVELOPE_SLACK)
     return DiscreteDemo(spec_phi, spec_psi, triple, norm_b, assumptions,
                         m_phi, m_psi, gamma, epsilon, alpha,
                         phi_orbit, psi_orbit, envelope, report)

@@ -5,9 +5,12 @@ configuration errors.  All outputs are deterministic for a fixed
 configuration, so repeated runs produce byte-identical files.
 
 ``reproduce``, ``run`` and ``detect`` go through one table, ``DEMOS``, and one
-function, ``_execute``.  A flag or config field an entry does not accept exits
-2, named; an accepted one is checked before any work (finite, in range, at most
-``MAX_ROWS`` rows) and reaches the runner only if given: defaults live there.
+function, ``_execute``; the parser takes its flags from the table.  A flag or
+config field an entry does not take exits 2, named.  A given one reaches the
+runner (defaults live there) once its type, its range and the run's ``MAX_ROWS``
+size are checked, before any work; a rule a routine owns is checked when it
+starts, and its ``ArgumentError`` exits 2 naming the flag or field that set the
+argument.  Either way no output file is written.
 
 Importing this module loads numpy and updyn only.  scipy is imported inside
 the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
@@ -34,15 +37,20 @@ import numpy as np
 from . import catalog
 from .chaos import GridFunction, Series, VectorSequence, quadrature_oracle, row_norms
 from .delay import _exact_ratio, picard_apply
-from .detectors import collect_evidence, evidence_for_function, verify_evidence
+from .detectors import (FUNCTION_HORIZON, SEQUENCE_HORIZON, collect_evidence,
+                        evidence_for_function, verify_evidence)
 from .discrete import orbit_sum_residual
-from .errors import ConfigError, DomainError, UpdynError
+from .errors import ArgumentError, ConfigError, DomainError, UpdynError
 from .report import (CheckRecord, CsvAxis, failing_checks, jsonable, read_series_csv,
                      write_function_csv, write_json_report, write_sequence_csv)
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 REPORT_DIR = "updyn-report"
+SEQUENCE_CSV_ROWS = 2000  # rows of the 6.2 series in each CSV
+# defaults of detect: a function CSV's separation half-width, a sequence CSV's compared indices
+SCAN_DELTA = 0.2
+SCAN_WINDOW = 20
 # the most rows (grid nodes, orbit iterates) one run may compute
 MAX_ROWS = 10 ** 7
 
@@ -148,8 +156,7 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     return [checks, _construct_evidence(demo), counters]
 
 
-def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
-                          csv_window: int = 2000) -> list:
+def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     crossing = demo.decay.crossing(0.02)
     residual = float(demo.orbit.recurrence_residuals().max())
     checks = _construct_checks(demo, CheckRecord.from_bool(
@@ -160,7 +167,7 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict,
                                         tolerances={"residual": 4e-16}))
 
     phi = demo.triple.phi
-    hi = min(phi.t_end, phi.t_start + csv_window)
+    hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
     axis = CsvAxis("i", phi.restrict(phi.t_start, hi).times())
     for part in ("phi", "psi", "theta"):
         write_sequence_csv(out_dir / f"{prefix}_{part}.csv", axis,
@@ -218,7 +225,8 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         CheckRecord.from_bool("envelope", report.envelope_ok,
                               values={"max_excess": report.max_excess, "alpha": report.alpha,
                                       "k1": demo.proof.k1, "k2": demo.proof.k2,
-                                      "m0": demo.proof.m0}, tolerances={"slack": 1e-6}),
+                                      "m0": demo.proof.m0},
+                              tolerances={"slack": catalog.DELAY_ENVELOPE_SLACK}),
         CheckRecord.from_bool("tail_sup_final_quarter", tail_quarter < 1e-3,
                               values={"tail_sup": tail_quarter}, tolerances={"bound": 1e-3}),
         CheckRecord.from_bool("tail_past_predicted", report.tail_ok,
@@ -253,7 +261,7 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                                       "B2_pass": a.b2_pass}, tolerances={"gap": 1e-9}),
         CheckRecord.from_bool("envelope", report.envelope_ok,
                               values={"max_excess": report.max_excess, "alpha": report.alpha},
-                              tolerances={"slack": 1e-9}),
+                              tolerances={"slack": catalog.DISCRETE_ENVELOPE_SLACK}),
         CheckRecord.from_bool("difference_drop",
                               drop_at is not None and drop_at <= demo.alpha + 60,
                               values={"rung": 1e-6, "crossing_index": drop_at,
@@ -279,19 +287,15 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 # runners outside the catalog: simulations under zero or constant forcing, CSV scans
 
 
-class InputError(ConfigError):
-    """A given input is unusable: ``args`` are the runner keyword it feeds and why."""
-
-
 def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
     """The constant forcing vector: zero, or ``value`` given as 1 or ``dim`` numbers."""
     if value is None:
         return np.zeros(dim)
     if forcing == "zero":
-        raise InputError("value", "applies to constant forcing only")
+        raise ArgumentError("value", "applies to constant forcing only")
     if len(value) not in (1, dim):
-        raise InputError("value", f"expected 1 or {dim} numbers for a {dim}x{dim} matrix, "
-                                  f"got {len(value)}")
+        raise ArgumentError("value", f"expected 1 or {dim} numbers for a {dim}x{dim} matrix, "
+                                     f"got {len(value)}")
     return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
 
 
@@ -300,8 +304,8 @@ def _nonlinearity(name: str, dim: int, scale: float):
         return catalog.NONLINEARITIES[name](dim, scale)
     except DomainError as exc:
         # only a given matrix can be other than 2x2, so the matrix is named
-        raise InputError("matrix", f"is {dim}x{dim}, but the {name!r} {exc}; set "
-                                   "system.nonlinearity.type to tanh or zero") from None
+        raise ArgumentError("matrix", f"is {dim}x{dim}, but the {name!r} {exc}; set "
+                                      "system.nonlinearity.type to tanh or zero") from None
 
 
 def _constant_forcing(v: np.ndarray):
@@ -330,7 +334,7 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
     if window is None or not assumptions.a3_pass:
         checks.append(CheckRecord("solution_sup_bound", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}
-    step = tau / catalog.DELAY_STEPS_PER_TAU if step is None else step
+    step = catalog.delay_step(tau, step)
     traj = bounded_solution(spec, constants, tuple(window), step, tol=tol)
     sup_forcing = row_norms(forcing(np.linspace(window[0], window[1], 257))).max()
     bound = constants.amplitude * (nl.bound + float(sup_forcing)) / constants.decay_rate
@@ -372,18 +376,16 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
 
 def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
                  delta: float | None = None, window: int | None = None,
-                 min_shift: float | None = None,
-                 ladder=(0.2, 0.1, 0.05, 0.02)):
+                 min_shift: float | None = None):
     """Scan a CSV series for near returns and separations.
 
-    ``window`` is the number of indices a sequence CSV's near returns compare
-    (default 20); a function CSV compares the span ``[t0, t0 + 20 * delta]``
-    and echoes it instead.  ``min_shift`` is the smallest shift a function
-    CSV's near returns may use (default ``catalog.FUNCTION_MIN_SHIFT``).
-    ``delta``, the half-width of a function CSV's separation intervals
-    (default 0.2), must span at least four grid steps and put the span's end
-    on a grid node.  ``horizon`` caps the shifts scanned (default 10**6
-    indices, or 10**4 time units).
+    ``window`` is the number of indices a sequence CSV's near returns compare;
+    a function CSV compares the span ``[t0, t0 + 20 * delta]`` and echoes it
+    instead.  ``delta`` is the half-width of a function CSV's separation
+    intervals and ``min_shift`` the smallest shift its near returns may use.
+    ``horizon`` caps the shifts scanned.  The scans own the rules on these
+    values; an argument they refuse is passed on under its keyword here (the
+    span's as ``delta``), or, when no keyword blamed was given, the CSV is named.
     """
     try:
         kind, axis, values = read_series_csv(csv_path)
@@ -392,60 +394,34 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
     given = {kw for kw, value in (("horizon", horizon), ("window", window),
                                   ("min_shift", min_shift), ("delta", delta))
              if value is not None}
-    delta = 0.2 if delta is None else delta
+    delta = SCAN_DELTA if delta is None else delta
     echo = {"input": Path(csv_path).stem, "epsilon0": epsilon0, "delta": delta,
             "horizon": horizon}
-
-    def no_shift(keyword: str, why: str) -> ConfigError:
-        """The scan would take no shift: name ``keyword`` if it was given, else the CSV."""
-        return InputError(keyword, why) if keyword in given else ConfigError(f"{csv_path}: {why}")
-
-    if kind == "sequence":
-        for keyword in ("min_shift", "delta"):
-            if keyword in given:
-                raise InputError(keyword,
-                                 f"applies to function CSVs; {csv_path} is a sequence CSV")
-        if horizon is not None and horizon != int(horizon):
-            raise InputError("horizon", f"must be a whole number of indices for {csv_path}")
-        echo["window"] = window = 20 if window is None else window
-        if window >= len(values) - 1:
-            raise no_shift("window", f"window {window} leaves no shift to scan in "
-                                     f"{len(values)} rows; it must be below {len(values) - 1}")
-        data = VectorSequence(int(axis[0]), values)
-        evidence = collect_evidence(data, window=window, ladder=ladder, epsilon0=epsilon0,
-                                    horizon=10 ** 6 if horizon is None else int(horizon))
-    else:
-        if window is not None:
-            raise InputError("window", f"applies to sequence CSVs; {csv_path} is a function "
-                                       f"CSV, whose compared span is 20 * delta")
-        data = GridFunction(float(axis[0]), float(axis[1] - axis[0]), values)
-        min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
-        horizon = 10 ** 4 if horizon is None else horizon
-        # the resolution rule of ``evidence_for_function``
-        if data.step > delta / 4.0 + 1e-12:
-            raise InputError("delta", f"must be at least 4 grid steps, {4 * data.step!r}, "
-                                      f"for {csv_path}")
-        span = (data.t_start, min(data.t_end, data.t_start + 20 * delta))
-        try:
-            data.index_at(span[1])
-        except DomainError:
-            raise InputError("delta", f"must put the compared span's end, 20 * delta = "
-                                      f"{20 * delta!r} past the first row, on a grid node "
-                                      f"of {csv_path}") from None
-        # the scan's shifts, in grid steps, as ``evidence_for_function`` bounds them
-        first = max(1, round(min_shift / data.step))
-        by_horizon = round(horizon / data.step)
-        by_span = round((data.t_end - span[1]) / data.step)
-        last = min(by_horizon, by_span)
-        if last < first:
-            raise no_shift("horizon" if "horizon" in given and by_horizon < first
-                           else "delta" if "delta" in given and by_span < first
-                           else "min_shift",
-                           f"leaves no shift to scan: a shift must be at least "
-                           f"{first * data.step:g} and at most {last * data.step:g} time units")
-        echo.update(min_shift=min_shift, span=span)
-        evidence = evidence_for_function(data, span, ladder=ladder, epsilon0=epsilon0,
-                                         delta=delta, min_shift=min_shift, horizon=horizon)
+    other, foreign = (("function", ("min_shift", "delta")) if kind == "sequence"
+                      else ("sequence", ("window",)))
+    foreign = tuple(kw for kw in foreign if kw in given)
+    if foreign:
+        raise ArgumentError(foreign, f"applies to {other} CSVs; {csv_path} is a {kind} CSV")
+    try:
+        if kind == "sequence":
+            echo["window"] = window = SCAN_WINDOW if window is None else window
+            data = VectorSequence(int(axis[0]), values)
+            evidence = collect_evidence(data, window=window, epsilon0=epsilon0,
+                                        horizon=SEQUENCE_HORIZON if horizon is None else horizon)
+        else:
+            data = GridFunction(float(axis[0]), float(axis[1] - axis[0]), values)
+            min_shift = catalog.FUNCTION_MIN_SHIFT if min_shift is None else min_shift
+            span = (data.t_start, data.t_start + 20 * delta)
+            echo.update(min_shift=min_shift, span=span)
+            evidence = evidence_for_function(
+                data, span, epsilon0=epsilon0, delta=delta, min_shift=min_shift,
+                horizon=FUNCTION_HORIZON if horizon is None else horizon)
+    except ArgumentError as exc:
+        blamed = tuple("delta" if kind == "function" and kw == "window" else kw
+                       for kw in exc.names)
+        if given.isdisjoint(blamed):
+            raise ConfigError(f"{csv_path}: {exc.args[1]}") from None
+        raise ArgumentError(blamed, exc.args[1]) from None
     checks = [CheckRecord.from_bool("evidence_verified", verify_evidence(data, evidence), {}, {})]
     counters = {"series_length": int(values.shape[0])}
     return checks, {"scan": jsonable(evidence)}, counters, None, echo
@@ -483,27 +459,20 @@ RULES = {
     "size": (lambda v: v >= 1 and v == int(v), "a positive integer"),
     "span": (lambda v: v[0] < v[1], "an increasing pair"),
     "indices": (lambda v: v[0] < v[1] and v == [int(x) for x in v], "increasing integers"),
-    "late_indices": (lambda v: 0 < v[0] < v[1] and v == [int(x) for x in v],
-                     "increasing integers past index 0"),
     "matrix": (lambda v: {len(row) for row in v} == {len(v)}, "a square matrix"),
 }
 
 
 def _steps_per_unit(span: float, step: float | None, what: str) -> float:
     """Grid nodes per time unit; ``step`` must divide ``span`` (None: the delay default)."""
-    step = span / catalog.DELAY_STEPS_PER_TAU if step is None else step
     try:
-        return _exact_ratio(span, step, what) / span
+        return _exact_ratio(span, catalog.delay_step(span, step), what) / span
     except DomainError as exc:
-        raise InputError("step", str(exc)) from None
+        raise ArgumentError("step", str(exc)) from None
 
 
 def _function_rows(a: dict) -> float:
     per_unit = _steps_per_unit(1.0, a["step"], "unit interval")
-    # the scan's largest shift, in grid steps, must reach its smallest
-    if round(a["horizon"] / a["step"]) < max(1, round(catalog.FUNCTION_MIN_SHIFT / a["step"])):
-        raise InputError("horizon", f"must reach the smallest shift the scan takes, "
-                                    f"{catalog.FUNCTION_MIN_SHIFT} time units")
     # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
     return (a["t_hi"] - a["t_lo"] + 21) * per_unit + a["burn_in"]
 
@@ -530,7 +499,7 @@ class Demo:
     inputs: dict        # runner keyword -> Input
     selects: dict       # config field -> the values that pick this entry (None: absent)
     label: str          # the report's "example" after a config run
-    # bound runner arguments -> rows the run computes; InputError for a value it refuses
+    # bound runner arguments -> rows the run computes; ArgumentError for a value it refuses
     rows: Callable = lambda a: 0
     sized: tuple = ()   # the runner keywords those rows grow with
 
@@ -550,8 +519,8 @@ SYSTEM = {"forcing": Input(None, "system.forcing.type"),
 DEMOS = {
     "6.1": Demo("function demo on the filtered logistic source",
                 lambda: catalog.run_function_demo, _render_function_demo,
-                {"seed": SEED, "burn_in": BURN_IN, "step": STEP,
-                 "horizon": Input("--horizon", "source.horizon", "positive")},
+                {"seed": SEED, "burn_in": BURN_IN,
+                 "horizon": Input("--horizon", "source.horizon", "positive"), "step": STEP},
                 {"kind": ("construct",), "numeric.variant": ("function",)},
                 "construct:function", _function_rows, ("step", "burn_in")),
     "6.2": Demo("sequence demo on the logistic orbit",
@@ -573,7 +542,7 @@ DEMOS = {
                 lambda: catalog.run_discrete_demo, _render_discrete_demo,
                 {"seed": SEED, "orbit_burn_in": BURN_IN,
                  "tol": Input("--tol", "numeric.tol", "positive"),
-                 "window": Input(None, "numeric.window", "late_indices"), "epsilon": EPSILON},
+                 "window": Input(None, "numeric.window", "indices"), "epsilon": EPSILON},
                 {"kind": ("discrete",), "system.forcing.type": ("construct", None)},
                 "discrete", lambda a: a["window"][1] + a["orbit_burn_in"],
                 ("window", "orbit_burn_in")),
@@ -624,6 +593,7 @@ def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str
 
     ``given`` maps each flag (``--step``) or config field (``numeric.step``) that
     was set to its value; each must be an input of the entry or a field selecting it.
+    A refused argument is named as the first of those blamed that was given.
     """
     demo = DEMOS[key]
     keywords = {name: kw for kw, spec in demo.inputs.items() for name in spec[:2] if name}
@@ -645,9 +615,9 @@ def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str
             culprits = ", ".join(_named(names[kw]) for kw in demo.sized if kw in names)
             raise ConfigError(f"{culprits}: the run would compute over {MAX_ROWS:,} rows")
         result = runner(**kwargs)
-    except InputError as exc:
-        keyword, why = exc.args
-        raise ConfigError(f"{_named(names[keyword])}: {why}") from None
+    except ArgumentError as exc:
+        named = [_named(names[kw]) for kw in exc.names if kw in names]
+        raise ConfigError(": ".join(named[:1] + [exc.args[1]])) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, evidence, counters = demo.render(result, out, prefix, echo)
@@ -659,13 +629,10 @@ def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str
     return 0
 
 
-def reproduce(example_id: str, out_dir=REPORT_DIR, seed: float | None = None,
-              horizon: float | None = None, step: float | None = None,
-              tol: float | None = None) -> int:
-    """Run one built-in demo end to end and write its CSV and JSON outputs."""
+def reproduce(example_id: str, out_dir=REPORT_DIR, **flags) -> int:
+    """Run one built-in demo end to end; ``flags`` are its options, None when not given."""
     if example_id not in catalog.EXAMPLE_IDS:
         raise ConfigError(f"unknown example id {example_id!r}; choose from {catalog.EXAMPLE_IDS}")
-    flags = {"seed": seed, "horizon": horizon, "step": step, "tol": tol}
     given = {f"--{name}": value for name, value in flags.items() if value is not None}
     return _execute(example_id, given, {"example": example_id, **flags}, out_dir,
                     example_id, example_id)
@@ -728,6 +695,15 @@ def _inputs_text(keys, fields: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+DETECT_HELP = {
+    "--delta": "half-width of the separation intervals in time units, function CSVs only "
+               f"(default {SCAN_DELTA})",
+    "--window": f"compared indices, sequence CSVs only (default {SCAN_WINDOW})",
+    "--min-shift": "smallest near-return shift in time units, function CSVs only "
+                   f"(default {catalog.FUNCTION_MIN_SHIFT})",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="updyn",
@@ -739,42 +715,30 @@ def build_parser() -> argparse.ArgumentParser:
                          epilog="flags each demo takes (any other exits 2):\n"
                                 + _inputs_text(catalog.EXAMPLE_IDS, fields=False))
     rep.add_argument("example_id", choices=catalog.EXAMPLE_IDS)
-    rep.add_argument("--out-dir", default=REPORT_DIR)
-    for flag in ("--seed", "--horizon", "--step", "--tol"):
-        rep.add_argument(flag, type=float)
 
     run = sub.add_parser("run", help="run a JSON experiment configuration")
-    run.add_argument("config")
+    run.add_argument("config_path", metavar="config")
 
     det = sub.add_parser("detect", help="scan a CSV series for recurrence evidence")
-    det.add_argument("csv")
-    det.add_argument("--out-dir", default=REPORT_DIR)
-    det.add_argument("--horizon", type=float)
-    det.add_argument("--epsilon0", type=float)
-    det.add_argument("--delta", type=float,
-                     help="half-width of the separation intervals in time units, function "
-                          "CSVs only (default 0.2)")
-    det.add_argument("--window", type=int,
-                     help="compared indices, sequence CSVs only (default 20)")
-    det.add_argument("--min-shift", type=float,
-                     help="smallest near-return shift in time units, function CSVs only "
-                          f"(default {catalog.FUNCTION_MIN_SHIFT})")
+    det.add_argument("csv_path", metavar="csv")
+    for command, keys in ((rep, catalog.EXAMPLE_IDS), (det, ["detect"])):
+        command.add_argument("--out-dir", default=REPORT_DIR)
+        flags = (i.flag for key in keys for i in DEMOS[key].inputs.values())
+        for flag in dict.fromkeys(f for f in flags if f and f.startswith("--")):
+            command.add_argument(flag, type=float, help=DETECT_HELP.get(flag))
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = args.pop("command")
     try:
-        if args.command == "reproduce":
-            return reproduce(args.example_id, args.out_dir, args.seed, args.horizon,
-                             args.step, args.tol)
-        if args.command == "run":
-            return run_config(args.config)
-        return detect(args.csv, args.out_dir, horizon=args.horizon, epsilon0=args.epsilon0,
-                      delta=args.delta, window=args.window, min_shift=args.min_shift)
+        if command == "reproduce":
+            return reproduce(**args)
+        return run_config(**args) if command == "run" else detect(**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

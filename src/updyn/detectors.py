@@ -16,7 +16,7 @@ import numpy as np
 
 from .chaos import Series, row_norms, settling_positions
 from .discrete import DiscreteSystemSpec, iterate
-from .errors import DomainError, ResolutionError
+from .errors import ArgumentError, DomainError, ResolutionError, WindowExhaustedError
 
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.02)
 SEQUENCE_HORIZON = 10 ** 6
@@ -177,12 +177,16 @@ def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
 
     A shift z qualifies for rung delta when the whole comparison window
     satisfies max_{0<=i<=window} |seq_{i+z} - seq_i| < delta.  Rungs not met
-    inside the horizon are reported with ``shift=None``.
+    inside the horizon are reported with ``shift=None``.  ``ArgumentError``
+    names a ``window`` that leaves no shift, or a ``horizon`` that is not one.
     """
     rungs = _validate_ladder(ladder)
     n = len(seq)
-    if window < 0 or window >= n - 1:
-        raise DomainError("window must leave room for at least one shift")
+    if not 0 <= window < n - 1:
+        raise ArgumentError(("window", "seq"), f"must lie in [0, {n - 1}) to leave a shift "
+                                               f"in {n} rows, got {window!r}")
+    if not (float(horizon).is_integer() and horizon >= 1):
+        raise ArgumentError("horizon", f"must be a whole number of shifts, got {horizon!r}")
     cap = min(int(horizon), n - 1 - window)
     return _scan_near_returns(seq.values, 0, window, cap, rungs)
 
@@ -247,22 +251,30 @@ def evidence_for_function(phi: Series, window: Sequence[float],
     shifted copies; a separation event requires the bound to hold at every
     grid node of [u - delta, u + delta].  The grid must resolve delta with at
     least four nodes per half-width.  ``min_shift`` excludes the trivially
-    small shifts a continuous signal always admits.
+    small shifts a continuous signal always admits.  ``ArgumentError`` names
+    the argument that breaks one of these rules, or, when [min_shift, horizon]
+    holds no shift, each argument that shortens that range.
     """
     if phi.step > delta / 4.0 + 1e-12:
-        raise ResolutionError(f"grid step {phi.step} exceeds delta/4 = {delta / 4.0}")
+        raise ResolutionError(("delta", "phi"), f"the grid step, {phi.step!r}, must be at "
+                                                f"most delta/4 = {delta / 4.0!r}")
     rungs = _validate_ladder(ladder)
-    w0, w1 = float(window[0]), float(window[1])
-    j0, j1 = phi.index_at(w0), phi.index_at(w1)
+    try:
+        j0, j1 = (phi.index_at(float(t)) for t in window)
+    except (DomainError, WindowExhaustedError) as exc:
+        raise ArgumentError("window", f"must span grid nodes: {exc}") from None
     if j1 <= j0:
-        raise DomainError("empty comparison span")
+        raise ArgumentError("window", "must be an increasing span")
     values = phi.values
     n = len(phi)
-    cap = min(int(round(horizon / phi.step)), n - 1 - j1)
-    if cap < 1:
-        raise DomainError("no admissible shifts inside the grid")
-
     first = max(1, int(round(min_shift / phi.step)))
+    by_horizon = int(round(horizon / phi.step))
+    cap = min(by_horizon, n - 1 - j1)
+    if cap < first:
+        shorten = ("horizon",) * (by_horizon < first) + ("window",) * (n - 1 - j1 < first)
+        raise ArgumentError((*shorten, "min_shift"), f"leaves no shift to scan: a shift must be "
+                            f"at least {first * phi.step:g} and at most {cap * phi.step:g}")
+
     returns = _scan_near_returns(values, j0, j1 - j0, cap, rungs, first)
 
     half = int(round(delta / phi.step))

@@ -9,6 +9,18 @@ class DomainError(UpdynError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class ArgumentError(DomainError):
+    """A routine refuses an argument: ``args`` are the parameter's name, or a tuple
+    of names with the most to blame first, and the reason."""
+
+    @property
+    def names(self) -> tuple:
+        return (self.args[0],) if isinstance(self.args[0], str) else tuple(self.args[0])
+
+    def __str__(self) -> str:
+        return f"{', '.join(self.names)}: {self.args[1]}"
+
+
 class GridMismatchError(DomainError):
     """Two series do not share one axis."""
 
@@ -29,7 +41,7 @@ class AssumptionError(UpdynError, ValueError):
     """A contraction margin is non-positive, so derived constants are undefined."""
 
 
-class ResolutionError(UpdynError, ValueError):
+class ResolutionError(ArgumentError):
     """The sampling grid is too coarse for the requested check."""
 
 

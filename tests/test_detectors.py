@@ -12,7 +12,7 @@ from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
                              sensitivity_demo, separation_at, verify_evidence)
 from updyn.discrete import DiscreteSystemSpec
-from updyn.errors import DomainError, ResolutionError
+from updyn.errors import ArgumentError, DomainError, ResolutionError
 from updyn.nonlinearity import Nonlinearity
 
 
@@ -42,6 +42,11 @@ class TestNearReturns:
     def test_ladder_must_decrease(self):
         with pytest.raises(DomainError):
             find_near_returns(constant_seq(), 5, (0.1, 0.2))
+
+    def test_fractional_horizon_is_refused(self):
+        with pytest.raises(ArgumentError) as info:
+            collect_evidence(constant_seq(3000), horizon=2000.7)
+        assert info.value.names == ("horizon",)
 
     def test_unreachable_rung_reported_not_found(self):
         rng = np.random.default_rng(0)
@@ -92,6 +97,16 @@ class TestFunctionEvidence:
         grid = GridFunction(0.0, 0.05, np.zeros((100, 1)))
         with pytest.raises(ResolutionError):
             evidence_for_function(grid, (0.0, 1.0), delta=0.1)
+
+    @pytest.mark.parametrize("horizon, min_shift, names", [
+        (100.0, 25.0, ("window", "min_shift")),   # past the last shift the span leaves
+        (0.5, 1.0, ("horizon", "min_shift")),     # above the horizon
+    ])
+    def test_empty_shift_range_names_what_shortens_it(self, horizon, min_shift, names):
+        grid = GridFunction(0.0, 0.05, np.zeros((400, 1)))
+        with pytest.raises(ArgumentError) as info:
+            evidence_for_function(grid, (0.0, 1.0), min_shift=min_shift, horizon=horizon)
+        assert info.value.names == names
 
     def test_demo_evidence_verified(self):
         demo = catalog.run_function_demo(t_hi=120.0)

@@ -6,6 +6,7 @@ the flag or field named before any output is written; an accepted input
 reaches the runner only when it was given.
 """
 
+import ast
 import json
 import math
 import tempfile
@@ -124,6 +125,18 @@ BAD_INPUTS = [
     ("detect delta off the grid", (function_csv, "--delta", "0.2001"), "--delta"),
     ("detect delta on a sequence", (sequence_csv, "--delta", "5"), "--delta"),
     ("detect delta spanning the grid", (function_csv, "--delta", "100"), "--delta"),
+    # rules owned by a scan or a demo runner, which exited 1 with an internal error
+    ("6.1 step 0.1", ["6.1", "--step", "0.1"],
+     "--step: the grid step, 0.1, must be at most delta/4 = 0.05"),
+    ("delay tau 1.5", {"kind": "delay", "system": {"tau": 1.5}}, "config field 'system.tau'"),
+    ("delay epsilon 1e-300", {"kind": "delay", "numeric": {"epsilon": 1e-300}},
+     "config field 'numeric.epsilon'"),
+    ("discrete epsilon 1e-300", {"kind": "discrete", "numeric": {"epsilon": 1e-300}},
+     "config field 'numeric.epsilon'"),
+    ("delay window [0, 1]", {"kind": "delay", "numeric": {"window": [0, 1]}},
+     "config field 'numeric.window'"),
+    ("discrete window [1, 50]", {"kind": "discrete", "numeric": {"window": [1, 50]}},
+     "config field 'numeric.window'"),
 ]
 
 
@@ -147,6 +160,7 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
         code, streams = run(["run", write_config(tmp_path / "cfg.json", inputs)], capsys)
     assert code == 2
     assert named in streams.err
+    assert not any(line.startswith("error: ") for line in streams.err.splitlines())
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -202,6 +216,35 @@ def test_help_and_docstring_list_each_entry_from_the_table(capsys):
     for key, demo in cli.DEMOS.items():
         assert all(i.field in cli.__doc__ for i in demo.inputs.values() if i.field)
         assert demo.title in cli.__doc__
+
+
+def test_parser_takes_each_flag_from_the_table():
+    parser = cli.build_parser()
+    for key, demo in cli.DEMOS.items():
+        head = ["detect", "wave.csv"] if key == "detect" else ["reproduce", key]
+        for kw, spec in demo.inputs.items():
+            if spec.flag and spec.flag.startswith("--"):
+                assert vars(parser.parse_args([*head, spec.flag, "3"]))[kw] == 3.0
+
+
+def test_detect_help_states_each_default(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["detect", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("--delta", 0.2), ("--window", 20), ("--min-shift", 1.0)):
+        assert f"(default {default})" in text.rsplit(f"{flag} ", 1)[1].split(" --", 1)[0], flag
+
+
+def test_cli_declares_no_flag_outside_the_table():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    literals = [arg.value for call in ast.walk(build) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "add_argument"
+                for arg in call.args if isinstance(arg, ast.Constant)]
+    assert [s for s in literals if isinstance(s, str) and s.startswith("--")] == ["--out-dir"]
+    names = {getattr(node, "name", None) or getattr(node, "id", None) for node in ast.walk(tree)}
+    assert "InputError" not in names
 
 
 SEED = 0.37
