@@ -36,7 +36,7 @@ from .detectors import (DecayReport, UnpredictabilityEvidence, collect_evidence,
 from .discrete import (DiscreteAssumptionReport, DiscreteConvergenceReport,
                        DiscreteSystemSpec, GronwallEnvelope, bounded_orbit,
                        check_assumptions_B, convergence_check_discrete, gamma_ceiling,
-                       gronwall_envelope, spectral_norm)
+                       gronwall_envelope)
 from .errors import ArgumentError, DomainError
 from .nonlinearity import Nonlinearity
 
@@ -333,7 +333,6 @@ class DiscreteDemo:
     spec_combined: DiscreteSystemSpec
     spec_recurrent: DiscreteSystemSpec
     triple: DecompositionTriple
-    norm_b: float
     assumptions: DiscreteAssumptionReport
     m_phi: float
     m_psi: float
@@ -360,14 +359,11 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     g = discrete_demo_nonlinearity()
     spec_phi = DiscreteSystemSpec(b, g, triple.phi)
     spec_psi = DiscreteSystemSpec(b, g, triple.psi)
-    norm_b = spectral_norm(b)
     assumptions = check_assumptions_B(spec_phi)
-    if not assumptions.b3_pass:
-        raise DomainError("discrete demo parameters must satisfy the contraction margin")
 
     m_phi = triple.phi.sup_norm()
     m_psi = triple.psi.sup_norm()
-    gamma = 0.5 * gamma_ceiling(spec_phi, m_phi, m_psi, norm_b)
+    gamma = 0.5 * gamma_ceiling(spec_phi, m_phi, m_psi)
 
     (quiet,) = settling_positions(triple.theta.restrict(i0, i1).norms(), [gamma * epsilon])
     if quiet is None:
@@ -379,6 +375,6 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=DISCRETE_ENVELOPE_SLACK)
-    return DiscreteDemo(spec_phi, spec_psi, triple, norm_b, assumptions,
+    return DiscreteDemo(spec_phi, spec_psi, triple, assumptions,
                         m_phi, m_psi, gamma, epsilon, alpha,
                         phi_orbit, psi_orbit, envelope, report)

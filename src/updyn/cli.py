@@ -10,7 +10,8 @@ config field an entry does not take exits 2, named.  A given one reaches the
 runner (defaults live there) once its type, its range and the run's ``MAX_ROWS``
 size are checked, before any work; a rule a routine owns is checked when it
 starts, and its ``ArgumentError`` exits 2 naming the flag or field that set the
-argument.  Either way no output file is written.
+argument.  The discrete runner under constant forcing is the one that sizes its
+own run, since only it knows the burn-in.  Either way no output file is written.
 
 Importing this module loads numpy and updyn only.  scipy is imported inside
 the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
@@ -28,7 +29,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -252,8 +253,8 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     drop_at = None if drop is None else drop[1]
     sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
     checks = [
-        CheckRecord.from_bool("spectral_norm", abs(demo.norm_b - SQRT5_OVER_4) <= 1e-9,
-                              values={"spectral_norm": demo.norm_b, "expected": SQRT5_OVER_4},
+        CheckRecord.from_bool("spectral_norm", abs(a.norm_b - SQRT5_OVER_4) <= 1e-9,
+                              values={"spectral_norm": a.norm_b, "expected": SQRT5_OVER_4},
                               tolerances={"gap": 1e-9}),
         CheckRecord.from_bool("contraction_margin", a.b3_pass
                               and abs(a.margin - (1.0 - SQRT5_OVER_4 - 0.2)) <= 1e-9,
@@ -347,15 +348,18 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
 
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
                        scale: float = 1.0, window=(0, 400), tol: float = 1e-9):
-    """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``."""
-    from .discrete import DiscreteSystemSpec, bounded_orbit, check_assumptions_B
+    """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``
+    after a burn-in sized from one row of the constant forcing, counted toward ``MAX_ROWS``."""
+    from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length, check_assumptions_B
 
     matrix = catalog.discrete_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
     nl = _nonlinearity(nonlinearity, dim, scale)
-    i0, i1 = int(window[0]), int(window[1])
-    values = np.tile(_forcing_value(forcing, value, dim), (i1 - i0 + 200, 1))
-    spec = DiscreteSystemSpec(matrix, nl, VectorSequence(i0 - 199, values))
+    row = _forcing_value(forcing, value, dim)[None]
+    spec = DiscreteSystemSpec(matrix, nl, VectorSequence(0, row))
+    with np.errstate(over="ignore"):
+        if not math.isfinite(spec.forcing.sup_norm()):
+            raise ArgumentError("value", "is too large: its norm overflows")
     assumptions = check_assumptions_B(spec)
     checks = [
         CheckRecord.from_bool("contraction_margin", assumptions.b3_pass,
@@ -368,6 +372,12 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     if not assumptions.b3_pass:
         checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}
+    i0, i1 = int(window[0]), int(window[1])
+    burn = burn_in_length(spec, tol)
+    if burn + i1 - i0 > MAX_ROWS:
+        raise ArgumentError(("window", "matrix", "value", "scale", "tol"), f"the run would "
+                            f"compute over {MAX_ROWS:,} rows, {burn:,} of them burn-in")
+    spec = replace(spec, forcing=VectorSequence(i0 - burn, np.repeat(row, burn + i1 - i0, 0)))
     orbit = bounded_orbit(spec, (i0, i1), tol=tol)
     checks.append(_residual_check(spec, orbit))
     return (checks, {}, {"simulated": True, "orbit_steps": len(orbit) - 1},
@@ -556,8 +566,7 @@ DEMOS = {
                      lambda: _simulate_discrete, _render_run,
                      {**SYSTEM, "window": Input(None, "numeric.window", "indices")},
                      {"kind": ("discrete",), "system.forcing.type": ("zero", "constant")},
-                     "discrete", lambda a: a["window"][1] - a["window"][0] + 200,
-                     ("window",)),
+                     "discrete"),
     "detect": Demo("recurrence scan of a CSV series",
                    lambda: _scan_series, _render_run,
                    {"csv_path": Input("csv", "input_csv"),

@@ -1,9 +1,11 @@
 """Quasilinear delay systems: x'(t) = A x(t) + f(x(t - tau)) + forcing(t).
 
-The linear part must be exponentially stable.  The module certifies a decay
-bound |exp(At)| <= N exp(-rate*t) on a verification grid, integrates the
-system by the method of steps with a classical fourth-order scheme, recovers
-the unique bounded solution by burn-in, and exposes the contraction operator
+The linear part must be exponentially stable.  The module bounds the decay
+|exp(At)| <= N exp(-rate*t): in exact mode by the condition number of the
+modal matrix, a proof for all t >= 0; in fit mode by a fit to |exp(At)| on
+a grid, which is evidence on [0, grid_end] only.  It integrates the system
+by the method of steps with a classical fourth-order scheme, recovers the
+unique bounded solution by burn-in, and exposes the contraction operator
 whose fixed point is the difference of two forced solutions.  All of that
 feeds the convergence check against the explicit exponential envelope.
 
@@ -29,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chaos import GridFunction, Series, row_norms, settling_positions
-from .errors import AssumptionError, DomainError, NonFiniteStateError, StabilityError
+from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
+                     StabilityError)
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
 
 
@@ -60,7 +63,8 @@ class DelaySystemSpec:
 
 @dataclass(frozen=True)
 class StabilityConstants:
-    """Certified bound |exp(At)| <= amplitude * exp(-decay_rate * t), t >= 0."""
+    """|exp(At)| <= amplitude * exp(-decay_rate * t), proven for all t >= 0 in ``mode``
+    "exact", evidence on the grid only in "fit"; ``grid_slack`` is its least slack there."""
 
     amplitude: float
     decay_rate: float
@@ -85,8 +89,6 @@ class DelayAssumptionReport:
 
     spot: SpotCheck
     margin: float
-    bound_declared: float
-    lipschitz_declared: float
 
     @property
     def a1_pass(self) -> bool:
@@ -99,10 +101,6 @@ class DelayAssumptionReport:
     @property
     def a3_pass(self) -> bool:
         return self.margin > 0.0
-
-    @property
-    def all_pass(self) -> bool:
-        return self.a1_pass and self.a2_pass and self.a3_pass
 
 
 def _eig_abscissa(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -135,32 +133,43 @@ def _real_modal_matrix(a: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def verify_decay_bound(a: np.ndarray, amplitude: float, decay_rate: float,
-                       grid_step: float = 0.05, grid_end: float = 20.0) -> float:
-    """Smallest slack of amplitude*exp(-rate*t) - |exp(At)| over the grid."""
+def _decay_grid(a: np.ndarray, grid_step: float, grid_end: float) -> list:
+    """(t, |exp(At)|) at t = grid_step, 2 grid_step, ... up to grid_end."""
     from scipy.linalg import expm  # not at module level: most commands never call it
 
     e_step = expm(a * grid_step)
     acc = np.eye(a.shape[0])
-    slack = amplitude - 1.0
+    grid = []
     t = 0.0
     while t < grid_end - 1e-12:
         acc = acc @ e_step
         t += grid_step
-        norm = np.linalg.svd(acc, compute_uv=False)[0]
-        slack = min(slack, amplitude * math.exp(-decay_rate * t) - norm)
-    return float(slack)
+        grid.append((t, np.linalg.svd(acc, compute_uv=False)[0]))
+    return grid
+
+
+def _grid_slack(grid: list, amplitude: float, decay_rate: float) -> float:
+    return float(min([amplitude - 1.0] + [amplitude * math.exp(-decay_rate * t) - norm
+                                          for t, norm in grid]))
+
+
+def verify_decay_bound(a: np.ndarray, amplitude: float, decay_rate: float,
+                       grid_step: float = 0.05, grid_end: float = 20.0) -> float:
+    """Smallest slack of amplitude*exp(-rate*t) - |exp(At)| over the grid."""
+    return _grid_slack(_decay_grid(a, grid_step, grid_end), amplitude, decay_rate)
 
 
 def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
                         grid_step: float = 0.05, grid_end: float = 20.0) -> StabilityConstants:
-    """Certified (amplitude, decay_rate) pair for |exp(At)|.
+    """(amplitude, decay_rate) pair bounding |exp(At)|.
 
     ``mode="exact"`` uses the full spectral abscissa as the rate and the
-    condition number of the real modal matrix as the amplitude; it requires
-    a numerically diagonalizable matrix.  ``mode="fit"`` backs off the rate
-    by ``lambda_fraction`` and fits the smallest amplitude on the grid,
-    inflated by one percent.  ``mode="auto"`` prefers exact when available.
+    condition number of the real modal matrix as the amplitude, which bounds
+    |exp(At)| for all t >= 0; it requires a numerically diagonalizable
+    matrix.  ``mode="fit"`` backs off the rate by ``lambda_fraction`` and
+    fits the smallest amplitude on the grid, inflated by one percent: grid
+    evidence on [0, grid_end], not a proof past it.  ``mode="auto"`` prefers
+    exact when available.  Either bound is checked on the grid.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -174,51 +183,27 @@ def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
         raise StabilityError(
             f"spectral abscissa {abscissa:.6g} is not negative; eigenvalues {eigs}")
 
-    chosen = None
+    cond = math.inf
     if mode in ("auto", "exact"):
         try:
-            modal = _real_modal_matrix(a)
-            sv = np.linalg.svd(modal, compute_uv=False)
+            sv = np.linalg.svd(_real_modal_matrix(a), compute_uv=False)
             cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
         except StabilityError:
-            cond = math.inf
-        if cond < 1e8:
-            chosen = StabilityConstants(
-                amplitude=float(cond),
-                decay_rate=-abscissa,
-                mode="exact",
-                grid_slack=0.0,
-                spectral_abscissa=abscissa,
-            )
-        elif mode == "exact":
+            pass
+        if mode == "exact" and not cond < 1e8:
             raise StabilityError("matrix is too close to defective for the exact mode")
 
-    if chosen is None:
-        from scipy.linalg import expm
-
+    grid = _decay_grid(a, grid_step, grid_end)
+    if cond < 1e8:
+        mode, amplitude, rate = "exact", float(cond), -abscissa
+    else:
         rate = lambda_fraction * (-abscissa)
-        e_step = expm(a * grid_step)
-        acc = np.eye(a.shape[0])
-        needed = 1.0
-        t = 0.0
-        while t < grid_end - 1e-12:
-            acc = acc @ e_step
-            t += grid_step
-            norm = np.linalg.svd(acc, compute_uv=False)[0]
-            needed = max(needed, norm * math.exp(rate * t))
-        chosen = StabilityConstants(
-            amplitude=1.01 * needed,
-            decay_rate=rate,
-            mode="fit",
-            grid_slack=0.0,
-            spectral_abscissa=abscissa,
-        )
-
-    slack = verify_decay_bound(a, chosen.amplitude, chosen.decay_rate, grid_step, grid_end)
+        mode = "fit"
+        amplitude = 1.01 * max([1.0] + [norm * math.exp(rate * t) for t, norm in grid])
+    slack = _grid_slack(grid, amplitude, rate)
     if slack < -1e-10:
         raise StabilityError(f"certified bound fails on the verification grid (slack {slack:.3e})")
-    return StabilityConstants(chosen.amplitude, chosen.decay_rate, chosen.mode,
-                              slack, chosen.spectral_abscissa)
+    return StabilityConstants(amplitude, rate, mode, slack, abscissa)
 
 
 def contraction_margin(spec: DelaySystemSpec, constants: StabilityConstants) -> float:
@@ -241,10 +226,7 @@ def check_assumptions_A(spec: DelaySystemSpec, constants: StabilityConstants,
     """Spot-check the declared nonlinearity constants and report the margin."""
     return DelayAssumptionReport(
         spot=spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
-        margin=contraction_margin(spec, constants),
-        bound_declared=spec.nonlinearity.bound,
-        lipschitz_declared=spec.nonlinearity.lipschitz,
-    )
+        margin=contraction_margin(spec, constants))
 
 
 def _exact_ratio(span: float, step: float, what: str) -> int:
@@ -391,34 +373,16 @@ def _segment_matrices(a: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.n
     return powers, offsets.reshape((2 * k + 1) * m, k * m) @ toeplitz
 
 
-def _first_non_finite(scan, y0: np.ndarray, c: np.ndarray) -> int:
-    """Index of the first non-finite row of ``scan(y0, c)``, as a step-by-step sweep finds it.
-
-    A non-finite offset c_i also spoils the rows before i, through the zero
-    blocks of the Toeplitz matrix, so only the rows of its finite prefix
-    are searched.
-    """
-    finite = np.isfinite(c).all(axis=1)
-    n_ok = len(c) if finite.all() else int(np.argmin(finite))
-    bad = ~np.isfinite(scan(y0, c[:n_ok])).all(axis=1)
-    return int(np.argmax(bad)) if bad.any() else n_ok
-
-
-def _rescan_segment(spec: DelaySystemSpec, h: float, k: int, y0: np.ndarray, b: np.ndarray,
-                    t0: float, lo: int) -> np.ndarray:
-    """One run's segment rows again from ``_rk4_step`` and the scan, after a non-finite product.
-
-    The segment starts ``lo`` steps past ``t0`` at state ``y0``, with the
-    half-grid term ``b``.  Raises ``NonFiniteStateError`` at the time a
-    step-by-step sweep names when the state does leave the finite range.
-    """
-    n = len(b) // 2
-    c = _rk4_step(spec.matrix, np.zeros((n, spec.dim)), b[0:-1:2], b[1::2], b[2::2], h)
-    scan = _affine_scan(_rk4_step(spec.matrix, np.eye(spec.dim), 0.0, 0.0, 0.0, h), k)
-    rows = scan(y0, c)
-    if not np.isfinite(rows).all():
-        j = lo + _first_non_finite(scan, y0, c)
-        raise NonFiniteStateError(f"state left the finite range at t = {t0 + (j + 1) * h:.6g}")
+def _step_segment(a: np.ndarray, y: np.ndarray, b: np.ndarray, h: float, t0: float,
+                  lo: int) -> np.ndarray:
+    """One run's segment, ``lo`` steps past ``t0`` from state ``y`` with half-grid term ``b``,
+    one ``_rk4_step`` at a time; ``NonFiniteStateError`` at its first non-finite state."""
+    rows = np.empty((len(b) // 2, len(y)))
+    for j in range(len(rows)):
+        y = rows[j] = _rk4_step(a, y, *b[2 * j:2 * j + 3], h)
+        if not np.isfinite(y).all():
+            t = t0 + (lo + j + 1) * h
+            raise NonFiniteStateError(f"state left the finite range at t = {t:.6g}")
     return rows
 
 
@@ -446,12 +410,14 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     rounds differently from one step at a time, and a batch of runs
     differently from a single run, in the last bits only (the tests hold it
     to 1e-12 of a step-by-step sweep).  Should a product come out non-finite,
-    that segment is redone with ``_rk4_step`` and the scan, so an overflow is
-    reported at the time a step-by-step sweep reports it.
+    that segment is redone one ``_rk4_step`` at a time, so an overflow is
+    reported at the time a step-by-step sweep reports it, and block powers
+    that overflow while the state stays finite do no harm.
     """
     k = _exact_ratio(spec.delay, step, "delay")
     if k < 4:
-        raise DomainError("need at least four steps per delay interval")
+        raise ArgumentError("step", f"gives {k} steps per delay interval {spec.delay!r}; "
+                                    "at least four are needed")
     if abs(history.step - step) > 1e-12 * step or len(history) != k + 1:
         raise DomainError("history must cover one delay interval at the integration step")
     t0 = history.t_end
@@ -484,8 +450,7 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
         y0 = xs[:, k + lo]
         rows = y0 @ powers[:, :n * m] + b.reshape(r, -1) @ g[:(2 * n + 1) * m, :n * m]
         if not np.isfinite(rows).all():
-            rows = np.stack([_rescan_segment(spec, h, k, y0[i], b[i], t0, lo)
-                             for i in range(r)])
+            rows = np.stack([_step_segment(spec.matrix, y0[i], b[i], h, t0, lo) for i in range(r)])
         xs[:, k + lo + 1:k + lo + n + 1] = rows.reshape(r, n, m)
     trajectories = [GridFunction(t0, step, x[k:]) for x in xs]
     return trajectories[0] if forcing is None else trajectories
@@ -535,7 +500,8 @@ def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
 
 def proof_constants(spec: DelaySystemSpec, constants: StabilityConstants,
                     m_phi: float, m_psi: float) -> ProofConstants:
-    """Envelope constants from the certified bound and measured forcing sups."""
+    """Envelope constants from the stability bound and measured forcing sups: proven
+    for all t when ``constants`` are exact, grid evidence on [0, grid_end] when fitted."""
     n, lam = constants.amplitude, constants.decay_rate
     mf = spec.nonlinearity.bound
     lf = spec.nonlinearity.lipschitz

@@ -13,6 +13,7 @@ bit, which makes every row equal to the one-step-at-a-time orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,11 +27,12 @@ from .nonlinearity import Nonlinearity, SpotCheck, spot_check
 
 @dataclass(frozen=True)
 class DiscreteSystemSpec:
-    """Matrix, bounded Lipschitz nonlinearity and forcing sequence.
+    """Matrix B, bounded Lipschitz nonlinearity and forcing sequence.
 
-    The backward-in-time theory needs a nonsingular matrix; forward
-    iteration does not, so singularity is reported by the assumption check
-    rather than rejected here.
+    The spec is the one home of the system's contraction constants: the
+    spectral norm |B| (``norm_b``, computed once), the rate q = |B| + L
+    (``rate``) and the margin 1 - q (``margin``), which ``contraction_margin``
+    returns only when it is positive, exactly when q < 1.
     """
 
     matrix: np.ndarray
@@ -49,9 +51,26 @@ class DiscreteSystemSpec:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def nonsingular(self) -> bool:
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        return bool(sv[-1] > self.dim * np.finfo(float).eps * max(sv[0], 1.0))
+    @functools.cached_property
+    def norm_b(self) -> float:
+        return spectral_norm(self.matrix)
+
+    @property
+    def rate(self) -> float:
+        """The contraction rate q = |B| + L."""
+        return self.norm_b + self.nonlinearity.lipschitz
+
+    @property
+    def margin(self) -> float:
+        """The contraction margin 1 - q, whatever its sign."""
+        return 1.0 - self.rate
+
+    def contraction_margin(self) -> float:
+        """The margin 1 - q; ``AssumptionError`` unless it is positive (B3)."""
+        if not self.margin > 0.0:
+            raise AssumptionError(f"contraction margin 1 - (|B| + L) = {self.margin!r} "
+                                  "is not positive")
+        return self.margin
 
 
 def spectral_norm(b) -> float:
@@ -64,14 +83,11 @@ def spectral_norm(b) -> float:
 
 @dataclass(frozen=True)
 class DiscreteAssumptionReport:
-    """Spot-check outcome plus the contraction margin 1 - |B| - L."""
+    """Spot-check outcome plus |B| and the contraction margin 1 - (|B| + L)."""
 
     spot: SpotCheck
     norm_b: float
     margin: float
-    bound_declared: float
-    lipschitz_declared: float
-    nonsingular: bool = True
 
     @property
     def b1_pass(self) -> bool:
@@ -85,22 +101,13 @@ class DiscreteAssumptionReport:
     def b3_pass(self) -> bool:
         return self.margin > 0.0
 
-    @property
-    def all_pass(self) -> bool:
-        return self.b1_pass and self.b2_pass and self.b3_pass
-
 
 def check_assumptions_B(spec: DiscreteSystemSpec, pairs: int = 1000,
                         seed: int = 1404) -> DiscreteAssumptionReport:
-    norm_b = spectral_norm(spec.matrix)
+    """Spot-check the declared nonlinearity constants and report |B| and the margin."""
     return DiscreteAssumptionReport(
         spot=spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
-        norm_b=norm_b,
-        margin=1.0 - norm_b - spec.nonlinearity.lipschitz,
-        bound_declared=spec.nonlinearity.bound,
-        lipschitz_declared=spec.nonlinearity.lipschitz,
-        nonsingular=spec.nonsingular(),
-    )
+        norm_b=spec.norm_b, margin=spec.margin)
 
 
 # Block sweeps of ``iterate``: the first block has _FIRST_BLOCK_ROWS rows and
@@ -248,17 +255,11 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
     return VectorSequence(i0, out)
 
 
-def burn_in_length(spec: DiscreteSystemSpec, tol: float, norm_b: float | None = None) -> int:
+def burn_in_length(spec: DiscreteSystemSpec, tol: float) -> int:
     """Iterations needed to push zero-start contamination below ``tol``."""
-    if norm_b is None:
-        norm_b = spectral_norm(spec.matrix)
-    q = norm_b + spec.nonlinearity.lipschitz
-    margin = 1.0 - q
-    if margin <= 0.0:
-        raise AssumptionError("contraction margin 1 - |B| - L is not positive")
-    m_phi = spec.forcing.sup_norm()
-    scale = (spec.nonlinearity.bound + m_phi) / (1.0 - norm_b)
-    if scale <= tol:
+    margin, q = spec.contraction_margin(), spec.rate
+    scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - spec.norm_b)
+    if scale <= tol or q == 0.0:
         return 1
     return max(1, math.ceil(math.log(tol * margin / scale) / math.log(q)))
 
@@ -287,7 +288,7 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
     returned value is the largest deviation over sampled indices (truncation
     contributes at most ``tol`` of it).
     """
-    norm_b = spectral_norm(spec.matrix)
+    norm_b = spec.norm_b
     if norm_b >= 1.0:
         raise AssumptionError("sum representation needs |B| < 1")
     m_phi = spec.forcing.sup_norm()
@@ -311,16 +312,10 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
     return max(0.0, *(float(np.linalg.norm(gap)) for gap in gaps))
 
 
-def gamma_ceiling(spec: DiscreteSystemSpec, m_phi: float, m_psi: float,
-                  norm_b: float | None = None) -> float:
+def gamma_ceiling(spec: DiscreteSystemSpec, m_phi: float, m_psi: float) -> float:
     """Largest admissible gamma for the geometric envelope."""
-    if norm_b is None:
-        norm_b = spectral_norm(spec.matrix)
-    margin = 1.0 - norm_b - spec.nonlinearity.lipschitz
-    if margin <= 0.0:
-        raise AssumptionError("contraction margin is not positive")
     big = 2.0 * spec.nonlinearity.bound + m_phi + m_psi
-    return 1.0 / (1.0 / margin + big / (1.0 - norm_b))
+    return 1.0 / (1.0 / spec.contraction_margin() + big / (1.0 - spec.norm_b))
 
 
 @dataclass(frozen=True)
@@ -350,16 +345,11 @@ def gronwall_envelope(spec: DiscreteSystemSpec, m_phi: float, m_psi: float, alph
                       gamma: float, epsilon: float, window: Sequence[int]) -> GronwallEnvelope:
     """Evaluate the explicit geometric bound over ``window`` for indices past alpha.
 
-    The bound combines a persistent level gamma*eps/(1 - |B| - L) with a
+    The bound combines a persistent level gamma*eps/(1 - (|B| + L)) with a
     transient proportional to (|B| + L)^(i - alpha).
     """
-    norm_b = spectral_norm(spec.matrix)
-    lip = spec.nonlinearity.lipschitz
-    q = norm_b + lip
-    margin = 1.0 - q
-    if margin <= 0.0:
-        raise AssumptionError("contraction margin is not positive")
-    ceiling = gamma_ceiling(spec, m_phi, m_psi, norm_b)
+    margin, q = spec.contraction_margin(), spec.rate
+    ceiling = gamma_ceiling(spec, m_phi, m_psi)
     if not gamma < ceiling:
         raise DomainError(f"gamma {gamma!r} must lie strictly below {ceiling!r}")
     if not epsilon > 0.0:
@@ -371,7 +361,7 @@ def gronwall_envelope(spec: DiscreteSystemSpec, m_phi: float, m_psi: float, alph
     i = np.arange(start, i1 + 1)
     geo = q ** (i - alpha)
     persistent = gamma * epsilon / margin
-    transient = (2.0 * spec.nonlinearity.bound + m_phi + m_psi) / (1.0 - norm_b)
+    transient = (2.0 * spec.nonlinearity.bound + m_phi + m_psi) / (1.0 - spec.norm_b)
     return GronwallEnvelope(
         alpha=int(alpha),
         start_index=start,

@@ -250,6 +250,19 @@ class TestRunConfigs:
         names = {c["name"] for c in report["checks"]}
         assert {"contraction_margin", "spectral_norm", "recurrence_residual"} <= names
 
+    @pytest.mark.parametrize("system", [
+        {"forcing": {"type": "constant", "value": [1e14]}},
+        {"matrix": [[0.9, 0.0], [0.0, 0.9]], "nonlinearity": {"type": "zero"},
+         "forcing": {"type": "constant", "value": [1.0]}}], ids=["large forcing", "slow rate"])
+    def test_constant_forcing_burn_in_grows_with_the_system(self, tmp_path, system):
+        # each needs more than the 199 rows of forcing a fixed burn-in gave
+        cfg = tmp_path / "disc.json"
+        cfg.write_text(json.dumps({"kind": "discrete", "system": system,
+                                   "output": {"dir": str(tmp_path / "out")}}))
+        assert run_cli("run", str(cfg)) == 0
+        report = json.loads((tmp_path / "out" / "discrete_report.json").read_text())
+        assert all(c["status"] == "pass" for c in report["checks"])
+
 
 class TestDetect:
     def test_detect_sequence_csv(self, tmp_path):

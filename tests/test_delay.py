@@ -438,6 +438,17 @@ class TestBlockedIntegrator:
         t_bad = float(str(ref.value).rsplit("= ", 1)[1])
         assert round((t_bad - history.t_end) / step) % k != 0
 
+    def test_overflowing_block_powers_with_a_finite_state(self):
+        # the k-step powers of the RK4 map overflow, and 0 * inf in the block product is nan
+        tau = 20.0
+        step = tau / 32
+        spec = DelaySystemSpec(2000.0 * np.eye(2), tau, Nonlinearity.zero(2), zero_forcing)
+        history = constant_history(np.zeros(2), 0.0, tau, step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_mos(spec, history, 3 * tau, step)
+        assert_matches_reference(got, reference_mos(spec, history, 3 * tau, step))
+        assert got.sup_norm() == 0.0
+
 
 class TestBoundedSolution:
     def test_zero_system_zero_solution(self):

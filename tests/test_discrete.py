@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +121,7 @@ class TestAssumptions:
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
                                   catalog.discrete_demo_nonlinearity(), zero_forcing())
         report = check_assumptions_B(spec)
-        assert report.all_pass
+        assert report.b1_pass and report.b2_pass and report.b3_pass
         assert report.margin == pytest.approx(1.0 - SQRT5_OVER_4 - 0.2, abs=1e-12)
 
     def test_margin_without_nonlinearity(self):
@@ -133,6 +135,55 @@ class TestAssumptions:
         report = check_assumptions_B(spec)
         assert report.margin < 0.0
         assert not report.b3_pass
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lip=st.sampled_from([0.0, 0.1, 1.0 / 6.0, 0.2, 0.3, 0.45]), ulps=st.integers(-4, 4))
+    def test_b3_holds_exactly_when_the_margin_routines_accept(self, lip, ulps):
+        # 1 - |B| - L and 1 - (|B| + L) disagree in sign a few ulps from |B| = 1 - L
+        nb = 1.0 - lip
+        for _ in range(abs(ulps)):
+            nb = float(np.nextafter(nb, math.copysign(math.inf, ulps)))
+        nl = Nonlinearity(lambda w: lip * np.sin(w), bound=1.0, lipschitz=lip)
+        spec = DiscreteSystemSpec(np.diag([nb, 0.0]), nl, zero_forcing())
+        report = check_assumptions_B(spec, pairs=10)
+        refused = []
+        for call in (lambda: burn_in_length(spec, 1e-9),
+                     lambda: gamma_ceiling(spec, 1.0, 1.0),
+                     lambda: gronwall_envelope(spec, 1.0, 1.0, 0, 0.0, 1e-3, (0, 10))):
+            try:
+                call()
+                refused.append(False)
+            except AssumptionError:
+                refused.append(True)
+        assert refused == [not report.b3_pass] * 3
+
+    def test_zero_rate_burns_in_one_step(self):
+        spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2),
+                                  constant_forcing([1.0, -1.0]))
+        assert spec.rate == 0.0
+        assert burn_in_length(spec, 1e-9) == 1
+
+
+def test_contraction_constants_have_one_home():
+    """No routine takes |B| as an argument; discrete.py forms |B| and q only in the spec."""
+    for path in Path(discrete.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                assert "norm_b" not in names, f"{path.name}:{node.lineno}"
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "spectral_norm") or \
+                    (isinstance(child, ast.Attribute) and child.attr == "lipschitz"):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(Path(discrete.__file__).read_text(encoding="utf-8")), None)
+    assert owners == ["DiscreteSystemSpec"] * 2
 
 
 class TestIterate:
@@ -191,7 +242,7 @@ class TestBoundedOrbit:
 
     def test_sup_bound(self, discrete_demo):
         d = discrete_demo
-        bound = (d.spec_combined.nonlinearity.bound + d.m_phi) / (1.0 - d.norm_b)
+        bound = (d.spec_combined.nonlinearity.bound + d.m_phi) / (1.0 - d.assumptions.norm_b)
         assert d.phi_orbit.sup_norm() <= bound + 1e-9
 
     def test_start_state_independence(self):

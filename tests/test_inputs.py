@@ -137,6 +137,19 @@ BAD_INPUTS = [
      "config field 'numeric.window'"),
     ("discrete window [1, 50]", {"kind": "discrete", "numeric": {"window": [1, 50]}},
      "config field 'numeric.window'"),
+    # the integrator's four-steps-per-delay rule, which exited 1 with an internal error
+    ("6.3 step 0.1", ["6.3", "--step", "0.1"], "--step"),
+    ("6.3 step 0.2", ["6.3", "--step", "0.2"], "--step"),
+    ("delay step 0.1", {"kind": "delay", "numeric": {"step": 0.1}},
+     "config field 'numeric.step'"),
+    # constant forcing: a norm past the float range ended in a traceback, and a burn-in
+    # of 533 million rows was not counted against MAX_ROWS
+    ("discrete forcing 1e200", {"kind": "discrete", "system": {
+        "forcing": {"type": "constant", "value": [1e200]}}},
+     "config field 'system.forcing.value'"),
+    ("discrete burn-in past MAX_ROWS", {"kind": "discrete", "system": {
+        "matrix": [[0.9999999, 0.0], [0.0, 0.0]], "nonlinearity": {"type": "zero"},
+        "forcing": {"type": "constant", "value": [1.0]}}}, "config field 'system.matrix'"),
 ]
 
 
@@ -174,6 +187,20 @@ def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
     checks = json.loads((tmp_path / "delay_report.json").read_text())["checks"]
     margin = next(c for c in checks if c["name"] == "contraction_margin")
     assert margin["status"] == "fail" and margin["values"]["A3_margin"] == "-inf"
+
+
+def test_margin_a_few_ulps_from_zero_fails_the_margin_check(tmp_path, capsys):
+    # 1 - |B| - L is 5.6e-17 here, but 1 - (|B| + L) is 0
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kind": "discrete", "system": {"matrix": [[0.7999999999999999, 0], [0, 0]],
+                                       "forcing": {"type": "zero"}},
+        "output": {"dir": str(tmp_path)}})
+    code, streams = run(["run", cfg], capsys)
+    assert code == 1
+    assert "failing checks: contraction_margin" in streams.err
+    checks = json.loads((tmp_path / "discrete_report.json").read_text())["checks"]
+    margin = next(c for c in checks if c["name"] == "contraction_margin")
+    assert margin["status"] == "fail" and margin["values"]["B3_margin"] == 0.0
 
 
 def test_rejection_names_every_foreign_flag_and_what_the_demo_takes(tmp_path, capsys):
