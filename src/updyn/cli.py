@@ -5,21 +5,21 @@ configuration errors.  All outputs are deterministic for a fixed
 configuration, so repeated runs produce byte-identical files.
 
 ``reproduce``, ``run`` and ``detect`` go through one table, ``DEMOS``, and one
-function, ``_execute``; the parser takes its flags from the table.  A flag or
-config field an entry does not take exits 2, named.  A given one reaches the
-runner (defaults live there) once its type, its range and the run's ``MAX_ROWS``
-size are checked, before any work; a rule a routine owns is checked when it
-starts, and its ``ArgumentError`` exits 2 naming the flag or field that set the
-argument.  The discrete runner under constant forcing is the one that sizes its
-own run, since only it knows the burn-in.  Either way no output file is written.
+function, ``_execute``; the parser takes its flags from the table, and
+``validate_config`` checks a config against it.  A flag or config field an
+entry does not take exits 2, named.  A given one reaches the runner (defaults
+live there) once its type, its range and the run's ``MAX_ROWS`` size are
+checked, before any work; a rule a routine owns is checked when it starts, and
+its ``ArgumentError`` exits 2 naming the flag or field that set the argument.
+The delay and discrete runners under zero or constant forcing size their own
+runs, since only they know the burn-in.  Either way no output file is written.
 
 Importing this module loads numpy and updyn only.  scipy is imported inside
 the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
 function-demo tail, the filter's quadrature oracle, exp(A h) in the delay
 system), as does a ``run`` config of kind ``delay`` or of kind ``construct``
 with variant ``function``.
-jsonschema is imported by ``validate_config``, so only ``run`` loads it.
-``reproduce 6.2``, ``6.4`` and ``detect`` load neither.
+``reproduce 6.2``, ``6.4`` and ``detect`` do not.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import inspect
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -54,51 +55,6 @@ SCAN_DELTA = 0.2
 SCAN_WINDOW = 20
 # the most rows (grid nodes, orbit iterates) one run may compute
 MAX_ROWS = 10 ** 7
-
-POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-STRING = {"type": "string"}
-
-
-def _object(properties: dict, required=()) -> dict:
-    return {"type": "object", "additionalProperties": False, "required": list(required),
-            "properties": properties}
-
-
-CONFIG_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema", **_object({
-    "kind": {"enum": ["construct", "delay", "discrete", "detect"]},
-    "label": STRING, "input_csv": STRING,
-    "source": _object({
-        "seed": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "burn_in": {"type": "integer", "minimum": 0},
-        "horizon": POSITIVE}),
-    "system": _object({
-        "matrix": {"type": "array", "minItems": 1,
-                   "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}},
-        "tau": POSITIVE,
-        "nonlinearity": _object({"type": {"enum": sorted(catalog.NONLINEARITIES)},
-                                 "scale": POSITIVE}, ["type"]),
-        "forcing": _object({"type": {"enum": ["construct", "zero", "constant"]},
-                            "value": {"type": "array", "items": {"type": "number"}}}, ["type"])}),
-    "numeric": _object({
-        "step": POSITIVE, "tol": POSITIVE, "epsilon": POSITIVE, "epsilon0": POSITIVE,
-        "delta": POSITIVE, "burn_in_time": POSITIVE,
-        "window": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
-        "variant": {"enum": ["function", "sequence"]},
-        "compare_window": {"type": "integer", "minimum": 1}}),
-    "output": _object({"dir": STRING, "prefix": STRING}),
-}, ["kind"])}
-
-
-def validate_config(raw: dict) -> dict:
-    from jsonschema import Draft202012Validator
-
-    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{where}': {err.message}")
-    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +256,11 @@ def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
 
 
-def _nonlinearity(name: str, dim: int, scale: float):
+def _nonlinearity(name: str, dim: int, scale: float | None):
+    if scale is not None and name != "tanh":
+        raise ArgumentError("scale", f"applies to the tanh nonlinearity only, not {name!r}")
     try:
-        return catalog.NONLINEARITIES[name](dim, scale)
+        return catalog.NONLINEARITIES[name](dim, 1.0 if scale is None else scale)
     except DomainError as exc:
         # only a given matrix can be other than 2x2, so the matrix is named
         raise ArgumentError("matrix", f"is {dim}x{dim}, but the {name!r} {exc}; set "
@@ -314,13 +272,14 @@ def _constant_forcing(v: np.ndarray):
 
 
 def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "arctan_arccot",
-                    scale: float = 1.0, tau: float = catalog.DELAY_TAU, window=None,
+                    scale: float | None = None, tau: float = catalog.DELAY_TAU, window=None,
                     step: float | None = None, tol: float = 1e-8):
     """Check assumptions A1-A3 and, given a ``window``, simulate the bounded solution there
-    with ``step`` (default ``tau / 32``)."""
-    from .delay import (DelaySystemSpec, bounded_solution, check_assumptions_A,
+    with ``step`` (default ``tau / 32``) after a burn-in counted toward ``MAX_ROWS``."""
+    from .delay import (DelaySystemSpec, bounded_solution, burn_in_time, check_assumptions_A,
                         stability_constants)
 
+    per_unit = _steps_per_unit(tau, step, "delay")
     matrix = catalog.delay_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
     forcing = _constant_forcing(_forcing_value(forcing, value, matrix.shape[0]))
@@ -335,6 +294,10 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
     if window is None or not assumptions.a3_pass:
         checks.append(CheckRecord("solution_sup_bound", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}
+    burn = burn_in_time(constants, tol)
+    if (burn + window[1] - window[0] + tau) * per_unit > MAX_ROWS:
+        raise ArgumentError(("window", "matrix", "tol", "step", "tau"), f"the run would compute "
+                            f"over {MAX_ROWS:,} rows, {burn * per_unit:,.0f} of them burn-in")
     step = catalog.delay_step(tau, step)
     traj = bounded_solution(spec, constants, tuple(window), step, tol=tol)
     sup_forcing = row_norms(forcing(np.linspace(window[0], window[1], 257))).max()
@@ -347,7 +310,7 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
 
 
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
-                       scale: float = 1.0, window=(0, 400), tol: float = 1e-9):
+                       scale: float | None = None, window=(0, 400), tol: float = 1e-9):
     """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``
     after a burn-in sized from one row of the constant forcing, counted toward ``MAX_ROWS``."""
     from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length, check_assumptions_B
@@ -456,20 +419,31 @@ class Input(NamedTuple):
 
     flag: str | None
     field: str | None
-    rule: str = "number"
+    rule: str
 
 
-# rule -> (test of a value whose numbers are all finite, what the test asks)
+def _number(v) -> bool:  # a JSON number, not a bool, that is finite as a float
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# rule -> (test of a value, what the test asks)
 RULES = {
-    "number": (lambda v: True, "finite"),
-    "seed": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "positive": (lambda v: v > 0.0, "finite and positive"),
-    "nonnegative": (lambda v: v >= 0.0, "finite and non-negative"),
-    "count": (lambda v: v >= 0 and v == int(v), "a non-negative integer"),
-    "size": (lambda v: v >= 1 and v == int(v), "a positive integer"),
-    "span": (lambda v: v[0] < v[1], "an increasing pair"),
-    "indices": (lambda v: v[0] < v[1] and v == [int(x) for x in v], "increasing integers"),
-    "matrix": (lambda v: {len(row) for row in v} == {len(v)}, "a square matrix"),
+    "seed": (lambda v: _number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "positive": (lambda v: _number(v) and v >= sys.float_info.min, "a positive normal float"),
+    "nonnegative": (lambda v: _number(v) and v >= 0.0, "a finite non-negative number"),
+    "count": (lambda v: _number(v) and v >= 0 and v == int(v), "a non-negative integer"),
+    "size": (lambda v: _number(v) and v >= 1 and v == int(v), "a positive integer"),
+    "numbers": (lambda v: type(v) is list and all(map(_number, v)), "a list of finite numbers"),
+    "span": (lambda v: RULES["numbers"][0](v) and len(v) == 2 and v[0] < v[1],
+             "an increasing pair of numbers"),
+    "indices": (lambda v: RULES["span"][0](v) and v == [int(x) for x in v],
+                "an increasing pair of integers"),
+    "matrix": (lambda v: type(v) is list and len(v) > 0
+               and all(RULES["numbers"][0](row) and len(row) == len(v) for row in v),
+               "a non-empty square list of number lists"),
+    "text": (lambda v: type(v) is str, "a string"),
+    "nonlinearity": (lambda v: type(v) is str and v in catalog.NONLINEARITIES,
+                     f"one of {', '.join(map(repr, catalog.NONLINEARITIES))}"),
 }
 
 
@@ -493,12 +467,6 @@ def _delay_demo_rows(a: dict) -> float:
     return span * (1 + _steps_per_unit(a["tau"], a["step"], "delay")) + a["orbit_burn_in"]
 
 
-def _delay_rows(a: dict) -> float:
-    per_unit = _steps_per_unit(a["tau"], a["step"], "delay")
-    window = a["window"]
-    return 0 if window is None else (window[1] - window[0] + a["tau"]) * per_unit
-
-
 @dataclass(frozen=True)
 class Demo:
     """One entry of ``DEMOS``: what runs, how its result is written, what it accepts."""
@@ -519,10 +487,10 @@ BURN_IN = Input(None, "source.burn_in", "count")
 STEP = Input("--step", "numeric.step", "positive")
 TAU = Input(None, "system.tau", "positive")
 EPSILON = Input(None, "numeric.epsilon", "positive")
-SYSTEM = {"forcing": Input(None, "system.forcing.type"),
+SYSTEM = {"forcing": Input(None, "system.forcing.type", "text"),
           "matrix": Input(None, "system.matrix", "matrix"),
-          "value": Input(None, "system.forcing.value"),
-          "nonlinearity": Input(None, "system.nonlinearity.type"),
+          "value": Input(None, "system.forcing.value", "numbers"),
+          "nonlinearity": Input(None, "system.nonlinearity.type", "nonlinearity"),
           "scale": Input(None, "system.nonlinearity.scale", "positive"),
           "tol": Input(None, "numeric.tol", "positive")}
 
@@ -561,7 +529,7 @@ DEMOS = {
                   {**SYSTEM, "tau": TAU, "window": Input(None, "numeric.window", "span"),
                    "step": Input(None, "numeric.step", "positive")},
                   {"kind": ("delay",), "system.forcing.type": ("zero", "constant")},
-                  "delay", _delay_rows, ("window", "step", "tau")),
+                  "delay"),
     "discrete": Demo("discrete system under zero or constant forcing",
                      lambda: _simulate_discrete, _render_run,
                      {**SYSTEM, "window": Input(None, "numeric.window", "indices")},
@@ -569,7 +537,7 @@ DEMOS = {
                      "discrete"),
     "detect": Demo("recurrence scan of a CSV series",
                    lambda: _scan_series, _render_run,
-                   {"csv_path": Input("csv", "input_csv"),
+                   {"csv_path": Input("csv", "input_csv", "text"),
                     "horizon": Input("--horizon", "source.horizon", "positive"),
                     "epsilon0": Input("--epsilon0", "numeric.epsilon0", "positive"),
                     "delta": Input("--delta", "numeric.delta", "positive"),
@@ -579,21 +547,21 @@ DEMOS = {
 }
 
 
+# the config fields run_config reads itself, each a string
+TEXT_FIELDS = ("label", "input_csv", "output.dir", "output.prefix")
+FIELDS = {*TEXT_FIELDS, *(name for demo in DEMOS.values() for name in
+                          (*demo.selects, *(i.field for i in demo.inputs.values())) if name)}
+
+
 def _named(name: str) -> str:
     return name if name.startswith("-") else f"config field '{name}'"
 
 
-def _numbers(value) -> list:
-    if isinstance(value, list):
-        return [v for item in value for v in _numbers(item)]
-    return [] if isinstance(value, str) else [value]
-
-
 def _checked(rule: str, value, name: str):
-    """``value`` once every number in it is finite and passes ``rule``."""
+    """``value`` once it passes ``rule``."""
     test, wanted = RULES[rule]
-    if not (all(isinstance(v, int) or math.isfinite(v) for v in _numbers(value)) and test(value)):
-        raise ConfigError(f"{_named(name)}: must be {wanted}, got {value!r}")
+    if not test(value):
+        raise ConfigError(f"{_named(name)}: must be {wanted}, got {reprlib.repr(value)}")
     return int(value) if rule in ("count", "size") else value
 
 
@@ -648,23 +616,43 @@ def reproduce(example_id: str, out_dir=REPORT_DIR, **flags) -> int:
 
 
 def _leaves(config: dict, prefix: str = ""):
-    """(dotted field, value) for every non-object value in ``config``."""
+    """(dotted field, value) in ``config``, descending into the objects that hold fields."""
     for key, value in config.items():
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{prefix}{key}.")
+        name = prefix + key
+        if "." in key:
+            raise ConfigError(f"{_named(name)}: a key must not contain a dot")
+        if value is None:
+            raise ConfigError(f"{_named(name)}: must not be null")
+        if type(value) is dict and any(field.startswith(name + ".") for field in FIELDS):
+            yield from _leaves(value, name + ".")
         else:
-            yield f"{prefix}{key}", value
+            yield name, _checked("text", value, name) if name in TEXT_FIELDS else value
+
+
+def validate_config(raw) -> tuple[str, dict]:
+    """The key of the ``DEMOS`` entry a parsed config selects, and its dotted fields."""
+    if type(raw) is not dict:
+        raise ConfigError(f"a config must be a JSON object, got {reprlib.repr(raw)}")
+    given = dict(_leaves(raw))
+    keys = list(DEMOS)
+    for field in dict.fromkeys(field for demo in DEMOS.values() for field in demo.selects):
+        value = given.get(field)
+        picked = [k for k in keys if value in DEMOS[k].selects.get(field, [value])]
+        if not picked:
+            allowed = dict.fromkeys(v for k in keys for v in DEMOS[k].selects[field] if v)
+            raise ConfigError(f"{_named(field)}: must be one of "
+                              f"{', '.join(map(repr, allowed))}, got {reprlib.repr(value)}")
+        keys = picked
+    return keys[0], given
 
 
 def run_config(config_path: str) -> int:
     """Validate a JSON experiment configuration and run the entry of ``DEMOS`` it selects."""
     try:
-        config = validate_config(json.loads(Path(config_path).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    given = dict(_leaves(config))
-    key = next(k for k, demo in DEMOS.items()
-               if all(given.get(field) in values for field, values in demo.selects.items()))
+    key, given = validate_config(config)
     given.pop("label", None)
     out_dir = given.pop("output.dir", REPORT_DIR)
     if key != "detect":
@@ -743,11 +731,9 @@ def main(argv=None) -> int:
         args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    command = args.pop("command")
+    command = {"reproduce": reproduce, "run": run_config, "detect": detect}[args.pop("command")]
     try:
-        if command == "reproduce":
-            return reproduce(**args)
-        return run_config(**args) if command == "run" else detect(**args)
+        return command(**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -477,6 +477,11 @@ def step_residuals(spec: DelaySystemSpec, trajectory: Series, history: Series) -
     return row_norms(defect)
 
 
+def burn_in_time(constants: StabilityConstants, tol: float) -> float:
+    """Time units ``bounded_solution`` integrates before its window by default."""
+    return (2.0 / constants.decay_rate) * math.log(1.0 / tol)
+
+
 def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
                      window: Sequence[float], step: float, tol: float = 1e-8,
                      burn_in: float | None = None) -> Series:
@@ -489,8 +494,7 @@ def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
     if contraction_margin(spec, constants) <= 0.0:
         raise AssumptionError("contraction margin is not positive")
     w0, w1 = float(window[0]), float(window[1])
-    if burn_in is None:
-        burn_in = (2.0 / constants.decay_rate) * math.log(1.0 / tol)
+    burn_in = burn_in_time(constants, tol) if burn_in is None else burn_in
     n_burn = max(1, math.ceil(burn_in / step - 1e-9))
     t_start = w0 - n_burn * step
     history = constant_history(np.zeros(spec.dim), t_start, spec.delay, step)

@@ -268,7 +268,8 @@ def evidence_for_function(phi: Series, window: Sequence[float],
     values = phi.values
     n = len(phi)
     first = max(1, int(round(min_shift / phi.step)))
-    by_horizon = int(round(horizon / phi.step))
+    # clamped where its size stops mattering, so that a huge horizon cannot overflow
+    by_horizon = round(min(horizon / phi.step, max(n, first)))
     cap = min(by_horizon, n - 1 - j1)
     if cap < first:
         shorten = ("horizon",) * (by_horizon < first) + ("window",) * (n - 1 - j1 < first)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import Series, VectorSequence, row_norms, settling_positions
-from .errors import AssumptionError, DomainError, WindowExhaustedError
+from .errors import ArgumentError, AssumptionError, DomainError, WindowExhaustedError
 from .nonlinearity import Nonlinearity, SpotCheck, spot_check
 
 
@@ -261,6 +261,8 @@ def burn_in_length(spec: DiscreteSystemSpec, tol: float) -> int:
     scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - spec.norm_b)
     if scale <= tol or q == 0.0:
         return 1
+    if tol * margin / scale == 0.0:
+        raise ArgumentError("tol", "is so small that tol * margin / scale underflows to 0")
     return max(1, math.ceil(math.log(tol * margin / scale) / math.log(q)))
 
 

@@ -108,6 +108,13 @@ class TestFunctionEvidence:
             evidence_for_function(grid, (0.0, 1.0), min_shift=min_shift, horizon=horizon)
         assert info.value.names == names
 
+    def test_huge_horizon_scans_the_whole_grid(self):
+        times = 0.05 * np.arange(400)
+        grid = GridFunction(0.0, 0.05, np.stack([np.sin(times), np.cos(3 * times)], axis=-1))
+        huge, covering = (evidence_for_function(grid, (0.0, 1.0), min_shift=1.0, horizon=h)
+                          for h in (1.7e308, 20.0))
+        assert huge == covering
+
     def test_demo_evidence_verified(self):
         demo = catalog.run_function_demo(t_hi=120.0)
         assert demo.evidence_verified

@@ -95,7 +95,7 @@ BAD_INPUTS = [
     ("6.2 horizon 2000.7", ["6.2", "--horizon", "2000.7"], "--horizon"),
     ("6.1 step 1e-9", ["6.1", "--step", "1e-9"], "--step"),
     ("ladder", {"kind": "construct", "source": {"horizon": 2000}, "numeric": {"ladder": [0.1]}},
-     "'ladder' was unexpected"),
+     "config field 'numeric.ladder'"),
     ("detect nan sample", "nan-sample", "row 8"),
     ("reversed window", {"kind": "discrete", "system": {"forcing": {"type": "zero"}},
                          "numeric": {"window": [400, 0]}}, "config field 'numeric.window'"),
@@ -150,6 +150,23 @@ BAD_INPUTS = [
     ("discrete burn-in past MAX_ROWS", {"kind": "discrete", "system": {
         "matrix": [[0.9999999, 0.0], [0.0, 0.0]], "nonlinearity": {"type": "zero"},
         "forcing": {"type": "constant", "value": [1.0]}}}, "config field 'system.matrix'"),
+    # the delay burn-in was not counted against MAX_ROWS: about 59 million RK4 steps
+    ("delay burn-in past MAX_ROWS", {"kind": "delay", "system": {
+        "matrix": (-1e-4 * np.eye(2)).tolist(), "nonlinearity": {"type": "zero"},
+        "forcing": {"type": "zero"}}, "numeric": {"window": [0, 1]}},
+     "config field 'numeric.window'"),
+    # a scale on a map other than tanh was ignored
+    ("discrete sin_cos scale", {"kind": "discrete", "system": {
+        "forcing": {"type": "zero"}, "nonlinearity": {"type": "sin_cos", "scale": 5}}},
+     "config field 'system.nonlinearity.scale'"),
+    ("delay scale without a type", {"kind": "delay", "system": {
+        "forcing": {"type": "zero"}, "nonlinearity": {"scale": 3}}},
+     "config field 'system.nonlinearity.scale'"),
+    # tol * margin / scale underflowed to 0 in the discrete burn-in: log(0)
+    ("discrete forcing 1e150 tol 1e-180", {"kind": "discrete", "system": {
+        "forcing": {"type": "constant", "value": [1e150]}}, "numeric": {"tol": 1e-180}},
+     "config field 'numeric.tol'"),
+    ("6.4 tol subnormal", ["6.4", "--tol", "5e-324"], "--tol"),
 ]
 
 
@@ -347,3 +364,61 @@ def test_reproduce_fuzz_reports_or_names_the_flag(capsys, case):
             echo = json.loads(report.read_text())["config_echo"]
             expected = {name: flags.get(f"--{name}") for name in ("seed", "horizon", "step", "tol")}
             assert echo == {"example": example, **expected}
+
+
+# cheap configs of five entries of the table; "SEQ" stands for a small sequence CSV
+CHEAP = {
+    "6.2": {"kind": "construct", "source": {"horizon": 2000}},
+    "6.4": {"kind": "discrete"},
+    "delay": {"kind": "delay", "system": {"forcing": {"type": "zero"}}},
+    "discrete": {"kind": "discrete", "system": {"forcing": {"type": "zero"}}},
+    "detect": {"kind": "detect", "input_csv": "SEQ"},
+}
+OBJECTS = sorted({field.rsplit(".", 1)[0] for field in cli.FIELDS if "." in field})
+LEAVES = sorted(cli.FIELDS - {"output.dir"}) + ["zz"] + [f"{o}.zz" for o in OBJECTS]
+ODD_VALUES = [0, -1, 1.5, 3, 2000.7, 1e300, 1.7e308, 1e-307, 5e-324, -0.0, 10 ** 400,
+              math.nan, math.inf, -math.inf, True, False, None,
+              "x", "", "tanh", "zero", "sequence", "constant",
+              [], [1], [0, 1], [1, 2, 3], [[1]], [[1, 0], [0]], ["a", "b"], {}, {"a": 1}]
+
+
+@st.composite
+def odd_config(draw):
+    """A cheap config with one or two leaves set to odd values: table fields or unknown
+    keys, the fields of the config's own entry in one draw of two."""
+    key = draw(st.sampled_from(sorted(CHEAP)))
+    config = json.loads(json.dumps(CHEAP[key]))
+    own = sorted(i.field for i in cli.DEMOS[key].inputs.values() if i.field)
+    leaf = st.one_of(st.sampled_from(own), st.sampled_from(LEAVES))
+    paths = draw(st.lists(leaf, min_size=1, max_size=2, unique=True))
+    for path in paths:
+        *objects, key = path.split(".")
+        node = config
+        for name in objects:
+            node = node.setdefault(name, {})
+        node[key] = draw(st.sampled_from(ODD_VALUES))
+    return config, paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(odd_config())
+def test_config_fuzz_reports_or_names_the_field(capsys, case):
+    config, paths = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if config.get("input_csv") == "SEQ":
+            config["input_csv"] = str(sequence_csv(Path(tmp)))
+        config.setdefault("output", {})["dir"] = str(out)
+        code = cli.main(["run", str(write_config(Path(tmp) / "cfg.json", config))])
+        err = capsys.readouterr().err
+        reports = list(out.glob("*_report.json")) if out.exists() else []
+        if code == 2:
+            # the field, or an object holding it; an unreadable CSV is named by its path
+            named = {".".join(p.split(".")[:n]) for p in paths for n in range(1, p.count(".") + 2)}
+            assert any(f"config field '{name}'" in err for name in named) or (
+                "input_csv" in paths and "cannot read series" in err), (paths, err)
+            assert not reports
+        else:
+            assert code in (0, 1), err
+            assert reports

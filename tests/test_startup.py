@@ -1,4 +1,4 @@
-"""Start-up guards: scipy and jsonschema load only in the commands that use them.
+"""Start-up guards: scipy loads only in the commands that use it, and jsonschema in none.
 
 Every ``updyn`` command runs in a fresh process, so module-level imports are
 paid on each call.  Each case runs in its own interpreter and reports which
@@ -60,10 +60,10 @@ def test_detect_sequence_csv_loads_neither(tmp_path):
     assert families(modules) == set()
 
 
-def test_run_discrete_config_loads_jsonschema_only(tmp_path):
+def test_run_discrete_config_loads_neither(tmp_path):
     (tmp_path / "disc.json").write_text(json.dumps({
         "kind": "discrete",
         "system": {"forcing": {"type": "construct"}},
         "output": {"dir": "out", "prefix": "disc"},
     }))
-    assert families(cli_modules(tmp_path, "run", "disc.json")) == {"jsonschema"}
+    assert families(cli_modules(tmp_path, "run", "disc.json")) == set()
