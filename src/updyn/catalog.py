@@ -248,14 +248,12 @@ class DelayDemo:
     report: DelayConvergenceReport
 
 
-def _delay_runs(spec_psi: DelaySystemSpec, history: Series, t_end: float,
-                step: float) -> tuple[list, list]:
-    """Trajectories under phi = psi + tail and psi, and the sups of both forcings on the grid.
+def _forcing_samples(spec_psi: DelaySystemSpec, history: Series, t_end: float,
+                     step: float) -> tuple[np.ndarray, list]:
+    """Forcings phi = psi + tail and psi on the integrator's half grid; their sups on its nodes.
 
-    Both forcings are sampled on the integrator's half grid from one
-    evaluation of ``spec_psi.forcing`` per node, in place and a chunk at a
-    time so the temporaries stay small, and one ``integrate_mos`` call
-    advances both runs.  Returning frees the samples before the checks run.
+    Both are sampled from one evaluation of ``spec_psi.forcing`` per node, in
+    place and a chunk at a time so the temporaries stay small.
     """
     n_half = 2 * round((t_end - history.t_end) / step) + 1
     forcing = np.empty((2, n_half, 2))
@@ -265,8 +263,7 @@ def _delay_runs(spec_psi: DelaySystemSpec, history: Series, t_end: float,
         psi = psi_half[lo:lo + t.size]
         psi[:] = spec_psi.forcing(t)
         np.add(psi, function_tail(t), out=phi_half[lo:lo + t.size])
-    runs = integrate_mos(spec_psi, history, t_end, step, forcing)
-    return runs, [float(row_norms(run[::2]).max()) for run in forcing]
+    return forcing, [float(row_norms(run[::2]).max()) for run in forcing]
 
 
 def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
@@ -278,7 +275,9 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     Both runs start from the same zero history ``sim_burn_in`` time units
     before the window, so each trajectory lands on its bounded solution
     before measurements begin, and one ``integrate_mos`` call advances them
-    together.  ``step`` defaults to ``tau / 32``.
+    together.  ``step`` defaults to ``tau / 32``.  Before integrating, alpha is
+    derived from the tail and ``epsilon``, which is refused when alpha falls
+    less than one delay after the window start.
     """
     step = delay_step(tau, step)
     w0, w1 = float(window[0]), float(window[1])
@@ -301,19 +300,26 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     n_burn = math.ceil((w0 - t_sim0) / step - 1e-9)
     t0 = w0 - n_burn * step
     history = constant_history(np.zeros(2), t0, tau, step)
-    runs, (m_phi, m_psi) = _delay_runs(spec_psi, history, w1, step)
-    phi_solution, psi_solution = (x.restrict(w0, w1) for x in runs)
-
-    times = phi_solution.times()
+    forcing, (m_phi, m_psi) = _forcing_samples(spec_psi, history, w1, step)
     proof = proof_constants(spec_phi, constants, m_phi, m_psi)
     gamma = 0.5 / (proof.k1 + proof.k2)
 
-    theta_grid = GridFunction(phi_solution.t_start, step, function_tail(times))
+    # the window of the integrator's grid, restricted as its trajectories will be
+    grid = GridFunction(history.t_end, step, np.broadcast_to(0.0, (forcing.shape[1] // 2 + 1, 1)))
+    grid = grid.restrict(w0, w1)
+    times = grid.times()
+    theta_grid = GridFunction(grid.t_start, step, function_tail(times))
     (quiet,) = settling_positions(theta_grid.norms(), [gamma * epsilon])
     if quiet is None:
         raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = float(times[quiet])
+    if quiet < round(tau / step):  # the Picard check takes one delay of history before alpha
+        raise ArgumentError("epsilon", f"puts alpha at {alpha!r}, less than one delay "
+                                       f"{tau!r} after the window start {w0!r}")
 
+    runs = integrate_mos(spec_psi, history, w1, step, forcing)
+    del forcing  # freed before the checks run
+    phi_solution, psi_solution = (x.restrict(w0, w1) for x in runs)
     report = convergence_check(phi_solution, psi_solution, constants, proof, tau,
                                alpha, gamma, epsilon, slack=DELAY_ENVELOPE_SLACK,
                                ladder=(1e-1, 1e-2, 1e-3))

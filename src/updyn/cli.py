@@ -43,7 +43,7 @@ from .detectors import (FUNCTION_HORIZON, SEQUENCE_HORIZON, collect_evidence,
                         evidence_for_function, verify_evidence)
 from .discrete import orbit_sum_residual
 from .errors import ArgumentError, ConfigError, DomainError, UpdynError
-from .report import (CheckRecord, CsvAxis, failing_checks, jsonable, read_series_csv,
+from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
                      write_function_csv, write_json_report, write_sequence_csv)
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
@@ -59,6 +59,13 @@ MAX_ROWS = 10 ** 7
 
 # ---------------------------------------------------------------------------
 # renderers for the built-in demos
+
+
+def _write_csvs(write, axis, out_dir: Path, prefix: str, named: dict) -> None:
+    """Write each named array to ``<prefix>_<name>.csv`` on one axis, in one pass of
+    ``write``, the report function through which perfbench times the CSV layer."""
+    (path, values), *more = ((out_dir / f"{prefix}_{name}.csv", v) for name, v in named.items())
+    write(path, axis, values, more=more)
 
 
 def _construct_checks(demo, tail_decay: CheckRecord) -> list:
@@ -103,12 +110,9 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
             values={"rung": 1e-6, "crossing_time": crossing},
             tolerances={"expected_range": [14.0, 15.5]}))]
 
-    axis = CsvAxis("t", demo.triple.phi.times())
-    write_function_csv(out_dir / f"{prefix}_h.csv", axis, h)
-    for part in ("phi", "psi", "theta"):
-        write_function_csv(out_dir / f"{prefix}_{part}.csv", axis,
-                           getattr(demo.triple, part).values)
-    counters = {"grid_nodes": len(axis), "oracle_points": 10,
+    _write_csvs(write_function_csv, demo.triple.phi.times(), out_dir, prefix, {
+        "h": h, **{part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}})
+    counters = {"grid_nodes": len(h), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
     return [checks, _construct_evidence(demo), counters]
 
@@ -125,10 +129,9 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 
     phi = demo.triple.phi
     hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
-    axis = CsvAxis("i", phi.restrict(phi.t_start, hi).times())
-    for part in ("phi", "psi", "theta"):
-        write_sequence_csv(out_dir / f"{prefix}_{part}.csv", axis,
-                           getattr(demo.triple, part).restrict(phi.t_start, hi).values)
+    _write_csvs(write_sequence_csv, phi.restrict(phi.t_start, hi).times(), out_dir, prefix, {
+        part: getattr(demo.triple, part).restrict(phi.t_start, hi).values
+        for part in ("phi", "psi", "theta")})
     counters = {"orbit_length": len(demo.orbit),
                 "scanned_shifts": demo.evidence.scanned_horizon}
     return [checks, _construct_evidence(demo), counters]
@@ -193,10 +196,9 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         CheckRecord.from_bool("picard_fixed_point", fp_gap <= 1e-6,
                               values={"max_gap": fp_gap}, tolerances={"gap": 1e-6})]
 
-    axis = CsvAxis("t", times)
-    for name, samples in (("phi_solution", phi.values), ("psi_solution", psi.values),
-                          ("difference", diff[:, None])):
-        write_function_csv(out_dir / f"{prefix}_{name}.csv", axis, samples)
+    # once the tail is below an ulp, psi's rows equal phi's and reuse their text
+    _write_csvs(write_function_csv, times, out_dir, prefix, {
+        "phi_solution": phi.values, "psi_solution": psi.values, "difference": diff})
     evidence = {**_envelope_evidence(demo), "proof_constants": jsonable(demo.proof)}
     counters = {"grid_nodes": len(times),
                 "rk4_steps": int(round((times[-1] - times[0]) / phi.step))}
@@ -228,11 +230,9 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                               values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
 
     idx = demo.phi_orbit.times()
-    axis = CsvAxis("i", idx)
-    diff = row_norms(demo.phi_orbit.values - demo.psi_orbit.values)
-    for name, values in (("phi_orbit", demo.phi_orbit.values),
-                         ("psi_orbit", demo.psi_orbit.values), ("difference", diff[:, None])):
-        write_sequence_csv(out_dir / f"{prefix}_{name}.csv", axis, values)
+    phi, psi = demo.phi_orbit.values, demo.psi_orbit.values
+    _write_csvs(write_sequence_csv, idx, out_dir, prefix, {
+        "phi_orbit": phi, "psi_orbit": psi, "difference": row_norms(phi - psi)})
     evidence = {**_envelope_evidence(demo),
                 "envelope_persistent_level": demo.envelope.persistent_level,
                 "envelope_decay_base": demo.envelope.decay_base}

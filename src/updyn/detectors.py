@@ -267,6 +267,9 @@ def evidence_for_function(phi: Series, window: Sequence[float],
         raise ArgumentError("window", "must be an increasing span")
     values = phi.values
     n = len(phi)
+    if not math.isfinite(min_shift / phi.step):
+        raise ArgumentError("min_shift", f"is {min_shift!r}, which overflows as a count of "
+                                         f"grid steps of {phi.step:g}")
     first = max(1, int(round(min_shift / phi.step)))
     # clamped where its size stops mattering, so that a huge horizon cannot overflow
     by_horizon = round(min(horizon / phi.step, max(n, first)))

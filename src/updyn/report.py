@@ -1,8 +1,12 @@
 """Deterministic CSV and JSON emission for experiment pipelines.
 
-CSV rows carry 17 significant digits so binary64 values round-trip exactly;
-JSON reports are written with sorted keys and no wall-clock content, which
-makes repeated runs byte-identical.
+CSV rows carry 17 significant digits so binary64 values round-trip exactly.
+``write_csvs`` writes every CSV on one axis in a single chunked pass: it
+formats each chunk of the axis once, and a chunk whose values equal an
+earlier file's bit for bit (as a forced solution's do its tail-free twin's
+once the tail is below an ulp) reuses that file's text.  JSON reports are
+written with sorted keys and no wall-clock content, which makes repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,67 +24,62 @@ import numpy as np
 # A chunk of 1024 rows formats as fast, but its ~70 kB strings fragment the
 # malloc heap: peak RSS of the construct demos then jumps by up to 30 MB.
 CSV_CHUNK_ROWS = 128
+AXIS_FORMATS = {"t": "%.17g\n", "i": "%d\n"}
 
 
-class CsvAxis:
-    """The axis column of one or more CSVs, formatted once.
+def write_csvs(axis_name: str, axis, files) -> int:
+    """Write the CSVs of ``(path, values)`` pairs on one axis in one chunked pass.
 
-    ``name`` heads the column: ``t`` for times, written ``%.17g``, or ``i``
-    for indices, written ``%d``.  ``chunks[c]`` is the text of rows
-    ``c * CSV_CHUNK_ROWS`` onward, each value followed by a newline.  Writers
-    of several CSVs on one axis build it once and pass it to each.
+    Each has the header ``axis_name,x1,...,xm`` and a row per axis value, a
+    time ``t`` written ``%.17g`` or an index ``i`` written ``%d``, then its
+    values, ``%.17g`` each.  A chunk's axis text is formatted once; a chunk of
+    values that equals the same chunk of an earlier file bit for bit takes that
+    file's text, and any other is filled by one ``%``.  Only the chunk in hand
+    is held as text, so memory stays flat.  Returns the chunks formatted.
     """
-
-    def __init__(self, name: str, axis):
-        fmt = {"t": "%.17g\n", "i": "%d\n"}[name]
-        axis = np.asarray(axis, dtype=float if name == "t" else None)
-        self.name = name
-        self.rows = len(axis)
-        parts = (axis[lo:lo + CSV_CHUNK_ROWS].tolist()
-                 for lo in range(0, self.rows, CSV_CHUNK_ROWS))
-        self.chunks = [fmt * len(part) % tuple(part) for part in parts]
-
-    def __len__(self) -> int:
-        return self.rows
-
-
-def _write_csv(path, axis: CsvAxis, values) -> None:
-    """Header ``axis.name,x1,...,xm``; then each axis row followed by its values.
-
-    A chunk's row template is its axis text with ``,%.17g`` per column before
-    every newline; one ``%`` over the chunk's flattened values fills it, and
-    the chunk is written at once, so memory stays flat on long series.
-    """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != len(axis):
-        values = values.T
-    if values.shape[0] != len(axis):
-        raise ValueError(f"{len(axis)} axis rows, but values of shape {values.shape}")
-    cols = values.shape[1]
-    fields = ",%.17g" * cols + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(axis.name + "," + ",".join(f"x{j + 1}" for j in range(cols)) + "\n")
-        for lo, text in zip(range(0, axis.rows, CSV_CHUNK_ROWS), axis.chunks):
-            rows = values[lo:lo + CSV_CHUNK_ROWS]
-            fh.write(text.replace("\n", fields) % tuple(rows.ravel().tolist()))
-
-
-def _axis(name: str, axis) -> CsvAxis:
-    if not isinstance(axis, CsvAxis):
-        return CsvAxis(name, axis)
-    if axis.name != name:
-        raise ValueError(f"an axis '{axis.name}' cannot head a CSV with axis '{name}'")
-    return axis
+    if axis_name not in AXIS_FORMATS:
+        raise ValueError(f"an axis '{axis_name}' cannot head a CSV: expected 't' or 'i'")
+    axis = np.asarray(axis, dtype=float if axis_name == "t" else None)
+    rows = len(axis)
+    tables = []
+    for _, values in files:
+        values = np.atleast_2d(np.asarray(values, dtype=float))
+        if values.shape[0] != rows:
+            values = values.T
+        if values.shape[0] != rows:
+            raise ValueError(f"{rows} axis rows, but values of shape {values.shape}")
+        tables.append(values)
+    formatted = 0
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                   for path, _ in files]
+        for fh, values in zip(handles, tables):
+            fh.write(axis_name + "".join(f",x{j + 1}" for j in range(values.shape[1])) + "\n")
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            part = axis[lo:lo + CSV_CHUNK_ROWS].tolist()
+            axis_text = AXIS_FORMATS[axis_name] * len(part) % tuple(part)
+            done = []  # (bytes, text) of this chunk in the files before
+            for fh, values in zip(handles, tables):
+                chunk = values[lo:lo + CSV_CHUNK_ROWS]
+                key = chunk.tobytes()  # as bytes, -0.0 is not 0.0 and a NaN is itself
+                text = next((t for k, t in done if k == key), None)
+                if text is None:
+                    fields = ",%.17g" * values.shape[1] + "\n"
+                    text = axis_text.replace("\n", fields) % tuple(chunk.ravel().tolist())
+                    formatted += 1
+                done.append((key, text))
+                fh.write(text)
+    return formatted
 
 
-def write_function_csv(path, times, samples) -> None:
-    """Header t,x1,...,xm; one row per grid node.  ``times`` may be a ``CsvAxis``."""
-    _write_csv(path, _axis("t", times), samples)
+def write_function_csv(path, times, samples, more=()) -> None:
+    """Header t,x1,...,xm; a row per grid node.  ``more`` (path, samples) join the pass."""
+    write_csvs("t", times, [(path, samples), *more])
 
 
-def write_sequence_csv(path, indices, values) -> None:
-    """Header i,x1,...,xp; one row per index.  ``indices`` may be a ``CsvAxis``."""
-    _write_csv(path, _axis("i", indices), values)
+def write_sequence_csv(path, indices, values, more=()) -> None:
+    """Header i,x1,...,xp; a row per index.  ``more`` (path, values) join the pass."""
+    write_csvs("i", indices, [(path, values), *more])
 
 
 def read_series_csv(path):

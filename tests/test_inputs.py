@@ -167,6 +167,16 @@ BAD_INPUTS = [
         "forcing": {"type": "constant", "value": [1e150]}}, "numeric": {"tol": 1e-180}},
      "config field 'numeric.tol'"),
     ("6.4 tol subnormal", ["6.4", "--tol", "5e-324"], "--tol"),
+    # an epsilon that put alpha less than one delay into the window exited 1 with an
+    # internal error from the Picard check, after the whole integration
+    ("delay epsilon 2000.7", {"kind": "delay", "numeric": {"epsilon": 2000.7}},
+     "config field 'numeric.epsilon'"),
+    ("delay epsilon 1e300", {"kind": "delay", "numeric": {"epsilon": 1e300}},
+     "config field 'numeric.epsilon'"),
+    ("delay epsilon 1.7e308", {"kind": "delay", "numeric": {"epsilon": 1.7e308}},
+     "config field 'numeric.epsilon'"),
+    # a smallest shift past the float range overflowed when counted in grid steps
+    ("detect min-shift 1.7e308", (function_csv, "--min-shift", "1.7e308"), "--min-shift"),
 ]
 
 
