@@ -14,19 +14,17 @@ from .constructs import (DecompositionTriple, WitnessReport,
                          add_convergent, affine_transform, build_function_triple,
                          build_sequence_triple, non_unpredictability_witness, shift)
 from .delay import (DelaySystemSpec, ProofConstants, StabilityConstants,
-                    bounded_solution, check_assumptions_A, constant_history,
-                    contraction_margin, convergence_check, integrate_mos,
-                    picard_apply, proof_constants, stability_constants,
-                    step_residuals)
+                    bounded_solution, constant_history, convergence_check,
+                    integrate_mos, picard_apply, proof_constants,
+                    stability_constants, step_residuals)
 from .detectors import (DecayReport, DivergenceReport, UnpredictabilityEvidence,
                         collect_evidence, decay_test, evidence_for_function,
                         find_near_returns, find_separations, sensitivity_demo,
                         verify_evidence)
 from .discrete import (DiscreteSystemSpec, GronwallEnvelope, bounded_orbit,
-                       check_assumptions_B, convergence_check_discrete,
-                       gronwall_envelope, iterate, orbit_sum_residual,
-                       spectral_norm)
-from .nonlinearity import Nonlinearity, spot_check
+                       convergence_check_discrete, gronwall_envelope, iterate,
+                       orbit_sum_residual, spectral_norm)
+from .nonlinearity import AssumptionReport, Nonlinearity, check_assumptions, spot_check
 
 __version__ = "0.1.0"
 

@@ -28,17 +28,15 @@ from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFuncti
                     settling_positions)
 from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
                          function_tail, non_unpredictability_witness, WitnessReport)
-from .delay import (DelayAssumptionReport, DelayConvergenceReport, DelaySystemSpec,
-                    ProofConstants, StabilityConstants, check_assumptions_A, constant_history,
-                    convergence_check, integrate_mos, proof_constants, stability_constants)
+from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, constant_history,
+                    convergence_check, integrate_mos, proof_constants)
 from .detectors import (DecayReport, UnpredictabilityEvidence, collect_evidence,
                         decay_test, evidence_for_function, verify_evidence)
-from .discrete import (DiscreteAssumptionReport, DiscreteConvergenceReport,
-                       DiscreteSystemSpec, GronwallEnvelope, bounded_orbit,
-                       check_assumptions_B, convergence_check_discrete, gamma_ceiling,
+from .discrete import (DiscreteConvergenceReport, DiscreteSystemSpec, GronwallEnvelope,
+                       bounded_orbit, convergence_check_discrete, gamma_ceiling,
                        gronwall_envelope)
 from .errors import ArgumentError, DomainError
-from .nonlinearity import Nonlinearity
+from .nonlinearity import AssumptionReport, Nonlinearity, check_assumptions
 
 EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4")
 
@@ -232,10 +230,7 @@ class DelayDemo:
     """Both forced solutions of the delay demo plus every derived quantity."""
 
     spec_combined: DelaySystemSpec
-    spec_recurrent: DelaySystemSpec
-    filt: ExponentialFilter
-    constants: StabilityConstants
-    assumptions: DelayAssumptionReport
+    assumptions: AssumptionReport
     proof: ProofConstants
     m_phi: float
     m_psi: float
@@ -291,9 +286,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     spec_phi = DelaySystemSpec(a, tau, f, phi_fn)
     spec_psi = DelaySystemSpec(a, tau, f, psi_fn)
 
-    constants = stability_constants(a)
-    assumptions = check_assumptions_A(spec_phi, constants)
-    if not assumptions.a3_pass:
+    assumptions = check_assumptions(spec_phi)
+    if not assumptions.contracts:
         raise ArgumentError("tau", f"gives the contraction margin A3 = {assumptions.margin:g}; "
                                    "the delay demo needs it positive")
 
@@ -301,7 +295,7 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     t0 = w0 - n_burn * step
     history = constant_history(np.zeros(2), t0, tau, step)
     forcing, (m_phi, m_psi) = _forcing_samples(spec_psi, history, w1, step)
-    proof = proof_constants(spec_phi, constants, m_phi, m_psi)
+    proof = proof_constants(spec_phi, m_phi, m_psi)
     gamma = 0.5 / (proof.k1 + proof.k2)
 
     # the window of the integrator's grid, restricted as its trajectories will be
@@ -320,11 +314,10 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     runs = integrate_mos(spec_psi, history, w1, step, forcing)
     del forcing  # freed before the checks run
     phi_solution, psi_solution = (x.restrict(w0, w1) for x in runs)
-    report = convergence_check(phi_solution, psi_solution, constants, proof, tau,
+    report = convergence_check(phi_solution, psi_solution, spec_phi, proof,
                                alpha, gamma, epsilon, slack=DELAY_ENVELOPE_SLACK,
                                ladder=(1e-1, 1e-2, 1e-3))
-    return DelayDemo(spec_phi, spec_psi, filt, constants, assumptions, proof,
-                     m_phi, m_psi, gamma, epsilon, alpha,
+    return DelayDemo(spec_phi, assumptions, proof, m_phi, m_psi, gamma, epsilon, alpha,
                      phi_solution, psi_solution, theta_grid, report)
 
 
@@ -337,9 +330,8 @@ class DiscreteDemo:
     """Both forced orbits of the discrete demo plus every derived quantity."""
 
     spec_combined: DiscreteSystemSpec
-    spec_recurrent: DiscreteSystemSpec
     triple: DecompositionTriple
-    assumptions: DiscreteAssumptionReport
+    assumptions: AssumptionReport
     m_phi: float
     m_psi: float
     gamma: float
@@ -365,7 +357,7 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     g = discrete_demo_nonlinearity()
     spec_phi = DiscreteSystemSpec(b, g, triple.phi)
     spec_psi = DiscreteSystemSpec(b, g, triple.psi)
-    assumptions = check_assumptions_B(spec_phi)
+    assumptions = check_assumptions(spec_phi)
 
     m_phi = triple.phi.sup_norm()
     m_psi = triple.psi.sup_norm()
@@ -381,6 +373,6 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=DISCRETE_ENVELOPE_SLACK)
-    return DiscreteDemo(spec_phi, spec_psi, triple, assumptions,
+    return DiscreteDemo(spec_phi, triple, assumptions,
                         m_phi, m_psi, gamma, epsilon, alpha,
                         phi_orbit, psi_orbit, envelope, report)

@@ -42,7 +42,8 @@ from .delay import _exact_ratio, picard_apply
 from .detectors import (FUNCTION_HORIZON, SEQUENCE_HORIZON, collect_evidence,
                         evidence_for_function, verify_evidence)
 from .discrete import orbit_sum_residual
-from .errors import ArgumentError, ConfigError, DomainError, UpdynError
+from .errors import ArgumentError, ConfigError, DomainError, StabilityError, UpdynError
+from .nonlinearity import check_assumptions
 from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
                      write_function_csv, write_json_report, write_sequence_csv)
 
@@ -137,11 +138,12 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     return [checks, _construct_evidence(demo), counters]
 
 
-def _margin_check_A(assumptions) -> CheckRecord:
-    return CheckRecord.from_bool("contraction_margin", assumptions.a3_pass,
-                                 values={"A3_margin": assumptions.margin,
-                                         "A1_pass": assumptions.a1_pass,
-                                         "A2_pass": assumptions.a2_pass},
+def _margin_check(letter: str, assumptions) -> CheckRecord:
+    """The margin check of a delay ("A") or discrete ("B") system, with its other verdicts."""
+    return CheckRecord.from_bool("contraction_margin", assumptions.contracts,
+                                 values={f"{letter}3_margin": assumptions.margin,
+                                         f"{letter}1_pass": assumptions.spot.bound_ok,
+                                         f"{letter}2_pass": assumptions.spot.lipschitz_ok},
                                  tolerances={"positive": 0.0})
 
 
@@ -165,7 +167,7 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     eigs = np.linalg.eigvals(demo.spec_combined.matrix)
     expected = np.array([-2.0 + 1j * math.sqrt(6.0), -2.0 - 1j * math.sqrt(6.0)])
     gap = float(max(min(abs(e - expected[0]), abs(e - expected[1])) for e in eigs))
-    c, report = demo.constants, demo.report
+    c, report = demo.spec_combined.constants, demo.report
     phi, psi = demo.phi_solution, demo.psi_solution
     times = phi.times()
     diff = row_norms(phi.values - psi.values)
@@ -181,7 +183,7 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                               and abs(c.amplitude - EXACT_AMPLITUDE) <= 1e-9,
                               values={"amplitude": c.amplitude, "decay_rate": c.decay_rate,
                                       "mode": c.mode}, tolerances={"amplitude_gap": 1e-9}),
-        _margin_check_A(demo.assumptions),
+        _margin_check("A", demo.assumptions),
         CheckRecord.from_bool("envelope", report.envelope_ok,
                               values={"max_excess": report.max_excess, "alpha": report.alpha,
                                       "k1": demo.proof.k1, "k2": demo.proof.k2,
@@ -207,17 +209,18 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 
 def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     a, report = demo.assumptions, demo.report
+    norm_b = demo.spec_combined.norm_b
     drop = next((c for c in report.crossings if c[0] == 1e-6), None)
     drop_at = None if drop is None else drop[1]
     sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
     checks = [
-        CheckRecord.from_bool("spectral_norm", abs(a.norm_b - SQRT5_OVER_4) <= 1e-9,
-                              values={"spectral_norm": a.norm_b, "expected": SQRT5_OVER_4},
+        CheckRecord.from_bool("spectral_norm", abs(norm_b - SQRT5_OVER_4) <= 1e-9,
+                              values={"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
                               tolerances={"gap": 1e-9}),
-        CheckRecord.from_bool("contraction_margin", a.b3_pass
+        CheckRecord.from_bool("contraction_margin", a.contracts
                               and abs(a.margin - (1.0 - SQRT5_OVER_4 - 0.2)) <= 1e-9,
-                              values={"B3_margin": a.margin, "B1_pass": a.b1_pass,
-                                      "B2_pass": a.b2_pass}, tolerances={"gap": 1e-9}),
+                              values={"B3_margin": a.margin, "B1_pass": a.spot.bound_ok,
+                                      "B2_pass": a.spot.lipschitz_ok}, tolerances={"gap": 1e-9}),
         CheckRecord.from_bool("envelope", report.envelope_ok,
                               values={"max_excess": report.max_excess, "alpha": report.alpha},
                               tolerances={"slack": catalog.DISCRETE_ENVELOPE_SLACK}),
@@ -276,30 +279,32 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
                     step: float | None = None, tol: float = 1e-8):
     """Check assumptions A1-A3 and, given a ``window``, simulate the bounded solution there
     with ``step`` (default ``tau / 32``) after a burn-in counted toward ``MAX_ROWS``."""
-    from .delay import (DelaySystemSpec, bounded_solution, burn_in_time, check_assumptions_A,
-                        stability_constants)
+    from .delay import DelaySystemSpec, bounded_solution, burn_in_time
 
     per_unit = _steps_per_unit(tau, step, "delay")
     matrix = catalog.delay_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
     forcing = _constant_forcing(_forcing_value(forcing, value, matrix.shape[0]))
-    constants = stability_constants(matrix)
     spec = DelaySystemSpec(matrix, tau, nl, forcing)
-    assumptions = check_assumptions_A(spec, constants)
+    try:
+        constants = spec.constants
+    except StabilityError as exc:
+        raise ArgumentError("matrix", f"has no exponential stability bound: {exc}") from None
+    assumptions = check_assumptions(spec)
     checks = [
-        _margin_check_A(assumptions),
+        _margin_check("A", assumptions),
         CheckRecord("stability_amplitude", "pass", values={
             "amplitude": constants.amplitude, "decay_rate": constants.decay_rate,
             "mode": constants.mode}, tolerances={})]
-    if window is None or not assumptions.a3_pass:
+    if window is None or not assumptions.contracts:
         checks.append(CheckRecord("solution_sup_bound", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}
-    burn = burn_in_time(constants, tol)
+    burn = burn_in_time(spec, tol)
     if (burn + window[1] - window[0] + tau) * per_unit > MAX_ROWS:
         raise ArgumentError(("window", "matrix", "tol", "step", "tau"), f"the run would compute "
-                            f"over {MAX_ROWS:,} rows, {burn * per_unit:,.0f} of them burn-in")
+                            f"over {MAX_ROWS:,} rows, {burn * per_unit:.3g} of them burn-in")
     step = catalog.delay_step(tau, step)
-    traj = bounded_solution(spec, constants, tuple(window), step, tol=tol)
+    traj = bounded_solution(spec, tuple(window), step, tol=tol)
     sup_forcing = row_norms(forcing(np.linspace(window[0], window[1], 257))).max()
     bound = constants.amplitude * (nl.bound + float(sup_forcing)) / constants.decay_rate
     checks.append(CheckRecord.from_bool(
@@ -313,7 +318,7 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
                        scale: float | None = None, window=(0, 400), tol: float = 1e-9):
     """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``
     after a burn-in sized from one row of the constant forcing, counted toward ``MAX_ROWS``."""
-    from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length, check_assumptions_B
+    from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length
 
     matrix = catalog.discrete_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
@@ -323,16 +328,12 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     with np.errstate(over="ignore"):
         if not math.isfinite(spec.forcing.sup_norm()):
             raise ArgumentError("value", "is too large: its norm overflows")
-    assumptions = check_assumptions_B(spec)
+    assumptions = check_assumptions(spec)
     checks = [
-        CheckRecord.from_bool("contraction_margin", assumptions.b3_pass,
-                              values={"B3_margin": assumptions.margin,
-                                      "B1_pass": assumptions.b1_pass,
-                                      "B2_pass": assumptions.b2_pass},
-                              tolerances={"positive": 0.0}),
+        _margin_check("B", assumptions),
         CheckRecord("spectral_norm", "pass",
-                    values={"spectral_norm": assumptions.norm_b}, tolerances={})]
-    if not assumptions.b3_pass:
+                    values={"spectral_norm": spec.norm_b}, tolerances={})]
+    if not assumptions.contracts:
         checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}
     i0, i1 = int(window[0]), int(window[1])

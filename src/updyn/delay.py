@@ -3,7 +3,9 @@
 The linear part must be exponentially stable.  The module bounds the decay
 |exp(At)| <= N exp(-rate*t): in exact mode by the condition number of the
 modal matrix, a proof for all t >= 0; in fit mode by a fit to |exp(At)| on
-a grid, which is evidence on [0, grid_end] only.  It integrates the system
+a grid, which is evidence on [0, grid_end] only.  The system spec owns N, the
+rate lambda and the A3 contraction margin, each computed in one place, so the
+routines below take the spec alone.  The module integrates the system
 by the method of steps with a classical fourth-order scheme, recovers the
 unique bounded solution by burn-in, and exposes the contraction operator
 whose fixed point is the difference of two forced solutions.  All of that
@@ -24,6 +26,7 @@ axis) through each segment together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -33,14 +36,18 @@ import numpy as np
 from .chaos import GridFunction, Series, row_norms, settling_positions
 from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
                      StabilityError)
-from .nonlinearity import Nonlinearity, SpotCheck, spot_check
+from .nonlinearity import Nonlinearity
 
 
 @dataclass(frozen=True)
 class DelaySystemSpec:
     """Matrix, delay, bounded Lipschitz nonlinearity and forcing term.
 
-    ``forcing`` is a vectorized callable t -> (len(t), dim).
+    ``forcing`` is a vectorized callable t -> (len(t), dim).  The spec is the
+    one home of the system's stability and contraction constants: the bound
+    |exp(At)| <= N exp(-lambda t) (``constants``, computed once by
+    ``stability_constants``) and the A3 margin lambda - 2 N L exp(lambda tau / 2)
+    (``margin``), which ``contraction_margin`` returns only when it is positive.
     """
 
     matrix: np.ndarray
@@ -59,6 +66,31 @@ class DelaySystemSpec:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def constants(self) -> StabilityConstants:
+        """N and lambda of the matrix; ``StabilityError`` when it has none."""
+        return stability_constants(self.matrix)
+
+    @property
+    def margin(self) -> float:
+        """The A3 margin, whatever its sign: lambda itself when L = 0, and -inf
+        once the exponential leaves the float range."""
+        n, lam = self.constants.amplitude, self.constants.decay_rate
+        coupling = 2.0 * n * self.nonlinearity.lipschitz
+        if coupling == 0.0:
+            return lam
+        try:
+            return lam - coupling * math.exp(lam * self.delay / 2.0)
+        except OverflowError:
+            return -math.inf
+
+    def contraction_margin(self) -> float:
+        """The A3 margin; ``AssumptionError`` unless it is positive."""
+        if not self.margin > 0.0:
+            raise AssumptionError(f"contraction margin lambda - 2 N L exp(lambda tau / 2) = "
+                                  f"{self.margin!r} is not positive")
+        return self.margin
 
 
 @dataclass(frozen=True)
@@ -81,26 +113,6 @@ class ProofConstants:
     k1: float
     k2: float
     m0: float
-
-
-@dataclass(frozen=True)
-class DelayAssumptionReport:
-    """Spot-check outcome plus the contraction margin of the delay system."""
-
-    spot: SpotCheck
-    margin: float
-
-    @property
-    def a1_pass(self) -> bool:
-        return self.spot.bound_ok
-
-    @property
-    def a2_pass(self) -> bool:
-        return self.spot.lipschitz_ok
-
-    @property
-    def a3_pass(self) -> bool:
-        return self.margin > 0.0
 
 
 def _eig_abscissa(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -134,18 +146,21 @@ def _real_modal_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _decay_grid(a: np.ndarray, grid_step: float, grid_end: float) -> list:
-    """(t, |exp(At)|) at t = grid_step, 2 grid_step, ... up to grid_end."""
+    """(t, |exp(At)|) at t = grid_step, 2 grid_step, ... up to grid_end;
+    ``StabilityError`` when a value of exp(At) there is not finite."""
     from scipy.linalg import expm  # not at module level: most commands never call it
 
     e_step = expm(a * grid_step)
-    acc = np.eye(a.shape[0])
-    grid = []
+    times, powers = [], [np.eye(a.shape[0])]
     t = 0.0
     while t < grid_end - 1e-12:
-        acc = acc @ e_step
+        powers.append(powers[-1] @ e_step)
         t += grid_step
-        grid.append((t, np.linalg.svd(acc, compute_uv=False)[0]))
-    return grid
+        times.append(t)
+    powers = np.stack(powers)[1:]
+    if not np.isfinite(powers).all():
+        raise StabilityError(f"exp(A t) is not finite on the grid of step {grid_step!r}")
+    return list(zip(times, np.linalg.svd(powers, compute_uv=False)[:, 0]))
 
 
 def _grid_slack(grid: list, amplitude: float, decay_rate: float) -> float:
@@ -204,29 +219,6 @@ def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
     if slack < -1e-10:
         raise StabilityError(f"certified bound fails on the verification grid (slack {slack:.3e})")
     return StabilityConstants(amplitude, rate, mode, slack, abscissa)
-
-
-def contraction_margin(spec: DelaySystemSpec, constants: StabilityConstants) -> float:
-    """decay_rate - 2 * N * L * exp(decay_rate * tau / 2); positive means contraction.
-
-    -inf once the exponential leaves the float range and L > 0.
-    """
-    n, lam = constants.amplitude, constants.decay_rate
-    coupling = 2.0 * n * spec.nonlinearity.lipschitz
-    if coupling == 0.0:
-        return lam
-    try:
-        return lam - coupling * math.exp(lam * spec.delay / 2.0)
-    except OverflowError:
-        return -math.inf
-
-
-def check_assumptions_A(spec: DelaySystemSpec, constants: StabilityConstants,
-                        pairs: int = 1000, seed: int = 1404) -> DelayAssumptionReport:
-    """Spot-check the declared nonlinearity constants and report the margin."""
-    return DelayAssumptionReport(
-        spot=spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
-        margin=contraction_margin(spec, constants))
 
 
 def _exact_ratio(span: float, step: float, what: str) -> int:
@@ -477,41 +469,43 @@ def step_residuals(spec: DelaySystemSpec, trajectory: Series, history: Series) -
     return row_norms(defect)
 
 
-def burn_in_time(constants: StabilityConstants, tol: float) -> float:
-    """Time units ``bounded_solution`` integrates before its window by default."""
-    return (2.0 / constants.decay_rate) * math.log(1.0 / tol)
+def burn_in_time(spec: DelaySystemSpec, tol: float) -> float:
+    """Time units ``bounded_solution`` integrates before its window."""
+    return (2.0 / spec.constants.decay_rate) * math.log(1.0 / tol)
 
 
-def bounded_solution(spec: DelaySystemSpec, constants: StabilityConstants,
-                     window: Sequence[float], step: float, tol: float = 1e-8,
-                     burn_in: float | None = None) -> Series:
+def bounded_solution(spec: DelaySystemSpec, window: Sequence[float], step: float,
+                     tol: float = 1e-8) -> Series:
     """Approximate the unique bounded solution on ``window`` by burn-in.
 
-    Integration starts ``burn_in`` time units before the window from a zero
-    history; global exponential stability collapses the influence of that
-    choice below ``tol`` by the window start.
+    Integration starts ``burn_in_time`` time units before the window from a
+    zero history; global exponential stability collapses the influence of
+    that choice below ``tol`` by the window start.  A step whose RK4 step
+    matrix has spectral radius 1 or more would amplify that history instead
+    of forgetting it, however stable the system, and is refused.
     """
-    if contraction_margin(spec, constants) <= 0.0:
-        raise AssumptionError("contraction margin is not positive")
+    spec.contraction_margin()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mt = _rk4_step(spec.matrix, np.eye(spec.dim), 0.0, 0.0, 0.0, step)
+    rho = float(np.abs(np.linalg.eigvals(mt)).max()) if np.isfinite(mt).all() else math.inf
+    if not rho < 1.0:
+        raise ArgumentError(("step", "matrix"), f"an RK4 step of {step!r} has spectral radius "
+                                                f"{rho:.4g} on this system; it must be below 1")
     w0, w1 = float(window[0]), float(window[1])
-    burn_in = burn_in_time(constants, tol) if burn_in is None else burn_in
-    n_burn = max(1, math.ceil(burn_in / step - 1e-9))
+    n_burn = max(1, math.ceil(burn_in_time(spec, tol) / step - 1e-9))
     t_start = w0 - n_burn * step
     history = constant_history(np.zeros(spec.dim), t_start, spec.delay, step)
     traj = integrate_mos(spec, history, w1, step)
     return traj.restrict(w0, w1)
 
 
-def proof_constants(spec: DelaySystemSpec, constants: StabilityConstants,
-                    m_phi: float, m_psi: float) -> ProofConstants:
+def proof_constants(spec: DelaySystemSpec, m_phi: float, m_psi: float) -> ProofConstants:
     """Envelope constants from the stability bound and measured forcing sups: proven
-    for all t when ``constants`` are exact, grid evidence on [0, grid_end] when fitted."""
-    n, lam = constants.amplitude, constants.decay_rate
+    for all t when ``spec.constants`` are exact, grid evidence on [0, grid_end] when fitted."""
+    n, lam = spec.constants.amplitude, spec.constants.decay_rate
     mf = spec.nonlinearity.bound
     lf = spec.nonlinearity.lipschitz
-    margin = contraction_margin(spec, constants)
-    if margin <= 0.0:
-        raise AssumptionError("contraction margin must be positive")
+    margin = spec.contraction_margin()
     if lam - n * lf <= 0.0:
         raise AssumptionError("decay rate must dominate N * lipschitz")
     k1 = n * n * (2.0 * mf + m_phi + m_psi) / margin
@@ -577,9 +571,9 @@ class DelayConvergenceReport:
     checked_to: float
 
 
-def convergence_check(phi_solution: Series, psi_solution: Series,
-                      constants: StabilityConstants, proof: ProofConstants, delay: float,
-                      alpha: float, gamma: float, epsilon: float, slack: float = 1e-6,
+def convergence_check(phi_solution: Series, psi_solution: Series, spec: DelaySystemSpec,
+                      proof: ProofConstants, alpha: float, gamma: float, epsilon: float,
+                      slack: float = 1e-6,
                       ladder: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> DelayConvergenceReport:
     """Verify |phi_sol - psi_sol| against k1*exp(-rate*(t-alpha)/2) + k2*gamma*eps.
 
@@ -592,10 +586,10 @@ def convergence_check(phi_solution: Series, psi_solution: Series,
         raise DomainError("gamma must lie strictly below 1/(k1 + k2)")
     times = phi_solution.times()
     diff = row_norms(phi_solution.values - psi_solution.values)
-    lam = constants.decay_rate
+    lam = spec.constants.decay_rate
     floor = proof.k2 * gamma * epsilon
 
-    region = times >= alpha - delay - 1e-12
+    region = times >= alpha - spec.delay - 1e-12
     env = proof.k1 * np.exp(-0.5 * lam * (times[region] - alpha)) + floor
     excess = diff[region] - env
     worst = int(np.argmax(excess))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chaos import Series, VectorSequence, row_norms, settling_positions
 from .errors import ArgumentError, AssumptionError, DomainError, WindowExhaustedError
-from .nonlinearity import Nonlinearity, SpotCheck, spot_check
+from .nonlinearity import Nonlinearity
 
 
 @dataclass(frozen=True)
@@ -79,35 +79,6 @@ def spectral_norm(b) -> float:
     if b.ndim != 2 or b.shape[0] != b.shape[1] or not np.all(np.isfinite(b)):
         raise DomainError("expected a finite square matrix")
     return float(np.linalg.norm(b, 2))
-
-
-@dataclass(frozen=True)
-class DiscreteAssumptionReport:
-    """Spot-check outcome plus |B| and the contraction margin 1 - (|B| + L)."""
-
-    spot: SpotCheck
-    norm_b: float
-    margin: float
-
-    @property
-    def b1_pass(self) -> bool:
-        return self.spot.bound_ok
-
-    @property
-    def b2_pass(self) -> bool:
-        return self.spot.lipschitz_ok
-
-    @property
-    def b3_pass(self) -> bool:
-        return self.margin > 0.0
-
-
-def check_assumptions_B(spec: DiscreteSystemSpec, pairs: int = 1000,
-                        seed: int = 1404) -> DiscreteAssumptionReport:
-    """Spot-check the declared nonlinearity constants and report |B| and the margin."""
-    return DiscreteAssumptionReport(
-        spot=spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
-        norm_b=spec.norm_b, margin=spec.margin)
 
 
 # Block sweeps of ``iterate``: the first block has _FIRST_BLOCK_ROWS rows and

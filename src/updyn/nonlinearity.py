@@ -1,4 +1,9 @@
-"""Bounded Lipschitz nonlinearity descriptors with randomized spot checks."""
+"""Bounded Lipschitz nonlinearity descriptors with randomized spot checks.
+
+A delay or discrete system rests on three assumptions: its nonlinearity is
+bounded (A1, B1), it is Lipschitz (A2, B2), and the system's contraction margin
+is positive (A3, B3).  ``check_assumptions`` tests all three for either spec.
+"""
 
 from __future__ import annotations
 
@@ -74,3 +79,23 @@ def spot_check(nl: Nonlinearity, dim: int, pairs: int = 1000, seed: int = 1404,
         bound_excess=float(norm_f.max() - nl.bound),
         lipschitz_excess=float(gap.max()),
     )
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """A system's assumptions: the bound and Lipschitz verdicts of ``spot`` and the
+    contraction margin, which ``contracts`` when positive."""
+
+    spot: SpotCheck
+    margin: float
+
+    @property
+    def contracts(self) -> bool:
+        return self.margin > 0.0
+
+
+def check_assumptions(spec, pairs: int = 1000, seed: int = 1404) -> AssumptionReport:
+    """Spot-check the declared constants of ``spec.nonlinearity`` and report ``spec.margin``,
+    for a delay or a discrete system spec."""
+    return AssumptionReport(spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
+                            spec.margin)

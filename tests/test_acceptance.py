@@ -54,8 +54,7 @@ def test_criterion_02_stability_constants():
     constants = stability_constants(a)
     spec = DelaySystemSpec(a, 0.2, catalog.delay_demo_nonlinearity(),
                            lambda t: np.zeros(np.asarray(t).shape + (2,)))
-    from updyn.delay import contraction_margin
-    margin = contraction_margin(spec, constants)
+    margin = spec.margin
     elapsed = time.perf_counter() - start
     ok = (eig_gap <= 1e-9
           and constants.mode == "exact"
@@ -138,8 +137,9 @@ def test_criterion_07_contraction_and_picard():
     grid = demo.phi_solution
     base = grid.values - demo.psi_solution.values
     a_idx = grid.index_at(demo.alpha)
-    bound = demo.constants.amplitude * demo.spec_combined.nonlinearity.lipschitz \
-        / demo.constants.decay_rate + 0.05
+    constants = demo.spec_combined.constants
+    bound = constants.amplitude * demo.spec_combined.nonlinearity.lipschitz \
+        / constants.decay_rate + 0.05
 
     def apply_T(values):
         cand = GridFunction(grid.t_start, grid.step, values)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from updyn import catalog
+from updyn import catalog, delay
 from updyn.chaos import GridFunction
 from updyn.delay import (DelaySystemSpec, _segment_midpoints, bounded_solution,
-                         check_assumptions_A, constant_history, contraction_margin,
-                         convergence_check, integrate_mos, picard_apply, proof_constants,
-                         stability_constants, step_residuals, verify_decay_bound)
-from updyn.errors import AssumptionError, DomainError, NonFiniteStateError, StabilityError
-from updyn.nonlinearity import Nonlinearity
+                         constant_history, convergence_check, integrate_mos, picard_apply,
+                         proof_constants, stability_constants, step_residuals,
+                         verify_decay_bound)
+from updyn.errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
+                          StabilityError)
+from updyn.nonlinearity import Nonlinearity, check_assumptions
 
 EXACT_N = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 
@@ -141,6 +144,10 @@ class TestStabilityConstants:
         assert sc.amplitude >= 1.0
         assert verify_decay_bound(a, sc.amplitude, sc.decay_rate) >= -1e-10
 
+    def test_exponential_past_the_float_range_rejected(self):
+        with pytest.raises(StabilityError, match="not finite"):
+            stability_constants(np.array([[-1e200, 1e200], [-1e200, -1e200]]))
+
     def test_defective_matrix_falls_back_to_fit(self):
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])
         sc = stability_constants(a)
@@ -152,31 +159,29 @@ class TestStabilityConstants:
 class TestAssumptions:
     def test_demo_margin(self):
         spec = demo_spec()
-        sc = stability_constants(spec.matrix)
-        report = check_assumptions_A(spec, sc)
-        assert report.a1_pass and report.a2_pass and report.a3_pass
+        report = check_assumptions(spec)
+        assert report.spot.bound_ok and report.spot.lipschitz_ok and report.contracts
         assert 0.8090 <= report.margin <= 0.8100
 
     def test_zero_lipschitz_margin_equals_rate(self):
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
                                Nonlinearity.zero(2), zero_forcing)
         sc = stability_constants(spec.matrix)
-        assert contraction_margin(spec, sc) == pytest.approx(sc.decay_rate, abs=1e-12)
+        assert spec.margin == pytest.approx(sc.decay_rate, abs=1e-12)
 
     def test_huge_delay_fails_margin(self):
         spec = demo_spec(tau=30.0)
-        sc = stability_constants(spec.matrix)
-        report = check_assumptions_A(spec, sc)
+        report = check_assumptions(spec)
         assert report.margin < 0.0
-        assert not report.a3_pass
+        assert not report.contracts
 
     def test_huge_delay_margin_is_minus_infinity(self):
         spec = demo_spec(tau=1e300)
         sc = stability_constants(spec.matrix)
-        assert contraction_margin(spec, sc) == -math.inf
-        assert not check_assumptions_A(spec, sc).a3_pass
+        assert spec.margin == -math.inf
+        assert not check_assumptions(spec).contracts
         unforced = DelaySystemSpec(spec.matrix, 1e300, Nonlinearity.zero(2), zero_forcing)
-        assert contraction_margin(unforced, sc) == sc.decay_rate
+        assert unforced.margin == sc.decay_rate
 
     def test_lying_constants_detected(self):
         def f(x):
@@ -184,10 +189,9 @@ class TestAssumptions:
             return np.tanh(x)
         liar = Nonlinearity(f, bound=0.1, lipschitz=0.05, name="liar")
         spec = DelaySystemSpec(-np.eye(2), 0.5, liar, zero_forcing)
-        sc = stability_constants(spec.matrix)
-        report = check_assumptions_A(spec, sc)
-        assert not report.a1_pass
-        assert not report.a2_pass
+        report = check_assumptions(spec)
+        assert not report.spot.bound_ok
+        assert not report.spot.lipschitz_ok
 
 
 class TestIntegrateMos:
@@ -453,13 +457,12 @@ class TestBlockedIntegrator:
 class TestBoundedSolution:
     def test_zero_system_zero_solution(self):
         spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2), zero_forcing)
-        sc = stability_constants(spec.matrix)
-        sol = bounded_solution(spec, sc, (0.0, 5.0), 0.0625)
+        sol = bounded_solution(spec, (0.0, 5.0), 0.0625)
         assert sol.sup_norm() == 0.0
 
     def test_demo_sup_bound(self, delay_demo):
-        sc = delay_demo.constants
         spec = delay_demo.spec_combined
+        sc = spec.constants
         bound = sc.amplitude * (spec.nonlinearity.bound + delay_demo.m_phi) / sc.decay_rate
         assert delay_demo.phi_solution.sup_norm() <= bound + 1e-8
 
@@ -478,9 +481,54 @@ class TestBoundedSolution:
 
     def test_margin_required(self):
         spec = demo_spec(tau=30.0)
-        sc = stability_constants(spec.matrix)
         with pytest.raises(AssumptionError):
-            bounded_solution(spec, sc, (0.0, 1.0), 30.0 / 150)
+            bounded_solution(spec, (0.0, 1.0), 30.0 / 150)
+
+    @pytest.mark.parametrize("rate", [500.0, 1000.0, 1e300])
+    def test_step_too_coarse_for_a_stiff_system_refused(self, rate):
+        # the RK4 step matrix at tau / 32 has spectral radius 1.645 at rate 500
+        spec = DelaySystemSpec(-rate * np.eye(1), 0.2, Nonlinearity.zero(1),
+                               lambda t: np.ones(np.shape(t) + (1,)))
+        with pytest.raises(ArgumentError) as caught:
+            bounded_solution(spec, (0.0, 1.0), 0.2 / 32)
+        assert caught.value.names == ("step", "matrix")
+
+    def test_stiff_system_at_a_stable_step(self):
+        # spectral radius 0.299 at rate 300: the solution settles on 1 / 300
+        spec = DelaySystemSpec(-300.0 * np.eye(1), 0.2, Nonlinearity.zero(1),
+                               lambda t: np.ones(np.shape(t) + (1,)))
+        sol = bounded_solution(spec, (0.0, 1.0), 0.2 / 32)
+        assert np.abs(sol.values - 1.0 / 300.0).max() <= 1e-12
+
+
+def test_spec_computes_its_stability_constants_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return stability_constants(a)
+    monkeypatch.setattr(delay, "stability_constants", counted)
+    spec = demo_spec(lambda t: np.ones(np.shape(t) + (2,)))
+    check_assumptions(spec)
+    proof_constants(spec, 1.0, 1.0)
+    bounded_solution(spec, (0.0, 0.5), 0.2 / 32)
+    assert len(calls) == 1
+
+
+def test_no_routine_takes_the_stability_constants():
+    """The delay spec owns N and lambda: no function takes them as an argument, and
+    only ``DelaySystemSpec.constants`` calls ``stability_constants``."""
+    callers = []
+    for path in Path(delay.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                assert "constants" not in names, f"{path.name}:{node.lineno}"
+                callers += [(path.name, getattr(node, "name", None)) for call in ast.walk(node)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "stability_constants"]
+    assert callers == [("delay.py", "constants")]
 
 
 class TestProofConstants:
@@ -489,7 +537,7 @@ class TestProofConstants:
                                Nonlinearity(lambda x: np.zeros_like(x),
                                             bound=1e-300, lipschitz=0.0), zero_forcing)
         sc = stability_constants(spec.matrix)
-        pc = proof_constants(spec, sc, 1.5, 0.5)
+        pc = proof_constants(spec, 1.5, 0.5)
         n, lam = sc.amplitude, sc.decay_rate
         assert pc.k2 == pytest.approx(n / lam, rel=1e-12)
         assert pc.k1 == pytest.approx(n * n * 2.0 / lam, rel=1e-12)
@@ -498,9 +546,8 @@ class TestProofConstants:
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
                                Nonlinearity(lambda x: np.zeros_like(x),
                                             bound=1e-300, lipschitz=0.0), zero_forcing)
-        sc = stability_constants(spec.matrix)
-        one = proof_constants(spec, sc, 1.0, 1.0)
-        two = proof_constants(spec, sc, 2.0, 2.0)
+        one = proof_constants(spec, 1.0, 1.0)
+        two = proof_constants(spec, 2.0, 2.0)
         assert two.k1 == pytest.approx(2.0 * one.k1, rel=1e-12)
 
     def test_demo_constants_positive(self, delay_demo):
@@ -510,9 +557,8 @@ class TestProofConstants:
 
     def test_failed_margin_raises(self):
         spec = demo_spec(tau=30.0)
-        sc = stability_constants(spec.matrix)
         with pytest.raises(AssumptionError):
-            proof_constants(spec, sc, 1.0, 1.0)
+            proof_constants(spec, 1.0, 1.0)
 
 
 class TestPicard:
@@ -547,8 +593,8 @@ class TestPicard:
         base = d.phi_solution.values - d.psi_solution.values
         a_idx = d.phi_solution.index_at(d.alpha)
         rng = np.random.default_rng(17)
-        bound = d.constants.amplitude * d.spec_combined.nonlinearity.lipschitz \
-            / d.constants.decay_rate + 0.05
+        sc = d.spec_combined.constants
+        bound = sc.amplitude * d.spec_combined.nonlinearity.lipschitz / sc.decay_rate + 0.05
         for _ in range(3):
             n1, n2 = (rng.uniform(-0.5, 0.5, base.shape) for _ in range(2))
             n1[:a_idx + 1] = 0.0
@@ -584,8 +630,8 @@ class TestPicard:
 class TestConvergenceCheck:
     def test_identical_solutions_trivially_inside(self, delay_demo):
         d = delay_demo
-        report = convergence_check(d.phi_solution, d.phi_solution, d.constants,
-                                   d.proof, 0.2, d.alpha, d.gamma, d.epsilon)
+        report = convergence_check(d.phi_solution, d.phi_solution, d.spec_combined,
+                                   d.proof, d.alpha, d.gamma, d.epsilon)
         assert report.envelope_ok
         assert report.tail_sup == 0.0
 
@@ -600,19 +646,19 @@ class TestConvergenceCheck:
         peak[j, 0] = level
         inside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                               d.psi_solution.values + peak)
-        rep = convergence_check(inside, d.psi_solution, d.constants, d.proof,
-                                0.2, d.alpha, d.gamma, d.epsilon)
+        rep = convergence_check(inside, d.psi_solution, d.spec_combined, d.proof,
+                                d.alpha, d.gamma, d.epsilon)
         assert rep.envelope_ok
         peak[j, 0] = level + 1e-3
         outside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                                d.psi_solution.values + peak)
-        rep = convergence_check(outside, d.psi_solution, d.constants, d.proof,
-                                0.2, d.alpha, d.gamma, d.epsilon)
+        rep = convergence_check(outside, d.psi_solution, d.spec_combined, d.proof,
+                                d.alpha, d.gamma, d.epsilon)
         assert not rep.envelope_ok
         assert rep.worst_time == pytest.approx(d.alpha, abs=1e-9)
 
     def test_gamma_ceiling_enforced(self, delay_demo):
         d = delay_demo
         with pytest.raises(DomainError):
-            convergence_check(d.phi_solution, d.psi_solution, d.constants, d.proof,
-                              0.2, d.alpha, 1.0 / (d.proof.k1 + d.proof.k2), d.epsilon)
+            convergence_check(d.phi_solution, d.psi_solution, d.spec_combined, d.proof,
+                              d.alpha, 1.0 / (d.proof.k1 + d.proof.k2), d.epsilon)

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from updyn import catalog, discrete
 from updyn.constructs import VectorSequence, build_sequence_triple
 from updyn.discrete import (DiscreteSystemSpec, bounded_orbit, burn_in_length,
-                            check_assumptions_B, convergence_check_discrete,
-                            gamma_ceiling, gronwall_envelope, iterate,
-                            orbit_sum_residual, spectral_norm)
+                            convergence_check_discrete, gamma_ceiling, gronwall_envelope,
+                            iterate, orbit_sum_residual, spectral_norm)
 from updyn.errors import AssumptionError, DomainError, WindowExhaustedError
-from updyn.nonlinearity import Nonlinearity
+from updyn.nonlinearity import Nonlinearity, check_assumptions
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 K = discrete._BLOCK_ROWS
@@ -120,21 +119,21 @@ class TestAssumptions:
     def test_demo_margin(self):
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
                                   catalog.discrete_demo_nonlinearity(), zero_forcing())
-        report = check_assumptions_B(spec)
-        assert report.b1_pass and report.b2_pass and report.b3_pass
+        report = check_assumptions(spec)
+        assert report.spot.bound_ok and report.spot.lipschitz_ok and report.contracts
         assert report.margin == pytest.approx(1.0 - SQRT5_OVER_4 - 0.2, abs=1e-12)
 
     def test_margin_without_nonlinearity(self):
         spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2), zero_forcing())
-        report = check_assumptions_B(spec)
+        report = check_assumptions(spec)
         assert report.margin == pytest.approx(0.5, abs=1e-12)
 
     def test_large_lipschitz_fails(self):
         strong = Nonlinearity(lambda w: 0.5 * np.sin(w), bound=1.0, lipschitz=0.5)
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(), strong, zero_forcing())
-        report = check_assumptions_B(spec)
+        report = check_assumptions(spec)
         assert report.margin < 0.0
-        assert not report.b3_pass
+        assert not report.contracts
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(lip=st.sampled_from([0.0, 0.1, 1.0 / 6.0, 0.2, 0.3, 0.45]), ulps=st.integers(-4, 4))
@@ -145,7 +144,7 @@ class TestAssumptions:
             nb = float(np.nextafter(nb, math.copysign(math.inf, ulps)))
         nl = Nonlinearity(lambda w: lip * np.sin(w), bound=1.0, lipschitz=lip)
         spec = DiscreteSystemSpec(np.diag([nb, 0.0]), nl, zero_forcing())
-        report = check_assumptions_B(spec, pairs=10)
+        report = check_assumptions(spec, pairs=10)
         refused = []
         for call in (lambda: burn_in_length(spec, 1e-9),
                      lambda: gamma_ceiling(spec, 1.0, 1.0),
@@ -155,7 +154,7 @@ class TestAssumptions:
                 refused.append(False)
             except AssumptionError:
                 refused.append(True)
-        assert refused == [not report.b3_pass] * 3
+        assert refused == [not report.contracts] * 3
 
     def test_zero_rate_burns_in_one_step(self):
         spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2),
@@ -242,7 +241,7 @@ class TestBoundedOrbit:
 
     def test_sup_bound(self, discrete_demo):
         d = discrete_demo
-        bound = (d.spec_combined.nonlinearity.bound + d.m_phi) / (1.0 - d.assumptions.norm_b)
+        bound = (d.spec_combined.nonlinearity.bound + d.m_phi) / (1.0 - d.spec_combined.norm_b)
         assert d.phi_orbit.sup_norm() <= bound + 1e-9
 
     def test_start_state_independence(self):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from updyn import catalog, cli
@@ -53,6 +53,11 @@ def sequence_csv(tmp_path: Path) -> Path:
     write_sequence_csv(path, np.arange(2001), np.sin(np.arange(2001.0))[:, None])
     return path
 
+
+# a stiff delay system: RK4 at the default step tau / 32 has spectral radius 1.645 on it
+STIFF = {"kind": "delay", "system": {"matrix": [[-500.0]], "nonlinearity": {"type": "zero"},
+                                     "forcing": {"type": "constant", "value": [1.0]}},
+         "numeric": {"window": [0, 1]}}
 
 # (case id, reproduce argv, run config or (CSV maker, *detect flags), text the error must hold)
 BAD_INPUTS = [
@@ -177,6 +182,29 @@ BAD_INPUTS = [
      "config field 'numeric.epsilon'"),
     # a smallest shift past the float range overflowed when counted in grid steps
     ("detect min-shift 1.7e308", (function_csv, "--min-shift", "1.7e308"), "--min-shift"),
+    # a matrix that is not exponentially stable exited 1 with an internal error
+    ("delay unstable matrix", {"kind": "delay", "system": {
+        "matrix": [[0.1, 0], [0, -1]], "forcing": {"type": "zero"}}},
+     "config field 'system.matrix'"),
+    ("delay zero matrix", {"kind": "delay", "system": {
+        "matrix": [[0, 0], [0, 0]], "forcing": {"type": "zero"}}},
+     "config field 'system.matrix'"),
+    # exp(A h) past the float range ended in an SVD traceback
+    ("delay matrix 1e200", {"kind": "delay", "system": {
+        "matrix": [[-1e200, 1e200], [-1e200, -1e200]], "forcing": {"type": "zero"}}},
+     "config field 'system.matrix'"),
+    # an RK4 step too coarse for a stiff system blew up and failed the sup check, or
+    # exited 1 with an internal error
+    ("delay stiff matrix", STIFF, "config field 'system.matrix'"),
+    ("delay stiff matrix step", {**STIFF, "numeric": {**STIFF["numeric"], "step": 0.00625}},
+     "config field 'numeric.step'"),
+    ("delay matrix -1e300", {**STIFF, "system": {**STIFF["system"], "matrix": [[-1e300]]}},
+     "config field 'system.matrix'"),
+    # a burn-in of 5.9e303 rows was refused in a 304-digit number
+    ("delay burn-in 1e-300", {"kind": "delay", "system": {
+        "matrix": [[-1e-300, 0], [0, -1e-300]], "nonlinearity": {"type": "zero"},
+        "forcing": {"type": "zero"}}, "numeric": {"window": [0, 1]}},
+     "5.89e+303 of them burn-in"),
 ]
 
 
@@ -386,10 +414,16 @@ CHEAP = {
 }
 OBJECTS = sorted({field.rsplit(".", 1)[0] for field in cli.FIELDS if "." in field})
 LEAVES = sorted(cli.FIELDS - {"output.dir"}) + ["zz"] + [f"{o}.zz" for o in OBJECTS]
+# 1x1 and 3x3, unstable, exp(A h) past the float range, spectral radius near 1, and a
+# delay burn-in past the float range
+ODD_MATRICES = [[[-1.0]], (-np.eye(3)).tolist(), [[0.1, 0], [0, -1]],
+                [[-1e200, 1e200], [-1e200, -1e200]], [[0.9999999, 0], [0, 0]],
+                [[-1e-300, 0], [0, -1e-300]]]
 ODD_VALUES = [0, -1, 1.5, 3, 2000.7, 1e300, 1.7e308, 1e-307, 5e-324, -0.0, 10 ** 400,
               math.nan, math.inf, -math.inf, True, False, None,
               "x", "", "tanh", "zero", "sequence", "constant",
-              [], [1], [0, 1], [1, 2, 3], [[1]], [[1, 0], [0]], ["a", "b"], {}, {"a": 1}]
+              [], [1], [0, 1], [1, 2, 3], [[1]], [[1, 0], [0]], ["a", "b"], {}, {"a": 1},
+              *ODD_MATRICES]
 
 
 @st.composite
@@ -410,8 +444,19 @@ def odd_config(draw):
     return config, paths
 
 
+def matrix_examples(test):
+    """Each odd matrix in the delay and discrete system configs, as explicit examples:
+    the draws put one there only now and then."""
+    for key in ("delay", "discrete"):
+        for matrix in ODD_MATRICES:
+            config = {**CHEAP[key], "system": {**CHEAP[key]["system"], "matrix": matrix}}
+            test = example((config, ["system.matrix"]))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@matrix_examples
 @given(odd_config())
 def test_config_fuzz_reports_or_names_the_field(capsys, case):
     config, paths = case
