@@ -14,12 +14,9 @@ its ``ArgumentError`` exits 2 naming the flag or field that set the argument.
 The delay and discrete runners under zero or constant forcing size their own
 runs, since only they know the burn-in.  Either way no output file is written.
 
-Importing this module loads numpy and updyn only.  scipy is imported inside
-the functions that use it: ``reproduce 6.1`` and ``6.3`` load it (the
-function-demo tail, the filter's quadrature oracle, exp(A h) in the delay
-system), as does a ``run`` config of kind ``delay`` or of kind ``construct``
-with variant ``function``.
-``reproduce 6.2``, ``6.4`` and ``detect`` do not.
+Importing this module loads numpy and updyn only, and no command loads scipy:
+the function-demo tail, the filter's quadrature oracle and exp(A h) in the
+delay system are numpy code.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ point that the combined signal cannot itself be recurrent-with-separation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -50,12 +51,33 @@ class DecompositionTriple:
             raise DomainError("decomposition is not exact to 2 ulp")
 
 
+def _libm_exp(t: np.ndarray) -> np.ndarray:
+    """exp(t) with the C library's bits, inf past the float range.
+
+    numpy's vectorised real exp differs from libm's in the last bit on some
+    hosts, and the demo outputs are pinned to libm's.  glibc's complex
+    exp(t + 0i) has libm's exp(t) as its real part up to t = 709, where it
+    starts to rescale, so the few points past 709 take ``math.exp``.
+    """
+    with np.errstate(over="ignore"):
+        e = np.ascontiguousarray(np.exp(t + 0j).real)
+    big = t > 709.0
+    if big.any():
+        e[big] = [_exp_or_inf(x) for x in t[big].tolist()]
+    return e
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def function_tail(t) -> np.ndarray:
     """Decaying part (3/(1+e^t), -5*sech(2t)) of the built-in function demo."""
-    from scipy.special import expit  # not at module level: its import costs ~0.3 s
-
     t = np.asarray(t, dtype=float)
-    first = 3.0 * expit(-t)
+    first = 3.0 * (1.0 / (1.0 + _libm_exp(t)))
     a = np.abs(2.0 * t)
     sech = 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
     return np.stack([first, -5.0 * sech], axis=-1)

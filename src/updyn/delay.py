@@ -145,12 +145,73 @@ def _real_modal_matrix(a: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+# Degree-13 Pade coefficients b_0 .. b_13 and the 1-norm bound theta_13 up to which
+# they give exp(A) to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _divided_exp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(e^y - e^x) / (y - x), and e^x where y = x: for |y - x| <= 2 in the form
+    e^((x+y)/2) sinh((y-x)/2) / ((y-x)/2), which has no cancellation."""
+    half = 0.5 * (y - x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = np.exp(0.5 * (x + y)) * np.where(half == 0.0, 1.0, np.sinh(half) / half)
+        far = (np.exp(y) - np.exp(x)) / (y - x)
+    return np.where(np.abs(half) <= 1.0, near, far)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the degree-13 Pade approximant (Higham 2005).
+
+    A 1x1 or diagonal ``a`` gives the exponential of its diagonal.  When a @ a is not
+    finite the result is not finite either.  For triangular ``a`` the diagonal and the
+    first off-diagonal are set to their exact values after the approximant and after
+    each squaring (Al-Mohy and Higham 2009, Code Fragment 2.1), so a huge off-diagonal
+    entry cannot wash them out.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if not np.any(a - np.diag(np.diag(a))):
+        return np.diag(np.exp(np.diag(a))) if n > 1 else np.exp(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+    if not np.isfinite(a2).all():
+        return np.full_like(a, np.nan)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    scale = 2.0 ** -s
+    a1, a2 = a * scale, a2 * scale * scale
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b, eye = _PADE13, np.eye(n)
+    u = a1 @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+
+    upper, lower = not np.tril(a, -1).any(), not np.triu(a, 1).any()
+    if not (upper or lower):
+        for _ in range(s):
+            r = r @ r
+        return r
+    d, sd = np.diag(a), np.diag(a, 1 if upper else -1)
+    off = (slice(0, n - 1), slice(1, n)) if upper else (slice(1, n), slice(0, n - 1))
+    for i in range(s, -1, -1):
+        if i < s:
+            r = r @ r
+        step = 2.0 ** -i
+        np.fill_diagonal(r, np.exp(d * step))
+        np.fill_diagonal(r[off], _divided_exp(d[:-1] * step, d[1:] * step) * (sd * step))
+    return np.triu(r) if upper else np.tril(r)
+
+
 def _decay_grid(a: np.ndarray, grid_step: float, grid_end: float) -> list:
     """(t, |exp(At)|) at t = grid_step, 2 grid_step, ... up to grid_end;
     ``StabilityError`` when a value of exp(At) there is not finite."""
-    from scipy.linalg import expm  # not at module level: most commands never call it
-
-    e_step = expm(a * grid_step)
+    e_step = _expm(a * grid_step)
     times, powers = [], [np.eye(a.shape[0])]
     t = 0.0
     while t < grid_end - 1e-12:
@@ -202,7 +263,8 @@ def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
     if mode in ("auto", "exact"):
         try:
             sv = np.linalg.svd(_real_modal_matrix(a), compute_uv=False)
-            cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+            with np.errstate(over="ignore"):  # an overflow means inf, and fit mode
+                cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
         except StabilityError:
             pass
         if mode == "exact" and not cond < 1e8:
@@ -278,7 +340,7 @@ def _midpoints(xs: np.ndarray, stencils: tuple[np.ndarray, np.ndarray]) -> np.nd
     since a product with -1 or a negative weight only flips a sign.
     """
     index, weight = stencils
-    terms = xs[..., index, :] * weight
+    terms = np.take(xs, index, axis=-2) * weight
     mids = terms[..., 0, :, :] + terms[..., 1, :, :]
     mids += terms[..., 2, :, :]
     mids += terms[..., 3, :, :]
@@ -528,8 +590,6 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: Series, theta: Series,
     affine recurrence y_{j+1} = E y_j + (h/2)(E u_j + u_{j+1}), u the
     inhomogeneous term, which one blocked scan advances a delay at a time.
     """
-    from scipy.linalg import expm
-
     psi_solution.require_same_axis(theta)
     psi_solution.require_same_axis(candidate)
     g = candidate
@@ -540,7 +600,7 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: Series, theta: Series,
     n = len(g)
     h = g.step
     f = spec.nonlinearity
-    e_step = expm(spec.matrix * h)
+    e_step = _expm(spec.matrix * h)
 
     delayed = slice(a_idx - k, n - k)
     inhomo = f(g.values[delayed] + psi_solution.values[delayed]) \

@@ -235,7 +235,7 @@ def collect_evidence(seq: Series, window: int = 20,
         return_times=tuple(returns),
         separation_times=tuple(seps),
         epsilon0_estimate=float(estimate),
-        scanned_horizon=int(horizon),
+        scanned_horizon=min(int(horizon), len(seq) - 1 - window),
         anchor=0,
         epsilon0_requested=float(epsilon0),
     )

@@ -323,7 +323,30 @@ class TestRunConfigs:
         assert all(c["status"] == "pass" for c in report["checks"])
 
 
+    def test_overflowing_modal_condition_warns_nothing(self, tmp_path, recwarn):
+        # D20: the modal matrix's condition number overflows; it is inf, silently
+        cfg = tmp_path / "d20.json"
+        cfg.write_text(json.dumps({
+            "kind": "delay",
+            "system": {"matrix": [[-1.0, 1e300], [0.0, -1.0]], "forcing": {"type": "zero"}},
+            "output": {"dir": str(tmp_path / "out")},
+        }))
+        assert run_cli("run", str(cfg)) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        report = json.loads((tmp_path / "out" / "delay_report.json").read_text())
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["contraction_margin"]
+
+
 class TestDetect:
+    def test_sequence_scan_reports_the_shifts_it_took(self, tmp_path):
+        # D19: the 401-row 6.4 orbit leaves 401 - 1 - 20 shifts, whatever the horizon
+        assert run_cli("reproduce", "6.4", "--out-dir", str(tmp_path)) == 0
+        assert run_cli("detect", str(tmp_path / "6.4_phi_orbit.csv"),
+                       "--out-dir", str(tmp_path / "det")) == 0
+        report = json.loads((tmp_path / "det" / "6.4_phi_orbit_evidence_report.json").read_text())
+        assert report["evidence"]["scan"]["scanned_horizon"] == 380
+
     def test_detect_sequence_csv(self, tmp_path):
         from updyn import catalog
         from updyn.constructs import build_sequence_triple

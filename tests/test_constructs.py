@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit
 
 from updyn.chaos import GridFunction, convolve_exponential, logistic_orbit
 from updyn.constructs import (DecompositionTriple, VectorSequence, add_convergent,
@@ -45,14 +46,25 @@ class TestFunctionTriple:
     @pytest.mark.parametrize("times", [
         -20.0 + 0.05 * np.arange(4001),                 # the 6.1 grid
         -30.0 + 0.5 * 0.00625 * np.arange(20001),       # the first 20,001 6.3 half nodes
-    ], ids=["6.1-grid", "6.3-half-grid"])
+        # where complex exp rescales (past 709), exp's last finite input and past it
+        np.array([708.9, 709.0, 709.1, 709.78, 709.782712893384, 709.79, 1e6, -1e6, -800.0,
+                  np.inf, -np.inf]),
+        np.random.default_rng(16).uniform(-800.0, 800.0, (500, 4)),
+    ], ids=["6.1-grid", "6.3-half-grid", "edges", "2-d"])
     def test_first_tail_column_is_bitwise_expit(self, times):
-        # The 6.1 and 6.3 outputs are pinned to these bits.  scipy's expit(-t)
-        # equals 1/(1+exp(t)) with libm's exp; numpy's vectorised np.exp differs
-        # from it in the last bit on about 3% of these values on AVX-512 hosts,
-        # so dropping expit for np.exp would silently change the demo bytes.
-        expected = [3.0 * (1.0 / (1.0 + math.exp(t))) for t in times.tolist()]
-        assert function_tail(times)[:, 0].tolist() == expected
+        # The 6.1 and 6.3 outputs are pinned to these bits, scipy's expit(-t):
+        # 1/(1+exp(t)) with libm's exp.  numpy's vectorised np.exp differs from
+        # it in the last bit on about 3% of these values on AVX-512 hosts, so
+        # function_tail using np.exp would silently change the demo bytes.
+        def libm(t):
+            try:
+                return 3.0 * (1.0 / (1.0 + math.exp(t)))
+            except OverflowError:
+                return 0.0
+
+        first = function_tail(times)[..., 0]
+        assert first.ravel().tolist() == [libm(t) for t in times.ravel().tolist()]
+        assert first.tobytes() == (3.0 * expit(-times)).tobytes()
 
 
 class TestSequenceTriple:

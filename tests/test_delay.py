@@ -18,6 +18,8 @@ from updyn.errors import (ArgumentError, AssumptionError, DomainError, NonFinite
                           StabilityError)
 from updyn.nonlinearity import Nonlinearity, check_assumptions
 
+from test_inputs import ODD_MATRICES
+
 EXACT_N = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 
 
@@ -154,6 +156,65 @@ class TestStabilityConstants:
         assert sc.mode == "fit"
         assert sc.decay_rate == pytest.approx(0.9, abs=1e-9)
         assert verify_decay_bound(a, sc.amplitude, sc.decay_rate) >= -1e-10
+
+
+# exp(A h) is checked on the odd matrices of the config fuzz and on: the fit-mode matrix
+# of D6, an off-diagonal near the float limit, a Jordan block, a nearly defective matrix
+# (scipy's own expm is 1.2e-10 off there at h = 1) and a lower-triangular one
+EXPM_MATRICES = [*ODD_MATRICES, [[-0.1, 1.0], [0.0, -0.1]], [[-1.0, 1e300], [0.0, -1.0]],
+                 [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+                 [[-1.0, 1e8], [0.0, -1.0000001]],
+                 [[-1.0, 0.0, 0.0], [2.0, -0.5, 0.0], [0.3, 5.0, -2.0]]]
+
+
+def assert_close_to_expm(a, rtol):
+    got, ref = delay._expm(a), expm(a)
+    if not np.isfinite(ref).all():
+        assert not np.isfinite(got).all()
+    else:
+        assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestExpm:
+    @pytest.mark.parametrize("h", [0.2 / 32, 0.05])
+    def test_demo_matrix_matches_scipy(self, h):
+        assert_close_to_expm(catalog.delay_demo_matrix() * h, 1e-13)
+
+    @pytest.mark.parametrize("h", [0.00625, 0.05, 1.0])
+    @pytest.mark.parametrize("a", EXPM_MATRICES, ids=range(len(EXPM_MATRICES)))
+    def test_odd_matrices_match_scipy(self, a, h):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_close_to_expm(np.array(a) * h, 1e-9)
+
+    def test_triangular_keeps_a_huge_off_diagonal(self):
+        # without the exact diagonal and first off-diagonal the squarings give 0 here
+        h = 0.05
+        got = delay._expm(np.array([[-1.0, 1e300], [0.0, -1.0]]) * h)
+        assert got[0, 1] == pytest.approx(1e300 * h * math.exp(-h), rel=1e-14)
+        assert got[1, 0] == 0.0
+
+    def test_nearly_defective_to_the_divided_difference(self):
+        # exp(A) of [[x, b], [0, y]] has b (e^y - e^x) / (y - x) off the diagonal
+        x, y, b = -1.0, -1.0000001, 1e8
+        got = delay._expm(np.array([[x, b], [0.0, y]]))
+        exact = b * math.exp((x + y) / 2) * math.sinh((y - x) / 2) / ((y - x) / 2)
+        assert got[0, 1] == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [catalog.delay_demo_matrix().tolist()] + EXPM_MATRICES,
+                             ids=["demo", *range(len(EXPM_MATRICES))])
+    def test_stability_constants_as_with_scipy(self, a, monkeypatch):
+        def constants():
+            try:
+                c = stability_constants(np.array(a))
+            except StabilityError:
+                return "refused", None
+            return c.mode, c.amplitude
+
+        ours = constants()
+        monkeypatch.setattr(delay, "_expm", expm)
+        ref = constants()
+        assert ours[0] == ref[0]
+        assert ours[1] == pytest.approx(ref[1], rel=1e-9)
 
 
 class TestAssumptions:

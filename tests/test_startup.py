@@ -1,8 +1,10 @@
-"""Start-up guards: scipy loads only in the commands that use it, and jsonschema in none.
+"""Start-up guards: no command loads scipy, jsonschema or numpy.f2py.
 
 Every ``updyn`` command runs in a fresh process, so module-level imports are
-paid on each call.  Each case runs in its own interpreter and reports which
-modules it ended up loading.
+paid on each call.  scipy alone adds about 25-50 MB of resident memory and
+0.6 s to a process; the package does its numerics in numpy, and scipy stays
+in the tests as an oracle.  Each case runs in its own interpreter and reports
+which modules it ended up loading.
 """
 
 import json
@@ -33,7 +35,14 @@ def cli_modules(tmp_path, *argv: str) -> set[str]:
 
 
 def families(modules: set[str]) -> set[str]:
-    return {m.split(".")[0] for m in modules} & {"scipy", "jsonschema"}
+    """The heavy families among ``modules``: scipy, jsonschema and numpy.f2py."""
+    found = {m.split(".")[0] for m in modules} & {"scipy", "jsonschema"}
+    return found | ({"numpy.f2py"} if "numpy.f2py" in modules else set())
+
+
+def run_config_modules(tmp_path, config: dict) -> set[str]:
+    (tmp_path / "cfg.json").write_text(json.dumps({**config, "output": {"dir": "out"}}))
+    return cli_modules(tmp_path, "run", "cfg.json")
 
 
 def test_import_cli_loads_neither(tmp_path):
@@ -48,6 +57,28 @@ def test_reproduce_6_4_loads_neither(tmp_path):
 
 def test_reproduce_6_2_loads_neither(tmp_path):
     modules = cli_modules(tmp_path, "reproduce", "6.2", "--horizon", "2000", "--out-dir", "out")
+    assert families(modules) == set()
+
+
+def test_reproduce_6_1_loads_none(tmp_path):
+    # the function-demo tail and the filter's quadrature oracle
+    assert families(cli_modules(tmp_path, "reproduce", "6.1", "--out-dir", "out")) == set()
+
+
+def test_reproduce_6_3_loads_none(tmp_path):
+    # exp(A h) in the stability constants and the Picard check
+    assert families(cli_modules(tmp_path, "reproduce", "6.3", "--out-dir", "out")) == set()
+
+
+def test_run_delay_config_loads_none(tmp_path):
+    modules = run_config_modules(tmp_path, {"kind": "delay",
+                                            "system": {"forcing": {"type": "zero"}}})
+    assert families(modules) == set()
+
+
+def test_run_construct_function_config_loads_none(tmp_path):
+    modules = run_config_modules(tmp_path, {"kind": "construct",
+                                            "numeric": {"variant": "function"}})
     assert families(modules) == set()
 
 
