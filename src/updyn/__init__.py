@@ -6,17 +6,14 @@ and verifies the constructive stability and convergence bounds numerically
 at desk scale.
 """
 
-from .chaos import (ExponentialFilter, GridFunction, PiecewiseConstantFunction,
-                    ScalarOrbit, Series, VectorSequence, bebutov_distance,
-                    convolve_exponential, logistic_orbit, logistic_step,
-                    quadrature_oracle)
-from .constructs import (DecompositionTriple, WitnessReport,
-                         add_convergent, affine_transform, build_function_triple,
-                         build_sequence_triple, non_unpredictability_witness, shift)
+from .chaos import (ExponentialFilter, GridFunction, ScalarOrbit, Series, VectorSequence,
+                    convolve_exponential, logistic_orbit, logistic_step, quadrature_oracle)
+from .constructs import (DecompositionTriple, WitnessReport, affine_transform,
+                         build_function_triple, build_sequence_triple,
+                         non_unpredictability_witness, shift)
 from .delay import (DelaySystemSpec, ProofConstants, StabilityConstants,
                     bounded_solution, constant_history, convergence_check,
-                    integrate_mos, picard_apply, proof_constants,
-                    stability_constants, step_residuals)
+                    integrate_mos, picard_apply, proof_constants, stability_constants)
 from .detectors import (DecayReport, DivergenceReport, UnpredictabilityEvidence,
                         collect_evidence, decay_test, evidence_for_function,
                         find_near_returns, find_separations, sensitivity_demo,

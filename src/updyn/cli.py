@@ -328,8 +328,8 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     assumptions = check_assumptions(spec)
     checks = [
         _margin_check("B", assumptions),
-        CheckRecord("spectral_norm", "pass",
-                    values={"spectral_norm": spec.norm_b}, tolerances={})]
+        CheckRecord.from_bool("spectral_norm", spec.norm_b < 1.0,
+                              values={"spectral_norm": spec.norm_b}, tolerances={"below": 1.0})]
     if not assumptions.contracts:
         checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))
         return checks, {}, {"simulated": False}, None, {}

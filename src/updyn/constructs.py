@@ -3,9 +3,9 @@
 A triple (phi, psi, theta) with phi = psi + theta carries the working
 decomposition: psi is the bounded recurrent ingredient built from the
 chaotic source, theta decays at forward infinity.  The transforms here
-(affine images, convergent perturbations, index shifts) preserve that
-structure, and the witness scan detects when the tail is so large at one
-point that the combined signal cannot itself be recurrent-with-separation.
+(affine images, index shifts) preserve that structure, and the witness
+scan detects when the tail is so large at one point that the combined
+signal cannot itself be recurrent-with-separation.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class DecompositionTriple:
         p, s, t = self.phi.values, self.psi.values, self.theta.values
         # one column at a time: no (n, d) temporaries
         return float(max(np.abs(p[:, k] - (s[:, k] + t[:, k])).max() for k in range(p.shape[1])))
-
-    def validate(self) -> None:
-        p, s, t = self.phi.values, self.psi.values, self.theta.values
-        scale = np.maximum(1.0, np.abs(p))
-        if np.any(np.abs(p - (s + t)) > 2.0 * _EPS * scale):
-            raise DomainError("decomposition is not exact to 2 ulp")
 
 
 def _libm_exp(t: np.ndarray) -> np.ndarray:
@@ -143,27 +137,6 @@ def affine_transform(seq, matrix, offset) -> Union[Series, DecompositionTriple]:
     m = _as_matrix(matrix, seq.dim)
     c = np.broadcast_to(np.asarray(offset, dtype=float), (seq.dim,))
     return replace(seq, values=seq.values @ m.T + c)
-
-
-def add_convergent(seq, perturbation: Series, limit) -> Union[Series, DecompositionTriple]:
-    """Add a bounded perturbation with the stated limit ``c``.
-
-    For a plain sequence this is the pointwise sum.  For a triple the limit
-    joins the recurrent part and ``perturbation - c`` joins the tail, which
-    keeps the tail convergent to zero and the decomposition exact.
-    """
-    c = np.asarray(limit, dtype=float)
-    if isinstance(seq, DecompositionTriple):
-        if not seq.is_sequence:
-            raise DomainError("convergent perturbations are defined for sequence triples")
-        if not seq.phi.same_axis(perturbation):
-            raise DomainError("perturbation must share the triple's index window")
-        psi = replace(seq.psi, values=seq.psi.values + c)
-        theta = replace(seq.theta, values=seq.theta.values + (perturbation.values - c))
-        return DecompositionTriple(replace(psi, values=psi.values + theta.values), psi, theta)
-    if not seq.same_axis(perturbation):
-        raise DomainError("perturbation must share the sequence window")
-    return replace(seq, values=seq.values + perturbation.values)
 
 
 def shift(seq, m: int) -> Union[Series, DecompositionTriple]:

@@ -1,11 +1,12 @@
 """Quasilinear delay systems: x'(t) = A x(t) + f(x(t - tau)) + forcing(t).
 
 The linear part must be exponentially stable.  The module bounds the decay
-|exp(At)| <= N exp(-rate*t): in exact mode by the condition number of the
-modal matrix, a proof for all t >= 0; in fit mode by a fit to |exp(At)| on
-a grid, which is evidence on [0, grid_end] only.  The system spec owns N, the
-rate lambda and the A3 contraction margin, each computed in one place, so the
-routines below take the spec alone.  The module integrates the system
+|exp(At)| <= N exp(-rate*t): by the condition number of the modal matrix when
+that is below 1e8 (exact mode), a proof for all t >= 0; otherwise by a fit to
+|exp(At)| on a grid (fit mode), which is evidence on [0, GRID_END] only.  The
+matrix alone decides the mode.  The system spec owns N, the rate lambda and
+the A3 contraction margin, each computed in one place, so the routines below
+take the spec alone.  The module integrates the system
 by the method of steps with a classical fourth-order scheme, recovers the
 unique bounded solution by burn-in, and exposes the contraction operator
 whose fixed point is the difference of two forced solutions.  All of that
@@ -37,6 +38,9 @@ from .chaos import GridFunction, Series, row_norms, settling_positions
 from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
                      StabilityError)
 from .nonlinearity import Nonlinearity
+
+FIT_FRACTION = 0.9              # fit mode backs the rate off to this share of the abscissa
+GRID_STEP, GRID_END = 0.05, 20.0  # the grid on which either bound is checked
 
 
 @dataclass(frozen=True)
@@ -208,76 +212,55 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return np.triu(r) if upper else np.tril(r)
 
 
-def _decay_grid(a: np.ndarray, grid_step: float, grid_end: float) -> list:
-    """(t, |exp(At)|) at t = grid_step, 2 grid_step, ... up to grid_end;
+def _decay_grid(a: np.ndarray) -> list:
+    """(t, |exp(At)|) at t = GRID_STEP, 2 GRID_STEP, ... up to GRID_END;
     ``StabilityError`` when a value of exp(At) there is not finite."""
-    e_step = _expm(a * grid_step)
+    e_step = _expm(a * GRID_STEP)
     times, powers = [], [np.eye(a.shape[0])]
     t = 0.0
-    while t < grid_end - 1e-12:
+    while t < GRID_END - 1e-12:
         powers.append(powers[-1] @ e_step)
-        t += grid_step
+        t += GRID_STEP
         times.append(t)
     powers = np.stack(powers)[1:]
     if not np.isfinite(powers).all():
-        raise StabilityError(f"exp(A t) is not finite on the grid of step {grid_step!r}")
+        raise StabilityError(f"exp(A t) is not finite on the grid of step {GRID_STEP!r}")
     return list(zip(times, np.linalg.svd(powers, compute_uv=False)[:, 0]))
 
 
-def _grid_slack(grid: list, amplitude: float, decay_rate: float) -> float:
-    return float(min([amplitude - 1.0] + [amplitude * math.exp(-decay_rate * t) - norm
-                                          for t, norm in grid]))
-
-
-def verify_decay_bound(a: np.ndarray, amplitude: float, decay_rate: float,
-                       grid_step: float = 0.05, grid_end: float = 20.0) -> float:
-    """Smallest slack of amplitude*exp(-rate*t) - |exp(At)| over the grid."""
-    return _grid_slack(_decay_grid(a, grid_step, grid_end), amplitude, decay_rate)
-
-
-def stability_constants(a, lambda_fraction: float = 0.9, mode: str = "auto",
-                        grid_step: float = 0.05, grid_end: float = 20.0) -> StabilityConstants:
+def stability_constants(a) -> StabilityConstants:
     """(amplitude, decay_rate) pair bounding |exp(At)|.
 
-    ``mode="exact"`` uses the full spectral abscissa as the rate and the
-    condition number of the real modal matrix as the amplitude, which bounds
-    |exp(At)| for all t >= 0; it requires a numerically diagonalizable
-    matrix.  ``mode="fit"`` backs off the rate by ``lambda_fraction`` and
-    fits the smallest amplitude on the grid, inflated by one percent: grid
-    evidence on [0, grid_end], not a proof past it.  ``mode="auto"`` prefers
-    exact when available.  Either bound is checked on the grid.
+    When the real modal matrix has a condition number below 1e8, mode "exact"
+    takes the full spectral abscissa as the rate and that condition number as
+    the amplitude, which bounds |exp(At)| for all t >= 0.  Otherwise mode "fit"
+    backs off the rate to ``FIT_FRACTION`` of the abscissa and fits the
+    smallest amplitude on the grid, inflated by one percent: grid evidence on
+    [0, GRID_END], not a proof past it.  Either bound is checked on the grid.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
-    if not (0.0 < lambda_fraction < 1.0):
-        raise DomainError("lambda_fraction must lie in (0, 1)")
-    if mode not in ("auto", "exact", "fit"):
-        raise DomainError(f"unknown mode {mode!r}")
     eigs, abscissa = _eig_abscissa(a)
     if abscissa >= 0.0:
         raise StabilityError(
             f"spectral abscissa {abscissa:.6g} is not negative; eigenvalues {eigs}")
 
-    cond = math.inf
-    if mode in ("auto", "exact"):
-        try:
-            sv = np.linalg.svd(_real_modal_matrix(a), compute_uv=False)
-            with np.errstate(over="ignore"):  # an overflow means inf, and fit mode
-                cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-        except StabilityError:
-            pass
-        if mode == "exact" and not cond < 1e8:
-            raise StabilityError("matrix is too close to defective for the exact mode")
+    try:
+        sv = np.linalg.svd(_real_modal_matrix(a), compute_uv=False)
+        with np.errstate(over="ignore"):  # an overflow means inf, and fit mode
+            cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+    except StabilityError:
+        cond = math.inf
 
-    grid = _decay_grid(a, grid_step, grid_end)
+    grid = _decay_grid(a)
     if cond < 1e8:
         mode, amplitude, rate = "exact", float(cond), -abscissa
     else:
-        rate = lambda_fraction * (-abscissa)
-        mode = "fit"
+        mode, rate = "fit", FIT_FRACTION * (-abscissa)
         amplitude = 1.01 * max([1.0] + [norm * math.exp(rate * t) for t, norm in grid])
-    slack = _grid_slack(grid, amplitude, rate)
+    slack = float(min([amplitude - 1.0] + [amplitude * math.exp(-rate * t) - norm
+                                           for t, norm in grid]))
     if slack < -1e-10:
         raise StabilityError(f"certified bound fails on the verification grid (slack {slack:.3e})")
     return StabilityConstants(amplitude, rate, mode, slack, abscissa)
@@ -346,11 +329,6 @@ def _midpoints(xs: np.ndarray, stencils: tuple[np.ndarray, np.ndarray]) -> np.nd
     mids += terms[..., 3, :, :]
     mids /= 16.0
     return mids
-
-
-def _segment_midpoints(xs: np.ndarray, k: int) -> np.ndarray:
-    """Cubic values at the half nodes of ``xs``, one per interval (see ``_midpoint_stencils``)."""
-    return _midpoints(xs, _midpoint_stencils(xs.shape[-2] - 1, k))
 
 
 def _rk4_step(a: np.ndarray, x: np.ndarray, b0: np.ndarray, bm: np.ndarray,
@@ -510,27 +488,6 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     return trajectories[0] if forcing is None else trajectories
 
 
-def step_residuals(spec: DelaySystemSpec, trajectory: Series, history: Series) -> np.ndarray:
-    """Per-step defect of the integrated equation, re-evaluated by Simpson quadrature."""
-    k = _exact_ratio(spec.delay, trajectory.step, "delay")
-    xs = np.vstack([history.values[:-1], trajectory.values])
-    n_steps = len(trajectory) - 1
-    t0 = trajectory.t_start
-    h = trajectory.step
-    forcing = _forcing_on_half_grid(spec.forcing, t0, h, n_steps, spec.dim)
-    a = spec.matrix
-    f = spec.nonlinearity
-    mids = _segment_midpoints(xs, k)
-
-    node = slice(k, k + n_steps)
-    rhs0 = xs[node] @ a.T + f(xs[:n_steps]) + forcing[0::2][:-1]
-    rhs1 = xs[k + 1:] @ a.T + f(xs[1:n_steps + 1]) + forcing[0::2][1:]
-    rhsm = mids[node] @ a.T + f(mids[:n_steps]) + forcing[1::2]
-    simpson = (h / 6.0) * (rhs0 + 4.0 * rhsm + rhs1)
-    defect = xs[k + 1:] - xs[node] - simpson
-    return row_norms(defect)
-
-
 def burn_in_time(spec: DelaySystemSpec, tol: float) -> float:
     """Time units ``bounded_solution`` integrates before its window."""
     return (2.0 / spec.constants.decay_rate) * math.log(1.0 / tol)
@@ -563,7 +520,7 @@ def bounded_solution(spec: DelaySystemSpec, window: Sequence[float], step: float
 
 def proof_constants(spec: DelaySystemSpec, m_phi: float, m_psi: float) -> ProofConstants:
     """Envelope constants from the stability bound and measured forcing sups: proven
-    for all t when ``spec.constants`` are exact, grid evidence on [0, grid_end] when fitted."""
+    for all t when ``spec.constants`` are exact, grid evidence on [0, GRID_END] when fitted."""
     n, lam = spec.constants.amplitude, spec.constants.decay_rate
     mf = spec.nonlinearity.bound
     lf = spec.nonlinearity.lipschitz

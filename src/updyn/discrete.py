@@ -304,15 +304,6 @@ class GronwallEnvelope:
     def __len__(self) -> int:
         return self.values.size
 
-    def indices(self) -> np.ndarray:
-        return self.start_index + np.arange(len(self))
-
-    def value_at(self, i: int) -> float:
-        k = i - self.start_index
-        if not 0 <= k < len(self):
-            raise WindowExhaustedError(f"index {i} outside the envelope window")
-        return float(self.values[k])
-
 
 def gronwall_envelope(spec: DiscreteSystemSpec, m_phi: float, m_psi: float, alpha: int,
                       gamma: float, epsilon: float, window: Sequence[int]) -> GronwallEnvelope:

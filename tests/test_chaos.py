@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from updyn.chaos import (ExponentialFilter, GridFunction, PiecewiseConstantFunction,
-                         ScalarOrbit, bebutov_distance, convolve_exponential,
+from updyn.chaos import (ExponentialFilter, ScalarOrbit, convolve_exponential,
                          logistic_orbit, logistic_step, quadrature_oracle)
-from updyn.errors import DomainError, GridMismatchError
+from updyn.errors import DomainError
 
 EPS = np.finfo(float).eps
 
@@ -57,7 +56,6 @@ class TestLogisticOrbit:
     def test_recurrence_residual_zero(self):
         orbit = logistic_orbit(0.41, 1000, 2000)
         assert orbit.recurrence_residuals().max() <= 4 * EPS
-        orbit.validate()
 
     @pytest.mark.parametrize("seed", [0.0, 1.0, -0.2, 1.3])
     def test_degenerate_seeds_rejected(self, seed):
@@ -71,10 +69,11 @@ class TestLogisticOrbit:
             logistic_orbit(0.4, 10, 0)
 
     def test_rebase_keeps_values(self):
-        orbit = logistic_orbit(0.41, 10, 50).rebased(-20)
-        assert orbit.base_index == -20
-        assert orbit.end_index == 30
-        assert orbit.value_at(-20) == orbit.values[0]
+        orbit = logistic_orbit(0.41, 10, 50)
+        moved = orbit.rebased(-20)
+        assert moved.base_index == -20
+        assert moved.end_index == 30
+        np.testing.assert_array_equal(moved.values, orbit.values)
 
 
 class TestConvolveExponential:
@@ -128,80 +127,22 @@ class TestConvolveExponential:
         np.testing.assert_allclose(h.values, 2.0, rtol=0, atol=1e-12)
 
 
-class TestPiecewiseConstant:
-    def test_right_continuity(self):
-        mu = PiecewiseConstantFunction(0, [0.2, 0.7])
-        assert mu(0.0) == 0.2
-        assert mu(0.999999) == 0.2
-        assert mu(1.0) == 0.7
-
-    def test_domain(self):
-        mu = PiecewiseConstantFunction(3, [0.1])
-        with pytest.raises(DomainError):
-            mu(2.5)
-
-
-def _grid_pair(m=2, n=81, seed=0):
-    rng = np.random.default_rng(seed)
-    t0, step = -4.0, 0.1
-    u = GridFunction(t0, step, rng.uniform(-1, 1, (n, m)))
-    v = GridFunction(t0, step, rng.uniform(-1, 1, (n, m)))
-    return u, v
-
-
-class TestBebutovDistance:
-    def test_identical_functions(self):
-        u, _ = _grid_pair()
-        assert bebutov_distance(u, u, 3) == 0.0
-
-    def test_upper_bound(self):
-        u, v = _grid_pair(seed=5)
-        d = bebutov_distance(u, v, 4)
-        assert d <= 1.0 - 2.0 ** -4 + 1e-15
-
-    def test_saturated_constant_offset(self):
-        u, _ = _grid_pair(seed=2)
-        w = GridFunction(u.t_start, u.step, u.values + np.array([3.0, 0.0]))
-        assert bebutov_distance(u, w, 4) == pytest.approx(1.0 - 2.0 ** -4, abs=1e-15)
-
-    def test_symmetry_and_triangle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = 101
-            fns = [GridFunction(-5.0, 0.1, rng.uniform(-2, 2, (n, 2))) for _ in range(3)]
-            u, v, w = fns
-            duv = bebutov_distance(u, v, 4)
-            dvu = bebutov_distance(v, u, 4)
-            duw = bebutov_distance(u, w, 4)
-            dwv = bebutov_distance(w, v, 4)
-            assert duv == pytest.approx(dvu, abs=1e-12)
-            assert duv <= duw + dwv + 1e-12
-
-    def test_grid_mismatch(self):
-        u, _ = _grid_pair()
-        shifted = GridFunction(u.t_start + 0.05, u.step, u.values)
-        with pytest.raises(GridMismatchError):
-            bebutov_distance(u, shifted, 2)
-
-    def test_coverage_required(self):
-        u, v = _grid_pair()
-        with pytest.raises(DomainError):
-            bebutov_distance(u, v, 10)
-
-
 def reference_quadrature(filt, t, depth=40.0):
-    """The oracle's integral by scipy's adaptive quad, the step interpolant read through
-    PiecewiseConstantFunction."""
+    """The oracle's integral by scipy's adaptive quad, the step interpolant read as
+    ``levels[floor(s) - base]``."""
     from scipy.integrate import quad
 
-    mu = PiecewiseConstantFunction.from_orbit(filt.orbit)
     lo = t - depth
     if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
         raise DomainError("oracle window leaves the recorded orbit")
     top = filt.t_end - 1e-9
+    levels, base = filt.orbit.values, filt.orbit.base_index
 
     def integrand(s):
-        return math.exp(-filt.decay * (t - s)) * float(mu(min(s, top)))
+        k = math.floor(min(s, top)) - base
+        if not 0 <= k < levels.size:
+            raise DomainError("evaluation time outside the recorded window")
+        return math.exp(-filt.decay * (t - s)) * float(levels[k])
 
     breaks = [float(b) for b in range(math.ceil(lo), math.floor(t) + 1) if lo < b < t]
     value, _ = quad(integrand, lo, t, points=breaks or None,

@@ -309,6 +309,21 @@ class TestRunConfigs:
         names = {c["name"] for c in report["checks"]}
         assert {"contraction_margin", "spectral_norm", "recurrence_residual"} <= names
 
+    def test_discrete_spectral_norm_of_one_or_more_fails(self, tmp_path):
+        # D7: the record read "pass" whatever the norm
+        cfg = tmp_path / "disc.json"
+        cfg.write_text(json.dumps({
+            "kind": "discrete",
+            "system": {"matrix": [[1.2, 0.0], [0.0, 0.1]], "forcing": {"type": "zero"}},
+            "output": {"dir": str(tmp_path / "out")},
+        }))
+        assert run_cli("run", str(cfg)) == 1
+        report = json.loads((tmp_path / "out" / "discrete_report.json").read_text())
+        record = next(c for c in report["checks"] if c["name"] == "spectral_norm")
+        assert record["status"] == "fail"
+        assert record["values"]["spectral_norm"] == pytest.approx(1.2, abs=1e-12)
+        assert record["tolerances"] == {"below": 1.0}
+
     @pytest.mark.parametrize("system", [
         {"forcing": {"type": "constant", "value": [1e14]}},
         {"matrix": [[0.9, 0.0], [0.0, 0.9]], "nonlinearity": {"type": "zero"},

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from scipy.special import expit
 
 from updyn.chaos import GridFunction, convolve_exponential, logistic_orbit
-from updyn.constructs import (DecompositionTriple, VectorSequence, add_convergent,
-                              affine_transform, build_function_triple,
-                              build_sequence_triple, function_tail,
+from updyn.constructs import (DecompositionTriple, VectorSequence, affine_transform,
+                              build_function_triple, build_sequence_triple, function_tail,
                               non_unpredictability_witness, shift)
-from updyn.detectors import decay_test
 from updyn.errors import DomainError, SingularMatrixError
 
 
@@ -41,7 +39,6 @@ class TestFunctionTriple:
 
     def test_exact_decomposition(self, function_triple):
         assert function_triple.decomposition_residual() == 0.0
-        function_triple.validate()
 
     @pytest.mark.parametrize("times", [
         -20.0 + 0.05 * np.arange(4001),                 # the 6.1 grid
@@ -82,7 +79,6 @@ class TestSequenceTriple:
 
     def test_exact_decomposition(self, sequence_triple):
         assert sequence_triple.decomposition_residual() == 0.0
-        sequence_triple.validate()
 
 
 class TestAffineTransform:
@@ -121,39 +117,6 @@ class TestAffineTransform:
         np.testing.assert_allclose(out.theta.values,
                                    sequence_triple.theta.values @ omega.T,
                                    rtol=0, atol=1e-15)
-
-
-class TestAddConvergent:
-    def test_zero_perturbation_is_noop(self, sequence_triple):
-        zero = VectorSequence(sequence_triple.phi.t_start,
-                              np.zeros_like(sequence_triple.phi.values))
-        out = add_convergent(sequence_triple, zero, np.zeros(2))
-        np.testing.assert_array_equal(out.phi.values, sequence_triple.phi.values)
-
-    def test_constant_perturbation_shifts_by_constant(self, sequence_triple):
-        c = np.array([0.5, -0.25])
-        pert = VectorSequence(sequence_triple.phi.t_start,
-                              np.tile(c, (len(sequence_triple.phi), 1)))
-        out = add_convergent(sequence_triple, pert, c)
-        np.testing.assert_allclose(out.phi.values - sequence_triple.phi.values,
-                                   np.tile(c, (len(sequence_triple.phi), 1)),
-                                   rtol=0, atol=1e-15)
-        assert out.decomposition_residual() == 0.0
-
-    def test_harmonic_perturbation_tail_decays(self, sequence_triple):
-        n = len(sequence_triple.phi)
-        i = np.arange(n, dtype=float)
-        pert = VectorSequence(sequence_triple.phi.t_start,
-                              np.stack([1.0 / (i + 1.0), np.zeros(n)], axis=-1))
-        out = add_convergent(sequence_triple, pert, np.zeros(2))
-        report = decay_test(out.theta, (0.5, 0.1, 0.05))
-        assert all(where is not None for _, where in report.ladder)
-
-    def test_plain_sequence_sum(self, sequence_triple):
-        psi = sequence_triple.psi
-        pert = VectorSequence(psi.t_start, 0.1 * np.ones_like(psi.values))
-        out = add_convergent(psi, pert, np.array([0.1, 0.1]))
-        np.testing.assert_array_equal(out.values, psi.values + 0.1)
 
 
 class TestShift:

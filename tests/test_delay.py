@@ -10,10 +10,9 @@ from scipy.linalg import expm
 
 from updyn import catalog, delay
 from updyn.chaos import GridFunction
-from updyn.delay import (DelaySystemSpec, _segment_midpoints, bounded_solution,
+from updyn.delay import (DelaySystemSpec, _midpoint_stencils, _midpoints, bounded_solution,
                          constant_history, convergence_check, integrate_mos, picard_apply,
-                         proof_constants, stability_constants, step_residuals,
-                         verify_decay_bound)
+                         proof_constants, stability_constants)
 from updyn.errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
                           StabilityError)
 from updyn.nonlinearity import Nonlinearity, check_assumptions
@@ -80,6 +79,31 @@ def reference_mos(spec, history, t_end, step):
     return GridFunction(t0, step, xs[k:])
 
 
+def step_residuals(spec, trajectory, history):
+    """Per-step defect of the integrated equation, re-evaluated by Simpson quadrature."""
+    k = round(spec.delay / trajectory.step)
+    xs = np.vstack([history.values[:-1], trajectory.values])
+    n_steps, h = len(trajectory) - 1, trajectory.step
+    forcing = spec.forcing(trajectory.t_start + 0.5 * h * np.arange(2 * n_steps + 1))
+    a, f = spec.matrix, spec.nonlinearity
+    mids = _midpoints(xs, _midpoint_stencils(len(xs) - 1, k))
+
+    node = slice(k, k + n_steps)
+    rhs0 = xs[node] @ a.T + f(xs[:n_steps]) + forcing[0::2][:-1]
+    rhs1 = xs[k + 1:] @ a.T + f(xs[1:n_steps + 1]) + forcing[0::2][1:]
+    rhsm = mids[node] @ a.T + f(mids[:n_steps]) + forcing[1::2]
+    simpson = (h / 6.0) * (rhs0 + 4.0 * rhsm + rhs1)
+    return np.linalg.norm(xs[k + 1:] - xs[node] - simpson, axis=1)
+
+
+def expm_slack(a, sc, step=0.05, end=20.0):
+    """Least slack of N exp(-lambda t) - |exp(At)|_2 at t = step, 2 step, ... up to ``end``,
+    with exp(At) from scipy's ``expm``."""
+    t = step * np.arange(1, round(end / step) + 1)
+    norms = np.array([np.linalg.norm(expm(a * ti), 2) for ti in t])
+    return float((sc.amplitude * np.exp(-sc.decay_rate * t) - norms).min())
+
+
 def reference_picard(spec, psi_solution, theta, candidate, alpha):
     """Propagated value and trapezoid quadrature advanced one step at a time."""
     g = candidate
@@ -133,18 +157,11 @@ class TestStabilityConstants:
         assert sc.decay_rate == pytest.approx(2.0, abs=1e-12)
         assert sc.amplitude == pytest.approx(EXACT_N, abs=1e-9)
         assert sc.grid_slack >= -1e-10
+        assert expm_slack(catalog.delay_demo_matrix(), sc) >= -1e-10
 
     def test_unstable_matrix_rejected(self):
         with pytest.raises(StabilityError):
             stability_constants(np.array([[0.1, 0.0], [0.0, -1.0]]))
-
-    def test_fit_mode_backs_off_rate(self):
-        a = catalog.delay_demo_matrix()
-        sc = stability_constants(a, lambda_fraction=0.9, mode="fit")
-        assert sc.mode == "fit"
-        assert sc.decay_rate == pytest.approx(1.8, abs=1e-9)
-        assert sc.amplitude >= 1.0
-        assert verify_decay_bound(a, sc.amplitude, sc.decay_rate) >= -1e-10
 
     def test_exponential_past_the_float_range_rejected(self):
         with pytest.raises(StabilityError, match="not finite"):
@@ -155,7 +172,14 @@ class TestStabilityConstants:
         sc = stability_constants(a)
         assert sc.mode == "fit"
         assert sc.decay_rate == pytest.approx(0.9, abs=1e-9)
-        assert verify_decay_bound(a, sc.amplitude, sc.decay_rate) >= -1e-10
+        assert expm_slack(a, sc) >= -1e-10
+
+    @pytest.mark.xfail(strict=True, reason="D6: a fit-mode bound is grid evidence on [0, 20] "
+                                           "only; here it fails at t = 30")
+    def test_fit_mode_bound_holds_past_its_grid(self):
+        a = np.array([[-0.1, 1.0], [0.0, -0.1]])
+        sc = stability_constants(a)
+        assert expm_slack(a, sc, step=0.5, end=50.0 / sc.decay_rate) >= -1e-10
 
 
 # exp(A h) is checked on the odd matrices of the config fuzz and on: the fit-mode matrix
@@ -323,7 +347,8 @@ class TestIntegrateMos:
             if n % k in (1, 2):
                 continue  # no forward stencil fits there; the per-node form indexes past the end
             expected = np.array([_reference_midpoint(xs, j, k, n) for j in range(n)])
-            np.testing.assert_array_equal(_segment_midpoints(xs[:n + 1], k), expected)
+            np.testing.assert_array_equal(_midpoints(xs[:n + 1], _midpoint_stencils(n, k)),
+                                          expected)
 
     @pytest.mark.parametrize("k", [4, 5, 32])
     def test_midpoints_keep_the_bits_of_extreme_values(self, k):
@@ -335,8 +360,9 @@ class TestIntegrateMos:
                 if n % k in (1, 2):
                     continue
                 expected = np.array([_reference_midpoint(xs, j, k, n) for j in range(n)])
-                batched = _segment_midpoints(np.stack([xs[:n + 1], xs[:n + 1][::-1]]), k)
-                for got in (_segment_midpoints(xs[:n + 1], k), batched[0]):
+                stencils = _midpoint_stencils(n, k)
+                batched = _midpoints(np.stack([xs[:n + 1], xs[:n + 1][::-1]]), stencils)
+                for got in (_midpoints(xs[:n + 1], stencils), batched[0]):
                     # any NaN will do: its sign bit may differ between vector loops
                     assert np.array_equal(np.isnan(got), np.isnan(expected))
                     same = got.view(np.uint64) == expected.view(np.uint64)

@@ -312,7 +312,8 @@ class TestGronwallEnvelope:
         q = norm_b + 0.2
         big = (2.0 * spec.nonlinearity.bound + 5.0 + 1.0) / (1.0 - norm_b)
         expected = gamma * eps / (1.0 - q) * (1.0 - q) + big * q
-        assert env.value_at(alpha + 1) == pytest.approx(expected, rel=1e-12)
+        assert env.start_index == alpha + 1
+        assert env.values[0] == pytest.approx(expected, rel=1e-12)
 
     def test_crossing_time_prediction(self):
         spec = self._spec()
@@ -320,8 +321,7 @@ class TestGronwallEnvelope:
         env = gronwall_envelope(spec, 5.0, 1.0, alpha, gamma, eps, (0, 150))
         q = spectral_norm(spec.matrix) + 0.2
         predicted = math.log(1.0 / (gamma * eps)) / math.log(1.0 / q)
-        for i in range(int(alpha + predicted) + 1, env.start_index + len(env)):
-            assert env.value_at(i) < eps
+        assert np.all(env.values[int(alpha + predicted) + 1 - env.start_index:] < eps)
 
     def test_gamma_ceiling_enforced(self):
         spec = self._spec()

@@ -49,7 +49,7 @@ def test_build_sequence_triple_matches_the_stacked_expressions(base):
     orbit = logistic_orbit(0.37, 1000, 5000).rebased(base)
     kappa = orbit.values
     psi = np.stack([kappa, 0.25 * kappa], axis=-1)
-    theta = reference_tail(orbit.indices())
+    theta = reference_tail(base + np.arange(len(orbit)))
     triple = build_sequence_triple(orbit)
     for part, want in (("phi", psi + theta), ("psi", psi), ("theta", theta)):
         got = getattr(triple, part)

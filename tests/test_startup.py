@@ -2,9 +2,10 @@
 
 Every ``updyn`` command runs in a fresh process, so module-level imports are
 paid on each call.  scipy alone adds about 25-50 MB of resident memory and
-0.6 s to a process; the package does its numerics in numpy, and scipy stays
-in the tests as an oracle.  Each case runs in its own interpreter and reports
-which modules it ended up loading.
+0.6 s to a process; the package does its numerics in numpy, and scipy is a
+test-only dependency (the ``test`` extra in pyproject.toml), kept as an oracle.
+Each case runs in its own interpreter and reports which modules it ended up
+loading.
 """
 
 import json
