@@ -21,6 +21,7 @@ DEFAULT_SEED = 0.41
 DEFAULT_BURN_IN = 1000
 WARMUP_UNITS = 20
 ORACLE_NODES = 16  # Gauss-Legendre nodes on each unit piece of the quadrature oracle
+ORACLE_DEPTH = 40.0  # time units of the past the quadrature oracle integrates over
 
 
 def row_norms(arr, origin=None) -> np.ndarray:
@@ -290,11 +291,10 @@ class ExponentialFilter:
         return damp * self.node_values[i] + (self.orbit.values[i] / self.decay) * (1.0 - damp)
 
 
-def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0.05,
-                         warmup: int = WARMUP_UNITS) -> Series:
+def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0.05) -> Series:
     """Filter the orbit's step interpolant through exp(-decay*t) on a grid.
 
-    Returns the scalar grid function on [base + warmup, base + n]; the warm-up
+    Returns the scalar grid function on [base + WARMUP_UNITS, base + n]; the warm-up
     prefix absorbs the steady-state initialisation of the infinite past.
     ``step`` must divide the unit interval exactly.
     """
@@ -302,11 +302,11 @@ def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0
     if per_unit < 1 or abs(per_unit * step - 1.0) > 1e-9:
         raise DomainError(f"step {step!r} does not divide the unit interval")
     n = len(orbit)
-    if n <= warmup:
-        raise DomainError(f"orbit spans {n} units, shorter than the {warmup}-unit warm-up")
+    if n <= WARMUP_UNITS:
+        raise DomainError(f"orbit spans {n} units, shorter than the {WARMUP_UNITS}-unit warm-up")
     filt = ExponentialFilter.from_orbit(orbit, decay)
-    t0 = orbit.base_index + warmup
-    count = (n - warmup) * per_unit + 1
+    t0 = orbit.base_index + WARMUP_UNITS
+    count = (n - WARMUP_UNITS) * per_unit + 1
     times = t0 + step * np.arange(count)
     return GridFunction(float(t0), float(step), filt.eval(times))
 
@@ -318,16 +318,16 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(ORACLE_NODES)
 
 
-def quadrature_oracle(filt: ExponentialFilter, t: float, depth: float = 40.0) -> float:
+def quadrature_oracle(filt: ExponentialFilter, t: float) -> float:
     """Independent evaluation of the filtering integral by Gauss-Legendre quadrature.
 
-    Integrates exp(-decay*(t-s)) * mu(s) over [t - depth, t] piece by piece
+    Integrates exp(-decay*(t-s)) * mu(s) over [t - ORACLE_DEPTH, t] piece by piece
     between the unit breaks of the step interpolant mu, with ``ORACLE_NODES``
     nodes on each piece, reading mu's level on a piece at its left end; the
     omitted tail is exponentially small.  Used as the cross-check for the
     closed-form recurrence, never as its replacement.
     """
-    lo = t - depth
+    lo = t - ORACLE_DEPTH
     if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
         raise DomainError("oracle window leaves the recorded orbit")
     top = filt.t_end - 1e-9

@@ -1,18 +1,21 @@
 """Command-line front end: reproduce built-in demos, run configs, scan CSVs.
 
-Exit status: 0 on success, 1 when a reported check fails, 2 on usage or
-configuration errors.  All outputs are deterministic for a fixed
-configuration, so repeated runs produce byte-identical files.
+Exit status: 0 on success, 1 when a reported check fails (stderr names each
+with its compared value and tolerance), 2 on usage or configuration errors.
+All outputs are deterministic for a fixed configuration, so repeated runs
+produce byte-identical files.  Every check record comes from a builder in
+``report``.
 
 ``reproduce``, ``run`` and ``detect`` go through one table, ``DEMOS``, and one
 function, ``_execute``; the parser takes its flags from the table, and
 ``validate_config`` checks a config against it.  A flag or config field an
 entry does not take exits 2, named.  A given one reaches the runner (defaults
 live there) once its type, its range and the run's ``MAX_ROWS`` size are
-checked, before any work; a rule a routine owns is checked when it starts, and
-its ``ArgumentError`` exits 2 naming the flag or field that set the argument.
-The delay and discrete runners under zero or constant forcing size their own
-runs, since only they know the burn-in.  Either way no output file is written.
+checked, before any work, and so is the output directory, which must not be a
+file; a rule a routine owns is checked when it starts, and its ``ArgumentError``
+exits 2 naming the flag or field that set the argument.  The delay and discrete
+runners under zero or constant forcing size their own runs, since only they
+know the burn-in.  Either way no output file is written.
 
 Importing this module loads numpy and updyn only, and no command loads scipy:
 the function-demo tail, the filter's quadrature oracle and exp(A h) in the
@@ -41,8 +44,9 @@ from .detectors import (FUNCTION_HORIZON, SEQUENCE_HORIZON, collect_evidence,
 from .discrete import orbit_sum_residual
 from .errors import ArgumentError, ConfigError, DomainError, StabilityError, UpdynError
 from .nonlinearity import check_assumptions
-from .report import (CheckRecord, failing_checks, jsonable, read_series_csv,
-                     write_function_csv, write_json_report, write_sequence_csv)
+from .report import (CheckRecord, at_most, failing_checks, jsonable, not_applicable, passes,
+                     read_series_csv, within, write_function_csv, write_json_report,
+                     write_sequence_csv)
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
@@ -68,20 +72,17 @@ def _write_csvs(write, axis, out_dir: Path, prefix: str, named: dict) -> None:
 
 def _construct_checks(demo, tail_decay: CheckRecord) -> list:
     """The checks 6.1 and 6.2 share, around their own ``tail_decay`` check."""
-    residual = demo.triple.decomposition_residual()
     w = demo.witness
     return [
-        CheckRecord.from_bool("psi_sup_bound", demo.psi_sup <= demo.psi_sup_bound + 1e-12,
-                              values={"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
-                              tolerances={"slack": 1e-12}),
-        CheckRecord.from_bool("decomposition_exact", residual <= 1e-14,
-                              values={"residual": residual}, tolerances={"residual": 1e-14}),
-        CheckRecord.from_bool("witness", w.found and w.location == 0,
-                              values={"location": w.location, "theta_norm": w.tail_norm,
-                                      "threshold": w.threshold, "margin": w.margin},
-                              tolerances={}),
+        at_most("psi_sup_bound", {"psi_sup": demo.psi_sup, "bound": demo.psi_sup_bound},
+                {"slack": 1e-12}, limit=demo.psi_sup_bound + 1e-12),
+        at_most("decomposition_exact", {"residual": demo.triple.decomposition_residual()},
+                {"residual": 1e-14}),
+        passes("witness", w.found and w.location == 0,
+               {"location": w.location, "theta_norm": w.tail_norm, "threshold": w.threshold,
+                "margin": w.margin}),
         tail_decay,
-        CheckRecord.from_bool("evidence_verified", demo.evidence_verified, {}, {})]
+        passes("evidence_verified", demo.evidence_verified)]
 
 
 def _construct_evidence(demo) -> dict:
@@ -98,15 +99,12 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         worst = max(worst, abs(float(demo.filt.eval(t)) - quadrature_oracle(demo.filt, t)))
     crossing = demo.decay.crossing(1e-6)
     checks = [
-        CheckRecord.from_bool("h_sup_bound", h_sup <= 0.5 + 1e-12, values={"max_abs_h": h_sup},
-                              tolerances={"bound": 0.5, "slack": 1e-12}),
-        CheckRecord.from_bool("quadrature_oracle", worst <= 1e-10,
-                              values={"max_abs_gap": worst, "points": 10},
-                              tolerances={"gap": 1e-10}),
-        *_construct_checks(demo, CheckRecord.from_bool(
+        at_most("h_sup_bound", {"max_abs_h": h_sup}, {"bound": 0.5, "slack": 1e-12},
+                limit=0.5 + 1e-12),
+        at_most("quadrature_oracle", {"max_abs_gap": worst, "points": 10}, {"gap": 1e-10}),
+        *_construct_checks(demo, passes(
             "tail_decay", crossing is not None and 14.0 <= crossing <= 15.5,
-            values={"rung": 1e-6, "crossing_time": crossing},
-            tolerances={"expected_range": [14.0, 15.5]}))]
+            {"crossing_time": crossing, "rung": 1e-6}, {"expected_range": [14.0, 15.5]}))]
 
     _write_csvs(write_function_csv, demo.triple.phi.times(), out_dir, prefix, {
         "h": h, **{part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}})
@@ -118,12 +116,10 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     crossing = demo.decay.crossing(0.02)
     residual = float(demo.orbit.recurrence_residuals().max())
-    checks = _construct_checks(demo, CheckRecord.from_bool(
-        "tail_decay", crossing == 10, values={"rung": 0.02, "crossing_index": crossing},
-        tolerances={"expected": 10}))
-    checks.append(CheckRecord.from_bool("orbit_recurrence", residual <= 4e-16,
-                                        values={"max_residual": residual},
-                                        tolerances={"residual": 4e-16}))
+    tail_decay = passes("tail_decay", crossing == 10, {"crossing_index": crossing, "rung": 0.02},
+                        {"expected": 10})
+    checks = [*_construct_checks(demo, tail_decay),
+              at_most("orbit_recurrence", {"max_residual": residual}, {"residual": 4e-16})]
 
     phi = demo.triple.phi
     hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
@@ -135,13 +131,28 @@ def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     return [checks, _construct_evidence(demo), counters]
 
 
-def _margin_check(letter: str, assumptions) -> CheckRecord:
-    """The margin check of a delay ("A") or discrete ("B") system, with its other verdicts."""
-    return CheckRecord.from_bool("contraction_margin", assumptions.contracts,
-                                 values={f"{letter}3_margin": assumptions.margin,
-                                         f"{letter}1_pass": assumptions.spot.bound_ok,
-                                         f"{letter}2_pass": assumptions.spot.lipschitz_ok},
-                                 tolerances={"positive": 0.0})
+def _margin_check(letter: str, assumptions, expected: float | None = None) -> CheckRecord:
+    """The margin check of a delay ("A") or discrete ("B") system, with its other verdicts:
+    positive, or within 1e-9 of the ``expected`` margin of a demo system."""
+    values = {f"{letter}3_margin": assumptions.margin, f"{letter}1_pass": assumptions.spot.bound_ok,
+              f"{letter}2_pass": assumptions.spot.lipschitz_ok}
+    if expected is None:
+        return passes("contraction_margin", assumptions.contracts, values, {"positive": 0.0})
+    return within("contraction_margin", values, {"gap": 1e-9}, expected)
+
+
+def _stability_check(spec, expected: float | None = None) -> CheckRecord:
+    """A delay system's N and lambda: exact, with N within 1e-9 of ``expected`` (a demo's)."""
+    try:
+        c = spec.constants
+    except StabilityError as exc:  # only a given matrix can have none
+        raise ArgumentError("matrix", f"has no exponential stability bound: {exc}") from None
+    values = {"amplitude": c.amplitude, "decay_rate": c.decay_rate, "mode": c.mode}
+    if expected is None:
+        # D7: nothing checks N and lambda of a given matrix until a certificate does
+        return passes("stability_amplitude", True, values)
+    return passes("stability_amplitude", c.mode == "exact" and abs(c.amplitude - expected) <= 1e-9,
+                  values, {"amplitude_gap": 1e-9})
 
 
 def _residual_check(spec, orbit: Series) -> CheckRecord:
@@ -150,8 +161,7 @@ def _residual_check(spec, orbit: Series) -> CheckRecord:
     i0 = orbit.t_start - spec.forcing.t_start
     phi = spec.forcing.values[i0:i0 + len(orbit) - 1]
     resid = float(np.abs(w[1:] - (w[:-1] @ spec.matrix.T + spec.nonlinearity(w[:-1]) + phi)).max())
-    return CheckRecord.from_bool("recurrence_residual", resid <= 4e-15,
-                                 values={"max_residual": resid}, tolerances={"residual": 4e-15})
+    return at_most("recurrence_residual", {"max_residual": resid}, {"residual": 4e-15})
 
 
 def _envelope_evidence(demo) -> dict:
@@ -164,7 +174,7 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     eigs = np.linalg.eigvals(demo.spec_combined.matrix)
     expected = np.array([-2.0 + 1j * math.sqrt(6.0), -2.0 - 1j * math.sqrt(6.0)])
     gap = float(max(min(abs(e - expected[0]), abs(e - expected[1])) for e in eigs))
-    c, report = demo.spec_combined.constants, demo.report
+    report, proof = demo.report, demo.proof
     phi, psi = demo.phi_solution, demo.psi_solution
     times = phi.times()
     diff = row_norms(phi.values - psi.values)
@@ -173,27 +183,19 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     image = picard_apply(demo.spec_combined, psi, demo.theta_grid, candidate, demo.alpha)
     fp_gap = float(row_norms(image.values - candidate.values).max())
     checks = [
-        CheckRecord.from_bool("eigenvalues", gap <= 1e-9,
-                              values={"eigenvalues": [[e.real, e.imag] for e in eigs]},
-                              tolerances={"gap": 1e-9}),
-        CheckRecord.from_bool("stability_amplitude", c.mode == "exact"
-                              and abs(c.amplitude - EXACT_AMPLITUDE) <= 1e-9,
-                              values={"amplitude": c.amplitude, "decay_rate": c.decay_rate,
-                                      "mode": c.mode}, tolerances={"amplitude_gap": 1e-9}),
+        passes("eigenvalues", gap <= 1e-9, {"eigenvalues": [[e.real, e.imag] for e in eigs]},
+               {"gap": 1e-9}),
+        _stability_check(demo.spec_combined, EXACT_AMPLITUDE),
         _margin_check("A", demo.assumptions),
-        CheckRecord.from_bool("envelope", report.envelope_ok,
-                              values={"max_excess": report.max_excess, "alpha": report.alpha,
-                                      "k1": demo.proof.k1, "k2": demo.proof.k2,
-                                      "m0": demo.proof.m0},
-                              tolerances={"slack": catalog.DELAY_ENVELOPE_SLACK}),
-        CheckRecord.from_bool("tail_sup_final_quarter", tail_quarter < 1e-3,
-                              values={"tail_sup": tail_quarter}, tolerances={"bound": 1e-3}),
-        CheckRecord.from_bool("tail_past_predicted", report.tail_ok,
-                              values={"tail_start": report.tail_start,
-                                      "tail_sup": report.tail_sup},
-                              tolerances={"epsilon": demo.epsilon}),
-        CheckRecord.from_bool("picard_fixed_point", fp_gap <= 1e-6,
-                              values={"max_gap": fp_gap}, tolerances={"gap": 1e-6})]
+        passes("envelope", report.envelope_ok,
+               {"max_excess": report.max_excess, "alpha": report.alpha, "k1": proof.k1,
+                "k2": proof.k2, "m0": proof.m0}, {"slack": catalog.DELAY_ENVELOPE_SLACK}),
+        at_most("tail_sup_final_quarter", {"tail_sup": tail_quarter}, {"bound": 1e-3},
+                strict=True),
+        passes("tail_past_predicted", report.tail_ok,
+               {"tail_sup": report.tail_sup, "tail_start": report.tail_start},
+               {"epsilon": demo.epsilon}),
+        at_most("picard_fixed_point", {"max_gap": fp_gap}, {"gap": 1e-6})]
 
     # once the tail is below an ulp, psi's rows equal phi's and reuse their text
     _write_csvs(write_function_csv, times, out_dir, prefix, {
@@ -205,29 +207,21 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 
 
 def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
-    a, report = demo.assumptions, demo.report
-    norm_b = demo.spec_combined.norm_b
+    report, norm_b = demo.report, demo.spec_combined.norm_b
     drop = next((c for c in report.crossings if c[0] == 1e-6), None)
-    drop_at = None if drop is None else drop[1]
     sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
     checks = [
-        CheckRecord.from_bool("spectral_norm", abs(norm_b - SQRT5_OVER_4) <= 1e-9,
-                              values={"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
-                              tolerances={"gap": 1e-9}),
-        CheckRecord.from_bool("contraction_margin", a.contracts
-                              and abs(a.margin - (1.0 - SQRT5_OVER_4 - 0.2)) <= 1e-9,
-                              values={"B3_margin": a.margin, "B1_pass": a.spot.bound_ok,
-                                      "B2_pass": a.spot.lipschitz_ok}, tolerances={"gap": 1e-9}),
-        CheckRecord.from_bool("envelope", report.envelope_ok,
-                              values={"max_excess": report.max_excess, "alpha": report.alpha},
-                              tolerances={"slack": catalog.DISCRETE_ENVELOPE_SLACK}),
-        CheckRecord.from_bool("difference_drop",
-                              drop_at is not None and drop_at <= demo.alpha + 60,
-                              values={"rung": 1e-6, "crossing_index": drop_at,
-                                      "alpha": demo.alpha}, tolerances={"within": 60}),
+        within("spectral_norm", {"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
+               {"gap": 1e-9}, SQRT5_OVER_4),
+        _margin_check("B", demo.assumptions, expected=1.0 - SQRT5_OVER_4 - 0.2),
+        passes("envelope", report.envelope_ok,
+               {"max_excess": report.max_excess, "alpha": report.alpha},
+               {"slack": catalog.DISCRETE_ENVELOPE_SLACK}),
+        at_most("difference_drop", {"crossing_index": None if drop is None else drop[1],
+                                    "rung": 1e-6, "alpha": demo.alpha},
+                {"within": 60}, limit=demo.alpha + 60),
         _residual_check(demo.spec_combined, demo.phi_orbit),
-        CheckRecord.from_bool("sum_representation", sum_gap <= 1e-9,
-                              values={"max_gap": sum_gap}, tolerances={"gap": 1e-9})]
+        at_most("sum_representation", {"max_gap": sum_gap}, {"gap": 1e-9})]
 
     idx = demo.phi_orbit.times()
     phi, psi = demo.phi_orbit.values, demo.psi_orbit.values
@@ -253,7 +247,11 @@ def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
     if len(value) not in (1, dim):
         raise ArgumentError("value", f"expected 1 or {dim} numbers for a {dim}x{dim} matrix, "
                                      f"got {len(value)}")
-    return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+    v = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+    with np.errstate(over="ignore"):
+        if not math.isfinite(row_norms(v[None])[0]):
+            raise ArgumentError("value", "is too large: its norm overflows")
+    return v
 
 
 def _nonlinearity(name: str, dim: int, scale: float | None):
@@ -271,6 +269,28 @@ def _constant_forcing(v: np.ndarray):
     return lambda t: np.broadcast_to(v, np.shape(t) + v.shape)
 
 
+def _simulate(letter: str, build: Callable, verdict: Callable, then: str, solve, forcing: str,
+              value, matrix, nonlinearity: str, scale: float | None):
+    """Check a delay ("A") or discrete ("B") system under zero or constant forcing; solve it.
+
+    ``build(matrix, nonlinearity, forcing vector)`` makes the spec, on the demo
+    system's matrix when none is given.  The checks are the margin's,
+    ``verdict(spec)`` and the one ``solve(spec)`` returns with its counters and
+    series, or ``then`` as not applicable when the margin fails or ``solve`` is None.
+    """
+    demo = catalog.delay_demo_matrix if letter == "A" else catalog.discrete_demo_matrix
+    matrix = demo() if matrix is None else np.asarray(matrix, dtype=float)
+    nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
+    spec = build(matrix, nl, _forcing_value(forcing, value, matrix.shape[0]))
+    second = verdict(spec)  # first: the margin needs the N and lambda it may refuse
+    assumptions = check_assumptions(spec)
+    checks = [_margin_check(letter, assumptions), second]
+    if solve is None or not assumptions.contracts:
+        return [*checks, not_applicable(then)], {}, {"simulated": False}, None, {}
+    check, counters, series = solve(spec)
+    return [*checks, check], {}, {"simulated": True, **counters}, series, {}
+
+
 def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "arctan_arccot",
                     scale: float | None = None, tau: float = catalog.DELAY_TAU, window=None,
                     step: float | None = None, tol: float = 1e-8):
@@ -279,36 +299,24 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
     from .delay import DelaySystemSpec, bounded_solution, burn_in_time
 
     per_unit = _steps_per_unit(tau, step, "delay")
-    matrix = catalog.delay_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
-    nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
-    forcing = _constant_forcing(_forcing_value(forcing, value, matrix.shape[0]))
-    spec = DelaySystemSpec(matrix, tau, nl, forcing)
-    try:
-        constants = spec.constants
-    except StabilityError as exc:
-        raise ArgumentError("matrix", f"has no exponential stability bound: {exc}") from None
-    assumptions = check_assumptions(spec)
-    checks = [
-        _margin_check("A", assumptions),
-        CheckRecord("stability_amplitude", "pass", values={
-            "amplitude": constants.amplitude, "decay_rate": constants.decay_rate,
-            "mode": constants.mode}, tolerances={})]
-    if window is None or not assumptions.contracts:
-        checks.append(CheckRecord("solution_sup_bound", "not-applicable", {}, {}))
-        return checks, {}, {"simulated": False}, None, {}
-    burn = burn_in_time(spec, tol)
-    if (burn + window[1] - window[0] + tau) * per_unit > MAX_ROWS:
-        raise ArgumentError(("window", "matrix", "tol", "step", "tau"), f"the run would compute "
-                            f"over {MAX_ROWS:,} rows, {burn * per_unit:.3g} of them burn-in")
-    step = catalog.delay_step(tau, step)
-    traj = bounded_solution(spec, tuple(window), step, tol=tol)
-    sup_forcing = row_norms(forcing(np.linspace(window[0], window[1], 257))).max()
-    bound = constants.amplitude * (nl.bound + float(sup_forcing)) / constants.decay_rate
-    checks.append(CheckRecord.from_bool(
-        "solution_sup_bound", traj.sup_norm() <= bound + tol,
-        values={"sup": traj.sup_norm(), "bound": bound}, tolerances={"tol": tol}))
-    return (checks, {}, {"simulated": True, "grid_nodes": len(traj)},
-            ("solution", write_function_csv, traj.times(), traj.values), {})
+
+    def solve(spec):
+        burn = burn_in_time(spec, tol)
+        if (burn + window[1] - window[0] + tau) * per_unit > MAX_ROWS:
+            raise ArgumentError(("window", "matrix", "tol", "step", "tau"), f"the run would "
+                                f"compute over {MAX_ROWS:,} rows, {burn * per_unit:.3g} of "
+                                "them burn-in")
+        traj = bounded_solution(spec, tuple(window), catalog.delay_step(tau, step), tol=tol)
+        sup_forcing = row_norms(spec.forcing(np.linspace(window[0], window[1], 257))).max()
+        c = spec.constants
+        bound = c.amplitude * (spec.nonlinearity.bound + float(sup_forcing)) / c.decay_rate
+        return (at_most("solution_sup_bound", {"sup": traj.sup_norm(), "bound": bound},
+                        {"tol": tol}, limit=bound + tol), {"grid_nodes": len(traj)},
+                ("solution", write_function_csv, traj.times(), traj.values))
+
+    return _simulate("A", lambda m, nl, v: DelaySystemSpec(m, tau, nl, _constant_forcing(v)),
+                     _stability_check, "solution_sup_bound", None if window is None else solve,
+                     forcing, value, matrix, nonlinearity, scale)
 
 
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
@@ -317,32 +325,22 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     after a burn-in sized from one row of the constant forcing, counted toward ``MAX_ROWS``."""
     from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length
 
-    matrix = catalog.discrete_demo_matrix() if matrix is None else np.asarray(matrix, dtype=float)
-    dim = matrix.shape[0]
-    nl = _nonlinearity(nonlinearity, dim, scale)
-    row = _forcing_value(forcing, value, dim)[None]
-    spec = DiscreteSystemSpec(matrix, nl, VectorSequence(0, row))
-    with np.errstate(over="ignore"):
-        if not math.isfinite(spec.forcing.sup_norm()):
-            raise ArgumentError("value", "is too large: its norm overflows")
-    assumptions = check_assumptions(spec)
-    checks = [
-        _margin_check("B", assumptions),
-        CheckRecord.from_bool("spectral_norm", spec.norm_b < 1.0,
-                              values={"spectral_norm": spec.norm_b}, tolerances={"below": 1.0})]
-    if not assumptions.contracts:
-        checks.append(CheckRecord("recurrence_residual", "not-applicable", {}, {}))
-        return checks, {}, {"simulated": False}, None, {}
-    i0, i1 = int(window[0]), int(window[1])
-    burn = burn_in_length(spec, tol)
-    if burn + i1 - i0 > MAX_ROWS:
-        raise ArgumentError(("window", "matrix", "value", "scale", "tol"), f"the run would "
-                            f"compute over {MAX_ROWS:,} rows, {burn:,} of them burn-in")
-    spec = replace(spec, forcing=VectorSequence(i0 - burn, np.repeat(row, burn + i1 - i0, 0)))
-    orbit = bounded_orbit(spec, (i0, i1), tol=tol)
-    checks.append(_residual_check(spec, orbit))
-    return (checks, {}, {"simulated": True, "orbit_steps": len(orbit) - 1},
-            ("orbit", write_sequence_csv, orbit.times(), orbit.values), {})
+    def solve(spec):
+        i0, i1 = int(window[0]), int(window[1])
+        burn = burn_in_length(spec, tol)
+        if burn + i1 - i0 > MAX_ROWS:
+            raise ArgumentError(("window", "matrix", "value", "scale", "tol"), f"the run would "
+                                f"compute over {MAX_ROWS:,} rows, {burn:,} of them burn-in")
+        spec = replace(spec, forcing=VectorSequence(
+            i0 - burn, np.repeat(spec.forcing.values, burn + i1 - i0, 0)))
+        orbit = bounded_orbit(spec, (i0, i1), tol=tol)
+        return (_residual_check(spec, orbit), {"orbit_steps": len(orbit) - 1},
+                ("orbit", write_sequence_csv, orbit.times(), orbit.values))
+
+    return _simulate("B", lambda m, nl, v: DiscreteSystemSpec(m, nl, VectorSequence(0, v[None])),
+                     lambda spec: at_most("spectral_norm", {"spectral_norm": spec.norm_b},
+                                          {"below": 1.0}, strict=True),
+                     "recurrence_residual", solve, forcing, value, matrix, nonlinearity, scale)
 
 
 def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
@@ -393,7 +391,12 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
         if given.isdisjoint(blamed):
             raise ConfigError(f"{csv_path}: {exc.args[1]}") from None
         raise ArgumentError(blamed, exc.args[1]) from None
-    checks = [CheckRecord.from_bool("evidence_verified", verify_evidence(data, evidence), {}, {})]
+    counts = {"rungs_found": sum(r.found for r in evidence.return_times),
+              "rungs": len(evidence.return_times), "separations": len(evidence.separation_times)}
+    if counts["rungs_found"] or counts["separations"]:
+        checks = [passes("evidence_verified", verify_evidence(data, evidence), counts)]
+    else:  # the scan recorded no near return and no separation: nothing to verify (D18)
+        checks = [not_applicable("evidence_verified", counts)]
     counters = {"series_length": int(values.shape[0])}
     return checks, {"scan": jsonable(evidence)}, counters, None, echo
 
@@ -563,12 +566,13 @@ def _checked(rule: str, value, name: str):
     return int(value) if rule in ("count", "size") else value
 
 
-def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str) -> int:
+def _execute(key: str, given: dict, echo: dict, out_dir: tuple, prefix: str, label: str) -> int:
     """Run entry ``key`` of ``DEMOS`` on the ``given`` inputs; write its outputs and report.
 
     ``given`` maps each flag (``--step``) or config field (``numeric.step``) that
     was set to its value; each must be an input of the entry or a field selecting it.
     A refused argument is named as the first of those blamed that was given.
+    ``out_dir`` is the output directory's flag or field and the path it holds.
     """
     demo = DEMOS[key]
     keywords = {name: kw for kw, spec in demo.inputs.items() for name in spec[:2] if name}
@@ -582,6 +586,9 @@ def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str
     for name, kw in keywords.items():
         if name in given:
             kwargs[kw], names[kw] = _checked(demo.inputs[kw].rule, given[name], name), name
+    out = Path(out_dir[1])
+    if (file := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)):
+        raise ConfigError(f"{_named(out_dir[0])}: {file} is a file, not a directory")
     runner = demo.runner()
     args = inspect.signature(runner).bind(**kwargs)
     args.apply_defaults()
@@ -593,7 +600,6 @@ def _execute(key: str, given: dict, echo: dict, out_dir, prefix: str, label: str
     except ArgumentError as exc:
         named = [_named(names[kw]) for kw in exc.names if kw in names]
         raise ConfigError(": ".join(named[:1] + [exc.args[1]])) from None
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks, evidence, counters = demo.render(result, out, prefix, echo)
     write_json_report(out / f"{prefix}_report.json", label, echo, checks, evidence, counters)
@@ -609,8 +615,8 @@ def reproduce(example_id: str, out_dir=REPORT_DIR, **flags) -> int:
     if example_id not in catalog.EXAMPLE_IDS:
         raise ConfigError(f"unknown example id {example_id!r}; choose from {catalog.EXAMPLE_IDS}")
     given = {f"--{name}": value for name, value in flags.items() if value is not None}
-    return _execute(example_id, given, {"example": example_id, **flags}, out_dir,
-                    example_id, example_id)
+    return _execute(example_id, given, {"example": example_id, **flags},
+                    ("--out-dir", out_dir), example_id, example_id)
 
 
 def _leaves(config: dict, prefix: str = ""):
@@ -652,7 +658,7 @@ def run_config(config_path: str) -> int:
         raise ConfigError(f"cannot read config: {exc}") from exc
     key, given = validate_config(config)
     given.pop("label", None)
-    out_dir = given.pop("output.dir", REPORT_DIR)
+    out_dir = ("output.dir", given.pop("output.dir", REPORT_DIR))
     if key != "detect":
         # output paths stay out of the echo, so reruns elsewhere stay comparable
         echo = {k: v for k, v in config.items() if k != "output"}
@@ -673,7 +679,8 @@ def detect(csv_path: str, out_dir=REPORT_DIR, **flags) -> int:
     given = {"csv": csv_path, **{"--" + kw.replace("_", "-"): value
                                  for kw, value in flags.items() if value is not None}}
     stem = Path(csv_path).stem
-    return _execute("detect", given, {}, out_dir, f"{stem}_evidence", f"detect:{stem}")
+    return _execute("detect", given, {}, ("--out-dir", out_dir), f"{stem}_evidence",
+                    f"detect:{stem}")
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,11 @@ def separation_at(seq: Series, shift: int, offset: int) -> float:
     return float(np.linalg.norm(seq.values[offset + shift] - seq.values[offset]))
 
 
-def collect_evidence(seq: Series, window: int = 20,
-                     ladder: Sequence[float] = DEFAULT_LADDER, epsilon0: float = 0.3,
+def collect_evidence(seq: Series, window: int = 20, epsilon0: float = 0.3,
                      horizon: int = SEQUENCE_HORIZON) -> UnpredictabilityEvidence:
-    """Run both scans and assemble the evidence record for a sequence."""
-    returns = find_near_returns(seq, window, ladder, horizon)
+    """Run both scans, on the rungs of ``DEFAULT_LADDER``, and assemble the evidence record
+    for a sequence."""
+    returns = find_near_returns(seq, window, DEFAULT_LADDER, horizon)
     seps = find_separations(seq, [r.shift for r in returns if r.found], epsilon0, horizon)
     estimate = min((s.separation for s in seps), default=0.0)
     return UnpredictabilityEvidence(

@@ -24,6 +24,9 @@ from .chaos import Series, VectorSequence, row_norms, settling_positions
 from .errors import ArgumentError, AssumptionError, DomainError, WindowExhaustedError
 from .nonlinearity import Nonlinearity
 
+SUM_SAMPLES = 16  # indices at which orbit_sum_residual re-sums an orbit
+DIFFERENCE_LADDER = (1e-3, 1e-4, 1e-5, 1e-6)  # rungs convergence_check_discrete settles at
+
 
 @dataclass(frozen=True)
 class DiscreteSystemSpec:
@@ -252,13 +255,12 @@ def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 
     return iterate(spec, start, i1 - i0, start_index=i0, guess=guess)
 
 
-def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
-                       tol: float = 1e-10, sample: int = 16) -> float:
+def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-10) -> float:
     """Cross-check an orbit against the truncated sum representation.
 
     The bounded orbit equals sum_j B^(i-j) (g(orbit_{j-1}) + forcing_{j-1});
     the sum is cut once the geometric tail bound falls below ``tol``.  The
-    returned value is the largest deviation over sampled indices (truncation
+    returned value is the largest deviation over ``SUM_SAMPLES`` indices (truncation
     contributes at most ``tol`` of it).
     """
     norm_b = spec.norm_b
@@ -270,7 +272,7 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series,
     lo = max(orbit.t_start, spec.forcing.t_start) + depth + 1
     if lo > orbit.t_end:
         raise DomainError("orbit window too short for the requested truncation depth")
-    picks = np.arange(lo, orbit.t_end + 1)[::max(1, (orbit.t_end + 1 - lo) // sample)]
+    picks = np.arange(lo, orbit.t_end + 1)[::max(1, (orbit.t_end + 1 - lo) // SUM_SAMPLES)]
     if picks[-1] > spec.forcing.t_end + 1:
         raise WindowExhaustedError(f"forcing window ends before index {int(picks[-1]) - 1}")
     # every sampled sum advances together, one (dim, samples) lane block per term
@@ -349,13 +351,12 @@ class DiscreteConvergenceReport:
 
 
 def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
-                               envelope: GronwallEnvelope, alpha: int, slack: float = 1e-9,
-                               ladder: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6)
+                               envelope: GronwallEnvelope, alpha: int, slack: float = 1e-9
                                ) -> DiscreteConvergenceReport:
     """Check |phi_orbit - psi_orbit| <= envelope + slack for i > alpha.
 
     Also reports the first index past which the running tail sup stays below
-    each ladder rung (None when a rung is never reached in the window).
+    each rung of ``DIFFERENCE_LADDER`` (None when a rung is never reached in the window).
     """
     phi_orbit.require_same_axis(psi_orbit)
     diff = row_norms(phi_orbit.values - psi_orbit.values)
@@ -369,8 +370,8 @@ def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
     excess = d - e
     worst = int(np.argmax(excess))
 
-    crossings = [(float(rung), None if k is None else phi_orbit.t_start + k)
-                 for rung, k in zip(ladder, settling_positions(diff, ladder))]
+    crossings = [(float(rung), None if k is None else phi_orbit.t_start + k) for rung, k
+                 in zip(DIFFERENCE_LADDER, settling_positions(diff, DIFFERENCE_LADDER))]
 
     return DiscreteConvergenceReport(
         envelope_ok=bool(excess.max() <= slack),

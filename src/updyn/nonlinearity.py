@@ -15,6 +15,9 @@ import numpy as np
 from .chaos import row_norms
 from .errors import DomainError
 
+# the spot check's random pairs: how many, drawn from which seed, at what spread
+SPOT_PAIRS, SPOT_SEED, SPOT_SCALE = 1000, 1404, 3.0
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -65,17 +68,16 @@ class SpotCheck:
         return self.lipschitz_excess <= 1e-9
 
 
-def spot_check(nl: Nonlinearity, dim: int, pairs: int = 1000, seed: int = 1404,
-               scale: float = 3.0) -> SpotCheck:
-    """Test |f| <= bound and the Lipschitz estimate on ``pairs`` random pairs."""
-    rng = np.random.default_rng(seed)
-    x = scale * rng.standard_normal((pairs, dim))
-    y = scale * rng.standard_normal((pairs, dim))
+def spot_check(nl: Nonlinearity, dim: int) -> SpotCheck:
+    """Test |f| <= bound and the Lipschitz estimate on ``SPOT_PAIRS`` random pairs."""
+    rng = np.random.default_rng(SPOT_SEED)
+    x = SPOT_SCALE * rng.standard_normal((SPOT_PAIRS, dim))
+    y = SPOT_SCALE * rng.standard_normal((SPOT_PAIRS, dim))
     fx, fy = nl(x), nl(y)
     norm_f = row_norms(np.concatenate([fx, fy]))
     gap = row_norms(fx - fy) - nl.lipschitz * row_norms(x - y)
     return SpotCheck(
-        pairs=pairs,
+        pairs=SPOT_PAIRS,
         bound_excess=float(norm_f.max() - nl.bound),
         lipschitz_excess=float(gap.max()),
     )
@@ -94,8 +96,7 @@ class AssumptionReport:
         return self.margin > 0.0
 
 
-def check_assumptions(spec, pairs: int = 1000, seed: int = 1404) -> AssumptionReport:
+def check_assumptions(spec) -> AssumptionReport:
     """Spot-check the declared constants of ``spec.nonlinearity`` and report ``spec.margin``,
     for a delay or a discrete system spec."""
-    return AssumptionReport(spot_check(spec.nonlinearity, spec.dim, pairs=pairs, seed=seed),
-                            spec.margin)
+    return AssumptionReport(spot_check(spec.nonlinearity, spec.dim), spec.margin)

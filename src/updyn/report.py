@@ -130,16 +130,52 @@ def read_series_csv(path):
 
 @dataclass
 class CheckRecord:
-    """One verdict inside a report: pass, fail or not-applicable."""
+    """One verdict inside a report: pass, fail or not-applicable.
+
+    The builders below make every record.  Each puts first in ``values`` the
+    value its verdict compares, and first in ``tolerances`` what it is compared
+    against; ``describe`` names those two.
+    """
 
     name: str
     status: str
     values: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
-    @staticmethod
-    def from_bool(name: str, ok: bool, values=None, tolerances=None) -> "CheckRecord":
-        return CheckRecord(name, "pass" if ok else "fail", values or {}, tolerances or {})
+    def describe(self) -> str:
+        """The name, then the compared value and its tolerance when the record has them."""
+        said = "; ".join([f"{k}={v}" for k, v in list(self.values.items())[:1]]
+                         + [f"{k} {v}" for k, v in list(self.tolerances.items())[:1]])
+        return f"{self.name} ({said})" if said else self.name
+
+
+def passes(name: str, ok: bool, values: dict | None = None,
+           tolerances: dict | None = None) -> CheckRecord:
+    """A verdict decided by the caller: pass when ``ok``."""
+    return CheckRecord(name, "pass" if ok else "fail", values or {}, tolerances or {})
+
+
+def at_most(name: str, values: dict, tolerances: dict, limit: float | None = None,
+            strict: bool = False) -> CheckRecord:
+    """Pass when the first of ``values`` is at most ``limit`` (below it when ``strict``),
+    by default the first of ``tolerances``; a None value fails."""
+    value = next(iter(values.values()))
+    if limit is None:
+        limit = next(iter(tolerances.values()))
+    return passes(name, value is not None and (value < limit if strict else value <= limit),
+                  values, tolerances)
+
+
+def within(name: str, values: dict, tolerances: dict, expected: float) -> CheckRecord:
+    """Pass when the first of ``values`` lies within the first of ``tolerances`` of
+    ``expected``."""
+    gap = abs(next(iter(values.values())) - expected)
+    return passes(name, gap <= next(iter(tolerances.values())), values, tolerances)
+
+
+def not_applicable(name: str, values: dict | None = None) -> CheckRecord:
+    """A verdict the run had nothing to decide on; ``values`` say why."""
+    return CheckRecord(name, "not-applicable", values or {})
 
 
 def jsonable(obj):
@@ -183,4 +219,5 @@ def write_json_report(path, example: str, config_echo: dict, checks: list,
 
 
 def failing_checks(checks) -> list[str]:
-    return [c.name for c in checks if c.status == "fail"]
+    """Each failing check, described with its compared value and tolerance."""
+    return [c.describe() for c in checks if c.status == "fail"]

@@ -263,6 +263,23 @@ class TestCsvRoundTrip:
             read_series_csv(path)
 
 
+class TestCheckBuilders:
+    def test_at_most_compares_the_first_value_with_a_limit(self):
+        assert report.at_most("c", {"gap": 1.0, "points": 3}, {"gap": 1.0}).status == "pass"
+        assert report.at_most("c", {"gap": 1.0}, {"below": 1.0}, strict=True).status == "fail"
+        assert report.at_most("c", {"index": None}, {"within": 60}, limit=70).status == "fail"
+        record = report.at_most("c", {"sup": 2.0, "bound": 1.5}, {"tol": 0.5}, limit=2.0)
+        assert report.jsonable(record) == {"name": "c", "status": "pass", "values": {
+            "sup": 2.0, "bound": 1.5}, "tolerances": {"tol": 0.5}}
+
+    def test_within_and_the_failure_text(self):
+        record = report.within("norm", {"norm": 1.2, "expected": 1.0}, {"gap": 0.1}, 1.0)
+        assert record.status == "fail"
+        assert report.failing_checks([record, report.passes("flag", False),
+                                      report.not_applicable("scan", {"found": 0})]) \
+            == ["norm (norm=1.2; gap 0.1)", "flag"]
+
+
 class TestReproduce:
     def test_discrete_demo_passes_and_repeats_identically(self, tmp_path):
         out = tmp_path / "out"
@@ -361,6 +378,11 @@ class TestDetect:
                        "--out-dir", str(tmp_path / "det")) == 0
         report = json.loads((tmp_path / "det" / "6.4_phi_orbit_evidence_report.json").read_text())
         assert report["evidence"]["scan"]["scanned_horizon"] == 380
+        # D18: the scan records no return and no separation, so it verifies nothing; it
+        # read "pass"
+        assert report["checks"] == [{
+            "name": "evidence_verified", "status": "not-applicable", "tolerances": {},
+            "values": {"rungs_found": 0, "rungs": 4, "separations": 0}}]
 
     def test_detect_sequence_csv(self, tmp_path):
         from updyn import catalog
@@ -374,7 +396,9 @@ class TestDetect:
                        "--epsilon0", "0.3") == 0
         report = json.loads((out / "series_evidence_report.json").read_text())
         assert report["checks"][0]["name"] == "evidence_verified"
-        assert report["checks"][0]["status"] == "pass"
+        # no 21-index window of this orbit returns within 0.2: nothing to verify
+        assert report["checks"][0]["status"] == "not-applicable"
+        assert report["checks"][0]["values"]["rungs_found"] == 0
         assert report["config_echo"]["window"] == 20
 
     def test_detect_sequence_csv_window_flag(self, tmp_path):
@@ -389,6 +413,9 @@ class TestDetect:
         report = json.loads((out / "series_evidence_report.json").read_text())
         assert report["config_echo"]["window"] == 8
         assert all(r["window"] == 8 for r in report["evidence"]["scan"]["return_times"])
+        assert report["checks"] == [{
+            "name": "evidence_verified", "status": "pass", "tolerances": {},
+            "values": {"rungs_found": 4, "rungs": 4, "separations": 4}}]
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_detect_bad_window_exits_two(self, tmp_path, capsys, value):

@@ -144,7 +144,7 @@ class TestAssumptions:
             nb = float(np.nextafter(nb, math.copysign(math.inf, ulps)))
         nl = Nonlinearity(lambda w: lip * np.sin(w), bound=1.0, lipschitz=lip)
         spec = DiscreteSystemSpec(np.diag([nb, 0.0]), nl, zero_forcing())
-        report = check_assumptions(spec, pairs=10)
+        report = check_assumptions(spec)
         refused = []
         for call in (lambda: burn_in_length(spec, 1e-9),
                      lambda: gamma_ceiling(spec, 1.0, 1.0),

@@ -205,12 +205,22 @@ BAD_INPUTS = [
         "matrix": [[-1e-300, 0], [0, -1e-300]], "nonlinearity": {"type": "zero"},
         "forcing": {"type": "zero"}}, "numeric": {"window": [0, 1]}},
      "5.89e+303 of them burn-in"),
+    # an output directory that is a file ended in a traceback, after the whole run
+    ("6.4 out-dir a file", ["6.4"], "--out-dir: "),
+    ("discrete output.dir a file", {"kind": "discrete", "system": {"forcing": {"type": "zero"}}},
+     "config field 'output.dir': "),
+    # a delay forcing whose norm overflows passed its sup check on inf against inf
+    ("delay forcing 1e200", {"kind": "delay", "system": {
+        "forcing": {"type": "constant", "value": [1e200]}}, "numeric": {"window": [0, 1]}},
+     "config field 'system.forcing.value'"),
 ]
 
 
 @pytest.mark.parametrize("case, inputs, named", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
 def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     out = tmp_path / "out"
+    if "output.dir" in named or "--out-dir" in named:
+        out.write_text("not a directory\n")
     if inputs == "nan-sample":
         path = nan_sample_csv(tmp_path / "wave.csv")
         code, streams = run(["detect", path, "--out-dir", out], capsys)
@@ -229,7 +239,7 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     assert code == 2
     assert named in streams.err
     assert not any(line.startswith("error: ") for line in streams.err.splitlines())
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists() or out.read_text() == "not a directory\n" or not any(out.iterdir())
 
 
 def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
@@ -242,6 +252,21 @@ def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
     checks = json.loads((tmp_path / "delay_report.json").read_text())["checks"]
     margin = next(c for c in checks if c["name"] == "contraction_margin")
     assert margin["status"] == "fail" and margin["values"]["A3_margin"] == "-inf"
+
+
+def test_failing_check_names_its_value_and_tolerance(tmp_path, capsys):
+    # D6's matrix: the fit-mode bound makes the A3 margin negative
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kind": "delay", "system": {"forcing": {"type": "zero"},
+                                    "matrix": [[-0.1, 1.0], [0.0, -0.1]]},
+        "output": {"dir": str(tmp_path)}})
+    code, streams = run(["run", cfg], capsys)
+    assert code == 1
+    checks = json.loads((tmp_path / "delay_report.json").read_text())["checks"]
+    margin = next(c for c in checks if c["name"] == "contraction_margin")["values"]["A3_margin"]
+    assert margin < -5.0
+    assert f"delay: failing checks: contraction_margin (A3_margin={margin}; positive 0.0)\n" \
+        == streams.err
 
 
 def test_margin_a_few_ulps_from_zero_fails_the_margin_check(tmp_path, capsys):
@@ -327,6 +352,12 @@ def test_cli_declares_no_flag_outside_the_table():
     assert [s for s in literals if isinstance(s, str) and s.startswith("--")] == ["--out-dir"]
     names = {getattr(node, "name", None) or getattr(node, "id", None) for node in ast.walk(tree)}
     assert "InputError" not in names
+
+
+def test_cli_builds_every_check_through_the_report_builders():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    called = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [f for f in called if f.split(".")[0] == "CheckRecord"] == []
 
 
 SEED = 0.37
