@@ -443,6 +443,8 @@ RULES = {
                and all(RULES["numbers"][0](row) and len(row) == len(v) for row in v),
                "a non-empty square list of number lists"),
     "text": (lambda v: type(v) is str, "a string"),
+    "name": (lambda v: type(v) is str and not any(c in v for c in "/\\\0"),
+             "a file name prefix, without '/', '\\' or NUL"),
     "nonlinearity": (lambda v: type(v) is str and v in catalog.NONLINEARITIES,
                      f"one of {', '.join(map(repr, catalog.NONLINEARITIES))}"),
 }
@@ -548,8 +550,9 @@ DEMOS = {
 }
 
 
-# the config fields run_config reads itself, each a string
-TEXT_FIELDS = ("label", "input_csv", "output.dir", "output.prefix")
+# the config fields run_config reads itself, each a string, and the rule of each
+TEXT_FIELDS = {"label": "text", "input_csv": "text", "output.dir": "text",
+               "output.prefix": "name"}
 FIELDS = {*TEXT_FIELDS, *(name for demo in DEMOS.values() for name in
                           (*demo.selects, *(i.field for i in demo.inputs.values())) if name)}
 
@@ -630,7 +633,7 @@ def _leaves(config: dict, prefix: str = ""):
         if type(value) is dict and any(field.startswith(name + ".") for field in FIELDS):
             yield from _leaves(value, name + ".")
         else:
-            yield name, _checked("text", value, name) if name in TEXT_FIELDS else value
+            yield name, _checked(TEXT_FIELDS[name], value, name) if name in TEXT_FIELDS else value
 
 
 def validate_config(raw) -> tuple[str, dict]:

@@ -1,30 +1,36 @@
 """Deterministic CSV and JSON emission for experiment pipelines.
 
 CSV rows carry 17 significant digits so binary64 values round-trip exactly.
-``write_csvs`` writes every CSV on one axis in a single chunked pass: it
-formats each chunk of the axis once, and a chunk whose values equal an
-earlier file's bit for bit (as a forced solution's do its tail-free twin's
-once the tail is below an ulp) reuses that file's text.  JSON reports are
-written with sorted keys and no wall-clock content, which makes repeated runs
-byte-identical.
+``write_csvs`` writes every CSV on one axis in a single chunked pass.  For
+each chunk of rows one call of a numpy kernel, ``_Text17``, writes the
+``%.17g`` text of the axis and of every chunk of values not equal bit for bit
+to an earlier file's; such a chunk (as a forced solution's is its tail-free
+twin's once the tail is below an ulp) reuses that file's text.  The kernel's
+text is Python's byte for byte: what it cannot round with certainty, it
+hands to ``%``.  JSON reports are written with sorted keys and no wall-clock
+content, which makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 
-# A chunk of 1024 rows formats as fast, but its ~70 kB strings fragment the
-# malloc heap: peak RSS of the construct demos then jumps by up to 30 MB.
-CSV_CHUNK_ROWS = 128
-AXIS_FORMATS = {"t": "%.17g\n", "i": "%d\n"}
+# Rows per chunk.  One kernel call formats a chunk, in passes of _BATCH values
+# that spread its fixed numpy cost; a chunk's text is about 30 kB a file.  A
+# pass holds the kernel's tables and work buffers, about 250 kB, besides a
+# chunk of text a file: from 512 rows on, that is within six chunks a file.
+CSV_CHUNK_ROWS = 512
+AXIS_FORMATS = {"t": "%.17g", "i": "%d"}
 
 
 def write_csvs(axis_name: str, axis, files) -> int:
@@ -32,10 +38,11 @@ def write_csvs(axis_name: str, axis, files) -> int:
 
     Each has the header ``axis_name,x1,...,xm`` and a row per axis value, a
     time ``t`` written ``%.17g`` or an index ``i`` written ``%d``, then its
-    values, ``%.17g`` each.  A chunk's axis text is formatted once; a chunk of
-    values that equals the same chunk of an earlier file bit for bit takes that
-    file's text, and any other is filled by one ``%``.  Only the chunk in hand
-    is held as text, so memory stays flat.  Returns the chunks formatted.
+    values, ``%.17g`` each.  Per chunk of rows one kernel call formats the axis
+    and every chunk of values not equal bit for bit to the same chunk of an
+    earlier file, which takes that file's text instead.  Only the chunk in hand
+    is held as text, so memory stays flat.  Returns the chunks of values
+    formatted.
     """
     if axis_name not in AXIS_FORMATS:
         raise ValueError(f"an axis '{axis_name}' cannot head a CSV: expected 't' or 'i'")
@@ -49,27 +56,296 @@ def write_csvs(axis_name: str, axis, files) -> int:
         if values.shape[0] != rows:
             raise ValueError(f"{rows} axis rows, but values of shape {values.shape}")
         tables.append(values)
+    # %.17g of an integer-valued double below 2**53 is its %d; other indices keep %d
+    width = _WIDTH
+    by_kernel = axis_name == "t" or (rows > 0 and axis.dtype.kind in "iu"
+                                     and -2 ** 53 < axis.min() and axis.max() < 2 ** 53)
+    if not by_kernel and rows:
+        width = max(width, *(len("%d" % v) for v in (axis.min(), axis.max())))
+    columns = [values.shape[1] for values in tables]
+    chunk = min(rows, CSV_CHUNK_ROWS)
+    text17 = _Text17()
+    batch = np.empty(chunk * (1 + sum(columns)))
+    slots = np.empty((len(batch), _WIDTH), np.uint8)
+    line = np.empty(chunk * (width + 1 + (_WIDTH + 1) * max(columns, default=0)), np.uint8)
     formatted = 0
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-                   for path, _ in files]
-        for fh, values in zip(handles, tables):
-            fh.write(axis_name + "".join(f",x{j + 1}" for j in range(values.shape[1])) + "\n")
+        handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
+        for fh, m in zip(handles, columns):
+            fh.write((axis_name + "".join(f",x{j + 1}" for j in range(m)) + "\n").encode())
         for lo in range(0, rows, CSV_CHUNK_ROWS):
-            part = axis[lo:lo + CSV_CHUNK_ROWS].tolist()
-            axis_text = AXIS_FORMATS[axis_name] * len(part) % tuple(part)
-            done = []  # (bytes, text) of this chunk in the files before
-            for fh, values in zip(handles, tables):
-                chunk = values[lo:lo + CSV_CHUNK_ROWS]
-                key = chunk.tobytes()  # as bytes, -0.0 is not 0.0 and a NaN is itself
-                text = next((t for k, t in done if k == key), None)
-                if text is None:
-                    fields = ",%.17g" * values.shape[1] + "\n"
-                    text = axis_text.replace("\n", fields) % tuple(chunk.ravel().tolist())
-                    formatted += 1
-                done.append((key, text))
-                fh.write(text)
+            part = axis[lo:lo + CSV_CHUNK_ROWS]
+            r = len(part)
+            chunks = [values[lo:lo + r] for values in tables]
+            first = _first_equal(chunks)
+            fresh = [k for k, j in enumerate(first) if j == k]
+            parts = ([part] if by_kernel else []) + [chunks[k].ravel() for k in fresh]
+            n = sum(len(p) for p in parts)
+            if n:
+                np.concatenate(parts, out=batch[:n])
+                text17.format(batch[:n], slots[:n])
+            if by_kernel:
+                axis_slots, at = slots[:r], r
+            else:
+                axis_slots, at = _fallback(AXIS_FORMATS[axis_name], width, part.tolist()), 0
+            # the axis text is as wide as its longest; the NUL columns before go
+            axis_text = axis_slots[:, int(axis_slots.any(axis=0).argmax()):]
+            texts = {}  # text of a fresh chunk, kept while a later file takes it
+            for k, (fh, m) in enumerate(zip(handles, columns)):
+                j = first[k]
+                if j == k:
+                    texts[k] = _rows(line, axis_text, slots[at:at + r * m], m)
+                    at += r * m
+                fh.write(texts[j] if j in first[k + 1:] else texts.pop(j))
+            formatted += len(fresh)
     return formatted
+
+
+def _first_equal(arrays) -> list:
+    """For each array, the index of the first one equal to it bit for bit."""
+    keys = [a.tobytes() for a in arrays]  # as bytes, -0.0 is not 0.0 and a NaN is itself
+    return [keys.index(key) for key in keys]
+
+
+def _rows(line, axis_text, value_slots, m: int):
+    """A chunk of CSV rows, built in ``line``: per row its axis text and ``m`` value
+    slots, each but the last followed by ',', the last by a newline; NULs deleted."""
+    r, wa = axis_text.shape
+    rows = line[:r * (wa + 1 + (_WIDTH + 1) * m)].reshape(r, -1)
+    rows[:, :wa] = axis_text
+    rows[:, wa] = ord(",")
+    cells = rows[:, wa + 1:].reshape(r, m, _WIDTH + 1)
+    cells[:, :, :_WIDTH] = value_slots.reshape(r, m, _WIDTH)
+    cells[:, :, _WIDTH] = ord(",")
+    cells[:, -1, _WIDTH] = ord("\n")
+    rows = rows.reshape(-1)
+    return rows[rows != 0]
+
+
+def _fallback(fmt: str, width: int, values: list):
+    """``values`` formatted by ``fmt``, right-aligned in ``width`` bytes after NULs."""
+    text = (f"%{width}{fmt[1:]}" * len(values) % tuple(values)).encode()
+    text = np.frombuffer(text, np.uint8).reshape(len(values), width)
+    return np.where(text == ord(" "), 0, text)
+
+
+# ---------------------------------------------------------------------------
+# %.17g text of many doubles at once
+#
+# For finite x with X = floor(log10|x|), the 17 significant digits are
+# D = round(|x| * 10**(16 - X)), and 10**16 <= D <= 10**17, where 10**17 carries
+# into X + 1 (Gay, "Correctly rounded binary-decimal and decimal-binary
+# conversions", 1990).  The product is a double-double: Dekker's exact product
+# (Numer. Math. 18, 1971) of |x| with hi, the double nearest 10**(16 - X), plus
+# |x| times lo, the double nearest the remainder.  Its error is below 1e-14,
+# so rounding it is exact unless its fraction lies within _TIE of .5.  Those
+# values, every exact tie among them, go through Python's %.17g, as do
+# non-finite values and those with |X| > _X_FAR.
+#
+# The text of a value is then one gather from its 32 source bytes: the 17
+# digits, '.', '0', the sign ('-' or NUL) and the exponent text, laid out by a
+# table keyed by the value's form and kept digits.  A text is right-aligned in
+# a 24-byte slot after NULs, which the writer deletes with the sign's NUL.
+
+_X_FAR = 280
+_X0 = -_X_FAR - 2          # table row 0 holds X = _X0; the last holds X = _X_FAR + 2
+_TIE = 1e-7
+_SPLIT = 134217729.0       # 2**27 + 1: Dekker's split into two 26-bit halves
+_WIDTH = 24                # slot of one text: len('%.17g' % -1.2345678901234567e-100)
+_BATCH = 1024              # values per kernel pass; sizes its work buffers
+_GATHER = 256              # values per layout gather, whose index is 24 intp a value
+_FORMS = 23                # X = -4..16 in fixed form, then exponents of 2 and 3 digits
+# source bytes: digits 1-16 as four words of 4, then a word of digit 0, NUL, '.'
+# and '0', a word of NULs, and two words of exponent text with the sign after it
+_LEAD, _NUL, _DOT, _ZERO, _EXP, _SIGN = 16, 17, 18, 19, 24, 29
+
+
+def _layout(form: int, kept: int) -> list:
+    """Source bytes of the text of ``kept`` digits in ``form``; kept == 0 is a zero."""
+    digits = [_LEAD, *range(16)]
+    if kept == 0:
+        text = [_ZERO]
+    elif form < 21:
+        x = form - 4
+        if x < 0:
+            text = [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits[:kept]
+        else:
+            text = digits[:x + 1] + ([_DOT] + digits[x + 1:kept] if kept > x + 1 else [])
+    else:
+        text = digits[:1] + ([_DOT] + digits[1:kept] if kept > 1 else [])
+        text += range(_EXP, _EXP + (4 if form == 21 else 5))
+    return [_NUL] * (_WIDTH - 1 - len(text)) + [_SIGN] + text
+
+
+class _Tables(NamedTuple):
+    hi: np.ndarray         # per X: the double nearest 10**(16 - X),
+    lo: np.ndarray         # the double nearest its remainder,
+    high: np.ndarray       # and hi split into two halves of 26 bits
+    low: np.ndarray
+    form: np.ndarray       # per X: 18 times its form
+    exponent: np.ndarray   # per X, then again per X of a negative value: 2 words of text
+    digits: np.ndarray     # per group 0-9999: its 4 digits, one word
+    last: np.ndarray       # per group: the place of its last non-zero digit, 1-4 (0 if none)
+    lead: np.ndarray       # per digit 0-9: the word of digit, NUL, '.', '0'
+    layout: np.ndarray     # per form and kept digits: its text's 24 source bytes, int16
+
+
+@functools.cache
+def _text_tables() -> _Tables:
+    """The kernel's tables, built once, on first use, from exact integers."""
+    xs = range(_X0, _X_FAR + 3)
+    hi, lo = [], []
+    for x in xs:
+        if x <= 16:
+            exact = 10 ** (16 - x)
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
+        else:  # 10**(16 - x) = 1/q, and 1/q - num/den is a ratio of integers
+            q = 10 ** (x - 16)
+            hi.append(1 / q)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * q) / (den * q))
+    hi = np.array(hi)
+    high = _SPLIT * hi
+    high -= high - hi
+    exponents = b"".join(("e%+03d" % x).encode().ljust(5, b"\0") + sign
+                         for sign in (b"\0\0\0", b"-\0\0") for x in xs)
+    g = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((10000, 4), np.uint8)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = g // unit % 10 + ord("0")
+    last = np.full(10000, 4, np.uint8)
+    for unit, place in ((10, 3), (100, 2), (1000, 1), (10000, 0)):
+        last[g % unit == 0] = place
+    # source byte b of value i sits at (b // 4) * 4 * _BATCH + 4 * i + b % 4, which
+    # int16 holds while 32 * _BATCH <= 2**15
+    place = np.arange(32) // 4 * 4 * _BATCH + np.arange(32) % 4
+    layout = place[[_layout(f, k) for f in range(_FORMS) for k in range(18)]]
+    return _Tables(hi, np.array(lo), high, hi - high,
+                   np.array([18 * (x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100))
+                             for x in xs], np.intp),
+                   np.frombuffer(exponents, np.uint32).reshape(-1, 2).T.copy(),
+                   digits.view(np.uint32).ravel(), last,
+                   np.frombuffer(b"0\0.0", np.uint32) + np.arange(10, dtype=np.uint32),
+                   layout.astype(np.int16))
+
+
+class _Text17:
+    """``'%.17g' % v`` of many doubles, _BATCH at a time, in work buffers it reuses."""
+
+    def __init__(self):
+        self.tables = _text_tables()
+        self.floats = np.empty((3, _BATCH))
+        self.ints = np.empty((2, _BATCH), np.intp)
+        self.groups = np.empty((4, _BATCH), np.intp)
+        self.source = np.zeros((8, _BATCH), np.uint32)
+        self.index = np.empty((_GATHER, _WIDTH), np.int16)
+
+    def format(self, x, out) -> None:
+        """Write the text of each value of float64 ``x`` into a row of the uint8 array
+        ``out``, ``len(x)`` by 24, right-aligned after NULs."""
+        for lo in range(0, len(x), _BATCH):
+            self._batch(x[lo:lo + _BATCH], out[lo:lo + _BATCH])
+
+    def _scale(self, a, row, ph, t, work) -> None:
+        """ph + t = a * 10**(16 - X) for X at ``row``, ph = fl(a * hi): Dekker's
+        two-product of a with hi = high + low, plus a * lo.  ``work`` holds 3 rows."""
+        tab = self.tables
+        ah, al, w = work
+        np.multiply(a, _SPLIT, out=ah)
+        np.subtract(ah, a, out=al)
+        ah -= al                                   # the high 26 bits of a
+        np.subtract(a, ah, out=al)
+        np.multiply(a, tab.hi[row], out=ph)
+        np.multiply(a, tab.lo[row], out=t)
+        b = tab.high[row]
+        np.multiply(ah, b, out=w)
+        w -= ph
+        t += w
+        np.multiply(al, b, out=w)
+        t += w
+        b = tab.low[row]
+        np.multiply(ah, b, out=w)
+        t += w
+        np.multiply(al, b, out=w)
+        t += w
+
+    def _batch(self, x, out) -> None:
+        tab = self.tables
+        n = len(x)
+        a, ph, t = self.floats[:3, :n]
+        row, lead = self.ints[:, :n]
+        np.abs(x, out=a)
+        np.maximum(a, 1e-320, out=t)               # log10 of a zero: far below the range
+        np.log10(t, out=t)
+        np.floor(t, out=t)
+        zero = slow = None
+        if not np.abs(t, out=ph).max() <= _X_FAR:  # ph holds |X| for now; a NaN fails
+            far = ~(ph <= _X_FAR)
+            zero = a == 0
+            slow = far & ~zero
+            a[far] = 2.0
+            t[far] = 0.0
+        np.subtract(t, _X0, out=row, casting="unsafe")
+        g = self.groups[:, :n]
+        self._scale(a, row, ph, t, g[1:].view(float))   # the groups are free until D
+        if not (ph.min() > 1e16 and ph.max() < 1e17):
+            # log10 was one off near a power of ten, or the product sits on an end
+            k = np.flatnonzero((ph <= 1e16) | (ph >= 1e17))
+            pk, tk = ph[k], t[k]
+            row[k] += ((pk > 1e17) | ((pk == 1e17) & (tk >= 0))).astype(np.intp)
+            row[k] -= (pk < 1e16) | ((pk == 1e16) & (tk < 0))
+            self._scale(a[k], row[k], pk, tk, np.empty((3, len(k))))
+            ph[k], t[k] = pk, tk
+        # D = ph + round(t): ph is an even integer above 2**53, and |t| < 20
+        np.rint(t, out=a)
+        t -= a
+        if np.abs(t, out=t).max() > 0.5 - _TIE:   # near a tie, rounding error may flip it
+            tie = t > 0.5 - _TIE
+            slow = tie if slow is None else slow | tie
+        d = g[0]
+        np.copyto(d, ph, casting="unsafe")
+        np.copyto(lead, a, casting="unsafe")
+        d += lead
+        if d.max() >= 10 ** 17:                    # rounded up to 10**17: one more digit
+            carry = d >= 10 ** 17
+            d[carry] = 10 ** 16
+            row[carry] += 1
+        # D = 10**16 lead + 10**12 g1 + 10**8 g2 + 10**4 g3 + g4, for g = (g1, g2, g3, g4)
+        np.floor_divide(d, 10 ** 8, out=g[1])
+        np.floor_divide(g[1], 10 ** 8, out=lead)
+        np.multiply(g[1], 10 ** 8, out=g[2])
+        np.subtract(d, g[2], out=g[3])
+        np.multiply(lead, 10 ** 8, out=g[2])
+        g[1] -= g[2]
+        pairs = g.reshape(2, 2, n)                 # (g1, g2) and (g3, g4)
+        np.floor_divide(pairs[:, 1], 10 ** 4, out=pairs[:, 0])
+        pairs[:, 1] -= pairs[:, 0] * 10 ** 4
+        src = self.source[:, :n]
+        src[:4] = tab.digits[g]
+        src[4] = tab.lead[lead]
+        signed = row + np.signbit(x) * len(tab.form)   # a negative value's rows follow
+        src[6] = tab.exponent[0, signed]
+        src[7] = tab.exponent[1, signed]
+        # kept digits: up to the last non-zero one of the last non-zero group
+        last = tab.last[g]
+        kept = np.where(last > 0, last + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 1)
+        key = tab.form[row]
+        key += kept.max(axis=0)
+        if zero is not None:
+            key[zero] = 0                          # form 0, no digits: the text of a zero
+        flat = self.source.view(np.uint8).ravel()
+        index = self.index
+        base = np.arange(0, 4 * _GATHER, 4, dtype=np.int16)[:, None]
+        for lo in range(0, n, _GATHER):
+            m = min(_GATHER, n - lo)
+            np.take(tab.layout, key[lo:lo + m], axis=0, out=index[:m])
+            index[:m] += base[:m]
+            # every index is in range; mode "raise" would copy ``out`` to check them
+            np.take(flat[4 * lo:], index[:m], out=out[lo:lo + m], mode="wrap")
+        if slow is not None and slow.any():
+            k = np.flatnonzero(slow)
+            out[k] = _fallback("%.17g", _WIDTH, x[k].tolist())
 
 
 def write_function_csv(path, times, samples, more=()) -> None:

@@ -209,6 +209,10 @@ BAD_INPUTS = [
     ("6.4 out-dir a file", ["6.4"], "--out-dir: "),
     ("discrete output.dir a file", {"kind": "discrete", "system": {"forcing": {"type": "zero"}}},
      "config field 'output.dir': "),
+    # a prefix naming a subdirectory ended in a traceback from the CSV writer, after the run
+    ("discrete output.prefix a/b", {"kind": "discrete", "system": {"forcing": {"type": "zero"}},
+                                    "output": {"prefix": "a/b"}},
+     "config field 'output.prefix': "),
     # a delay forcing whose norm overflows passed its sup check on inf against inf
     ("delay forcing 1e200", {"kind": "delay", "system": {
         "forcing": {"type": "constant", "value": [1e200]}}, "numeric": {"window": [0, 1]}},
@@ -232,7 +236,7 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
         code, streams = run(["reproduce", *inputs, "--out-dir", out], capsys)
     else:
         if isinstance(inputs, dict):
-            inputs = {**inputs, "output": {"dir": str(out)}}
+            inputs = {**inputs, "output": {**inputs.get("output", {}), "dir": str(out)}}
         else:
             inputs = inputs[:-1] + f', "output": {{"dir": {json.dumps(str(out))}}}}}'
         code, streams = run(["run", write_config(tmp_path / "cfg.json", inputs)], capsys)

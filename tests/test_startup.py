@@ -1,4 +1,5 @@
-"""Start-up guards: no command loads scipy, jsonschema or numpy.f2py.
+"""Start-up guards: no command loads scipy, jsonschema or numpy.f2py, and the CSV
+writer loads neither fractions nor decimal.
 
 Every ``updyn`` command runs in a fresh process, so module-level imports are
 paid on each call.  scipy alone adds about 25-50 MB of resident memory and
@@ -99,3 +100,12 @@ def test_run_discrete_config_loads_neither(tmp_path):
         "output": {"dir": "out", "prefix": "disc"},
     }))
     assert families(cli_modules(tmp_path, "run", "disc.json")) == set()
+
+
+def test_the_csv_writer_loads_neither_fractions_nor_decimal(tmp_path):
+    # its tables of powers of ten are built from Python integers
+    modules = loaded_modules(tmp_path, "import numpy as np\n"
+                                       "from updyn.report import write_function_csv\n"
+                                       "write_function_csv('f.csv', np.arange(3.0), np.ones(3))")
+    assert "updyn.report" in modules and (tmp_path / "f.csv").exists()
+    assert not {"fractions", "decimal"} & modules

@@ -9,7 +9,9 @@ temporary directory and each into its own output directory:
 - ``detect`` on that config's φ orbit CSV, on ``6.1_phi.csv`` and on
   ``6.4_phi_orbit.csv``;
 - zero- and constant-forcing delay and discrete ``run`` configs, and one of
-  each whose contraction margin fails.
+  each whose contraction margin fails;
+- a discrete ``run`` config whose orbit stays near 1e-290, so that every value
+  of its CSV goes through ``%`` rather than the writer's numpy kernel.
 
 Two checkouts write the same outputs when the two printouts ``diff`` clean; an
 invocation that raises prints the exception's type in place of its exit code.
@@ -46,6 +48,11 @@ SYSTEM_CONFIGS = {
     "discrete-constant": {"kind": "discrete",
                           "system": {"forcing": {"type": "constant", "value": [0.3, -0.2]}},
                           "numeric": {"window": [100, 700]}},
+    # no nonlinearity and a forcing near 1e-290: CSV values past the kernel's table
+    "discrete-tiny": {"kind": "discrete",
+                      "system": {"nonlinearity": {"type": "zero"},
+                                 "forcing": {"type": "constant", "value": [1e-290, -3e-291]}},
+                      "numeric": {"window": [100, 700]}},
     # |B| = 1.2: the B3 margin and the spectral norm fail, and no orbit is computed
     "discrete-margin-fails": {"kind": "discrete",
                               "system": {"forcing": {"type": "zero"},
