@@ -6,7 +6,7 @@ and verifies the constructive stability and convergence bounds numerically
 at desk scale.
 """
 
-from .chaos import (ExponentialFilter, GridFunction, ScalarOrbit, Series, VectorSequence,
+from .chaos import (ExponentialFilter, GridFunction, Series, VectorSequence,
                     convolve_exponential, logistic_orbit, logistic_step, quadrature_oracle)
 from .constructs import (DecompositionTriple, WitnessReport, affine_transform,
                          build_function_triple, build_sequence_triple,

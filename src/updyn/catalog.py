@@ -19,19 +19,19 @@ the command line under the ids 6.1 to 6.4:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction,
-                    ScalarOrbit, Series, convolve_exponential, logistic_orbit, row_norms,
-                    settling_positions)
+from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction, Series,
+                    convolve_exponential, logistic_orbit, row_norms, settling_positions)
 from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
                          function_tail, non_unpredictability_witness, WitnessReport)
 from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, constant_history,
                     convergence_check, integrate_mos, proof_constants)
-from .detectors import (DecayReport, UnpredictabilityEvidence, collect_evidence,
-                        decay_test, evidence_for_function, verify_evidence)
+from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
+                        SEQUENCE_HORIZON, DecayReport, UnpredictabilityEvidence,
+                        collect_evidence, decay_test, evidence_for_function, verify_evidence)
 from .discrete import (DiscreteConvergenceReport, DiscreteSystemSpec, GronwallEnvelope,
                        bounded_orbit, convergence_check_discrete, gamma_ceiling,
                        gronwall_envelope)
@@ -112,9 +112,9 @@ NONLINEARITIES = {
 
 
 def source_orbit(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
-                 length: int = 1000, base_index: int = 0) -> ScalarOrbit:
+                 length: int = 1000, base_index: int = 0) -> Series:
     """Logistic orbit rebased so its window starts at ``base_index``."""
-    return logistic_orbit(seed, burn_in, length).rebased(base_index)
+    return replace(logistic_orbit(seed, burn_in, length), t_start=int(base_index))
 
 
 def function_source(seed: float, burn_in: int, t_lo: float, t_hi: float) -> ExponentialFilter:
@@ -150,7 +150,6 @@ def combined_forcing(filt: ExponentialFilter):
 class ConstructDemo:
     """Triple plus the standard checks run on it."""
 
-    kind: str
     triple: DecompositionTriple
     witness: WitnessReport
     psi_sup: float
@@ -159,12 +158,12 @@ class ConstructDemo:
     evidence: UnpredictabilityEvidence
     evidence_verified: bool
     filt: ExponentialFilter | None = None
-    orbit: ScalarOrbit | None = None
+    orbit: Series | None = None
 
 
 def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
                       t_lo: float = -20.0, t_hi: float = 180.0, step: float = 0.05,
-                      horizon: float = 10 ** 4) -> ConstructDemo:
+                      horizon: float = FUNCTION_HORIZON) -> ConstructDemo:
     """Build the 6.1 function triple on [t_lo, t_hi] and run its checks.
 
     The recurrence scan compares a span past the decaying bump, where the
@@ -180,14 +179,13 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     span = (span_lo, span_lo + 5.0)
     try:
         evidence = evidence_for_function(triple.phi, span, ladder=(0.5, 0.3, 0.2),
-                                         epsilon0=0.2, delta=0.2, horizon=horizon,
+                                         epsilon0=0.2, delta=SCAN_DELTA, horizon=horizon,
                                          min_shift=FUNCTION_MIN_SHIFT)
     except ArgumentError as exc:
         # the span, delta and min_shift are fixed here, and ``step`` sets the grid
         raise ArgumentError("horizon" if "horizon" in exc.names else "step",
                             exc.args[1]) from None
     return ConstructDemo(
-        kind="function",
         triple=triple,
         witness=witness,
         psi_sup=triple.psi.sup_norm(),
@@ -200,8 +198,8 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
 
 
 def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
-                      horizon: int = 10 ** 6, window: int = 20,
-                      epsilon0: float = 0.3) -> ConstructDemo:
+                      horizon: int = SEQUENCE_HORIZON, window: int = SCAN_WINDOW,
+                      epsilon0: float = SCAN_EPSILON0) -> ConstructDemo:
     """Build the 6.2 sequence triple and run its checks."""
     orbit = source_orbit(seed, burn_in, horizon + window + 2)
     triple = build_sequence_triple(orbit)
@@ -209,7 +207,6 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     decay = decay_test(triple.theta, (0.5, 0.02, 1e-3, 1e-4))
     evidence = collect_evidence(triple.psi, window=window, epsilon0=epsilon0, horizon=horizon)
     return ConstructDemo(
-        kind="sequence",
         triple=triple,
         witness=witness,
         psi_sup=triple.psi.sup_norm(),

@@ -1,9 +1,10 @@
 """Chaotic scalar source and the uniform-series carrier.
 
 The logistic map at r = 3.91 supplies the scalar orbit that drives every
-construction in this package.  Filtering the orbit's piecewise-constant
-interpolant through a decaying exponential yields a bounded, uniformly
-continuous scalar function.
+construction in this package.  ``Series`` carries every signal: the orbit is
+a one-column sequence on integer indices, and a function is sampled on a time
+grid.  Filtering the orbit's piecewise-constant interpolant through a
+decaying exponential yields a bounded, uniformly continuous scalar function.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ DEFAULT_BURN_IN = 1000
 WARMUP_UNITS = 20
 ORACLE_NODES = 16  # Gauss-Legendre nodes on each unit piece of the quadrature oracle
 ORACLE_DEPTH = 40.0  # time units of the past the quadrature oracle integrates over
+# Rows per pass of the loops over whole series here and in ``constructs``, so that
+# their scratch arrays stay this short however long the series
+ROW_CHUNK = 1 << 15
 
 
 def row_norms(arr, origin=None) -> np.ndarray:
@@ -29,20 +33,25 @@ def row_norms(arr, origin=None) -> np.ndarray:
 
     Bit-identical to ``np.linalg.norm(arr - origin, axis=-1)``: below 8 columns numpy
     sums a row's squares left to right, as this column-at-a-time sum does, without
-    numpy's per-row reduction (4x slower on (10^6, 2)) or an (n, d) difference.
+    numpy's per-row reduction (4x slower on (10^6, 2)) or an (n, d) difference; its
+    one scratch column is ``ROW_CHUNK`` rows long.
     Float64 2-D input of 8 or more columns, input with a NaN row, and any other input,
     goes to numpy.
     """
     arr = np.asarray(arr)
     if arr.ndim == 2 and arr.dtype == np.float64 and 0 < arr.shape[1] < 8:
-        def square(k, out):
-            x = arr[:, k] if origin is None else np.subtract(arr[:, k], origin[k], out=out)
+        def square(k, lo, out):
+            x = arr[lo:lo + out.size, k]
+            if origin is not None:
+                x = np.subtract(x, origin[k], out=out)
             return np.multiply(x, x, out=out)
 
-        out = square(0, np.empty(arr.shape[0]))
-        col = np.empty_like(out)
-        for k in range(1, arr.shape[1]):
-            out += square(k, col)
+        out = np.empty(arr.shape[0])
+        col = np.empty(min(out.size, ROW_CHUNK))
+        for lo in range(0, out.size, ROW_CHUNK):
+            part = square(0, lo, out[lo:lo + ROW_CHUNK])
+            for k in range(1, arr.shape[1]):
+                part += square(k, lo, col[:part.size])
         # Which NaN's sign and payload an add keeps depends on numpy's loop (vector or
         # scalar, in place or not), so an array with a NaN row takes numpy's own norm.
         if not np.isnan(out.sum()):
@@ -59,46 +68,10 @@ def logistic_step(x: float, r: float = LOGISTIC_R) -> float:
     return r * x * (1.0 - x)
 
 
-@dataclass(frozen=True)
-class ScalarOrbit:
-    """Finite window of a real-valued orbit with values in [0, 1].
-
-    ``values[k]`` is the state at integer index ``base_index + k``.
-    """
-
-    base_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("orbit values must form a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:
-            raise DomainError("orbit values must lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def end_index(self) -> int:
-        """One past the last recorded index."""
-        return self.base_index + len(self)
-
-    def rebased(self, base_index: int) -> "ScalarOrbit":
-        """Same values re-anchored at a different starting index."""
-        return ScalarOrbit(int(base_index), self.values)
-
-    def recurrence_residuals(self) -> np.ndarray:
-        """|v_{k+1} - r*v_k*(1 - v_k)| for every recorded pair, r = ``LOGISTIC_R``."""
-        v = self.values
-        return np.abs(v[1:] - LOGISTIC_R * v[:-1] * (1.0 - v[:-1]))
-
-
-def logistic_orbit(seed: float, burn_in: int = DEFAULT_BURN_IN, length: int = 1000) -> ScalarOrbit:
+def logistic_orbit(seed: float, burn_in: int = DEFAULT_BURN_IN, length: int = 1000) -> Series:
     """Forward logistic orbit: discard ``burn_in`` iterates, record ``length``.
 
-    The recorded window starts at index 0 with the post-burn-in state.
+    The orbit is a one-column sequence whose index 0 holds the post-burn-in state.
     Seeds 0 and 1 are rejected since their orbits collapse immediately.
     """
     if not (0.0 < seed < 1.0):
@@ -126,7 +99,18 @@ def logistic_orbit(seed: float, burn_in: int = DEFAULT_BURN_IN, length: int = 10
             x = r * x * (1.0 - x)
     # np.fromiter over a generator of four iterates a pass: about 20% faster than one a
     # pass (10^6 iterates in 0.10 s, not 0.13 s), which beat numpy item assignment by 15%
-    return ScalarOrbit(0, np.fromiter(iterates(x), float, int(length)))
+    return VectorSequence(0, np.fromiter(iterates(x), float, int(length)))
+
+
+def logistic_residuals(orbit: Series) -> np.ndarray:
+    """|x_{k+1} - r*x_k*(1 - x_k)| for every recorded pair of an orbit, r = ``LOGISTIC_R``."""
+    x = orbit.values[:, 0]
+    out = np.empty(x.size - 1)
+    for lo in range(0, out.size, ROW_CHUNK):
+        part = out[lo:lo + ROW_CHUNK]
+        now = x[lo:lo + part.size]
+        np.abs(x[lo + 1:lo + 1 + part.size] - LOGISTIC_R * now * (1.0 - now), out=part)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +137,8 @@ class Series:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise DomainError("values must form a nonempty (n, m) array")
-        if not np.all(np.isfinite(arr)):
+        # min and max carry a NaN through, and need no temporary of the array's size
+        if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise DomainError("values must all be finite")
         object.__setattr__(self, "values", arr)
 
@@ -241,7 +226,7 @@ def settling_positions(norms: np.ndarray, levels) -> list:
 
 @dataclass(frozen=True)
 class ExponentialFilter:
-    """Exact evaluator of the exponentially filtered step interpolant of an orbit.
+    """Exact evaluator of the exponentially filtered step interpolant of a scalar orbit.
 
     With decay a and node values h_i, the filtered signal obeys
     h(i + u) = exp(-a*u)*h_i + (kappa_i/a)*(1 - exp(-a*u)) on each unit
@@ -250,15 +235,15 @@ class ExponentialFilter:
     the influence of that choice is below 1e-17.
     """
 
-    orbit: ScalarOrbit
+    orbit: Series
     decay: float
     node_values: np.ndarray
 
     @classmethod
-    def from_orbit(cls, orbit: ScalarOrbit, decay: float = 2.0) -> "ExponentialFilter":
+    def from_orbit(cls, orbit: Series, decay: float = 2.0) -> "ExponentialFilter":
         if not decay > 0.0:
             raise DomainError("decay rate must be positive")
-        kappa = orbit.values
+        kappa = orbit.values[:, 0]
         n = kappa.size
         nodes = np.empty(n + 1)
         nodes[0] = kappa[0] / decay
@@ -272,11 +257,11 @@ class ExponentialFilter:
 
     @property
     def t_start(self) -> float:
-        return float(self.orbit.base_index)
+        return float(self.orbit.t_start)
 
     @property
     def t_end(self) -> float:
-        return float(self.orbit.end_index)
+        return float(self.orbit.t_start + len(self.orbit))
 
     def eval(self, t) -> np.ndarray:
         """Closed-form values at arbitrary times inside the orbit window."""
@@ -288,14 +273,16 @@ class ExponentialFilter:
         i = np.clip(np.floor(rel).astype(int), 0, n - 1)
         u = rel - i
         damp = np.exp(-self.decay * u)
-        return damp * self.node_values[i] + (self.orbit.values[i] / self.decay) * (1.0 - damp)
+        kappa = self.orbit.values[:, 0]
+        return damp * self.node_values[i] + (kappa[i] / self.decay) * (1.0 - damp)
 
 
-def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0.05) -> Series:
+def convolve_exponential(orbit: Series, decay: float = 2.0, step: float = 0.05) -> Series:
     """Filter the orbit's step interpolant through exp(-decay*t) on a grid.
 
-    Returns the scalar grid function on [base + WARMUP_UNITS, base + n]; the warm-up
-    prefix absorbs the steady-state initialisation of the infinite past.
+    Returns the scalar grid function on [t0 + WARMUP_UNITS, t0 + n] for an orbit of
+    n iterates from index t0; the warm-up prefix absorbs the steady-state
+    initialisation of the infinite past.
     ``step`` must divide the unit interval exactly.
     """
     per_unit = round(1.0 / step)
@@ -305,7 +292,7 @@ def convolve_exponential(orbit: ScalarOrbit, decay: float = 2.0, step: float = 0
     if n <= WARMUP_UNITS:
         raise DomainError(f"orbit spans {n} units, shorter than the {WARMUP_UNITS}-unit warm-up")
     filt = ExponentialFilter.from_orbit(orbit, decay)
-    t0 = orbit.base_index + WARMUP_UNITS
+    t0 = orbit.t_start + WARMUP_UNITS
     count = (n - WARMUP_UNITS) * per_unit + 1
     times = t0 + step * np.arange(count)
     return GridFunction(float(t0), float(step), filt.eval(times))
@@ -331,7 +318,7 @@ def quadrature_oracle(filt: ExponentialFilter, t: float) -> float:
     if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
         raise DomainError("oracle window leaves the recorded orbit")
     top = filt.t_end - 1e-9
-    levels, base = filt.orbit.values, filt.orbit.base_index
+    levels, base = filt.orbit.values[:, 0], filt.orbit.t_start
     ends = np.array([lo] + [float(b) for b in range(math.ceil(lo), math.floor(t) + 1)
                             if lo < b < t] + [t])
     k = np.floor(np.minimum(ends[:-1], top)).astype(int) - base

@@ -37,10 +37,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import catalog
-from .chaos import GridFunction, Series, VectorSequence, quadrature_oracle, row_norms
+from .chaos import (GridFunction, Series, VectorSequence, logistic_residuals, quadrature_oracle,
+                    row_norms)
 from .delay import _exact_ratio, picard_apply
-from .detectors import (FUNCTION_HORIZON, SEQUENCE_HORIZON, collect_evidence,
-                        evidence_for_function, verify_evidence)
+from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
+                        SEQUENCE_HORIZON, collect_evidence, evidence_for_function,
+                        verify_evidence)
 from .discrete import orbit_sum_residual
 from .errors import ArgumentError, ConfigError, DomainError, StabilityError, UpdynError
 from .nonlinearity import check_assumptions
@@ -52,9 +54,6 @@ SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 REPORT_DIR = "updyn-report"
 SEQUENCE_CSV_ROWS = 2000  # rows of the 6.2 series in each CSV
-# defaults of detect: a function CSV's separation half-width, a sequence CSV's compared indices
-SCAN_DELTA = 0.2
-SCAN_WINDOW = 20
 # the most rows (grid nodes, orbit iterates) one run may compute
 MAX_ROWS = 10 ** 7
 
@@ -115,7 +114,7 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
 
 def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
     crossing = demo.decay.crossing(0.02)
-    residual = float(demo.orbit.recurrence_residuals().max())
+    residual = float(logistic_residuals(demo.orbit).max())
     tail_decay = passes("tail_decay", crossing == 10, {"crossing_index": crossing, "rung": 0.02},
                         {"expected": 10})
     checks = [*_construct_checks(demo, tail_decay),
@@ -343,7 +342,7 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
                      "recurrence_residual", solve, forcing, value, matrix, nonlinearity, scale)
 
 
-def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 0.3,
+def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = SCAN_EPSILON0,
                  delta: float | None = None, window: int | None = None,
                  min_shift: float | None = None):
     """Scan a CSV series for near returns and separations.

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .chaos import GridFunction, ScalarOrbit, Series, VectorSequence
+from .chaos import ROW_CHUNK, GridFunction, Series, VectorSequence
 from .errors import DomainError, SingularMatrixError
 
 _EPS = float(np.finfo(float).eps)
@@ -41,8 +41,11 @@ class DecompositionTriple:
     def decomposition_residual(self) -> float:
         """Largest componentwise defect of phi - (psi + theta)."""
         p, s, t = self.phi.values, self.psi.values, self.theta.values
-        # one column at a time: no (n, d) temporaries
-        return float(max(np.abs(p[:, k] - (s[:, k] + t[:, k])).max() for k in range(p.shape[1])))
+        worst = 0.0
+        for lo in range(0, len(p), ROW_CHUNK):
+            rows = slice(lo, lo + ROW_CHUNK)
+            worst = max(worst, float(np.abs(p[rows] - (s[rows] + t[rows])).max()))
+        return worst
 
 
 def _libm_exp(t: np.ndarray) -> np.ndarray:
@@ -100,15 +103,24 @@ def build_function_triple(h: Series) -> DecompositionTriple:
     return DecompositionTriple(grid(psi + theta), grid(psi), grid(theta))
 
 
-def build_sequence_triple(orbit: ScalarOrbit) -> DecompositionTriple:
-    """Combine psi_i = (kappa_i, kappa_i/4) with the decaying tail."""
-    kappa = orbit.values
-    psi = np.empty((kappa.size, 2))
-    psi[:, 0] = kappa
-    np.multiply(0.25, kappa, out=psi[:, 1])
-    theta = sequence_tail(np.arange(orbit.base_index, orbit.end_index, dtype=float))
-    seq = lambda arr: VectorSequence(orbit.base_index, arr)
-    return DecompositionTriple(seq(np.add(psi, theta)), seq(psi), seq(theta))
+def build_sequence_triple(orbit: Series) -> DecompositionTriple:
+    """Combine psi_i = (kappa_i, kappa_i/4) of a scalar orbit with the decaying tail."""
+    kappa, t0 = orbit.values[:, 0], orbit.t_start
+    # One allocation holds all three, filled a chunk of rows at a time.  At 10^6 rows
+    # the C allocator maps it on its own and unmaps it when freed.  Three blocks of a
+    # third the size go to the heap once blocks that size have been freed, and whether
+    # the next run's fit the holes they leave depends on what else was allocated in
+    # between, so the demo's peak memory would differ from run to run.
+    phi, psi, theta = np.empty((3, kappa.size, 2))
+    for lo in range(0, kappa.size, ROW_CHUNK):
+        k = kappa[lo:lo + ROW_CHUNK]
+        rows = slice(lo, lo + k.size)
+        psi[rows, 0] = k
+        np.multiply(0.25, k, out=psi[rows, 1])
+        theta[rows] = sequence_tail(np.arange(t0 + lo, t0 + lo + k.size, dtype=float))
+        np.add(psi[rows], theta[rows], out=phi[rows])
+    seq = lambda arr: VectorSequence(t0, arr)
+    return DecompositionTriple(seq(phi), seq(psi), seq(theta))
 
 
 def _as_matrix(matrix, dim: int) -> np.ndarray:

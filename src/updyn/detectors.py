@@ -4,23 +4,29 @@ Nothing here proves a definitional property: the definitions quantify over
 infinite index sets, while these scans cover a recorded window and say so.
 Every report carries the scanned horizon, and every reported event can be
 re-verified independently from the raw data.
+
+Sequences and grid functions take one test: near returns, then a separation
+per return, which for a function must hold on a whole interval of nodes.
+The scan defaults below are the demos' and the command line's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .chaos import Series, row_norms, settling_positions
-from .discrete import DiscreteSystemSpec, iterate
 from .errors import ArgumentError, DomainError, ResolutionError, WindowExhaustedError
 
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.02)
 SEQUENCE_HORIZON = 10 ** 6
 FUNCTION_HORIZON = 10 ** 4
+SCAN_WINDOW = 20      # indices a sequence's near returns compare
+SCAN_EPSILON0 = 0.3   # the separation the sequence scans and detect ask for
+SCAN_DELTA = 0.2      # half-width of a function's separation interval, in time units
 # scan chunks start at these sizes and double (near-return chunks up to _RETURN_CHUNK_MAX)
 _RETURN_CHUNK = 2048
 _RETURN_CHUNK_MAX = 1 << 17
@@ -191,30 +197,43 @@ def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
     return _scan_near_returns(seq.values, 0, window, cap, rungs)
 
 
+def _separations(values: np.ndarray, shifts: Sequence[int], epsilon0: float, horizon: int,
+                 half: int = 0) -> list[SeparationEvent]:
+    """Per shift z, the first offset u whose gap |values[z+o] - values[o]| is at least
+    epsilon0 at every offset o within ``half`` of it, each o at most ``horizon`` and
+    inside the rows.
+
+    Chunks of offsets start at ``_SEPARATION_CHUNK`` and double; each takes the
+    last 2*half offsets of the one before again, so no run is cut in two.
+    """
+    run, events = 2 * half + 1, []
+    for z in shifts:
+        cap = min(horizon, len(values) - z - 1)
+        lo, size = 0, _SEPARATION_CHUNK
+        while lo <= cap:
+            start, hi = max(lo - 2 * half, 0), min(lo + size, cap + 1)
+            gap = row_norms(values[z + start:z + hi] - values[start:hi])
+            # short[k] counts the gaps below epsilon0 among the first k; a clear run adds none
+            short = np.concatenate(([0], np.cumsum(gap < epsilon0)))
+            clear = np.nonzero(short[run:] == short[:-run])[0]
+            if clear.size:
+                u = int(clear[0]) + half  # the run's centre, counted from the chunk's start
+                events.append(SeparationEvent(shift=z, offset=start + u, separation=float(gap[u])))
+                break
+            lo, size = hi, 2 * size
+    return events
+
+
 def find_separations(seq: Series, shifts: Sequence[int], epsilon0: float,
                      horizon: int = SEQUENCE_HORIZON) -> list[SeparationEvent]:
     """For each shift, the smallest offset with |seq_{shift+o} - seq_o| >= epsilon0."""
     if not epsilon0 > 0.0:
         raise DomainError("epsilon0 must be positive")
-    values = seq.values
-    n = len(seq)
-    events = []
-    for z in shifts:
-        z = int(z)
-        if not 1 <= z < n:
-            raise DomainError(f"shift {z} outside the recorded window")
-        cap = min(int(horizon), n - z - 1)
-        lo, size = 0, _SEPARATION_CHUNK
-        while lo <= cap:
-            hi = min(lo + size, cap + 1)
-            gap = row_norms(values[z + lo:z + hi] - values[lo:hi])
-            hits = np.nonzero(gap >= epsilon0)[0]
-            if hits.size:
-                events.append(SeparationEvent(shift=z, offset=lo + int(hits[0]),
-                                              separation=float(gap[hits[0]])))
-                break
-            lo, size = hi, 2 * size
-    return events
+    shifts = [int(z) for z in shifts]
+    outside = [z for z in shifts if not 1 <= z < len(seq)]
+    if outside:
+        raise DomainError(f"shift {outside[0]} outside the recorded window")
+    return _separations(seq.values, shifts, epsilon0, int(horizon))
 
 
 def separation_at(seq: Series, shift: int, offset: int) -> float:
@@ -222,38 +241,41 @@ def separation_at(seq: Series, shift: int, offset: int) -> float:
     return float(np.linalg.norm(seq.values[offset + shift] - seq.values[offset]))
 
 
-def collect_evidence(seq: Series, window: int = 20, epsilon0: float = 0.3,
+def _evidence(returns, seps, epsilon0: float, scanned: int, **fields) -> UnpredictabilityEvidence:
+    """The record of one scan: its rungs, its separations and the least of their gaps."""
+    return UnpredictabilityEvidence(
+        return_times=tuple(returns),
+        separation_times=tuple(seps),
+        epsilon0_estimate=float(min((s.separation for s in seps), default=0.0)),
+        scanned_horizon=int(scanned),
+        epsilon0_requested=float(epsilon0),
+        **fields)
+
+
+def collect_evidence(seq: Series, window: int = SCAN_WINDOW, epsilon0: float = SCAN_EPSILON0,
                      horizon: int = SEQUENCE_HORIZON) -> UnpredictabilityEvidence:
     """Run both scans, on the rungs of ``DEFAULT_LADDER``, and assemble the evidence record
     for a sequence."""
     returns = find_near_returns(seq, window, DEFAULT_LADDER, horizon)
     seps = find_separations(seq, [r.shift for r in returns if r.found], epsilon0, horizon)
-    estimate = min((s.separation for s in seps), default=0.0)
-    return UnpredictabilityEvidence(
-        kind="sequence",
-        base_index=seq.t_start,
-        return_times=tuple(returns),
-        separation_times=tuple(seps),
-        epsilon0_estimate=float(estimate),
-        scanned_horizon=min(int(horizon), len(seq) - 1 - window),
-        anchor=0,
-        epsilon0_requested=float(epsilon0),
-    )
+    return _evidence(returns, seps, epsilon0, min(int(horizon), len(seq) - 1 - window),
+                     kind="sequence", base_index=seq.t_start)
 
 
 def evidence_for_function(phi: Series, window: Sequence[float],
                           ladder: Sequence[float] = DEFAULT_LADDER, epsilon0: float = 0.2,
-                          delta: float = 0.2, horizon: float = FUNCTION_HORIZON,
+                          delta: float = SCAN_DELTA, horizon: float = FUNCTION_HORIZON,
                           min_shift: float = 0.0) -> UnpredictabilityEvidence:
     """Grid analogue of the sequence scans with shifts on grid multiples.
 
     Near returns compare the compact span ``window`` (absolute times) under
     shifted copies; a separation event requires the bound to hold at every
-    grid node of [u - delta, u + delta].  The grid must resolve delta with at
-    least four nodes per half-width.  ``min_shift`` excludes the trivially
-    small shifts a continuous signal always admits.  ``ArgumentError`` names
-    the argument that breaks one of these rules, or, when [min_shift, horizon]
-    holds no shift, each argument that shortens that range.
+    grid node of [u - delta, u + delta], at any offset the grid holds.  The
+    grid must resolve delta with at least four nodes per half-width.
+    ``min_shift`` excludes the trivially small shifts a continuous signal
+    always admits.  ``ArgumentError`` names the argument that breaks one of
+    these rules, or, when [min_shift, horizon] holds no shift, each argument
+    that shortens that range.
     """
     if phi.step > delta / 4.0 + 1e-12:
         raise ResolutionError(("delta", "phi"), f"the grid step, {phi.step!r}, must be at "
@@ -282,35 +304,10 @@ def evidence_for_function(phi: Series, window: Sequence[float],
     returns = _scan_near_returns(values, j0, j1 - j0, cap, rungs, first)
 
     half = int(round(delta / phi.step))
-    run = 2 * half + 1
-    seps: list[SeparationEvent] = []
-    for ret in returns:
-        if not ret.found:
-            continue
-        z = ret.shift
-        gap = row_norms(values[z:] - values[:n - z])
-        good = (gap >= epsilon0).astype(int)
-        if good.size >= run:
-            streak = np.convolve(good, np.ones(run, dtype=int), mode="valid")
-            centers = np.nonzero(streak == run)[0]
-            if centers.size:
-                u = int(centers[0]) + half
-                seps.append(SeparationEvent(
-                    shift=z, offset=u, separation=float(gap[u]),
-                    center_time=float(phi.t_start + u * phi.step)))
-    estimate = min((s.separation for s in seps), default=0.0)
-    return UnpredictabilityEvidence(
-        kind="function",
-        base_index=0,
-        return_times=tuple(returns),
-        separation_times=tuple(seps),
-        epsilon0_estimate=float(estimate),
-        scanned_horizon=int(cap),
-        anchor=j0,
-        epsilon0_requested=float(epsilon0),
-        time_step=phi.step,
-        interval_halfwidth=half * phi.step,
-    )
+    seps = [replace(e, center_time=float(phi.t_start + e.offset * phi.step)) for e in
+            _separations(values, [r.shift for r in returns if r.found], epsilon0, n, half)]
+    return _evidence(returns, seps, epsilon0, cap, kind="function", base_index=0, anchor=j0,
+                     time_step=phi.step, interval_halfwidth=half * phi.step)
 
 
 def verify_evidence(data: Series, evidence: UnpredictabilityEvidence) -> bool:
@@ -356,32 +353,22 @@ def decay_test(tail: Series, ladder: Sequence[float]) -> DecayReport:
                        start=start, spacing=spacing)
 
 
-def sensitivity_demo(generator: Union[Callable[[float], float], DiscreteSystemSpec],
-                     x0, perturbation: float, threshold: float,
-                     horizon: int = FUNCTION_HORIZON) -> DivergenceReport:
-    """Iterate two trajectories from nearby starts and watch their gap.
+def sensitivity_demo(generator: Callable[[float], float], x0: float, perturbation: float,
+                     threshold: float, horizon: int = FUNCTION_HORIZON) -> DivergenceReport:
+    """Iterate a scalar map from two nearby starts and watch their gap.
 
-    ``generator`` is a scalar map or a discrete system spec.  The report
-    gives the first index whose separation reaches the threshold and the
-    least-squares slope of log separation up to that index; staying together
-    for the whole horizon is a valid outcome.
+    The report gives the first index whose separation reaches the threshold
+    and the least-squares slope of log separation up to that index; staying
+    together for the whole horizon is a valid outcome.
     """
     if not 0.0 <= perturbation < threshold:
         raise DomainError("perturbation must be non-negative and below the threshold")
-    if isinstance(generator, DiscreteSystemSpec):
-        steps = min(int(horizon), len(generator.forcing) - 1)
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        shifted = x0 + perturbation / math.sqrt(x0.size)
-        a = iterate(generator, x0, steps)
-        b = iterate(generator, shifted, steps)
-        gaps = row_norms(a.values - b.values)
-    else:
-        steps = int(horizon)
-        gaps = np.empty(steps + 1)
-        x, y = float(x0), float(x0) + perturbation
-        for j in range(steps + 1):
-            gaps[j] = abs(x - y)
-            x, y = generator(x), generator(y)
+    steps = int(horizon)
+    gaps = np.empty(steps + 1)
+    x, y = float(x0), float(x0) + perturbation
+    for j in range(steps + 1):
+        gaps[j] = abs(x - y)
+        x, y = generator(x), generator(y)
 
     hits = np.nonzero(gaps >= threshold)[0]
     if hits.size == 0:

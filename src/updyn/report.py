@@ -362,9 +362,10 @@ def read_series_csv(path):
     """Load a CSV written by the functions above.
 
     Returns ("function"|"sequence", axis, values) depending on the header.
-    Raises ValueError naming the file and the row of any non-finite value, and
-    the axis unless a time axis has at least two rows and one step, and an
-    index axis holds consecutive integers.
+    Raises ValueError naming the file: when no value column follows the axis,
+    with the row of any non-finite value, and with the axis unless a time axis
+    has at least two rows and one step, and an index axis holds consecutive
+    integers, checked exactly past 2**53.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -375,6 +376,8 @@ def read_series_csv(path):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: no value column after the axis '{header[0]}'")
     rows, cols = np.nonzero(~np.isfinite(data))
     if rows.size:
         where = f"axis '{header[0]}'" if cols[0] == 0 else f"column {cols[0] + 1}"
@@ -396,11 +399,18 @@ def read_series_csv(path):
                              f"{float(steps[0])!r} after row 1, {float(steps[k])!r} "
                              f"after row {k + 1}")
         return "function", axis, data[:, 1:]
+    if axis.min() <= -2.0 ** 53 or axis.max() >= 2.0 ** 53:
+        # past 2**53 a float no longer holds every integer, so the check takes the text
+        try:
+            axis = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, dtype=np.int64, ndmin=1)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: index axis 'i' holds a value that is not a 64-bit "
+                             "integer") from None
     off = np.nonzero(axis != axis[0] + np.arange(axis.size))[0]
     if off.size or not float(axis[0]).is_integer():
         k = int(off[0]) if off.size else 0
         raise ValueError(f"{path}: index axis 'i' is not consecutive integers: "
-                         f"row {k + 1} holds {float(axis[k])!r}")
+                         f"row {k + 1} holds {axis[k].item()!r}")
     return "sequence", axis, data[:, 1:]
 
 

@@ -86,7 +86,7 @@ def test_criterion_03_filtered_source_oracle_and_bound():
 
 def test_criterion_04_witness_margins():
     start = time.perf_counter()
-    fn_orbit = logistic_orbit(0.41, 1000, 120).rebased(-60)
+    fn_orbit = catalog.source_orbit(0.41, 1000, 120, -60)
     h = convolve_exponential(fn_orbit, 2.0, 0.05).restrict(-20.0, 40.0)
     fn_witness = non_unpredictability_witness(build_function_triple(h),
                                               math.sqrt(5.0) / 2.0)

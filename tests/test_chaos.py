@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from updyn.chaos import (ExponentialFilter, ScalarOrbit, convolve_exponential,
-                         logistic_orbit, logistic_step, quadrature_oracle)
+from updyn.catalog import source_orbit
+from updyn.chaos import (ROW_CHUNK, ExponentialFilter, VectorSequence, convolve_exponential,
+                         logistic_orbit, logistic_residuals, logistic_step, quadrature_oracle)
 from updyn.errors import DomainError
 
 EPS = np.finfo(float).eps
@@ -41,12 +42,12 @@ class TestLogisticStep:
 class TestLogisticOrbit:
     def test_records_seed_first(self):
         orbit = logistic_orbit(0.5, 0, 2)
-        assert orbit.base_index == 0
-        np.testing.assert_allclose(orbit.values, [0.5, 0.9775], rtol=0, atol=1e-15)
+        assert orbit.t_start == 0 and orbit.is_sequence
+        np.testing.assert_allclose(orbit.values[:, 0], [0.5, 0.9775], rtol=0, atol=1e-15)
 
     def test_single_record(self):
         orbit = logistic_orbit(0.25, 0, 1)
-        np.testing.assert_array_equal(orbit.values, [0.25])
+        np.testing.assert_array_equal(orbit.values, [[0.25]])
 
     def test_post_burn_in_values_inside_map_image(self):
         orbit = logistic_orbit(0.99, 1, 5000)
@@ -55,7 +56,13 @@ class TestLogisticOrbit:
 
     def test_recurrence_residual_zero(self):
         orbit = logistic_orbit(0.41, 1000, 2000)
-        assert orbit.recurrence_residuals().max() <= 4 * EPS
+        assert logistic_residuals(orbit).max() <= 4 * EPS
+
+    def test_recurrence_residuals_across_chunks(self):
+        orbit = logistic_orbit(0.41, 1000, 2 * ROW_CHUNK + 2)
+        x = orbit.values[:, 0]
+        np.testing.assert_array_equal(logistic_residuals(orbit),
+                                      np.abs(x[1:] - 3.91 * x[:-1] * (1.0 - x[:-1])))
 
     @pytest.mark.parametrize("seed", [0.0, 1.0, -0.2, 1.3])
     def test_degenerate_seeds_rejected(self, seed):
@@ -70,20 +77,20 @@ class TestLogisticOrbit:
 
     def test_rebase_keeps_values(self):
         orbit = logistic_orbit(0.41, 10, 50)
-        moved = orbit.rebased(-20)
-        assert moved.base_index == -20
-        assert moved.end_index == 30
+        moved = source_orbit(0.41, 10, 50, base_index=-20)
+        assert moved.t_start == -20
+        assert moved.t_end == 29
         np.testing.assert_array_equal(moved.values, orbit.values)
 
 
 class TestConvolveExponential:
     def test_zero_orbit_gives_zero(self):
-        orbit = ScalarOrbit(0, np.zeros(30))
+        orbit = VectorSequence(0, np.zeros(30))
         h = convolve_exponential(orbit, 2.0, 0.1)
         assert h.sup_norm() == 0.0
 
     def test_unit_orbit_gives_half(self):
-        orbit = ScalarOrbit(0, np.ones(30))
+        orbit = VectorSequence(0, np.ones(30))
         h = convolve_exponential(orbit, 2.0, 0.1)
         np.testing.assert_allclose(h.values, 0.5, rtol=0, atol=1e-15)
 
@@ -93,7 +100,7 @@ class TestConvolveExponential:
         assert np.abs(h.values).max() <= 0.5 + 1e-12
 
     def test_window_starts_after_warmup(self):
-        orbit = logistic_orbit(0.41, 1000, 50).rebased(-10)
+        orbit = source_orbit(0.41, 1000, 50, -10)
         h = convolve_exponential(orbit, 2.0, 0.25)
         assert h.t_start == 10.0
         assert h.t_end == pytest.approx(40.0)
@@ -122,7 +129,7 @@ class TestConvolveExponential:
         np.testing.assert_array_equal(h.values[:, 0], filt.eval(h.times()))
 
     def test_general_decay_steady_state(self):
-        orbit = ScalarOrbit(0, np.ones(25))
+        orbit = VectorSequence(0, np.ones(25))
         h = convolve_exponential(orbit, 0.5, 0.5)
         np.testing.assert_allclose(h.values, 2.0, rtol=0, atol=1e-12)
 
@@ -136,7 +143,7 @@ def reference_quadrature(filt, t, depth=40.0):
     if lo < filt.t_start - 1e-9 or t > filt.t_end + 1e-9:
         raise DomainError("oracle window leaves the recorded orbit")
     top = filt.t_end - 1e-9
-    levels, base = filt.orbit.values, filt.orbit.base_index
+    levels, base = filt.orbit.values[:, 0], filt.orbit.t_start
 
     def integrand(s):
         k = math.floor(min(s, top)) - base
@@ -152,7 +159,7 @@ def reference_quadrature(filt, t, depth=40.0):
 
 class TestQuadratureOracle:
     def test_matches_quad_on_the_step_function_integrand(self):
-        orbit = logistic_orbit(0.41, 1000, 221).rebased(-41)
+        orbit = source_orbit(0.41, 1000, 221, -41)
         filt = ExponentialFilter.from_orbit(orbit, 2.0)
         rng = np.random.default_rng(2027)
         points = list(rng.uniform(filt.t_start + 40.0, filt.t_end, size=17))

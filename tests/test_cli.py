@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from updyn import report
 from updyn.cli import main, validate_config
@@ -143,15 +142,23 @@ class TestCsvRoundTrip:
                            for i, row in zip(idx.tolist(), vals.tolist()))
         assert (tmp_path / "s.csv").read_text().split("\n", 1)[1] == expected
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(data=st.data(), rows=st.sampled_from([1, 127, 128, 129, 263]),
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    # k chunks and one row more or less: copied chunks on both sides of a chunk boundary
+    @given(data=st.data(), rows=st.sampled_from([1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1,
+                                                 2 * CSV_CHUNK_ROWS - 1, 2 * CSV_CHUNK_ROWS + 1]),
            start=st.one_of(st.integers(-2 ** 62, 2 ** 62), st.integers(-300, 0)))
     def test_shared_axis_matches_per_row_formatting(self, data, rows, start):
-        bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2 ** 64 - 1),
-                         st.floats(-1e3, 1e3).map(lambda x: int(np.float64(x).view(np.uint64))))
+        special = np.array(SPECIAL_BITS, dtype=np.uint64)
 
         def floats(shape):
-            return data.draw(arrays(np.uint64, shape, elements=bits)).view(np.float64)
+            # each value a special pattern, any 64 bits, or a float of [-1e3, 1e3], from a
+            # drawn seed: values drawn one by one overrun hypothesis's entropy at these sizes
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 64 - 1)))
+            kind = rng.integers(0, 3, shape)
+            bits = rng.integers(0, 2 ** 64, shape, dtype=np.uint64)
+            bits[kind == 0] = rng.choice(special, np.count_nonzero(kind == 0))
+            bits[kind == 2] = rng.uniform(-1e3, 1e3, np.count_nonzero(kind == 2)).view(np.uint64)
+            return bits.view(np.float64)
 
         times = floats(rows)
         idx = start + np.arange(rows)
@@ -438,6 +445,10 @@ class TestDetect:
         ("empty.csv", "i,x1\n", "no data rows"),
         ("backwards.csv", "t,x1\n0.2,0.1\n0.1,0.2\n0.0,0.3\n", "time axis 't' must increase"),
         ("nan.csv", "i,x1\nnan,0.1\n1,0.2\n", "axis 'i' holds a non-finite value"),
+        # one index six times: in float, 2**60 + k is 2**60 for every k below 128
+        ("same_index.csv", "i,x1\n" + f"{2 ** 60},0.5\n" * 6,
+         "index axis 'i' is not consecutive integers: row 2"),
+        ("huge_index.csv", "i,x1\n1e19,0.5\n", "index axis 'i' holds a value that is not"),
     ])
     def test_detect_rejects_bad_axis(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
@@ -445,6 +456,20 @@ class TestDetect:
         assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert name in err and message in err
+
+    def test_detect_scans_an_orbit_indexed_past_2_to_the_53(self, tmp_path):
+        i0 = 2 ** 60
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "kind": "discrete", "system": {"forcing": {"type": "constant", "value": [0.3, -0.2]}},
+            "numeric": {"window": [i0, i0 + 400]}, "output": {"dir": str(tmp_path / "run")}}))
+        assert run_cli("run", str(config)) == 0
+        path = tmp_path / "run" / "discrete_orbit.csv"
+        kind, axis, _ = read_series_csv(path)
+        assert kind == "sequence" and int(axis[0]) == i0 and int(axis[-1]) == i0 + 400
+        assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "discrete_orbit_evidence_report.json").read_text())
+        assert report["evidence"]["scan"]["base_index"] == i0
 
     def test_function_csv_axis_within_rounding_accepted(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import expit
 
-from updyn.chaos import GridFunction, convolve_exponential, logistic_orbit
+from updyn.catalog import source_orbit
+from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_orbit
 from updyn.constructs import (DecompositionTriple, VectorSequence, affine_transform,
                               build_function_triple, build_sequence_triple, function_tail,
-                              non_unpredictability_witness, shift)
+                              non_unpredictability_witness, sequence_tail, shift)
 from updyn.errors import DomainError, SingularMatrixError
 
 
 @pytest.fixture(scope="module")
 def function_triple():
-    orbit = logistic_orbit(0.41, 1000, 120).rebased(-60)
+    orbit = source_orbit(0.41, 1000, 120, -60)
     h = convolve_exponential(orbit, 2.0, 0.05).restrict(-20.0, 60.0)
     return build_function_triple(h)
 
@@ -79,6 +80,21 @@ class TestSequenceTriple:
 
     def test_exact_decomposition(self, sequence_triple):
         assert sequence_triple.decomposition_residual() == 0.0
+
+    def test_chunked_build_matches_whole_array_formulas(self):
+        orbit = source_orbit(0.41, 1000, 2 * ROW_CHUNK + 5, base_index=-7)
+        kappa = orbit.values[:, 0]
+        psi = np.stack([kappa, 0.25 * kappa], axis=-1)
+        theta = sequence_tail(np.arange(-7, -7 + kappa.size, dtype=float))
+        triple = build_sequence_triple(orbit)
+        for got, want in ((triple.psi, psi), (triple.theta, theta), (triple.phi, psi + theta)):
+            assert got.t_start == -7
+            np.testing.assert_array_equal(got.values, want)
+
+    def test_residual_sees_a_defect_in_the_last_chunk(self):
+        triple = build_sequence_triple(logistic_orbit(0.41, 1000, ROW_CHUNK + 3))
+        triple.phi.values[-1, 1] += 0.5
+        assert triple.decomposition_residual() == pytest.approx(0.5, abs=1e-12)
 
 
 class TestAffineTransform:

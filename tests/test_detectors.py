@@ -11,9 +11,7 @@ from updyn.constructs import VectorSequence, build_sequence_triple
 from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
                              sensitivity_demo, separation_at, verify_evidence)
-from updyn.discrete import DiscreteSystemSpec
 from updyn.errors import ArgumentError, DomainError, ResolutionError
-from updyn.nonlinearity import Nonlinearity
 
 
 def constant_seq(n=200, value=(0.3, -0.4)):
@@ -160,10 +158,7 @@ class TestSensitivity:
         assert report.slope is not None and report.slope > 0.1
 
     def test_stable_linear_map_never_diverges(self):
-        forcing = VectorSequence(0, np.zeros((500, 2)))
-        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2), forcing)
-        report = sensitivity_demo(spec, np.array([0.4, -0.2]),
-                                  perturbation=1e-6, threshold=0.1)
+        report = sensitivity_demo(lambda x: 0.5 * x, 0.4, perturbation=1e-6, threshold=0.1)
         assert not report.diverged
         assert report.index is None
 
@@ -247,6 +242,19 @@ def reference_separations(values, shifts, epsilon0, horizon):
     return events
 
 
+def reference_grid_separations(values, shifts, epsilon0, half):
+    """Every centre tried in turn: ``(shift, offset, separation)`` of the first offset u
+    whose gap is at least epsilon0 at every offset of [u - half, u + half]."""
+    events = []
+    for z in shifts:
+        gap = np.linalg.norm(values[z:] - values[:len(values) - z], axis=1)
+        for u in range(half, gap.size - half):
+            if all(gap[o] >= epsilon0 for o in range(u - half, u + half + 1)):
+                events.append((z, u, float(gap[u])))
+                break
+    return events
+
+
 def scanned(returns):
     return [(r.shift, r.achieved) for r in returns]
 
@@ -276,6 +284,15 @@ def planted_return(hit, window, n):
     values = np.zeros((n, 1))
     values[1] = values[hit + 1] = 1.0
     return VectorSequence(0, values)
+
+
+def planted_intervals(n, runs):
+    """Grid function, zero but for ±1 stretches, whose gap under shift 1 is 2 on the
+    offsets of each ``(first, last)`` run and at most 1 elsewhere."""
+    values = np.zeros((n, 1))
+    for first, last in runs:
+        values[first:last + 2, 0] = (-1.0) ** np.arange(last + 2 - first)
+    return GridFunction(0.0, 0.05, values)
 
 
 class TestEarlyAbandonScans:
@@ -386,4 +403,20 @@ class TestEarlyAbandonScans:
         assert scanned(ev.return_times) == expected
         assert all(r.shift >= first for r in ev.return_times if r.found)
         assert any(r.found for r in ev.return_times)
+        assert separated(ev.separation_times) == reference_grid_separations(
+            phi.values, [r.shift for r in ev.return_times if r.found], 0.2, 4)
+        assert verify_evidence(phi, ev)
+
+    @pytest.mark.parametrize("run, centre", [
+        ((4090, 4100), 4094),   # the first interval of 9 nodes straddles offset 4,096
+        ((5990, 5998), 5994),   # the only one ends at the last offset of shift 1
+    ])
+    def test_grid_separation_matches_brute_force(self, run, centre):
+        # delta = 0.2 on step 0.05: an interval of 2 * 4 + 1 nodes.  The stretch of
+        # 8 offsets before it is one node too short to count.
+        phi = planted_intervals(6000, [(100, 107), run])
+        ev = evidence_for_function(phi, (0.0, 1.0), ladder=(0.5,), epsilon0=1.5, delta=0.2)
+        assert separated(ev.separation_times) == [(1, centre, 2.0)]
+        assert reference_grid_separations(phi.values, [1], 1.5, 4) == [(1, centre, 2.0)]
+        assert ev.separation_times[0].center_time == pytest.approx(0.05 * centre)
         assert verify_evidence(phi, ev)

@@ -47,6 +47,15 @@ def function_csv(tmp_path: Path) -> Path:
     return path
 
 
+def csv_text(name: str, text: str):
+    """A CSV maker that writes ``text`` to ``name``."""
+    def make(tmp_path: Path) -> Path:
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+    return make
+
+
 def sequence_csv(tmp_path: Path) -> Path:
     """A sequence CSV of 2,001 rows, as long as the 6.2 demo's outputs."""
     path = tmp_path / "6.2_phi.csv"
@@ -213,6 +222,11 @@ BAD_INPUTS = [
     ("discrete output.prefix a/b", {"kind": "discrete", "system": {"forcing": {"type": "zero"}},
                                     "output": {"prefix": "a/b"}},
      "config field 'output.prefix': "),
+    # a CSV with no value column reported a verdict on nothing and exited 0
+    ("detect t only", (csv_text("t_only.csv", "t\n" + "".join(f"{0.05 * k!r}\n"
+                                                               for k in range(400))),),
+     "t_only.csv"),
+    ("detect i only", (csv_text("i_only.csv", "i\n0\n1\n2\n"), "--window", "1"), "i_only.csv"),
     # a delay forcing whose norm overflows passed its sup check on inf against inf
     ("delay forcing 1e200", {"kind": "delay", "system": {
         "forcing": {"type": "constant", "value": [1e200]}}, "numeric": {"window": [0, 1]}},

@@ -46,8 +46,8 @@ def test_sequence_tail_of_a_scalar_index():
 
 @pytest.mark.parametrize("base", [0, -300, 7])
 def test_build_sequence_triple_matches_the_stacked_expressions(base):
-    orbit = logistic_orbit(0.37, 1000, 5000).rebased(base)
-    kappa = orbit.values
+    orbit = catalog.source_orbit(0.37, 1000, 5000, base)
+    kappa = orbit.values[:, 0]
     psi = np.stack([kappa, 0.25 * kappa], axis=-1)
     theta = reference_tail(base + np.arange(len(orbit)))
     triple = build_sequence_triple(orbit)
@@ -58,7 +58,7 @@ def test_build_sequence_triple_matches_the_stacked_expressions(base):
 
 
 def test_witness_matches_the_index_array_scan():
-    orbit = logistic_orbit(0.41, 1000, 3000).rebased(-40)
+    orbit = catalog.source_orbit(0.41, 1000, 3000, -40)
     triple = build_sequence_triple(orbit)
     report = non_unpredictability_witness(triple, catalog.SEQUENCE_PSI_SUP)
     norms = np.linalg.norm(triple.theta.values, axis=1)

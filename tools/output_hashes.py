@@ -6,8 +6,9 @@ temporary directory and each into its own output directory:
 
 - ``reproduce 6.1`` to ``6.4``;
 - the benchmark's discrete ``run`` config (window 4000-44000);
-- ``detect`` on that config's φ orbit CSV, on ``6.1_phi.csv`` and on
-  ``6.4_phi_orbit.csv``;
+- ``detect`` on that config's φ orbit CSV, on ``6.1_phi.csv``, on
+  ``6.3_psi_solution.csv`` (whose separations take the grid scan's intervals)
+  and on ``6.4_phi_orbit.csv``;
 - zero- and constant-forcing delay and discrete ``run`` configs, and one of
   each whose contraction margin fails;
 - a discrete ``run`` config whose orbit stays near 1e-290, so that every value
@@ -74,6 +75,7 @@ def invocations(seed: str, workdir: Path) -> list[tuple[str, list[str]]]:
         runs.append((name, ["run", path.name]))
     for out, csv in (("detect-bench", "discrete-bench/discrete_phi_orbit.csv"),
                      ("detect-6.1", "6.1/6.1_phi.csv"),
+                     ("detect-6.3", "6.3/6.3_psi_solution.csv"),
                      ("detect-6.4", "6.4/6.4_phi_orbit.csv")):
         runs.append((out, ["detect", csv, "--out-dir", out]))
     return runs
