@@ -366,7 +366,7 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     alpha = i0 + quiet
 
     phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
-    psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol, guess=phi_orbit.values)
+    psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol)
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=DISCRETE_ENVELOPE_SLACK)

@@ -6,9 +6,10 @@ that norm from the SVD, approximates the unique bounded orbit by burn-in
 evaluates the explicit geometric envelope that dominates the difference of
 two forced orbits past the index where the forcing difference is small.
 
-Orbits are computed by verified block sweeps (Jacobi waveform relaxation):
-a block of rows is swept as a whole until the sweep reproduces it bit for
-bit, which makes every row equal to the one-step-at-a-time orbit.
+Orbits are computed by verified lockstep lanes (multiple shooting): lanes
+that start a warm-up before their own rows all advance one step at a time,
+and a lane is kept only where its state merges bit for bit with the exact
+lane before it, which makes every row equal to the one-step-at-a-time orbit.
 """
 
 from __future__ import annotations
@@ -84,15 +85,15 @@ def spectral_norm(b) -> float:
     return float(np.linalg.norm(b, 2))
 
 
-# Block sweeps of ``iterate``: the first block has _FIRST_BLOCK_ROWS rows and
-# each block that settles doubles the next, up to _BLOCK_ROWS.  A block still
-# changing after _SWEEP_CAP sweeps ends the sweeps for the rest of the orbit.
-# Fewer than _FIRST_BLOCK_ROWS remaining rows are stepped: a block settles
-# only after some tens of sweeps, which cost more than single steps on fewer
-# than about 200 rows.
-_FIRST_BLOCK_ROWS = 256
-_BLOCK_ROWS = 4096
-_SWEEP_CAP = 96
+# Lockstep lanes of ``iterate``: each round splits the rows still to compute
+# into lanes of _LANE_ROWS rows, each lane warmed up over the _WARMUP_ROWS rows
+# before its own.  A round that rejects a lane doubles the warm-up, so a slowly
+# contracting system does not rerun every remaining lane at a warm-up too short
+# for it; past _WARMUP_CAP the rest of the orbit is stepped, as is any rest too
+# short for two lanes.
+_LANE_ROWS = 64
+_WARMUP_ROWS = 64
+_WARMUP_CAP = 1024
 
 
 def _matrix_lanes(b_rows: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -110,61 +111,53 @@ def _matrix_lanes(b_rows: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_blocks(b_rows, g, phi, out, guess=None) -> tuple[int, int]:
-    """Fill rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]`` by block sweeps.
+def _lane_rows(b_rows, g, phi, out) -> tuple[int, int]:
+    """Fill rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]`` by rounds of lanes.
 
-    Returns (index of the last exact row, sweeps).  A block past that row is
-    filled with that row, or with the rows of ``guess`` (aligned with ``out``)
-    when one is given, and swept as a whole.  Where a sweep leaves a row's
-    bits unchanged, that row and the next one satisfy the recurrence exactly,
-    so every sweep advances the exact prefix by at least one row.  Stops
-    early when a block does not settle within the sweep cap, or when fewer
-    than _FIRST_BLOCK_ROWS rows remain.
+    Returns (index of the last exact row, warm-up length reached).  A round
+    from the last exact row ``out[k]`` runs ``n`` lanes of ``m`` rows with
+    warm-up ``w``: every lane starts from ``out[k]``, lane ``c`` stands at
+    index ``k + c m + t`` after ``t`` steps, and all lanes take ``w + m``
+    steps together in a (dim, n) state.  Lane 0 is exact.  Lane ``c`` is kept
+    when its state after ``w`` steps equals, bit for bit, the last state of
+    lane ``c - 1``, which is the same index: two lanes that hold the same
+    state apply the same float map, so they agree from there on.  The first
+    lane that fails this check ends the round's exact rows, and a round that
+    rejects a lane doubles ``w``.  Stops when ``w`` passes _WARMUP_CAP or when
+    fewer than two lanes fit in the rows left.
 
-    A block is swept in column layout: its state, forcing and new sweep sit
-    in (dim, rows) lane buffers, allocated once at the largest block size,
-    and ``g`` sees the state as a column-major (rows, dim) view.  Settled
-    rows go back to ``out`` once per block.
+    Each step's states go straight to ``out`` through the strided view
+    ``out[k + t + 1::m][:n]``, and ``phi`` is read the same way.  A row that
+    several lanes reach ends with the value of the lowest of them, which
+    writes it last; until then, lane ``c``'s state after ``w`` steps waits in
+    ``out`` for lane ``c - 1``'s last step to compare against it.
     """
     steps, dim = out.shape[0] - 1, out.shape[1]
-    cap = min(_BLOCK_ROWS, steps)
-    x_buf, f_buf, new_buf = np.empty((dim, cap + 1)), np.empty((dim, cap)), np.empty((dim, cap))
-    known, rows, sweeps = 0, _FIRST_BLOCK_ROWS, 0
-    while steps - known >= _FIRST_BLOCK_ROWS:
-        end = min(known + rows, steps)
-        n = end - known
-        x, f, new = x_buf[:, :n + 1], f_buf[:, :n], new_buf[:, :n]
-        x[:, 0] = out[known]
-        x[:, 1:] = out[known, :, None] if guess is None else guess[known + 1:end + 1].T
-        f[:] = phi[known:end].T
-        bits, new_bits = x.view(np.uint64), new.view(np.uint64)
-        s = 0  # x[:, s] is exact
-        for _ in range(_SWEEP_CAP):
-            lanes = new[:, s:]
-            _matrix_lanes(b_rows, x[:, s:n], lanes)
-            lanes += g(x[:, s:n].T).T
-            lanes += f[:, s:]
-            sweeps += 1
-            changed = (new_bits[:, s:] != bits[:, s + 1:]).any(axis=0)
-            first = int(changed.argmax())
-            x[:, s + 1:] = lanes
-            s = s + first + 1 if changed[first] else n
-            if s == n:
-                break
-        else:
-            out[known + 1:known + s + 1] = x[:, 1:s + 1].T
-            return known + s, sweeps
-        out[known + 1:end + 1] = x[:, 1:].T
-        known = end
-        rows = min(2 * rows, _BLOCK_ROWS)
-    return known, sweeps
+    m, warm, known = _LANE_ROWS, _WARMUP_ROWS, 0
+    while warm <= _WARMUP_CAP and (n := (steps - known - warm) // m) >= 2:
+        x, new = np.repeat(out[known, :, None], n, axis=1), np.empty((dim, n))
+        for t in range(warm + m):
+            _matrix_lanes(b_rows, x, new)
+            new += g(x.T).T
+            new += phi[known + t::m][:n].T
+            rows = out[known + t + 1::m][:n]
+            if t == warm + m - 1:
+                # rows[c] holds lane c + 1's state after its warm-up
+                same = (rows[:-1].view(np.uint64) == new[:, :-1].T.view(np.uint64)).all(axis=1)
+                kept = n if same.all() else int(same.argmin()) + 1
+            rows[:] = new.T
+            x, new = new, x
+        known += kept * m + warm
+        if kept < n:
+            warm *= 2
+    return known, warm
 
 
 def _step_rows(b, g, phi, out, known: int) -> None:
     """Fill ``out[known + 1:]`` one transition at a time.
 
     Sums in Python floats in the order of ``_matrix_lanes``, so the rows carry
-    the bits a block sweep would give them.
+    the bits a lane would give them.
     """
     b_rows = b.tolist()
     cols = range(1, b.shape[0])
@@ -179,33 +172,29 @@ def _step_rows(b, g, phi, out, known: int) -> None:
         out[j + 1] = w = nxt
 
 
-def _orbit_rows(b, g, phi, out, guess=None) -> tuple[int, int]:
-    """Fill ``out[1:]`` from ``out[0]``; returns (sweeps, rows stepped one at a time).
+def _orbit_rows(b, g, phi, out) -> tuple[int, int]:
+    """Fill ``out[1:]`` from ``out[0]``; returns (warm-up length reached, rows stepped).
 
-    Speculative sweep rows may overflow before they are discarded, so the
-    sweeps run with floating-point warnings off.
+    A lane that is later discarded may overflow, so the lanes run with
+    floating-point warnings off.
     """
     with np.errstate(all="ignore"):
-        known, sweeps = _sweep_blocks(b.tolist(), g, phi, out, guess)
+        known, warm = _lane_rows(b.tolist(), g, phi, out)
     _step_rows(b, g, phi, out, known)
-    return sweeps, out.shape[0] - 1 - known
+    return warm, out.shape[0] - 1 - known
 
 
 def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
-            start_index: int | None = None,
-            guess: np.ndarray | None = None) -> Series:
+            start_index: int | None = None) -> Series:
     """Forward orbit of ``steps`` transitions starting at ``start_index``.
 
     Each row equals, bit for bit, one transition
     ``B w + g(w) + forcing`` applied to the row before it, with ``B w``
-    summed column by column (see ``_matrix_lanes``).
-
-    ``guess``, of shape (steps + 1, dim), seeds the block sweeps: row j is a
-    guess for the row at index start_index + j, say from the orbit of a
-    nearby system.  It changes how many sweeps a block takes, never a bit of
-    the result, since a row is kept only once a sweep reproduces it; a block
-    that a poor guess keeps from settling within the sweep cap hands the
-    rest of the orbit to one-step-at-a-time transitions.
+    summed column by column (see ``_matrix_lanes``).  The rows come from
+    lockstep lanes that are kept only where they merge bit for bit with the
+    exact orbit (see ``_lane_rows``); a system that contracts too slowly for
+    that, and a rest shorter than two lanes, is stepped one transition at a
+    time.
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
@@ -220,12 +209,8 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
         raise DomainError(f"start state must have shape ({spec.dim},)")
     out = np.empty((steps + 1, spec.dim))
     out[0] = w
-    if guess is not None:
-        guess = np.asarray(guess, dtype=float)
-        if guess.shape != out.shape:
-            raise DomainError(f"guess must have shape {out.shape}")
     k0 = i0 - forcing.t_start
-    _orbit_rows(spec.matrix, spec.nonlinearity, forcing.values[k0:k0 + steps], out, guess)
+    _orbit_rows(spec.matrix, spec.nonlinearity, forcing.values[k0:k0 + steps], out)
     return VectorSequence(i0, out)
 
 
@@ -240,19 +225,14 @@ def burn_in_length(spec: DiscreteSystemSpec, tol: float) -> int:
     return max(1, math.ceil(math.log(tol * margin / scale) / math.log(q)))
 
 
-def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9,
-                  guess: np.ndarray | None = None) -> Series:
-    """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in.
-
-    ``guess``, one row per window index, seeds the sweeps over the window as
-    in ``iterate``; the burn-in before the window runs without one.
-    """
+def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9) -> Series:
+    """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in."""
     i0, i1 = int(window[0]), int(window[1])
     if i1 < i0:
         raise DomainError("empty window")
     burn = burn_in_length(spec, tol)
-    start = iterate(spec, np.zeros(spec.dim), burn, start_index=i0 - burn).values[-1]
-    return iterate(spec, start, i1 - i0, start_index=i0, guess=guess)
+    orbit = iterate(spec, np.zeros(spec.dim), burn + i1 - i0, start_index=i0 - burn)
+    return orbit.restrict(i0, i1)
 
 
 def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-10) -> float:

@@ -25,9 +25,10 @@ class Nonlinearity:
 
     ``func`` maps arrays of shape (..., dim) to arrays of the same shape.
     It may receive column-major (..., dim) arrays: ``discrete.iterate``
-    hands it transposed lane blocks, and a row's result should not depend on
-    the layout.  The declared constants are claims about the map on all of
-    R^dim and are only spot-checked, never inferred.
+    hands it the (lanes, dim) transpose of its lockstep lane state, and a
+    row's result should not depend on the layout or on the other rows.  The
+    declared constants are claims about the map on all of R^dim and are only
+    spot-checked, never inferred.
     """
 
     func: Callable[[np.ndarray], np.ndarray]

@@ -17,7 +17,7 @@ from updyn.errors import AssumptionError, DomainError, WindowExhaustedError
 from updyn.nonlinearity import Nonlinearity, check_assumptions
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
-K = discrete._BLOCK_ROWS
+K = 4096  # long enough for many lanes of either shape in test_window_lengths
 
 
 def column_product(b, w):
@@ -366,8 +366,14 @@ class TestConvergenceCheckDiscrete:
         assert report.envelope_ok
 
 
+# window lengths around the lane shape (m rows a lane, warm-up W), as labels
+LANE_LENGTHS = {"m-1": lambda m, w: m - 1, "m+1": lambda m, w: m + 1,
+                "W+m-1": lambda m, w: w + m - 1, "W+m+1": lambda m, w: w + m + 1,
+                "3(W+m)+17": lambda m, w: 3 * (w + m) + 17}
+
+
 class TestBlockSweeps:
-    """iterate against the one-transition-at-a-time loop it replaced."""
+    """iterate's lockstep lanes against the one-transition-at-a-time loop."""
 
     def _demo_specs(self, nonlinearity):
         triple = build_sequence_triple(catalog.source_orbit(length=44002))
@@ -388,11 +394,13 @@ class TestBlockSweeps:
         assert_same_bits(iterate(spec, w0, 20000, 100),
                          reference_iterate(spec, w0, 20000, 100))
 
-    @pytest.mark.parametrize("steps", [0, 1, K - 1, K, K + 1, 3 * K + 17])
-    @pytest.mark.parametrize("rows", [(discrete._FIRST_BLOCK_ROWS, K), (16, 16)])
+    @pytest.mark.parametrize("steps", [0, 1, K - 1, K, K + 1, 3 * K + 17, *LANE_LENGTHS])
+    @pytest.mark.parametrize("rows", [(discrete._LANE_ROWS, discrete._WARMUP_ROWS), (16, 16)])
     def test_window_lengths(self, monkeypatch, steps, rows):
-        monkeypatch.setattr(discrete, "_FIRST_BLOCK_ROWS", rows[0])
-        monkeypatch.setattr(discrete, "_BLOCK_ROWS", rows[1])
+        monkeypatch.setattr(discrete, "_LANE_ROWS", rows[0])
+        monkeypatch.setattr(discrete, "_WARMUP_ROWS", rows[1])
+        if steps in LANE_LENGTHS:
+            steps = LANE_LENGTHS[steps](*rows)
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
                                   catalog.discrete_demo_nonlinearity(),
                                   random_forcing(3 * K + 40, 2, steps, base=-15))
@@ -427,9 +435,10 @@ class TestBlockSweeps:
         w0 = np.linspace(0.1, 0.3, dim)
         out = np.empty((3001, dim))
         out[0] = w0
-        sweeps, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
-                                               spec.forcing.values, out)
-        assert sweeps == discrete._SWEEP_CAP
+        warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
+                                             spec.forcing.values, out)
+        # no lane merges at any warm-up; lane 0 of each round is exact
+        assert warm > discrete._WARMUP_CAP
         assert 0 < stepped < 3000
         ref = reference_iterate(spec, w0, 3000, product=column_product)
         np.testing.assert_array_equal(out.view(np.uint64), ref.values.view(np.uint64))
@@ -438,14 +447,29 @@ class TestBlockSweeps:
     def test_demo_settles_without_stepping(self):
         spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[0]
         out = np.zeros((20001, 2))
-        sweeps, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
-                                               spec.forcing.values, out)
-        assert stepped < discrete._FIRST_BLOCK_ROWS
-        assert sweeps < 20000 // 20
+        warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
+                                             spec.forcing.values, out)
+        # one round at the first warm-up keeps every lane
+        assert warm == discrete._WARMUP_ROWS
+        assert stepped < discrete._LANE_ROWS
+
+    def test_slow_contraction_settles_after_the_warm_up_doubles(self):
+        # q = 0.8 + 0.1: lanes merge only once the warm-up has doubled
+        spec = DiscreteSystemSpec(0.8 * np.eye(2), catalog.tanh_nonlinearity(2, 0.1),
+                                  random_forcing(5000, 2, 21))
+        out = np.empty((5001, 2))
+        out[0] = [0.3, -0.2]
+        stepped = out.copy()
+        discrete._step_rows(spec.matrix, spec.nonlinearity, spec.forcing.values, stepped, 0)
+        warm, rest = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
+                                          spec.forcing.values, out)
+        assert discrete._WARMUP_ROWS < warm <= discrete._WARMUP_CAP
+        assert rest < discrete._LANE_ROWS
+        np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
 
     @pytest.mark.parametrize("start", [1.0, 1e300])
     def test_overflow_raises_like_the_reference(self, start):
-        # from 1e300 the orbit overflows inside the first block's sweeps
+        # from 1e300 the orbit overflows inside the first round's lanes
         spec = DiscreteSystemSpec(1.5 * np.eye(2), catalog.tanh_nonlinearity(2, 0.2),
                                   random_forcing(2500, 2, 9))
         caught = {}
@@ -458,75 +482,55 @@ class TestBlockSweeps:
         assert caught["iterate"][0] == caught["reference"][0]
         assert caught["iterate"][1] <= caught["reference"][1]
 
-    @pytest.mark.parametrize("kind", ["phi orbit", "garbage", "nan"])
-    def test_guess_changes_no_bit(self, kind):
-        spec_phi, spec_psi = self._demo_specs(catalog.discrete_demo_nonlinearity())
-        window = (4000, 9000)
-        plain = bounded_orbit(spec_psi, window)
-        guess = {"phi orbit": bounded_orbit(spec_phi, window).values,
-                 "garbage": np.random.default_rng(3).uniform(-1e3, 1e3, plain.values.shape),
-                 "nan": np.full(plain.values.shape, np.nan)}[kind]
-        assert_same_bits(bounded_orbit(spec_psi, window, guess=guess), plain)
-
-    def test_close_guess_takes_fewer_sweeps(self):
-        spec_phi, spec_psi = self._demo_specs(catalog.discrete_demo_nonlinearity())
-        start, steps = 3900, 6000
-        phi = iterate(spec_phi, np.zeros(2), steps, start).values
-        forcing = spec_psi.forcing.values[start - spec_psi.forcing.t_start:][:steps]
-        sweeps = []
-        for guess in (None, phi):
-            out = np.zeros((steps + 1, 2))
-            sweeps.append(discrete._orbit_rows(spec_psi.matrix, spec_psi.nonlinearity,
-                                               forcing, out, guess)[0])
-            assert_same_bits(VectorSequence(start, out),
-                             iterate(spec_psi, np.zeros(2), steps, start))
-        assert sweeps[1] < 0.8 * sweeps[0]
-
-    def test_guess_shape_checked(self):
-        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[0]
-        with pytest.raises(DomainError):
-            iterate(spec, np.zeros(2), 100, 4000, guess=np.zeros((100, 2)))
-        with pytest.raises(DomainError):
-            bounded_orbit(spec, (4000, 4100), guess=np.zeros((100, 2)))
+    def test_bounded_orbit_is_the_window_of_one_iterate(self):
+        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[1]
+        burn = burn_in_length(spec, 1e-9)
+        whole = reference_iterate(spec, np.zeros(2), burn + 5000, 4000 - burn)
+        assert_same_bits(bounded_orbit(spec, (4000, 9000)), whole.restrict(4000, 9000))
 
 
 SWEEP_SYSTEMS = [(name, 2) for name in catalog.NONLINEARITIES] + [("tanh", 3), ("zero", 3)]
 
 
 class TestSweepBits:
-    """The column-layout block sweeps against ``_step_rows``, the one-transition loop."""
+    """The lockstep lanes against ``_step_rows``, the one-transition loop.
+
+    Each case runs with ``out`` past its first row holding NaN ("fill") or a
+    near orbit ("guess"): lanes start only from rows they made exact, so
+    neither changes a bit or the rows the lanes settle.
+    """
 
     @staticmethod
-    def _system(name, dim, matrix=None, steps=1900, seed=11):
+    def _system(name, dim, guessed, matrix=None, steps=1900, seed=11):
         rng = np.random.default_rng(seed)
         if matrix is None:
             matrix = rng.standard_normal((dim, dim))
             matrix *= 0.5 / np.linalg.norm(matrix, 2)
         g = catalog.NONLINEARITIES[name](dim, 0.2)
         phi = rng.uniform(-1, 1, (steps, dim))
-        out = np.empty((steps + 1, dim))
-        out[0] = rng.uniform(-2, 2, dim)
-        stepped = out.copy()
+        stepped = np.empty((steps + 1, dim))
+        stepped[0] = rng.uniform(-2, 2, dim)
         discrete._step_rows(matrix, g, phi, stepped, 0)
-        # a guess near the orbit, as the phi orbit is for the psi orbit
-        guess = stepped + rng.uniform(-1e-6, 1e-6, stepped.shape)
-        return matrix, g, phi, out, stepped, guess
+        out = stepped + rng.uniform(-1e-6, 1e-6, stepped.shape) if guessed \
+            else np.full_like(stepped, np.nan)
+        out[0] = stepped[0]
+        return matrix, g, phi, out, stepped
 
     @pytest.mark.parametrize("guessed", [False, True], ids=["fill", "guess"])
     @pytest.mark.parametrize("name, dim", SWEEP_SYSTEMS)
     def test_sweeps_equal_the_step_loop(self, name, dim, guessed):
-        b, g, phi, out, stepped, guess = self._system(name, dim)
-        sweeps, rest = discrete._orbit_rows(b, g, phi, out, guess if guessed else None)
-        # blocks of 256, 512 and 1024 rows settle; the last 108 rows are stepped
-        assert rest == 1900 - 1792
-        assert 0 < sweeps < 3 * discrete._SWEEP_CAP
+        b, g, phi, out, stepped = self._system(name, dim, guessed)
+        warm, rest = discrete._orbit_rows(b, g, phi, out)
+        # one round of 28 lanes settles 28 * 64 + 64 rows; the last 44 are stepped
+        assert warm == discrete._WARMUP_ROWS
+        assert rest == 1900 - 1856
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
 
     @pytest.mark.parametrize("guessed", [False, True], ids=["fill", "guess"])
     def test_block_at_the_sweep_cap_hands_over_to_steps(self, guessed):
-        b, g, phi, out, stepped, guess = self._system("tanh", 2, rotation(0.7, 0.99), 3000)
-        sweeps, rest = discrete._orbit_rows(b, g, phi, out, guess if guessed else None)
-        # the first block stops at the cap with some of its rows exact
-        assert sweeps == discrete._SWEEP_CAP
-        assert 3000 - discrete._FIRST_BLOCK_ROWS < rest < 3000
+        b, g, phi, out, stepped = self._system("tanh", 2, guessed, rotation(0.7, 0.99), 3000)
+        warm, rest = discrete._orbit_rows(b, g, phi, out)
+        # lane 0 of the rounds at warm-ups 64 to 1024 is exact: 128 + 192 + ... + 1088 rows
+        assert warm == 2 * discrete._WARMUP_CAP
+        assert rest == 3000 - 2304
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))

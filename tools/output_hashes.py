@@ -11,6 +11,8 @@ temporary directory and each into its own output directory:
   and on ``6.4_phi_orbit.csv``;
 - zero- and constant-forcing delay and discrete ``run`` configs, and one of
   each whose contraction margin fails;
+- a slowly contracting discrete ``run`` config, whose orbit takes more than
+  one round of ``discrete.iterate``'s lanes;
 - a discrete ``run`` config whose orbit stays near 1e-290, so that every value
   of its CSV goes through ``%`` rather than the writer's numpy kernel.
 
@@ -49,6 +51,12 @@ SYSTEM_CONFIGS = {
     "discrete-constant": {"kind": "discrete",
                           "system": {"forcing": {"type": "constant", "value": [0.3, -0.2]}},
                           "numeric": {"window": [100, 700]}},
+    # q = 0.95: lanes of the first warm-up are rejected before the orbit settles
+    "discrete-slow": {"kind": "discrete",
+                      "system": {"matrix": [[0.85, 0.0], [0.0, 0.85]],
+                                 "nonlinearity": {"type": "tanh", "scale": 0.1},
+                                 "forcing": {"type": "constant", "value": [0.3, -0.2]}},
+                      "numeric": {"window": [100, 5100]}},
     # no nonlinearity and a forcing near 1e-290: CSV values past the kernel's table
     "discrete-tiny": {"kind": "discrete",
                       "system": {"nonlinearity": {"type": "zero"},
