@@ -22,7 +22,9 @@ powers.  ``picard_apply`` scans with them directly.  ``integrate_mos``
 further folds the RK4 offset maps into the Toeplitz matrix, so a segment
 is one cubic stencil, one nonlinearity call and one product from its
 half-grid inputs, and it advances several forcings of one system (a run
-axis) through each segment together.
+axis) through each segment together.  With two or more runs it first fills
+whole segments by lockstep lanes from wrong starts, kept only where the
+contraction has drawn them onto the segment loop's bits (``_lane_segments``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .chaos import GridFunction, Series, row_norms, settling_positions
 from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
@@ -293,7 +296,7 @@ def _forcing_on_half_grid(forcing: Callable[[np.ndarray], np.ndarray], t0: float
     return vals
 
 
-def _midpoint_stencils(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _midpoint_stencils(n: int, k: int, dim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Node indices and weights of the cubic stencil for each of ``n`` half nodes.
 
     Solutions of delay systems lose smoothness at multiples of the delay
@@ -302,7 +305,9 @@ def _midpoint_stencils(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     forward stencil and its last a backward one, the others a centred one;
     a final segment shorter than three intervals has no forward stencil
     inside it and falls back to the backward one.  Returns ``index`` of shape
-    (4, n), the four nodes of each stencil, and ``weight`` of shape (4, n, 1).
+    (4, n), the four nodes of each stencil, and ``weight`` of shape (4, n, dim):
+    repeated over the ``dim`` components, the weights multiply in one
+    contiguous pass.
     """
     j = np.arange(n)
     backward = (j % k == k - 1) | (j >= (n - 2 if n % k == 2 else n - 1))
@@ -311,7 +316,7 @@ def _midpoint_stencils(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     weight = np.where(backward, [[1.0], [-5.0], [15.0], [5.0]],
                       np.where(forward, [[5.0], [15.0], [-5.0], [1.0]],
                                [[-1.0], [9.0], [9.0], [-1.0]]))
-    return index, weight[:, :, None]
+    return index, np.repeat(weight[:, :, None], dim, axis=2)
 
 
 def _midpoints(xs: np.ndarray, stencils: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -418,6 +423,91 @@ def _step_segment(a: np.ndarray, y: np.ndarray, b: np.ndarray, h: float, t0: flo
     return rows
 
 
+# Lockstep lanes of ``integrate_mos`` over a run axis: each round splits the
+# whole delay segments still to compute into lanes of W segments, each lane
+# warmed up over the W segments before its own.  The first W is
+# ``_first_warmup``'s; a round that rejects a lane doubles it, and past
+# _WARMUP_CAP the segment loop does the rest, as it does any rest too short
+# for two lanes.  A lane as long as its warm-up keeps half the segments it
+# computes, whatever W the system needs.
+_WARMUP_CAP = 4096
+
+
+def _first_warmup(segment_matrix: np.ndarray) -> float:
+    """Delay segments that shrink a unit difference below 2^-64 under ``segment_matrix``
+    (the RK4 step matrix to the k-th power), rounded up to a power of two; inf when
+    its spectral radius is not below 1."""
+    if not np.isfinite(segment_matrix).all():
+        return math.inf
+    rho = float(np.abs(np.linalg.eigvals(segment_matrix)).max())
+    if not rho < 1.0:
+        return math.inf
+    n = 1 if rho == 0.0 else math.ceil(64.0 * math.log(2.0) / -math.log(rho))
+    return 1 << (n - 1).bit_length()
+
+
+def _lane_segments(xs: np.ndarray, runs: np.ndarray, f: Nonlinearity, powers: np.ndarray,
+                   g: np.ndarray, stencils: tuple[np.ndarray, np.ndarray],
+                   warm: float) -> tuple[int, float]:
+    """Fill whole delay segments of ``xs`` by rounds of lockstep lanes.
+
+    ``xs`` is ``integrate_mos``'s (runs, k + n_steps + 1, dim) node array with
+    the history in place, segment ``s`` being nodes ``s k .. s k + k``, and
+    ``runs`` its half-grid forcing.  Returns (index of the last exact segment,
+    warm-up reached).  A round from the last exact segment ``S`` runs ``n``
+    lanes of ``w`` segments with warm-up ``w``: every lane starts from segment
+    ``S``, lane ``c`` computes segment ``S + c w + t + 1`` at step ``t`` with
+    that segment's forcing, and all lanes take ``2 w`` steps together.  A step
+    is one ``_midpoints``, one nonlinearity call and one ``powers`` and ``g``
+    product for all runs of all lanes: the segment loop's operations.  Lane 0
+    is exact.  Lane ``c`` is kept when its state after ``w`` steps (the k + 1
+    nodes of its segment) equals, bit for bit, the last state of lane
+    ``c - 1``, which is the same segment: from equal states both go on with
+    the same bits.  The first lane that fails this check ends the round's
+    exact segments, and a round that rejects a lane doubles ``w``.  Stops when
+    ``w`` passes _WARMUP_CAP or fewer than two lanes fit in the segments
+    left, and gives up the round at any non-finite value.
+
+    The products are stacked, (lanes, runs, ...) @ matrix, which numpy
+    computes as one BLAS gemm per lane over the runs' rows, the segment
+    loop's product.  One flat gemm over all lanes' rows would not do: it
+    rounds a row differently from a gemm over the runs alone for some shapes.
+    The forcing is read, and the segments are written, through strided views;
+    a segment that several lanes reach ends with the value of the lowest of
+    them, which writes it last.
+    """
+    r, k, m = xs.shape[0], stencils[0].shape[1], xs.shape[2]
+    segments, known = (xs.shape[1] - 1) // k - 1, 0
+    (f0, f1, f2), (x0, x1, x2) = runs.strides, xs.strides
+    while warm <= _WARMUP_CAP and (n := (segments - known) // warm - 1) >= 2:
+        forcing = as_strided(runs[:, 2 * k * known:], (2 * warm, n, r, 2 * k + 1, m),
+                             (2 * k * f1, 2 * k * warm * f1, f0, f1, f2), writeable=False)
+        written = as_strided(xs[:, k * known + k + 1:], (2 * warm, n, r, k, m),
+                             (k * x1, k * warm * x1, x0, x1, x2))
+        state = np.repeat(xs[None, :, k * known:k * known + k + 1], n, axis=0)
+        nxt, half = np.empty_like(state), np.empty((n, r, 2 * k + 1, m))
+        for t in range(2 * warm):
+            half[..., 0::2, :] = state
+            half[..., 1::2, :] = _midpoints(state, stencils)
+            b = f(half)
+            b += forcing[t]
+            rows = state[..., k, :] @ powers
+            rows += b.reshape(n, r, -1) @ g
+            if not np.isfinite(rows).all():
+                return known, warm
+            nxt[..., 0, :] = state[..., k, :]
+            written[t] = nxt[..., 1:, :] = rows.reshape(n, r, k, m)
+            state, nxt = nxt, state
+            if t == warm - 1:
+                warmed = state.copy()
+        same = (state[:-1].view(np.uint64) == warmed[1:].view(np.uint64)).reshape(n - 1, -1)
+        kept = n if same.all() else int(same.all(axis=1).argmin()) + 1
+        known += (kept + 1) * warm
+        if kept < n:
+            warm *= 2
+    return known, warm
+
+
 def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
                   step: float, forcing: np.ndarray | None = None) -> Series | list[Series]:
     """Method-of-steps trajectories on [t0, t_end] with classical RK4, one delay segment at a time.
@@ -439,12 +529,20 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     segment therefore takes the cubic stencil over the delayed segment of
     every run, one nonlinearity call on the interleaved delayed nodes and
     midpoints, and one product with the ``_segment_matrices``.  The product
-    rounds differently from one step at a time, and a batch of runs
-    differently from a single run, in the last bits only (the tests hold it
-    to 1e-12 of a step-by-step sweep).  Should a product come out non-finite,
-    that segment is redone one ``_rk4_step`` at a time, so an overflow is
-    reported at the time a step-by-step sweep reports it, and block powers
-    that overflow while the state stays finite do no harm.
+    rounds differently from one step at a time in the last bits only (the
+    tests hold it to 1e-12 of a step-by-step sweep).  A single run's product
+    has one row, so BLAS takes it as a gemv, which rounds differently from the
+    gemm that takes two or more runs: a run integrated alone may differ in
+    the last bits from the same run in a batch.  Should a product come out
+    non-finite, that segment is redone one ``_rk4_step`` at a time, so an
+    overflow is reported at the time a step-by-step sweep reports it, and
+    block powers that overflow while the state stays finite do no harm.
+
+    With two or more runs, lockstep lanes (``_lane_segments``) first fill the
+    whole segments where they merge, each with the bits this segment loop
+    would give it, and the loop goes on from the last of them.  A single run
+    takes no lanes: the tests pin the lanes' bits to the loop's for the gemm
+    of two or more runs, not for the gemv of one.
     """
     k = _exact_ratio(spec.delay, step, "delay")
     if k < 4:
@@ -471,9 +569,14 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     powers, g = _segment_matrices(spec.matrix, h, k)
     xs = np.empty((r, k + n_steps + 1, m))
     xs[:, :k + 1] = history.values
-    stencils = _midpoint_stencils(k, k)
+    stencils = _midpoint_stencils(k, k, m)
+    done = 0
+    if r > 1:
+        with np.errstate(all="ignore"):  # a lane that is later discarded may overflow
+            done, _ = _lane_segments(xs, runs, f, powers, g, stencils,
+                                     _first_warmup(powers[:, -m:]))
     half = np.empty((r, 2 * k + 1, m))  # delayed nodes and midpoints, interleaved
-    for lo in range(0, n_steps, k):
+    for lo in range(done * k, n_steps, k):
         n = min(k, n_steps - lo)
         delayed = xs[:, lo:lo + k + 1]
         half[:, 0::2] = delayed

@@ -160,21 +160,50 @@ _FORMS = 23                # X = -4..16 in fixed form, then exponents of 2 and 3
 _LEAD, _NUL, _DOT, _ZERO, _EXP, _SIGN = 16, 17, 18, 19, 24, 29
 
 
-def _layout(form: int, kept: int) -> list:
-    """Source bytes of the text of ``kept`` digits in ``form``; kept == 0 is a zero."""
-    digits = [_LEAD, *range(16)]
-    if kept == 0:
-        text = [_ZERO]
-    elif form < 21:
-        x = form - 4
-        if x < 0:
-            text = [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits[:kept]
-        else:
-            text = digits[:x + 1] + ([_DOT] + digits[x + 1:kept] if kept > x + 1 else [])
-    else:
-        text = digits[:1] + ([_DOT] + digits[1:kept] if kept > 1 else [])
-        text += range(_EXP, _EXP + (4 if form == 21 else 5))
-    return [_NUL] * (_WIDTH - 1 - len(text)) + [_SIGN] + text
+def _layouts() -> np.ndarray:
+    """Source bytes of the text of each form and kept digits, (_FORMS, 18, _WIDTH).
+
+    ``kept`` 0 is a zero.  A text is right-aligned: NULs, the sign, then the
+    text, where digit 0 is _LEAD and digit i > 0 is i - 1.  A fixed form with
+    X < 0 reads '0.', -X - 1 zeros and the kept digits; one with X >= 0 the
+    X + 1 leading digits, then '.' and the rest of the kept digits if any are
+    left; an exponent form digit 0, then '.' and digits 1 to kept - 1 if kept
+    > 1, then its 4 or 5 bytes of exponent text.
+    """
+    form, kept, slot = np.ogrid[:_FORMS, :18, :_WIDTH]
+    x, fixed = form - 4, form < 21
+    mantissa = np.where(kept > 1, kept + 1, 1)
+    length = np.select([kept == 0, fixed & (x < 0), fixed],
+                       [1, 1 - x + kept, x + 1 + np.where(kept > x + 1, kept - x, 0)],
+                       mantissa + np.where(form == 21, 4, 5))
+    p = slot - (_WIDTH - length)  # position in the text, -1 at the sign
+
+    def digit(i):
+        return np.where(i == 0, _LEAD, i - 1)
+
+    return np.select(
+        [p < -1, p == -1, kept == 0, fixed & (x < 0), fixed],
+        [_NUL, _SIGN, _ZERO,
+         np.where(p == 1, _DOT, np.where(p < 1 - x, _ZERO, digit(p - 1 + x))),
+         np.where(p == x + 1, _DOT, digit(p - (p > x + 1)))],
+        np.where(p >= mantissa, _EXP + p - mantissa,
+                 np.where(p == 1, _DOT, digit(p - (p > 1)))))
+
+
+def _exponent_text(xs: np.ndarray) -> np.ndarray:
+    """Per X, then again per X of a negative value: its 8 bytes of exponent text,
+    '%+03d' % X after 'e' padded with NULs to 5 bytes, then the value's sign
+    ('-' or NUL) and two NULs."""
+    a = np.abs(xs)
+    text = np.zeros((2, len(xs), 8), np.uint8)
+    text[:, :, 0] = ord("e")
+    text[:, :, 1] = np.where(xs < 0, ord("-"), ord("+"))
+    three = a >= 100
+    text[:, :, 2] = np.where(three, a // 100, a // 10) + ord("0")
+    text[:, :, 3] = np.where(three, a // 10 % 10, a % 10) + ord("0")
+    text[:, :, 4] = np.where(three, a % 10 + ord("0"), 0)
+    text[1, :, 5] = ord("-")
+    return text
 
 
 class _Tables(NamedTuple):
@@ -193,9 +222,9 @@ class _Tables(NamedTuple):
 @functools.cache
 def _text_tables() -> _Tables:
     """The kernel's tables, built once, on first use, from exact integers."""
-    xs = range(_X0, _X_FAR + 3)
+    xs = np.arange(_X0, _X_FAR + 3)
     hi, lo = [], []
-    for x in xs:
+    for x in xs.tolist():
         if x <= 16:
             exact = 10 ** (16 - x)
             hi.append(float(exact))
@@ -208,8 +237,6 @@ def _text_tables() -> _Tables:
     hi = np.array(hi)
     high = _SPLIT * hi
     high -= high - hi
-    exponents = b"".join(("e%+03d" % x).encode().ljust(5, b"\0") + sign
-                         for sign in (b"\0\0\0", b"-\0\0") for x in xs)
     g = np.arange(10000, dtype=np.uint16)
     digits = np.empty((10000, 4), np.uint8)
     for j, unit in enumerate((1000, 100, 10, 1)):
@@ -220,11 +247,10 @@ def _text_tables() -> _Tables:
     # source byte b of value i sits at (b // 4) * 4 * _BATCH + 4 * i + b % 4, which
     # int16 holds while 32 * _BATCH <= 2**15
     place = np.arange(32) // 4 * 4 * _BATCH + np.arange(32) % 4
-    layout = place[[_layout(f, k) for f in range(_FORMS) for k in range(18)]]
+    layout = place[_layouts().reshape(-1, _WIDTH)]
     return _Tables(hi, np.array(lo), high, hi - high,
-                   np.array([18 * (x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100))
-                             for x in xs], np.intp),
-                   np.frombuffer(exponents, np.uint32).reshape(-1, 2).T.copy(),
+                   18 * np.where((xs >= -4) & (xs <= 16), xs + 4, 21 + (np.abs(xs) >= 100)),
+                   _exponent_text(xs).view(np.uint32).reshape(-1, 2).T.copy(),
                    digits.view(np.uint32).ravel(), last,
                    np.frombuffer(b"0\0.0", np.uint32) + np.arange(10, dtype=np.uint32),
                    layout.astype(np.int16))

@@ -105,6 +105,45 @@ class TestKernelAgainstPercentG:
             assert kernel_text(values) == reference(values)
 
 
+def python_layout(form: int, kept: int) -> list:
+    """Source bytes of the text of ``kept`` digits in ``form``, built as lists."""
+    digits = [report._LEAD, *range(16)]
+    zero, dot = report._ZERO, report._DOT
+    if kept == 0:
+        text = [zero]
+    elif form < 21:
+        x = form - 4
+        if x < 0:
+            text = [zero, dot] + [zero] * (-x - 1) + digits[:kept]
+        else:
+            text = digits[:x + 1] + ([dot] + digits[x + 1:kept] if kept > x + 1 else [])
+    else:
+        text = digits[:1] + ([dot] + digits[1:kept] if kept > 1 else [])
+        text += range(report._EXP, report._EXP + (4 if form == 21 else 5))
+    return [report._NUL] * (report._WIDTH - 1 - len(text)) + [report._SIGN] + text
+
+
+def python_tables() -> dict:
+    """The form, exponent and layout tables, one Python value at a time."""
+    xs = range(report._X0, report._X_FAR + 3)
+    exponents = b"".join(("e%+03d" % x).encode().ljust(5, b"\0") + sign
+                         for sign in (b"\0\0\0", b"-\0\0") for x in xs)
+    place = np.arange(32) // 4 * 4 * report._BATCH + np.arange(32) % 4
+    layout = place[[python_layout(f, k) for f in range(report._FORMS) for k in range(18)]]
+    return {"form": np.array([18 * (x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100))
+                              for x in xs], np.intp),
+            "exponent": np.frombuffer(exponents, np.uint32).reshape(-1, 2).T.copy(),
+            "layout": layout.astype(np.int16)}
+
+
+def test_numpy_tables_equal_the_python_construction():
+    tables = report._text_tables()
+    for name, expected in python_tables().items():
+        got = getattr(tables, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
 class TestWriterAcrossKernelCalls:
     # 2.5 chunks of rows and 7 columns: every chunk takes several kernel passes
     ROWS = 2 * CSV_CHUNK_ROWS + CSV_CHUNK_ROWS // 2 + 3

@@ -541,6 +541,155 @@ class TestBlockedIntegrator:
         assert got.sup_norm() == 0.0
 
 
+def wave_samples(dim, runs, n_steps, step, seed):
+    """Half-grid forcing samples of ``runs`` sine waves, shape (runs, 2 n_steps + 1, dim)."""
+    amp, freq, phase = np.random.default_rng(seed).uniform(0.1, 2.0, (3, runs, 1, dim))
+    half = 0.5 * step * np.arange(2 * n_steps + 1)
+    return amp * np.sin(half[:, None] * freq + phase)
+
+
+def outcome(*args):
+    """``integrate_mos``'s trajectories as bits, or the message of its NonFiniteStateError."""
+    try:
+        with np.errstate(all="ignore"):
+            return [traj.values.view(np.uint64).tolist() for traj in integrate_mos(*args)]
+    except NonFiniteStateError as err:
+        return str(err)
+
+
+def lanes_off(*args):
+    """The oracle: the same integration by the segment loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delay, "_WARMUP_CAP", 0)
+        return outcome(*args)
+
+
+def counting_demo_spec(calls, forcing=zero_forcing):
+    """The demo system at delay 0.2, its nonlinearity logging each argument's shape to ``calls``."""
+    base = catalog.delay_demo_nonlinearity()
+    return DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
+                           Nonlinearity(lambda x: calls.append(x.shape) or base.func(x),
+                                        base.bound, base.lipschitz), forcing)
+
+
+@pytest.fixture
+def lane_log(monkeypatch):
+    """(last exact segment, warm-up reached) of every ``_lane_segments`` call."""
+    log, real = [], delay._lane_segments
+    monkeypatch.setattr(delay, "_lane_segments", lambda *a: log.append(real(*a)) or log[-1])
+    return log
+
+
+class TestLockstepLanes:
+    """integrate_mos's lanes over a run axis against its segment loop, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), k=st.integers(4, 40), runs=st.integers(2, 3),
+           entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+           margin=st.floats(0.2, 8.0), warm=st.sampled_from([16, 8, 4, 2]),
+           lanes=st.integers(0, 6), offset=st.integers(-1, 1), extra=st.integers(0, 39),
+           seed=st.integers(0, 2 ** 16))
+    def test_lanes_equal_the_segment_loop(self, dim, k, runs, entries, margin, warm, lanes,
+                                          offset, extra, seed):
+        # lengths at and around a round of `lanes` lanes, whole segments or not
+        a = stable_matrix(np.reshape(entries[:dim * dim], (dim, dim)), margin)
+        tau = 1.0
+        step = tau / k
+        nl = catalog.delay_demo_nonlinearity() if dim == 2 else catalog.tanh_nonlinearity(3, 0.3)
+        spec = DelaySystemSpec(a, tau, nl, zero_forcing)
+        rng = np.random.default_rng(seed)
+        history = GridFunction(-tau, step, rng.uniform(-1, 1, (k + 1, dim)))
+        n_steps = max(1, ((lanes + 1) * warm + offset) * k + extra % k)
+        args = (spec, history, n_steps * step, step, wave_samples(dim, runs, n_steps, step, seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delay, "_first_warmup", lambda _: warm)
+            got = outcome(*args)
+        assert got == lanes_off(*args)
+
+    def test_premise_a_stacked_product_rounds_each_lane_as_the_loop(self):
+        # the lanes' (lanes, runs, ...) @ matrix must give each lane the bits of the
+        # segment loop's runs-row product, as one BLAS gemm per lane does
+        rng = np.random.default_rng(22)
+        systems = [(catalog.delay_demo_matrix(), 0.2, 32),
+                   (stable_matrix(rng.uniform(-3, 3, (3, 3)), 0.5), 0.4, 17)]
+        for a, tau, k in systems:
+            powers, g = delay._segment_matrices(a, tau / k, k)
+            m = len(a)
+            for runs in (2, 3):
+                for n in (1, 2, 7, 31):
+                    b = rng.standard_normal((n, runs, (2 * k + 1) * m))
+                    y = rng.standard_normal((n, runs, m))
+                    for lanes, rows, matrix in ((b @ g, b, g), (y @ powers, y, powers)):
+                        for c in range(n):
+                            np.testing.assert_array_equal(lanes[c].view(np.uint64),
+                                                          (rows[c] @ matrix).view(np.uint64))
+
+    def test_6_3_length_takes_few_nonlinearity_calls(self, lane_log):
+        calls = []
+        spec = counting_demo_spec(calls)
+        step = 0.2 / 32
+        n_steps = 1150 * 32
+        history = constant_history(np.zeros(2), -30.0, 0.2, step)
+        args = (spec, history, 200.0, step, wave_samples(2, 2, n_steps, step, 63))
+        got = outcome(*args)
+        # one round of 7 lanes of 128 segments after a warm-up of 128 keeps them all
+        assert lane_log == [(1024, 128)]
+        assert len(calls) == 2 * 128 + 1150 - 1024 <= 450
+        assert got == lanes_off(*args)
+
+    def test_slow_contraction_doubles_the_warm_up(self, lane_log):
+        # the linear part alone settles in 64 segments; the delayed tanh slows that down
+        spec = DelaySystemSpec(-np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 0.3), zero_forcing)
+        step, n_steps = 0.25, 1200 * 4
+        assert delay._first_warmup(delay._segment_matrices(spec.matrix, step, 4)[0][:, -2:]) == 64
+        args = (spec, constant_history(np.array([0.5, -0.5]), 0.0, 1.0, step), n_steps * step,
+                step, wave_samples(2, 2, n_steps, step, 5))
+        got = outcome(*args)
+        assert lane_log == [(1152, 128)]
+        assert got == lanes_off(*args)
+
+    def test_a_round_keeps_the_lanes_before_its_first_rejection(self, lane_log):
+        # tanh saturates under the loud forcing before t = 100 and contracts fast; in
+        # the quiet forcing after it, its slope 2 against A = -4 I contracts slowly
+        spec = DelaySystemSpec(-4.0 * np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 2.0),
+                               zero_forcing)
+        step, n_steps = 0.25, 200 * 4
+        samples = wave_samples(2, 2, n_steps, step, 11)
+        samples[:, 0.5 * step * np.arange(2 * n_steps + 1) < 100.0] *= 50.0
+        args = (spec, constant_history(np.array([0.5, -0.5]), 0.0, 1.0, step), n_steps * step,
+                step, samples)
+        got = outcome(*args)
+        # W = 16 keeps lane 0 of 11, then W = 32 keeps 2 of 4 lanes: 32 + 3 * 32 segments
+        assert lane_log == [(128, 64)]
+        assert got == lanes_off(*args)
+
+    @pytest.mark.parametrize("t_blow, exact", [(150.0, 0), (295.0, 288)])
+    def test_overflow_raises_at_the_segment_loop_time(self, lane_log, t_blow, exact):
+        # the overflow falls inside the round's lanes, which give it up, or past them
+        spec = demo_spec(tau=1.0)
+        step, n_steps = 0.25, 300 * 4
+        samples = wave_samples(2, 2, n_steps, step, 7)
+        samples[1, 0.5 * step * np.arange(2 * n_steps + 1) >= t_blow] = 1.7e308
+        args = (spec, constant_history(np.zeros(2), 0.0, 1.0, step), n_steps * step, step,
+                samples)
+        got = outcome(*args)
+        assert lane_log == [(exact, 32)]
+        assert got.startswith("state left the finite range") and got == lanes_off(*args)
+
+    @pytest.mark.parametrize("runs, t_end", [(None, 200.0), (1, 200.0), (2, 20.0)])
+    def test_no_lanes_for_one_run_or_a_short_window(self, lane_log, runs, t_end):
+        calls = []
+        spec = counting_demo_spec(calls, wave_forcing(2))
+        step = 0.2 / 32
+        history = constant_history(np.zeros(2), -30.0, 0.2, step)
+        n_steps = round((t_end + 30.0) / step)
+        samples = None if runs is None else wave_samples(2, runs, n_steps, step, 3)
+        integrate_mos(spec, history, t_end, step, samples)
+        # two lanes of 128 segments after a warm-up of 128 need 384 segments
+        assert lane_log == ([] if runs != 2 else [(0, 128)])
+        assert len(calls) == n_steps // 32
+
+
 class TestBoundedSolution:
     def test_zero_system_zero_solution(self):
         spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2), zero_forcing)

@@ -6,6 +6,9 @@ temporary directory and each into its own output directory:
 
 - ``reproduce 6.1`` to ``6.4``;
 - the benchmark's discrete ``run`` config (window 4000-44000);
+- a construct-forced delay ``run`` config at delay 0.05 over [0, 60], whose
+  φ and ψ runs take ``integrate_mos``'s lockstep lanes at a longer warm-up
+  than 6.3's;
 - ``detect`` on that config's φ orbit CSV, on ``6.1_phi.csv``, on
   ``6.3_psi_solution.csv`` (whose separations take the grid scan's intervals)
   and on ``6.4_phi_orbit.csv``;
@@ -74,6 +77,10 @@ def invocations(seed: str, workdir: Path) -> list[tuple[str, list[str]]]:
     configs = {"discrete-bench": {"kind": "discrete", "source": {"seed": float(seed)},
                                   "system": {"forcing": {"type": "construct"}},
                                   "numeric": {"window": [4000, 44000]}},
+               # 1,800 delay segments of 32 steps, in lanes with a warm-up of 512 segments
+               "delay-fine": {"kind": "delay", "source": {"seed": float(seed)},
+                              "system": {"tau": 0.05, "forcing": {"type": "construct"}},
+                              "numeric": {"window": [0, 60]}},
                **SYSTEM_CONFIGS}
     runs = [(ex, ["reproduce", ex, "--seed", seed, "--out-dir", ex])
             for ex in ("6.1", "6.2", "6.3", "6.4")]
