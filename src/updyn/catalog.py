@@ -28,7 +28,7 @@ from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFuncti
 from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
                          function_tail, non_unpredictability_witness, WitnessReport)
 from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, constant_history,
-                    convergence_check, integrate_mos, proof_constants)
+                    convergence_check, integrate_mos, proof_constants, tail_start)
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
                         SEQUENCE_HORIZON, DecayReport, UnpredictabilityEvidence,
                         collect_evidence, decay_test, evidence_for_function, verify_evidence)
@@ -269,7 +269,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     before measurements begin, and one ``integrate_mos`` call advances them
     together.  ``step`` defaults to ``tau / 32``.  Before integrating, alpha is
     derived from the tail and ``epsilon``, which is refused when alpha falls
-    less than one delay after the window start.
+    less than one delay after the window start; the window is refused when it
+    ends before the tail check's start (``tail_start``).
     """
     step = delay_step(tau, step)
     w0, w1 = float(window[0]), float(window[1])
@@ -307,6 +308,10 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     if quiet < round(tau / step):  # the Picard check takes one delay of history before alpha
         raise ArgumentError("epsilon", f"puts alpha at {alpha!r}, less than one delay "
                                        f"{tau!r} after the window start {w0!r}")
+    start = tail_start(spec_phi, alpha, gamma, epsilon)
+    if not times[-1] >= start:  # the tail check needs a node at or past its start
+        raise ArgumentError(("window", "epsilon"), f"ends at {float(times[-1])!r}, before the "
+                                                   f"tail check starts at {start!r}")
 
     runs = integrate_mos(spec_psi, history, w1, step, forcing)
     del forcing  # freed before the checks run

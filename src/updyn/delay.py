@@ -22,9 +22,9 @@ powers.  ``picard_apply`` scans with them directly.  ``integrate_mos``
 further folds the RK4 offset maps into the Toeplitz matrix, so a segment
 is one cubic stencil, one nonlinearity call and one product from its
 half-grid inputs, and it advances several forcings of one system (a run
-axis) through each segment together.  With two or more runs it first fills
-whole segments by lockstep lanes from wrong starts, kept only where the
-contraction has drawn them onto the segment loop's bits (``_lane_segments``).
+axis) through each segment together.  It first fills whole segments by
+lockstep lanes (``lanes.py``) from wrong starts, kept only where the
+contraction has drawn them onto the segment loop's bits.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import lanes
 from .chaos import GridFunction, Series, row_norms, settling_positions
 from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
                      StabilityError)
@@ -109,7 +110,6 @@ class StabilityConstants:
     decay_rate: float
     mode: str
     grid_slack: float
-    spectral_abscissa: float
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def stability_constants(a) -> StabilityConstants:
                                            for t, norm in grid]))
     if slack < -1e-10:
         raise StabilityError(f"certified bound fails on the verification grid (slack {slack:.3e})")
-    return StabilityConstants(amplitude, rate, mode, slack, abscissa)
+    return StabilityConstants(amplitude, rate, mode, slack)
 
 
 def _exact_ratio(span: float, step: float, what: str) -> int:
@@ -423,70 +423,35 @@ def _step_segment(a: np.ndarray, y: np.ndarray, b: np.ndarray, h: float, t0: flo
     return rows
 
 
-# Lockstep lanes of ``integrate_mos`` over a run axis: each round splits the
-# whole delay segments still to compute into lanes of W segments, each lane
-# warmed up over the W segments before its own.  The first W is
-# ``_first_warmup``'s; a round that rejects a lane doubles it, and past
-# _WARMUP_CAP the segment loop does the rest, as it does any rest too short
-# for two lanes.  A lane as long as its warm-up keeps half the segments it
-# computes, whatever W the system needs.
-_WARMUP_CAP = 4096
-
-
-def _first_warmup(segment_matrix: np.ndarray) -> float:
-    """Delay segments that shrink a unit difference below 2^-64 under ``segment_matrix``
-    (the RK4 step matrix to the k-th power), rounded up to a power of two; inf when
-    its spectral radius is not below 1."""
-    if not np.isfinite(segment_matrix).all():
-        return math.inf
-    rho = float(np.abs(np.linalg.eigvals(segment_matrix)).max())
-    if not rho < 1.0:
-        return math.inf
-    n = 1 if rho == 0.0 else math.ceil(64.0 * math.log(2.0) / -math.log(rho))
-    return 1 << (n - 1).bit_length()
-
-
 def _lane_segments(xs: np.ndarray, runs: np.ndarray, f: Nonlinearity, powers: np.ndarray,
-                   g: np.ndarray, stencils: tuple[np.ndarray, np.ndarray],
-                   warm: float) -> tuple[int, float]:
-    """Fill whole delay segments of ``xs`` by rounds of lockstep lanes.
+                   g: np.ndarray, stencils: tuple[np.ndarray, np.ndarray]) -> int:
+    """Fill whole delay segments of ``xs`` by ``lanes.settle``; returns the last exact one.
 
     ``xs`` is ``integrate_mos``'s (runs, k + n_steps + 1, dim) node array with
     the history in place, segment ``s`` being nodes ``s k .. s k + k``, and
-    ``runs`` its half-grid forcing.  Returns (index of the last exact segment,
-    warm-up reached).  A round from the last exact segment ``S`` runs ``n``
-    lanes of ``w`` segments with warm-up ``w``: every lane starts from segment
-    ``S``, lane ``c`` computes segment ``S + c w + t + 1`` at step ``t`` with
-    that segment's forcing, and all lanes take ``2 w`` steps together.  A step
-    is one ``_midpoints``, one nonlinearity call and one ``powers`` and ``g``
-    product for all runs of all lanes: the segment loop's operations.  Lane 0
-    is exact.  Lane ``c`` is kept when its state after ``w`` steps (the k + 1
-    nodes of its segment) equals, bit for bit, the last state of lane
-    ``c - 1``, which is the same segment: from equal states both go on with
-    the same bits.  The first lane that fails this check ends the round's
-    exact segments, and a round that rejects a lane doubles ``w``.  Stops when
-    ``w`` passes _WARMUP_CAP or fewer than two lanes fit in the segments
-    left, and gives up the round at any non-finite value.
+    ``runs`` its half-grid forcing.  A lane's state is the k + 1 nodes of its
+    segment for every run.  A step is one ``_midpoints``, one nonlinearity
+    call and one ``powers`` and ``g`` product for all runs of all lanes: the
+    segment loop's operations.  A round is given up at any non-finite value.
 
     The products are stacked, (lanes, runs, ...) @ matrix, which numpy
-    computes as one BLAS gemm per lane over the runs' rows, the segment
-    loop's product.  One flat gemm over all lanes' rows would not do: it
-    rounds a row differently from a gemm over the runs alone for some shapes.
-    The forcing is read, and the segments are written, through strided views;
-    a segment that several lanes reach ends with the value of the lowest of
-    them, which writes it last.
+    computes as one BLAS call per lane over the runs' rows, the segment
+    loop's product: a gemm for two or more runs, a gemv for one.  One flat
+    gemm over all lanes' rows would not do: it rounds a row differently from
+    a gemm over the runs alone for some shapes.  The forcing is read, and the
+    segments are written, through strided views.
     """
     r, k, m = xs.shape[0], stencils[0].shape[1], xs.shape[2]
-    segments, known = (xs.shape[1] - 1) // k - 1, 0
     (f0, f1, f2), (x0, x1, x2) = runs.strides, xs.strides
-    while warm <= _WARMUP_CAP and (n := (segments - known) // warm - 1) >= 2:
-        forcing = as_strided(runs[:, 2 * k * known:], (2 * warm, n, r, 2 * k + 1, m),
-                             (2 * k * f1, 2 * k * warm * f1, f0, f1, f2), writeable=False)
-        written = as_strided(xs[:, k * known + k + 1:], (2 * warm, n, r, k, m),
-                             (k * x1, k * warm * x1, x0, x1, x2))
+
+    def run(known, w, n):
+        forcing = as_strided(runs[:, 2 * k * known:], (2 * w, n, r, 2 * k + 1, m),
+                             (2 * k * f1, 2 * k * w * f1, f0, f1, f2), writeable=False)
+        written = as_strided(xs[:, k * known + k + 1:], (2 * w, n, r, k, m),
+                             (k * x1, k * w * x1, x0, x1, x2))
         state = np.repeat(xs[None, :, k * known:k * known + k + 1], n, axis=0)
         nxt, half = np.empty_like(state), np.empty((n, r, 2 * k + 1, m))
-        for t in range(2 * warm):
+        for t in range(2 * w):
             half[..., 0::2, :] = state
             half[..., 1::2, :] = _midpoints(state, stencils)
             b = f(half)
@@ -494,18 +459,16 @@ def _lane_segments(xs: np.ndarray, runs: np.ndarray, f: Nonlinearity, powers: np
             rows = state[..., k, :] @ powers
             rows += b.reshape(n, r, -1) @ g
             if not np.isfinite(rows).all():
-                return known, warm
+                return None
             nxt[..., 0, :] = state[..., k, :]
             written[t] = nxt[..., 1:, :] = rows.reshape(n, r, k, m)
             state, nxt = nxt, state
-            if t == warm - 1:
+            if t == w - 1:
                 warmed = state.copy()
-        same = (state[:-1].view(np.uint64) == warmed[1:].view(np.uint64)).reshape(n - 1, -1)
-        kept = n if same.all() else int(same.all(axis=1).argmin()) + 1
-        known += (kept + 1) * warm
-        if kept < n:
-            warm *= 2
-    return known, warm
+        return warmed, state
+
+    known, _ = lanes.settle((xs.shape[1] - 1) // k - 1, lanes.first_warmup(powers[:, -m:]), run)
+    return known
 
 
 def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
@@ -538,11 +501,9 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     overflow is reported at the time a step-by-step sweep reports it, and
     block powers that overflow while the state stays finite do no harm.
 
-    With two or more runs, lockstep lanes (``_lane_segments``) first fill the
-    whole segments where they merge, each with the bits this segment loop
-    would give it, and the loop goes on from the last of them.  A single run
-    takes no lanes: the tests pin the lanes' bits to the loop's for the gemm
-    of two or more runs, not for the gemv of one.
+    Lockstep lanes (``_lane_segments``) first fill the whole segments where
+    they merge, each with the bits this segment loop would give it, and the
+    loop goes on from the last of them.
     """
     k = _exact_ratio(spec.delay, step, "delay")
     if k < 4:
@@ -570,11 +531,8 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     xs = np.empty((r, k + n_steps + 1, m))
     xs[:, :k + 1] = history.values
     stencils = _midpoint_stencils(k, k, m)
-    done = 0
-    if r > 1:
-        with np.errstate(all="ignore"):  # a lane that is later discarded may overflow
-            done, _ = _lane_segments(xs, runs, f, powers, g, stencils,
-                                     _first_warmup(powers[:, -m:]))
+    with np.errstate(all="ignore"):  # a lane that is later discarded may overflow
+        done = _lane_segments(xs, runs, f, powers, g, stencils)
     half = np.empty((r, 2 * k + 1, m))  # delayed nodes and midpoints, interleaved
     for lo in range(done * k, n_steps, k):
         n = min(k, n_steps - lo)
@@ -594,6 +552,12 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
 def burn_in_time(spec: DelaySystemSpec, tol: float) -> float:
     """Time units ``bounded_solution`` integrates before its window."""
     return (2.0 / spec.constants.decay_rate) * math.log(1.0 / tol)
+
+
+def tail_start(spec: DelaySystemSpec, alpha: float, gamma: float, epsilon: float) -> float:
+    """alpha + (2/lambda) ln(1/(gamma epsilon)): the time past which ``convergence_check``
+    holds the difference of two forced solutions below ``epsilon``."""
+    return alpha + burn_in_time(spec, gamma * epsilon)
 
 
 def bounded_solution(spec: DelaySystemSpec, window: Sequence[float], step: float,
@@ -685,10 +649,6 @@ class DelayConvergenceReport:
     tail_ok: bool
     crossings: tuple
     alpha: float
-    gamma: float
-    epsilon: float
-    checked_from: float
-    checked_to: float
 
 
 def convergence_check(phi_solution: Series, psi_solution: Series, spec: DelaySystemSpec,
@@ -714,8 +674,8 @@ def convergence_check(phi_solution: Series, psi_solution: Series, spec: DelaySys
     excess = diff[region] - env
     worst = int(np.argmax(excess))
 
-    tail_start = alpha + (2.0 / lam) * math.log(1.0 / (gamma * epsilon))
-    tail_mask = times >= tail_start
+    start = tail_start(spec, alpha, gamma, epsilon)
+    tail_mask = times >= start
     tail_sup = float(diff[tail_mask].max()) if tail_mask.any() else math.nan
     tail_ok = bool(tail_mask.any() and tail_sup < epsilon)
 
@@ -726,13 +686,9 @@ def convergence_check(phi_solution: Series, psi_solution: Series, spec: DelaySys
         envelope_ok=bool(excess.max() <= slack),
         max_excess=float(excess.max()),
         worst_time=float(times[region][worst]),
-        tail_start=tail_start,
+        tail_start=start,
         tail_sup=tail_sup,
         tail_ok=tail_ok,
         crossings=tuple(crossings),
         alpha=float(alpha),
-        gamma=float(gamma),
-        epsilon=float(epsilon),
-        checked_from=float(times[region][0]),
-        checked_to=float(times[-1]),
     )

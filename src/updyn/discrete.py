@@ -6,10 +6,9 @@ that norm from the SVD, approximates the unique bounded orbit by burn-in
 evaluates the explicit geometric envelope that dominates the difference of
 two forced orbits past the index where the forcing difference is small.
 
-Orbits are computed by verified lockstep lanes (multiple shooting): lanes
-that start a warm-up before their own rows all advance one step at a time,
-and a lane is kept only where its state merges bit for bit with the exact
-lane before it, which makes every row equal to the one-step-at-a-time orbit.
+Orbits are computed by verified lockstep lanes (``lanes.py``), kept only
+where they merge bit for bit with the exact orbit, which makes every row
+equal to the one-step-at-a-time orbit.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lanes
 from .chaos import Series, VectorSequence, row_norms, settling_positions
 from .errors import ArgumentError, AssumptionError, DomainError, WindowExhaustedError
 from .nonlinearity import Nonlinearity
@@ -85,17 +85,6 @@ def spectral_norm(b) -> float:
     return float(np.linalg.norm(b, 2))
 
 
-# Lockstep lanes of ``iterate``: each round splits the rows still to compute
-# into lanes of _LANE_ROWS rows, each lane warmed up over the _WARMUP_ROWS rows
-# before its own.  A round that rejects a lane doubles the warm-up, so a slowly
-# contracting system does not rerun every remaining lane at a warm-up too short
-# for it; past _WARMUP_CAP the rest of the orbit is stepped, as is any rest too
-# short for two lanes.
-_LANE_ROWS = 64
-_WARMUP_ROWS = 64
-_WARMUP_CAP = 1024
-
-
 def _matrix_lanes(b_rows: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[:, r] = B x[:, r]`` for every column ``r``, given ``b_rows = B.tolist()``.
 
@@ -109,48 +98,6 @@ def _matrix_lanes(b_rows: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         for k in range(1, len(bi)):
             out[i] += x[k] * bi[k]
     return out
-
-
-def _lane_rows(b_rows, g, phi, out) -> tuple[int, int]:
-    """Fill rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]`` by rounds of lanes.
-
-    Returns (index of the last exact row, warm-up length reached).  A round
-    from the last exact row ``out[k]`` runs ``n`` lanes of ``m`` rows with
-    warm-up ``w``: every lane starts from ``out[k]``, lane ``c`` stands at
-    index ``k + c m + t`` after ``t`` steps, and all lanes take ``w + m``
-    steps together in a (dim, n) state.  Lane 0 is exact.  Lane ``c`` is kept
-    when its state after ``w`` steps equals, bit for bit, the last state of
-    lane ``c - 1``, which is the same index: two lanes that hold the same
-    state apply the same float map, so they agree from there on.  The first
-    lane that fails this check ends the round's exact rows, and a round that
-    rejects a lane doubles ``w``.  Stops when ``w`` passes _WARMUP_CAP or when
-    fewer than two lanes fit in the rows left.
-
-    Each step's states go straight to ``out`` through the strided view
-    ``out[k + t + 1::m][:n]``, and ``phi`` is read the same way.  A row that
-    several lanes reach ends with the value of the lowest of them, which
-    writes it last; until then, lane ``c``'s state after ``w`` steps waits in
-    ``out`` for lane ``c - 1``'s last step to compare against it.
-    """
-    steps, dim = out.shape[0] - 1, out.shape[1]
-    m, warm, known = _LANE_ROWS, _WARMUP_ROWS, 0
-    while warm <= _WARMUP_CAP and (n := (steps - known - warm) // m) >= 2:
-        x, new = np.repeat(out[known, :, None], n, axis=1), np.empty((dim, n))
-        for t in range(warm + m):
-            _matrix_lanes(b_rows, x, new)
-            new += g(x.T).T
-            new += phi[known + t::m][:n].T
-            rows = out[known + t + 1::m][:n]
-            if t == warm + m - 1:
-                # rows[c] holds lane c + 1's state after its warm-up
-                same = (rows[:-1].view(np.uint64) == new[:, :-1].T.view(np.uint64)).all(axis=1)
-                kept = n if same.all() else int(same.argmin()) + 1
-            rows[:] = new.T
-            x, new = new, x
-        known += kept * m + warm
-        if kept < n:
-            warm *= 2
-    return known, warm
 
 
 def _step_rows(b, g, phi, out, known: int) -> None:
@@ -172,14 +119,32 @@ def _step_rows(b, g, phi, out, known: int) -> None:
         out[j + 1] = w = nxt
 
 
-def _orbit_rows(b, g, phi, out) -> tuple[int, int]:
+def _orbit_rows(b, g, phi, out) -> tuple[float, int]:
     """Fill ``out[1:]`` from ``out[0]``; returns (warm-up length reached, rows stepped).
 
-    A lane that is later discarded may overflow, so the lanes run with
-    floating-point warnings off.
+    ``lanes.settle`` fills the rows of ``out[j + 1] = B out[j] + g(out[j]) + phi[j]``
+    where its lanes merge, and ``_step_rows`` the rest.  The lanes advance
+    together in a (dim, n) state, whose every step goes straight to ``out``
+    through the strided view ``out[known + t + 1::w][:n]``, ``phi`` being read
+    the same way.  A lane that is later discarded may overflow, so the lanes
+    run with floating-point warnings off.
     """
+    b_rows, dim = b.tolist(), out.shape[1]
+
+    def run(known, w, n):
+        x, new = np.repeat(out[known, :, None], n, axis=1), np.empty((dim, n))
+        for t in range(2 * w):
+            _matrix_lanes(b_rows, x, new)
+            new += g(x.T).T
+            new += phi[known + t::w][:n].T
+            out[known + t + 1::w][:n] = new.T
+            x, new = new, x
+            if t == w - 1:
+                warmed = x.T.copy()
+        return warmed, x.T
+
     with np.errstate(all="ignore"):
-        known, warm = _lane_rows(b.tolist(), g, phi, out)
+        known, warm = lanes.settle(out.shape[0] - 1, lanes.first_warmup(b), run)
     _step_rows(b, g, phi, out, known)
     return warm, out.shape[0] - 1 - known
 
@@ -192,7 +157,7 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
     ``B w + g(w) + forcing`` applied to the row before it, with ``B w``
     summed column by column (see ``_matrix_lanes``).  The rows come from
     lockstep lanes that are kept only where they merge bit for bit with the
-    exact orbit (see ``_lane_rows``); a system that contracts too slowly for
+    exact orbit (see ``_orbit_rows``); a system that contracts too slowly for
     that, and a rest shorter than two lanes, is stepped one transition at a
     time.
     """
@@ -323,11 +288,8 @@ class DiscreteConvergenceReport:
 
     envelope_ok: bool
     max_excess: float
-    worst_index: int
     crossings: tuple
     alpha: int
-    checked_from: int
-    checked_to: int
 
 
 def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
@@ -348,7 +310,6 @@ def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
     d = diff[lo - phi_orbit.t_start: hi - phi_orbit.t_start + 1]
     e = envelope.values[lo - envelope.start_index: hi - envelope.start_index + 1]
     excess = d - e
-    worst = int(np.argmax(excess))
 
     crossings = [(float(rung), None if k is None else phi_orbit.t_start + k) for rung, k
                  in zip(DIFFERENCE_LADDER, settling_positions(diff, DIFFERENCE_LADDER))]
@@ -356,9 +317,6 @@ def convergence_check_discrete(phi_orbit: Series, psi_orbit: Series,
     return DiscreteConvergenceReport(
         envelope_ok=bool(excess.max() <= slack),
         max_excess=float(excess.max()),
-        worst_index=int(lo + worst),
         crossings=tuple(crossings),
         alpha=int(alpha),
-        checked_from=int(lo),
-        checked_to=int(hi),
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from updyn import catalog, delay
+from updyn import catalog, delay, lanes
 from updyn.chaos import GridFunction
 from updyn.delay import (DelaySystemSpec, _midpoint_stencils, _midpoints, bounded_solution,
                          constant_history, convergence_check, integrate_mos, picard_apply,
@@ -560,7 +560,7 @@ def outcome(*args):
 def lanes_off(*args):
     """The oracle: the same integration by the segment loop alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(delay, "_WARMUP_CAP", 0)
+        mp.setattr(lanes, "WARMUP_CAP", 0)
         return outcome(*args)
 
 
@@ -574,9 +574,9 @@ def counting_demo_spec(calls, forcing=zero_forcing):
 
 @pytest.fixture
 def lane_log(monkeypatch):
-    """(last exact segment, warm-up reached) of every ``_lane_segments`` call."""
-    log, real = [], delay._lane_segments
-    monkeypatch.setattr(delay, "_lane_segments", lambda *a: log.append(real(*a)) or log[-1])
+    """(last exact segment, warm-up reached) of every ``lanes.settle`` call."""
+    log, real = [], lanes.settle
+    monkeypatch.setattr(lanes, "settle", lambda *a: log.append(real(*a)) or log[-1])
     return log
 
 
@@ -584,14 +584,14 @@ class TestLockstepLanes:
     """integrate_mos's lanes over a run axis against its segment loop, bit for bit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(dim=st.sampled_from([2, 3]), k=st.integers(4, 40), runs=st.integers(2, 3),
+    @given(dim=st.sampled_from([2, 3]), k=st.integers(4, 40), runs=st.integers(1, 3),
            entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
            margin=st.floats(0.2, 8.0), warm=st.sampled_from([16, 8, 4, 2]),
-           lanes=st.integers(0, 6), offset=st.integers(-1, 1), extra=st.integers(0, 39),
+           n_lanes=st.integers(0, 6), offset=st.integers(-1, 1), extra=st.integers(0, 39),
            seed=st.integers(0, 2 ** 16))
-    def test_lanes_equal_the_segment_loop(self, dim, k, runs, entries, margin, warm, lanes,
+    def test_lanes_equal_the_segment_loop(self, dim, k, runs, entries, margin, warm, n_lanes,
                                           offset, extra, seed):
-        # lengths at and around a round of `lanes` lanes, whole segments or not
+        # lengths at and around a round of `n_lanes` lanes, whole segments or not
         a = stable_matrix(np.reshape(entries[:dim * dim], (dim, dim)), margin)
         tau = 1.0
         step = tau / k
@@ -599,23 +599,23 @@ class TestLockstepLanes:
         spec = DelaySystemSpec(a, tau, nl, zero_forcing)
         rng = np.random.default_rng(seed)
         history = GridFunction(-tau, step, rng.uniform(-1, 1, (k + 1, dim)))
-        n_steps = max(1, ((lanes + 1) * warm + offset) * k + extra % k)
+        n_steps = max(1, ((n_lanes + 1) * warm + offset) * k + extra % k)
         args = (spec, history, n_steps * step, step, wave_samples(dim, runs, n_steps, step, seed))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(delay, "_first_warmup", lambda _: warm)
+            mp.setattr(lanes, "first_warmup", lambda _: warm)
             got = outcome(*args)
         assert got == lanes_off(*args)
 
     def test_premise_a_stacked_product_rounds_each_lane_as_the_loop(self):
         # the lanes' (lanes, runs, ...) @ matrix must give each lane the bits of the
-        # segment loop's runs-row product, as one BLAS gemm per lane does
+        # segment loop's runs-row product, as one BLAS gemm (gemv for one run) per lane does
         rng = np.random.default_rng(22)
         systems = [(catalog.delay_demo_matrix(), 0.2, 32),
                    (stable_matrix(rng.uniform(-3, 3, (3, 3)), 0.5), 0.4, 17)]
         for a, tau, k in systems:
             powers, g = delay._segment_matrices(a, tau / k, k)
             m = len(a)
-            for runs in (2, 3):
+            for runs in (1, 2, 3):
                 for n in (1, 2, 7, 31):
                     b = rng.standard_normal((n, runs, (2 * k + 1) * m))
                     y = rng.standard_normal((n, runs, m))
@@ -641,7 +641,7 @@ class TestLockstepLanes:
         # the linear part alone settles in 64 segments; the delayed tanh slows that down
         spec = DelaySystemSpec(-np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 0.3), zero_forcing)
         step, n_steps = 0.25, 1200 * 4
-        assert delay._first_warmup(delay._segment_matrices(spec.matrix, step, 4)[0][:, -2:]) == 64
+        assert lanes.first_warmup(delay._segment_matrices(spec.matrix, step, 4)[0][:, -2:]) == 64
         args = (spec, constant_history(np.array([0.5, -0.5]), 0.0, 1.0, step), n_steps * step,
                 step, wave_samples(2, 2, n_steps, step, 5))
         got = outcome(*args)
@@ -676,18 +676,31 @@ class TestLockstepLanes:
         assert lane_log == [(exact, 32)]
         assert got.startswith("state left the finite range") and got == lanes_off(*args)
 
-    @pytest.mark.parametrize("runs, t_end", [(None, 200.0), (1, 200.0), (2, 20.0)])
-    def test_no_lanes_for_one_run_or_a_short_window(self, lane_log, runs, t_end):
+    @pytest.mark.parametrize("runs, t_end", [(None, 200.0), (1, 200.0), (2, 200.0), (2, 20.0)])
+    def test_one_run_takes_the_round_of_two_and_a_short_window_none(self, lane_log, runs,
+                                                                    t_end):
         calls = []
         spec = counting_demo_spec(calls, wave_forcing(2))
         step = 0.2 / 32
         history = constant_history(np.zeros(2), -30.0, 0.2, step)
         n_steps = round((t_end + 30.0) / step)
         samples = None if runs is None else wave_samples(2, runs, n_steps, step, 3)
-        integrate_mos(spec, history, t_end, step, samples)
-        # two lanes of 128 segments after a warm-up of 128 need 384 segments
-        assert lane_log == ([] if runs != 2 else [(0, 128)])
-        assert len(calls) == n_steps // 32
+        got = integrate_mos(spec, history, t_end, step, samples)
+        if t_end == 20.0:
+            # two lanes of 128 segments after a warm-up of 128 need 384 of the 250 segments
+            assert lane_log == [(0, 128)]
+            assert len(calls) == n_steps // 32
+            return
+        # 6.3's round: 7 lanes of 128 segments after a warm-up of 128 keep them all
+        assert lane_log == [(1024, 128)]
+        assert len(calls) == 2 * 128 + n_steps // 32 - 1024
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lanes, "WARMUP_CAP", 0)
+            loop = integrate_mos(spec, history, t_end, step, samples)
+        if runs is None:
+            got, loop = [got], [loop]
+        for lane, alone in zip(got, loop):
+            np.testing.assert_array_equal(lane.values.view(np.uint64), alone.values.view(np.uint64))
 
 
 class TestBoundedSolution:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from updyn import catalog, discrete
+from updyn import catalog, discrete, lanes
 from updyn.constructs import VectorSequence, build_sequence_triple
 from updyn.discrete import (DiscreteSystemSpec, bounded_orbit, burn_in_length,
                             convergence_check_discrete, gamma_ceiling, gronwall_envelope,
@@ -366,7 +366,7 @@ class TestConvergenceCheckDiscrete:
         assert report.envelope_ok
 
 
-# window lengths around the lane shape (m rows a lane, warm-up W), as labels
+# window lengths around the lane shape (lanes of m = W rows after a warm-up of W), as labels
 LANE_LENGTHS = {"m-1": lambda m, w: m - 1, "m+1": lambda m, w: m + 1,
                 "W+m-1": lambda m, w: w + m - 1, "W+m+1": lambda m, w: w + m + 1,
                 "3(W+m)+17": lambda m, w: 3 * (w + m) + 17}
@@ -395,12 +395,13 @@ class TestBlockSweeps:
                          reference_iterate(spec, w0, 20000, 100))
 
     @pytest.mark.parametrize("steps", [0, 1, K - 1, K, K + 1, 3 * K + 17, *LANE_LENGTHS])
-    @pytest.mark.parametrize("rows", [(discrete._LANE_ROWS, discrete._WARMUP_ROWS), (16, 16)])
+    # (first warm-up, warm-up cap): the demo matrix's own, and a start of 16 capped at 64
+    @pytest.mark.parametrize("rows", [(64, lanes.WARMUP_CAP), (16, 64)])
     def test_window_lengths(self, monkeypatch, steps, rows):
-        monkeypatch.setattr(discrete, "_LANE_ROWS", rows[0])
-        monkeypatch.setattr(discrete, "_WARMUP_ROWS", rows[1])
+        monkeypatch.setattr(lanes, "first_warmup", lambda _: rows[0])
+        monkeypatch.setattr(lanes, "WARMUP_CAP", rows[1])
         if steps in LANE_LENGTHS:
-            steps = LANE_LENGTHS[steps](*rows)
+            steps = LANE_LENGTHS[steps](rows[0], rows[0])
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
                                   catalog.discrete_demo_nonlinearity(),
                                   random_forcing(3 * K + 40, 2, steps, base=-15))
@@ -425,7 +426,7 @@ class TestBlockSweeps:
         assert np.abs(orbit.values - ref.values).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_non_settling_system_falls_back_to_steps(self, dim):
+    def test_non_settling_system_falls_back_to_steps(self, monkeypatch, dim):
         b = rotation(0.7, 0.99)
         if dim == 3:
             q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
@@ -435,11 +436,15 @@ class TestBlockSweeps:
         w0 = np.linspace(0.1, 0.3, dim)
         out = np.empty((3001, dim))
         out[0] = w0
+        # |B| = 0.99 would start at a warm-up of 8192, past the cap: start at 64
+        assert lanes.first_warmup(b) == 8192
+        monkeypatch.setattr(lanes, "first_warmup", lambda _: 64)
         warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
                                              spec.forcing.values, out)
-        # no lane merges at any warm-up; lane 0 of each round is exact
-        assert warm > discrete._WARMUP_CAP
-        assert 0 < stepped < 3000
+        # no lane merges at any warm-up; lane 0 of the rounds at 64 to 512 is exact:
+        # 128 + 256 + 512 + 1024 rows, and 3000 - 1920 rows leave no two lanes of 1024
+        assert warm == 1024
+        assert stepped == 3000 - 1920
         ref = reference_iterate(spec, w0, 3000, product=column_product)
         np.testing.assert_array_equal(out.view(np.uint64), ref.values.view(np.uint64))
         assert_same_bits(iterate(spec, w0, 3000), ref)
@@ -450,11 +455,11 @@ class TestBlockSweeps:
         warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
                                              spec.forcing.values, out)
         # one round at the first warm-up keeps every lane
-        assert warm == discrete._WARMUP_ROWS
-        assert stepped < discrete._LANE_ROWS
+        assert warm == lanes.first_warmup(spec.matrix) == 64
+        assert stepped < 64
 
     def test_slow_contraction_settles_after_the_warm_up_doubles(self):
-        # q = 0.8 + 0.1: lanes merge only once the warm-up has doubled
+        # q = 0.8 + 0.1: lanes merge only once the warm-up has doubled from |B|'s 256
         spec = DiscreteSystemSpec(0.8 * np.eye(2), catalog.tanh_nonlinearity(2, 0.1),
                                   random_forcing(5000, 2, 21))
         out = np.empty((5001, 2))
@@ -463,8 +468,8 @@ class TestBlockSweeps:
         discrete._step_rows(spec.matrix, spec.nonlinearity, spec.forcing.values, stepped, 0)
         warm, rest = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
                                           spec.forcing.values, out)
-        assert discrete._WARMUP_ROWS < warm <= discrete._WARMUP_CAP
-        assert rest < discrete._LANE_ROWS
+        assert lanes.first_warmup(spec.matrix) == 256 and warm == 512
+        assert rest < warm
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
 
     @pytest.mark.parametrize("start", [1.0, 1e300])
@@ -522,15 +527,17 @@ class TestSweepBits:
         b, g, phi, out, stepped = self._system(name, dim, guessed)
         warm, rest = discrete._orbit_rows(b, g, phi, out)
         # one round of 28 lanes settles 28 * 64 + 64 rows; the last 44 are stepped
-        assert warm == discrete._WARMUP_ROWS
+        assert warm == lanes.first_warmup(b) == 64
         assert rest == 1900 - 1856
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
 
     @pytest.mark.parametrize("guessed", [False, True], ids=["fill", "guess"])
-    def test_block_at_the_sweep_cap_hands_over_to_steps(self, guessed):
+    def test_block_at_the_sweep_cap_hands_over_to_steps(self, monkeypatch, guessed):
         b, g, phi, out, stepped = self._system("tanh", 2, guessed, rotation(0.7, 0.99), 3000)
+        monkeypatch.setattr(lanes, "first_warmup", lambda _: 64)
+        monkeypatch.setattr(lanes, "WARMUP_CAP", 256)
         warm, rest = discrete._orbit_rows(b, g, phi, out)
-        # lane 0 of the rounds at warm-ups 64 to 1024 is exact: 128 + 192 + ... + 1088 rows
-        assert warm == 2 * discrete._WARMUP_CAP
-        assert rest == 3000 - 2304
+        # lane 0 of the rounds at warm-ups 64 to 256 is exact: 128 + 256 + 512 rows
+        assert warm == 2 * lanes.WARMUP_CAP
+        assert rest == 3000 - 896
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))

@@ -189,6 +189,10 @@ BAD_INPUTS = [
      "config field 'numeric.epsilon'"),
     ("delay epsilon 1.7e308", {"kind": "delay", "numeric": {"epsilon": 1.7e308}},
      "config field 'numeric.epsilon'"),
+    # a window ending before the tail check's start exited 1 with tail_sup=nan
+    ("delay construct window [0, 20]", {"kind": "delay", "system": {
+        "forcing": {"type": "construct"}}, "numeric": {"window": [0, 20]}},
+     "config field 'numeric.window'"),
     # a smallest shift past the float range overflowed when counted in grid steps
     ("detect min-shift 1.7e308", (function_csv, "--min-shift", "1.7e308"), "--min-shift"),
     # a matrix that is not exponentially stable exited 1 with an internal error

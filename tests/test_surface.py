@@ -59,3 +59,20 @@ def test_every_public_name_has_a_caller():
              for alias in node.names}
     public = [name for name in updyn.__all__ if not inspect.ismodule(getattr(updyn, name))]
     assert [name for name in public if name not in used] == []
+
+
+def bit_comparisons(path: Path) -> int:
+    """Comparisons in ``path`` with a ``.view(np.uint64)`` on either side."""
+    def uint64_view(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "view"
+                and any(isinstance(arg, ast.Attribute) and arg.attr == "uint64"
+                        for arg in node.args))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(any(uint64_view(n) for n in ast.walk(node))
+               for node in ast.walk(tree) if isinstance(node, ast.Compare))
+
+
+def test_lane_states_are_compared_bit_for_bit_only_in_lanes():
+    # both integrators merge lanes through lanes.settle; no module keeps its own check
+    assert {p.name: n for p in SOURCES if (n := bit_comparisons(p))} == {"lanes.py": 1}

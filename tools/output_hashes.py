@@ -14,8 +14,12 @@ temporary directory and each into its own output directory:
   and on ``6.4_phi_orbit.csv``;
 - zero- and constant-forcing delay and discrete ``run`` configs, and one of
   each whose contraction margin fails;
-- a slowly contracting discrete ``run`` config, whose orbit takes more than
-  one round of ``discrete.iterate``'s lanes;
+- a constant-forcing delay ``run`` config over [0, 200], whose single run
+  fills most of its delay segments in one round of lanes;
+- a slowly contracting discrete ``run`` config, whose lanes start at a long
+  warm-up, and a fast one, whose lanes start at a short one;
+- a discrete ``run`` config whose first round of lanes is rejected, so that
+  its orbit takes a second round at twice the warm-up;
 - a discrete ``run`` config whose orbit stays near 1e-290, so that every value
   of its CSV goes through ``%`` rather than the writer's numpy kernel.
 
@@ -54,12 +58,29 @@ SYSTEM_CONFIGS = {
     "discrete-constant": {"kind": "discrete",
                           "system": {"forcing": {"type": "constant", "value": [0.3, -0.2]}},
                           "numeric": {"window": [100, 700]}},
-    # q = 0.95: lanes of the first warm-up are rejected before the orbit settles
+    # 1,092 delay segments of one run, 1,024 of them settled by 7 lanes of 128
+    "delay-constant-long": {"kind": "delay",
+                            "system": {"forcing": {"type": "constant", "value": [0.5, -0.25]}},
+                            "numeric": {"window": [0, 200]}},
+    # q = 0.95: |B| = 0.85 starts the lanes at a warm-up of 512 rows
     "discrete-slow": {"kind": "discrete",
                       "system": {"matrix": [[0.85, 0.0], [0.0, 0.85]],
                                  "nonlinearity": {"type": "tanh", "scale": 0.1},
                                  "forcing": {"type": "constant", "value": [0.3, -0.2]}},
                       "numeric": {"window": [100, 5100]}},
+    # |B| = 0.1 starts the lanes at a warm-up of 32 rows, which settles this orbit
+    "discrete-fast": {"kind": "discrete",
+                      "system": {"matrix": [[0.1, 0.0], [0.0, 0.1]],
+                                 "nonlinearity": {"type": "tanh", "scale": 0.2},
+                                 "forcing": {"type": "constant", "value": [0.3, -0.2]}},
+                      "numeric": {"window": [100, 5100]}},
+    # the steeper tanh rejects 169 of the 170 lanes of 32 rows; lanes of 64 then merge
+    "discrete-fast-rejects": {"kind": "discrete",
+                              "system": {"matrix": [[0.1, 0.0], [0.0, 0.1]],
+                                         "nonlinearity": {"type": "tanh", "scale": 0.85},
+                                         "forcing": {"type": "constant",
+                                                     "value": [0.3, -0.2]}},
+                              "numeric": {"window": [100, 5100]}},
     # no nonlinearity and a forcing near 1e-290: CSV values past the kernel's table
     "discrete-tiny": {"kind": "discrete",
                       "system": {"nonlinearity": {"type": "zero"},
