@@ -145,10 +145,10 @@ def _stability_check(spec, expected: float | None = None) -> CheckRecord:
     try:
         c = spec.constants
     except StabilityError as exc:  # only a given matrix can have none
-        raise ArgumentError("matrix", f"has no exponential stability bound: {exc}") from None
+        raise ArgumentError("matrix", f"has no proven exponential stability bound: {exc}") from None
     values = {"amplitude": c.amplitude, "decay_rate": c.decay_rate, "mode": c.mode}
     if expected is None:
-        # D7: nothing checks N and lambda of a given matrix until a certificate does
+        # a given matrix has N and lambda only once they are proven, in either mode
         return passes("stability_amplitude", True, values)
     return passes("stability_amplitude", c.mode == "exact" and abs(c.amplitude - expected) <= 1e-9,
                   values, {"amplitude_gap": 1e-9})

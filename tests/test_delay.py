@@ -96,12 +96,12 @@ def step_residuals(spec, trajectory, history):
     return np.linalg.norm(xs[k + 1:] - xs[node] - simpson, axis=1)
 
 
-def expm_slack(a, sc, step=0.05, end=20.0):
-    """Least slack of N exp(-lambda t) - |exp(At)|_2 at t = step, 2 step, ... up to ``end``,
-    with exp(At) from scipy's ``expm``."""
-    t = step * np.arange(1, round(end / step) + 1)
-    norms = np.array([np.linalg.norm(expm(a * ti), 2) for ti in t])
-    return float((sc.amplitude * np.exp(-sc.decay_rate * t) - norms).min())
+def expm_excess(a, sc, points=1000):
+    """Largest |exp(At)|_2 exp(lambda t) / N - 1 at ``points`` even times in (0, 50/lambda],
+    with exp(At) from scipy's ``expm``: at most 0 where |exp(At)| <= N exp(-lambda t)."""
+    t = (50.0 / sc.decay_rate) * np.arange(1, points + 1) / points
+    norms = np.linalg.norm(expm(np.asarray(a, dtype=float) * t[:, None, None]), 2, axis=(1, 2))
+    return float((norms * np.exp(sc.decay_rate * t)).max() / sc.amplitude - 1.0)
 
 
 def reference_picard(spec, psi_solution, theta, candidate, alpha):
@@ -156,8 +156,7 @@ class TestStabilityConstants:
         assert sc.mode == "exact"
         assert sc.decay_rate == pytest.approx(2.0, abs=1e-12)
         assert sc.amplitude == pytest.approx(EXACT_N, abs=1e-9)
-        assert sc.grid_slack >= -1e-10
-        assert expm_slack(catalog.delay_demo_matrix(), sc) >= -1e-10
+        assert expm_excess(catalog.delay_demo_matrix(), sc) <= 1e-9
 
     def test_unstable_matrix_rejected(self):
         with pytest.raises(StabilityError):
@@ -167,24 +166,53 @@ class TestStabilityConstants:
         with pytest.raises(StabilityError, match="not finite"):
             stability_constants(np.array([[-1e200, 1e200], [-1e200, -1e200]]))
 
-    def test_defective_matrix_falls_back_to_fit(self):
+    def test_defective_matrix_takes_the_lyapunov_certificate(self):
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])
         sc = stability_constants(a)
-        assert sc.mode == "fit"
-        assert sc.decay_rate == pytest.approx(0.9, abs=1e-9)
-        assert expm_slack(a, sc) >= -1e-10
+        assert sc.mode == "lyapunov"
+        assert sc.decay_rate == pytest.approx(0.9, abs=1e-12)
+        assert sc.amplitude == pytest.approx(10.0990195, rel=1e-7)
+        assert expm_excess(a, sc) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="D6: a fit-mode bound is grid evidence on [0, 20] "
-                                           "only; here it fails at t = 30")
-    def test_fit_mode_bound_holds_past_its_grid(self):
+    def test_d6_bound_holds_to_fifty_time_constants(self):
+        # D6: |exp(At)| exp(0.09 t) peaks at t = 100, far past any short verification grid
         a = np.array([[-0.1, 1.0], [0.0, -0.1]])
         sc = stability_constants(a)
-        assert expm_slack(a, sc, step=0.5, end=50.0 / sc.decay_rate) >= -1e-10
+        assert sc.mode == "lyapunov" and sc.amplitude == pytest.approx(100.01, rel=1e-6)
+        assert expm_excess(a, sc) <= 1e-9
+
+    @pytest.mark.parametrize("a, reason", [([[-1.0, 1e8], [0.0, -1.0]], "residual 28.8"),
+                                           ([[-1.0, 1e300], [0.0, -1.0]], "Singular matrix")])
+    def test_uncertifiable_matrix_rejected(self, a, reason):
+        with pytest.raises(StabilityError, match=reason):
+            stability_constants(np.array(a))
+
+    def test_certificate_refuses_a_rate_past_the_abscissa(self):
+        # A + 1.5 I has eigenvalue 0.5: P = diag(-1, 1/3) solves the equation with residual 0
+        with pytest.raises(StabilityError, match="not positive definite"):
+            delay._lyapunov_amplitude(np.diag([-1.0, -3.0]), 1.5)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), data=st.data())
+    def test_drawn_bounds_hold_against_scipy(self, dim, data):
+        # dense draws, and upper-triangular ones with a near-repeated diagonal: near-Jordan
+        entry = st.floats(-3.0, 3.0)
+        a = np.array(data.draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)))
+        a = a.reshape(dim, dim)
+        if data.draw(st.booleans()):
+            spread = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))
+            a = np.triu(a, 1) + np.diag(spread * np.arange(dim))
+        a = stable_matrix(a, data.draw(st.floats(0.05, 2.0)))
+        try:
+            sc = stability_constants(a)
+        except StabilityError:
+            return
+        assert expm_excess(a, sc, points=200) <= 1e-9
 
 
-# exp(A h) is checked on the odd matrices of the config fuzz and on: the fit-mode matrix
-# of D6, an off-diagonal near the float limit, a Jordan block, a nearly defective matrix
-# (scipy's own expm is 1.2e-10 off there at h = 1) and a lower-triangular one
+# exp(A h) is checked on the odd matrices of the config fuzz and on: the matrix of D6, an
+# off-diagonal near the float limit, a Jordan block, a nearly defective matrix (scipy's
+# own expm is 1.2e-10 off there at h = 1) and a lower-triangular one
 EXPM_MATRICES = [*ODD_MATRICES, [[-0.1, 1.0], [0.0, -0.1]], [[-1.0, 1e300], [0.0, -1.0]],
                  [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
                  [[-1.0, 1e8], [0.0, -1.0000001]],
@@ -226,19 +254,13 @@ class TestExpm:
 
     @pytest.mark.parametrize("a", [catalog.delay_demo_matrix().tolist()] + EXPM_MATRICES,
                              ids=["demo", *range(len(EXPM_MATRICES))])
-    def test_stability_constants_as_with_scipy(self, a, monkeypatch):
-        def constants():
-            try:
-                c = stability_constants(np.array(a))
-            except StabilityError:
-                return "refused", None
-            return c.mode, c.amplitude
-
-        ours = constants()
-        monkeypatch.setattr(delay, "_expm", expm)
-        ref = constants()
-        assert ours[0] == ref[0]
-        assert ours[1] == pytest.approx(ref[1], rel=1e-9)
+    def test_stability_constants_as_with_scipy(self, a):
+        # each matrix is refused, or its bound holds against scipy's expm
+        try:
+            sc = stability_constants(np.array(a))
+        except StabilityError:
+            return
+        assert expm_excess(a, sc) <= 1e-9
 
 
 class TestAssumptions:

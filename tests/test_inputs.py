@@ -206,6 +206,13 @@ BAD_INPUTS = [
     ("delay matrix 1e200", {"kind": "delay", "system": {
         "matrix": [[-1e200, 1e200], [-1e200, -1e200]], "forcing": {"type": "zero"}}},
      "config field 'system.matrix'"),
+    # matrices with no Lyapunov certificate: a residual of 28.8, and a singular solve
+    ("delay matrix 1e8", {"kind": "delay", "system": {
+        "matrix": [[-1, 1e8], [0, -1]], "forcing": {"type": "zero"}}},
+     "config field 'system.matrix'"),
+    ("delay matrix 1e300", {"kind": "delay", "system": {
+        "matrix": [[-1, 1e300], [0, -1]], "forcing": {"type": "zero"}}},
+     "config field 'system.matrix'"),
     # an RK4 step too coarse for a stiff system blew up and failed the sup check, or
     # exited 1 with an internal error
     ("delay stiff matrix", STIFF, "config field 'system.matrix'"),
@@ -277,7 +284,7 @@ def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
 
 
 def test_failing_check_names_its_value_and_tolerance(tmp_path, capsys):
-    # D6's matrix: the fit-mode bound makes the A3 margin negative
+    # D6's matrix: its certificate's N = 100 makes the A3 margin negative
     cfg = write_config(tmp_path / "cfg.json", {
         "kind": "delay", "system": {"forcing": {"type": "zero"},
                                     "matrix": [[-0.1, 1.0], [0.0, -0.1]]},

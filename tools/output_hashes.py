@@ -14,6 +14,8 @@ temporary directory and each into its own output directory:
   and on ``6.4_phi_orbit.csv``;
 - zero- and constant-forcing delay and discrete ``run`` configs, and one of
   each whose contraction margin fails;
+- a constant-forcing delay ``run`` config on a defective matrix, whose N and
+  lambda come from the Lyapunov certificate, with a positive A3 margin;
 - a constant-forcing delay ``run`` config over [0, 200], whose single run
   fills most of its delay segments in one round of lanes;
 - a slowly contracting discrete ``run`` config, whose lanes start at a long
@@ -54,6 +56,12 @@ SYSTEM_CONFIGS = {
                            "system": {"forcing": {"type": "zero"},
                                       "matrix": [[-0.1, 1.0], [0.0, -0.1]]},
                            "numeric": {"window": [0, 20]}},
+    # a Jordan block: N = 10.1 at lambda = 0.9 by the Lyapunov certificate, A3 margin 0.46
+    "delay-certificate": {"kind": "delay",
+                          "system": {"matrix": [[-1.0, 1.0], [0.0, -1.0]],
+                                     "nonlinearity": {"type": "tanh", "scale": 0.02},
+                                     "forcing": {"type": "constant", "value": [0.5, -0.25]}},
+                          "numeric": {"window": [0, 20]}},
     "discrete-zero": {"kind": "discrete", "system": {"forcing": {"type": "zero"}}},
     "discrete-constant": {"kind": "discrete",
                           "system": {"forcing": {"type": "constant", "value": [0.3, -0.2]}},
