@@ -2,13 +2,15 @@
 
 CSV rows carry 17 significant digits so binary64 values round-trip exactly.
 ``write_csvs`` writes every CSV on one axis in a single chunked pass.  For
-each chunk of rows one call of a numpy kernel, ``_Text17``, writes the
+each chunk of 2,048 rows one call of a numpy kernel, ``_Text17``, writes the
 ``%.17g`` text of the axis and of every chunk of values not equal bit for bit
 to an earlier file's; such a chunk (as a forced solution's is its tail-free
-twin's once the tail is below an ulp) reuses that file's text.  The kernel's
-text is Python's byte for byte: what it cannot round with certainty, it
-hands to ``%``.  JSON reports are written with sorted keys and no wall-clock
-content, which makes repeated runs byte-identical.
+twin's once the tail is below an ulp) reuses that file's text.  The kernel
+works in passes of 8,192 values, so a chunk of 6.3's three files takes one
+pass, or two while psi's text differs from phi's.  Its text is Python's byte
+for byte: what it cannot round with certainty, it hands to ``%``.  JSON
+reports are written with sorted keys and no wall-clock content, which makes
+repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -26,10 +29,11 @@ import numpy as np
 
 
 # Rows per chunk.  One kernel call formats a chunk, in passes of _BATCH values
-# that spread its fixed numpy cost; a chunk's text is about 30 kB a file.  A
-# pass holds the kernel's tables and work buffers, about 250 kB, besides a
-# chunk of text a file: from 512 rows on, that is within six chunks a file.
-CSV_CHUNK_ROWS = 512
+# that spread its fixed cost of about 50 numpy calls; a chunk of a two-column
+# function CSV is about 115 kB of text.  The kernel's tables and work buffers,
+# about 1 MB, come on top of a chunk of text a file: for three such files, as
+# 6.3 writes, within six chunks a file.
+CSV_CHUNK_ROWS = 2048
 AXIS_FORMATS = {"t": "%.17g", "i": "%d"}
 
 
@@ -152,8 +156,9 @@ _X0 = -_X_FAR - 2          # table row 0 holds X = _X0; the last holds X = _X_FA
 _TIE = 1e-7
 _SPLIT = 134217729.0       # 2**27 + 1: Dekker's split into two 26-bit halves
 _WIDTH = 24                # slot of one text: len('%.17g' % -1.2345678901234567e-100)
-_BATCH = 1024              # values per kernel pass; sizes its work buffers
-_GATHER = 256              # values per layout gather, whose index is 24 intp a value
+_BATCH = 8192              # values per kernel pass; sizes its work buffers, 104 B a value
+_GATHER = 1024             # values per layout gather; its index is 24 int32 a value,
+                           # which np.take copies to intp
 _FORMS = 23                # X = -4..16 in fixed form, then exponents of 2 and 3 digits
 # source bytes: digits 1-16 as four words of 4, then a word of digit 0, NUL, '.'
 # and '0', a word of NULs, and two words of exponent text with the sign after it
@@ -216,7 +221,7 @@ class _Tables(NamedTuple):
     digits: np.ndarray     # per group 0-9999: its 4 digits, one word
     last: np.ndarray       # per group: the place of its last non-zero digit, 1-4 (0 if none)
     lead: np.ndarray       # per digit 0-9: the word of digit, NUL, '.', '0'
-    layout: np.ndarray     # per form and kept digits: its text's 24 source bytes, int16
+    layout: np.ndarray     # per form and kept digits: its text's 24 source bytes, int32
 
 
 @functools.cache
@@ -244,8 +249,8 @@ def _text_tables() -> _Tables:
     last = np.full(10000, 4, np.uint8)
     for unit, place in ((10, 3), (100, 2), (1000, 1), (10000, 0)):
         last[g % unit == 0] = place
-    # source byte b of value i sits at (b // 4) * 4 * _BATCH + 4 * i + b % 4, which
-    # int16 holds while 32 * _BATCH <= 2**15
+    # source byte b of value i sits at (b // 4) * 4 * _BATCH + 4 * i + b % 4, below
+    # 32 * _BATCH: int32 holds it, where int16 held passes of at most 1,024 values
     place = np.arange(32) // 4 * 4 * _BATCH + np.arange(32) % 4
     layout = place[_layouts().reshape(-1, _WIDTH)]
     return _Tables(hi, np.array(lo), high, hi - high,
@@ -253,7 +258,7 @@ def _text_tables() -> _Tables:
                    _exponent_text(xs).view(np.uint32).reshape(-1, 2).T.copy(),
                    digits.view(np.uint32).ravel(), last,
                    np.frombuffer(b"0\0.0", np.uint32) + np.arange(10, dtype=np.uint32),
-                   layout.astype(np.int16))
+                   layout.astype(np.int32))
 
 
 class _Text17:
@@ -265,7 +270,7 @@ class _Text17:
         self.ints = np.empty((2, _BATCH), np.intp)
         self.groups = np.empty((4, _BATCH), np.intp)
         self.source = np.zeros((8, _BATCH), np.uint32)
-        self.index = np.empty((_GATHER, _WIDTH), np.int16)
+        self.index = np.empty((_GATHER, _WIDTH), np.int32)
 
     def format(self, x, out) -> None:
         """Write the text of each value of float64 ``x`` into a row of the uint8 array
@@ -362,7 +367,7 @@ class _Text17:
             key[zero] = 0                          # form 0, no digits: the text of a zero
         flat = self.source.view(np.uint8).ravel()
         index = self.index
-        base = np.arange(0, 4 * _GATHER, 4, dtype=np.int16)[:, None]
+        base = np.arange(0, 4 * _GATHER, 4, dtype=np.int32)[:, None]
         for lo in range(0, n, _GATHER):
             m = min(_GATHER, n - lo)
             np.take(tab.layout, key[lo:lo + m], axis=0, out=index[:m])
@@ -388,18 +393,23 @@ def read_series_csv(path):
     """Load a CSV written by the functions above.
 
     Returns ("function"|"sequence", axis, values) depending on the header.
-    Raises ValueError naming the file: when no value column follows the axis,
-    with the row of any non-finite value, and with the axis unless a time axis
-    has at least two rows and one step, and an index axis holds consecutive
-    integers, checked exactly past 2**53.
+    Raises ValueError naming the file: when it is not UTF-8 text, with the row
+    and column of a field that is not a number, with the row where the field
+    count changes, when no value column follows the axis, with the row of any
+    non-finite value, and with the axis unless a time axis has at least two
+    rows and one step, and an index axis holds consecutive integers, checked
+    exactly past 2**53.  Rows count the data rows from 1.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "replace").strip().split(",")
     if not header or header[0] not in ("t", "i"):
         raise ValueError(f"{path}: expected a header starting with 't' or 'i'")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # header-only files, rejected below
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header-only files, rejected below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {_unparsed(exc)}") from None
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1] < 2:
@@ -438,6 +448,24 @@ def read_series_csv(path):
         raise ValueError(f"{path}: index axis 'i' is not consecutive integers: "
                          f"row {k + 1} holds {axis[k].item()!r}")
     return "sequence", axis, data[:, 1:]
+
+
+def _unparsed(exc: ValueError) -> str:
+    """``np.loadtxt``'s refusal with its data rows counted from 1: it counts a field
+    it cannot convert from 0, and a row whose field count changed from 1."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text ({exc.reason})"
+    reason = str(exc)
+    match = re.match(r"could not convert string (.*) to float64 at row (\d+), column (\d+)",
+                     reason)
+    if match:
+        text, row, column = match.groups()
+        return f"row {int(row) + 1}, column {column} holds {text}, not a number"
+    match = re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+)", reason)
+    if match:
+        before, after, row = match.groups()
+        return f"the field count changes from {before} to {after} in row {row}"
+    return reason
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +80,10 @@ class TestConfigValidation:
 
 
 class TestCsvRoundTrip:
+    # the writer's chunk in test_shared_axis_matches_per_row_formatting: at its own,
+    # 2,048 rows, that test's 200 examples take three times as long
+    CHUNK = 512
+
     def test_function_csv(self, tmp_path):
         path = tmp_path / "f.csv"
         times = 0.1 * np.arange(20) - 0.7
@@ -144,9 +149,12 @@ class TestCsvRoundTrip:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     # k chunks and one row more or less: copied chunks on both sides of a chunk boundary
-    @given(data=st.data(), rows=st.sampled_from([1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1,
-                                                 2 * CSV_CHUNK_ROWS - 1, 2 * CSV_CHUNK_ROWS + 1]),
+    @given(data=st.data(), rows=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 2 * CHUNK - 1,
+                                                 2 * CHUNK + 1]),
            start=st.one_of(st.integers(-2 ** 62, 2 ** 62), st.integers(-300, 0)))
+    # the writer's own chunk is covered by test_bytes_across_chunk_boundary and by
+    # tests/test_csv_text.py::TestWidePasses
+    @mock.patch.object(report, "CSV_CHUNK_ROWS", CHUNK)
     def test_shared_axis_matches_per_row_formatting(self, data, rows, start):
         special = np.array(SPECIAL_BITS, dtype=np.uint64)
 
@@ -162,7 +170,7 @@ class TestCsvRoundTrip:
 
         times = floats(rows)
         idx = start + np.arange(rows)
-        chunks = range(0, rows, CSV_CHUNK_ROWS)
+        chunks = range(0, rows, self.CHUNK)
         widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
         columns = []
         for cols in widths:
@@ -172,14 +180,14 @@ class TestCsvRoundTrip:
             if earlier:
                 source = data.draw(st.sampled_from(earlier))
                 for lo in data.draw(st.lists(st.sampled_from(chunks), unique=True)):
-                    vals[lo:lo + CSV_CHUNK_ROWS] = source[lo:lo + CSV_CHUNK_ROWS]
+                    vals[lo:lo + self.CHUNK] = source[lo:lo + self.CHUNK]
             columns.append(vals)
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / f"out{k}.csv" for k in range(len(columns))]
             for name, axis, axis_fmt in (("t", times, "%.17g"), ("i", idx, "%d")):
                 # a chunk is reused when its bits are those of an earlier file's chunk
-                same = [any(np.array_equal(vals[lo:lo + CSV_CHUNK_ROWS].view(np.uint64),
-                                           prev[lo:lo + CSV_CHUNK_ROWS].view(np.uint64))
+                same = [any(np.array_equal(vals[lo:lo + self.CHUNK].view(np.uint64),
+                                           prev[lo:lo + self.CHUNK].view(np.uint64))
                             for prev in columns[:k])
                         for k, vals in enumerate(columns) for lo in chunks]
                 assert write_csvs(name, axis, list(zip(paths, columns))) == \
@@ -456,6 +464,22 @@ class TestDetect:
         assert run_cli("detect", str(path), "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert name in err and message in err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("word.csv", b"t,x1\n0,0.1\n0.5,abc\n1,0.2\n", "row 2, column 2 holds 'abc', not a number"),
+        ("ragged.csv", b"t,x1,x2\n0,0.1,0.2\n# a comment\n0.5,0.3\n1,0.2,0.1\n",
+         "the field count changes from 3 to 2 in row 2"),
+        ("trailing_comma.csv", b"i,x1\n0,0.1,\n1,0.2,\n", "row 1, column 3 holds '', not a number"),
+        ("latin1.csv", b"t,x1\n0,0.1\n0.5,\xb5\n", "not UTF-8 text"),
+    ])
+    def test_detect_names_a_csv_it_cannot_parse(self, tmp_path, capsys, name, text, message):
+        # np.loadtxt's refusals reached stderr without the file, a bad field's row from 0
+        path = tmp_path / name
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert run_cli("detect", str(path), "--out-dir", str(out)) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*_report.json"))
 
     def test_detect_scans_an_orbit_indexed_past_2_to_the_53(self, tmp_path):
         i0 = 2 ** 60

@@ -133,7 +133,7 @@ def python_tables() -> dict:
     return {"form": np.array([18 * (x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100))
                               for x in xs], np.intp),
             "exponent": np.frombuffer(exponents, np.uint32).reshape(-1, 2).T.copy(),
-            "layout": layout.astype(np.int16)}
+            "layout": layout.astype(np.int32)}
 
 
 def test_numpy_tables_equal_the_python_construction():
@@ -142,6 +142,59 @@ def test_numpy_tables_equal_the_python_construction():
         got = getattr(tables, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+class TestWidePasses:
+    def test_one_chunk_across_kernel_passes(self, tmp_path):
+        # a chunk's values, the axis first and then row by row, are formatted in passes of
+        # _BATCH: every kind of value sits on both sides of each boundary between passes
+        rows = CSV_CHUNK_ROWS
+        cols = report._BATCH // rows + 1
+        n = rows * (1 + cols)
+        assert n > report._BATCH
+        ties = exact_ties()
+        kinds = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                 1e-290, -1e300, 1e281, -1e-281, ties[0], ties[-1],
+                 np.nextafter(ties[0], np.inf), -np.nextafter(ties[1], 0.0), -0.1, -1e16]
+        batch = np.random.default_rng(25).standard_normal(n)
+        for edge in range(report._BATCH, n, report._BATCH):
+            batch[edge - len(kinds):edge] = kinds
+            batch[edge:edge + len(kinds)] = kinds[::-1]
+        times, vals = batch[:rows], batch[rows:].reshape(rows, cols)
+        write_csvs("t", times, [(tmp_path / "f.csv", vals)])
+        expected = "".join(",".join(reference([t, *row])) + "\n" for t, row in zip(times, vals))
+        assert (tmp_path / "f.csv").read_text().split("\n", 1)[1] == expected
+
+    def test_a_delay_demo_write_takes_the_fewest_passes(self, tmp_path, monkeypatch):
+        # 6.3's shape: phi and psi of two columns, then |phi - psi| of one; psi's chunks
+        # equal phi's from its tail on, and take phi's text
+        calls = []
+        batch = report._Text17._batch
+
+        def counted(self, x, out):
+            calls[-1] += 1
+            return batch(self, x, out)
+
+        def format_(self, x, out):
+            calls.append(0)
+            return format17(self, x, out)
+
+        format17 = report._Text17.format
+        monkeypatch.setattr(report._Text17, "_batch", counted)
+        monkeypatch.setattr(report._Text17, "format", format_)
+        rows = 32_001
+        phi = np.random.default_rng(6).standard_normal((rows, 2))
+        psi = phi.copy()
+        psi[:4 * CSV_CHUNK_ROWS + 5] += 1e-3
+        write_csvs("t", 0.00625 * np.arange(rows) - 30.0,
+                   [(tmp_path / "phi.csv", phi), (tmp_path / "psi.csv", psi),
+                    (tmp_path / "diff.csv", np.abs(phi - psi)[:, :1])])
+        chunks = range(0, rows, CSV_CHUNK_ROWS)
+        values = [min(CSV_CHUNK_ROWS, rows - lo) * (6 if lo < 4 * CSV_CHUNK_ROWS + 5 else 4)
+                  for lo in chunks]
+        assert calls == [-(-v // report._BATCH) for v in values]
+        # a chunk whose psi takes phi's text is one pass, and one that psi differs in two
+        assert calls[:5] == [2] * 5 and set(calls[5:]) == {1}
 
 
 class TestWriterAcrossKernelCalls:

@@ -532,7 +532,8 @@ def test_config_fuzz_reports_or_names_the_field(capsys, case):
             # the field, or an object holding it; an unreadable CSV is named by its path
             named = {".".join(p.split(".")[:n]) for p in paths for n in range(1, p.count(".") + 2)}
             assert any(f"config field '{name}'" in err for name in named) or (
-                "input_csv" in paths and "cannot read series" in err), (paths, err)
+                "input_csv" in paths and "cannot read series" in err
+                and str(config["input_csv"]) in err), (paths, err)
             assert not reports
         else:
             assert code in (0, 1), err
