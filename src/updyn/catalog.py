@@ -27,8 +27,9 @@ from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFuncti
                     convolve_exponential, logistic_orbit, row_norms, settling_positions)
 from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
                          function_tail, non_unpredictability_witness, WitnessReport)
-from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, constant_history,
-                    convergence_check, integrate_mos, proof_constants, tail_start)
+from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, _exact_ratio,
+                    constant_history, convergence_check, integrate_mos, proof_constants,
+                    tail_start)
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
                         SEQUENCE_HORIZON, DecayReport, UnpredictabilityEvidence,
                         collect_evidence, decay_test, evidence_for_function, verify_evidence)
@@ -52,10 +53,27 @@ FUNCTION_MIN_SHIFT = 1.0
 # half-grid nodes per evaluation of the delay demo's forcing
 HALF_GRID_CHUNK = 8192
 TAIL_NEVER_QUIET = "the tail never drops below gamma*epsilon inside the window"
+# the most rows (grid nodes, orbit iterates) one run may compute
+MAX_ROWS = 10 ** 7
+
+
+def check_rows(rows: float, names: tuple, detail: str = "") -> None:
+    """Refuse, before any work, a run of more than ``MAX_ROWS`` rows; ``names`` are the
+    arguments its size grows with, the most to blame first."""
+    if rows > MAX_ROWS:
+        raise ArgumentError(names, f"the run would compute over {MAX_ROWS:,} rows{detail}")
 
 
 def delay_step(tau: float, step: float | None) -> float:
     return tau / DELAY_STEPS_PER_TAU if step is None else step
+
+
+def steps_per_unit(span: float, step: float | None, what: str) -> float:
+    """Grid nodes per time unit; ``step`` must divide ``span`` (None: the delay default)."""
+    try:
+        return _exact_ratio(span, delay_step(span, step), what) / span
+    except DomainError as exc:
+        raise ArgumentError("step", str(exc)) from None
 
 
 def delay_demo_matrix() -> np.ndarray:
@@ -169,6 +187,9 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     The recurrence scan compares a span past the decaying bump, where the
     combined signal is indistinguishable from its recurrent part.
     """
+    # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
+    check_rows((t_hi - t_lo + 21) * steps_per_unit(1.0, step, "unit interval") + burn_in,
+               ("step", "burn_in", "t_lo", "t_hi"))
     filt = function_source(seed, burn_in, t_lo, t_hi)
     full = convolve_exponential(filt.orbit, decay=2.0, step=step)
     h = full.restrict(t_lo, t_hi)
@@ -201,6 +222,7 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
                       horizon: int = SEQUENCE_HORIZON, window: int = SCAN_WINDOW,
                       epsilon0: float = SCAN_EPSILON0) -> ConstructDemo:
     """Build the 6.2 sequence triple and run its checks."""
+    check_rows(horizon + window + burn_in, ("horizon", "burn_in", "window"))
     orbit = source_orbit(seed, burn_in, horizon + window + 2)
     triple = build_sequence_triple(orbit)
     witness = non_unpredictability_witness(triple, SEQUENCE_PSI_SUP)
@@ -272,8 +294,12 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     less than one delay after the window start; the window is refused when it
     ends before the tail check's start (``tail_start``).
     """
-    step = delay_step(tau, step)
     w0, w1 = float(window[0]), float(window[1])
+    # the integrator's nodes and the source orbit over the window, its burn-in and warm-ups
+    span = w1 - w0 + max(sim_burn_in, tau) + tau + 22
+    check_rows(span * (1 + steps_per_unit(tau, step, "delay")) + orbit_burn_in,
+               ("step", "tau", "window", "sim_burn_in", "orbit_burn_in"))
+    step = delay_step(tau, step)
     t_sim0 = w0 - max(sim_burn_in, tau)
     filt = function_source(seed, orbit_burn_in, t_sim0 - tau - 1.0, w1 + 1.0)
 
@@ -306,8 +332,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
         raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = float(times[quiet])
     if quiet < round(tau / step):  # the Picard check takes one delay of history before alpha
-        raise ArgumentError("epsilon", f"puts alpha at {alpha!r}, less than one delay "
-                                       f"{tau!r} after the window start {w0!r}")
+        raise ArgumentError(("epsilon", "window"), f"puts alpha at {alpha!r}, less than one "
+                                                   f"delay {tau!r} after the window start {w0!r}")
     start = tail_start(spec_phi, alpha, gamma, epsilon)
     if not times[-1] >= start:  # the tail check needs a node at or past its start
         raise ArgumentError(("window", "epsilon"), f"ends at {float(times[-1])!r}, before the "
@@ -349,6 +375,7 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
                       seed: float = DEFAULT_SEED, orbit_burn_in: int = DEFAULT_BURN_IN,
                       epsilon: float = 1e-5) -> DiscreteDemo:
     """Simulate the discrete demo under full and recurrent forcing and compare."""
+    check_rows(window[1] + orbit_burn_in, ("window", "orbit_burn_in"))
     i0, i1 = int(window[0]), int(window[1])
     if i0 < 1:
         raise ArgumentError("window", f"must start past index 0, got {window!r}")

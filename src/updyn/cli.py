@@ -9,13 +9,15 @@ produce byte-identical files.  Every check record comes from a builder in
 ``reproduce``, ``run`` and ``detect`` go through one table, ``DEMOS``, and one
 function, ``_execute``; the parser takes its flags from the table, and
 ``validate_config`` checks a config against it.  A flag or config field an
-entry does not take exits 2, named.  A given one reaches the runner (defaults
-live there) once its type, its range and the run's ``MAX_ROWS`` size are
-checked, before any work, and so is the output directory, which must not be a
-file; a rule a routine owns is checked when it starts, and its ``ArgumentError``
-exits 2 naming the flag or field that set the argument.  The delay and discrete
-runners under zero or constant forcing size their own runs, since only they
-know the burn-in.  Either way no output file is written.
+entry does not take exits 2, named.  A given one reaches the entry's ``run``
+(defaults live there) once its type and range are checked, and so is the output
+directory, which must not be a file.  ``run`` refuses a run past
+``catalog.MAX_ROWS`` rows before any work, and a routine refuses an argument
+against its own rules when it starts; either ``ArgumentError`` exits 2 naming
+the flag or field that set the argument.  ``run`` computes every check and
+writes nothing; only then does ``_execute`` create the output directory and
+write the entry's CSV files, in one pass, and its JSON report.  So a refused
+run leaves no output behind.
 
 Importing this module loads numpy and updyn only, and no command loads scipy:
 the function-demo tail, the filter's quadrature oracle and exp(A h) in the
@@ -25,7 +27,6 @@ delay system are numpy code.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import reprlib
@@ -39,7 +40,7 @@ import numpy as np
 from . import catalog
 from .chaos import (GridFunction, Series, VectorSequence, logistic_residuals, quadrature_oracle,
                     row_norms)
-from .delay import _exact_ratio, picard_apply
+from .delay import picard_apply
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
                         SEQUENCE_HORIZON, collect_evidence, evidence_for_function,
                         verify_evidence)
@@ -54,19 +55,32 @@ SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 REPORT_DIR = "updyn-report"
 SEQUENCE_CSV_ROWS = 2000  # rows of the 6.2 series in each CSV
-# the most rows (grid nodes, orbit iterates) one run may compute
-MAX_ROWS = 10 ** 7
+
+
+class Outcome(NamedTuple):
+    """What the ``run`` of a ``DEMOS`` entry computed, for ``_execute`` to write."""
+
+    checks: list
+    evidence: dict
+    counters: dict
+    # (write, axis, {name: values}): ``<prefix>_<name>.csv`` in one pass of ``write``,
+    # the report function through which perfbench times the CSV layer
+    csvs: tuple | None = None
+    echo: dict = {}     # what the run adds to the report's echo of its inputs
 
 
 # ---------------------------------------------------------------------------
-# renderers for the built-in demos
+# runs of the built-in demos
 
 
-def _write_csvs(write, axis, out_dir: Path, prefix: str, named: dict) -> None:
-    """Write each named array to ``<prefix>_<name>.csv`` on one axis, in one pass of
-    ``write``, the report function through which perfbench times the CSV layer."""
-    (path, values), *more = ((out_dir / f"{prefix}_{name}.csv", v) for name, v in named.items())
-    write(path, axis, values, more=more)
+def _evidence_check(evidence, verified: bool, counted: bool = False) -> CheckRecord:
+    """``evidence_verified``, with the scan's counts when ``counted``; not applicable, with
+    them, when the scan recorded no near return and no separation: nothing to verify (D18)."""
+    counts = {"rungs_found": sum(r.found for r in evidence.return_times),
+              "rungs": len(evidence.return_times), "separations": len(evidence.separation_times)}
+    if not (counts["rungs_found"] or counts["separations"]):
+        return not_applicable("evidence_verified", counts)
+    return passes("evidence_verified", verified, counts if counted else None)
 
 
 def _construct_checks(demo, tail_decay: CheckRecord) -> list:
@@ -81,7 +95,7 @@ def _construct_checks(demo, tail_decay: CheckRecord) -> list:
                {"location": w.location, "theta_norm": w.tail_norm, "threshold": w.threshold,
                 "margin": w.margin}),
         tail_decay,
-        passes("evidence_verified", demo.evidence_verified)]
+        _evidence_check(demo.evidence, demo.evidence_verified)]
 
 
 def _construct_evidence(demo) -> dict:
@@ -89,7 +103,8 @@ def _construct_evidence(demo) -> dict:
             "witness": jsonable(demo.witness)}
 
 
-def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
+def _function_demo(**inputs) -> Outcome:
+    demo = catalog.run_function_demo(**inputs)
     h = demo.triple.psi.values[:, 1]
     h_sup = float(np.abs(h).max())
     rng = np.random.default_rng(2027)
@@ -104,30 +119,29 @@ def _render_function_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
         *_construct_checks(demo, passes(
             "tail_decay", crossing is not None and 14.0 <= crossing <= 15.5,
             {"crossing_time": crossing, "rung": 1e-6}, {"expected_range": [14.0, 15.5]}))]
-
-    _write_csvs(write_function_csv, demo.triple.phi.times(), out_dir, prefix, {
-        "h": h, **{part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}})
     counters = {"grid_nodes": len(h), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    return [checks, _construct_evidence(demo), counters]
+    return Outcome(checks, _construct_evidence(demo), counters, (write_function_csv,
+                   demo.triple.phi.times(), {"h": h, **{part: getattr(demo.triple, part).values
+                                                        for part in ("phi", "psi", "theta")}}))
 
 
-def _render_sequence_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
+def _sequence_demo(**inputs) -> Outcome:
+    demo = catalog.run_sequence_demo(**inputs)
     crossing = demo.decay.crossing(0.02)
     residual = float(logistic_residuals(demo.orbit).max())
     tail_decay = passes("tail_decay", crossing == 10, {"crossing_index": crossing, "rung": 0.02},
                         {"expected": 10})
     checks = [*_construct_checks(demo, tail_decay),
               at_most("orbit_recurrence", {"max_residual": residual}, {"residual": 4e-16})]
-
-    phi = demo.triple.phi
-    hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
-    _write_csvs(write_sequence_csv, phi.restrict(phi.t_start, hi).times(), out_dir, prefix, {
-        part: getattr(demo.triple, part).restrict(phi.t_start, hi).values
-        for part in ("phi", "psi", "theta")})
     counters = {"orbit_length": len(demo.orbit),
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    return [checks, _construct_evidence(demo), counters]
+    phi = demo.triple.phi
+    hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
+    return Outcome(checks, _construct_evidence(demo), counters, (
+        write_sequence_csv, phi.restrict(phi.t_start, hi).times(),
+        {part: getattr(demo.triple, part).restrict(phi.t_start, hi).values
+         for part in ("phi", "psi", "theta")}))
 
 
 def _margin_check(letter: str, assumptions, expected: float | None = None) -> CheckRecord:
@@ -169,7 +183,8 @@ def _envelope_evidence(demo) -> dict:
             "crossings": jsonable(demo.report.crossings)}
 
 
-def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
+def _delay_demo(**inputs) -> Outcome:
+    demo = catalog.run_delay_demo(**inputs)
     eigs = np.linalg.eigvals(demo.spec_combined.matrix)
     expected = np.array([-2.0 + 1j * math.sqrt(6.0), -2.0 - 1j * math.sqrt(6.0)])
     gap = float(max(min(abs(e - expected[0]), abs(e - expected[1])) for e in eigs))
@@ -195,20 +210,22 @@ def _render_delay_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                {"tail_sup": report.tail_sup, "tail_start": report.tail_start},
                {"epsilon": demo.epsilon}),
         at_most("picard_fixed_point", {"max_gap": fp_gap}, {"gap": 1e-6})]
-
-    # once the tail is below an ulp, psi's rows equal phi's and reuse their text
-    _write_csvs(write_function_csv, times, out_dir, prefix, {
-        "phi_solution": phi.values, "psi_solution": psi.values, "difference": diff})
     evidence = {**_envelope_evidence(demo), "proof_constants": jsonable(demo.proof)}
     counters = {"grid_nodes": len(times),
                 "rk4_steps": int(round((times[-1] - times[0]) / phi.step))}
-    return [checks, evidence, counters]
+    # once the tail is below an ulp, psi's rows equal phi's and reuse their text
+    return Outcome(checks, evidence, counters, (write_function_csv, times, {
+        "phi_solution": phi.values, "psi_solution": psi.values, "difference": diff}))
 
 
-def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
+def _discrete_demo(**inputs) -> Outcome:
+    demo = catalog.run_discrete_demo(**inputs)
     report, norm_b = demo.report, demo.spec_combined.norm_b
     drop = next((c for c in report.crossings if c[0] == 1e-6), None)
-    sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
+    try:
+        sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
+    except DomainError as exc:  # a window shorter than the sum's truncation depth
+        raise ArgumentError("window", str(exc)) from None
     checks = [
         within("spectral_norm", {"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
                {"gap": 1e-9}, SQRT5_OVER_4),
@@ -221,16 +238,14 @@ def _render_discrete_demo(demo, out_dir: Path, prefix: str, echo: dict) -> list:
                 {"within": 60}, limit=demo.alpha + 60),
         _residual_check(demo.spec_combined, demo.phi_orbit),
         at_most("sum_representation", {"max_gap": sum_gap}, {"gap": 1e-9})]
-
     idx = demo.phi_orbit.times()
     phi, psi = demo.phi_orbit.values, demo.psi_orbit.values
-    _write_csvs(write_sequence_csv, idx, out_dir, prefix, {
-        "phi_orbit": phi, "psi_orbit": psi, "difference": row_norms(phi - psi)})
     evidence = {**_envelope_evidence(demo),
                 "envelope_persistent_level": demo.envelope.persistent_level,
                 "envelope_decay_base": demo.envelope.decay_base}
     counters = {"window": [int(idx[0]), int(idx[-1])], "orbit_steps": len(idx) - 1}
-    return [checks, evidence, counters]
+    return Outcome(checks, evidence, counters, (write_sequence_csv, idx, {
+        "phi_orbit": phi, "psi_orbit": psi, "difference": row_norms(phi - psi)}))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +290,7 @@ def _simulate(letter: str, build: Callable, verdict: Callable, then: str, solve,
     ``build(matrix, nonlinearity, forcing vector)`` makes the spec, on the demo
     system's matrix when none is given.  The checks are the margin's,
     ``verdict(spec)`` and the one ``solve(spec)`` returns with its counters and
-    series, or ``then`` as not applicable when the margin fails or ``solve`` is None.
+    CSV pass, or ``then`` as not applicable when the margin fails or ``solve`` is None.
     """
     demo = catalog.delay_demo_matrix if letter == "A" else catalog.discrete_demo_matrix
     matrix = demo() if matrix is None else np.asarray(matrix, dtype=float)
@@ -285,9 +300,9 @@ def _simulate(letter: str, build: Callable, verdict: Callable, then: str, solve,
     assumptions = check_assumptions(spec)
     checks = [_margin_check(letter, assumptions), second]
     if solve is None or not assumptions.contracts:
-        return [*checks, not_applicable(then)], {}, {"simulated": False}, None, {}
-    check, counters, series = solve(spec)
-    return [*checks, check], {}, {"simulated": True, **counters}, series, {}
+        return Outcome([*checks, not_applicable(then)], {}, {"simulated": False})
+    check, counters, csvs = solve(spec)
+    return Outcome([*checks, check], {}, {"simulated": True, **counters}, csvs)
 
 
 def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "arctan_arccot",
@@ -297,21 +312,20 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
     with ``step`` (default ``tau / 32``) after a burn-in counted toward ``MAX_ROWS``."""
     from .delay import DelaySystemSpec, bounded_solution, burn_in_time
 
-    per_unit = _steps_per_unit(tau, step, "delay")
+    per_unit = catalog.steps_per_unit(tau, step, "delay")
 
     def solve(spec):
         burn = burn_in_time(spec, tol)
-        if (burn + window[1] - window[0] + tau) * per_unit > MAX_ROWS:
-            raise ArgumentError(("window", "matrix", "tol", "step", "tau"), f"the run would "
-                                f"compute over {MAX_ROWS:,} rows, {burn * per_unit:.3g} of "
-                                "them burn-in")
+        catalog.check_rows((burn + window[1] - window[0] + tau) * per_unit,
+                           ("window", "matrix", "tol", "step", "tau"),
+                           f", {burn * per_unit:.3g} of them burn-in")
         traj = bounded_solution(spec, tuple(window), catalog.delay_step(tau, step), tol=tol)
         sup_forcing = row_norms(spec.forcing(np.linspace(window[0], window[1], 257))).max()
         c = spec.constants
         bound = c.amplitude * (spec.nonlinearity.bound + float(sup_forcing)) / c.decay_rate
         return (at_most("solution_sup_bound", {"sup": traj.sup_norm(), "bound": bound},
                         {"tol": tol}, limit=bound + tol), {"grid_nodes": len(traj)},
-                ("solution", write_function_csv, traj.times(), traj.values))
+                (write_function_csv, traj.times(), {"solution": traj.values}))
 
     return _simulate("A", lambda m, nl, v: DelaySystemSpec(m, tau, nl, _constant_forcing(v)),
                      _stability_check, "solution_sup_bound", None if window is None else solve,
@@ -327,14 +341,13 @@ def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str 
     def solve(spec):
         i0, i1 = int(window[0]), int(window[1])
         burn = burn_in_length(spec, tol)
-        if burn + i1 - i0 > MAX_ROWS:
-            raise ArgumentError(("window", "matrix", "value", "scale", "tol"), f"the run would "
-                                f"compute over {MAX_ROWS:,} rows, {burn:,} of them burn-in")
+        catalog.check_rows(burn + i1 - i0, ("window", "matrix", "value", "scale", "tol"),
+                           f", {burn:,} of them burn-in")
         spec = replace(spec, forcing=VectorSequence(
             i0 - burn, np.repeat(spec.forcing.values, burn + i1 - i0, 0)))
         orbit = bounded_orbit(spec, (i0, i1), tol=tol)
         return (_residual_check(spec, orbit), {"orbit_steps": len(orbit) - 1},
-                ("orbit", write_sequence_csv, orbit.times(), orbit.values))
+                (write_sequence_csv, orbit.times(), {"orbit": orbit.values}))
 
     return _simulate("B", lambda m, nl, v: DiscreteSystemSpec(m, nl, VectorSequence(0, v[None])),
                      lambda spec: at_most("spectral_norm", {"spectral_norm": spec.norm_b},
@@ -390,24 +403,9 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
         if given.isdisjoint(blamed):
             raise ConfigError(f"{csv_path}: {exc.args[1]}") from None
         raise ArgumentError(blamed, exc.args[1]) from None
-    counts = {"rungs_found": sum(r.found for r in evidence.return_times),
-              "rungs": len(evidence.return_times), "separations": len(evidence.separation_times)}
-    if counts["rungs_found"] or counts["separations"]:
-        checks = [passes("evidence_verified", verify_evidence(data, evidence), counts)]
-    else:  # the scan recorded no near return and no separation: nothing to verify (D18)
-        checks = [not_applicable("evidence_verified", counts)]
-    counters = {"series_length": int(values.shape[0])}
-    return checks, {"scan": jsonable(evidence)}, counters, None, echo
-
-
-def _render_run(result, out_dir: Path, prefix: str, echo: dict) -> list:
-    """Renderer of the runners in this module, which return their own checks."""
-    checks, evidence, counters, series, echo_more = result
-    if series is not None:
-        suffix, write, axis, values = series
-        write(out_dir / f"{prefix}_{suffix}.csv", axis, values)
-    echo.update(echo_more)
-    return [checks, evidence, counters]
+    return Outcome([_evidence_check(evidence, verify_evidence(data, evidence), counted=True)],
+                   {"scan": jsonable(evidence)}, {"series_length": int(values.shape[0])},
+                   echo=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -449,39 +447,16 @@ RULES = {
 }
 
 
-def _steps_per_unit(span: float, step: float | None, what: str) -> float:
-    """Grid nodes per time unit; ``step`` must divide ``span`` (None: the delay default)."""
-    try:
-        return _exact_ratio(span, catalog.delay_step(span, step), what) / span
-    except DomainError as exc:
-        raise ArgumentError("step", str(exc)) from None
-
-
-def _function_rows(a: dict) -> float:
-    per_unit = _steps_per_unit(1.0, a["step"], "unit interval")
-    # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
-    return (a["t_hi"] - a["t_lo"] + 21) * per_unit + a["burn_in"]
-
-
-def _delay_demo_rows(a: dict) -> float:
-    w0, w1 = a["window"]
-    span = w1 - w0 + max(a["sim_burn_in"], a["tau"]) + a["tau"] + 22
-    return span * (1 + _steps_per_unit(a["tau"], a["step"], "delay")) + a["orbit_burn_in"]
-
-
 @dataclass(frozen=True)
 class Demo:
-    """One entry of ``DEMOS``: what runs, how its result is written, what it accepts."""
+    """One entry of ``DEMOS``: its ``run``, which takes the inputs given (defaults live
+    there), refuses a run too large before any work and writes nothing; what it accepts."""
 
     title: str
-    runner: Callable    # () -> the runner; looked up per call, so a rebinding is seen
-    render: Callable    # (result, out_dir, prefix, echo) -> [checks, evidence, counters]
-    inputs: dict        # runner keyword -> Input
+    run: Callable       # (**inputs) -> Outcome
+    inputs: dict        # run keyword -> Input
     selects: dict       # config field -> the values that pick this entry (None: absent)
     label: str          # the report's "example" after a config run
-    # bound runner arguments -> rows the run computes; ArgumentError for a value it refuses
-    rows: Callable = lambda a: 0
-    sized: tuple = ()   # the runner keywords those rows grow with
 
 
 SEED = Input("--seed", "source.seed", "seed")
@@ -497,48 +472,38 @@ SYSTEM = {"forcing": Input(None, "system.forcing.type", "text"),
           "tol": Input(None, "numeric.tol", "positive")}
 
 DEMOS = {
-    "6.1": Demo("function demo on the filtered logistic source",
-                lambda: catalog.run_function_demo, _render_function_demo,
+    "6.1": Demo("function demo on the filtered logistic source", _function_demo,
                 {"seed": SEED, "burn_in": BURN_IN,
                  "horizon": Input("--horizon", "source.horizon", "positive"), "step": STEP},
                 {"kind": ("construct",), "numeric.variant": ("function",)},
-                "construct:function", _function_rows, ("step", "burn_in")),
-    "6.2": Demo("sequence demo on the logistic orbit",
-                lambda: catalog.run_sequence_demo, _render_sequence_demo,
+                "construct:function"),
+    "6.2": Demo("sequence demo on the logistic orbit", _sequence_demo,
                 {"seed": SEED, "burn_in": BURN_IN,
                  "horizon": Input("--horizon", "source.horizon", "size"),
                  "epsilon0": Input(None, "numeric.epsilon0", "positive")},
                 {"kind": ("construct",), "numeric.variant": ("sequence", None)},
-                "construct:sequence", lambda a: a["horizon"] + a["window"] + a["burn_in"],
-                ("horizon", "burn_in")),
-    "6.3": Demo("delay system forced by the 6.1 construction",
-                lambda: catalog.run_delay_demo, _render_delay_demo,
+                "construct:sequence"),
+    "6.3": Demo("delay system forced by the 6.1 construction", _delay_demo,
                 {"seed": SEED, "orbit_burn_in": BURN_IN, "step": STEP, "tau": TAU,
                  "window": Input(None, "numeric.window", "span"), "epsilon": EPSILON,
                  "sim_burn_in": Input(None, "numeric.burn_in_time", "positive")},
-                {"kind": ("delay",), "system.forcing.type": ("construct", None)}, "delay",
-                _delay_demo_rows, ("step", "tau", "window", "sim_burn_in", "orbit_burn_in")),
-    "6.4": Demo("discrete system forced by the 6.2 sequence",
-                lambda: catalog.run_discrete_demo, _render_discrete_demo,
+                {"kind": ("delay",), "system.forcing.type": ("construct", None)}, "delay"),
+    "6.4": Demo("discrete system forced by the 6.2 sequence", _discrete_demo,
                 {"seed": SEED, "orbit_burn_in": BURN_IN,
                  "tol": Input("--tol", "numeric.tol", "positive"),
                  "window": Input(None, "numeric.window", "indices"), "epsilon": EPSILON},
                 {"kind": ("discrete",), "system.forcing.type": ("construct", None)},
-                "discrete", lambda a: a["window"][1] + a["orbit_burn_in"],
-                ("window", "orbit_burn_in")),
-    "delay": Demo("delay system under zero or constant forcing",
-                  lambda: _simulate_delay, _render_run,
+                "discrete"),
+    "delay": Demo("delay system under zero or constant forcing", _simulate_delay,
                   {**SYSTEM, "tau": TAU, "window": Input(None, "numeric.window", "span"),
                    "step": Input(None, "numeric.step", "positive")},
                   {"kind": ("delay",), "system.forcing.type": ("zero", "constant")},
                   "delay"),
-    "discrete": Demo("discrete system under zero or constant forcing",
-                     lambda: _simulate_discrete, _render_run,
+    "discrete": Demo("discrete system under zero or constant forcing", _simulate_discrete,
                      {**SYSTEM, "window": Input(None, "numeric.window", "indices")},
                      {"kind": ("discrete",), "system.forcing.type": ("zero", "constant")},
                      "discrete"),
-    "detect": Demo("recurrence scan of a CSV series",
-                   lambda: _scan_series, _render_run,
+    "detect": Demo("recurrence scan of a CSV series", _scan_series,
                    {"csv_path": Input("csv", "input_csv", "text"),
                     "horizon": Input("--horizon", "source.horizon", "positive"),
                     "epsilon0": Input("--epsilon0", "numeric.epsilon0", "positive"),
@@ -569,7 +534,7 @@ def _checked(rule: str, value, name: str):
 
 
 def _execute(key: str, given: dict, echo: dict, out_dir: tuple, prefix: str, label: str) -> int:
-    """Run entry ``key`` of ``DEMOS`` on the ``given`` inputs; write its outputs and report.
+    """Run entry ``key`` of ``DEMOS`` on the ``given`` inputs; then write its outputs and report.
 
     ``given`` maps each flag (``--step``) or config field (``numeric.step``) that
     was set to its value; each must be an input of the entry or a field selecting it.
@@ -591,21 +556,19 @@ def _execute(key: str, given: dict, echo: dict, out_dir: tuple, prefix: str, lab
     out = Path(out_dir[1])
     if (file := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)):
         raise ConfigError(f"{_named(out_dir[0])}: {file} is a file, not a directory")
-    runner = demo.runner()
-    args = inspect.signature(runner).bind(**kwargs)
-    args.apply_defaults()
     try:
-        if demo.rows(args.arguments) > MAX_ROWS:
-            culprits = ", ".join(_named(names[kw]) for kw in demo.sized if kw in names)
-            raise ConfigError(f"{culprits}: the run would compute over {MAX_ROWS:,} rows")
-        result = runner(**kwargs)
+        outcome = demo.run(**kwargs)
     except ArgumentError as exc:
         named = [_named(names[kw]) for kw in exc.names if kw in names]
         raise ConfigError(": ".join(named[:1] + [exc.args[1]])) from None
     out.mkdir(parents=True, exist_ok=True)
-    checks, evidence, counters = demo.render(result, out, prefix, echo)
-    write_json_report(out / f"{prefix}_report.json", label, echo, checks, evidence, counters)
-    bad = failing_checks(checks)
+    if outcome.csvs:
+        write, axis, files = outcome.csvs
+        (path, values), *more = ((out / f"{prefix}_{name}.csv", v) for name, v in files.items())
+        write(path, axis, values, more=more)
+    write_json_report(out / f"{prefix}_report.json", label, {**echo, **outcome.echo},
+                      outcome.checks, outcome.evidence, outcome.counters)
+    bad = failing_checks(outcome.checks)
     if bad:
         print(f"{label}: failing checks: {', '.join(bad)}", file=sys.stderr)
         return 1

@@ -393,21 +393,28 @@ def read_series_csv(path):
     """Load a CSV written by the functions above.
 
     Returns ("function"|"sequence", axis, values) depending on the header.
-    Raises ValueError naming the file: when it is not UTF-8 text, with the row
-    and column of a field that is not a number, with the row where the field
-    count changes, when no value column follows the axis, with the row of any
+    Raises ValueError naming the file: with the row of a blank line, when it is
+    not UTF-8 text, with the row and column of a field that is not a number (a
+    line starting with '#' included), with the row where the field count
+    changes, when no value column follows the axis, with the row of any
     non-finite value, and with the axis unless a time axis has at least two
     rows and one step, and an index axis holds consecutive integers, checked
     exactly past 2**53.  Rows count the data rows from 1.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", "replace").strip().split(",")
+        text = fh.read()
+    header = re.match(rb"[^\n]*", text).group().decode("utf-8", "replace").strip().split(",")
     if not header or header[0] not in ("t", "i"):
         raise ValueError(f"{path}: expected a header starting with 't' or 'i'")
+    blank = re.search(rb"\n\r?\n", text)  # np.loadtxt would skip it without a word
+    if blank:
+        row = text.count(b"\n", 0, blank.end()) - 1
+        raise ValueError(f"{path}: row {row} is blank")
+    del text  # np.loadtxt reads a path faster than the same bytes from memory
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # header-only files, rejected below
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {_unparsed(exc)}") from None
     if data.shape[0] == 0:

@@ -310,6 +310,17 @@ class TestReproduce:
     def test_unknown_example_is_usage_error(self):
         assert run_cli("reproduce", "9.9") == 2
 
+    @pytest.mark.parametrize("example, horizon, rungs", [("6.1", "1.5", 3), ("6.2", "1", 4)])
+    def test_a_scan_that_records_nothing_verifies_nothing(self, tmp_path, example, horizon,
+                                                          rungs):
+        # D18: the record read "pass" with no values
+        assert run_cli("reproduce", example, "--horizon", horizon,
+                       "--out-dir", str(tmp_path)) == 0
+        report = json.loads((tmp_path / f"{example}_report.json").read_text())
+        assert next(c for c in report["checks"] if c["name"] == "evidence_verified") == {
+            "name": "evidence_verified", "status": "not-applicable", "tolerances": {},
+            "values": {"rungs_found": 0, "rungs": rungs, "separations": 0}}
+
 
 class TestRunConfigs:
     def test_delay_margin_recomputed_for_other_tau(self, tmp_path, capsys):
@@ -467,8 +478,17 @@ class TestDetect:
 
     @pytest.mark.parametrize("name, text, message", [
         ("word.csv", b"t,x1\n0,0.1\n0.5,abc\n1,0.2\n", "row 2, column 2 holds 'abc', not a number"),
-        ("ragged.csv", b"t,x1,x2\n0,0.1,0.2\n# a comment\n0.5,0.3\n1,0.2,0.1\n",
+        ("ragged.csv", b"t,x1,x2\n0,0.1,0.2\n0.5,0.3\n1,0.2,0.1\n",
          "the field count changes from 3 to 2 in row 2"),
+        # np.loadtxt skipped '#' lines and blank lines without a word
+        ("comment.csv", b"t,x1\n# c\n0,1\n0.5,4\n1.0,5\n",
+         "row 1, column 1 holds '# c', not a number"),
+        ("comment_later.csv", b"t,x1\n0,1\n# c\n0.5,4\n1.0,5\n",
+         "the field count changes from 2 to 1 in row 2"),
+        ("comment_and_blank.csv", b"t,x1\n# c\n0,1\n\n0.5,4\n1.0,5\n", "row 3 is blank"),
+        ("blank_first.csv", b"t,x1\n\n0,1\n0.5,4\n", "row 1 is blank"),
+        ("blank_last.csv", b"i,x1\n0,1\n1,4\n\n", "row 3 is blank"),
+        ("blank_crlf.csv", b"t,x1\r\n0,1\r\n\r\n0.5,4\r\n1.0,5\r\n", "row 2 is blank"),
         ("trailing_comma.csv", b"i,x1\n0,0.1,\n1,0.2,\n", "row 1, column 3 holds '', not a number"),
         ("latin1.csv", b"t,x1\n0,0.1\n0.5,\xb5\n", "not UTF-8 text"),
     ])

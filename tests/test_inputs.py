@@ -193,6 +193,13 @@ BAD_INPUTS = [
     ("delay construct window [0, 20]", {"kind": "delay", "system": {
         "forcing": {"type": "construct"}}, "numeric": {"window": [0, 20]}},
      "config field 'numeric.window'"),
+    # a window starting where alpha fell named only epsilon, which the config did not set
+    ("delay window alpha within a delay", {"kind": "delay", "numeric": {"window": [100, 120]}},
+     "config field 'numeric.window'"),
+    # a window shorter than the sum check's truncation depth exited 1, leaving an empty
+    # output directory
+    ("discrete window [4000, 4040]", {"kind": "discrete", "numeric": {"window": [4000, 4040]}},
+     "config field 'numeric.window'"),
     # a smallest shift past the float range overflowed when counted in grid steps
     ("detect min-shift 1.7e308", (function_csv, "--min-shift", "1.7e308"), "--min-shift"),
     # a matrix that is not exponentially stable exited 1 with an internal error
@@ -248,7 +255,8 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("case, inputs, named", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
 def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     out = tmp_path / "out"
-    if "output.dir" in named or "--out-dir" in named:
+    out_is_a_file = "output.dir" in named or "--out-dir" in named
+    if out_is_a_file:
         out.write_text("not a directory\n")
     if inputs == "nan-sample":
         path = nan_sample_csv(tmp_path / "wave.csv")
@@ -268,7 +276,8 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     assert code == 2
     assert named in streams.err
     assert not any(line.startswith("error: ") for line in streams.err.splitlines())
-    assert not out.exists() or out.read_text() == "not a directory\n" or not any(out.iterdir())
+    # a refused input leaves no output directory, and a file in its place as it was
+    assert out.read_text() == "not a directory\n" if out_is_a_file else not out.exists()
 
 
 def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
