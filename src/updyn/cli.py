@@ -121,9 +121,9 @@ def _function_demo(**inputs) -> Outcome:
             {"crossing_time": crossing, "rung": 1e-6}, {"expected_range": [14.0, 15.5]}))]
     counters = {"grid_nodes": len(h), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    return Outcome(checks, _construct_evidence(demo), counters, (write_function_csv,
-                   demo.triple.phi.times(), {"h": h, **{part: getattr(demo.triple, part).values
-                                                        for part in ("phi", "psi", "theta")}}))
+    parts = {part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}
+    return Outcome(checks, _construct_evidence(demo), counters,
+                   (write_function_csv, demo.triple.phi.times(), {"h": h, **parts}))
 
 
 def _sequence_demo(**inputs) -> Outcome:
@@ -249,7 +249,7 @@ def _discrete_demo(**inputs) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# runners outside the catalog: simulations under zero or constant forcing, CSV scans
+# runs outside the catalog: simulations under zero or constant forcing, CSV scans
 
 
 def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
@@ -413,7 +413,7 @@ def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = 
 
 
 class Input(NamedTuple):
-    """One runner argument: its CLI flag, its config field, the rule its value obeys."""
+    """One argument of an entry's ``run``: its CLI flag, its config field, its value's rule."""
 
     flag: str | None
     field: str | None
