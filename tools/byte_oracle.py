@@ -4,6 +4,9 @@
 output directory:
 
 - ``reproduce 6.1`` to ``6.4``;
+- ``reproduce 6.2`` at horizons 1, 120 and 121: at 120 no row of the window
+  brings θ's norm below the last decay rung, 1e-4; at 121 the last row, 142,
+  does;
 - the benchmark's discrete ``run`` config (window 4000-44000);
 - a construct-forced delay ``run`` config at delay 0.05 over [0, 60], whose
   φ and ψ runs take ``integrate_mos``'s lockstep lanes at a longer warm-up
@@ -112,6 +115,8 @@ def invocations(seed: str, workdir: Path) -> list[tuple[str, list[str]]]:
                **SYSTEM_CONFIGS}
     runs = [(ex, ["reproduce", ex, "--seed", seed, "--out-dir", ex])
             for ex in ("6.1", "6.2", "6.3", "6.4")]
+    runs += [(f"6.2-h{h}", ["reproduce", "6.2", "--seed", seed, "--horizon", h,
+                            "--out-dir", f"6.2-h{h}"]) for h in ("1", "120", "121")]
     for name, config in configs.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps({**config, "output": {"dir": name}}), encoding="utf-8")
