@@ -24,9 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction, Series,
-                    convolve_exponential, logistic_orbit, row_norms, settling_positions)
+                    VectorSequence, convolve_exponential, logistic_orbit, row_norms,
+                    settling_positions)
 from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
-                         function_tail, non_unpredictability_witness, WitnessReport)
+                         function_tail, non_unpredictability_witness, sequence_psi,
+                         sequence_tail, WitnessReport)
 from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, _exact_ratio,
                     constant_history, convergence_check, integrate_mos, proof_constants,
                     tail_start)
@@ -35,7 +37,7 @@ from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW
                         collect_evidence, decay_test, evidence_for_function, verify_evidence)
 from .discrete import (DiscreteConvergenceReport, DiscreteSystemSpec, GronwallEnvelope,
                        bounded_orbit, convergence_check_discrete, gamma_ceiling,
-                       gronwall_envelope)
+                       gronwall_envelope, sum_depth)
 from .errors import ArgumentError, DomainError
 from .nonlinearity import AssumptionReport, Nonlinearity, check_assumptions
 
@@ -48,6 +50,10 @@ DELAY_ENVELOPE_SLACK = 1e-6
 DISCRETE_ENVELOPE_SLACK = 1e-9
 FUNCTION_PSI_SUP = math.sqrt(5.0) / 2.0
 SEQUENCE_PSI_SUP = math.sqrt(17.0) / 4.0
+SEQUENCE_LADDER = (0.5, 0.02, 1e-3, 1e-4)  # the rungs of 6.2's tail decay
+SEQUENCE_CSV_ROWS = 2001  # rows of the 6.2 triple, each part written to its CSV
+SEQUENCE_TAIL_FLAT = 28   # 6.2's tail is (2/(1 + i^2), +0.0) from this index on
+DISCRETE_SUM_TOL = 1e-10  # of 6.4's sum check, whose truncation depth its window must exceed
 # smallest near-return shift of the function scans, past the trivial grid-step returns
 FUNCTION_MIN_SHIFT = 1.0
 # half-grid nodes per evaluation of the delay demo's forcing
@@ -168,7 +174,8 @@ def combined_forcing(filt: ExponentialFilter):
 class ConstructDemo:
     """Triple plus the standard checks run on it."""
 
-    triple: DecompositionTriple
+    triple: DecompositionTriple  # the written rows: all of 6.1's, 6.2's first SEQUENCE_CSV_ROWS
+    psi: Series                  # the recurrent part over the whole scanned window
     witness: WitnessReport
     psi_sup: float
     psi_sup_bound: float
@@ -206,38 +213,42 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
         # the span, delta and min_shift are fixed here, and ``step`` sets the grid
         raise ArgumentError("horizon" if "horizon" in exc.names else "step",
                             exc.args[1]) from None
-    return ConstructDemo(
-        triple=triple,
-        witness=witness,
-        psi_sup=triple.psi.sup_norm(),
-        psi_sup_bound=FUNCTION_PSI_SUP,
-        decay=decay,
-        evidence=evidence,
-        evidence_verified=verify_evidence(triple.phi, evidence),
-        filt=filt,
-    )
+    return ConstructDemo(triple, triple.psi, witness, triple.psi.sup_norm(), FUNCTION_PSI_SUP,
+                         decay, evidence, verify_evidence(triple.phi, evidence), filt=filt)
 
 
 def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
                       horizon: int = SEQUENCE_HORIZON, window: int = SCAN_WINDOW,
                       epsilon0: float = SCAN_EPSILON0) -> ConstructDemo:
-    """Build the 6.2 sequence triple and run its checks."""
+    """Build psi over the 6.2 orbit and the triple on its written rows; run the checks.
+
+    The tail's checks follow from its closed form and hold at every index, not only in
+    the window: its computed row norms never increase.  Rows 0 to ``SEQUENCE_TAIL_FLAT``
+    are checked here; past it the norm is sqrt(fl(x^2)) of x = 2/(1 + i^2), each step
+    correctly rounded and monotone.  So the witness's largest norm is row 0's, the decay
+    profile is the norm at each sampled row, and the crossings fall on the rows up to the
+    first sample below the last rung.  psi's sup is the norm of (kappa, kappa/4), which
+    increases with kappa >= 0, at the largest kappa.
+    """
     check_rows(horizon + window + burn_in, ("horizon", "burn_in", "window"))
+    flat = row_norms(sequence_tail(np.arange(SEQUENCE_TAIL_FLAT + 1.0)))
+    if np.any(flat[1:] > flat[:-1]):
+        raise DomainError(f"the 6.2 tail's norms increase below index {SEQUENCE_TAIL_FLAT}")
     orbit = source_orbit(seed, burn_in, horizon + window + 2)
-    triple = build_sequence_triple(orbit)
-    witness = non_unpredictability_witness(triple, SEQUENCE_PSI_SUP)
-    decay = decay_test(triple.theta, (0.5, 0.02, 1e-3, 1e-4))
-    evidence = collect_evidence(triple.psi, window=window, epsilon0=epsilon0, horizon=horizon)
-    return ConstructDemo(
-        triple=triple,
-        witness=witness,
-        psi_sup=triple.psi.sup_norm(),
-        psi_sup_bound=SEQUENCE_PSI_SUP,
-        decay=decay,
-        evidence=evidence,
-        evidence_verified=verify_evidence(triple.psi, evidence),
-        orbit=orbit,
-    )
+    rows, psi, kappa = len(orbit), sequence_psi(orbit), float(orbit.values.max())
+    psi_sup = float(row_norms(np.array([[kappa, 0.25 * kappa]]))[0])
+    stride = max(1, rows // 512)
+    profile = row_norms(sequence_tail(np.arange(0.0, rows, stride)))
+    (past,) = np.nonzero(profile < SEQUENCE_LADDER[-1])
+    head = sequence_tail(np.arange(stride * past[0] + 1.0 if past.size else rows))
+    decay = replace(decay_test(VectorSequence(0, head), SEQUENCE_LADDER),
+                    monotone_tail_sup=tuple(profile.tolist()))
+    triple = build_sequence_triple(replace(orbit, values=orbit.values[:SEQUENCE_CSV_ROWS]))
+    witness = replace(non_unpredictability_witness(triple, SEQUENCE_PSI_SUP),
+                      scan_end=float(orbit.t_end))
+    evidence = collect_evidence(psi, window=window, epsilon0=epsilon0, horizon=horizon)
+    return ConstructDemo(triple, psi, witness, psi_sup, SEQUENCE_PSI_SUP, decay, evidence,
+                         verify_evidence(psi, evidence), orbit=orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +369,6 @@ class DiscreteDemo:
     """Both forced orbits of the discrete demo plus every derived quantity."""
 
     spec_combined: DiscreteSystemSpec
-    triple: DecompositionTriple
     assumptions: AssumptionReport
     m_phi: float
     m_psi: float
@@ -374,7 +384,8 @@ class DiscreteDemo:
 def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
                       seed: float = DEFAULT_SEED, orbit_burn_in: int = DEFAULT_BURN_IN,
                       epsilon: float = 1e-5) -> DiscreteDemo:
-    """Simulate the discrete demo under full and recurrent forcing and compare."""
+    """Simulate the discrete demo under full and recurrent forcing and compare; refuse
+    a window within the sum check's truncation depth before either orbit is computed."""
     check_rows(window[1] + orbit_burn_in, ("window", "orbit_burn_in"))
     i0, i1 = int(window[0]), int(window[1])
     if i0 < 1:
@@ -396,12 +407,15 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     if quiet is None:
         raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = i0 + quiet
+    depth = sum_depth(spec_phi, m_phi, DISCRETE_SUM_TOL)
+    if i1 - i0 <= depth:
+        raise ArgumentError("window", f"spans {i1 - i0} steps; the sum check needs over {depth}")
 
     phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
     psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol)
     envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=DISCRETE_ENVELOPE_SLACK)
-    return DiscreteDemo(spec_phi, triple, assumptions,
+    return DiscreteDemo(spec_phi, assumptions,
                         m_phi, m_psi, gamma, epsilon, alpha,
                         phi_orbit, psi_orbit, envelope, report)

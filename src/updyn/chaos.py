@@ -23,8 +23,8 @@ DEFAULT_BURN_IN = 1000
 WARMUP_UNITS = 20
 ORACLE_NODES = 16  # Gauss-Legendre nodes on each unit piece of the quadrature oracle
 ORACLE_DEPTH = 40.0  # time units of the past the quadrature oracle integrates over
-# Rows per pass of the loops over whole series here and in ``constructs``, so that
-# their scratch arrays stay this short however long the series
+# Rows per pass of the loops over whole series here, so that their scratch arrays
+# stay this short however long the series
 ROW_CHUNK = 1 << 15
 
 
@@ -102,15 +102,14 @@ def logistic_orbit(seed: float, burn_in: int = DEFAULT_BURN_IN, length: int = 10
     return VectorSequence(0, np.fromiter(iterates(x), float, int(length)))
 
 
-def logistic_residuals(orbit: Series) -> np.ndarray:
-    """|x_{k+1} - r*x_k*(1 - x_k)| for every recorded pair of an orbit, r = ``LOGISTIC_R``."""
-    x = orbit.values[:, 0]
-    out = np.empty(x.size - 1)
-    for lo in range(0, out.size, ROW_CHUNK):
-        part = out[lo:lo + ROW_CHUNK]
-        now = x[lo:lo + part.size]
-        np.abs(x[lo + 1:lo + 1 + part.size] - LOGISTIC_R * now * (1.0 - now), out=part)
-    return out
+def logistic_residual(orbit: Series) -> float:
+    """Largest |x_{k+1} - r*x_k*(1 - x_k)| of an orbit's pairs (0.0: none), r = ``LOGISTIC_R``."""
+    now, after = orbit.values[:-1, 0], orbit.values[1:, 0]
+    worst = 0.0
+    for lo in range(0, now.size, ROW_CHUNK):
+        x = now[lo:lo + ROW_CHUNK]
+        worst = max(worst, float(np.abs(after[lo:lo + x.size] - LOGISTIC_R * x * (1.0 - x)).max()))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import catalog
-from .chaos import (GridFunction, Series, VectorSequence, logistic_residuals, quadrature_oracle,
+from .chaos import (GridFunction, Series, VectorSequence, logistic_residual, quadrature_oracle,
                     row_norms)
 from .delay import picard_apply
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
@@ -54,7 +54,6 @@ from .report import (CheckRecord, at_most, failing_checks, jsonable, not_applica
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
 EXACT_AMPLITUDE = (4.0 + math.sqrt(10.0)) / math.sqrt(6.0)
 REPORT_DIR = "updyn-report"
-SEQUENCE_CSV_ROWS = 2000  # rows of the 6.2 series in each CSV
 
 
 class Outcome(NamedTuple):
@@ -98,9 +97,12 @@ def _construct_checks(demo, tail_decay: CheckRecord) -> list:
         _evidence_check(demo.evidence, demo.evidence_verified)]
 
 
-def _construct_evidence(demo) -> dict:
-    return {"scan": jsonable(demo.evidence), "decay": jsonable(demo.decay),
-            "witness": jsonable(demo.witness)}
+def _construct_outcome(demo, checks: list, counters: dict, write, **more) -> Outcome:
+    """6.1's or 6.2's evidence, and CSVs of the ``more`` arrays and the triple's parts."""
+    parts = {part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}
+    return Outcome(checks, {"scan": jsonable(demo.evidence), "decay": jsonable(demo.decay),
+                            "witness": jsonable(demo.witness)},
+                   counters, (write, demo.triple.phi.times(), {**more, **parts}))
 
 
 def _function_demo(**inputs) -> Outcome:
@@ -121,27 +123,19 @@ def _function_demo(**inputs) -> Outcome:
             {"crossing_time": crossing, "rung": 1e-6}, {"expected_range": [14.0, 15.5]}))]
     counters = {"grid_nodes": len(h), "oracle_points": 10,
                 "scanned_shifts": demo.evidence.scanned_horizon}
-    parts = {part: getattr(demo.triple, part).values for part in ("phi", "psi", "theta")}
-    return Outcome(checks, _construct_evidence(demo), counters,
-                   (write_function_csv, demo.triple.phi.times(), {"h": h, **parts}))
+    return _construct_outcome(demo, checks, counters, write_function_csv, h=h)
 
 
 def _sequence_demo(**inputs) -> Outcome:
     demo = catalog.run_sequence_demo(**inputs)
     crossing = demo.decay.crossing(0.02)
-    residual = float(logistic_residuals(demo.orbit).max())
+    residual = logistic_residual(demo.orbit)
     tail_decay = passes("tail_decay", crossing == 10, {"crossing_index": crossing, "rung": 0.02},
                         {"expected": 10})
     checks = [*_construct_checks(demo, tail_decay),
               at_most("orbit_recurrence", {"max_residual": residual}, {"residual": 4e-16})]
-    counters = {"orbit_length": len(demo.orbit),
-                "scanned_shifts": demo.evidence.scanned_horizon}
-    phi = demo.triple.phi
-    hi = min(phi.t_end, phi.t_start + SEQUENCE_CSV_ROWS)
-    return Outcome(checks, _construct_evidence(demo), counters, (
-        write_sequence_csv, phi.restrict(phi.t_start, hi).times(),
-        {part: getattr(demo.triple, part).restrict(phi.t_start, hi).values
-         for part in ("phi", "psi", "theta")}))
+    counters = {"orbit_length": len(demo.orbit), "scanned_shifts": demo.evidence.scanned_horizon}
+    return _construct_outcome(demo, checks, counters, write_sequence_csv)
 
 
 def _margin_check(letter: str, assumptions, expected: float | None = None) -> CheckRecord:
@@ -222,10 +216,7 @@ def _discrete_demo(**inputs) -> Outcome:
     demo = catalog.run_discrete_demo(**inputs)
     report, norm_b = demo.report, demo.spec_combined.norm_b
     drop = next((c for c in report.crossings if c[0] == 1e-6), None)
-    try:
-        sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol=1e-10)
-    except DomainError as exc:  # a window shorter than the sum's truncation depth
-        raise ArgumentError("window", str(exc)) from None
+    sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, catalog.DISCRETE_SUM_TOL)
     checks = [
         within("spectral_norm", {"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
                {"gap": 1e-9}, SQRT5_OVER_4),

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .chaos import ROW_CHUNK, GridFunction, Series, VectorSequence
+from .chaos import GridFunction, Series, VectorSequence
 from .errors import DomainError, SingularMatrixError
 
 _EPS = float(np.finfo(float).eps)
@@ -41,11 +41,7 @@ class DecompositionTriple:
     def decomposition_residual(self) -> float:
         """Largest componentwise defect of phi - (psi + theta)."""
         p, s, t = self.phi.values, self.psi.values, self.theta.values
-        worst = 0.0
-        for lo in range(0, len(p), ROW_CHUNK):
-            rows = slice(lo, lo + ROW_CHUNK)
-            worst = max(worst, float(np.abs(p[rows] - (s[rows] + t[rows])).max()))
-        return worst
+        return float(np.abs(p - (s + t)).max())
 
 
 def _libm_exp(t: np.ndarray) -> np.ndarray:
@@ -103,24 +99,18 @@ def build_function_triple(h: Series) -> DecompositionTriple:
     return DecompositionTriple(grid(psi + theta), grid(psi), grid(theta))
 
 
+def sequence_psi(orbit: Series) -> Series:
+    """psi_i = (kappa_i, kappa_i/4) of a scalar orbit; one (n, 2) array keeps peak memory steady."""
+    psi = np.repeat(orbit.values[:, :1], 2, axis=1)
+    psi[:, 1] *= 0.25
+    return VectorSequence(orbit.t_start, psi)
+
+
 def build_sequence_triple(orbit: Series) -> DecompositionTriple:
     """Combine psi_i = (kappa_i, kappa_i/4) of a scalar orbit with the decaying tail."""
-    kappa, t0 = orbit.values[:, 0], orbit.t_start
-    # One allocation holds all three, filled a chunk of rows at a time.  At 10^6 rows
-    # the C allocator maps it on its own and unmaps it when freed.  Three blocks of a
-    # third the size go to the heap once blocks that size have been freed, and whether
-    # the next run's fit the holes they leave depends on what else was allocated in
-    # between, so the demo's peak memory would differ from run to run.
-    phi, psi, theta = np.empty((3, kappa.size, 2))
-    for lo in range(0, kappa.size, ROW_CHUNK):
-        k = kappa[lo:lo + ROW_CHUNK]
-        rows = slice(lo, lo + k.size)
-        psi[rows, 0] = k
-        np.multiply(0.25, k, out=psi[rows, 1])
-        theta[rows] = sequence_tail(np.arange(t0 + lo, t0 + lo + k.size, dtype=float))
-        np.add(psi[rows], theta[rows], out=phi[rows])
-    seq = lambda arr: VectorSequence(t0, arr)
-    return DecompositionTriple(seq(phi), seq(psi), seq(theta))
+    psi = sequence_psi(orbit)
+    theta = replace(psi, values=sequence_tail(orbit.times()))
+    return DecompositionTriple(replace(psi, values=psi.values + theta.values), psi, theta)
 
 
 def _as_matrix(matrix, dim: int) -> np.ndarray:

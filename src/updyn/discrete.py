@@ -200,6 +200,14 @@ def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 
     return orbit.restrict(i0, i1)
 
 
+def sum_depth(spec: DiscreteSystemSpec, m_phi: float, tol: float) -> int:
+    """Steps past which ``orbit_sum_residual`` cuts its sum, for |B| < 1 and a forcing of
+    sup norm ``m_phi``: the geometric tail bound beyond them is below ``tol``."""
+    norm_b = spec.norm_b
+    scale = (spec.nonlinearity.bound + m_phi) / (1.0 - norm_b)
+    return max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
+
+
 def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-10) -> float:
     """Cross-check an orbit against the truncated sum representation.
 
@@ -208,12 +216,9 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-
     returned value is the largest deviation over ``SUM_SAMPLES`` indices (truncation
     contributes at most ``tol`` of it).
     """
-    norm_b = spec.norm_b
-    if norm_b >= 1.0:
+    if spec.norm_b >= 1.0:
         raise AssumptionError("sum representation needs |B| < 1")
-    m_phi = spec.forcing.sup_norm()
-    scale = (spec.nonlinearity.bound + m_phi) / (1.0 - norm_b)
-    depth = max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
+    depth = sum_depth(spec, spec.forcing.sup_norm(), tol)
     lo = max(orbit.t_start, spec.forcing.t_start) + depth + 1
     if lo > orbit.t_end:
         raise DomainError("orbit window too short for the requested truncation depth")

@@ -68,8 +68,8 @@ def write_csvs(axis_name: str, axis, files) -> int:
         width = max(width, *(len("%d" % v) for v in (axis.min(), axis.max())))
     columns = [values.shape[1] for values in tables]
     chunk = min(rows, CSV_CHUNK_ROWS)
-    text17 = _Text17()
     batch = np.empty(chunk * (1 + sum(columns)))
+    text17 = _Text17(len(batch))
     slots = np.empty((len(batch), _WIDTH), np.uint8)
     line = np.empty(chunk * (width + 1 + (_WIDTH + 1) * max(columns, default=0)), np.uint8)
     formatted = 0
@@ -156,7 +156,7 @@ _X0 = -_X_FAR - 2          # table row 0 holds X = _X0; the last holds X = _X_FA
 _TIE = 1e-7
 _SPLIT = 134217729.0       # 2**27 + 1: Dekker's split into two 26-bit halves
 _WIDTH = 24                # slot of one text: len('%.17g' % -1.2345678901234567e-100)
-_BATCH = 8192              # values per kernel pass; sizes its work buffers, 104 B a value
+_BATCH = 8192              # most values per kernel pass; sizes its work buffers, 104 B a value
 _GATHER = 1024             # values per layout gather; its index is 24 int32 a value,
                            # which np.take copies to intp
 _FORMS = 23                # X = -4..16 in fixed form, then exponents of 2 and 3 digits
@@ -262,21 +262,22 @@ def _text_tables() -> _Tables:
 
 
 class _Text17:
-    """``'%.17g' % v`` of many doubles, _BATCH at a time, in work buffers it reuses."""
+    """``'%.17g' % v`` of many doubles, ``size`` (at most _BATCH) a pass, in buffers it reuses."""
 
-    def __init__(self):
+    def __init__(self, size: int = _BATCH):
         self.tables = _text_tables()
-        self.floats = np.empty((3, _BATCH))
-        self.ints = np.empty((2, _BATCH), np.intp)
-        self.groups = np.empty((4, _BATCH), np.intp)
-        self.source = np.zeros((8, _BATCH), np.uint32)
+        self.size = size = max(1, min(size, _BATCH))
+        self.floats = np.empty((3, size))
+        self.ints = np.empty((2, size), np.intp)
+        self.groups = np.empty((4, size), np.intp)
+        self.source = np.zeros((8, _BATCH), np.uint32)  # the layout's places use its stride
         self.index = np.empty((_GATHER, _WIDTH), np.int32)
 
     def format(self, x, out) -> None:
         """Write the text of each value of float64 ``x`` into a row of the uint8 array
         ``out``, ``len(x)`` by 24, right-aligned after NULs."""
-        for lo in range(0, len(x), _BATCH):
-            self._batch(x[lo:lo + _BATCH], out[lo:lo + _BATCH])
+        for lo in range(0, len(x), self.size):
+            self._batch(x[lo:lo + self.size], out[lo:lo + self.size])
 
     def _scale(self, a, row, ph, t, work) -> None:
         """ph + t = a * 10**(16 - X) for X at ``row``, ph = fl(a * hi): Dekker's

@@ -220,7 +220,7 @@ def test_criterion_08_exponential_stability_both_systems():
 def test_criterion_09_detector_consistency_and_sensitivity():
     start = time.perf_counter()
     demo = conftest.get_sequence_demo()
-    psi = demo.triple.psi
+    psi = demo.psi
     verified = verify_evidence(psi, demo.evidence)
     manual_ok = True
     for ret in demo.evidence.return_times:
@@ -243,7 +243,7 @@ def test_criterion_09_detector_consistency_and_sensitivity():
 def test_criterion_10_transform_lemmas_at_evidence_level():
     start = time.perf_counter()
     demo = conftest.get_sequence_demo()
-    psi = demo.triple.psi
+    psi = demo.psi
     events = demo.evidence.separation_times
     assert events, "no separation events recorded"
 

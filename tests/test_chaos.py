@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from updyn.catalog import source_orbit
 from updyn.chaos import (ROW_CHUNK, ExponentialFilter, VectorSequence, convolve_exponential,
-                         logistic_orbit, logistic_residuals, logistic_step, quadrature_oracle)
+                         logistic_orbit, logistic_residual, logistic_step, quadrature_oracle)
 from updyn.errors import DomainError
 
 EPS = np.finfo(float).eps
@@ -56,13 +56,19 @@ class TestLogisticOrbit:
 
     def test_recurrence_residual_zero(self):
         orbit = logistic_orbit(0.41, 1000, 2000)
-        assert logistic_residuals(orbit).max() <= 4 * EPS
+        assert logistic_residual(orbit) <= 4 * EPS
 
     def test_recurrence_residuals_across_chunks(self):
+        # the running max over chunks equals the whole array's, and sees a defect at
+        # either end of each chunk
         orbit = logistic_orbit(0.41, 1000, 2 * ROW_CHUNK + 2)
         x = orbit.values[:, 0]
-        np.testing.assert_array_equal(logistic_residuals(orbit),
-                                      np.abs(x[1:] - 3.91 * x[:-1] * (1.0 - x[:-1])))
+        reference = lambda: float(np.abs(x[1:] - 3.91 * x[:-1] * (1.0 - x[:-1])).max())
+        assert logistic_residual(orbit) == reference()
+        for k, row in enumerate((1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK, 2 * ROW_CHUNK + 1)):
+            x[row] += 1e-3 * (k + 1)
+            assert logistic_residual(orbit) == reference() > 1e-4, row
+        assert logistic_residual(logistic_orbit(0.41, 10, 1)) == 0.0
 
     @pytest.mark.parametrize("seed", [0.0, 1.0, -0.2, 1.3])
     def test_degenerate_seeds_rejected(self, seed):

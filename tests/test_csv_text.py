@@ -165,6 +165,24 @@ class TestWidePasses:
         expected = "".join(",".join(reference([t, *row])) + "\n" for t, row in zip(times, vals))
         assert (tmp_path / "f.csv").read_text().split("\n", 1)[1] == expected
 
+    def test_a_small_write_sizes_the_work_buffers_to_its_values(self, tmp_path, monkeypatch):
+        # a 6.4-sized write: buffers of one chunk's 2,406 values, not of a full pass, and
+        # a kernel smaller than its values takes them in passes of its own size
+        sizes = []
+        init = report._Text17.__init__
+        monkeypatch.setattr(report._Text17, "__init__",
+                            lambda self, size: sizes.append(size) or init(self, size))
+        rows = 401
+        write_csvs("i", np.arange(4000, 4000 + rows),
+                   [(tmp_path / f"{k}.csv", np.zeros((rows, m))) for k, m in enumerate((2, 2, 1))])
+        assert sizes == [rows * 6]
+        kernel = report._Text17(100)
+        assert kernel.floats.shape == (3, 100) and kernel.source.shape == (8, report._BATCH)
+        x = np.concatenate([edge_values(), exact_ties()])[:1050]
+        out = np.empty((len(x), 24), np.uint8)
+        kernel.format(x, out)
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in out] == reference(x)
+
     def test_a_delay_demo_write_takes_the_fewest_passes(self, tmp_path, monkeypatch):
         # 6.3's shape: phi and psi of two columns, then |phi - psi| of one; psi's chunks
         # equal phi's from its tail on, and take phi's text

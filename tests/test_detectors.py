@@ -71,7 +71,7 @@ class TestSeparations:
             assert event.separation >= 0.3
 
     def test_reevaluation_matches(self, sequence_demo):
-        psi = sequence_demo.triple.psi
+        psi = sequence_demo.psi
         for event in sequence_demo.evidence.separation_times:
             assert separation_at(psi, event.shift, event.offset) == event.separation
 
@@ -175,10 +175,10 @@ class TestSensitivity:
 class TestEvidenceConsistency:
     def test_sequence_demo_reverification(self, sequence_demo):
         assert sequence_demo.evidence_verified
-        assert verify_evidence(sequence_demo.triple.psi, sequence_demo.evidence)
+        assert verify_evidence(sequence_demo.psi, sequence_demo.evidence)
 
     def test_manual_recheck_of_returns(self, sequence_demo):
-        psi = sequence_demo.triple.psi
+        psi = sequence_demo.psi
         for ret in sequence_demo.evidence.return_times:
             if not ret.found:
                 continue
@@ -195,7 +195,7 @@ class TestEvidenceConsistency:
         bad_sep = dataclasses.replace(ev.separation_times[0],
                                       separation=ev.separation_times[0].separation + 1.0)
         bad = dataclasses.replace(ev, separation_times=(bad_sep,) + ev.separation_times[1:])
-        assert not verify_evidence(sequence_demo.triple.psi, bad)
+        assert not verify_evidence(sequence_demo.psi, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ class TestEarlyAbandonScans:
     @pytest.mark.parametrize("seed", [catalog.DEFAULT_SEED, 0.05])
     def test_demo_psi_matches_dense_scans(self, sequence_demo, seed):
         if seed == catalog.DEFAULT_SEED:
-            psi = sequence_demo.triple.psi
+            psi = sequence_demo.psi
         else:
             psi = build_sequence_triple(catalog.source_orbit(seed, length=10 ** 6 + 22)).psi
         returns, events = assert_sequence_scans_match(psi, 20, DEFAULT_LADDER, 10 ** 6, 0.3)

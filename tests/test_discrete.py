@@ -13,7 +13,7 @@ from updyn.constructs import VectorSequence, build_sequence_triple
 from updyn.discrete import (DiscreteSystemSpec, bounded_orbit, burn_in_length,
                             convergence_check_discrete, gamma_ceiling, gronwall_envelope,
                             iterate, orbit_sum_residual, spectral_norm)
-from updyn.errors import AssumptionError, DomainError, WindowExhaustedError
+from updyn.errors import ArgumentError, AssumptionError, DomainError, WindowExhaustedError
 from updyn.nonlinearity import Nonlinearity, check_assumptions
 
 SQRT5_OVER_4 = math.sqrt(5.0) / 4.0
@@ -287,6 +287,26 @@ class TestBoundedOrbit:
         orbit = VectorSequence(0, np.zeros((200, 2)))
         with pytest.raises(WindowExhaustedError):
             orbit_sum_residual(spec, orbit)
+
+
+    def test_demo_refuses_a_window_within_the_sum_depth_before_any_orbit(self, monkeypatch):
+        # the runner and the sum check share one depth, 44 steps on the demo system
+        calls, real = [], catalog.bounded_orbit
+
+        def counted(spec, window, tol):
+            calls.append(window)
+            return real(spec, window, tol)
+        monkeypatch.setattr(catalog, "bounded_orbit", counted)
+        for end in (4040, 4044):
+            with pytest.raises(ArgumentError, match=f"{end - 4000} steps; .* over 44$") as exc:
+                catalog.run_discrete_demo(window=(4000, end))
+            assert exc.value.names == ("window",) and calls == []
+        demo = catalog.run_discrete_demo(window=(4000, 4045))
+        assert calls == [(4000, 4045)] * 2
+        tol = catalog.DISCRETE_SUM_TOL
+        assert orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol) <= 1e-9
+        with pytest.raises(DomainError, match="truncation depth"):
+            orbit_sum_residual(demo.spec_combined, demo.phi_orbit.restrict(4000, 4044), tol)
 
 
 class TestGronwallEnvelope:

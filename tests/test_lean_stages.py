@@ -1,4 +1,4 @@
-"""The in-place 6.2 stages give the bits of the expressions they replace, in bounded memory.
+"""The lean 6.2 stages give the bits of the expressions they replace, in bounded memory.
 
 Each reference below is the plain numpy expression the stage used to evaluate
 with full-size temporaries; the stage must reproduce its uint64 bit patterns.
@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from updyn import catalog
-from updyn.chaos import GridFunction, logistic_orbit
+from updyn.chaos import GridFunction, logistic_orbit, row_norms
 from updyn.constructs import (DecompositionTriple, VectorSequence, build_sequence_triple,
                               non_unpredictability_witness, sequence_tail)
 from updyn.detectors import decay_test
+from updyn.errors import DomainError
 
 
 def bits(a) -> np.ndarray:
@@ -115,8 +116,10 @@ def test_decay_test_matches_the_copying_suffix_max(n):
 
 
 def test_sequence_demo_peak_memory_stays_near_what_it_keeps():
-    # tracemalloc counts numpy's buffers as they are allocated, so the peak is the
-    # same on every run; the copying stages reached 1.71x of the kept bytes
+    # tracemalloc counts numpy's buffers as they are allocated, so the peak is the same on
+    # every run.  6.2 keeps the orbit (8 B an orbit row) and psi (16 B); the near-return
+    # scan adds about 17 B for a while.  Building phi, psi and theta over every row kept
+    # 56 B a row and peaked at 72 B.
     catalog.run_sequence_demo(horizon=2000)
     tracemalloc.start()
     try:
@@ -124,6 +127,56 @@ def test_sequence_demo_peak_memory_stays_near_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = demo.orbit.values.nbytes + sum(getattr(demo.triple, part).values.nbytes
-                                          for part in ("phi", "psi", "theta"))
-    assert peak <= 1.5 * kept, f"peak {peak / kept:.2f}x the orbit and triple bytes"
+    rows = len(demo.orbit)
+    assert peak <= 44 * rows, f"peak {peak / rows:.1f} B an orbit row, over 44"
+
+
+def tail_never_rises(theta: np.ndarray) -> bool:
+    """The facts 6.2's tail checks rest on: computed row norms that never increase, and a
+    second component of +0.0 from row ``SEQUENCE_TAIL_FLAT`` on."""
+    norms = row_norms(theta)
+    flat = bits(theta[catalog.SEQUENCE_TAIL_FLAT:, 1])
+    return bool(np.all(norms[1:] <= norms[:-1]) and not flat.any())
+
+
+def test_sequence_tail_never_rises_over_the_demo_window():
+    theta = sequence_tail(np.arange(10 ** 6 + 22, dtype=float))
+    assert tail_never_rises(theta)
+    assert theta[catalog.SEQUENCE_TAIL_FLAT - 1, 1] > 0.0     # 1.0e-316: the flat part starts
+    for row, component in ((500, 0), (500, 1), (catalog.SEQUENCE_TAIL_FLAT, 1)):
+        bumped = theta.copy()
+        bumped[row, component] = 2.0 * theta[row, 0] if component == 0 else 5e-324
+        assert not tail_never_rises(bumped), (row, component)
+
+
+def test_sequence_demo_refuses_a_tail_that_rises_before_it_flattens(monkeypatch):
+    def bumped(indices):
+        out = sequence_tail(indices)
+        out[np.asarray(indices) == 20] *= 3.0
+        return out
+    monkeypatch.setattr(catalog, "sequence_tail", bumped)
+    with pytest.raises(DomainError, match="increase below index 28"):
+        catalog.run_sequence_demo(horizon=100)
+
+
+@pytest.mark.parametrize("horizon", [1, 6, 7, 120, 121, 1001, 1002, 2000, 60_000])
+def test_sequence_demo_tail_checks_match_the_full_tail(horizon):
+    # the decay report and the witness from the closed form equal those of the whole
+    # theta over the window, whose rows run from 23 (no sampled row below the last rung)
+    # past 1,024 (a profile stride above one) to 60,022
+    demo = catalog.run_sequence_demo(horizon=horizon)
+    full = build_sequence_triple(demo.orbit)
+    assert demo.decay == decay_test(full.theta, catalog.SEQUENCE_LADDER)
+    assert demo.witness == non_unpredictability_witness(full, catalog.SEQUENCE_PSI_SUP)
+    assert demo.psi_sup == full.psi.sup_norm()
+    np.testing.assert_array_equal(bits(demo.psi.values), bits(full.psi.values))
+    rows = min(len(full.phi), catalog.SEQUENCE_CSV_ROWS)
+    for part in ("phi", "psi", "theta"):
+        np.testing.assert_array_equal(bits(getattr(demo.triple, part).values),
+                                      bits(getattr(full, part).values[:rows]))
+
+
+@pytest.mark.parametrize("seed", [0.41, 0.37, 0.912345, 0.05])
+def test_psi_sup_from_the_largest_kappa(seed):
+    demo = catalog.run_sequence_demo(seed=seed, horizon=10 ** 5)
+    assert demo.psi_sup == demo.psi.sup_norm()
