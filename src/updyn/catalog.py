@@ -224,11 +224,11 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
 
     The tail's checks follow from its closed form and hold at every index, not only in
     the window: its computed row norms never increase.  Rows 0 to ``SEQUENCE_TAIL_FLAT``
-    are checked here; past it the norm is sqrt(fl(x^2)) of x = 2/(1 + i^2), each step
-    correctly rounded and monotone.  So the witness's largest norm is row 0's, the decay
-    profile is the norm at each sampled row, and the crossings fall on the rows up to the
-    first sample below the last rung.  psi's sup is the norm of (kappa, kappa/4), which
-    increases with kappa >= 0, at the largest kappa.
+    are checked here; past it the second component is +0.0 and a norm is sqrt(fl(x^2)) of
+    x = 2/(1 + i^2), each step correctly rounded and monotone.  So the witness's largest
+    norm is row 0's, the decay profile is the norm at each sampled row, and crossings fall
+    on the rows up to the first sample below the last rung.  psi's sup is the norm of
+    (kappa, kappa/4), which increases with kappa >= 0, at the largest kappa.
     """
     check_rows(horizon + window + burn_in, ("horizon", "burn_in", "window"))
     flat = row_norms(sequence_tail(np.arange(SEQUENCE_TAIL_FLAT + 1.0)))
