@@ -8,6 +8,8 @@ output directory:
   brings θ's norm below the last decay rung, 1e-4; at 121 the last row, 142,
   does;
 - the benchmark's discrete ``run`` config (window 4000-44000);
+- a construct ``run`` config of the 6.2 sequence at horizon 30,200 and
+  epsilon0 0.9, where a found shift never separates within the horizon;
 - a construct-forced delay ``run`` config at delay 0.05 over [0, 60], whose
   φ and ψ runs take ``integrate_mos``'s lockstep lanes at a longer warm-up
   than 6.3's;
@@ -112,6 +114,11 @@ def invocations(seed: str, workdir: Path) -> list[tuple[str, list[str]]]:
                "delay-fine": {"kind": "delay", "source": {"seed": float(seed)},
                               "system": {"tau": 0.05, "forcing": {"type": "construct"}},
                               "numeric": {"window": [0, 60]}},
+               # at 0.41 rungs 0.2 and 0.1 return (shifts 6070 and 30166), 0.05 and 0.02 do
+               # not, and shift 30166 never separates by 0.9 within the horizon
+               "construct-separation": {"kind": "construct",
+                                        "source": {"seed": float(seed), "horizon": 30200},
+                                        "numeric": {"variant": "sequence", "epsilon0": 0.9}},
                **SYSTEM_CONFIGS}
     runs = [(ex, ["reproduce", ex, "--seed", seed, "--out-dir", ex])
             for ex in ("6.1", "6.2", "6.3", "6.4")]
