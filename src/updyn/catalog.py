@@ -26,8 +26,8 @@ import numpy as np
 from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction, Series,
                     VectorSequence, convolve_exponential, logistic_orbit, row_norms,
                     settling_positions)
-from .constructs import (DecompositionTriple, build_function_triple, build_sequence_triple,
-                         function_tail, non_unpredictability_witness, sequence_psi,
+from .constructs import (PSI_SCALE, DecompositionTriple, build_function_triple,
+                         build_sequence_triple, function_tail, non_unpredictability_witness,
                          sequence_tail, WitnessReport)
 from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, _exact_ratio,
                     constant_history, convergence_check, integrate_mos, proof_constants,
@@ -175,7 +175,6 @@ class ConstructDemo:
     """Triple plus the standard checks run on it."""
 
     triple: DecompositionTriple  # the written rows: all of 6.1's, 6.2's first SEQUENCE_CSV_ROWS
-    psi: Series                  # the recurrent part over the whole scanned window
     witness: WitnessReport
     psi_sup: float
     psi_sup_bound: float
@@ -213,14 +212,17 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
         # the span, delta and min_shift are fixed here, and ``step`` sets the grid
         raise ArgumentError("horizon" if "horizon" in exc.names else "step",
                             exc.args[1]) from None
-    return ConstructDemo(triple, triple.psi, witness, triple.psi.sup_norm(), FUNCTION_PSI_SUP,
+    return ConstructDemo(triple, witness, triple.psi.sup_norm(), FUNCTION_PSI_SUP,
                          decay, evidence, verify_evidence(triple.phi, evidence), filt=filt)
 
 
 def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
                       horizon: int = SEQUENCE_HORIZON, window: int = SCAN_WINDOW,
                       epsilon0: float = SCAN_EPSILON0) -> ConstructDemo:
-    """Build psi over the 6.2 orbit and the triple on its written rows; run the checks.
+    """Scan the 6.2 orbit for psi's recurrence, build the triple on its written rows; run
+    the checks.  psi = kappa * ``PSI_SCALE`` is not built over the window: its scans read
+    kappa, since the row gap is a monotone g(|fl(delta kappa)|) (powers of two scale
+    exactly), below a rung exactly when |delta kappa| < ``detectors.key_bound``.
 
     The tail's checks follow from its closed form and hold at every index, not only in
     the window: its computed row norms never increase.  Rows 0 to ``SEQUENCE_TAIL_FLAT``
@@ -235,8 +237,8 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     if np.any(flat[1:] > flat[:-1]):
         raise DomainError(f"the 6.2 tail's norms increase below index {SEQUENCE_TAIL_FLAT}")
     orbit = source_orbit(seed, burn_in, horizon + window + 2)
-    rows, psi, kappa = len(orbit), sequence_psi(orbit), float(orbit.values.max())
-    psi_sup = float(row_norms(np.array([[kappa, 0.25 * kappa]]))[0])
+    rows, kappa = len(orbit), float(orbit.values.max())
+    psi_sup = float(row_norms(kappa * np.array([PSI_SCALE]))[0])
     stride = max(1, rows // 512)
     profile = row_norms(sequence_tail(np.arange(0.0, rows, stride)))
     (past,) = np.nonzero(profile < SEQUENCE_LADDER[-1])
@@ -246,9 +248,9 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     triple = build_sequence_triple(replace(orbit, values=orbit.values[:SEQUENCE_CSV_ROWS]))
     witness = replace(non_unpredictability_witness(triple, SEQUENCE_PSI_SUP),
                       scan_end=float(orbit.t_end))
-    evidence = collect_evidence(psi, window=window, epsilon0=epsilon0, horizon=horizon)
-    return ConstructDemo(triple, psi, witness, psi_sup, SEQUENCE_PSI_SUP, decay, evidence,
-                         verify_evidence(psi, evidence), orbit=orbit)
+    evidence = collect_evidence(orbit, window, epsilon0, horizon, PSI_SCALE)
+    return ConstructDemo(triple, witness, psi_sup, SEQUENCE_PSI_SUP, decay, evidence,
+                         verify_evidence(orbit, evidence, PSI_SCALE), orbit=orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .chaos import GridFunction, Series, VectorSequence
 from .errors import DomainError, SingularMatrixError
 
 _EPS = float(np.finfo(float).eps)
+PSI_SCALE = (1.0, 0.25)  # 6.2's psi per orbit value; powers of two, so each product is exact
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,8 @@ def build_function_triple(h: Series) -> DecompositionTriple:
 
 
 def sequence_psi(orbit: Series) -> Series:
-    """psi_i = (kappa_i, kappa_i/4) of a scalar orbit; one (n, 2) array keeps peak memory steady."""
-    psi = np.repeat(orbit.values[:, :1], 2, axis=1)
-    psi[:, 1] *= 0.25
-    return VectorSequence(orbit.t_start, psi)
+    """psi_i = kappa_i * ``PSI_SCALE`` = (kappa_i, kappa_i/4) of a scalar orbit."""
+    return VectorSequence(orbit.t_start, orbit.values[:, :1] * PSI_SCALE)
 
 
 def build_sequence_triple(orbit: Series) -> DecompositionTriple:

@@ -8,17 +8,24 @@ re-verified independently from the raw data.
 Sequences and grid functions take one test: near returns, then a separation
 per return, which for a function must hold on a whole interval of nodes.
 The scan defaults below are the demos' and the command line's.
+
+A one-column key with a ``scale`` of powers of two stands for the unbuilt rows key * scale
+(6.2's psi).  Scaled values finite and zero or normal give fl(s*a - s*b) = s*fl(a - b), so
+the rows' gap is g(|fl(key_i - key_j)|), g(x) the row norm of x * scale: correctly rounded
+monotone steps.  "gap < rung" then holds exactly when |delta key| < ``key_bound``, the
+scans' test; reported gaps and ``verify_evidence`` rebuild the rows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chaos import Series, row_norms, settling_positions
+from .chaos import ROW_CHUNK, Series, row_norms, settling_positions
 from .errors import ArgumentError, DomainError, ResolutionError, WindowExhaustedError
 
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.02)
@@ -130,9 +137,61 @@ def _validate_ladder(ladder: Sequence[float]) -> list[float]:
     return rungs
 
 
-def _first_survivor(values: np.ndarray, head: np.ndarray, anchor: int,
-                    candidates: np.ndarray, target: float) -> int | None:
-    """Smallest candidate shift z with |values[anchor+z+o] - head[o]| < target at every offset.
+def key_bound(rung: float, scale: Sequence[float]) -> float:
+    """The least double T with ``not g(T) < rung``, g(x) the row norm of x * scale summed as
+    ``row_norms`` sums it; bisected over the bit patterns of the doubles, which order them."""
+    lo, hi = 0, 0x7FF0000000000000   # the bits of +0.0 and +inf
+    while lo < hi:
+        mid, total = (lo + hi) // 2, 0.0
+        x = float(np.int64(mid).view(np.float64))
+        for s in map(float, scale):   # left to right, not ``sum``, which may compensate
+            total += (s * x) * (s * x)
+        lo, hi = (mid + 1, hi) if math.sqrt(total) < rung else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+class _Gap:
+    """The scans' gap between rows and the bound a near pair stays under: the row norm and
+    the rung, or for a one-column key with a ``scale``, |delta key| and ``key_bound``."""
+
+    def __init__(self, seq: Series, scale: Sequence[float] | None = None):
+        self.values, self.scale = seq.values, scale
+        if scale is None:
+            return
+        s = self.scale = np.array(scale, dtype=float)
+        if not 0 < s.size < 8 or any(not x > 0 or math.frexp(x)[0] != 0.5 for x in s):
+            raise DomainError(f"scale must hold 1 to 7 powers of two, got {s.tolist()!r}")
+        key = self.values = seq.values[:, 0]
+        lo, hi = float(key.min()), float(key.max())   # a NaN carries through both
+        least = lo if lo > 0 else -hi if hi < 0 else min(   # the least nonzero |key|
+            float(np.abs(part).min(initial=math.inf, where=part != 0))
+            for part in np.split(key, range(ROW_CHUNK, key.size, ROW_CHUNK)))
+        # finite with room for a difference, and zero or normal once scaled
+        if seq.dim != 1 or not math.isfinite((abs(lo) + abs(hi)) * s.max()) \
+                or least * s.min() < sys.float_info.min:
+            raise DomainError("a scaled key must be one column, finite, and zero or normal scaled")
+
+    def __call__(self, rows: np.ndarray, origin) -> np.ndarray:
+        if self.scale is None:   # ``row_norms``' origin form saves a difference array
+            return row_norms(rows, origin) if origin.ndim == 1 else row_norms(rows - origin)
+        gap = rows - origin
+        return np.abs(gap, out=gap)
+
+    def bound(self, rung: float) -> float:
+        return rung if self.scale is None else key_bound(rung, self.scale)
+
+    def norms(self, i: int, j: int, count: int = 1) -> np.ndarray:
+        """Row norms of rows i.. minus rows j.., ``count`` of each, rebuilt from a key."""
+        a, b = self.values[i:i + count], self.values[j:j + count]
+        if self.scale is not None:
+            a, b = a[:, None] * self.scale, b[:, None] * self.scale
+        return row_norms(a - b)
+
+
+def _first_survivor(gap: _Gap, head: np.ndarray, anchor: int, candidates: np.ndarray,
+                    bound: float) -> int | None:
+    """Smallest candidate shift z whose gap from ``head[o]`` at row anchor+z+o is below
+    ``bound`` at every offset o.
 
     Candidates are taken in increasing chunks; within a chunk the surviving
     shifts are filtered one offset at a time and the chunk is abandoned as
@@ -143,7 +202,7 @@ def _first_survivor(values: np.ndarray, head: np.ndarray, anchor: int,
     while lo < candidates.size:
         alive = candidates[lo:lo + size] + anchor
         for o in range(1, head.shape[0]):
-            alive = alive[row_norms(values[alive + o], head[o]) < target]
+            alive = alive[gap(gap.values[alive + o], head[o]) < bound]
             if not alive.size:
                 break
         if alive.size:
@@ -153,38 +212,43 @@ def _first_survivor(values: np.ndarray, head: np.ndarray, anchor: int,
     return None
 
 
-def _scan_near_returns(values: np.ndarray, anchor: int, window: int, cap: int,
-                       rungs: list[float], first: int = 1) -> list[NearReturn]:
+def _scan_near_returns(gap: _Gap, anchor: int, window: int, cap: int, rungs: list[float],
+                       first: int = 1) -> list[NearReturn]:
     """Per rung, the smallest shift in [first, cap], above the previous rung's hit,
-    under which the span ``values[anchor:anchor+window+1]`` returns below the rung.
+    under which the span of rows anchor..anchor+window returns below the rung.
+
+    One forward pass takes the anchor gap in blocks of ``ROW_CHUNK`` shifts, each serving
+    the rungs in turn.  A rung with no hit leaves none to the smaller rungs.
     """
-    # the anchor gap, the per-offset filter and ``achieved`` share one expression,
-    # ``row_norms``, so a shift survives the filter iff its ``achieved`` is below the rung
+    # the anchor gap and the per-offset filter share one expression and one bound, so a
+    # shift survives the filter iff its ``achieved`` is below the rung
+    values, bounds, hits = gap.values, [gap.bound(r) for r in rungs], []
     head = values[anchor:anchor + window + 1]
-    anchor_gap = row_norms(values[anchor + 1:anchor + cap + 1], values[anchor])
-    results: list[NearReturn] = []
-    prev = first - 1
-    for target in rungs:
-        candidates = np.nonzero(anchor_gap[prev:] < target)[0] + prev + 1
-        hit = _first_survivor(values, head, anchor, candidates, target)
-        if hit is None:
-            results.append(NearReturn(target=target, shift=None, achieved=None, window=window))
-            continue
-        span = values[anchor + hit:anchor + hit + window + 1]
-        achieved = float(row_norms(span - head).max())
-        results.append(NearReturn(target=target, shift=hit, achieved=achieved, window=window))
-        prev = hit
-    return results
+    for lo in range(first, cap + 1, ROW_CHUNK):
+        block = gap(values[anchor + lo:anchor + min(lo + ROW_CHUNK, cap + 1)], values[anchor])
+        while len(hits) < len(rungs):
+            start = max(hits[-1] + 1 if hits else first, lo)
+            candidates = np.nonzero(block[start - lo:] < bounds[len(hits)])[0] + start
+            if (hit := _first_survivor(gap, head, anchor, candidates, bounds[len(hits)])) is None:
+                break
+            hits.append(hit)
+        if len(hits) == len(rungs):
+            break
+    hits += [None] * (len(rungs) - len(hits))
+    return [NearReturn(target, hit, None if hit is None else
+                       float(gap.norms(anchor + hit, anchor, window + 1).max()), window)
+            for target, hit in zip(rungs, hits)]
 
 
 def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
-                      horizon: int = SEQUENCE_HORIZON) -> list[NearReturn]:
+                      horizon: int = SEQUENCE_HORIZON, scale=None) -> list[NearReturn]:
     """Smallest strictly increasing shifts meeting each closeness rung.
 
     A shift z qualifies for rung delta when the whole comparison window
     satisfies max_{0<=i<=window} |seq_{i+z} - seq_i| < delta.  Rungs not met
     inside the horizon are reported with ``shift=None``.  ``ArgumentError``
     names a ``window`` that leaves no shift, or a ``horizon`` that is not one.
+    With a ``scale``, ``seq`` is a key for the rows key * scale (see the module).
     """
     rungs = _validate_ladder(ladder)
     n = len(seq)
@@ -194,46 +258,49 @@ def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
     if not (float(horizon).is_integer() and horizon >= 1):
         raise ArgumentError("horizon", f"must be a whole number of shifts, got {horizon!r}")
     cap = min(int(horizon), n - 1 - window)
-    return _scan_near_returns(seq.values, 0, window, cap, rungs)
+    return _scan_near_returns(_Gap(seq, scale), 0, window, cap, rungs)
 
 
-def _separations(values: np.ndarray, shifts: Sequence[int], epsilon0: float, horizon: int,
+def _separations(gap: _Gap, shifts: Sequence[int], epsilon0: float, horizon: int,
                  half: int = 0) -> list[SeparationEvent]:
-    """Per shift z, the first offset u whose gap |values[z+o] - values[o]| is at least
-    epsilon0 at every offset o within ``half`` of it, each o at most ``horizon`` and
+    """Per shift z, the first offset u whose gap between rows z+o and o is not below
+    epsilon0 at any offset o within ``half`` of it, each o at most ``horizon`` and
     inside the rows.
 
     Chunks of offsets start at ``_SEPARATION_CHUNK`` and double; each takes the
     last 2*half offsets of the one before again, so no run is cut in two.
     """
+    values, bound = gap.values, gap.bound(epsilon0)
     run, events = 2 * half + 1, []
     for z in shifts:
         cap = min(horizon, len(values) - z - 1)
         lo, size = 0, _SEPARATION_CHUNK
         while lo <= cap:
             start, hi = max(lo - 2 * half, 0), min(lo + size, cap + 1)
-            gap = row_norms(values[z + start:z + hi] - values[start:hi])
+            gaps = gap(values[z + start:z + hi], values[start:hi])
             # short[k] counts the gaps below epsilon0 among the first k; a clear run adds none
-            short = np.concatenate(([0], np.cumsum(gap < epsilon0)))
+            short = np.concatenate(([0], np.cumsum(gaps < bound)))
             clear = np.nonzero(short[run:] == short[:-run])[0]
             if clear.size:
-                u = int(clear[0]) + half  # the run's centre, counted from the chunk's start
-                events.append(SeparationEvent(shift=z, offset=start + u, separation=float(gap[u])))
+                o = start + int(clear[0]) + half  # the run's centre
+                events.append(SeparationEvent(shift=z, offset=o,
+                                              separation=float(gap.norms(z + o, o)[0])))
                 break
             lo, size = hi, 2 * size
     return events
 
 
 def find_separations(seq: Series, shifts: Sequence[int], epsilon0: float,
-                     horizon: int = SEQUENCE_HORIZON) -> list[SeparationEvent]:
-    """For each shift, the smallest offset with |seq_{shift+o} - seq_o| >= epsilon0."""
+                     horizon: int = SEQUENCE_HORIZON, scale=None) -> list[SeparationEvent]:
+    """For each shift, the smallest offset with |seq_{shift+o} - seq_o| >= epsilon0;
+    with a ``scale``, of the rows key * scale that the one-column ``seq`` stands for."""
     if not epsilon0 > 0.0:
         raise DomainError("epsilon0 must be positive")
     shifts = [int(z) for z in shifts]
     outside = [z for z in shifts if not 1 <= z < len(seq)]
     if outside:
         raise DomainError(f"shift {outside[0]} outside the recorded window")
-    return _separations(seq.values, shifts, epsilon0, int(horizon))
+    return _separations(_Gap(seq, scale), shifts, epsilon0, int(horizon))
 
 
 def separation_at(seq: Series, shift: int, offset: int) -> float:
@@ -253,11 +320,11 @@ def _evidence(returns, seps, epsilon0: float, scanned: int, **fields) -> Unpredi
 
 
 def collect_evidence(seq: Series, window: int = SCAN_WINDOW, epsilon0: float = SCAN_EPSILON0,
-                     horizon: int = SEQUENCE_HORIZON) -> UnpredictabilityEvidence:
+                     horizon: int = SEQUENCE_HORIZON, scale=None) -> UnpredictabilityEvidence:
     """Run both scans, on the rungs of ``DEFAULT_LADDER``, and assemble the evidence record
-    for a sequence."""
-    returns = find_near_returns(seq, window, DEFAULT_LADDER, horizon)
-    seps = find_separations(seq, [r.shift for r in returns if r.found], epsilon0, horizon)
+    for a sequence, or for the rows key * scale of a one-column key ``seq``."""
+    returns = find_near_returns(seq, window, DEFAULT_LADDER, horizon, scale)
+    seps = find_separations(seq, [r.shift for r in returns if r.found], epsilon0, horizon, scale)
     return _evidence(returns, seps, epsilon0, min(int(horizon), len(seq) - 1 - window),
                      kind="sequence", base_index=seq.t_start)
 
@@ -287,7 +354,6 @@ def evidence_for_function(phi: Series, window: Sequence[float],
         raise ArgumentError("window", f"must span grid nodes: {exc}") from None
     if j1 <= j0:
         raise ArgumentError("window", "must be an increasing span")
-    values = phi.values
     n = len(phi)
     if not math.isfinite(min_shift / phi.step):
         raise ArgumentError("min_shift", f"is {min_shift!r}, which overflows as a count of "
@@ -301,31 +367,36 @@ def evidence_for_function(phi: Series, window: Sequence[float],
         raise ArgumentError((*shorten, "min_shift"), f"leaves no shift to scan: a shift must be "
                             f"at least {first * phi.step:g} and at most {cap * phi.step:g}")
 
-    returns = _scan_near_returns(values, j0, j1 - j0, cap, rungs, first)
+    returns = _scan_near_returns(_Gap(phi), j0, j1 - j0, cap, rungs, first)
 
     half = int(round(delta / phi.step))
     seps = [replace(e, center_time=float(phi.t_start + e.offset * phi.step)) for e in
-            _separations(values, [r.shift for r in returns if r.found], epsilon0, n, half)]
+            _separations(_Gap(phi), [r.shift for r in returns if r.found], epsilon0, n, half)]
     return _evidence(returns, seps, epsilon0, cap, kind="function", base_index=0, anchor=j0,
                      time_step=phi.step, interval_halfwidth=half * phi.step)
 
 
-def verify_evidence(data: Series, evidence: UnpredictabilityEvidence) -> bool:
-    """Plain re-check of every recorded event straight from the raw data."""
-    values = data.values
+def verify_evidence(data: Series, evidence: UnpredictabilityEvidence, scale=None) -> bool:
+    """Plain re-check of every recorded event straight from the raw data; with a ``scale``,
+    each row read is rebuilt as key[i] * scale, and no bound on the key is used."""
+    values, factor = data.values, 1.0 if scale is None else np.asarray(scale, dtype=float)
+
+    def gap(i: int, j: int) -> float:
+        return float(np.linalg.norm(values[i] * factor - values[j] * factor))
+
     for ret in evidence.return_times:
         if not ret.found:
             continue
         worst = 0.0
         for i in range(evidence.anchor, evidence.anchor + ret.window + 1):
-            worst = max(worst, float(np.linalg.norm(values[i + ret.shift] - values[i])))
+            worst = max(worst, gap(i + ret.shift, i))
         if not worst < ret.target:
             return False
         if abs(worst - ret.achieved) > 1e-12:
             return False
     for sep in evidence.separation_times:
-        gap = float(np.linalg.norm(values[sep.offset + sep.shift] - values[sep.offset]))
-        if abs(gap - sep.separation) > 1e-12 or gap < evidence.epsilon0_estimate - 1e-12:
+        found = gap(sep.offset + sep.shift, sep.offset)
+        if abs(found - sep.separation) > 1e-12 or found < evidence.epsilon0_estimate - 1e-12:
             return False
     if evidence.kind == "function" and evidence.interval_halfwidth is not None:
         half = int(round(evidence.interval_halfwidth / evidence.time_step))
@@ -334,7 +405,7 @@ def verify_evidence(data: Series, evidence: UnpredictabilityEvidence) -> bool:
             if lo < 0 or hi + sep.shift >= len(values):
                 return False
             for i in range(lo, hi + 1):
-                if np.linalg.norm(values[i + sep.shift] - values[i]) < evidence.epsilon0_requested - 1e-12:
+                if gap(i + sep.shift, i) < evidence.epsilon0_requested - 1e-12:
                     return False
     evidence.validate()
     return True

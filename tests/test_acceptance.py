@@ -17,7 +17,7 @@ from updyn import catalog, cli
 from updyn.chaos import ExponentialFilter, GridFunction, convolve_exponential, \
     logistic_orbit, logistic_step, quadrature_oracle
 from updyn.constructs import affine_transform, build_function_triple, \
-    build_sequence_triple, non_unpredictability_witness, shift
+    build_sequence_triple, non_unpredictability_witness, sequence_psi, shift
 from updyn.delay import DelaySystemSpec, constant_history, integrate_mos, picard_apply, \
     stability_constants
 from updyn.detectors import sensitivity_demo, separation_at, verify_evidence
@@ -220,7 +220,7 @@ def test_criterion_08_exponential_stability_both_systems():
 def test_criterion_09_detector_consistency_and_sensitivity():
     start = time.perf_counter()
     demo = conftest.get_sequence_demo()
-    psi = demo.psi
+    psi = sequence_psi(demo.orbit)
     verified = verify_evidence(psi, demo.evidence)
     manual_ok = True
     for ret in demo.evidence.return_times:
@@ -243,7 +243,7 @@ def test_criterion_09_detector_consistency_and_sensitivity():
 def test_criterion_10_transform_lemmas_at_evidence_level():
     start = time.perf_counter()
     demo = conftest.get_sequence_demo()
-    psi = demo.psi
+    psi = sequence_psi(demo.orbit)
     events = demo.evidence.separation_times
     assert events, "no separation events recorded"
 

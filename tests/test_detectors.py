@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from updyn import catalog
-from updyn.chaos import GridFunction, convolve_exponential, logistic_step
-from updyn.constructs import VectorSequence, build_sequence_triple
+from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_step
+from updyn.constructs import VectorSequence, build_sequence_triple, sequence_psi
 from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
-                             sensitivity_demo, separation_at, verify_evidence)
+                             key_bound, sensitivity_demo, separation_at, verify_evidence)
 from updyn.errors import ArgumentError, DomainError, ResolutionError
 
 
@@ -71,7 +71,7 @@ class TestSeparations:
             assert event.separation >= 0.3
 
     def test_reevaluation_matches(self, sequence_demo):
-        psi = sequence_demo.psi
+        psi = sequence_psi(sequence_demo.orbit)
         for event in sequence_demo.evidence.separation_times:
             assert separation_at(psi, event.shift, event.offset) == event.separation
 
@@ -175,10 +175,10 @@ class TestSensitivity:
 class TestEvidenceConsistency:
     def test_sequence_demo_reverification(self, sequence_demo):
         assert sequence_demo.evidence_verified
-        assert verify_evidence(sequence_demo.psi, sequence_demo.evidence)
+        assert verify_evidence(sequence_psi(sequence_demo.orbit), sequence_demo.evidence)
 
     def test_manual_recheck_of_returns(self, sequence_demo):
-        psi = sequence_demo.psi
+        psi = sequence_psi(sequence_demo.orbit)
         for ret in sequence_demo.evidence.return_times:
             if not ret.found:
                 continue
@@ -195,7 +195,7 @@ class TestEvidenceConsistency:
         bad_sep = dataclasses.replace(ev.separation_times[0],
                                       separation=ev.separation_times[0].separation + 1.0)
         bad = dataclasses.replace(ev, separation_times=(bad_sep,) + ev.separation_times[1:])
-        assert not verify_evidence(sequence_demo.psi, bad)
+        assert not verify_evidence(sequence_psi(sequence_demo.orbit), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ class TestEarlyAbandonScans:
     @pytest.mark.parametrize("seed", [catalog.DEFAULT_SEED, 0.05])
     def test_demo_psi_matches_dense_scans(self, sequence_demo, seed):
         if seed == catalog.DEFAULT_SEED:
-            psi = sequence_demo.psi
+            psi = sequence_psi(sequence_demo.orbit)
         else:
             psi = build_sequence_triple(catalog.source_orbit(seed, length=10 ** 6 + 22)).psi
         returns, events = assert_sequence_scans_match(psi, 20, DEFAULT_LADDER, 10 ** 6, 0.3)
@@ -420,3 +420,159 @@ class TestEarlyAbandonScans:
         assert reference_grid_separations(phi.values, [1], 1.5, 4) == [(1, centre, 2.0)]
         assert ev.separation_times[0].center_time == pytest.approx(0.05 * centre)
         assert verify_evidence(phi, ev)
+
+
+# ---------------------------------------------------------------------------
+# a one-column key with a power-of-two scale stands for the rows key * scale
+
+
+SCALES = [(1.0,), (1.0, 0.25), (0.5, 2.0, 1.0), (0.25,)]
+
+
+def key_rows(key, scale):
+    return VectorSequence(0, np.asarray(key, dtype=float)[:, None] * np.asarray(scale))
+
+
+def assert_key_scans_match(key, scale, window, ladder, horizon, epsilon0, shifts=()):
+    """The scans of the key with ``scale`` equal the row scans of key * scale, field for field."""
+    seq, rows = VectorSequence(0, key), key_rows(key, scale)
+    returns = find_near_returns(seq, window, ladder, horizon, scale)
+    assert returns == find_near_returns(rows, window, ladder, horizon)
+    shifts = sorted({*shifts, *(r.shift for r in returns if r.found)})
+    events = find_separations(seq, shifts, epsilon0, horizon, scale)
+    assert events == find_separations(rows, shifts, epsilon0, horizon)
+    return returns, events
+
+
+class TestScaledKey:
+    @pytest.mark.parametrize("seed", [catalog.DEFAULT_SEED, 0.37, 0.912345, 0.05, 0.73])
+    def test_demo_evidence_equals_the_row_scans_of_psi(self, sequence_demo, seed):
+        # 0.73 finds all four rungs by shift 41,384, so its scan ends in the second block
+        demo = sequence_demo if seed == catalog.DEFAULT_SEED else catalog.run_sequence_demo(seed)
+        assert demo.evidence == collect_evidence(sequence_psi(demo.orbit))
+        assert demo.evidence_verified
+        if seed == 0.73:
+            assert all(r.found for r in demo.evidence.return_times)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("rung", [0.2, 0.1, 0.05, 0.02, 0.3, 0.9, 1e-3])
+    def test_bound_decides_as_the_row_norm(self, scale, rung):
+        bound = key_bound(rung, scale)
+        for x in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+            assert (key_rows([0.0, x], scale).norms()[1] < rung) == (x < bound)
+        assert key_rows([0.0, np.nextafter(bound, 0.0)], scale).norms()[1] < rung
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    @pytest.mark.parametrize("step", [-1, 0])
+    def test_a_gap_at_the_bound_is_not_a_return(self, scale, offset, step):
+        # the window [0, 0, 0, 0] recurs only at shift 40, where one offset's gap is the
+        # bound (step 0) or the double below it (step -1); 1.0 elsewhere is far from 0
+        rung, bound = 0.1, key_bound(0.1, scale)
+        gap = bound if step == 0 else np.nextafter(bound, 0.0)
+        key = np.ones(80)
+        key[:4] = key[40:44] = 0.0
+        key[40 + offset] = gap
+        returns, _ = assert_key_scans_match(key, scale, 3, (rung,), 10 ** 6, 0.5)
+        assert [r.shift for r in returns] == [None if step == 0 else 40]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_a_gap_at_the_bound_separates(self, scale, step):
+        epsilon0 = 0.3
+        bound = key_bound(epsilon0, scale)
+        gap = np.nextafter(bound, step * np.inf) if step else bound
+        key = np.zeros(200)
+        key[57 + 90] = gap
+        _, events = assert_key_scans_match(key, scale, 3, (0.5,), 10 ** 6, epsilon0, [57])
+        assert [(e.shift, e.offset) for e in events if e.shift == 57] == (
+            [] if step < 0 else [(57, 90)])
+
+    @pytest.mark.parametrize("scale", [(1.0,), (1.0, 0.25)])
+    @pytest.mark.parametrize("hit", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, ROW_CHUNK + 2,
+                                     2 * ROW_CHUNK, 2 * ROW_CHUNK + 1])
+    def test_hit_at_an_anchor_gap_block_boundary(self, scale, hit):
+        # blocks of ROW_CHUNK shifts from shift 1: shift ROW_CHUNK ends the first
+        seq = planted_return(hit, 5, hit + 40)
+        key = seq.values[:, 0]
+        for horizon in (hit, hit - 1):
+            returns, _ = assert_key_scans_match(key, scale, 5, (0.5,), horizon, 0.5)
+            assert scanned(returns) == [(hit if horizon == hit else None,
+                                         0.0 if horizon == hit else None)]
+        assert scanned(find_near_returns(seq, 5, (0.5,))) == [(hit, 0.0)]
+
+    @pytest.mark.parametrize("scale", [None, (1.0, 0.25)])
+    @pytest.mark.parametrize("first, second", [(ROW_CHUNK - 9, ROW_CHUNK),
+                                               (ROW_CHUNK, ROW_CHUNK + 9), (20, 3 * ROW_CHUNK)])
+    def test_the_next_rung_starts_past_the_last_hit(self, scale, first, second):
+        # two exact recurrences of the window of 8 zeros, in one anchor-gap block or two:
+        # each rung takes the next one
+        values = np.ones(3 * ROW_CHUNK + 40)
+        values[:8] = values[first:first + 8] = values[second:second + 8] = 0.0
+        seq = VectorSequence(0, values)
+        rows = seq if scale is None else key_rows(values, scale)
+        found = find_near_returns(seq, 7, (0.5, 0.25, 0.1), scale=scale)
+        assert scanned(found) == [(first, 0.0), (second, 0.0), (None, None)]
+        assert found == find_near_returns(rows, 7, (0.5, 0.25, 0.1))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(scale=st.sampled_from(SCALES),
+           rungs=st.lists(st.floats(0.05, 0.9), min_size=1, max_size=3, unique=True),
+           epsilon0=st.floats(0.05, 0.9), window=st.integers(0, 6),
+           plants=st.lists(st.tuples(st.integers(0, 2), st.lists(st.integers(0, 4), min_size=7,
+                                                                  max_size=7)),
+                           min_size=1, max_size=4),
+           background=st.integers(60, 400), horizon_frac=st.floats(0.3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_key_scans_equal_the_row_scans(self, scale, rungs, epsilon0, window, plants,
+                                           background, horizon_frac, seed):
+        # Keys on a grid of 2^-10 in [-1, 1], but for planted copies of the anchor window
+        # whose gaps are a bound T of a rung or of epsilon0, a double next to it, or a
+        # small grid step.  Anchor-window keys lie in [-T_min/2, 0], so each planted key,
+        # key[o] + gap, is a double and the computed gap is exactly the planted one.
+        rng = np.random.default_rng(seed)
+        ladder = sorted(rungs, reverse=True)
+        bounds = [key_bound(r, scale) for r in (*ladder, epsilon0)]
+        low = min(bounds) / 2.0
+        key = np.round(rng.uniform(-1.0, 1.0, background * (len(plants) + 1)) * 1024) / 1024
+        key[:window + 1] = -np.round(rng.uniform(0.0, low, window + 1) * 1024) / 1024
+        for k, (which, codes) in enumerate(plants):
+            bound = bounds[min(which, len(bounds) - 1)]
+            gaps = [np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 0.0,
+                    np.round(rng.uniform(0.0, low) * 1024) / 1024]
+            z = background * (k + 1) - window // 2
+            for o in range(window + 1):
+                key[z + o] = key[o] + gaps[codes[o]]
+                assert key[z + o] - key[o] == gaps[codes[o]]
+        horizon = max(1, int(horizon_frac * key.size))
+        shifts = [background * (k + 1) - window // 2 for k in range(len(plants))]
+        assert_key_scans_match(key, scale, window, ladder, horizon, epsilon0,
+                               [z for z in shifts if z < key.size])
+        seq = VectorSequence(0, key)
+        evidence = collect_evidence(seq, window, epsilon0, horizon, scale)
+        assert evidence == collect_evidence(key_rows(key, scale), window, epsilon0, horizon)
+        assert verify_evidence(seq, evidence, scale)
+
+    @pytest.mark.parametrize("scale, key", [
+        ((0.3,), [0.1, 0.2, 0.3]),
+        ((1.0, 0.3), [0.1, 0.2, 0.3]),
+        ((1.0, 0.0), [0.1, 0.2, 0.3]),
+        ((1.0,) * 8, [0.1, 0.2, 0.3]),
+        ((1.0, 0.25), [0.1, np.nan, 0.3]),
+        ((1.0, 0.25), [0.1, 5e-324, 0.3]),
+        ((0.25,), [0.1, -2.0 ** -1021, 0.3]),    # subnormal once scaled
+        ((1.0, 0.25), [0.1, 1.7e308, -1.7e308]),  # a difference overflows
+    ], ids=["0.3", "(1, 0.3)", "(1, 0)", "eight", "nan", "subnormal", "subnormal-scaled",
+            "overflow"])
+    def test_scale_and_key_refused_before_the_scan(self, scale, key):
+        seq = VectorSequence(0, np.zeros((3, 1)))
+        seq.values[:, 0] = key      # a Series refuses a NaN when it is built, not after
+        for scan in (lambda: find_near_returns(seq, 0, (0.5,), scale=scale),
+                     lambda: find_separations(seq, [1], 0.5, scale=scale),
+                     lambda: collect_evidence(seq, window=0, scale=scale)):
+            with pytest.raises(DomainError):
+                scan()
+
+    def test_a_two_column_key_is_refused(self):
+        with pytest.raises(DomainError, match="one column"):
+            find_near_returns(constant_seq(), 3, (0.5,), scale=(1.0, 0.25))

@@ -12,8 +12,8 @@ import pytest
 from updyn import catalog
 from updyn.chaos import GridFunction, logistic_orbit, row_norms
 from updyn.constructs import (DecompositionTriple, VectorSequence, build_sequence_triple,
-                              non_unpredictability_witness, sequence_tail)
-from updyn.detectors import decay_test
+                              non_unpredictability_witness, sequence_psi, sequence_tail)
+from updyn.detectors import collect_evidence, decay_test
 from updyn.errors import DomainError
 
 
@@ -117,9 +117,9 @@ def test_decay_test_matches_the_copying_suffix_max(n):
 
 def test_sequence_demo_peak_memory_stays_near_what_it_keeps():
     # tracemalloc counts numpy's buffers as they are allocated, so the peak is the same on
-    # every run.  6.2 keeps the orbit (8 B an orbit row) and psi (16 B); the near-return
-    # scan adds about 17 B for a while.  Building phi, psi and theta over every row kept
-    # 56 B a row and peaked at 72 B.
+    # every run.  6.2 keeps the orbit (8 B an orbit row); its scans read the orbit in row
+    # chunks.  Building psi over every row (16 B) and an 8 B anchor gap peaked at 41 B a
+    # row, and phi, psi and theta over every row at 72 B.
     catalog.run_sequence_demo(horizon=2000)
     tracemalloc.start()
     try:
@@ -128,7 +128,7 @@ def test_sequence_demo_peak_memory_stays_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     rows = len(demo.orbit)
-    assert peak <= 44 * rows, f"peak {peak / rows:.1f} B an orbit row, over 44"
+    assert peak <= 16 * rows, f"peak {peak / rows:.1f} B an orbit row, over 16"
 
 
 def tail_never_rises(theta: np.ndarray) -> bool:
@@ -169,7 +169,7 @@ def test_sequence_demo_tail_checks_match_the_full_tail(horizon):
     assert demo.decay == decay_test(full.theta, catalog.SEQUENCE_LADDER)
     assert demo.witness == non_unpredictability_witness(full, catalog.SEQUENCE_PSI_SUP)
     assert demo.psi_sup == full.psi.sup_norm()
-    np.testing.assert_array_equal(bits(demo.psi.values), bits(full.psi.values))
+    assert demo.evidence == collect_evidence(full.psi, horizon=horizon)
     rows = min(len(full.phi), catalog.SEQUENCE_CSV_ROWS)
     for part in ("phi", "psi", "theta"):
         np.testing.assert_array_equal(bits(getattr(demo.triple, part).values),
@@ -179,4 +179,4 @@ def test_sequence_demo_tail_checks_match_the_full_tail(horizon):
 @pytest.mark.parametrize("seed", [0.41, 0.37, 0.912345, 0.05])
 def test_psi_sup_from_the_largest_kappa(seed):
     demo = catalog.run_sequence_demo(seed=seed, horizon=10 ** 5)
-    assert demo.psi_sup == demo.psi.sup_norm()
+    assert demo.psi_sup == sequence_psi(demo.orbit).sup_norm()
