@@ -221,8 +221,7 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
                       epsilon0: float = SCAN_EPSILON0) -> ConstructDemo:
     """Scan the 6.2 orbit for psi's recurrence, build the triple on its written rows; run
     the checks.  psi = kappa * ``PSI_SCALE`` is not built over the window: its scans read
-    kappa, since the row gap is a monotone g(|fl(delta kappa)|) (powers of two scale
-    exactly), below a rung exactly when |delta kappa| < ``detectors.key_bound``.
+    kappa as the key of psi's rows (see ``detectors``).
 
     The tail's checks follow from its closed form and hold at every index, not only in
     the window: its computed row norms never increase.  Rows 0 to ``SEQUENCE_TAIL_FLAT``

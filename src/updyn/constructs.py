@@ -20,7 +20,7 @@ from .chaos import GridFunction, Series, VectorSequence
 from .errors import DomainError, SingularMatrixError
 
 _EPS = float(np.finfo(float).eps)
-PSI_SCALE = (1.0, 0.25)  # 6.2's psi per orbit value; powers of two, so each product is exact
+PSI_SCALE = (1.0, 0.25)  # 6.2's psi per orbit value; its first entry keeps kappa as psi's key
 
 
 @dataclass(frozen=True)

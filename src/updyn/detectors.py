@@ -9,17 +9,18 @@ Sequences and grid functions take one test: near returns, then a separation
 per return, which for a function must hold on a whole interval of nodes.
 The scan defaults below are the demos' and the command line's.
 
-A one-column key with a ``scale`` of powers of two stands for the unbuilt rows key * scale
-(6.2's psi).  Scaled values finite and zero or normal give fl(s*a - s*b) = s*fl(a - b), so
-the rows' gap is g(|fl(key_i - key_j)|), g(x) the row norm of x * scale: correctly rounded
-monotone steps.  "gap < rung" then holds exactly when |delta key| < ``key_bound``, the
-scans' test; reported gaps and ``verify_evidence`` rebuild the rows.
+Every scan decides "gap < rung" on the row norms of the rows themselves.  A one-column
+key with a ``scale`` whose first entry is 1 stands for the rows key * scale (6.2's psi),
+rebuilt as ``constructs.sequence_psi`` builds them, and only where a scan reads them.
+The near-return scan first drops shifts on the key, the rows' first column: a row gap
+below ``rung`` has |d0| < ``_loose(rung)``, d0 the key's computed difference, since the
+norm's partial sums of non-negative squares never fall, so the norm is at least
+fl(sqrt(fl(d0^2))), within a relative 2^-51 of |d0| unless d0^2 underflows (|d0| < 2^-511).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -137,74 +138,55 @@ def _validate_ladder(ladder: Sequence[float]) -> list[float]:
     return rungs
 
 
-def key_bound(rung: float, scale: Sequence[float]) -> float:
-    """The least double T with ``not g(T) < rung``, g(x) the row norm of x * scale summed as
-    ``row_norms`` sums it; bisected over the bit patterns of the doubles, which order them."""
-    lo, hi = 0, 0x7FF0000000000000   # the bits of +0.0 and +inf
-    while lo < hi:
-        mid, total = (lo + hi) // 2, 0.0
-        x = float(np.int64(mid).view(np.float64))
-        for s in map(float, scale):   # left to right, not ``sum``, which may compensate
-            total += (s * x) * (s * x)
-        lo, hi = (mid + 1, hi) if math.sqrt(total) < rung else (lo, mid)
-    return float(np.int64(lo).view(np.float64))
+def _loose(rung: float) -> float:
+    """A bound the first column's gap stays under whenever the row gap is below ``rung``."""
+    return rung * (1.0 + 2.0 ** -20) + 2.0 ** -500
 
 
-class _Gap:
-    """The scans' gap between rows and the bound a near pair stays under: the row norm and
-    the rung, or for a one-column key with a ``scale``, |delta key| and ``key_bound``."""
+class _Rows:
+    """The rows a scan reads: ``seq``'s own, or for a one-column key with a ``scale`` whose
+    first entry is 1, the rows key * scale, rebuilt only where read.  ``key`` is the
+    rows' first column."""
 
     def __init__(self, seq: Series, scale: Sequence[float] | None = None):
-        self.values, self.scale = seq.values, scale
-        if scale is None:
-            return
-        s = self.scale = np.array(scale, dtype=float)
-        if not 0 < s.size < 8 or any(not x > 0 or math.frexp(x)[0] != 0.5 for x in s):
-            raise DomainError(f"scale must hold 1 to 7 powers of two, got {s.tolist()!r}")
-        key = self.values = seq.values[:, 0]
-        lo, hi = float(key.min()), float(key.max())   # a NaN carries through both
-        least = lo if lo > 0 else -hi if hi < 0 else min(   # the least nonzero |key|
-            float(np.abs(part).min(initial=math.inf, where=part != 0))
-            for part in np.split(key, range(ROW_CHUNK, key.size, ROW_CHUNK)))
-        # finite with room for a difference, and zero or normal once scaled
-        if seq.dim != 1 or not math.isfinite((abs(lo) + abs(hi)) * s.max()) \
-                or least * s.min() < sys.float_info.min:
-            raise DomainError("a scaled key must be one column, finite, and zero or normal scaled")
+        self.values, self.key, self.scale = seq.values, seq.values[:, 0], scale
+        if scale is not None:
+            s = self.scale = np.asarray(scale, dtype=float)
+            if seq.dim != 1 or s.ndim != 1 or not s.size or s[0] != 1.0:
+                raise DomainError(f"a scaled key must be one column and its scale must start "
+                                  f"at 1, got {seq.dim} columns and scale {s.tolist()!r}")
 
-    def __call__(self, rows: np.ndarray, origin) -> np.ndarray:
-        if self.scale is None:   # ``row_norms``' origin form saves a difference array
-            return row_norms(rows, origin) if origin.ndim == 1 else row_norms(rows - origin)
-        gap = rows - origin
-        return np.abs(gap, out=gap)
+    def __getitem__(self, at) -> np.ndarray:
+        rows = self.values[at]
+        return rows if self.scale is None else rows * self.scale
 
-    def bound(self, rung: float) -> float:
-        return rung if self.scale is None else key_bound(rung, self.scale)
-
-    def norms(self, i: int, j: int, count: int = 1) -> np.ndarray:
-        """Row norms of rows i.. minus rows j.., ``count`` of each, rebuilt from a key."""
-        a, b = self.values[i:i + count], self.values[j:j + count]
-        if self.scale is not None:
-            a, b = a[:, None] * self.scale, b[:, None] * self.scale
-        return row_norms(a - b)
+    def gaps(self, at, origin) -> np.ndarray:
+        """Row norms of the rows ``at`` minus the row, or as many rows, ``origin``."""
+        a, b = self[at], self[origin]
+        return row_norms(a, b) if b.ndim == 1 else row_norms(a - b)
 
 
-def _first_survivor(gap: _Gap, head: np.ndarray, anchor: int, candidates: np.ndarray,
-                    bound: float) -> int | None:
-    """Smallest candidate shift z whose gap from ``head[o]`` at row anchor+z+o is below
-    ``bound`` at every offset o.
+def _first_survivor(rows: _Rows, anchor: int, window: int, candidates: np.ndarray,
+                    rung: float) -> int | None:
+    """Smallest candidate shift z whose row gap from row anchor+o at row anchor+z+o is
+    below ``rung`` at every offset o in 0..window.
 
-    Candidates are taken in increasing chunks; within a chunk the surviving
-    shifts are filtered one offset at a time and the chunk is abandoned as
-    soon as none survives.  Offset 0 is not re-tested: the candidates passed
-    it in the anchor gap.
+    Candidates are taken in increasing chunks, each filtered one offset at a time: on the
+    key's ``_loose`` test (offset 0 passed it in the anchor gap), then on the row gaps at
+    every offset; a chunk is abandoned as soon as none survives.
     """
+    key, limit = rows.key, _loose(rung)
     lo, size = 0, _RETURN_CHUNK
     while lo < candidates.size:
         alive = candidates[lo:lo + size] + anchor
-        for o in range(1, head.shape[0]):
-            alive = alive[gap(gap.values[alive + o], head[o]) < bound]
+        for o in range(1, window + 1):
             if not alive.size:
                 break
+            alive = alive[np.abs(key[alive + o] - key[anchor + o]) < limit]
+        for o in range(window + 1):
+            if not alive.size:
+                break
+            alive = alive[rows.gaps(alive + o, anchor + o) < rung]
         if alive.size:
             return int(alive[0]) - anchor
         lo += size
@@ -212,31 +194,31 @@ def _first_survivor(gap: _Gap, head: np.ndarray, anchor: int, candidates: np.nda
     return None
 
 
-def _scan_near_returns(gap: _Gap, anchor: int, window: int, cap: int, rungs: list[float],
+def _scan_near_returns(rows: _Rows, anchor: int, window: int, cap: int, rungs: list[float],
                        first: int = 1) -> list[NearReturn]:
     """Per rung, the smallest shift in [first, cap], above the previous rung's hit,
     under which the span of rows anchor..anchor+window returns below the rung.
 
-    One forward pass takes the anchor gap in blocks of ``ROW_CHUNK`` shifts, each serving
-    the rungs in turn.  A rung with no hit leaves none to the smaller rungs.
+    One forward pass takes the key's gap from the anchor in blocks of ``ROW_CHUNK``
+    shifts, each serving the rungs in turn.  A rung with no hit leaves none to the
+    smaller rungs.
     """
-    # the anchor gap and the per-offset filter share one expression and one bound, so a
-    # shift survives the filter iff its ``achieved`` is below the rung
-    values, bounds, hits = gap.values, [gap.bound(r) for r in rungs], []
-    head = values[anchor:anchor + window + 1]
+    key, hits = rows.key, []
     for lo in range(first, cap + 1, ROW_CHUNK):
-        block = gap(values[anchor + lo:anchor + min(lo + ROW_CHUNK, cap + 1)], values[anchor])
+        block = key[anchor + lo:anchor + min(lo + ROW_CHUNK, cap + 1)] - key[anchor]
+        np.abs(block, out=block)
         while len(hits) < len(rungs):
-            start = max(hits[-1] + 1 if hits else first, lo)
-            candidates = np.nonzero(block[start - lo:] < bounds[len(hits)])[0] + start
-            if (hit := _first_survivor(gap, head, anchor, candidates, bounds[len(hits)])) is None:
+            rung, start = rungs[len(hits)], max(hits[-1] + 1 if hits else first, lo)
+            candidates = np.nonzero(block[start - lo:] < _loose(rung))[0] + start
+            if (hit := _first_survivor(rows, anchor, window, candidates, rung)) is None:
                 break
             hits.append(hit)
         if len(hits) == len(rungs):
             break
     hits += [None] * (len(rungs) - len(hits))
-    return [NearReturn(target, hit, None if hit is None else
-                       float(gap.norms(anchor + hit, anchor, window + 1).max()), window)
+    span = slice(anchor, anchor + window + 1)
+    return [NearReturn(target, hit, None if hit is None else float(rows.gaps(
+                slice(anchor + hit, anchor + hit + window + 1), span).max()), window)
             for target, hit in zip(rungs, hits)]
 
 
@@ -258,35 +240,33 @@ def find_near_returns(seq: Series, window: int, ladder: Sequence[float],
     if not (float(horizon).is_integer() and horizon >= 1):
         raise ArgumentError("horizon", f"must be a whole number of shifts, got {horizon!r}")
     cap = min(int(horizon), n - 1 - window)
-    return _scan_near_returns(_Gap(seq, scale), 0, window, cap, rungs)
+    return _scan_near_returns(_Rows(seq, scale), 0, window, cap, rungs)
 
 
-def _separations(gap: _Gap, shifts: Sequence[int], epsilon0: float, horizon: int,
+def _separations(rows: _Rows, shifts: Sequence[int], epsilon0: float, horizon: int,
                  half: int = 0) -> list[SeparationEvent]:
     """Per shift z, the first offset u whose gap between rows z+o and o is not below
     epsilon0 at any offset o within ``half`` of it, each o at most ``horizon`` and
     inside the rows.
 
-    Chunks of offsets start at ``_SEPARATION_CHUNK`` and double; each takes the
-    last 2*half offsets of the one before again, so no run is cut in two.
+    Chunks of offsets start at ``_SEPARATION_CHUNK`` and double up to ``ROW_CHUNK``;
+    each takes the last 2*half offsets of the one before again, so no run is cut in two.
     """
-    values, bound = gap.values, gap.bound(epsilon0)
     run, events = 2 * half + 1, []
     for z in shifts:
-        cap = min(horizon, len(values) - z - 1)
+        cap = min(horizon, len(rows.key) - z - 1)
         lo, size = 0, _SEPARATION_CHUNK
         while lo <= cap:
             start, hi = max(lo - 2 * half, 0), min(lo + size, cap + 1)
-            gaps = gap(values[z + start:z + hi], values[start:hi])
+            gaps = rows.gaps(slice(z + start, z + hi), slice(start, hi))
             # short[k] counts the gaps below epsilon0 among the first k; a clear run adds none
-            short = np.concatenate(([0], np.cumsum(gaps < bound)))
+            short = np.concatenate(([0], np.cumsum(gaps < epsilon0)))
             clear = np.nonzero(short[run:] == short[:-run])[0]
             if clear.size:
-                o = start + int(clear[0]) + half  # the run's centre
-                events.append(SeparationEvent(shift=z, offset=o,
-                                              separation=float(gap.norms(z + o, o)[0])))
+                o = int(clear[0]) + half  # the run's centre, from the chunk's start
+                events.append(SeparationEvent(z, start + o, float(gaps[o])))
                 break
-            lo, size = hi, 2 * size
+            lo, size = hi, min(2 * size, ROW_CHUNK)
     return events
 
 
@@ -300,7 +280,7 @@ def find_separations(seq: Series, shifts: Sequence[int], epsilon0: float,
     outside = [z for z in shifts if not 1 <= z < len(seq)]
     if outside:
         raise DomainError(f"shift {outside[0]} outside the recorded window")
-    return _separations(_Gap(seq, scale), shifts, epsilon0, int(horizon))
+    return _separations(_Rows(seq, scale), shifts, epsilon0, int(horizon))
 
 
 def separation_at(seq: Series, shift: int, offset: int) -> float:
@@ -367,11 +347,12 @@ def evidence_for_function(phi: Series, window: Sequence[float],
         raise ArgumentError((*shorten, "min_shift"), f"leaves no shift to scan: a shift must be "
                             f"at least {first * phi.step:g} and at most {cap * phi.step:g}")
 
-    returns = _scan_near_returns(_Gap(phi), j0, j1 - j0, cap, rungs, first)
+    rows = _Rows(phi)
+    returns = _scan_near_returns(rows, j0, j1 - j0, cap, rungs, first)
 
     half = int(round(delta / phi.step))
     seps = [replace(e, center_time=float(phi.t_start + e.offset * phi.step)) for e in
-            _separations(_Gap(phi), [r.shift for r in returns if r.found], epsilon0, n, half)]
+            _separations(rows, [r.shift for r in returns if r.found], epsilon0, n, half)]
     return _evidence(returns, seps, epsilon0, cap, kind="function", base_index=0, anchor=j0,
                      time_step=phi.step, interval_halfwidth=half * phi.step)
 

@@ -10,7 +10,7 @@ from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_
 from updyn.constructs import VectorSequence, build_sequence_triple, sequence_psi
 from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
-                             key_bound, sensitivity_demo, separation_at, verify_evidence)
+                             sensitivity_demo, separation_at, verify_evidence)
 from updyn.errors import ArgumentError, DomainError, ResolutionError
 
 
@@ -423,14 +423,28 @@ class TestEarlyAbandonScans:
 
 
 # ---------------------------------------------------------------------------
-# a one-column key with a power-of-two scale stands for the rows key * scale
+# a one-column key with a scale whose first entry is 1 stands for the rows key * scale
 
 
-SCALES = [(1.0,), (1.0, 0.25), (0.5, 2.0, 1.0), (0.25,)]
+SCALES = [(1.0,), (1.0, 0.25), (1.0, 2.0, 0.5), (1.0, 0.3), (1.0, 3.0, 1e-3)]
 
 
 def key_rows(key, scale):
     return VectorSequence(0, np.asarray(key, dtype=float)[:, None] * np.asarray(scale))
+
+
+def least_gap_at(rung, scale):
+    """The least double T with ``not g(T) < rung``, g(x) the row norm of x * scale summed
+    left to right as ``row_norms`` sums it; bisected over the bit patterns of the doubles,
+    which order them.  A key gap x planted against zeros has the row gap g(x)."""
+    lo, hi = 0, 0x7FF0000000000000   # the bits of +0.0 and +inf
+    while lo < hi:
+        mid, total = (lo + hi) // 2, 0.0
+        x = float(np.int64(mid).view(np.float64))
+        for s in map(float, scale):   # left to right, not ``sum``, which may compensate
+            total += (s * x) * (s * x)
+        lo, hi = (mid + 1, hi) if math.sqrt(total) < rung else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
 
 
 def assert_key_scans_match(key, scale, window, ladder, horizon, epsilon0, shifts=()):
@@ -457,7 +471,7 @@ class TestScaledKey:
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("rung", [0.2, 0.1, 0.05, 0.02, 0.3, 0.9, 1e-3])
     def test_bound_decides_as_the_row_norm(self, scale, rung):
-        bound = key_bound(rung, scale)
+        bound = least_gap_at(rung, scale)
         for x in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
             assert (key_rows([0.0, x], scale).norms()[1] < rung) == (x < bound)
 
@@ -466,8 +480,9 @@ class TestScaledKey:
     @pytest.mark.parametrize("step", [-1, 0])
     def test_a_gap_at_the_bound_is_not_a_return(self, scale, offset, step):
         # the window [0, 0, 0, 0] recurs only at shift 40, where one offset's gap is the
-        # bound (step 0) or the double below it (step -1); 1.0 elsewhere is far from 0
-        rung, bound = 0.1, key_bound(0.1, scale)
+        # least gap at the rung (step 0) or the double below it (step -1); 1.0 elsewhere
+        # is far from 0
+        rung, bound = 0.1, least_gap_at(0.1, scale)
         gap = bound if step == 0 else np.nextafter(bound, 0.0)
         key = np.ones(80)
         key[:4] = key[40:44] = 0.0
@@ -479,7 +494,7 @@ class TestScaledKey:
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_a_gap_at_the_bound_separates(self, scale, step):
         epsilon0 = 0.3
-        bound = key_bound(epsilon0, scale)
+        bound = least_gap_at(epsilon0, scale)
         gap = np.nextafter(bound, step * np.inf) if step else bound
         key = np.zeros(200)
         key[57 + 90] = gap
@@ -514,6 +529,29 @@ class TestScaledKey:
         assert scanned(found) == [(first, 0.0), (second, 0.0), (None, None)]
         assert found == find_near_returns(rows, 7, (0.5, 0.25, 0.1))
 
+    @pytest.mark.parametrize("scale", [(1.0,), (1.0, 0.25)])
+    def test_a_return_whose_squares_underflow(self, scale):
+        # At shift 30 the key's gaps are 1e-162, ten times the rung 1e-163, but their
+        # squares round to 0, so the row gaps read 0: the key's filter must admit them.
+        key = np.ones(80)
+        key[:6] = 0.0
+        key[30:36] = 1e-162
+        assert reference_near_returns(key_rows(key, scale).values, 0, 5, 74, (1e-163,)) == [
+            (30, 0.0)]
+        returns, _ = assert_key_scans_match(key, scale, 5, (1e-163,), 10 ** 6, 0.5)
+        assert scanned(returns) == [(30, 0.0)]
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_a_window_only_the_second_column_breaks(self, offset):
+        # The first column of rows 0..5 recurs at shifts 30 and 70; at 30 the second
+        # column breaks the window at ``offset``, so the key alone cannot decide.
+        values = np.ones((120, 2))
+        values[:6] = values[30:36] = values[70:76] = 0.0
+        values[30 + offset, 1] = 1.0
+        seq = VectorSequence(0, values)
+        returns, _ = assert_sequence_scans_match(seq, 5, (0.5,), 10 ** 6, 0.5)
+        assert scanned(returns) == [(70, 0.0)]
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(scale=st.sampled_from(SCALES),
            rungs=st.lists(st.floats(0.05, 0.9), min_size=1, max_size=3, unique=True),
@@ -526,12 +564,13 @@ class TestScaledKey:
     def test_key_scans_equal_the_row_scans(self, scale, rungs, epsilon0, window, plants,
                                            background, horizon_frac, seed):
         # Keys on a grid of 2^-10 in [-1, 1], but for planted copies of the anchor window
-        # whose gaps are a bound T of a rung or of epsilon0, a double next to it, or a
-        # small grid step.  Anchor-window keys lie in [-T_min/2, 0], so each planted key,
-        # key[o] + gap, is a double and the computed gap is exactly the planted one.
+        # whose key gaps are the least gap T of a rung or of epsilon0, a double next to
+        # it, or a small grid step.  Anchor-window keys lie in [-T_min/2, 0], so each
+        # planted key, key[o] + gap, is a double and the computed key gap is exactly the
+        # planted one; for a scale of powers of two so is the row gap g(gap).
         rng = np.random.default_rng(seed)
         ladder = sorted(rungs, reverse=True)
-        bounds = [key_bound(r, scale) for r in (*ladder, epsilon0)]
+        bounds = [least_gap_at(r, scale) for r in (*ladder, epsilon0)]
         low = min(bounds) / 2.0
         key = np.round(rng.uniform(-1.0, 1.0, background * (len(plants) + 1)) * 1024) / 1024
         key[:window + 1] = -np.round(rng.uniform(0.0, low, window + 1) * 1024) / 1024
@@ -553,21 +592,33 @@ class TestScaledKey:
         assert verify_evidence(seq, evidence, scale)
 
     @pytest.mark.parametrize("scale, key", [
-        ((0.3,), [0.1, 0.2, 0.3]),
         ((1.0, 0.3), [0.1, 0.2, 0.3]),
         ((1.0, 0.0), [0.1, 0.2, 0.3]),
         ((1.0,) * 8, [0.1, 0.2, 0.3]),
         ((1.0, 0.25), [0.1, np.nan, 0.3]),
         ((1.0, 0.25), [0.1, 5e-324, 0.3]),
-        ((0.25,), [0.1, -2.0 ** -1021, 0.3]),    # subnormal once scaled
-        ((1.0, 0.25), [0.1, 1.7e308, -1.7e308]),  # a difference overflows
+        ((1.0, 0.25), [0.1, -2.0 ** -1021, 0.3]),   # subnormal once scaled
+        ((1.0, 0.25), [0.1, 1.7e308, -1.7e308]),    # a difference overflows
+    ], ids=["(1, 0.3)", "(1, 0)", "eight", "nan", "subnormal", "subnormal-scaled", "overflow"])
+    def test_keys_once_refused_scan_as_their_rows(self, scale, key):
+        # compared as text, in which a NaN gap equals itself
+        seq = VectorSequence(0, np.zeros((3, 1)))
+        seq.values[:, 0] = key   # a Series refuses a NaN when it is built, not after
+        rows = VectorSequence(0, np.zeros((3, len(scale))))
+        rows.values[:] = seq.values * scale
+        for scan in (lambda s, scale=None: find_near_returns(s, 0, (0.5,), scale=scale),
+                     lambda s, scale=None: find_separations(s, [1, 2], 0.5, scale=scale),
+                     lambda s, scale=None: collect_evidence(s, window=0, scale=scale)):
+            assert repr(scan(seq, scale)) == repr(scan(rows))
+
+    @pytest.mark.parametrize("scale, key", [
+        ((0.3,), [0.1, 0.2, 0.3]),
+        ((0.25, 1.0), [0.1, 0.2, 0.3]),
+        ((), [0.1, 0.2, 0.3]),
         ((1.0, 0.25), [[0.1, 0.2], [0.2, 0.3], [0.3, 0.4]]),
-    ], ids=["0.3", "(1, 0.3)", "(1, 0)", "eight", "nan", "subnormal", "subnormal-scaled",
-            "overflow", "two-columns"])
+    ], ids=["0.3", "(0.25, 1)", "empty", "two-columns"])
     def test_scale_and_key_refused_before_the_scan(self, scale, key):
-        key = np.array(key).reshape(3, -1)
-        seq = VectorSequence(0, np.zeros(key.shape))
-        seq.values[:] = key      # a Series refuses a NaN when it is built, not after
+        seq = VectorSequence(0, np.array(key).reshape(3, -1))
         for scan in (lambda: find_near_returns(seq, 0, (0.5,), scale=scale),
                      lambda: find_separations(seq, [1], 0.5, scale=scale),
                      lambda: collect_evidence(seq, window=0, scale=scale)):

@@ -523,9 +523,17 @@ def matrix_examples(test):
     return test
 
 
+def subnormal_seed(seed, burn_in):
+    """6.2 from a subnormal logistic seed: the draws set both fields only now and then."""
+    source = {**CHEAP["6.2"]["source"], "seed": seed, "burn_in": burn_in}
+    return {**CHEAP["6.2"], "source": source}, ["source.seed", "source.burn_in"]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @matrix_examples
+@example(subnormal_seed(5e-324, 0))
+@example(subnormal_seed(1e-310, 3))
 @given(odd_config())
 def test_config_fuzz_reports_or_names_the_field(capsys, case):
     config, paths = case

@@ -10,6 +10,8 @@ output directory:
 - the benchmark's discrete ``run`` config (window 4000-44000);
 - a construct ``run`` config of the 6.2 sequence at horizon 30,200 and
   epsilon0 0.9, where a found shift never separates within the horizon;
+- a construct ``run`` config of the 6.2 sequence at horizon 2,000 from the
+  fixed logistic seed 5e-324 with no burn-in, whose orbit is subnormal to row 26;
 - a construct-forced delay ``run`` config at delay 0.05 over [0, 60], whose
   φ and ψ runs take ``integrate_mos``'s lockstep lanes at a longer warm-up
   than 6.3's;
@@ -119,6 +121,12 @@ def invocations(seed: str, workdir: Path) -> list[tuple[str, list[str]]]:
                "construct-separation": {"kind": "construct",
                                         "source": {"seed": float(seed), "horizon": 30200},
                                         "numeric": {"variant": "sequence", "epsilon0": 0.9}},
+               # a subnormal logistic seed, the same at every oracle seed: kappa starts
+               # at 5e-324 and stays subnormal to row 26
+               "construct-subnormal-seed": {"kind": "construct",
+                                            "source": {"seed": 5e-324, "burn_in": 0,
+                                                       "horizon": 2000},
+                                            "numeric": {"variant": "sequence"}},
                **SYSTEM_CONFIGS}
     runs = [(ex, ["reproduce", ex, "--seed", seed, "--out-dir", ex])
             for ex in ("6.1", "6.2", "6.3", "6.4")]
