@@ -543,7 +543,7 @@ def jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

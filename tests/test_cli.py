@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from updyn import report
-from updyn.cli import main, validate_config
+from updyn import catalog, report
+from updyn.cli import ORACLE_UNIFORMS, main, validate_config
 from updyn.errors import ConfigError
 from updyn.report import (CSV_CHUNK_ROWS, read_series_csv, write_csvs, write_function_csv,
                           write_sequence_csv)
@@ -309,6 +309,15 @@ class TestReproduce:
 
     def test_unknown_example_is_usage_error(self):
         assert run_cli("reproduce", "9.9") == 2
+
+    @pytest.mark.parametrize("seed", [0.41, 0.37, 0.912345])
+    def test_oracle_times_are_the_seeded_uniform_draws(self, seed):
+        # 6.1 checks its filter at the times default_rng(2027).uniform drew, bit for bit
+        assert ORACLE_UNIFORMS.tolist() == np.random.default_rng(2027).random(10).tolist()
+        filt = catalog.run_function_demo(seed=seed).filt
+        lo, hi = filt.t_start + 40.0, filt.t_end
+        drawn = np.random.default_rng(2027).uniform(lo, hi, 10)
+        assert (lo + (hi - lo) * ORACLE_UNIFORMS).tobytes() == drawn.tobytes()
 
     @pytest.mark.parametrize("example, horizon, rungs", [("6.1", "1.5", 3), ("6.2", "1", 4)])
     def test_a_scan_that_records_nothing_verifies_nothing(self, tmp_path, example, horizon,

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from updyn import catalog, delay, lanes
+from updyn import catalog, delay, lanes, nonlinearity
 from updyn.chaos import GridFunction
 from updyn.delay import (DelaySystemSpec, _midpoint_stencils, _midpoints, bounded_solution,
                          constant_history, convergence_check, integrate_mos, picard_apply,
@@ -299,6 +301,56 @@ class TestAssumptions:
         report = check_assumptions(spec)
         assert not report.spot.bound_ok
         assert not report.spot.lipschitz_ok
+
+
+# the spot check's cases: name, dimension, tanh scale
+SPOT_CASES = [("arctan_arccot", 2, 1.0), ("sin_cos", 2, 1.0), ("zero", 2, 1.0),
+              *[("tanh", dim, scale) for dim in (1, 2, 3, 4) for scale in (0.1, 1.0, 1e6)]]
+
+
+def reference_spot_pairs(dim):
+    """The pairs the spot check drew before its points were fixed: 3 * standard normals
+    from numpy's default_rng(1404)."""
+    rng = np.random.default_rng(1404)
+    return 3.0 * rng.standard_normal((1000, dim)), 3.0 * rng.standard_normal((1000, dim))
+
+
+def spot_verdicts(nl, dim, pairs=None):
+    """(bound_ok, lipschitz_ok) of the spot check, on the reference pairs if asked."""
+    if pairs is None:
+        spot = nonlinearity.spot_check(nl, dim)
+    else:
+        with mock.patch.object(nonlinearity, "spot_pairs", pairs):
+            spot = nonlinearity.spot_check(nl, dim)
+    return spot.bound_ok, spot.lipschitz_ok
+
+
+class TestSpotPairs:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_fixed_normal_pairs(self, dim):
+        x, y = nonlinearity.spot_pairs(dim)
+        assert x.shape == y.shape == (nonlinearity.SPOT_PAIRS, dim)
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+        z = np.concatenate([x, y]) / nonlinearity.SPOT_SCALE
+        assert abs(z.mean()) < 0.05 and abs(z.std() - 1.0) < 0.05
+        assert all((a == b).all() for a, b in zip((x, y), nonlinearity.spot_pairs(dim)))
+
+    @pytest.mark.parametrize("name, dim, scale", SPOT_CASES)
+    def test_true_constants_pass(self, name, dim, scale):
+        nl = catalog.NONLINEARITIES[name](dim, scale)
+        assert spot_verdicts(nl, dim) == spot_verdicts(nl, dim, reference_spot_pairs) == (
+            True, True)
+
+    @pytest.mark.parametrize("name, dim, scale", SPOT_CASES)
+    @pytest.mark.parametrize("field", ["bound", "lipschitz"])
+    @pytest.mark.parametrize("factor", [0.5, 0.9])
+    def test_catches_what_the_random_pairs_catch(self, name, dim, scale, field, factor):
+        nl = catalog.NONLINEARITIES[name](dim, scale)
+        nl = dataclasses.replace(nl, **{field: factor * getattr(nl, field)})
+        fixed, drawn = spot_verdicts(nl, dim), spot_verdicts(nl, dim, reference_spot_pairs)
+        assert all(f <= d for f, d in zip(fixed, drawn))
+        if field == "bound" and name != "zero":
+            assert not fixed[0]
 
 
 class TestIntegrateMos:

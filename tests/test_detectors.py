@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from updyn import catalog
 from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_step
 from updyn.constructs import VectorSequence, build_sequence_triple, sequence_psi
-from updyn.detectors import (DEFAULT_LADDER, collect_evidence, decay_test,
+from updyn.detectors import (DEFAULT_LADDER, NearReturn, SeparationEvent,
+                             UnpredictabilityEvidence, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
                              sensitivity_demo, separation_at, verify_evidence)
 from updyn.errors import ArgumentError, DomainError, ResolutionError
@@ -196,6 +197,46 @@ class TestEvidenceConsistency:
                                       separation=ev.separation_times[0].separation + 1.0)
         bad = dataclasses.replace(ev, separation_times=(bad_sep,) + ev.separation_times[1:])
         assert not verify_evidence(sequence_psi(sequence_demo.orbit), bad)
+
+    # Each re-check covers every row it names: evidence that holds at all of them but
+    # one fails.  None breaks no row, and the evidence holds.
+
+    @pytest.mark.parametrize("scale", [None, (1.0, 0.25)])
+    @pytest.mark.parametrize("broken", [None, 0, 1, 2, 3, 4, 5])
+    def test_every_offset_of_a_return_window_counts(self, scale, broken):
+        # the window of rows 3..8 recurs at shift 40 with key gaps 0.01, but 0.5 at ``broken``
+        key = np.zeros(100)
+        key[43:49] = 0.01
+        if broken is not None:
+            key[43 + broken] = 0.5
+        achieved = float(np.linalg.norm(0.01 * np.asarray(scale or (1.0,))))
+        ev = UnpredictabilityEvidence("sequence", 0, (NearReturn(0.1, 40, achieved, 5),), (),
+                                      epsilon0_estimate=0.0, scanned_horizon=50, anchor=3)
+        assert verify_evidence(VectorSequence(0, key), ev, scale) == (broken is None)
+
+    @pytest.mark.parametrize("tampered", [None, 0, 1, 2])
+    def test_every_separation_counts(self, tampered):
+        key = np.zeros(100)
+        key[[60, 75, 90]] = 1.0, 2.0, 3.0   # gaps under shift 50 at offsets 10, 25 and 40
+        seps = tuple(SeparationEvent(50, offset, gap + 0.5 * (k == tampered))
+                     for k, (offset, gap) in enumerate([(10, 1.0), (25, 2.0), (40, 3.0)]))
+        ev = UnpredictabilityEvidence("sequence", 0, (), seps, epsilon0_estimate=1.0,
+                                      scanned_horizon=50)
+        assert verify_evidence(VectorSequence(0, key), ev) == (tampered is None)
+
+    @pytest.mark.parametrize("broken", [None, *range(9)])
+    def test_every_node_of_a_separation_interval_counts(self, broken):
+        # shift 100 takes the 9 nodes 1,090..1,098 around 1,094 (half-width 0.2 on step
+        # 0.05) onto rows 2.0 away, but the one under ``broken`` 0.5 away
+        values = np.zeros((1300, 1))
+        values[1190:1199] = 2.0
+        if broken is not None:
+            values[1190 + broken] = 0.5
+        ev = UnpredictabilityEvidence(
+            "function", 0, (), (SeparationEvent(100, 1094, 2.0, 1094 * 0.05),),
+            epsilon0_estimate=1.5, scanned_horizon=100, epsilon0_requested=1.5,
+            time_step=0.05, interval_halfwidth=0.2)
+        assert verify_evidence(GridFunction(0.0, 0.05, values), ev) == (broken is None)
 
 
 # ---------------------------------------------------------------------------

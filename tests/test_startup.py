@@ -1,10 +1,12 @@
-"""Start-up guards: no command loads scipy, jsonschema or numpy.f2py, and the CSV
-writer loads neither fractions nor decimal.
+"""Start-up guards: no command loads scipy, jsonschema, numpy.f2py or numpy.random, and
+the CSV writer loads neither fractions nor decimal.
 
 Every ``updyn`` command runs in a fresh process, so module-level imports are
 paid on each call.  scipy alone adds about 25-50 MB of resident memory and
 0.6 s to a process; the package does its numerics in numpy, and scipy is a
 test-only dependency (the ``test`` extra in pyproject.toml), kept as an oracle.
+numpy.random (about 5 MB and 9 ms, with ``secrets`` and OpenSSL's ``_hashlib``)
+is left out too: the points the package samples at are fixed.
 Each case runs in its own interpreter and reports which modules it ended up
 loading.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from updyn.report import write_sequence_csv
+from updyn.report import write_function_csv, write_sequence_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,9 +39,9 @@ def cli_modules(tmp_path, *argv: str) -> set[str]:
 
 
 def families(modules: set[str]) -> set[str]:
-    """The heavy families among ``modules``: scipy, jsonschema and numpy.f2py."""
+    """The heavy families among ``modules``: scipy, jsonschema, numpy.f2py and numpy.random."""
     found = {m.split(".")[0] for m in modules} & {"scipy", "jsonschema"}
-    return found | ({"numpy.f2py"} if "numpy.f2py" in modules else set())
+    return found | ({"numpy.f2py", "numpy.random"} & modules)
 
 
 def run_config_modules(tmp_path, config: dict) -> set[str]:
@@ -90,6 +92,14 @@ def test_detect_sequence_csv_loads_neither(tmp_path):
     modules = cli_modules(tmp_path, "detect", "seq.csv", "--horizon", "2000",
                           "--out-dir", "out")
     assert (tmp_path / "out" / "seq_evidence_report.json").exists()
+    assert families(modules) == set()
+
+
+def test_detect_function_csv_loads_none(tmp_path):
+    t = np.arange(4001) * 0.05
+    write_function_csv(tmp_path / "fn.csv", t, np.column_stack([np.sin(t), np.cos(1.3 * t)]))
+    modules = cli_modules(tmp_path, "detect", "fn.csv", "--out-dir", "out")
+    assert (tmp_path / "out" / "fn_evidence_report.json").exists()
     assert families(modules) == set()
 
 
