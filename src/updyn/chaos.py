@@ -10,6 +10,7 @@ decaying exponential yields a bounded, uniformly continuous scalar function.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -84,22 +85,24 @@ def logistic_orbit(seed: float, burn_in: int = DEFAULT_BURN_IN, length: int = 10
     for _ in range(int(burn_in)):
         x = r * x * (1.0 - x)
 
-    def iterates(x):
-        for _ in range(int(length) // 4):
-            x1 = r * x * (1.0 - x)
-            x2 = r * x1 * (1.0 - x1)
-            x3 = r * x2 * (1.0 - x2)
-            yield x
-            yield x1
-            yield x2
-            yield x3
-            x = r * x3 * (1.0 - x3)
-        for _ in range(int(length) % 4):
-            yield x
+    def blocks(x):
+        for _ in range(int(length) // 16):
+            yield (x, a := r * x * (1.0 - x), b := r * a * (1.0 - a), c := r * b * (1.0 - b),
+                   d := r * c * (1.0 - c), e := r * d * (1.0 - d), f := r * e * (1.0 - e),
+                   g := r * f * (1.0 - f), h := r * g * (1.0 - g), i := r * h * (1.0 - h),
+                   j := r * i * (1.0 - i), k := r * j * (1.0 - j), m := r * k * (1.0 - k),
+                   n := r * m * (1.0 - m), p := r * n * (1.0 - n), q := r * p * (1.0 - p))
+            x = r * q * (1.0 - q)
+        tail = []
+        for _ in range(int(length) % 16):
+            tail.append(x)
             x = r * x * (1.0 - x)
-    # np.fromiter over a generator of four iterates a pass: about 20% faster than one a
-    # pass (10^6 iterates in 0.10 s, not 0.13 s), which beat numpy item assignment by 15%
-    return VectorSequence(0, np.fromiter(iterates(x), float, int(length)))
+        yield tail
+    # np.fromiter reads one 16-iterate tuple a generator pass: 6% less CPU time than four
+    # iterates a pass (0.94, median ratio), which took 10^6 iterates in 0.10 s against
+    # 0.13 s at one a pass; the resume, not the arithmetic, was the cost per value
+    return VectorSequence(0, np.fromiter(itertools.chain.from_iterable(blocks(x)), float,
+                                         int(length)))
 
 
 def logistic_residual(orbit: Series) -> float:

@@ -171,22 +171,36 @@ def _first_survivor(rows: _Rows, anchor: int, window: int, candidates: np.ndarra
     """Smallest candidate shift z whose row gap from row anchor+o at row anchor+z+o is
     below ``rung`` at every offset o in 0..window.
 
-    Candidates are taken in increasing chunks, each filtered one offset at a time: on the
-    key's ``_loose`` test (offset 0 passed it in the anchor gap), then on the row gaps at
-    every offset; a chunk is abandoned as soon as none survives.
+    Candidates are taken in increasing chunks.  A chunk passes the key's ``_loose`` test at
+    offsets 1..window (offset 0 passed it in the anchor gap), then the row gaps at offsets
+    0..window.  Each test runs one offset at a time while the chunk's survivors times the
+    offsets still to test exceed ``_RETURN_CHUNK``, then at all of those offsets in one
+    (survivors x offsets) pass of at most that many rows.  That pass spares numpy's per-call
+    cost on a chunk's last few survivors: 6.1's scans took 0.80-0.89 and 6.2's 0.62-0.70 of
+    the CPU time of one offset at a time (median ratios on four seeds).  A 32,768-row pass
+    made 6.2's slower (1.34), and switching at 16 survivors left 6.1's as it was (0.99).
     """
     key, limit = rows.key, _loose(rung)
+
+    def passes(at, base, on_key: bool) -> np.ndarray:
+        """Whether rows ``at`` pass against rows ``base``: on the key's bound, or the rung."""
+        return np.abs(key[at] - key[base]) < limit if on_key else rows.gaps(at, base) < rung
+
     lo, size = 0, _RETURN_CHUNK
     while lo < candidates.size:
         alive = candidates[lo:lo + size] + anchor
-        for o in range(1, window + 1):
-            if not alive.size:
+        for on_key, first in ((True, 1), (False, 0)):
+            for o in range(first, window + 1):
+                if not alive.size:
+                    break
+                if alive.size * (window + 1 - o) > _RETURN_CHUNK:
+                    alive = alive[passes(alive + o, anchor + o, on_key)]
+                    continue
+                offsets = np.arange(o, window + 1)
+                ok = passes((alive[:, None] + offsets).ravel(),
+                            np.tile(anchor + offsets, alive.size), on_key)
+                alive = alive[ok.reshape(alive.size, -1).all(axis=1)]
                 break
-            alive = alive[np.abs(key[alive + o] - key[anchor + o]) < limit]
-        for o in range(window + 1):
-            if not alive.size:
-                break
-            alive = alive[rows.gaps(alive + o, anchor + o) < rung]
         if alive.size:
             return int(alive[0]) - anchor
         lo += size

@@ -1,18 +1,21 @@
-"""The byte oracle's printout at seed 0.41 is pinned: every exit code and output sha256.
+"""The byte oracle's printouts at seeds 0.41, 0.37 and 0.912345 are pinned: every exit
+code and output sha256.
 
-A change that moves an output on purpose updates ``data/byte_oracle_0.41.txt``
-(``python tools/output_hashes.py 0.41``) and lists the moved files.
+A change that moves an output on purpose updates ``data/byte_oracle_<seed>.txt``
+(``python tools/output_hashes.py <seed>``) and lists the moved files.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 from byte_oracle import printout  # noqa: E402
 
-PINNED = ROOT / "tests" / "data" / "byte_oracle_0.41.txt"
+DATA = ROOT / "tests" / "data"
 
 
 def outcomes(lines) -> dict:
@@ -28,9 +31,10 @@ def outcomes(lines) -> dict:
     return found
 
 
-def test_every_output_matches_the_pinned_printout():
-    pinned = outcomes(PINNED.read_text(encoding="utf-8").splitlines())
-    now = outcomes(printout("0.41"))
+@pytest.mark.parametrize("seed", ["0.41", "0.37", "0.912345"])
+def test_every_output_matches_the_pinned_printout(seed):
+    pinned = outcomes((DATA / f"byte_oracle_{seed}.txt").read_text(encoding="utf-8").splitlines())
+    now = outcomes(printout(seed))
     moved = [f"{key}: {pinned.get(key, 'absent')} -> {now.get(key, 'absent')}"
              for key in {**pinned, **now} if pinned.get(key) != now.get(key)]
     assert not moved, "moved since the pinned printout:\n" + "\n".join(moved)

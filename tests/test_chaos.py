@@ -49,6 +49,19 @@ class TestLogisticOrbit:
         orbit = logistic_orbit(0.25, 0, 1)
         np.testing.assert_array_equal(orbit.values, [[0.25]])
 
+    @pytest.mark.parametrize("length", [1, 15, 16, 17, 31, 32, 33, 2 * ROW_CHUNK + 2])
+    def test_equals_a_step_loop(self, length):
+        # the orbit is built 16 iterates a generator pass, and the rest one at a time
+        x, expected = 0.41, []
+        for _ in range(7):
+            x = logistic_step(x)
+        for _ in range(length):
+            expected.append(x)
+            x = logistic_step(x)
+        orbit = logistic_orbit(0.41, 7, length)
+        assert orbit.values.shape == (length, 1)
+        assert orbit.values[:, 0].tobytes() == np.array(expected).tobytes()
+
     def test_post_burn_in_values_inside_map_image(self):
         orbit = logistic_orbit(0.99, 1, 5000)
         assert orbit.values.max() <= 3.91 / 4.0

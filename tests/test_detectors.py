@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from updyn import catalog
+from updyn import catalog, detectors
 from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_step
-from updyn.constructs import VectorSequence, build_sequence_triple, sequence_psi
+from updyn.constructs import PSI_SCALE, VectorSequence, build_sequence_triple, sequence_psi
 from updyn.detectors import (DEFAULT_LADDER, NearReturn, SeparationEvent,
                              UnpredictabilityEvidence, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
@@ -347,8 +348,10 @@ class TestEarlyAbandonScans:
         assert sum(r.found for r in returns) >= 3
         assert events
 
+    # windows up to 120 (6.1 compares 101 offsets) take both of _first_survivor's
+    # branches: one offset at a time, and every offset left in one pass
     @settings(max_examples=40, deadline=None)
-    @given(dim=st.integers(1, 3), n=st.integers(30, 6000), window=st.integers(0, 25),
+    @given(dim=st.integers(1, 3), n=st.integers(30, 6000), window=st.integers(0, 120),
            period=st.one_of(st.none(), st.integers(1, 60)),
            noise=st.sampled_from([0.0, 1e-3, 0.05]),
            rungs=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4, unique=True),
@@ -377,6 +380,43 @@ class TestEarlyAbandonScans:
         assert scanned(returns) == [(hit, 0.0)]
         assert scanned(returns) == reference_near_returns(seq.values, 0, window,
                                                           len(seq) - 1 - window, (0.5,))
+
+    @pytest.mark.parametrize("window", [1, 7, 20, 100])
+    def test_one_pass_tests_the_last_offset(self, window):
+        # Keys are 0 on the anchor window and on the windows at shifts 500 and 900, 5
+        # elsewhere: 3 * window + 2 candidates, of which only 500 and 900 pass the key, and
+        # those two take the rows' one-pass branch.  Shift 500's rows pass at every offset
+        # but the last, where its second column is 1.  Shift 900 returns exactly.
+        values = np.zeros((1200, 2))
+        values[window + 1:, 0] = 5.0
+        for z in (500, 900):
+            values[z:z + window + 1, 0] = 0.0
+        values[500 + window, 1] = 1.0
+        seq = VectorSequence(0, values)
+        returns = find_near_returns(seq, window, (0.5,))
+        assert scanned(returns) == [(900, 0.0)]
+        assert scanned(returns) == reference_near_returns(values, 0, window,
+                                                          len(seq) - 1 - window, (0.5,))
+
+    @pytest.mark.parametrize("demo", ["6.1", "6.2"])
+    def test_one_pass_reads_at_most_a_chunk(self, monkeypatch, sequence_demo, demo):
+        # a one-pass call is the one whose origin is an index array, not a row index
+        gaps, read = detectors._Rows.gaps, []
+
+        def counted(rows, at, origin):
+            if isinstance(origin, np.ndarray):
+                read.append(np.size(at))
+            return gaps(rows, at, origin)
+
+        monkeypatch.setattr(detectors._Rows, "gaps", counted)
+        if demo == "6.1":
+            returns = catalog.run_function_demo().evidence.return_times
+        else:
+            returns = find_near_returns(sequence_demo.orbit, detectors.SCAN_WINDOW,
+                                        DEFAULT_LADDER, scale=PSI_SCALE)
+            assert tuple(returns) == sequence_demo.evidence.return_times
+        assert any(r.found for r in returns)
+        assert read and max(read) <= detectors._RETURN_CHUNK
 
     def test_rungs_never_found(self):
         seq = VectorSequence(0, np.random.default_rng(5).uniform(0, 1, (20000, 2)))
@@ -647,10 +687,13 @@ class TestScaledKey:
         seq.values[:, 0] = key   # a Series refuses a NaN when it is built, not after
         rows = VectorSequence(0, np.zeros((3, len(scale))))
         rows.values[:] = seq.values * scale
-        for scan in (lambda s, scale=None: find_near_returns(s, 0, (0.5,), scale=scale),
-                     lambda s, scale=None: find_separations(s, [1, 2], 0.5, scale=scale),
-                     lambda s, scale=None: collect_evidence(s, window=0, scale=scale)):
-            assert repr(scan(seq, scale)) == repr(scan(rows))
+        # numpy warns where the overflow case's separation gaps overflow
+        overflows = any(abs(a - b) == math.inf for a in key for b in key)
+        with pytest.warns(RuntimeWarning) if overflows else contextlib.nullcontext():
+            for scan in (lambda s, scale=None: find_near_returns(s, 0, (0.5,), scale=scale),
+                         lambda s, scale=None: find_separations(s, [1, 2], 0.5, scale=scale),
+                         lambda s, scale=None: collect_evidence(s, window=0, scale=scale)):
+                assert repr(scan(seq, scale)) == repr(scan(rows))
 
     @pytest.mark.parametrize("scale, key", [
         ((0.3,), [0.1, 0.2, 0.3]),
