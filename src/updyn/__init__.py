@@ -14,10 +14,9 @@ from .constructs import (DecompositionTriple, WitnessReport, affine_transform,
 from .delay import (DelaySystemSpec, ProofConstants, StabilityConstants,
                     bounded_solution, constant_history, convergence_check,
                     integrate_mos, picard_apply, proof_constants, stability_constants)
-from .detectors import (DecayReport, DivergenceReport, UnpredictabilityEvidence,
-                        collect_evidence, decay_test, evidence_for_function,
-                        find_near_returns, find_separations, sensitivity_demo,
-                        verify_evidence)
+from .detectors import (DecayReport, UnpredictabilityEvidence, collect_evidence, decay_test,
+                        evidence_for_function, find_near_returns, find_separations,
+                        sensitivity, verify_evidence)
 from .discrete import (DiscreteSystemSpec, GronwallEnvelope, bounded_orbit,
                        convergence_check_discrete, gronwall_envelope, iterate,
                        orbit_sum_residual, spectral_norm)

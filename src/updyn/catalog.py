@@ -23,15 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, ExponentialFilter, GridFunction, Series,
-                    VectorSequence, convolve_exponential, logistic_orbit, row_norms,
-                    settling_positions)
+from .chaos import (DEFAULT_BURN_IN, DEFAULT_SEED, WARMUP_UNITS, ExponentialFilter,
+                    GridFunction, Series, VectorSequence, convolve_exponential, exact_ratio,
+                    logistic_orbit, row_norms, settling_positions)
 from .constructs import (PSI_SCALE, DecompositionTriple, build_function_triple,
                          build_sequence_triple, function_tail, non_unpredictability_witness,
                          sequence_tail, WitnessReport)
-from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, _exact_ratio,
-                    constant_history, convergence_check, integrate_mos, proof_constants,
-                    tail_start)
+from .delay import (DelayConvergenceReport, DelaySystemSpec, ProofConstants, constant_history,
+                    convergence_check, integrate_mos, proof_constants, tail_start)
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
                         SEQUENCE_HORIZON, DecayReport, UnpredictabilityEvidence,
                         collect_evidence, decay_test, evidence_for_function, verify_evidence)
@@ -77,7 +76,7 @@ def delay_step(tau: float, step: float | None) -> float:
 def steps_per_unit(span: float, step: float | None, what: str) -> float:
     """Grid nodes per time unit; ``step`` must divide ``span`` (None: the delay default)."""
     try:
-        return _exact_ratio(span, delay_step(span, step), what) / span
+        return exact_ratio(span, delay_step(span, step), what) / span
     except DomainError as exc:
         raise ArgumentError("step", str(exc)) from None
 
@@ -143,7 +142,7 @@ def source_orbit(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN,
 
 def function_source(seed: float, burn_in: int, t_lo: float, t_hi: float) -> ExponentialFilter:
     """Filtered source whose usable window covers [t_lo, t_hi]."""
-    base = math.floor(t_lo) - 20
+    base = math.floor(t_lo) - WARMUP_UNITS
     length = math.ceil(t_hi) - base + 1
     orbit = source_orbit(seed, burn_in, length, base)
     return ExponentialFilter.from_orbit(orbit, decay=2.0)
@@ -193,9 +192,9 @@ def run_function_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
     The recurrence scan compares a span past the decaying bump, where the
     combined signal is indistinguishable from its recurrent part.
     """
-    # the filtered source spans t_hi - t_lo plus a 21-unit warm-up, 1 / step nodes a unit
-    check_rows((t_hi - t_lo + 21) * steps_per_unit(1.0, step, "unit interval") + burn_in,
-               ("step", "burn_in", "t_lo", "t_hi"))
+    # the filtered source spans t_hi - t_lo, its warm-up and a unit, 1 / step nodes a unit
+    check_rows((t_hi - t_lo + (WARMUP_UNITS + 1)) * steps_per_unit(1.0, step, "unit interval")
+               + burn_in, ("step", "burn_in", "t_lo", "t_hi"))
     filt = function_source(seed, burn_in, t_lo, t_hi)
     full = convolve_exponential(filt.orbit, decay=2.0, step=step)
     h = full.restrict(t_lo, t_hi)
@@ -274,11 +273,11 @@ class DelayDemo:
     report: DelayConvergenceReport
 
 
-def _forcing_samples(spec_psi: DelaySystemSpec, history: Series, t_end: float,
+def _forcing_samples(psi_fn, history: Series, t_end: float,
                      step: float) -> tuple[np.ndarray, list]:
     """Forcings phi = psi + tail and psi on the integrator's half grid; their sups on its nodes.
 
-    Both are sampled from one evaluation of ``spec_psi.forcing`` per node, in
+    Both are sampled from one evaluation of ``psi_fn`` per node, in
     place and a chunk at a time so the temporaries stay small.
     """
     n_half = 2 * round((t_end - history.t_end) / step) + 1
@@ -287,7 +286,7 @@ def _forcing_samples(spec_psi: DelaySystemSpec, history: Series, t_end: float,
     for lo in range(0, n_half, HALF_GRID_CHUNK):
         t = history.t_end + 0.5 * step * np.arange(lo, min(lo + HALF_GRID_CHUNK, n_half))
         psi = psi_half[lo:lo + t.size]
-        psi[:] = spec_psi.forcing(t)
+        psi[:] = psi_fn(t)
         np.add(psi, function_tail(t), out=phi_half[lo:lo + t.size])
     return forcing, [float(row_norms(run[::2]).max()) for run in forcing]
 
@@ -308,21 +307,17 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     """
     w0, w1 = float(window[0]), float(window[1])
     # the integrator's nodes and the source orbit over the window, its burn-in and warm-ups
-    span = w1 - w0 + max(sim_burn_in, tau) + tau + 22
+    span = w1 - w0 + max(sim_burn_in, tau) + tau + (WARMUP_UNITS + 2)
     check_rows(span * (1 + steps_per_unit(tau, step, "delay")) + orbit_burn_in,
                ("step", "tau", "window", "sim_burn_in", "orbit_burn_in"))
     step = delay_step(tau, step)
     t_sim0 = w0 - max(sim_burn_in, tau)
     filt = function_source(seed, orbit_burn_in, t_sim0 - tau - 1.0, w1 + 1.0)
 
-    a = delay_demo_matrix()
-    f = delay_demo_nonlinearity()
-    phi_fn = combined_forcing(filt)
-    psi_fn = recurrent_forcing(filt)
-    spec_phi = DelaySystemSpec(a, tau, f, phi_fn)
-    spec_psi = DelaySystemSpec(a, tau, f, psi_fn)
-
-    assumptions = check_assumptions(spec_phi)
+    # the integrator reads the forcing samples; of the spec only its matrix, delay and f
+    spec = DelaySystemSpec(delay_demo_matrix(), tau, delay_demo_nonlinearity(),
+                           combined_forcing(filt))
+    assumptions = check_assumptions(spec)
     if not assumptions.contracts:
         raise ArgumentError("tau", f"gives the contraction margin A3 = {assumptions.margin:g}; "
                                    "the delay demo needs it positive")
@@ -330,8 +325,8 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     n_burn = math.ceil((w0 - t_sim0) / step - 1e-9)
     t0 = w0 - n_burn * step
     history = constant_history(np.zeros(2), t0, tau, step)
-    forcing, (m_phi, m_psi) = _forcing_samples(spec_psi, history, w1, step)
-    proof = proof_constants(spec_phi, m_phi, m_psi)
+    forcing, (m_phi, m_psi) = _forcing_samples(recurrent_forcing(filt), history, w1, step)
+    proof = proof_constants(spec, m_phi, m_psi)
     gamma = 0.5 / (proof.k1 + proof.k2)
 
     # the window of the integrator's grid, restricted as its trajectories will be
@@ -346,18 +341,18 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     if quiet < round(tau / step):  # the Picard check takes one delay of history before alpha
         raise ArgumentError(("epsilon", "window"), f"puts alpha at {alpha!r}, less than one "
                                                    f"delay {tau!r} after the window start {w0!r}")
-    start = tail_start(spec_phi, alpha, gamma, epsilon)
+    start = tail_start(spec, alpha, gamma, epsilon)
     if not times[-1] >= start:  # the tail check needs a node at or past its start
         raise ArgumentError(("window", "epsilon"), f"ends at {float(times[-1])!r}, before the "
                                                    f"tail check starts at {start!r}")
 
-    runs = integrate_mos(spec_psi, history, w1, step, forcing)
+    runs = integrate_mos(spec, history, w1, step, forcing)
     del forcing  # freed before the checks run
     phi_solution, psi_solution = (x.restrict(w0, w1) for x in runs)
-    report = convergence_check(phi_solution, psi_solution, spec_phi, proof,
+    report = convergence_check(phi_solution, psi_solution, spec, proof,
                                alpha, gamma, epsilon, slack=DELAY_ENVELOPE_SLACK,
                                ladder=(1e-1, 1e-2, 1e-3))
-    return DelayDemo(spec_phi, assumptions, proof, m_phi, m_psi, gamma, epsilon, alpha,
+    return DelayDemo(spec, assumptions, proof, m_phi, m_psi, gamma, epsilon, alpha,
                      phi_solution, psi_solution, theta_grid, report)
 
 

@@ -279,6 +279,15 @@ class ExponentialFilter:
         return damp * self.node_values[i] + (kappa[i] / self.decay) * (1.0 - damp)
 
 
+def exact_ratio(span: float, step: float, what: str) -> int:
+    """The whole number of ``step``s in ``span``, the ``what`` a refusal names; a step must
+    divide the span to within 1e-9 of it (relative past 1)."""
+    k = round(span / step)
+    if k < 1 or abs(k * step - span) > 1e-9 * max(1.0, abs(span)):
+        raise DomainError(f"step {step!r} does not divide the {what} {span!r}")
+    return int(k)
+
+
 def convolve_exponential(orbit: Series, decay: float = 2.0, step: float = 0.05) -> Series:
     """Filter the orbit's step interpolant through exp(-decay*t) on a grid.
 
@@ -287,9 +296,7 @@ def convolve_exponential(orbit: Series, decay: float = 2.0, step: float = 0.05) 
     initialisation of the infinite past.
     ``step`` must divide the unit interval exactly.
     """
-    per_unit = round(1.0 / step)
-    if per_unit < 1 or abs(per_unit * step - 1.0) > 1e-9:
-        raise DomainError(f"step {step!r} does not divide the unit interval")
+    per_unit = exact_ratio(1.0, step, "unit interval")
     n = len(orbit)
     if n <= WARMUP_UNITS:
         raise DomainError(f"orbit spans {n} units, shorter than the {WARMUP_UNITS}-unit warm-up")

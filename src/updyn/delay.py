@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import lanes
-from .chaos import GridFunction, Series, row_norms, settling_positions
+from .chaos import GridFunction, Series, exact_ratio, row_norms, settling_positions
 from .errors import (ArgumentError, AssumptionError, DomainError, NonFiniteStateError,
                      StabilityError)
 from .nonlinearity import Nonlinearity
@@ -267,16 +267,9 @@ def stability_constants(a) -> StabilityConstants:
     return StabilityConstants(_lyapunov_amplitude(a, rate), rate, "lyapunov")
 
 
-def _exact_ratio(span: float, step: float, what: str) -> int:
-    k = round(span / step)
-    if k < 1 or abs(k * step - span) > 1e-9 * max(1.0, abs(span)):
-        raise DomainError(f"step {step!r} does not divide the {what} {span!r}")
-    return int(k)
-
-
 def constant_history(value, t_end: float, tau: float, step: float) -> Series:
     """Constant history segment on [t_end - tau, t_end]."""
-    k = _exact_ratio(tau, step, "delay")
+    k = exact_ratio(tau, step, "delay")
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return GridFunction(t_end - tau, step, np.tile(v, (k + 1, 1)))
 
@@ -503,14 +496,14 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     they merge, each with the bits this segment loop would give it, and the
     loop goes on from the last of them.
     """
-    k = _exact_ratio(spec.delay, step, "delay")
+    k = exact_ratio(spec.delay, step, "delay")
     if k < 4:
         raise ArgumentError("step", f"gives {k} steps per delay interval {spec.delay!r}; "
                                     "at least four are needed")
     if abs(history.step - step) > 1e-12 * step or len(history) != k + 1:
         raise DomainError("history must cover one delay interval at the integration step")
     t0 = history.t_end
-    n_steps = _exact_ratio(t_end - t0, step, "integration window")
+    n_steps = exact_ratio(t_end - t0, step, "integration window")
     m = spec.dim
     if history.dim != m:
         raise DomainError("history dimension does not match the system")
@@ -616,7 +609,7 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: Series, theta: Series,
     psi_solution.require_same_axis(candidate)
     g = candidate
     a_idx = g.index_at(alpha)
-    k = _exact_ratio(spec.delay, g.step, "delay")
+    k = exact_ratio(spec.delay, g.step, "delay")
     if a_idx < k:
         raise DomainError("grid must reach one delay interval before alpha")
     n = len(g)

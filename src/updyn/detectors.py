@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,18 +115,6 @@ class DecayReport:
             if rung == epsilon:
                 return where
         raise DomainError(f"{epsilon!r} is not a ladder rung")
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Sensitivity probe: did two nearby starts separate past the threshold."""
-
-    diverged: bool
-    index: int | None
-    slope: float | None
-    threshold: float
-    perturbation: float
-    horizon: int
 
 
 def _validate_ladder(ladder: Sequence[float]) -> list[float]:
@@ -331,7 +319,7 @@ def evidence_for_function(phi: Series, window: Sequence[float],
 
     Near returns compare the compact span ``window`` (absolute times) under
     shifted copies; a separation event requires the bound to hold at every
-    grid node of [u - delta, u + delta], at any offset the grid holds.  The
+    grid node of [u - delta, u + delta], at any offset up to the horizon.  The
     grid must resolve delta with at least four nodes per half-width.
     ``min_shift`` excludes the trivially small shifts a continuous signal
     always admits.  ``ArgumentError`` names the argument that breaks one of
@@ -366,7 +354,7 @@ def evidence_for_function(phi: Series, window: Sequence[float],
 
     half = int(round(delta / phi.step))
     seps = [replace(e, center_time=float(phi.t_start + e.offset * phi.step)) for e in
-            _separations(rows, [r.shift for r in returns if r.found], epsilon0, n, half)]
+            _separations(rows, [r.shift for r in returns if r.found], epsilon0, by_horizon, half)]
     return _evidence(returns, seps, epsilon0, cap, kind="function", base_index=0, anchor=j0,
                      time_step=phi.step, interval_halfwidth=half * phi.step)
 
@@ -418,30 +406,12 @@ def decay_test(tail: Series, ladder: Sequence[float]) -> DecayReport:
                        start=start, spacing=spacing)
 
 
-def sensitivity_demo(generator: Callable[[float], float], x0: float, perturbation: float,
-                     threshold: float, horizon: int = FUNCTION_HORIZON) -> DivergenceReport:
-    """Iterate a scalar map from two nearby starts and watch their gap.
-
-    The report gives the first index whose separation reaches the threshold
-    and the least-squares slope of log separation up to that index; staying
-    together for the whole horizon is a valid outcome.
-    """
-    if not 0.0 <= perturbation < threshold:
-        raise DomainError("perturbation must be non-negative and below the threshold")
-    steps = int(horizon)
-    gaps = np.empty(steps + 1)
-    x, y = float(x0), float(x0) + perturbation
-    for j in range(steps + 1):
-        gaps[j] = abs(x - y)
-        x, y = generator(x), generator(y)
-
-    hits = np.nonzero(gaps >= threshold)[0]
-    if hits.size == 0:
-        return DivergenceReport(False, None, None, threshold, perturbation, steps)
-    k = int(hits[0])
-    slope = None
-    mask = gaps[:k + 1] > 0.0
-    if mask.sum() >= 2:
-        t = np.nonzero(mask)[0]
-        slope = float(np.polyfit(t, np.log(gaps[t]), 1)[0])
-    return DivergenceReport(True, k, slope, threshold, perturbation, steps)
+def sensitivity(a: Series, b: Series, threshold: float) -> float | None:
+    """Position on the shared axis of the first row where ``a`` and ``b`` differ by at
+    least ``threshold``, or None if no recorded row does: an index on a sequence, a time
+    on a grid.  Staying together over the whole record is a valid outcome."""
+    a.require_same_axis(b)
+    if not threshold > 0.0:
+        raise DomainError(f"threshold must be positive, got {threshold!r}")
+    hits = np.nonzero(row_norms(a.values - b.values) >= threshold)[0]
+    return a.t_start + int(hits[0]) * a.step if hits.size else None

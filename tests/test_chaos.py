@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from updyn.catalog import source_orbit
-from updyn.chaos import (ROW_CHUNK, ExponentialFilter, VectorSequence, convolve_exponential,
-                         logistic_orbit, logistic_residual, logistic_step, quadrature_oracle)
+from updyn.catalog import function_source, source_orbit
+from updyn.chaos import (ROW_CHUNK, WARMUP_UNITS, ExponentialFilter, VectorSequence,
+                         convolve_exponential, logistic_orbit, logistic_residual, logistic_step,
+                         quadrature_oracle)
 from updyn.errors import DomainError
 
 EPS = np.finfo(float).eps
@@ -123,6 +124,13 @@ class TestConvolveExponential:
         h = convolve_exponential(orbit, 2.0, 0.25)
         assert h.t_start == 10.0
         assert h.t_end == pytest.approx(40.0)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(-20.0, 180.0), (-3.7, 14.2)])
+    def test_function_source_warms_up_before_its_window(self, t_lo, t_hi):
+        filt = function_source(0.41, 1000, t_lo, t_hi)
+        assert filt.t_start <= t_lo - WARMUP_UNITS and filt.t_end >= t_hi
+        h = convolve_exponential(filt.orbit, 2.0, 0.05).restrict(t_lo, t_hi)
+        assert h.t_start == pytest.approx(t_lo) and h.t_end == pytest.approx(t_hi)
 
     def test_step_must_divide_unit_interval(self):
         orbit = logistic_orbit(0.41, 10, 30)

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from updyn import catalog, detectors
-from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_step
+from updyn.chaos import ROW_CHUNK, GridFunction, convolve_exponential, logistic_orbit
 from updyn.constructs import PSI_SCALE, VectorSequence, build_sequence_triple, sequence_psi
 from updyn.detectors import (DEFAULT_LADDER, NearReturn, SeparationEvent,
                              UnpredictabilityEvidence, collect_evidence, decay_test,
                              evidence_for_function, find_near_returns, find_separations,
-                             sensitivity_demo, separation_at, verify_evidence)
-from updyn.errors import ArgumentError, DomainError, ResolutionError
+                             sensitivity, separation_at, verify_evidence)
+from updyn.errors import ArgumentError, DomainError, GridMismatchError, ResolutionError
 
 
 def constant_seq(n=200, value=(0.3, -0.4)):
@@ -115,6 +115,17 @@ class TestFunctionEvidence:
                           for h in (1.7e308, 20.0))
         assert huge == covering
 
+    def test_horizon_bounds_separation_offsets(self):
+        # flat up to t = 60, then a ramp on which every shift separates
+        times = 0.05 * np.arange(2001)
+        grid = GridFunction(0.0, 0.05, 10.0 * np.maximum(times - 60.0, 0.0))
+        far, near = (evidence_for_function(grid, (0.0, 1.0), ladder=(0.5, 0.3, 0.2),
+                                           epsilon0=0.2, horizon=h) for h in (80.0, 20.0))
+        assert far.found_shifts() == near.found_shifts() == [1, 2, 3]
+        assert [round(e.center_time) for e in far.separation_times] == [60, 60, 60]
+        assert near.separation_times == ()
+        assert verify_evidence(grid, far) and verify_evidence(grid, near)
+
     def test_demo_evidence_verified(self):
         demo = catalog.run_function_demo(t_hi=120.0)
         assert demo.evidence_verified
@@ -153,25 +164,37 @@ class TestDecay:
 
 class TestSensitivity:
     def test_logistic_map_diverges(self):
-        report = sensitivity_demo(lambda x: logistic_step(x, 3.91), 0.41,
-                                  perturbation=1e-10, threshold=0.3)
-        assert report.diverged
-        assert report.index is not None and report.index <= 200
-        assert report.slope is not None and report.slope > 0.1
+        a, b = (logistic_orbit(x0, 0, 201) for x0 in (0.41, 0.41 + 1e-10))
+        step = sensitivity(a, b, 0.3)
+        assert isinstance(step, int) and step <= 200
+        # the gap grows exponentially up to the separation: a positive log-gap slope
+        gaps = np.abs(a.values[:step + 1, 0] - b.values[:step + 1, 0])
+        k = np.nonzero(gaps > 0.0)[0]
+        assert np.polyfit(k, np.log(gaps[k]), 1)[0] > 0.1
 
     def test_stable_linear_map_never_diverges(self):
-        report = sensitivity_demo(lambda x: 0.5 * x, 0.4, perturbation=1e-6, threshold=0.1)
-        assert not report.diverged
-        assert report.index is None
+        halving = 0.5 ** np.arange(200.0)
+        assert sensitivity(VectorSequence(0, 0.4 * halving),
+                           VectorSequence(0, (0.4 + 1e-6) * halving), 0.1) is None
 
     def test_zero_perturbation_never_diverges(self):
-        report = sensitivity_demo(lambda x: logistic_step(x, 3.91), 0.41,
-                                  perturbation=0.0, threshold=0.3, horizon=2000)
-        assert not report.diverged
+        orbit = logistic_orbit(0.41, 0, 2000)
+        assert sensitivity(orbit, orbit, 0.3) is None
 
-    def test_perturbation_below_threshold_required(self):
+    def test_grid_position_is_a_time(self):
+        apart = np.zeros((6, 2))
+        apart[3:] = (0.3, 0.4)  # a gap of 0.5, first at row 3
+        assert sensitivity(GridFunction(2.0, 0.5, np.zeros((6, 2))),
+                           GridFunction(2.0, 0.5, apart), 0.5) == 3.5
+
+    def test_threshold_and_axis_refusals(self):
+        orbit = logistic_orbit(0.41, 0, 50)
         with pytest.raises(DomainError):
-            sensitivity_demo(lambda x: x, 0.5, perturbation=0.5, threshold=0.3)
+            sensitivity(orbit, orbit, 0.0)
+        with pytest.raises(GridMismatchError):
+            sensitivity(orbit, logistic_orbit(0.41, 0, 51), 0.3)
+        with pytest.raises(GridMismatchError):
+            sensitivity(orbit, GridFunction(0.0, 1.0, orbit.values), 0.3)
 
 
 class TestEvidenceConsistency:
