@@ -7,13 +7,14 @@ the command line under the ids 6.1 to 6.4:
   source, with a tail large enough at the origin to defeat recurrence-with-
   separation for the combined signal.
 * ``6.2`` - the sequence analogue built directly on the logistic orbit.
-* ``6.3`` - a two-dimensional delay system forced by the 6.1 construction,
-  simulated twice (full forcing vs recurrent part) and checked against the
-  exponential convergence envelope.
-* ``6.4`` - a two-dimensional discrete system forced by the 6.2 sequence,
-  checked against the geometric envelope.  Its measurement window sits deep
-  in the tail (index 4000 on), where the slowly decaying forcing difference
-  is small enough for the tight difference targets to be meaningful.
+* ``6.3`` - one two-dimensional delay system spec, integrated under the full
+  6.1 forcing and under its recurrent part in one batch, and checked against
+  the exponential convergence envelope.
+* ``6.4`` - one two-dimensional discrete system spec, iterated under the 6.2
+  sequence and under its recurrent part, and checked against the geometric
+  envelope.  Its measurement window sits deep in the tail (index 4000 on),
+  where the slowly decaying forcing difference is small enough for the tight
+  difference targets to be meaningful.
 """
 
 from __future__ import annotations
@@ -156,15 +157,6 @@ def recurrent_forcing(filt: ExponentialFilter):
     return psi
 
 
-def combined_forcing(filt: ExponentialFilter):
-    """Vectorized callable for the full forcing psi + tail."""
-    psi = recurrent_forcing(filt)
-
-    def phi(t):
-        return psi(t) + function_tail(t)
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # 6.1 / 6.2: the construct demos
 
@@ -259,7 +251,7 @@ def run_sequence_demo(seed: float = DEFAULT_SEED, burn_in: int = DEFAULT_BURN_IN
 class DelayDemo:
     """Both forced solutions of the delay demo plus every derived quantity."""
 
-    spec_combined: DelaySystemSpec
+    spec: DelaySystemSpec
     assumptions: AssumptionReport
     proof: ProofConstants
     m_phi: float
@@ -314,9 +306,7 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
     t_sim0 = w0 - max(sim_burn_in, tau)
     filt = function_source(seed, orbit_burn_in, t_sim0 - tau - 1.0, w1 + 1.0)
 
-    # the integrator reads the forcing samples; of the spec only its matrix, delay and f
-    spec = DelaySystemSpec(delay_demo_matrix(), tau, delay_demo_nonlinearity(),
-                           combined_forcing(filt))
+    spec = DelaySystemSpec(delay_demo_matrix(), tau, delay_demo_nonlinearity())
     assumptions = check_assumptions(spec)
     if not assumptions.contracts:
         raise ArgumentError("tau", f"gives the contraction margin A3 = {assumptions.margin:g}; "
@@ -364,8 +354,9 @@ def run_delay_demo(step: float | None = None, window: tuple = (0.0, 200.0),
 class DiscreteDemo:
     """Both forced orbits of the discrete demo plus every derived quantity."""
 
-    spec_combined: DiscreteSystemSpec
+    spec: DiscreteSystemSpec
     assumptions: AssumptionReport
+    phi_forcing: Series
     m_phi: float
     m_psi: float
     gamma: float
@@ -389,29 +380,25 @@ def run_discrete_demo(window: tuple = (4000, 4400), tol: float = 1e-9,
     orbit = source_orbit(seed, orbit_burn_in, i1 + 2)
     triple = build_sequence_triple(orbit)
 
-    b = discrete_demo_matrix()
-    g = discrete_demo_nonlinearity()
-    spec_phi = DiscreteSystemSpec(b, g, triple.phi)
-    spec_psi = DiscreteSystemSpec(b, g, triple.psi)
-    assumptions = check_assumptions(spec_phi)
+    spec = DiscreteSystemSpec(discrete_demo_matrix(), discrete_demo_nonlinearity())
+    assumptions = check_assumptions(spec)
 
     m_phi = triple.phi.sup_norm()
     m_psi = triple.psi.sup_norm()
-    gamma = 0.5 * gamma_ceiling(spec_phi, m_phi, m_psi)
+    gamma = 0.5 * gamma_ceiling(spec, m_phi, m_psi)
 
     (quiet,) = settling_positions(triple.theta.restrict(i0, i1).norms(), [gamma * epsilon])
     if quiet is None:
         raise ArgumentError(("epsilon", "window"), TAIL_NEVER_QUIET)
     alpha = i0 + quiet
-    depth = sum_depth(spec_phi, m_phi, DISCRETE_SUM_TOL)
+    depth = sum_depth(spec, m_phi, DISCRETE_SUM_TOL)
     if i1 - i0 <= depth:
         raise ArgumentError("window", f"spans {i1 - i0} steps; the sum check needs over {depth}")
 
-    phi_orbit = bounded_orbit(spec_phi, (i0, i1), tol)
-    psi_orbit = bounded_orbit(spec_psi, (i0, i1), tol)
-    envelope = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
+    phi_orbit = bounded_orbit(spec, triple.phi, (i0, i1), tol)
+    psi_orbit = bounded_orbit(spec, triple.psi, (i0, i1), tol)
+    envelope = gronwall_envelope(spec, m_phi, m_psi, alpha, gamma, epsilon, (i0, i1))
     report = convergence_check_discrete(phi_orbit, psi_orbit, envelope, alpha,
                                         slack=DISCRETE_ENVELOPE_SLACK)
-    return DiscreteDemo(spec_phi, assumptions,
-                        m_phi, m_psi, gamma, epsilon, alpha,
+    return DiscreteDemo(spec, assumptions, triple.phi, m_phi, m_psi, gamma, epsilon, alpha,
                         phi_orbit, psi_orbit, envelope, report)

@@ -31,7 +31,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -167,11 +167,10 @@ def _stability_check(spec, expected: float | None = None) -> CheckRecord:
                   values, {"amplitude_gap": 1e-9})
 
 
-def _residual_check(spec, orbit: Series) -> CheckRecord:
+def _residual_check(spec, forcing: Series, orbit: Series) -> CheckRecord:
     """Largest gap between an orbit's steps and the recurrence that defines them."""
     w = orbit.values
-    i0 = orbit.t_start - spec.forcing.t_start
-    phi = spec.forcing.values[i0:i0 + len(orbit) - 1]
+    phi = forcing.restrict(orbit.t_start, orbit.t_end - 1).values
     resid = float(np.abs(w[1:] - (w[:-1] @ spec.matrix.T + spec.nonlinearity(w[:-1]) + phi)).max())
     return at_most("recurrence_residual", {"max_residual": resid}, {"residual": 4e-15})
 
@@ -184,7 +183,7 @@ def _envelope_evidence(demo) -> dict:
 
 def _delay_demo(**inputs) -> Outcome:
     demo = catalog.run_delay_demo(**inputs)
-    eigs = np.linalg.eigvals(demo.spec_combined.matrix)
+    eigs = np.linalg.eigvals(demo.spec.matrix)
     expected = np.array([-2.0 + 1j * math.sqrt(6.0), -2.0 - 1j * math.sqrt(6.0)])
     gap = float(max(min(abs(e - expected[0]), abs(e - expected[1])) for e in eigs))
     report, proof = demo.report, demo.proof
@@ -193,12 +192,12 @@ def _delay_demo(**inputs) -> Outcome:
     diff = row_norms(phi.values - psi.values)
     tail_quarter = float(diff[times >= times[0] + 0.75 * (times[-1] - times[0])].max())
     candidate = GridFunction(phi.t_start, phi.step, phi.values - psi.values)
-    image = picard_apply(demo.spec_combined, psi, demo.theta_grid, candidate, demo.alpha)
+    image = picard_apply(demo.spec, psi, demo.theta_grid, candidate, demo.alpha)
     fp_gap = float(row_norms(image.values - candidate.values).max())
     checks = [
         passes("eigenvalues", gap <= 1e-9, {"eigenvalues": [[e.real, e.imag] for e in eigs]},
                {"gap": 1e-9}),
-        _stability_check(demo.spec_combined, EXACT_AMPLITUDE),
+        _stability_check(demo.spec, EXACT_AMPLITUDE),
         _margin_check("A", demo.assumptions),
         passes("envelope", report.envelope_ok,
                {"max_excess": report.max_excess, "alpha": report.alpha, "k1": proof.k1,
@@ -219,9 +218,10 @@ def _delay_demo(**inputs) -> Outcome:
 
 def _discrete_demo(**inputs) -> Outcome:
     demo = catalog.run_discrete_demo(**inputs)
-    report, norm_b = demo.report, demo.spec_combined.norm_b
+    report, norm_b = demo.report, demo.spec.norm_b
     drop = next((c for c in report.crossings if c[0] == 1e-6), None)
-    sum_gap = orbit_sum_residual(demo.spec_combined, demo.phi_orbit, catalog.DISCRETE_SUM_TOL)
+    sum_gap = orbit_sum_residual(demo.spec, demo.phi_forcing, demo.phi_orbit,
+                                 catalog.DISCRETE_SUM_TOL)
     checks = [
         within("spectral_norm", {"spectral_norm": norm_b, "expected": SQRT5_OVER_4},
                {"gap": 1e-9}, SQRT5_OVER_4),
@@ -232,7 +232,7 @@ def _discrete_demo(**inputs) -> Outcome:
         at_most("difference_drop", {"crossing_index": None if drop is None else drop[1],
                                     "rung": 1e-6, "alpha": demo.alpha},
                 {"within": 60}, limit=demo.alpha + 60),
-        _residual_check(demo.spec_combined, demo.phi_orbit),
+        _residual_check(demo.spec, demo.phi_forcing, demo.phi_orbit),
         at_most("sum_representation", {"max_gap": sum_gap}, {"gap": 1e-9})]
     idx = demo.phi_orbit.times()
     phi, psi = demo.phi_orbit.values, demo.psi_orbit.values
@@ -275,29 +275,26 @@ def _nonlinearity(name: str, dim: int, scale: float | None):
                                       "system.nonlinearity.type to tanh or zero") from None
 
 
-def _constant_forcing(v: np.ndarray):
-    return lambda t: np.broadcast_to(v, np.shape(t) + v.shape)
-
-
 def _simulate(letter: str, build: Callable, verdict: Callable, then: str, solve, forcing: str,
               value, matrix, nonlinearity: str, scale: float | None):
     """Check a delay ("A") or discrete ("B") system under zero or constant forcing; solve it.
 
-    ``build(matrix, nonlinearity, forcing vector)`` makes the spec, on the demo
-    system's matrix when none is given.  The checks are the margin's,
-    ``verdict(spec)`` and the one ``solve(spec)`` returns with its counters and
-    CSV pass, or ``then`` as not applicable when the margin fails or ``solve`` is None.
+    ``build(matrix, nonlinearity)`` makes the spec, on the demo system's matrix
+    when none is given.  The checks are the margin's, ``verdict(spec)`` and the
+    one ``solve(spec, forcing vector)`` returns with its counters and CSV pass,
+    or ``then`` as not applicable when the margin fails or ``solve`` is None.
     """
     demo = catalog.delay_demo_matrix if letter == "A" else catalog.discrete_demo_matrix
     matrix = demo() if matrix is None else np.asarray(matrix, dtype=float)
     nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
-    spec = build(matrix, nl, _forcing_value(forcing, value, matrix.shape[0]))
+    v = _forcing_value(forcing, value, matrix.shape[0])
+    spec = build(matrix, nl)
     second = verdict(spec)  # first: the margin needs the N and lambda it may refuse
     assumptions = check_assumptions(spec)
     checks = [_margin_check(letter, assumptions), second]
     if solve is None or not assumptions.contracts:
         return Outcome([*checks, not_applicable(then)], {}, {"simulated": False})
-    check, counters, csvs = solve(spec)
+    check, counters, csvs = solve(spec, v)
     return Outcome([*checks, check], {}, {"simulated": True, **counters}, csvs)
 
 
@@ -310,20 +307,20 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
 
     per_unit = catalog.steps_per_unit(tau, step, "delay")
 
-    def solve(spec):
+    def solve(spec, v):
         burn = burn_in_time(spec, tol)
         catalog.check_rows((burn + window[1] - window[0] + tau) * per_unit,
                            ("window", "matrix", "tol", "step", "tau"),
                            f", {burn * per_unit:.3g} of them burn-in")
-        traj = bounded_solution(spec, tuple(window), catalog.delay_step(tau, step), tol=tol)
-        sup_forcing = row_norms(spec.forcing(np.linspace(window[0], window[1], 257))).max()
+        traj = bounded_solution(spec, lambda t: np.broadcast_to(v, t.shape + v.shape),
+                                tuple(window), catalog.delay_step(tau, step), tol=tol)
         c = spec.constants
-        bound = c.amplitude * (spec.nonlinearity.bound + float(sup_forcing)) / c.decay_rate
+        bound = c.amplitude * (spec.nonlinearity.bound + row_norms(v[None])[0]) / c.decay_rate
         return (at_most("solution_sup_bound", {"sup": traj.sup_norm(), "bound": bound},
                         {"tol": tol}, limit=bound + tol), {"grid_nodes": len(traj)},
                 (write_function_csv, traj.times(), {"solution": traj.values}))
 
-    return _simulate("A", lambda m, nl, v: DelaySystemSpec(m, tau, nl, _constant_forcing(v)),
+    return _simulate("A", lambda m, nl: DelaySystemSpec(m, tau, nl),
                      _stability_check, "solution_sup_bound", None if window is None else solve,
                      forcing, value, matrix, nonlinearity, scale)
 
@@ -331,21 +328,20 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
                        scale: float | None = None, window=(0, 400), tol: float = 1e-9):
     """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``
-    after a burn-in sized from one row of the constant forcing, counted toward ``MAX_ROWS``."""
+    after a burn-in sized from the constant forcing's norm, counted toward ``MAX_ROWS``."""
     from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length
 
-    def solve(spec):
+    def solve(spec, v):
         i0, i1 = int(window[0]), int(window[1])
-        burn = burn_in_length(spec, tol)
+        burn = burn_in_length(spec, float(row_norms(v[None])[0]), tol)
         catalog.check_rows(burn + i1 - i0, ("window", "matrix", "value", "scale", "tol"),
                            f", {burn:,} of them burn-in")
-        spec = replace(spec, forcing=VectorSequence(
-            i0 - burn, np.repeat(spec.forcing.values, burn + i1 - i0, 0)))
-        orbit = bounded_orbit(spec, (i0, i1), tol=tol)
-        return (_residual_check(spec, orbit), {"orbit_steps": len(orbit) - 1},
+        forcing = VectorSequence(i0 - burn, np.repeat(v[None], burn + i1 - i0, 0))
+        orbit = bounded_orbit(spec, forcing, (i0, i1), tol=tol)
+        return (_residual_check(spec, forcing, orbit), {"orbit_steps": len(orbit) - 1},
                 (write_sequence_csv, orbit.times(), {"orbit": orbit.values}))
 
-    return _simulate("B", lambda m, nl, v: DiscreteSystemSpec(m, nl, VectorSequence(0, v[None])),
+    return _simulate("B", DiscreteSystemSpec,
                      lambda spec: at_most("spectral_norm", {"spectral_norm": spec.norm_b},
                                           {"below": 1.0}, strict=True),
                      "recurrence_residual", solve, forcing, value, matrix, nonlinearity, scale)

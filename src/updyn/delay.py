@@ -4,13 +4,13 @@ The linear part must be exponentially stable, with |exp(At)| <= N exp(-rate*t)
 proven for all t >= 0: by the modal matrix's condition number when that is
 below 1e8 (exact mode), otherwise by a Lyapunov certificate (lyapunov mode).
 The matrix alone decides the mode, and one with neither proof is refused.
-The system spec owns N, the rate lambda and the A3 contraction margin, each
-computed in one place, so the routines below take the spec alone.  The
-module integrates the system by the method of steps with a classical
-fourth-order scheme, recovers the unique bounded solution by burn-in, and
-exposes the contraction operator whose fixed point is the difference of two
-forced solutions.  All of that feeds the convergence check against the
-explicit exponential envelope.
+The system spec is A, tau and f alone, and owns N, the rate lambda and the
+A3 margin; the routines that solve the system take the forcing, so one spec
+serves every forcing.  The module integrates the system by the method of
+steps with a classical fourth-order scheme, recovers the unique bounded
+solution by burn-in, and exposes the contraction operator whose fixed point
+is the difference of two forced solutions.  All of that feeds the
+convergence check against the explicit exponential envelope.
 
 Both the integrator and the contraction operator are segment-blocked.  With
 k steps per delay, everything delayed that one delay segment needs is known
@@ -48,11 +48,10 @@ FIT_FRACTION = 0.9  # lyapunov mode backs the rate off to this share of the absc
 
 @dataclass(frozen=True)
 class DelaySystemSpec:
-    """Matrix, delay, bounded Lipschitz nonlinearity and forcing term.
+    """Matrix, delay and bounded Lipschitz nonlinearity: the system, whatever forces it.
 
-    ``forcing`` is a vectorized callable t -> (len(t), dim).  The spec is the
-    one home of the system's stability and contraction constants: the bound
-    |exp(At)| <= N exp(-lambda t) (``constants``, computed once by
+    The spec is the one home of the system's stability and contraction constants:
+    the bound |exp(At)| <= N exp(-lambda t) (``constants``, computed once by
     ``stability_constants``) and the A3 margin lambda - 2 N L exp(lambda tau / 2)
     (``margin``), which ``contraction_margin`` returns only when it is positive.
     """
@@ -60,7 +59,6 @@ class DelaySystemSpec:
     matrix: np.ndarray
     delay: float
     nonlinearity: Nonlinearity
-    forcing: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
@@ -274,19 +272,6 @@ def constant_history(value, t_end: float, tau: float, step: float) -> Series:
     return GridFunction(t_end - tau, step, np.tile(v, (k + 1, 1)))
 
 
-def _forcing_on_half_grid(forcing: Callable[[np.ndarray], np.ndarray], t0: float, step: float,
-                          n_steps: int, dim: int) -> np.ndarray:
-    times = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    vals = np.asarray(forcing(times), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape != (times.size, dim):
-        raise DomainError(f"forcing produced shape {vals.shape}, expected {(times.size, dim)}")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("forcing values must be finite")
-    return vals
-
-
 def _midpoint_stencils(n: int, k: int, dim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Node indices and weights of the cubic stencil for each of ``n`` half nodes.
 
@@ -463,7 +448,7 @@ def _lane_segments(xs: np.ndarray, runs: np.ndarray, f: Nonlinearity, powers: np
 
 
 def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
-                  step: float, forcing: np.ndarray | None = None) -> Series | list[Series]:
+                  step: float, forcing: np.ndarray) -> list[Series]:
     """Method-of-steps trajectories on [t0, t_end] with classical RK4, one delay segment at a time.
 
     ``history`` must cover exactly one delay interval ending at the start
@@ -472,11 +457,9 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     half-stage delayed values come from a cubic stencil of already computed
     nodes, which preserves the fourth-order accuracy of the sweep.
 
-    Without ``forcing`` the system is driven by ``spec.forcing`` and one
-    trajectory is returned.  ``forcing`` instead gives several forcings of the
-    same system and history, sampled on the half grid t0 + j*step/2,
-    j = 0 .. 2*n_steps, as an array of shape (runs, 2*n_steps + 1, dim); a
-    list of one trajectory per run is returned, all advanced together.
+    ``forcing`` holds one or more forcings from the same history, sampled on the
+    half grid t0 + j*step/2, j = 0 .. 2*n_steps, in shape (runs, 2*n_steps + 1,
+    dim); the list of one trajectory per run comes back, advanced together.
 
     Once a delay segment is known, every delayed input of the next one is
     known too, and with A linear the RK4 step is affine in the state.  A
@@ -507,15 +490,12 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
     m = spec.dim
     if history.dim != m:
         raise DomainError("history dimension does not match the system")
-    if forcing is None:
-        runs = _forcing_on_half_grid(spec.forcing, t0, step, n_steps, m)[None]
-    else:
-        runs = np.asarray(forcing, dtype=float)
-        if runs.ndim != 3 or len(runs) == 0 or runs.shape[1:] != (2 * n_steps + 1, m):
-            raise DomainError(f"forcing samples have shape {runs.shape}, expected "
-                              f"(runs, {2 * n_steps + 1}, {m})")
-        if not np.all(np.isfinite(runs)):
-            raise DomainError("forcing values must be finite")
+    runs = np.asarray(forcing, dtype=float)
+    if runs.ndim != 3 or len(runs) == 0 or runs.shape[1:] != (2 * n_steps + 1, m):
+        raise DomainError(f"forcing samples have shape {runs.shape}, expected "
+                          f"(runs, {2 * n_steps + 1}, {m})")
+    if not np.all(np.isfinite(runs)):
+        raise DomainError("forcing values must be finite")
 
     r, f, h = len(runs), spec.nonlinearity, step
     powers, g = _segment_matrices(spec.matrix, h, k)
@@ -536,8 +516,7 @@ def integrate_mos(spec: DelaySystemSpec, history: Series, t_end: float,
         if not np.isfinite(rows).all():
             rows = np.stack([_step_segment(spec.matrix, y0[i], b[i], h, t0, lo) for i in range(r)])
         xs[:, k + lo + 1:k + lo + n + 1] = rows.reshape(r, n, m)
-    trajectories = [GridFunction(t0, step, x[k:]) for x in xs]
-    return trajectories[0] if forcing is None else trajectories
+    return [GridFunction(t0, step, x[k:]) for x in xs]
 
 
 def burn_in_time(spec: DelaySystemSpec, tol: float) -> float:
@@ -551,15 +530,17 @@ def tail_start(spec: DelaySystemSpec, alpha: float, gamma: float, epsilon: float
     return alpha + burn_in_time(spec, gamma * epsilon)
 
 
-def bounded_solution(spec: DelaySystemSpec, window: Sequence[float], step: float,
-                     tol: float = 1e-8) -> Series:
-    """Approximate the unique bounded solution on ``window`` by burn-in.
+def bounded_solution(spec: DelaySystemSpec, forcing: Callable[[np.ndarray], np.ndarray],
+                     window: Sequence[float], step: float, tol: float = 1e-8) -> Series:
+    """Approximate the unique bounded solution under ``forcing`` on ``window`` by burn-in.
 
+    ``forcing`` maps times to (len(t), dim) values, or (len(t),) in one dimension.
     Integration starts ``burn_in_time`` time units before the window from a
     zero history; global exponential stability collapses the influence of
     that choice below ``tol`` by the window start.  A step whose RK4 step
     matrix has spectral radius 1 or more would amplify that history instead
-    of forgetting it, however stable the system, and is refused.
+    of forgetting it, however stable the system, and is refused; so is a
+    window so far from 0 that the step does not divide its run or its half-grid times collide.
     """
     spec.contraction_margin()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -572,7 +553,15 @@ def bounded_solution(spec: DelaySystemSpec, window: Sequence[float], step: float
     n_burn = max(1, math.ceil(burn_in_time(spec, tol) / step - 1e-9))
     t_start = w0 - n_burn * step
     history = constant_history(np.zeros(spec.dim), t_start, spec.delay, step)
-    traj = integrate_mos(spec, history, w1, step)
+    try:
+        times = t_start + 0.5 * step * np.arange(
+            2 * exact_ratio(w1 - t_start, step, "integration window") + 1)
+        if not np.all(times[1:] > times[:-1]):
+            raise DomainError(f"half-grid times at step {step!r} are not distinct doubles")
+    except DomainError as exc:
+        raise ArgumentError(("window", "step"), f"is too far from 0: {exc}") from None
+    runs = np.asarray(forcing(times), dtype=float)[None]
+    (traj,) = integrate_mos(spec, history, w1, step, runs[..., None] if runs.ndim == 2 else runs)
     return traj.restrict(w0, w1)
 
 

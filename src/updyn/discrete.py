@@ -1,10 +1,11 @@
 """Quasilinear discrete systems: w_{i+1} = B w_i + g(w_i) + forcing_i.
 
-Contraction requires |B| + L < 1 in the spectral norm.  The module computes
-that norm from the SVD, approximates the unique bounded orbit by burn-in
-(with a truncated-sum residual as an independent cross-check), and
-evaluates the explicit geometric envelope that dominates the difference of
-two forced orbits past the index where the forcing difference is small.
+Contraction requires |B| + L < 1 in the spectral norm.  The system spec, B
+and g alone, computes that norm from the SVD once; the solvers take the
+forcing.  The module approximates the unique bounded orbit by burn-in (with
+a truncated-sum residual as an independent cross-check), and evaluates the
+explicit geometric envelope that dominates the difference of two forced
+orbits past the index where the forcing difference is small.
 
 Orbits are computed by verified lockstep lanes (``lanes.py``), kept only
 where they merge bit for bit with the exact orbit, which makes every row
@@ -31,7 +32,7 @@ DIFFERENCE_LADDER = (1e-3, 1e-4, 1e-5, 1e-6)  # rungs convergence_check_discrete
 
 @dataclass(frozen=True)
 class DiscreteSystemSpec:
-    """Matrix B, bounded Lipschitz nonlinearity and forcing sequence.
+    """Matrix B and bounded Lipschitz nonlinearity: the system, whatever forces it.
 
     The spec is the one home of the system's contraction constants: the
     spectral norm |B| (``norm_b``, computed once), the rate q = |B| + L
@@ -41,14 +42,11 @@ class DiscreteSystemSpec:
 
     matrix: np.ndarray
     nonlinearity: Nonlinearity
-    forcing: Series
 
     def __post_init__(self):
         b = np.asarray(self.matrix, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or not np.all(np.isfinite(b)):
             raise DomainError("system matrix must be square with finite entries")
-        if self.forcing.dim != b.shape[0]:
-            raise DomainError("forcing dimension does not match the matrix")
         object.__setattr__(self, "matrix", b)
 
     @property
@@ -149,9 +147,9 @@ def _orbit_rows(b, g, phi, out) -> tuple[float, int]:
     return warm, out.shape[0] - 1 - known
 
 
-def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
+def iterate(spec: DiscreteSystemSpec, forcing: Series, start_state, steps: int,
             start_index: int | None = None) -> Series:
-    """Forward orbit of ``steps`` transitions starting at ``start_index``.
+    """Forward orbit under ``forcing`` of ``steps`` transitions starting at ``start_index``.
 
     Each row equals, bit for bit, one transition
     ``B w + g(w) + forcing`` applied to the row before it, with ``B w``
@@ -163,7 +161,8 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
-    forcing = spec.forcing
+    if forcing.dim != spec.dim:
+        raise DomainError("forcing dimension does not match the matrix")
     i0 = forcing.t_start if start_index is None else int(start_index)
     if i0 < forcing.t_start or i0 + steps > forcing.t_end + 1:
         raise WindowExhaustedError(
@@ -179,10 +178,10 @@ def iterate(spec: DiscreteSystemSpec, start_state, steps: int,
     return VectorSequence(i0, out)
 
 
-def burn_in_length(spec: DiscreteSystemSpec, tol: float) -> int:
-    """Iterations needed to push zero-start contamination below ``tol``."""
+def burn_in_length(spec: DiscreteSystemSpec, m_forcing: float, tol: float) -> int:
+    """Iterations that push zero-start contamination below ``tol`` at forcing sup ``m_forcing``."""
     margin, q = spec.contraction_margin(), spec.rate
-    scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - spec.norm_b)
+    scale = (spec.nonlinearity.bound + m_forcing) / (1.0 - spec.norm_b)
     if scale <= tol or q == 0.0:
         return 1
     if tol * margin / scale == 0.0:
@@ -190,13 +189,17 @@ def burn_in_length(spec: DiscreteSystemSpec, tol: float) -> int:
     return max(1, math.ceil(math.log(tol * margin / scale) / math.log(q)))
 
 
-def bounded_orbit(spec: DiscreteSystemSpec, window: Sequence[int], tol: float = 1e-9) -> Series:
-    """Approximate the unique bounded orbit on ``window`` (inclusive) by burn-in."""
+def bounded_orbit(spec: DiscreteSystemSpec, forcing: Series, window: Sequence[int],
+                  tol: float = 1e-9) -> Series:
+    """Approximate the unique bounded orbit under ``forcing`` on ``window`` (inclusive) by
+    burn-in; a window whose indices, burn-in included, leave the int64 range is refused."""
     i0, i1 = int(window[0]), int(window[1])
     if i1 < i0:
         raise DomainError("empty window")
-    burn = burn_in_length(spec, tol)
-    orbit = iterate(spec, np.zeros(spec.dim), burn + i1 - i0, start_index=i0 - burn)
+    burn = burn_in_length(spec, forcing.sup_norm(), tol)
+    if not (-2 ** 63 <= i0 - burn and i1 < 2 ** 63):
+        raise ArgumentError("window", f"spans [{i0 - burn}, {i1}] with its burn-in, past int64")
+    orbit = iterate(spec, forcing, np.zeros(spec.dim), burn + i1 - i0, start_index=i0 - burn)
     return orbit.restrict(i0, i1)
 
 
@@ -208,22 +211,25 @@ def sum_depth(spec: DiscreteSystemSpec, m_phi: float, tol: float) -> int:
     return max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
 
 
-def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-10) -> float:
-    """Cross-check an orbit against the truncated sum representation.
+def orbit_sum_residual(spec: DiscreteSystemSpec, forcing: Series, orbit: Series,
+                       tol: float = 1e-10) -> float:
+    """Cross-check an orbit under ``forcing`` against the truncated sum representation.
 
     The bounded orbit equals sum_j B^(i-j) (g(orbit_{j-1}) + forcing_{j-1});
     the sum is cut once the geometric tail bound falls below ``tol``.  The
     returned value is the largest deviation over ``SUM_SAMPLES`` indices (truncation
     contributes at most ``tol`` of it).
     """
+    if forcing.dim != spec.dim:
+        raise DomainError("forcing dimension does not match the matrix")
     if spec.norm_b >= 1.0:
         raise AssumptionError("sum representation needs |B| < 1")
-    depth = sum_depth(spec, spec.forcing.sup_norm(), tol)
-    lo = max(orbit.t_start, spec.forcing.t_start) + depth + 1
+    depth = sum_depth(spec, forcing.sup_norm(), tol)
+    lo = max(orbit.t_start, forcing.t_start) + depth + 1
     if lo > orbit.t_end:
         raise DomainError("orbit window too short for the requested truncation depth")
     picks = np.arange(lo, orbit.t_end + 1)[::max(1, (orbit.t_end + 1 - lo) // SUM_SAMPLES)]
-    if picks[-1] > spec.forcing.t_end + 1:
+    if picks[-1] > forcing.t_end + 1:
         raise WindowExhaustedError(f"forcing window ends before index {int(picks[-1]) - 1}")
     # every sampled sum advances together, one (dim, samples) lane block per term
     b_rows = spec.matrix.tolist()
@@ -232,7 +238,7 @@ def orbit_sum_residual(spec: DiscreteSystemSpec, orbit: Series, tol: float = 1e-
         prev = picks + (j - 1)
         acc, nxt = _matrix_lanes(b_rows, acc, nxt), acc
         acc += spec.nonlinearity(orbit.values[prev - orbit.t_start]).T
-        acc += spec.forcing.values[prev - spec.forcing.t_start].T
+        acc += forcing.values[prev - forcing.t_start].T
     gaps = acc.T - orbit.values[picks - orbit.t_start]
     return max(0.0, *(float(np.linalg.norm(gap)) for gap in gaps))
 

@@ -17,7 +17,7 @@ from updyn import catalog, cli
 from updyn.chaos import ExponentialFilter, GridFunction, convolve_exponential, \
     logistic_orbit, logistic_step, quadrature_oracle
 from updyn.constructs import affine_transform, build_function_triple, \
-    build_sequence_triple, non_unpredictability_witness, sequence_psi, shift
+    build_sequence_triple, function_tail, non_unpredictability_witness, sequence_psi, shift
 from updyn.delay import DelaySystemSpec, constant_history, integrate_mos, picard_apply, \
     stability_constants
 from updyn.detectors import sensitivity, separation_at, verify_evidence
@@ -52,8 +52,7 @@ def test_criterion_02_stability_constants():
     expected = (complex(-2.0, math.sqrt(6.0)), complex(-2.0, -math.sqrt(6.0)))
     eig_gap = max(min(abs(e - x) for x in expected) for e in eigs)
     constants = stability_constants(a)
-    spec = DelaySystemSpec(a, 0.2, catalog.delay_demo_nonlinearity(),
-                           lambda t: np.zeros(np.asarray(t).shape + (2,)))
+    spec = DelaySystemSpec(a, 0.2, catalog.delay_demo_nonlinearity())
     margin = spec.margin
     elapsed = time.perf_counter() - start
     ok = (eig_gap <= 1e-9
@@ -137,13 +136,13 @@ def test_criterion_07_contraction_and_picard():
     grid = demo.phi_solution
     base = grid.values - demo.psi_solution.values
     a_idx = grid.index_at(demo.alpha)
-    constants = demo.spec_combined.constants
-    bound = constants.amplitude * demo.spec_combined.nonlinearity.lipschitz \
+    constants = demo.spec.constants
+    bound = constants.amplitude * demo.spec.nonlinearity.lipschitz \
         / constants.decay_rate + 0.05
 
     def apply_T(values):
         cand = GridFunction(grid.t_start, grid.step, values)
-        return picard_apply(demo.spec_combined, demo.psi_solution, demo.theta_grid,
+        return picard_apply(demo.spec, demo.psi_solution, demo.theta_grid,
                             cand, demo.alpha).values
 
     rng = np.random.default_rng(99)
@@ -160,7 +159,7 @@ def test_criterion_07_contraction_and_picard():
     # seed of the iteration: measured difference up to alpha, homogeneous decay after
     from scipy.linalg import expm
     seed = np.array(base, copy=True)
-    e_step = expm(demo.spec_combined.matrix * grid.step)
+    e_step = expm(demo.spec.matrix * grid.step)
     v = base[a_idx].copy()
     for j in range(a_idx + 1, len(seed)):
         v = e_step @ v
@@ -183,11 +182,11 @@ def test_criterion_08_exponential_stability_both_systems():
     # discrete: two random starts, per-index geometric envelope
     triple = build_sequence_triple(catalog.source_orbit(length=160))
     spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                              catalog.discrete_demo_nonlinearity(), triple.phi)
+                              catalog.discrete_demo_nonlinearity())
     rng = np.random.default_rng(41)
     w0, v0 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-    a = iterate(spec, w0, 100)
-    b = iterate(spec, v0, 100)
+    a = iterate(spec, triple.phi, w0, 100)
+    b = iterate(spec, triple.phi, v0, 100)
     gap = np.linalg.norm(a.values - b.values, axis=1)
     q = SQRT5_OVER_4 + 0.2
     d0 = float(np.linalg.norm(w0 - v0))
@@ -197,14 +196,15 @@ def test_criterion_08_exponential_stability_both_systems():
     # delay: two random bounded histories, log-slope of the separation
     filt = catalog.function_source(0.41, 1000, -2.0, 14.0)
     dspec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
-                            catalog.delay_demo_nonlinearity(),
-                            catalog.combined_forcing(filt))
+                            catalog.delay_demo_nonlinearity())
     step = 0.2 / 32.0
     k = round(0.2 / step)
     h1 = GridFunction(-0.2, step, rng.uniform(-1, 1, (k + 1, 2)))
     h2 = GridFunction(-0.2, step, rng.uniform(-1, 1, (k + 1, 2)))
-    x1 = integrate_mos(dspec, h1, 12.0, step)
-    x2 = integrate_mos(dspec, h2, 12.0, step)
+    # 6.3's full forcing psi + tail on the half grid of [0, 12]
+    t_half = h1.t_end + 0.5 * step * np.arange(2 * round(12.0 / step) + 1)
+    samples = (catalog.recurrent_forcing(filt)(t_half) + function_tail(t_half))[None]
+    (x1,), (x2,) = (integrate_mos(dspec, h, 12.0, step, samples) for h in (h1, h2))
     sep = np.linalg.norm(x1.values - x2.values, axis=1)
     times = x1.times()
     half = times >= 6.0

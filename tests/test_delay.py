@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ from scipy.linalg import expm
 
 from updyn import catalog, delay, lanes, nonlinearity
 from updyn.chaos import GridFunction
+from updyn.constructs import function_tail
 from updyn.delay import (DelaySystemSpec, _midpoint_stencils, _midpoints, bounded_solution,
                          constant_history, convergence_check, integrate_mos, picard_apply,
                          proof_constants, stability_constants)
@@ -29,9 +31,26 @@ def zero_forcing(t):
     return np.zeros(t.shape + (2,))
 
 
-def demo_spec(forcing=zero_forcing, tau=0.2):
-    return DelaySystemSpec(catalog.delay_demo_matrix(), tau,
-                           catalog.delay_demo_nonlinearity(), forcing)
+def demo_spec(tau=0.2):
+    return DelaySystemSpec(catalog.delay_demo_matrix(), tau, catalog.delay_demo_nonlinearity())
+
+
+def combined_forcing(filt):
+    """6.3's full forcing psi + tail, as a callable."""
+    psi = catalog.recurrent_forcing(filt)
+    return lambda t: psi(t) + function_tail(t)
+
+
+def half_grid(history, t_end, step):
+    """``integrate_mos``'s half-grid times from the history's end to ``t_end``."""
+    return history.t_end + 0.5 * step * np.arange(2 * round((t_end - history.t_end) / step) + 1)
+
+
+def solve(spec, forcing, history, t_end, step):
+    """``integrate_mos``'s one trajectory under a callable ``forcing`` t -> (len(t), dim)."""
+    samples = np.asarray(forcing(half_grid(history, t_end, step)), dtype=float)
+    (traj,) = integrate_mos(spec, history, t_end, step, samples[None])
+    return traj
 
 
 def wave_forcing(dim):
@@ -53,13 +72,13 @@ def _reference_midpoint(xs, j, k, last):
     return (xs[j - 2] - 5.0 * xs[j - 1] + 15.0 * xs[j] + 5.0 * xs[j + 1]) / 16.0
 
 
-def reference_mos(spec, history, t_end, step):
+def reference_mos(spec, forcing, history, t_end, step):
     """One classical RK4 step at a time, delayed midpoints by the cubic stencil."""
     k = round(spec.delay / step)
     t0 = history.t_end
     n_steps = round((t_end - t0) / step)
     times = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    forcing = np.asarray(spec.forcing(times), dtype=float).reshape(times.size, -1)
+    forcing = np.asarray(forcing(times), dtype=float).reshape(times.size, -1)
     a, f, h = spec.matrix, spec.nonlinearity, step
     last = k + n_steps
     xs = np.empty((last + 1, spec.dim))
@@ -81,12 +100,12 @@ def reference_mos(spec, history, t_end, step):
     return GridFunction(t0, step, xs[k:])
 
 
-def step_residuals(spec, trajectory, history):
+def step_residuals(spec, forcing, trajectory, history):
     """Per-step defect of the integrated equation, re-evaluated by Simpson quadrature."""
     k = round(spec.delay / trajectory.step)
     xs = np.vstack([history.values[:-1], trajectory.values])
     n_steps, h = len(trajectory) - 1, trajectory.step
-    forcing = spec.forcing(trajectory.t_start + 0.5 * h * np.arange(2 * n_steps + 1))
+    forcing = forcing(trajectory.t_start + 0.5 * h * np.arange(2 * n_steps + 1))
     a, f = spec.matrix, spec.nonlinearity
     mids = _midpoints(xs, _midpoint_stencils(len(xs) - 1, k))
 
@@ -274,7 +293,7 @@ class TestAssumptions:
 
     def test_zero_lipschitz_margin_equals_rate(self):
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
-                               Nonlinearity.zero(2), zero_forcing)
+                               Nonlinearity.zero(2))
         sc = stability_constants(spec.matrix)
         assert spec.margin == pytest.approx(sc.decay_rate, abs=1e-12)
 
@@ -289,7 +308,7 @@ class TestAssumptions:
         sc = stability_constants(spec.matrix)
         assert spec.margin == -math.inf
         assert not check_assumptions(spec).contracts
-        unforced = DelaySystemSpec(spec.matrix, 1e300, Nonlinearity.zero(2), zero_forcing)
+        unforced = DelaySystemSpec(spec.matrix, 1e300, Nonlinearity.zero(2))
         assert unforced.margin == sc.decay_rate
 
     def test_lying_constants_detected(self):
@@ -297,7 +316,7 @@ class TestAssumptions:
             x = np.asarray(x, dtype=float)
             return np.tanh(x)
         liar = Nonlinearity(f, bound=0.1, lipschitz=0.05, name="liar")
-        spec = DelaySystemSpec(-np.eye(2), 0.5, liar, zero_forcing)
+        spec = DelaySystemSpec(-np.eye(2), 0.5, liar)
         report = check_assumptions(spec)
         assert not report.spot.bound_ok
         assert not report.spot.lipschitz_ok
@@ -356,10 +375,10 @@ class TestSpotPairs:
 class TestIntegrateMos:
     def test_pure_linear_matches_matrix_exponential(self):
         a = catalog.delay_demo_matrix()
-        spec = DelaySystemSpec(a, 0.2, Nonlinearity.zero(2), zero_forcing)
+        spec = DelaySystemSpec(a, 0.2, Nonlinearity.zero(2))
         x0 = np.array([0.7, -0.4])
         history = constant_history(x0, 0.0, 0.2, 0.2 / 32.0)
-        traj = integrate_mos(spec, history, 10.0, 0.2 / 32.0)
+        traj = solve(spec, zero_forcing, history, 10.0, 0.2 / 32.0)
         sc = stability_constants(a)
         for t in (0.5, 1.0, 3.0, 7.0, 10.0):
             exact = expm(a * t) @ x0
@@ -374,9 +393,9 @@ class TestIntegrateMos:
             t = np.asarray(t, dtype=float)
             return np.broadcast_to(c, t.shape + (2,))
 
-        spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2), forcing)
+        spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2))
         history = constant_history(np.array([2.0, 2.0]), 0.0, 0.5, 0.0625)
-        traj = integrate_mos(spec, history, 25.0, 0.0625)
+        traj = solve(spec, forcing, history, 25.0, 0.0625)
         assert np.linalg.norm(traj.value_at(25.0) - c) <= 1e-6
 
     def test_step_halving_is_fourth_order(self):
@@ -384,11 +403,11 @@ class TestIntegrateMos:
             t = np.asarray(t, dtype=float)
             return np.stack([np.sin(t), np.cos(0.7 * t)], axis=-1)
 
-        spec = demo_spec(forcing)
+        spec = demo_spec()
         hist = lambda s: constant_history(np.array([0.3, -0.2]), 0.0, 0.2, s)
-        ref = integrate_mos(spec, hist(0.2 / 64.0), 6.0, 0.2 / 64.0)
-        coarse = integrate_mos(spec, hist(0.2 / 8.0), 6.0, 0.2 / 8.0)
-        finer = integrate_mos(spec, hist(0.2 / 16.0), 6.0, 0.2 / 16.0)
+        ref = solve(spec, forcing, hist(0.2 / 64.0), 6.0, 0.2 / 64.0)
+        coarse = solve(spec, forcing, hist(0.2 / 8.0), 6.0, 0.2 / 8.0)
+        finer = solve(spec, forcing, hist(0.2 / 16.0), 6.0, 0.2 / 16.0)
         e1 = np.linalg.norm(coarse.values - ref.values[::8], axis=1).max()
         e2 = np.linalg.norm(finer.values - ref.values[::4], axis=1).max()
         assert 9.0 <= e1 / e2 <= 28.0
@@ -397,21 +416,23 @@ class TestIntegrateMos:
         spec = demo_spec()
         with pytest.raises(DomainError):
             history = constant_history(np.zeros(2), 0.0, 0.2, 0.03)
-            integrate_mos(spec, history, 1.0, 0.03)
+            solve(spec, zero_forcing, history, 1.0, 0.03)
 
     def test_history_must_match_step(self):
         spec = demo_spec()
         history = constant_history(np.zeros(2), 0.0, 0.2, 0.2 / 16.0)
         with pytest.raises(DomainError):
-            integrate_mos(spec, history, 1.0, 0.2 / 32.0)
+            solve(spec, zero_forcing, history, 1.0, 0.2 / 32.0)
 
     def test_residuals_small(self):
-        spec = demo_spec(lambda t: np.stack([np.sin(np.asarray(t)),
-                                             0.5 * np.cos(np.asarray(t))], axis=-1))
+        def forcing(t):
+            return np.stack([np.sin(np.asarray(t)), 0.5 * np.cos(np.asarray(t))], axis=-1)
+
+        spec = demo_spec()
         step = 0.2 / 32.0
         history = constant_history(np.array([0.1, 0.1]), 0.0, 0.2, step)
-        traj = integrate_mos(spec, history, 5.0, step)
-        res = step_residuals(spec, traj, history)
+        traj = solve(spec, forcing, history, 5.0, step)
+        res = step_residuals(spec, forcing, traj, history)
         assert res.max() <= 1e-8
 
     @pytest.mark.parametrize("k", [4, 5, 32])
@@ -448,39 +469,39 @@ class TestBlockedIntegrator:
         filt = catalog.function_source(catalog.DEFAULT_SEED, catalog.DEFAULT_BURN_IN, -4.0, 21.0)
         step = 0.2 / 32.0
         history = constant_history(np.zeros(2), -3.0, 0.2, step)
-        for forcing in (catalog.combined_forcing(filt), catalog.recurrent_forcing(filt)):
-            spec = demo_spec(forcing)
-            assert_matches_reference(integrate_mos(spec, history, 20.0, step),
-                                     reference_mos(spec, history, 20.0, step))
+        spec = demo_spec()
+        for forcing in (combined_forcing(filt), catalog.recurrent_forcing(filt)):
+            assert_matches_reference(solve(spec, forcing, history, 20.0, step),
+                                     reference_mos(spec, forcing, history, 20.0, step))
 
     def test_random_bounded_histories(self):
         filt = catalog.function_source(0.41, 1000, -2.0, 14.0)
-        spec = demo_spec(catalog.combined_forcing(filt))
+        spec, forcing = demo_spec(), combined_forcing(filt)
         step = 0.2 / 32.0
         rng = np.random.default_rng(41)
         for _ in range(2):
             history = GridFunction(-0.2, step, rng.uniform(-1, 1, (33, 2)))
-            assert_matches_reference(integrate_mos(spec, history, 12.0, step),
-                                     reference_mos(spec, history, 12.0, step))
+            assert_matches_reference(solve(spec, forcing, history, 12.0, step),
+                                     reference_mos(spec, forcing, history, 12.0, step))
 
     def test_three_dimensional_tanh(self):
         a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, -1.0]])
-        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3), wave_forcing(3))
+        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3))
         step = 0.5 / 20.0
         history = GridFunction(-0.5, step, np.random.default_rng(5).uniform(-2, 2, (21, 3)))
-        assert_matches_reference(integrate_mos(spec, history, 15.0, step),
-                                 reference_mos(spec, history, 15.0, step))
+        assert_matches_reference(solve(spec, wave_forcing(3), history, 15.0, step),
+                                 reference_mos(spec, wave_forcing(3), history, 15.0, step))
 
     @pytest.mark.parametrize("extra", [1, 2, 3, 17, 31])
     def test_window_not_a_multiple_of_the_delay(self, extra):
-        spec = demo_spec(wave_forcing(2))
+        spec, forcing = demo_spec(), wave_forcing(2)
         step = 0.2 / 32.0
         history = GridFunction(-0.2, step, np.random.default_rng(extra).uniform(-1, 1, (33, 2)))
         t_end = (3 * 32 + extra) * step
-        blocked = integrate_mos(spec, history, t_end, step)
+        blocked = solve(spec, forcing, history, t_end, step)
         assert len(blocked) == 3 * 32 + extra + 1
-        assert_matches_reference(blocked, reference_mos(spec, history, t_end, step))
-        res = step_residuals(spec, blocked, history)
+        assert_matches_reference(blocked, reference_mos(spec, forcing, history, t_end, step))
+        res = step_residuals(spec, forcing, blocked, history)
         assert res.shape == (3 * 32 + extra,) and np.all(np.isfinite(res))
 
     @settings(max_examples=25, deadline=None)
@@ -493,12 +514,12 @@ class TestBlockedIntegrator:
         a = stable_matrix(np.reshape(entries, (2, 2)), margin)
         tau = 0.4
         step = tau / k
-        spec = DelaySystemSpec(a, tau, catalog.delay_demo_nonlinearity(), wave_forcing(2))
+        spec = DelaySystemSpec(a, tau, catalog.delay_demo_nonlinearity())
         history = GridFunction(-tau, step,
                                np.random.default_rng(seed).uniform(-1, 1, (k + 1, 2)))
         t_end = (segments * k + extra % k) * step
-        assert_matches_reference(integrate_mos(spec, history, t_end, step),
-                                 reference_mos(spec, history, t_end, step))
+        assert_matches_reference(solve(spec, wave_forcing(2), history, t_end, step),
+                                 reference_mos(spec, wave_forcing(2), history, t_end, step))
 
     def test_two_nonlinearity_calls_per_segment(self):
         calls = []
@@ -509,12 +530,11 @@ class TestBlockedIntegrator:
             return base.func(x)
 
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
-                               Nonlinearity(counted, base.bound, base.lipschitz),
-                               wave_forcing(2))
+                               Nonlinearity(counted, base.bound, base.lipschitz))
         step = 0.2 / 32.0
         n_steps = 1000
-        integrate_mos(spec, constant_history(np.zeros(2), 0.0, 0.2, step),
-                      n_steps * step, step)
+        solve(spec, wave_forcing(2), constant_history(np.zeros(2), 0.0, 0.2, step),
+              n_steps * step, step)
         assert len(calls) <= 2 * math.ceil(n_steps / 32) + 2
 
     @settings(max_examples=25, deadline=None)
@@ -532,17 +552,17 @@ class TestBlockedIntegrator:
         history = GridFunction(-tau, step, rng.uniform(-1, 1, (k + 1, dim)))
         n_steps = segments * k + 1 + extra % (k - 1)  # never a whole number of delays
         t_end = n_steps * step
-        specs = []
+        spec, forcings = DelaySystemSpec(a, tau, nl), []
         for amp, freq, phase in rng.uniform(0.1, 2.0, (runs, 3, dim)):
             def forcing(t, amp=amp, freq=freq, phase=phase):
                 return amp * np.sin(np.multiply.outer(np.asarray(t, dtype=float), freq) + phase)
-            specs.append(DelaySystemSpec(a, tau, nl, forcing))
+            forcings.append(forcing)
         half = history.t_end + 0.5 * step * np.arange(2 * n_steps + 1)
-        samples = np.stack([spec.forcing(half) for spec in specs])
-        got = integrate_mos(specs[0], history, t_end, step, samples)
+        samples = np.stack([forcing(half) for forcing in forcings])
+        got = integrate_mos(spec, history, t_end, step, samples)
         assert len(got) == runs
-        for traj, spec in zip(got, specs):
-            assert_matches_reference(traj, reference_mos(spec, history, t_end, step))
+        for traj, forcing in zip(got, forcings):
+            assert_matches_reference(traj, reference_mos(spec, forcing, history, t_end, step))
 
     @pytest.mark.parametrize("runs", [None, 1, 2, 3])
     def test_one_nonlinearity_call_per_segment_for_all_runs(self, runs):
@@ -554,16 +574,16 @@ class TestBlockedIntegrator:
             return base.func(x)
 
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
-                               Nonlinearity(counted, base.bound, base.lipschitz),
-                               wave_forcing(2))
+                               Nonlinearity(counted, base.bound, base.lipschitz))
         step = 0.2 / 32.0
         n_steps = 1000  # 31 whole segments and one of 8 steps
         history = constant_history(np.zeros(2), 0.0, 0.2, step)
-        samples = None
-        if runs is not None:
-            half = history.t_end + 0.5 * step * np.arange(2 * n_steps + 1)
-            samples = np.stack([(r + 1) * spec.forcing(half) for r in range(runs)])
-        integrate_mos(spec, history, n_steps * step, step, samples)
+        if runs is None:  # one run, sampled from the callable
+            solve(spec, wave_forcing(2), history, n_steps * step, step)
+        else:
+            half = half_grid(history, n_steps * step, step)
+            samples = np.stack([(r + 1) * wave_forcing(2)(half) for r in range(runs)])
+            integrate_mos(spec, history, n_steps * step, step, samples)
         assert len(calls) == 32
         assert calls[0] == (runs or 1, 65, 2) and calls[-1] == (runs or 1, 17, 2)
 
@@ -593,12 +613,12 @@ class TestBlockedIntegrator:
             history = GridFunction(0.0, step, np.outer(np.linspace(0.0, 2.8e307, k + 1),
                                                        [1.0, 0.5]))
             t_end = 5.0
-        spec = DelaySystemSpec(a, tau, nl, zero_forcing)
+        spec = DelaySystemSpec(a, tau, nl)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError) as ref:
-                reference_mos(spec, history, t_end, step)
+                reference_mos(spec, zero_forcing, history, t_end, step)
             with pytest.raises(NonFiniteStateError) as got:
-                integrate_mos(spec, history, t_end, step)
+                solve(spec, zero_forcing, history, t_end, step)
         assert str(got.value) == str(ref.value)
         t_bad = float(str(ref.value).rsplit("= ", 1)[1])
         assert round((t_bad - history.t_end) / step) % k != 0
@@ -607,11 +627,11 @@ class TestBlockedIntegrator:
         # the k-step powers of the RK4 map overflow, and 0 * inf in the block product is nan
         tau = 20.0
         step = tau / 32
-        spec = DelaySystemSpec(2000.0 * np.eye(2), tau, Nonlinearity.zero(2), zero_forcing)
+        spec = DelaySystemSpec(2000.0 * np.eye(2), tau, Nonlinearity.zero(2))
         history = constant_history(np.zeros(2), 0.0, tau, step)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = integrate_mos(spec, history, 3 * tau, step)
-        assert_matches_reference(got, reference_mos(spec, history, 3 * tau, step))
+            got = solve(spec, zero_forcing, history, 3 * tau, step)
+        assert_matches_reference(got, reference_mos(spec, zero_forcing, history, 3 * tau, step))
         assert got.sup_norm() == 0.0
 
 
@@ -638,12 +658,12 @@ def lanes_off(*args):
         return outcome(*args)
 
 
-def counting_demo_spec(calls, forcing=zero_forcing):
+def counting_demo_spec(calls):
     """The demo system at delay 0.2, its nonlinearity logging each argument's shape to ``calls``."""
     base = catalog.delay_demo_nonlinearity()
     return DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
                            Nonlinearity(lambda x: calls.append(x.shape) or base.func(x),
-                                        base.bound, base.lipschitz), forcing)
+                                        base.bound, base.lipschitz))
 
 
 @pytest.fixture
@@ -670,7 +690,7 @@ class TestLockstepLanes:
         tau = 1.0
         step = tau / k
         nl = catalog.delay_demo_nonlinearity() if dim == 2 else catalog.tanh_nonlinearity(3, 0.3)
-        spec = DelaySystemSpec(a, tau, nl, zero_forcing)
+        spec = DelaySystemSpec(a, tau, nl)
         rng = np.random.default_rng(seed)
         history = GridFunction(-tau, step, rng.uniform(-1, 1, (k + 1, dim)))
         n_steps = max(1, ((n_lanes + 1) * warm + offset) * k + extra % k)
@@ -713,7 +733,7 @@ class TestLockstepLanes:
 
     def test_slow_contraction_doubles_the_warm_up(self, lane_log):
         # the linear part alone settles in 64 segments; the delayed tanh slows that down
-        spec = DelaySystemSpec(-np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 0.3), zero_forcing)
+        spec = DelaySystemSpec(-np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 0.3))
         step, n_steps = 0.25, 1200 * 4
         assert lanes.first_warmup(delay._segment_matrices(spec.matrix, step, 4)[0][:, -2:]) == 64
         args = (spec, constant_history(np.array([0.5, -0.5]), 0.0, 1.0, step), n_steps * step,
@@ -725,8 +745,7 @@ class TestLockstepLanes:
     def test_a_round_keeps_the_lanes_before_its_first_rejection(self, lane_log):
         # tanh saturates under the loud forcing before t = 100 and contracts fast; in
         # the quiet forcing after it, its slope 2 against A = -4 I contracts slowly
-        spec = DelaySystemSpec(-4.0 * np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 2.0),
-                               zero_forcing)
+        spec = DelaySystemSpec(-4.0 * np.eye(2), 1.0, catalog.tanh_nonlinearity(2, 2.0))
         step, n_steps = 0.25, 200 * 4
         samples = wave_samples(2, 2, n_steps, step, 11)
         samples[:, 0.5 * step * np.arange(2 * n_steps + 1) < 100.0] *= 50.0
@@ -754,11 +773,13 @@ class TestLockstepLanes:
     def test_one_run_takes_the_round_of_two_and_a_short_window_none(self, lane_log, runs,
                                                                     t_end):
         calls = []
-        spec = counting_demo_spec(calls, wave_forcing(2))
+        spec = counting_demo_spec(calls)
         step = 0.2 / 32
         history = constant_history(np.zeros(2), -30.0, 0.2, step)
         n_steps = round((t_end + 30.0) / step)
-        samples = None if runs is None else wave_samples(2, runs, n_steps, step, 3)
+        # None: one run sampled from a callable
+        samples = (wave_forcing(2)(half_grid(history, t_end, step))[None] if runs is None
+                   else wave_samples(2, runs, n_steps, step, 3))
         got = integrate_mos(spec, history, t_end, step, samples)
         if t_end == 20.0:
             # two lanes of 128 segments after a warm-up of 128 need 384 of the 250 segments
@@ -771,57 +792,68 @@ class TestLockstepLanes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lanes, "WARMUP_CAP", 0)
             loop = integrate_mos(spec, history, t_end, step, samples)
-        if runs is None:
-            got, loop = [got], [loop]
         for lane, alone in zip(got, loop):
             np.testing.assert_array_equal(lane.values.view(np.uint64), alone.values.view(np.uint64))
 
 
 class TestBoundedSolution:
     def test_zero_system_zero_solution(self):
-        spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2), zero_forcing)
-        sol = bounded_solution(spec, (0.0, 5.0), 0.0625)
+        spec = DelaySystemSpec(-np.eye(2), 0.5, Nonlinearity.zero(2))
+        sol = bounded_solution(spec, zero_forcing, (0.0, 5.0), 0.0625)
         assert sol.sup_norm() == 0.0
 
     def test_demo_sup_bound(self, delay_demo):
-        spec = delay_demo.spec_combined
+        spec = delay_demo.spec
         sc = spec.constants
         bound = sc.amplitude * (spec.nonlinearity.bound + delay_demo.m_phi) / sc.decay_rate
         assert delay_demo.phi_solution.sup_norm() <= bound + 1e-8
 
     def test_history_independence(self):
-        spec = demo_spec(lambda t: np.stack([np.sin(np.asarray(t)),
-                                             np.cos(np.asarray(t))], axis=-1))
+        spec = demo_spec()
+
+        def forcing(t):
+            return np.stack([np.sin(np.asarray(t)), np.cos(np.asarray(t))], axis=-1)
+
         step = 0.2 / 32.0
         rng = np.random.default_rng(4)
         burn = 20.0
         hist0 = constant_history(np.zeros(2), -burn, 0.2, step)
         rand_vals = rng.uniform(-1, 1, (len(hist0), 2))
         hist1 = GridFunction(hist0.t_start, step, rand_vals)
-        s0 = integrate_mos(spec, hist0, 10.0, step).restrict(0.0, 10.0)
-        s1 = integrate_mos(spec, hist1, 10.0, step).restrict(0.0, 10.0)
+        s0 = solve(spec, forcing, hist0, 10.0, step).restrict(0.0, 10.0)
+        s1 = solve(spec, forcing, hist1, 10.0, step).restrict(0.0, 10.0)
         assert np.linalg.norm(s0.values - s1.values, axis=1).max() < 1e-8
 
     def test_margin_required(self):
         spec = demo_spec(tau=30.0)
         with pytest.raises(AssumptionError):
-            bounded_solution(spec, (0.0, 1.0), 30.0 / 150)
+            bounded_solution(spec, zero_forcing, (0.0, 1.0), 30.0 / 150)
 
     @pytest.mark.parametrize("rate", [500.0, 1000.0, 1e300])
     def test_step_too_coarse_for_a_stiff_system_refused(self, rate):
         # the RK4 step matrix at tau / 32 has spectral radius 1.645 at rate 500
-        spec = DelaySystemSpec(-rate * np.eye(1), 0.2, Nonlinearity.zero(1),
-                               lambda t: np.ones(np.shape(t) + (1,)))
+        spec = DelaySystemSpec(-rate * np.eye(1), 0.2, Nonlinearity.zero(1))
         with pytest.raises(ArgumentError) as caught:
-            bounded_solution(spec, (0.0, 1.0), 0.2 / 32)
+            bounded_solution(spec, lambda t: np.ones(np.shape(t) + (1,)), (0.0, 1.0), 0.2 / 32)
         assert caught.value.names == ("step", "matrix")
 
     def test_stiff_system_at_a_stable_step(self):
         # spectral radius 0.299 at rate 300: the solution settles on 1 / 300
-        spec = DelaySystemSpec(-300.0 * np.eye(1), 0.2, Nonlinearity.zero(1),
-                               lambda t: np.ones(np.shape(t) + (1,)))
-        sol = bounded_solution(spec, (0.0, 1.0), 0.2 / 32)
+        spec = DelaySystemSpec(-300.0 * np.eye(1), 0.2, Nonlinearity.zero(1))
+        sol = bounded_solution(spec, lambda t: np.ones(np.shape(t) + (1,)), (0.0, 1.0), 0.2 / 32)
         assert np.abs(sol.values - 1.0 / 300.0).max() <= 1e-12
+
+
+    def test_one_component_forcing_may_return_flat_values(self):
+        # a 1-dimensional system's callable may return (len(t),), as (len(t), 1); the
+        # digest pins the trajectory the spec gave when it still carried its forcing
+        spec = DelaySystemSpec(-2.0 * np.eye(1), 0.2, catalog.tanh_nonlinearity(1, 0.3))
+        flat = bounded_solution(spec, lambda t: np.sin(3.0 * t), (0.0, 2.0), 0.2 / 32)
+        column = bounded_solution(spec, lambda t: np.sin(3.0 * t)[:, None], (0.0, 2.0), 0.2 / 32)
+        np.testing.assert_array_equal(flat.values.view(np.uint64), column.values.view(np.uint64))
+        assert flat.values.shape == (321, 1) and flat.t_start == 0.0
+        assert hashlib.sha256(flat.values.tobytes()).hexdigest() == \
+            "9274eb1daf35918ce50e3a191f89a6b493760d46c793aafd4bee955a15793402"
 
 
 def test_spec_computes_its_stability_constants_once(monkeypatch):
@@ -831,10 +863,10 @@ def test_spec_computes_its_stability_constants_once(monkeypatch):
         calls.append(a)
         return stability_constants(a)
     monkeypatch.setattr(delay, "stability_constants", counted)
-    spec = demo_spec(lambda t: np.ones(np.shape(t) + (2,)))
+    spec = demo_spec()
     check_assumptions(spec)
     proof_constants(spec, 1.0, 1.0)
-    bounded_solution(spec, (0.0, 0.5), 0.2 / 32)
+    bounded_solution(spec, lambda t: np.ones(np.shape(t) + (2,)), (0.0, 0.5), 0.2 / 32)
     assert len(calls) == 1
 
 
@@ -858,7 +890,7 @@ class TestProofConstants:
     def test_specialisation_without_nonlinearity(self):
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
                                Nonlinearity(lambda x: np.zeros_like(x),
-                                            bound=1e-300, lipschitz=0.0), zero_forcing)
+                                            bound=1e-300, lipschitz=0.0))
         sc = stability_constants(spec.matrix)
         pc = proof_constants(spec, 1.5, 0.5)
         n, lam = sc.amplitude, sc.decay_rate
@@ -868,7 +900,7 @@ class TestProofConstants:
     def test_linear_in_forcing_sups(self):
         spec = DelaySystemSpec(catalog.delay_demo_matrix(), 0.2,
                                Nonlinearity(lambda x: np.zeros_like(x),
-                                            bound=1e-300, lipschitz=0.0), zero_forcing)
+                                            bound=1e-300, lipschitz=0.0))
         one = proof_constants(spec, 1.0, 1.0)
         two = proof_constants(spec, 2.0, 2.0)
         assert two.k1 == pytest.approx(2.0 * one.k1, rel=1e-12)
@@ -887,7 +919,7 @@ class TestProofConstants:
 class TestPicard:
     def test_pure_homogeneous_propagation(self):
         a = catalog.delay_demo_matrix()
-        spec = DelaySystemSpec(a, 0.2, Nonlinearity.zero(2), zero_forcing)
+        spec = DelaySystemSpec(a, 0.2, Nonlinearity.zero(2))
         step = 0.2 / 32.0
         n = 641
         times = step * np.arange(n)
@@ -907,7 +939,7 @@ class TestPicard:
         d = delay_demo
         cand = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                             d.phi_solution.values - d.psi_solution.values)
-        image = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, cand, d.alpha)
+        image = picard_apply(d.spec, d.psi_solution, d.theta_grid, cand, d.alpha)
         gap = np.linalg.norm(image.values - cand.values, axis=1).max()
         assert gap <= 1e-6
 
@@ -916,16 +948,16 @@ class TestPicard:
         base = d.phi_solution.values - d.psi_solution.values
         a_idx = d.phi_solution.index_at(d.alpha)
         rng = np.random.default_rng(17)
-        sc = d.spec_combined.constants
-        bound = sc.amplitude * d.spec_combined.nonlinearity.lipschitz / sc.decay_rate + 0.05
+        sc = d.spec.constants
+        bound = sc.amplitude * d.spec.nonlinearity.lipschitz / sc.decay_rate + 0.05
         for _ in range(3):
             n1, n2 = (rng.uniform(-0.5, 0.5, base.shape) for _ in range(2))
             n1[:a_idx + 1] = 0.0
             n2[:a_idx + 1] = 0.0
             g1 = GridFunction(d.phi_solution.t_start, d.phi_solution.step, base + n1)
             g2 = GridFunction(d.phi_solution.t_start, d.phi_solution.step, base + n2)
-            t1 = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, g1, d.alpha)
-            t2 = picard_apply(d.spec_combined, d.psi_solution, d.theta_grid, g2, d.alpha)
+            t1 = picard_apply(d.spec, d.psi_solution, d.theta_grid, g1, d.alpha)
+            t2 = picard_apply(d.spec, d.psi_solution, d.theta_grid, g2, d.alpha)
             num = np.linalg.norm(t1.values - t2.values, axis=1).max()
             den = np.linalg.norm(g1.values - g2.values, axis=1).max()
             assert num <= bound * den
@@ -935,13 +967,13 @@ class TestPicard:
         d = delay_demo
         cand = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                             d.phi_solution.values - d.psi_solution.values)
-        args = (d.spec_combined, d.psi_solution, d.theta_grid, cand, d.alpha)
+        args = (d.spec, d.psi_solution, d.theta_grid, cand, d.alpha)
         assert_matches_reference(picard_apply(*args), reference_picard(*args))
 
     @pytest.mark.parametrize("n", [3 * 20 + 1, 3 * 20 + 8, 3 * 20 + 13])
     def test_matches_reference_three_dimensional(self, n):
         a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.5, 0.5], [0.3, 0.0, -1.0]])
-        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3), zero_forcing)
+        spec = DelaySystemSpec(a, 0.5, catalog.tanh_nonlinearity(3, 0.3))
         step = 0.5 / 20.0
         rng = np.random.default_rng(n)
         psi, theta, cand = (GridFunction(0.0, step, rng.uniform(-1, 1, (n, 3)))
@@ -953,7 +985,7 @@ class TestPicard:
 class TestConvergenceCheck:
     def test_identical_solutions_trivially_inside(self, delay_demo):
         d = delay_demo
-        report = convergence_check(d.phi_solution, d.phi_solution, d.spec_combined,
+        report = convergence_check(d.phi_solution, d.phi_solution, d.spec,
                                    d.proof, d.alpha, d.gamma, d.epsilon)
         assert report.envelope_ok
         assert report.tail_sup == 0.0
@@ -969,13 +1001,13 @@ class TestConvergenceCheck:
         peak[j, 0] = level
         inside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                               d.psi_solution.values + peak)
-        rep = convergence_check(inside, d.psi_solution, d.spec_combined, d.proof,
+        rep = convergence_check(inside, d.psi_solution, d.spec, d.proof,
                                 d.alpha, d.gamma, d.epsilon)
         assert rep.envelope_ok
         peak[j, 0] = level + 1e-3
         outside = GridFunction(d.phi_solution.t_start, d.phi_solution.step,
                                d.psi_solution.values + peak)
-        rep = convergence_check(outside, d.psi_solution, d.spec_combined, d.proof,
+        rep = convergence_check(outside, d.psi_solution, d.spec, d.proof,
                                 d.alpha, d.gamma, d.epsilon)
         assert not rep.envelope_ok
         assert rep.worst_time == pytest.approx(d.alpha, abs=1e-9)
@@ -983,5 +1015,5 @@ class TestConvergenceCheck:
     def test_gamma_ceiling_enforced(self, delay_demo):
         d = delay_demo
         with pytest.raises(DomainError):
-            convergence_check(d.phi_solution, d.psi_solution, d.spec_combined, d.proof,
+            convergence_check(d.phi_solution, d.psi_solution, d.spec, d.proof,
                               d.alpha, 1.0 / (d.proof.k1 + d.proof.k2), d.epsilon)

@@ -28,32 +28,32 @@ def column_product(b, w):
     return acc
 
 
-def reference_iterate(spec, start_state, steps, start_index=None, product=np.matmul):
+def reference_iterate(spec, forcing, start_state, steps, start_index=None, product=np.matmul):
     """One transition w <- B w + g(w) + forcing_i at a time."""
-    i0 = spec.forcing.t_start if start_index is None else start_index
+    i0 = forcing.t_start if start_index is None else start_index
     w = np.atleast_1d(np.asarray(start_state, dtype=float))
     out = np.empty((steps + 1, spec.dim))
     out[0] = w
-    phi = spec.forcing.values[i0 - spec.forcing.t_start:]
+    phi = forcing.values[i0 - forcing.t_start:]
     for j in range(steps):
         w = product(spec.matrix, w) + spec.nonlinearity(w) + phi[j]
         out[j + 1] = w
     return VectorSequence(i0, out)
 
 
-def reference_sum_residual(spec, orbit, tol=1e-10, sample=16):
+def reference_sum_residual(spec, forcing, orbit, tol=1e-10, sample=16):
     """orbit_sum_residual with each sampled sum advanced on its own."""
     norm_b = spectral_norm(spec.matrix)
-    scale = (spec.nonlinearity.bound + spec.forcing.sup_norm()) / (1.0 - norm_b)
+    scale = (spec.nonlinearity.bound + forcing.sup_norm()) / (1.0 - norm_b)
     depth = max(1, math.ceil(math.log(tol / max(scale, tol)) / math.log(max(norm_b, 1e-300))))
-    candidates = range(max(orbit.t_start, spec.forcing.t_start) + depth + 1,
+    candidates = range(max(orbit.t_start, forcing.t_start) + depth + 1,
                        orbit.t_end + 1)
     worst = 0.0
     for i in candidates[::max(1, len(candidates) // sample)]:
         acc = np.zeros(spec.dim)
         for j in range(i - depth, i + 1):
             acc = spec.matrix @ acc + spec.nonlinearity(orbit.value_at(j - 1)) \
-                + spec.forcing.value_at(j - 1)
+                + forcing.value_at(j - 1)
         worst = max(worst, float(np.linalg.norm(acc - orbit.value_at(i))))
     return worst
 
@@ -118,19 +118,19 @@ class TestSpectralNorm:
 class TestAssumptions:
     def test_demo_margin(self):
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                  catalog.discrete_demo_nonlinearity(), zero_forcing())
+                                  catalog.discrete_demo_nonlinearity())
         report = check_assumptions(spec)
         assert report.spot.bound_ok and report.spot.lipschitz_ok and report.contracts
         assert report.margin == pytest.approx(1.0 - SQRT5_OVER_4 - 0.2, abs=1e-12)
 
     def test_margin_without_nonlinearity(self):
-        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2), zero_forcing())
+        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2))
         report = check_assumptions(spec)
         assert report.margin == pytest.approx(0.5, abs=1e-12)
 
     def test_large_lipschitz_fails(self):
         strong = Nonlinearity(lambda w: 0.5 * np.sin(w), bound=1.0, lipschitz=0.5)
-        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(), strong, zero_forcing())
+        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(), strong)
         report = check_assumptions(spec)
         assert report.margin < 0.0
         assert not report.contracts
@@ -143,10 +143,10 @@ class TestAssumptions:
         for _ in range(abs(ulps)):
             nb = float(np.nextafter(nb, math.copysign(math.inf, ulps)))
         nl = Nonlinearity(lambda w: lip * np.sin(w), bound=1.0, lipschitz=lip)
-        spec = DiscreteSystemSpec(np.diag([nb, 0.0]), nl, zero_forcing())
+        spec = DiscreteSystemSpec(np.diag([nb, 0.0]), nl)
         report = check_assumptions(spec)
         refused = []
-        for call in (lambda: burn_in_length(spec, 1e-9),
+        for call in (lambda: burn_in_length(spec, zero_forcing().sup_norm(), 1e-9),
                      lambda: gamma_ceiling(spec, 1.0, 1.0),
                      lambda: gronwall_envelope(spec, 1.0, 1.0, 0, 0.0, 1e-3, (0, 10))):
             try:
@@ -157,10 +157,9 @@ class TestAssumptions:
         assert refused == [not report.contracts] * 3
 
     def test_zero_rate_burns_in_one_step(self):
-        spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2),
-                                  constant_forcing([1.0, -1.0]))
+        spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2))
         assert spec.rate == 0.0
-        assert burn_in_length(spec, 1e-9) == 1
+        assert burn_in_length(spec, constant_forcing([1.0, -1.0]).sup_norm(), 1e-9) == 1
 
 
 def test_contraction_constants_have_one_home():
@@ -189,42 +188,50 @@ class TestIterate:
     def test_zero_matrix_reproduces_forcing(self):
         rng = np.random.default_rng(1)
         forcing = VectorSequence(0, rng.uniform(-1, 1, (50, 2)))
-        spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2), forcing)
-        orbit = iterate(spec, np.array([0.4, -0.1]), 30)
+        spec = DiscreteSystemSpec(np.zeros((2, 2)), Nonlinearity.zero(2))
+        orbit = iterate(spec, forcing, np.array([0.4, -0.1]), 30)
         np.testing.assert_array_equal(orbit.values[1:], forcing.values[:30])
 
     def test_constant_forcing_converges_to_linear_solve(self):
         b = catalog.discrete_demo_matrix()
         c = np.array([0.7, -0.2])
-        spec = DiscreteSystemSpec(b, Nonlinearity.zero(2), constant_forcing(c))
-        orbit = iterate(spec, np.array([5.0, 5.0]), 200)
+        spec = DiscreteSystemSpec(b, Nonlinearity.zero(2))
+        orbit = iterate(spec, constant_forcing(c), np.array([5.0, 5.0]), 200)
         limit = np.linalg.solve(np.eye(2) - b, c)
         assert np.linalg.norm(orbit.value_at(200) - limit) <= 1e-12
 
     def test_unforced_decay_bound(self):
         b = catalog.discrete_demo_matrix()
-        spec = DiscreteSystemSpec(b, Nonlinearity.zero(2), zero_forcing())
+        spec = DiscreteSystemSpec(b, Nonlinearity.zero(2))
         w0 = np.array([1.0, -2.0])
-        orbit = iterate(spec, w0, 60)
+        orbit = iterate(spec, zero_forcing(), w0, 60)
         q = spectral_norm(b)
         norms = orbit.norms()
         for i in range(61):
             assert norms[i] <= q ** i * np.linalg.norm(w0) * (1.0 + 1e-12)
 
     def test_forcing_window_exhaustion(self):
-        spec = DiscreteSystemSpec(np.eye(2) * 0.5, Nonlinearity.zero(2),
-                                  zero_forcing(n=10))
+        spec = DiscreteSystemSpec(np.eye(2) * 0.5, Nonlinearity.zero(2))
         with pytest.raises(WindowExhaustedError):
-            iterate(spec, np.zeros(2), 11)
+            iterate(spec, zero_forcing(n=10), np.zeros(2), 11)
+
+    def test_forcing_of_another_dimension_refused(self):
+        spec = DiscreteSystemSpec(np.eye(2) * 0.5, Nonlinearity.zero(2))
+        orbit = iterate(spec, zero_forcing(n=120), np.zeros(2), 100)
+        for forcing in (zero_forcing(n=120, p=3), zero_forcing(n=120, p=1)):
+            with pytest.raises(DomainError, match="forcing dimension"):
+                iterate(spec, forcing, np.zeros(2), 10)
+            with pytest.raises(DomainError, match="forcing dimension"):
+                orbit_sum_residual(spec, forcing, orbit)
 
     def test_contraction_between_orbits(self):
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                  catalog.discrete_demo_nonlinearity(),
-                                  constant_forcing([0.3, 0.1], n=150))
+                                  catalog.discrete_demo_nonlinearity())
+        forcing = constant_forcing([0.3, 0.1], n=150)
         rng = np.random.default_rng(6)
         w0, v0 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-        a = iterate(spec, w0, 100)
-        b = iterate(spec, v0, 100)
+        a = iterate(spec, forcing, w0, 100)
+        b = iterate(spec, forcing, v0, 100)
         q = SQRT5_OVER_4 + 0.2
         d0 = np.linalg.norm(w0 - v0)
         gap = np.linalg.norm(a.values - b.values, axis=1)
@@ -234,68 +241,68 @@ class TestIterate:
 
 class TestBoundedOrbit:
     def test_zero_system(self):
-        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2),
-                                  zero_forcing(n=300, base=-200))
-        orbit = bounded_orbit(spec, (0, 50))
+        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2))
+        orbit = bounded_orbit(spec, zero_forcing(n=300, base=-200), (0, 50))
         assert orbit.sup_norm() == 0.0
 
     def test_sup_bound(self, discrete_demo):
         d = discrete_demo
-        bound = (d.spec_combined.nonlinearity.bound + d.m_phi) / (1.0 - d.spec_combined.norm_b)
+        bound = (d.spec.nonlinearity.bound + d.m_phi) / (1.0 - d.spec.norm_b)
         assert d.phi_orbit.sup_norm() <= bound + 1e-9
 
     def test_start_state_independence(self):
         triple = build_sequence_triple(catalog.source_orbit(length=400))
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                  catalog.discrete_demo_nonlinearity(), triple.phi)
+                                  catalog.discrete_demo_nonlinearity())
         tol = 1e-9
-        burn = burn_in_length(spec, tol)
+        burn = burn_in_length(spec, triple.phi.sup_norm(), tol)
         rng = np.random.default_rng(12)
         w0 = rng.uniform(-1, 1, 2)
         w0 /= max(1.0, np.linalg.norm(w0))
-        a = iterate(spec, np.zeros(2), burn + 100)
-        b = iterate(spec, w0, burn + 100)
+        a = iterate(spec, triple.phi, np.zeros(2), burn + 100)
+        b = iterate(spec, triple.phi, w0, burn + 100)
         gap = np.linalg.norm(a.values[burn:] - b.values[burn:], axis=1)
         assert gap.max() < tol
 
     def test_recurrence_residual(self, discrete_demo):
         d = discrete_demo
         w = d.phi_orbit.values
-        base_off = d.phi_orbit.t_start - d.spec_combined.forcing.t_start
-        phi = d.spec_combined.forcing.values[base_off:base_off + len(w) - 1]
-        pred = w[:-1] @ d.spec_combined.matrix.T + d.spec_combined.nonlinearity(w[:-1]) + phi
+        base_off = d.phi_orbit.t_start - d.phi_forcing.t_start
+        phi = d.phi_forcing.values[base_off:base_off + len(w) - 1]
+        pred = w[:-1] @ d.spec.matrix.T + d.spec.nonlinearity(w[:-1]) + phi
         assert np.abs(w[1:] - pred).max() <= 4 * np.finfo(float).eps * 10
 
     def test_margin_required(self):
         strong = Nonlinearity(lambda w: 0.9 * np.tanh(w), bound=2.0, lipschitz=0.9)
-        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(), strong, zero_forcing())
+        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(), strong)
         with pytest.raises(AssumptionError):
-            bounded_orbit(spec, (0, 10))
+            bounded_orbit(spec, zero_forcing(), (0, 10))
 
     def test_sum_representation_cross_check(self, discrete_demo):
-        gap = orbit_sum_residual(discrete_demo.spec_combined, discrete_demo.phi_orbit,
-                                 tol=1e-10)
+        d = discrete_demo
+        gap = orbit_sum_residual(d.spec, d.phi_forcing, d.phi_orbit, tol=1e-10)
         assert gap <= 1e-9
 
     def test_sum_residual_matches_per_sample_sums(self, discrete_demo):
-        for orbit in (discrete_demo.phi_orbit, discrete_demo.psi_orbit):
-            assert orbit_sum_residual(discrete_demo.spec_combined, orbit) == \
-                reference_sum_residual(discrete_demo.spec_combined, orbit)
+        d = discrete_demo
+        for orbit in (d.phi_orbit, d.psi_orbit):
+            assert orbit_sum_residual(d.spec, d.phi_forcing, orbit) == \
+                reference_sum_residual(d.spec, d.phi_forcing, orbit)
 
     def test_sum_residual_needs_forcing_past_the_orbit(self):
-        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2), zero_forcing(n=120))
+        spec = DiscreteSystemSpec(0.5 * np.eye(2), Nonlinearity.zero(2))
         orbit = VectorSequence(0, np.zeros((200, 2)))
         with pytest.raises(WindowExhaustedError):
-            orbit_sum_residual(spec, orbit)
+            orbit_sum_residual(spec, zero_forcing(n=120), orbit)
 
 
     def test_demo_refuses_a_window_within_the_sum_depth_before_any_orbit(self, monkeypatch):
         # the runner and the sum check share one depth, 44 steps on the demo system
         calls, real = [], catalog.bounded_orbit
 
-        def counted(spec, window, tol):
+        def counted(spec, forcing, window, tol):
             calls.append(window)
-            return real(spec, window, tol)
+            return real(spec, forcing, window, tol)
         monkeypatch.setattr(catalog, "bounded_orbit", counted)
         for end in (4040, 4044):
             with pytest.raises(ArgumentError, match=f"{end - 4000} steps; .* over 44$") as exc:
@@ -304,16 +311,27 @@ class TestBoundedOrbit:
         demo = catalog.run_discrete_demo(window=(4000, 4045))
         assert calls == [(4000, 4045)] * 2
         tol = catalog.DISCRETE_SUM_TOL
-        assert orbit_sum_residual(demo.spec_combined, demo.phi_orbit, tol) <= 1e-9
+        assert orbit_sum_residual(demo.spec, demo.phi_forcing, demo.phi_orbit, tol) <= 1e-9
         with pytest.raises(DomainError, match="truncation depth"):
-            orbit_sum_residual(demo.spec_combined, demo.phi_orbit.restrict(4000, 4044), tol)
+            orbit_sum_residual(demo.spec, demo.phi_forcing, demo.phi_orbit.restrict(4000, 4044),
+                               tol)
+
+    def test_demo_computes_the_spectral_norm_once(self, monkeypatch):
+        # one spec serves both forcings, so |B| comes from one SVD
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return spectral_norm(b)
+        monkeypatch.setattr(discrete, "spectral_norm", counted)
+        catalog.run_discrete_demo()
+        assert len(calls) == 1
 
 
 class TestGronwallEnvelope:
     def _spec(self):
-        triple = build_sequence_triple(catalog.source_orbit(length=200))
         return DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                  catalog.discrete_demo_nonlinearity(), triple.phi)
+                                  catalog.discrete_demo_nonlinearity())
 
     def test_asymptotic_level(self):
         spec = self._spec()
@@ -371,17 +389,15 @@ class TestConvergenceCheckDiscrete:
         theta = np.zeros_like(psi.values)
         theta[spike_at - psi.t_start] = [0.5, 0.0]
         phi = VectorSequence(psi.t_start, psi.values + theta)
-        spec_phi = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                      catalog.discrete_demo_nonlinearity(), phi)
-        spec_psi = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                      catalog.discrete_demo_nonlinearity(), psi)
-        a = bounded_orbit(spec_phi, (100, 398), tol=1e-10)
-        b = bounded_orbit(spec_psi, (100, 398), tol=1e-10)
+        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
+                                  catalog.discrete_demo_nonlinearity())
+        a = bounded_orbit(spec, phi, (100, 398), tol=1e-10)
+        b = bounded_orbit(spec, psi, (100, 398), tol=1e-10)
         m_phi, m_psi = phi.sup_norm(), psi.sup_norm()
-        gamma = 0.5 * gamma_ceiling(spec_phi, m_phi, m_psi)
+        gamma = 0.5 * gamma_ceiling(spec, m_phi, m_psi)
         eps = 1e-6
         alpha = spike_at + 1
-        env = gronwall_envelope(spec_phi, m_phi, m_psi, alpha, gamma, eps, (100, 398))
+        env = gronwall_envelope(spec, m_phi, m_psi, alpha, gamma, eps, (100, 398))
         report = convergence_check_discrete(a, b, env, alpha)
         assert report.envelope_ok
 
@@ -395,24 +411,26 @@ LANE_LENGTHS = {"m-1": lambda m, w: m - 1, "m+1": lambda m, w: m + 1,
 class TestBlockSweeps:
     """iterate's lockstep lanes against the one-transition-at-a-time loop."""
 
-    def _demo_specs(self, nonlinearity):
+    def _demo_system(self, nonlinearity):
+        """The demo matrix with ``nonlinearity``, and the 6.4 forcings phi and psi."""
         triple = build_sequence_triple(catalog.source_orbit(length=44002))
-        b = catalog.discrete_demo_matrix()
-        return [DiscreteSystemSpec(b, nonlinearity, seq) for seq in (triple.phi, triple.psi)]
+        return DiscreteSystemSpec(catalog.discrete_demo_matrix(), nonlinearity), \
+            (triple.phi, triple.psi)
 
     def test_demo_window_bit_identical(self):
         # the demo matrix makes every product exact, so B @ w agrees bit for bit
-        for spec in self._demo_specs(catalog.discrete_demo_nonlinearity()):
-            burn = burn_in_length(spec, 1e-9)
+        spec, forcings = self._demo_system(catalog.discrete_demo_nonlinearity())
+        for forcing in forcings:
+            burn = burn_in_length(spec, forcing.sup_norm(), 1e-9)
             steps = 44000 - (4000 - burn)
-            assert_same_bits(iterate(spec, np.zeros(2), steps, 4000 - burn),
-                             reference_iterate(spec, np.zeros(2), steps, 4000 - burn))
+            assert_same_bits(iterate(spec, forcing, np.zeros(2), steps, 4000 - burn),
+                             reference_iterate(spec, forcing, np.zeros(2), steps, 4000 - burn))
 
     def test_tanh_system_bit_identical(self):
-        spec = self._demo_specs(catalog.tanh_nonlinearity(2, 0.2))[0]
+        spec, (forcing, _) = self._demo_system(catalog.tanh_nonlinearity(2, 0.2))
         w0 = np.array([0.3, -1.2])
-        assert_same_bits(iterate(spec, w0, 20000, 100),
-                         reference_iterate(spec, w0, 20000, 100))
+        assert_same_bits(iterate(spec, forcing, w0, 20000, 100),
+                         reference_iterate(spec, forcing, w0, 20000, 100))
 
     @pytest.mark.parametrize("steps", [0, 1, K - 1, K, K + 1, 3 * K + 17, *LANE_LENGTHS])
     # (first warm-up, warm-up cap): the demo matrix's own, and a start of 16 capped at 64
@@ -423,10 +441,11 @@ class TestBlockSweeps:
         if steps in LANE_LENGTHS:
             steps = LANE_LENGTHS[steps](rows[0], rows[0])
         spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
-                                  catalog.discrete_demo_nonlinearity(),
-                                  random_forcing(3 * K + 40, 2, steps, base=-15))
+                                  catalog.discrete_demo_nonlinearity())
+        forcing = random_forcing(3 * K + 40, 2, steps, base=-15)
         w0 = np.array([0.7, -0.4])
-        assert_same_bits(iterate(spec, w0, steps, -9), reference_iterate(spec, w0, steps, -9))
+        assert_same_bits(iterate(spec, forcing, w0, steps, -9),
+                         reference_iterate(spec, forcing, w0, steps, -9))
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
@@ -435,13 +454,14 @@ class TestBlockSweeps:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((dim, dim))
         b *= norm / np.linalg.norm(b, 2)
-        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2),
-                                  random_forcing(steps + 5, dim, seed))
+        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2))
+        forcing = random_forcing(steps + 5, dim, seed)
         w0 = rng.uniform(-2, 2, dim)
-        orbit = iterate(spec, w0, steps)
-        assert_same_bits(orbit, reference_iterate(spec, w0, steps, product=column_product))
+        orbit = iterate(spec, forcing, w0, steps)
+        assert_same_bits(orbit, reference_iterate(spec, forcing, w0, steps,
+                                                  product=column_product))
         # B @ w may round differently from the column sum in the last bits
-        ref = reference_iterate(spec, w0, steps)
+        ref = reference_iterate(spec, forcing, w0, steps)
         scale = max(1.0, ref.sup_norm())
         assert np.abs(orbit.values - ref.values).max() <= 1e-12 * scale
 
@@ -451,8 +471,8 @@ class TestBlockSweeps:
         if dim == 3:
             q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
             b = q @ np.block([[b, np.zeros((2, 1))], [np.zeros((1, 2)), 0.99]]) @ q.T
-        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2),
-                                  random_forcing(3000, dim, 5))
+        spec = DiscreteSystemSpec(b, catalog.tanh_nonlinearity(dim, 0.2))
+        forcing = random_forcing(3000, dim, 5)
         w0 = np.linspace(0.1, 0.3, dim)
         out = np.empty((3001, dim))
         out[0] = w0
@@ -460,34 +480,33 @@ class TestBlockSweeps:
         assert lanes.first_warmup(b) == 8192
         monkeypatch.setattr(lanes, "first_warmup", lambda _: 64)
         warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
-                                             spec.forcing.values, out)
+                                             forcing.values, out)
         # no lane merges at any warm-up; lane 0 of the rounds at 64 to 512 is exact:
         # 128 + 256 + 512 + 1024 rows, and 3000 - 1920 rows leave no two lanes of 1024
         assert warm == 1024
         assert stepped == 3000 - 1920
-        ref = reference_iterate(spec, w0, 3000, product=column_product)
+        ref = reference_iterate(spec, forcing, w0, 3000, product=column_product)
         np.testing.assert_array_equal(out.view(np.uint64), ref.values.view(np.uint64))
-        assert_same_bits(iterate(spec, w0, 3000), ref)
+        assert_same_bits(iterate(spec, forcing, w0, 3000), ref)
 
     def test_demo_settles_without_stepping(self):
-        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[0]
+        spec, (forcing, _) = self._demo_system(catalog.discrete_demo_nonlinearity())
         out = np.zeros((20001, 2))
         warm, stepped = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
-                                             spec.forcing.values, out)
+                                             forcing.values, out)
         # one round at the first warm-up keeps every lane
         assert warm == lanes.first_warmup(spec.matrix) == 64
         assert stepped < 64
 
     def test_slow_contraction_settles_after_the_warm_up_doubles(self):
         # q = 0.8 + 0.1: lanes merge only once the warm-up has doubled from |B|'s 256
-        spec = DiscreteSystemSpec(0.8 * np.eye(2), catalog.tanh_nonlinearity(2, 0.1),
-                                  random_forcing(5000, 2, 21))
+        spec = DiscreteSystemSpec(0.8 * np.eye(2), catalog.tanh_nonlinearity(2, 0.1))
+        phi = random_forcing(5000, 2, 21).values
         out = np.empty((5001, 2))
         out[0] = [0.3, -0.2]
         stepped = out.copy()
-        discrete._step_rows(spec.matrix, spec.nonlinearity, spec.forcing.values, stepped, 0)
-        warm, rest = discrete._orbit_rows(spec.matrix, spec.nonlinearity,
-                                          spec.forcing.values, out)
+        discrete._step_rows(spec.matrix, spec.nonlinearity, phi, stepped, 0)
+        warm, rest = discrete._orbit_rows(spec.matrix, spec.nonlinearity, phi, out)
         assert lanes.first_warmup(spec.matrix) == 256 and warm == 512
         assert rest < warm
         np.testing.assert_array_equal(out.view(np.uint64), stepped.view(np.uint64))
@@ -495,23 +514,23 @@ class TestBlockSweeps:
     @pytest.mark.parametrize("start", [1.0, 1e300])
     def test_overflow_raises_like_the_reference(self, start):
         # from 1e300 the orbit overflows inside the first round's lanes
-        spec = DiscreteSystemSpec(1.5 * np.eye(2), catalog.tanh_nonlinearity(2, 0.2),
-                                  random_forcing(2500, 2, 9))
+        spec = DiscreteSystemSpec(1.5 * np.eye(2), catalog.tanh_nonlinearity(2, 0.2))
+        forcing = random_forcing(2500, 2, 9)
         caught = {}
         for name, fn in (("reference", reference_iterate), ("iterate", iterate)):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 with pytest.raises(DomainError) as err:
-                    fn(spec, np.full(2, start), 2400)
+                    fn(spec, forcing, np.full(2, start), 2400)
             caught[name] = (str(err.value), {(w.category, str(w.message)) for w in seen})
         assert caught["iterate"][0] == caught["reference"][0]
         assert caught["iterate"][1] <= caught["reference"][1]
 
     def test_bounded_orbit_is_the_window_of_one_iterate(self):
-        spec = self._demo_specs(catalog.discrete_demo_nonlinearity())[1]
-        burn = burn_in_length(spec, 1e-9)
-        whole = reference_iterate(spec, np.zeros(2), burn + 5000, 4000 - burn)
-        assert_same_bits(bounded_orbit(spec, (4000, 9000)), whole.restrict(4000, 9000))
+        spec, (_, forcing) = self._demo_system(catalog.discrete_demo_nonlinearity())
+        burn = burn_in_length(spec, forcing.sup_norm(), 1e-9)
+        whole = reference_iterate(spec, forcing, np.zeros(2), burn + 5000, 4000 - burn)
+        assert_same_bits(bounded_orbit(spec, forcing, (4000, 9000)), whole.restrict(4000, 9000))
 
 
 SWEEP_SYSTEMS = [(name, 2) for name in catalog.NONLINEARITIES] + [("tanh", 3), ("zero", 3)]

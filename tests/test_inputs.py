@@ -7,6 +7,7 @@ reaches the runner only when it was given.
 """
 
 import ast
+import hashlib
 import json
 import math
 import tempfile
@@ -249,6 +250,26 @@ BAD_INPUTS = [
     ("delay forcing 1e200", {"kind": "delay", "system": {
         "forcing": {"type": "constant", "value": [1e200]}}, "numeric": {"window": [0, 1]}},
      "config field 'system.forcing.value'"),
+    # a delay window far from 0: at 1e12 the step did not divide the run from its burn-in
+    # start, which exited 1 naming no field; at 1e17 the grid times collapsed onto a few
+    # doubles, and the run exited 0 with a CSV that detect refuses
+    ("delay window 1e12", {"kind": "delay", "system": {"forcing": {"type": "zero"}},
+                           "numeric": {"window": [1e12, 1000000000020]}},
+     "config field 'numeric.window'"),
+    ("delay window 1e17", {"kind": "delay", "system": {"forcing": {"type": "zero"}},
+                           "numeric": {"window": [1e17, 1.00000000000002e17]}},
+     "config field 'numeric.window'"),
+    # a discrete window past the int64 range: its index column wrapped to -2^63 and the run
+    # exited 0, or, below -2^63, it ended in an OverflowError traceback
+    ("discrete window past 2^63", {"kind": "discrete", "system": {"forcing": {"type": "zero"}},
+                                   "numeric": {"window": [9223372036854775800,
+                                                          9223372036854775810]}},
+     "config field 'numeric.window'"),
+    ("discrete window before -2^63", {"kind": "discrete",
+                                      "system": {"forcing": {"type": "zero"}},
+                                      "numeric": {"window": [-9223372036854775900,
+                                                             -9223372036854775800]}},
+     "config field 'numeric.window'"),
 ]
 
 
@@ -278,6 +299,20 @@ def test_bad_input_exits_two_naming_it(tmp_path, capsys, case, inputs, named):
     assert not any(line.startswith("error: ") for line in streams.err.splitlines())
     # a refused input leaves no output directory, and a file in its place as it was
     assert out.read_text() == "not a directory\n" if out_is_a_file else not out.exists()
+
+
+def test_delay_window_far_from_zero_still_runs(tmp_path, capsys):
+    # at 1e6 the step divides the run and the grid times are distinct doubles: the
+    # outputs keep the bytes they had before farther windows were refused
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kind": "delay", "system": {"forcing": {"type": "zero"}},
+        "numeric": {"window": [1e6, 1000020]}, "output": {"dir": str(tmp_path)}})
+    assert run(["run", cfg], capsys)[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / f"delay_{name}").read_bytes()).hexdigest()
+               for name in ("solution.csv", "report.json")}
+    assert digests == {
+        "solution.csv": "0a190cc55a3daf1aab3f2fbd81d4e5ce8ae38b32aed3f551e2f86a26d7ef23bc",
+        "report.json": "81ca1f2648378c3e539ac7546f7d13d4a4e01206c3dfd08e842c5463ff44b478"}
 
 
 def test_huge_delay_with_zero_forcing_fails_the_margin_check(tmp_path, capsys):
