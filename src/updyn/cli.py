@@ -40,11 +40,11 @@ import numpy as np
 from . import catalog
 from .chaos import (GridFunction, Series, VectorSequence, logistic_residual, quadrature_oracle,
                     row_norms)
-from .delay import picard_apply
+from .delay import DelaySystemSpec, bounded_solution, burn_in_time, picard_apply
 from .detectors import (FUNCTION_HORIZON, SCAN_DELTA, SCAN_EPSILON0, SCAN_WINDOW,
                         SEQUENCE_HORIZON, collect_evidence, evidence_for_function,
                         verify_evidence)
-from .discrete import orbit_sum_residual
+from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length, orbit_sum_residual
 from .errors import ArgumentError, ConfigError, DomainError, StabilityError, UpdynError
 from .nonlinearity import check_assumptions
 from .report import (CheckRecord, at_most, failing_checks, jsonable, not_applicable, passes,
@@ -248,10 +248,23 @@ def _discrete_demo(**inputs) -> Outcome:
 # runs outside the catalog: simulations under zero or constant forcing, CSV scans
 
 
-def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
-    """The constant forcing vector: zero, or ``value`` given as 1 or ``dim`` numbers."""
+def _system(default: np.ndarray, matrix, nonlinearity: str, scale: float | None, forcing: str,
+            value) -> tuple:
+    """A ``run`` config's matrix (``default`` when none is given), ``Nonlinearity`` and
+    constant forcing vector (zero, or ``value`` given as 1 or ``dim`` numbers); a refusal
+    names the first fault of scale, then the matrix, then value."""
+    matrix = default if matrix is None else np.asarray(matrix, dtype=float)
+    dim = matrix.shape[0]
+    if scale is not None and nonlinearity != "tanh":
+        raise ArgumentError("scale", f"applies to the tanh nonlinearity only, not {nonlinearity!r}")
+    try:
+        nl = catalog.NONLINEARITIES[nonlinearity](dim, 1.0 if scale is None else scale)
+    except DomainError as exc:
+        # only a given matrix can be other than 2x2, so the matrix is named
+        raise ArgumentError("matrix", f"is {dim}x{dim}, but the {nonlinearity!r} {exc}; set "
+                                      "system.nonlinearity.type to tanh or zero") from None
     if value is None:
-        return np.zeros(dim)
+        return matrix, nl, np.zeros(dim)
     if forcing == "zero":
         raise ArgumentError("value", "applies to constant forcing only")
     if len(value) not in (1, dim):
@@ -261,41 +274,7 @@ def _forcing_value(forcing: str, value, dim: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         if not math.isfinite(row_norms(v[None])[0]):
             raise ArgumentError("value", "is too large: its norm overflows")
-    return v
-
-
-def _nonlinearity(name: str, dim: int, scale: float | None):
-    if scale is not None and name != "tanh":
-        raise ArgumentError("scale", f"applies to the tanh nonlinearity only, not {name!r}")
-    try:
-        return catalog.NONLINEARITIES[name](dim, 1.0 if scale is None else scale)
-    except DomainError as exc:
-        # only a given matrix can be other than 2x2, so the matrix is named
-        raise ArgumentError("matrix", f"is {dim}x{dim}, but the {name!r} {exc}; set "
-                                      "system.nonlinearity.type to tanh or zero") from None
-
-
-def _simulate(letter: str, build: Callable, verdict: Callable, then: str, solve, forcing: str,
-              value, matrix, nonlinearity: str, scale: float | None):
-    """Check a delay ("A") or discrete ("B") system under zero or constant forcing; solve it.
-
-    ``build(matrix, nonlinearity)`` makes the spec, on the demo system's matrix
-    when none is given.  The checks are the margin's, ``verdict(spec)`` and the
-    one ``solve(spec, forcing vector)`` returns with its counters and CSV pass,
-    or ``then`` as not applicable when the margin fails or ``solve`` is None.
-    """
-    demo = catalog.delay_demo_matrix if letter == "A" else catalog.discrete_demo_matrix
-    matrix = demo() if matrix is None else np.asarray(matrix, dtype=float)
-    nl = _nonlinearity(nonlinearity, matrix.shape[0], scale)
-    v = _forcing_value(forcing, value, matrix.shape[0])
-    spec = build(matrix, nl)
-    second = verdict(spec)  # first: the margin needs the N and lambda it may refuse
-    assumptions = check_assumptions(spec)
-    checks = [_margin_check(letter, assumptions), second]
-    if solve is None or not assumptions.contracts:
-        return Outcome([*checks, not_applicable(then)], {}, {"simulated": False})
-    check, counters, csvs = solve(spec, v)
-    return Outcome([*checks, check], {}, {"simulated": True, **counters}, csvs)
+    return matrix, nl, v
 
 
 def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "arctan_arccot",
@@ -303,48 +282,48 @@ def _simulate_delay(forcing: str, value=None, matrix=None, nonlinearity: str = "
                     step: float | None = None, tol: float = 1e-8):
     """Check assumptions A1-A3 and, given a ``window``, simulate the bounded solution there
     with ``step`` (default ``tau / 32``) after a burn-in counted toward ``MAX_ROWS``."""
-    from .delay import DelaySystemSpec, bounded_solution, burn_in_time
-
     per_unit = catalog.steps_per_unit(tau, step, "delay")
-
-    def solve(spec, v):
-        burn = burn_in_time(spec, tol)
-        catalog.check_rows((burn + window[1] - window[0] + tau) * per_unit,
-                           ("window", "matrix", "tol", "step", "tau"),
-                           f", {burn * per_unit:.3g} of them burn-in")
-        traj = bounded_solution(spec, lambda t: np.broadcast_to(v, t.shape + v.shape),
-                                tuple(window), catalog.delay_step(tau, step), tol=tol)
-        c = spec.constants
-        bound = c.amplitude * (spec.nonlinearity.bound + row_norms(v[None])[0]) / c.decay_rate
-        return (at_most("solution_sup_bound", {"sup": traj.sup_norm(), "bound": bound},
-                        {"tol": tol}, limit=bound + tol), {"grid_nodes": len(traj)},
-                (write_function_csv, traj.times(), {"solution": traj.values}))
-
-    return _simulate("A", lambda m, nl: DelaySystemSpec(m, tau, nl),
-                     _stability_check, "solution_sup_bound", None if window is None else solve,
-                     forcing, value, matrix, nonlinearity, scale)
+    a, nl, v = _system(catalog.delay_demo_matrix(), matrix, nonlinearity, scale, forcing, value)
+    spec = DelaySystemSpec(a, tau, nl)
+    stability = _stability_check(spec)  # first: the margin needs the N and lambda it may refuse
+    assumptions = check_assumptions(spec)
+    checks = [_margin_check("A", assumptions), stability]
+    if window is None or not assumptions.contracts:
+        return Outcome([*checks, not_applicable("solution_sup_bound")], {}, {"simulated": False})
+    burn = burn_in_time(spec, tol)
+    catalog.check_rows((burn + window[1] - window[0] + tau) * per_unit,
+                       ("window", "matrix", "tol", "step", "tau"),
+                       f", {burn * per_unit:.3g} of them burn-in")
+    traj = bounded_solution(spec, lambda t: np.broadcast_to(v, t.shape + v.shape),
+                            tuple(window), catalog.delay_step(tau, step), tol=tol)
+    c = spec.constants
+    bound = c.amplitude * (nl.bound + row_norms(v[None])[0]) / c.decay_rate
+    checks.append(at_most("solution_sup_bound", {"sup": traj.sup_norm(), "bound": bound},
+                          {"tol": tol}, limit=bound + tol))
+    return Outcome(checks, {}, {"simulated": True, "grid_nodes": len(traj)},
+                   (write_function_csv, traj.times(), {"solution": traj.values}))
 
 
 def _simulate_discrete(forcing: str, value=None, matrix=None, nonlinearity: str = "sin_cos",
                        scale: float | None = None, window=(0, 400), tol: float = 1e-9):
     """Check assumptions B1-B3 and, if they hold, compute the bounded orbit on ``window``
     after a burn-in sized from the constant forcing's norm, counted toward ``MAX_ROWS``."""
-    from .discrete import DiscreteSystemSpec, bounded_orbit, burn_in_length
-
-    def solve(spec, v):
-        i0, i1 = int(window[0]), int(window[1])
-        burn = burn_in_length(spec, float(row_norms(v[None])[0]), tol)
-        catalog.check_rows(burn + i1 - i0, ("window", "matrix", "value", "scale", "tol"),
-                           f", {burn:,} of them burn-in")
-        forcing = VectorSequence(i0 - burn, np.repeat(v[None], burn + i1 - i0, 0))
-        orbit = bounded_orbit(spec, forcing, (i0, i1), tol=tol)
-        return (_residual_check(spec, forcing, orbit), {"orbit_steps": len(orbit) - 1},
-                (write_sequence_csv, orbit.times(), {"orbit": orbit.values}))
-
-    return _simulate("B", DiscreteSystemSpec,
-                     lambda spec: at_most("spectral_norm", {"spectral_norm": spec.norm_b},
-                                          {"below": 1.0}, strict=True),
-                     "recurrence_residual", solve, forcing, value, matrix, nonlinearity, scale)
+    b, nl, v = _system(catalog.discrete_demo_matrix(), matrix, nonlinearity, scale, forcing, value)
+    spec = DiscreteSystemSpec(b, nl)
+    norm = at_most("spectral_norm", {"spectral_norm": spec.norm_b}, {"below": 1.0}, strict=True)
+    assumptions = check_assumptions(spec)
+    checks = [_margin_check("B", assumptions), norm]
+    if not assumptions.contracts:
+        return Outcome([*checks, not_applicable("recurrence_residual")], {}, {"simulated": False})
+    i0, i1 = int(window[0]), int(window[1])
+    burn = burn_in_length(spec, float(row_norms(v[None])[0]), tol)
+    catalog.check_rows(burn + i1 - i0, ("window", "matrix", "value", "scale", "tol"),
+                       f", {burn:,} of them burn-in")
+    phi = VectorSequence(i0 - burn, np.repeat(v[None], burn + i1 - i0, 0))
+    orbit = bounded_orbit(spec, phi, (i0, i1), tol=tol)
+    return Outcome([*checks, _residual_check(spec, phi, orbit)],
+                   {}, {"simulated": True, "orbit_steps": len(orbit) - 1},
+                   (write_sequence_csv, orbit.times(), {"orbit": orbit.values}))
 
 
 def _scan_series(csv_path: str, horizon: float | None = None, epsilon0: float = SCAN_EPSILON0,

@@ -254,9 +254,7 @@ def stability_constants(a) -> StabilityConstants:
             raise StabilityError("A @ A is not finite, so exp(A h) cannot be computed")
 
     try:
-        sv = np.linalg.svd(_real_modal_matrix(a), compute_uv=False)
-        with np.errstate(over="ignore"):  # an overflow means inf, and lyapunov mode
-            cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+        cond = np.linalg.cond(_real_modal_matrix(a))  # inf on an overflow: lyapunov mode
     except StabilityError:
         cond = math.inf
     if cond < 1e8:
@@ -345,25 +343,19 @@ def _powers_toeplitz(mt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return powers, toeplitz.transpose(0, 2, 1, 3).reshape(k * m, k * m)
 
 
-def _affine_scan(mt: np.ndarray, k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Solver for the rows of y_{j+1} = y_j @ mt + c_j, ``k`` steps per matmul.
-
-    Returns ``scan(y0, c)``, which gives the rows y_1 .. y_n for an offset
-    array ``c`` of shape (n, m), one ``_powers_toeplitz`` block of k rows at a time.
-    """
+def _affine_scan(mt: np.ndarray, k: int, y0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows y_1 .. y_n of y_{j+1} = y_j @ mt + c_j for an offset array ``c`` of shape
+    (n, m), one ``_powers_toeplitz`` block of ``k`` rows, one matmul, at a time."""
     m = mt.shape[0]
     powers, toeplitz = _powers_toeplitz(mt, k)
-
-    def scan(y0: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = np.empty(c.shape)
-        y = y0
-        for lo in range(0, len(c), k):
-            rows = c[lo:lo + k]
-            w = rows.size
-            out[lo:lo + k] = (y @ powers[:, :w] + rows.ravel() @ toeplitz[:w, :w]).reshape(-1, m)
-            y = out[lo + len(rows) - 1]
-        return out
-    return scan
+    out = np.empty(c.shape)
+    y = y0
+    for lo in range(0, len(c), k):
+        rows = c[lo:lo + k]
+        w = rows.size
+        out[lo:lo + k] = (y @ powers[:, :w] + rows.ravel() @ toeplitz[:w, :w]).reshape(-1, m)
+        y = out[lo + len(rows) - 1]
+    return out
 
 
 def _segment_matrices(a: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -613,7 +605,7 @@ def picard_apply(spec: DelaySystemSpec, psi_solution: Series, theta: Series,
 
     out = np.array(g.values, copy=True)
     offsets = 0.5 * h * (damped[:-1] + inhomo[1:])
-    out[a_idx + 1:] = _affine_scan(e_step.T, k)(g.values[a_idx], offsets)
+    out[a_idx + 1:] = _affine_scan(e_step.T, k, g.values[a_idx], offsets)
     return replace(g, values=out)
 
 

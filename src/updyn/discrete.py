@@ -192,13 +192,17 @@ def burn_in_length(spec: DiscreteSystemSpec, m_forcing: float, tol: float) -> in
 def bounded_orbit(spec: DiscreteSystemSpec, forcing: Series, window: Sequence[int],
                   tol: float = 1e-9) -> Series:
     """Approximate the unique bounded orbit under ``forcing`` on ``window`` (inclusive) by
-    burn-in; a window whose indices, burn-in included, leave the int64 range is refused."""
+    burn-in; a window whose indices, burn-in included, leave the int64 range or start
+    before the forcing is refused."""
     i0, i1 = int(window[0]), int(window[1])
     if i1 < i0:
         raise DomainError("empty window")
     burn = burn_in_length(spec, forcing.sup_norm(), tol)
     if not (-2 ** 63 <= i0 - burn and i1 < 2 ** 63):
         raise ArgumentError("window", f"spans [{i0 - burn}, {i1}] with its burn-in, past int64")
+    if i0 - burn < forcing.t_start:
+        raise ArgumentError(("window", "tol"), f"needs forcing from index {i0 - burn} with its "
+                            f"burn-in, but the forcing starts at {forcing.t_start}")
     orbit = iterate(spec, forcing, np.zeros(spec.dim), burn + i1 - i0, start_index=i0 - burn)
     return orbit.restrict(i0, i1)
 

@@ -245,6 +245,25 @@ class TestBoundedOrbit:
         orbit = bounded_orbit(spec, zero_forcing(n=300, base=-200), (0, 50))
         assert orbit.sup_norm() == 0.0
 
+    def test_window_whose_burn_in_starts_before_the_forcing_refused_before_iterating(
+            self, monkeypatch):
+        spec = DiscreteSystemSpec(catalog.discrete_demo_matrix(),
+                                  catalog.discrete_demo_nonlinearity())
+        forcing = constant_forcing([0.3, 0.1], n=400, base=10)
+        burn = burn_in_length(spec, forcing.sup_norm(), 1e-9)
+        calls, real = [], discrete.iterate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["start_index"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(discrete, "iterate", counted)
+        for start in (10, 10 + burn - 1):
+            with pytest.raises(ArgumentError, match=f"index {start - burn} .* starts at 10$") as exc:
+                bounded_orbit(spec, forcing, (start, start + 100))
+            assert exc.value.names == ("window", "tol") and calls == []
+        orbit = bounded_orbit(spec, forcing, (10 + burn, 10 + burn + 100))
+        assert calls == [10] and orbit.t_start == 10 + burn
+
     def test_sup_bound(self, discrete_demo):
         d = discrete_demo
         bound = (d.spec.nonlinearity.bound + d.m_phi) / (1.0 - d.spec.norm_b)

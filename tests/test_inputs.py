@@ -270,6 +270,26 @@ BAD_INPUTS = [
                                       "numeric": {"window": [-9223372036854775900,
                                                              -9223372036854775800]}},
      "config field 'numeric.window'"),
+    # a 6.4 window whose burn-in starts before the forcing's index 0 exited 1 naming no field
+    ("discrete window [1, 4000]", {"kind": "discrete", "numeric": {"window": [1, 4000]}},
+     "config field 'numeric.window'"),
+    # two faults in one config: the first in the order scale, matrix, value is named
+    ("discrete scale and value", {"kind": "discrete", "system": {
+        "nonlinearity": {"type": "sin_cos", "scale": 2},
+        "forcing": {"type": "constant", "value": [1, 2, 3]}}},
+     "config field 'system.nonlinearity.scale'"),
+    ("delay 3x3 arctan_arccot and value", {"kind": "delay", "system": {
+        "matrix": (-np.eye(3)).tolist(), "forcing": {"type": "constant", "value": [1, 2]}}},
+     "config field 'system.matrix'"),
+    ("delay step and value", {"kind": "delay", "system": {
+        "forcing": {"type": "zero", "value": [1]}}, "numeric": {"step": 0.03}},
+     "config field 'numeric.step'"),
+    ("discrete value and matrix", {"kind": "discrete", "system": {
+        "matrix": [[2, 0], [0, 0.5]], "forcing": {"type": "zero", "value": [1]}}},
+     "config field 'system.forcing.value'"),
+    ("delay value and unstable matrix", {"kind": "delay", "system": {
+        "matrix": [[1, 0], [0, -1]], "forcing": {"type": "constant", "value": [1e308, 1e308]}}},
+     "config field 'system.forcing.value'"),
 ]
 
 
